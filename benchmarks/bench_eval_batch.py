@@ -2,17 +2,15 @@
 
 Profiling (PR 1) showed PathApprox evaluation is ~95% of per-cell sweep
 cost.  This benchmark isolates the batched evaluation core's win: the
-same grid is run through :func:`repro.engine.run_sweep` three times —
-``batch_eval=False`` (the per-cell reference path: one evaluator call
-per cell, 2-state laws rebuilt per path occurrence),
-``fused_eval=False`` (one batched dispatch per strategy and structure
-group) and the default fused path (every evaluation of a grid group —
-both strategies, all chunks, all structure groups — pooled through one
-multi-template dispatch).  Records are asserted bit-identical; the
-machine-readable summary lands in ``BENCH_eval.json`` at the repo root
-with ``cells_per_s`` / ``wall_s`` / ``speedup`` keys per grid and
-overall, plus the fused dispatch telemetry (``dispatches``,
-``dispatch_jobs_mean``, ``pool_width_mean``).
+same grid is run through :func:`repro.engine.run_sweep` twice — once
+through the per-cell oracle (the method re-registered without
+``supports_batch``: one evaluator call per cell, 2-state laws rebuilt
+per path occurrence) and once through the batched path (one dispatch
+per strategy and structure group).  Records are asserted
+bit-identical; the machine-readable summary lands in
+``BENCH_eval.json`` at the repo root with ``cells_per_s`` / ``wall_s``
+/ ``speedup`` keys per grid and overall, plus the dispatch telemetry
+(``dispatches``, ``pool_width_mean``).
 
 Grids: the 84-cell MONTAGE grid of ``bench_sweep_engine.py`` and a
 40-cell GENOME-50 grid.  ``REPRO_BENCH_SMOKE=1`` shrinks both to a few
@@ -33,7 +31,7 @@ from repro.experiments.figures import log_grid
 from repro.makespan import native as native_kernels
 from repro.makespan import profile as kernel_profile
 
-from benchmarks.conftest import save_artifact, save_json
+from benchmarks.conftest import per_cell_sweep, save_artifact, save_json
 
 #: Tiny grids for the CI smoke job (JSON shape, not timings).
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
@@ -66,24 +64,20 @@ def genome_spec() -> SweepSpec:
 
 
 def run_grid(spec: SweepSpec) -> Tuple[Dict[str, float], List[CellResult]]:
-    """Time per-cell vs per-group vs fused evaluation of one grid.
+    """Time per-cell vs batched evaluation of one grid.
 
-    All paths are asserted bit-identical; the timed default is the
-    fused dispatcher with whatever kernel backend is live (native when
-    a compiler is present).  A fourth timed pass re-runs the fused
-    path with the native kernels disabled, so the artifact carries the
-    native-vs-python column with parity asserted.  A separate
-    (untimed) profiled pass collects the dispatch telemetry — dispatch
-    count, mean template jobs per dispatch, mean pooled wavefront
-    width, native-vs-fallback rows — so the JSON artifact pins the
-    dispatch shape, not just the wall time.
+    Both paths are asserted bit-identical; the timed default is the
+    batched path with whatever kernel backend is live (native when a
+    compiler is present).  A third timed pass re-runs the batched path
+    with the native kernels disabled, so the artifact carries the
+    native-vs-python column with parity asserted.  A separate (untimed)
+    profiled pass collects the dispatch telemetry — dispatch count,
+    mean pooled wavefront width, native-vs-fallback rows — so the JSON
+    artifact pins the dispatch shape, not just the wall time.
     """
     t0 = time.perf_counter()
-    per_cell = run_sweep(spec, jobs=1, batch_eval=False)
+    per_cell = per_cell_sweep(spec)
     wall_per_cell = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    grouped = run_sweep(spec, jobs=1, fused_eval=False)
-    wall_grouped = time.perf_counter() - t0
     t0 = time.perf_counter()
     batched = run_sweep(spec, jobs=1)
     wall_batched = time.perf_counter() - t0
@@ -96,10 +90,7 @@ def run_grid(spec: SweepSpec) -> Tuple[Dict[str, float], List[CellResult]]:
     finally:
         native_kernels.set_enabled(was_enabled)
     assert batched == per_cell, (
-        f"{spec.name}: fused records diverge from the per-cell path"
-    )
-    assert grouped == per_cell, (
-        f"{spec.name}: per-group records diverge from the per-cell path"
+        f"{spec.name}: batched records diverge from the per-cell path"
     )
     assert no_native == per_cell, (
         f"{spec.name}: native-disabled records diverge from the "
@@ -117,16 +108,13 @@ def run_grid(spec: SweepSpec) -> Tuple[Dict[str, float], List[CellResult]]:
             "cells": cells,
             "wall_s": wall_batched,
             "per_cell_wall_s": wall_per_cell,
-            "per_group_wall_s": wall_grouped,
             "no_native_wall_s": wall_no_native,
             "cells_per_s": cells / wall_batched,
             "per_cell_cells_per_s": cells / wall_per_cell,
             "no_native_cells_per_s": cells / wall_no_native,
             "speedup": wall_per_cell / wall_batched,
-            "fused_speedup": wall_grouped / wall_batched,
             "native_speedup": wall_no_native / wall_batched,
             "dispatches": snap["dispatches"],
-            "dispatch_jobs_mean": snap["dispatch_jobs_mean"],
             "pool_width_mean": snap["pool_width_mean"],
             "native_rows": snap["native_rows"],
             "native_ratio": snap["native_ratio"],
@@ -146,10 +134,7 @@ def compare() -> Tuple[str, List[CellResult]]:
         "kernel_backend": kernel_status["backend"],
         "grids": {},
     }
-    lines = [
-        "fused vs per-group vs per-cell evaluation "
-        "(jobs=1, bit-identical records)"
-    ]
+    lines = ["batched vs per-cell evaluation (jobs=1, bit-identical records)"]
     montage_cells: List[CellResult] = []
     total_cells = 0
     total_batched = 0.0
@@ -166,7 +151,7 @@ def compare() -> Tuple[str, List[CellResult]]:
             f"  {name:<8} {stats['cells']:>4} cells  "
             f"per-cell {stats['per_cell_wall_s']:7.2f}s "
             f"({stats['per_cell_cells_per_s']:6.2f} cells/s)  "
-            f"fused {stats['wall_s']:7.2f}s "
+            f"batched {stats['wall_s']:7.2f}s "
             f"({stats['cells_per_s']:6.2f} cells/s)  "
             f"speedup {stats['speedup']:.2f}x  "
             f"native {stats['native_speedup']:.2f}x  "
@@ -190,7 +175,7 @@ def bench_eval_batch(benchmark):
     report, cells = compare()
     save_artifact("eval_batch.txt", report + "\n")
     spec = montage_spec()
-    result = benchmark(lambda: run_sweep(spec, jobs=1, batch_eval=True))
+    result = benchmark(lambda: run_sweep(spec, jobs=1))
     assert result == cells
 
 

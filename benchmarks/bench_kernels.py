@@ -2,23 +2,21 @@
 
 Times the three distribution primitives (convolve / max / truncate) as
 per-row scalar loops against their single-call
-:class:`~repro.makespan.batch.BatchDistribution` counterparts, in both
-truncation modes (``adaptive`` — the ragged bit-exactness reference —
-and ``rect`` — fixed-width binning), and the PATHAPPROX fold as the
-per-cell scalar reference against the compiled fold-plan replay
+:class:`~repro.makespan.batch.BatchDistribution` counterparts in the
+``rect`` truncation mode (fixed-width binning — the only mode with
+batched kernels), and the PATHAPPROX fold as the per-cell scalar
+reference against the compiled fold-plan replay
 (:func:`~repro.makespan.pathapprox.pathapprox_batch`) on a real MONTAGE
-structure group.  All comparisons assert bit-identical results before
-any timing is reported.
+structure group, in both modes.  All comparisons assert bit-identical
+results before any timing is reported.
 
 A native-vs-python pass times each scalar primitive with the compiled
 kernels (:mod:`repro.makespan.native`) enabled and disabled — parity
 asserted — and lands as the ``native`` block of the JSON summary.  One
 profiled replay pass collects the kernel counters, so the summary
-carries the **scalar-fallback ratio** (share of batched rows finalised
-through the scalar kernel — the number the rect mode exists to drive
-down) and the fold executor's pool-singleton ratio.  The
-machine-readable summary lands in ``BENCH_kernel.json`` at the repo
-root; ``REPRO_BENCH_SMOKE=1`` shrinks sizes for the CI bench-smoke job.
+carries the fold executor's pool-singleton ratio.  The machine-readable
+summary lands in ``BENCH_kernel.json`` at the repo root;
+``REPRO_BENCH_SMOKE=1`` shrinks sizes for the CI bench-smoke job.
 Run directly::
 
     PYTHONPATH=src:. python benchmarks/bench_kernels.py
@@ -34,18 +32,14 @@ import numpy as np
 
 from repro.engine import Pipeline
 from repro.makespan import profile as kernel_profile
-from repro.makespan.batch import BatchDistribution, rows_of
+from repro.makespan.batch import BatchDistribution
 from repro.makespan.distribution import (
     MODE_ADAPTIVE,
     MODE_RECT,
     DiscreteDistribution,
 )
 from repro.makespan.paramdag import ParamDAG
-from repro.makespan.pathapprox import (
-    pathapprox,
-    pathapprox_batch,
-    pathapprox_fused,
-)
+from repro.makespan.pathapprox import pathapprox, pathapprox_batch
 from repro.util.rng import stable_seed
 
 from benchmarks.conftest import save_artifact, save_json
@@ -87,59 +81,53 @@ def _best(fn: Callable[[], object], repeats: int) -> Tuple[float, object]:
 def _assert_rows_equal(
     scalar: List[DiscreteDistribution], batched, label: str
 ) -> None:
-    rows = rows_of(batched) if not isinstance(batched, list) else batched
+    rows = batched if isinstance(batched, list) else batched.rows()
     assert len(rows) == len(scalar), label
     for s, b in zip(scalar, rows):
         assert np.array_equal(s.values, b.values), label
         assert np.array_equal(s.probs, b.probs), label
 
 
-def bench_primitives() -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Scalar-loop vs batched-call timings for each primitive × mode."""
+def bench_primitives() -> Dict[str, Dict[str, float]]:
+    """Scalar-loop vs batched-call timings for each rect primitive."""
     a = random_batch(1, N_CELLS, N_ATOMS)
     b = random_batch(2, N_CELLS, N_ATOMS)
     a_rows, b_rows = a.rows(), b.rows()
     ops: Dict[str, Tuple[Callable, Callable]] = {
         "convolve": (
-            lambda mode: [
-                x.convolve(y, BUDGET, mode) for x, y in zip(a_rows, b_rows)
+            lambda: [
+                x.convolve(y, BUDGET, MODE_RECT) for x, y in zip(a_rows, b_rows)
             ],
-            lambda mode: a.convolve(b, BUDGET, mode),
+            lambda: a.convolve(b, BUDGET),
         ),
         "max": (
-            lambda mode: [
-                x.max_with(y, BUDGET, mode) for x, y in zip(a_rows, b_rows)
+            lambda: [
+                x.max_with(y, BUDGET, MODE_RECT) for x, y in zip(a_rows, b_rows)
             ],
-            lambda mode: a.max_with(b, BUDGET, mode),
+            lambda: a.max_with(b, BUDGET),
         ),
         "truncate": (
-            lambda mode: [x.truncate(BUDGET, mode) for x in a_rows],
-            lambda mode: a.truncate(BUDGET, mode),
+            lambda: [x.truncate(BUDGET, MODE_RECT) for x in a_rows],
+            lambda: a.truncate(BUDGET),
         ),
     }
-    out: Dict[str, Dict[str, Dict[str, float]]] = {}
+    out: Dict[str, Dict[str, float]] = {}
     for name, (scalar_fn, batch_fn) in ops.items():
-        out[name] = {}
-        for mode in (MODE_ADAPTIVE, MODE_RECT):
-            scalar_wall, scalar_res = _best(lambda: scalar_fn(mode), REPEATS)
-            batch_wall, batch_res = _best(lambda: batch_fn(mode), REPEATS)
-            _assert_rows_equal(scalar_res, batch_res, f"{name}/{mode}")
-            out[name][mode] = {
-                "scalar_wall_s": scalar_wall,
-                "batched_wall_s": batch_wall,
-                "speedup": scalar_wall / batch_wall,
-                "rows_per_s": N_CELLS / batch_wall,
-            }
+        scalar_wall, scalar_res = _best(scalar_fn, REPEATS)
+        batch_wall, batch_res = _best(batch_fn, REPEATS)
+        _assert_rows_equal(scalar_res, batch_res, name)
+        out[name] = {
+            "scalar_wall_s": scalar_wall,
+            "batched_wall_s": batch_wall,
+            "speedup": scalar_wall / batch_wall,
+            "rows_per_s": N_CELLS / batch_wall,
+        }
     return out
 
 
-def fold_templates() -> List[ParamDAG]:
-    """Structure groups of a real MONTAGE-50 grid, largest first.
-
-    Both checkpoint strategies contribute DAGs (CKPTSOME and CKPTALL
-    structures differ), so the returned templates are exactly the
-    multi-template job-list a fused sweep dispatch would pool.
-    """
+def fold_template() -> ParamDAG:
+    """Largest structure group of a real MONTAGE-50 grid (both
+    checkpoint strategies contribute DAGs)."""
     pipe = Pipeline()
     family, size, procs = "montage", 50, 5
     wf = pipe.prepare(family, size, stable_seed(2017, family, size))
@@ -160,15 +148,8 @@ def fold_templates() -> List[ParamDAG]:
     groups: Dict[object, List[int]] = {}
     for i, dag in enumerate(dags):
         groups.setdefault(ParamDAG.structure_key(dag), []).append(i)
-    ordered = sorted(groups.values(), key=len, reverse=True)
-    return [
-        ParamDAG.from_dags([dags[i] for i in indices]) for indices in ordered
-    ]
-
-
-def fold_template() -> ParamDAG:
-    """Largest structure group of the MONTAGE-50 grid."""
-    return fold_templates()[0]
+    largest = max(groups.values(), key=len)
+    return ParamDAG.from_dags([dags[i] for i in largest])
 
 
 def bench_fold(template: ParamDAG) -> Dict[str, Dict[str, float]]:
@@ -198,34 +179,6 @@ def bench_fold(template: ParamDAG) -> Dict[str, Dict[str, float]]:
             "cells_per_s": template.n_cells / plan_wall,
         }
     return out
-
-
-def bench_fused(templates: List[ParamDAG]) -> Dict[str, float]:
-    """Sequential per-template replay vs one fused multi-template pass.
-
-    The fused work-list pools every template's wavefronts through
-    shared :func:`~repro.makespan.foldplan.execute_plans` passes;
-    results are asserted bit-identical per template before timing.
-    """
-    jobs = [(tpl, {}, None) for tpl in templates]
-    seq_wall, seq_res = _best(
-        lambda: [pathapprox_batch(tpl) for tpl in templates],
-        2 if SMOKE else 3,
-    )
-    fused_wall, fused_res = _best(
-        lambda: pathapprox_fused(jobs), 2 if SMOKE else 3
-    )
-    for seq, fused in zip(seq_res, fused_res):
-        assert np.array_equal(seq, fused), "fused multi-template parity"
-    cells = sum(tpl.n_cells for tpl in templates)
-    return {
-        "templates": len(templates),
-        "cells": cells,
-        "sequential_wall_s": seq_wall,
-        "fused_wall_s": fused_wall,
-        "speedup": seq_wall / fused_wall,
-        "cells_per_s": cells / fused_wall,
-    }
 
 
 def bench_native() -> Dict[str, object]:
@@ -284,10 +237,10 @@ def profiled_ratios(template: ParamDAG) -> Dict[str, object]:
     b = random_batch(2, N_CELLS, N_ATOMS)
     prof = kernel_profile.enable()
     try:
+        a.convolve(b, BUDGET)
+        a.max_with(b, BUDGET)
+        a.truncate(BUDGET)
         for mode in (MODE_ADAPTIVE, MODE_RECT):
-            a.convolve(b, BUDGET, mode)
-            a.max_with(b, BUDGET, mode)
-            a.truncate(BUDGET, mode)
             pathapprox_batch(template, truncate_mode=mode)
         snap = prof.snapshot()
     finally:
@@ -298,23 +251,20 @@ def profiled_ratios(template: ParamDAG) -> Dict[str, object]:
 def compare() -> str:
     primitives = bench_primitives()
     native = bench_native()
-    templates = fold_templates()
-    template = templates[0]
+    template = fold_template()
     fold = bench_fold(template)
-    fused = bench_fused(templates)
     snap = profiled_ratios(template)
 
     lines = [
         f"kernel microbenchmark — {N_CELLS} cells x {N_ATOMS} atoms, "
         f"budget {BUDGET}"
     ]
-    for name, modes in primitives.items():
-        for mode, stats in modes.items():
-            lines.append(
-                f"  {name:<9} {mode:<8} scalar {stats['scalar_wall_s']*1e3:8.2f}ms  "
-                f"batched {stats['batched_wall_s']*1e3:8.2f}ms  "
-                f"speedup {stats['speedup']:5.2f}x"
-            )
+    for name, stats in primitives.items():
+        lines.append(
+            f"  {name:<9} rect     scalar {stats['scalar_wall_s']*1e3:8.2f}ms  "
+            f"batched {stats['batched_wall_s']*1e3:8.2f}ms  "
+            f"speedup {stats['speedup']:5.2f}x"
+        )
     lines.append(
         f"  native kernels: {native['backend']}"
         + (f" ({native['compiler']})" if native["compiler"] else "")
@@ -332,16 +282,7 @@ def compare() -> str:
             f"speedup {stats['speedup']:5.2f}x  "
             f"({stats['cells_per_s']:.2f} cells/s, {stats['cells']} cells)"
         )
-    lines.append(
-        f"  fused     {fused['templates']} templates "
-        f"({fused['cells']} cells)  "
-        f"sequential {fused['sequential_wall_s']:7.2f}s  "
-        f"fused {fused['fused_wall_s']:7.2f}s  "
-        f"speedup {fused['speedup']:5.2f}x"
-    )
-    ratio = snap["scalar_fallback_ratio"]
     pooled = snap["pool_singleton_ratio"]
-    lines.append(f"  scalar-fallback ratio {ratio:.4f}" if ratio is not None else "")
     if pooled is not None:
         lines.append(f"  pool singleton ratio  {pooled:.4f}")
 
@@ -354,13 +295,11 @@ def compare() -> str:
         "ops": primitives,
         "native": native,
         "fold": fold,
-        "fused": fused,
-        "scalar_fallback_ratio": ratio,
         "pool_singleton_ratio": pooled,
         "profile_ops": snap["ops"],
     }
     save_json("BENCH_kernel.json", summary)
-    return "\n".join(line for line in lines if line)
+    return "\n".join(lines)
 
 
 def bench_kernels(benchmark):
@@ -369,7 +308,7 @@ def bench_kernels(benchmark):
     save_artifact("kernels.txt", report + "\n")
     a = random_batch(1, N_CELLS, N_ATOMS)
     b = random_batch(2, N_CELLS, N_ATOMS)
-    benchmark(lambda: a.convolve(b, BUDGET, MODE_ADAPTIVE))
+    benchmark(lambda: a.convolve(b, BUDGET))
 
 
 if __name__ == "__main__":

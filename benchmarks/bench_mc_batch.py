@@ -13,9 +13,10 @@ is pure overhead amortisation.
 
 The grid is a MONTAGE Monte Carlo grid under ``eval_seed_policy=
 "content"``; both paths are timed via :func:`repro.engine.run_sweep`
-(``batch_eval`` on/off), records asserted bit-identical, and the
-machine-readable summary lands in ``BENCH_mc.json`` at the repo root
-with ``cells_per_s`` / ``wall_s`` / ``speedup`` keys.
+(batched, and through the per-cell oracle), records asserted
+bit-identical, and the machine-readable summary lands in
+``BENCH_mc.json`` at the repo root with ``cells_per_s`` / ``wall_s`` /
+``speedup`` keys.
 ``REPRO_BENCH_SMOKE=1`` shrinks the grid for the CI smoke job.  Run
 directly::
 
@@ -31,7 +32,7 @@ from typing import Dict, List, Tuple
 from repro.engine import CellResult, SweepSpec, run_sweep
 from repro.experiments.figures import log_grid
 
-from benchmarks.conftest import save_artifact, save_json
+from benchmarks.conftest import per_cell_sweep, save_artifact, save_json
 
 #: Tiny grid for the CI smoke job (JSON shape, not timings).
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
@@ -62,10 +63,10 @@ def montage_spec() -> SweepSpec:
 def run_grid(spec: SweepSpec) -> Tuple[Dict[str, float], List[CellResult]]:
     """Time per-cell vs batched Monte Carlo on one grid; assert parity."""
     t0 = time.perf_counter()
-    per_cell = run_sweep(spec, jobs=1, batch_eval=False)
+    per_cell = per_cell_sweep(spec)
     wall_per_cell = time.perf_counter() - t0
     t0 = time.perf_counter()
-    batched = run_sweep(spec, jobs=1, batch_eval=True)
+    batched = run_sweep(spec, jobs=1)
     wall_batched = time.perf_counter() - t0
     assert batched == per_cell, (
         f"{spec.name}: batched Monte Carlo records diverge from the "
@@ -121,7 +122,7 @@ def bench_mc_batch(benchmark):
     report, cells = compare()
     save_artifact("mc_batch.txt", report + "\n")
     spec = montage_spec()
-    result = benchmark(lambda: run_sweep(spec, jobs=1, batch_eval=True))
+    result = benchmark(lambda: run_sweep(spec, jobs=1))
     assert result == cells
 
 

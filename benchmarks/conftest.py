@@ -70,3 +70,21 @@ def save_json(name: str, payload) -> Path:
     path = ROOT_DIR / name
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
+
+
+def per_cell_sweep(spec):
+    """``run_sweep(spec, jobs=1)`` through the per-cell oracle: the
+    spec's method is re-registered without ``supports_batch`` for the
+    call, so every cell is priced by ``Pipeline.evaluate_cell``."""
+    from repro.engine import run_sweep
+    from repro.makespan.api import EVALUATORS
+    from repro.makespan.evaluator import FunctionEvaluator
+
+    batched = EVALUATORS[spec.method]
+    EVALUATORS[spec.method] = FunctionEvaluator(
+        batched.evaluate, name=spec.method, deterministic=batched.deterministic
+    )
+    try:
+        return run_sweep(spec, jobs=1)
+    finally:
+        EVALUATORS[spec.method] = batched

@@ -10,10 +10,8 @@ Sub-commands::
                vs pure-python reference) serves each primitive
     sweep      run a parameter grid through the staged pipeline engine
                (artifact cache + optional --jobs process-pool fan-out;
-               records to JSONL/CSV; --no-batch-eval forces the
-               per-cell reference path, --no-fused-eval the per-group
-               dispatch; --dax sweeps an external workflow file
-               instead of a synthetic family)
+               records to JSONL/CSV; --dax sweeps an external workflow
+               file instead of a synthetic family)
     figure     regenerate a paper figure grid (CSV + ASCII panels)
     accuracy   run the §VI-B estimator accuracy study
     simulate   replay one failure-injected execution with an event log
@@ -154,6 +152,108 @@ def _load_dax_source(path: Path):
     return load_source(path)
 
 
+def _engine_flags() -> argparse.ArgumentParser:
+    """Parent parser of the flags ``sweep`` and ``serve`` share."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument(
+        "--jobs",
+        type=_jobs_count,
+        default=1,
+        help="worker processes (1 = in-process serial, 0 = all cores)",
+    )
+    flags.add_argument(
+        "--backend",
+        choices=["serial", "process", "subprocess", "remote"],
+        default=None,
+        help=(
+            "execution backend for the fan-out: 'process' (the --jobs "
+            "default), 'serial' (one-at-a-time reference), 'subprocess' "
+            "(a fresh interpreter per work unit — native crashes cost one "
+            "unit), or 'remote' (a `repro worker` fleet: `sweep` prints "
+            "its coordinator URL at startup, `serve` becomes the "
+            "coordinator).  Records are bit-identical on every backend"
+        ),
+    )
+    flags.add_argument(
+        "--workers",
+        nargs="+",
+        default=[],
+        metavar="URL",
+        help=(
+            "attachable worker URLs to recruit (--backend remote; "
+            "start them with `repro worker --listen PORT`)"
+        ),
+    )
+    flags.add_argument(
+        "--lease-timeout",
+        type=float,
+        default=30.0,
+        help=(
+            "seconds a remote worker owns a leased work unit before it "
+            "is presumed dead and the unit requeued (--backend remote)"
+        ),
+    )
+    flags.add_argument(
+        "--worker-grace",
+        type=float,
+        default=60.0,
+        help=(
+            "seconds a dispatch may sit with no live remote worker "
+            "before it finishes in-process (--backend remote)"
+        ),
+    )
+    flags.add_argument(
+        "--eval-seed-policy",
+        choices=["positional", "content"],
+        default="positional",
+        help=(
+            "'positional' derives stochastic sampling seeds from each "
+            "cell's grid position (the historical records); 'content' "
+            "derives them from cell content (position-independent — "
+            "such Monte Carlo records can be coalesced, stored and "
+            "backfilled by the service).  `serve` applies it to "
+            "payloads that do not name one"
+        ),
+    )
+    flags.add_argument(
+        "--profile",
+        action="store_true",
+        help=(
+            "collect kernel-level op counters (convolve/max/truncate "
+            "calls, batched rows, evaluation dispatches, pooled "
+            "wavefront width, native-vs-fallback rows, per-op wall "
+            "time): `sweep` prints the table after the grid, `serve` "
+            "exposes it as 'kernel_profile' in GET /status; with "
+            "--jobs N the workers profile themselves and the counters "
+            "are merged"
+        ),
+    )
+    flags.add_argument(
+        "--no-native",
+        action="store_true",
+        help=(
+            "disable the compiled distribution kernels and run the "
+            "pure-python reference path (bit-identical records, "
+            "slower); equivalent to REPRO_NATIVE=0"
+        ),
+    )
+    return flags
+
+
+def _apply_engine_flags(
+    args: argparse.Namespace, command: str
+) -> Optional[str]:
+    """Act on the shared ``sweep``/``serve`` flags; returns an error line."""
+    if args.no_native:
+        from repro.makespan import native
+
+        # Also sets REPRO_NATIVE=0 so --jobs worker processes inherit it.
+        native.set_enabled(False)
+    if args.workers and args.backend != "remote":
+        return f"repro {command}: --workers requires --backend remote"
+    return None
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -165,6 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    engine_flags = _engine_flags()
 
     gen = sub.add_parser("generate", help="generate a synthetic workflow")
     gen.add_argument("--family", required=True)
@@ -220,6 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser(
         "sweep",
+        parents=[engine_flags],
         help="run a parameter grid through the staged pipeline engine",
         description=(
             "Run a (sizes × processors × pfail × CCR) grid through "
@@ -274,85 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sw.add_argument(
-        "--eval-seed-policy",
-        choices=["positional", "content"],
-        default="positional",
-        help=(
-            "'positional' derives stochastic sampling seeds from each "
-            "cell's grid position (the historical records); 'content' "
-            "derives them from cell content (position-independent — "
-            "such Monte Carlo records can be coalesced, stored and "
-            "backfilled by the service)"
-        ),
-    )
-    sw.add_argument(
-        "--jobs",
-        type=_jobs_count,
-        default=1,
-        help="worker processes (1 = in-process serial, 0 = all cores)",
-    )
-    sw.add_argument(
-        "--backend",
-        choices=["serial", "process", "subprocess", "remote"],
-        default=None,
-        help=(
-            "execution backend for the fan-out: 'process' (the --jobs "
-            "default), 'serial' (one-at-a-time reference), 'subprocess' "
-            "(a fresh interpreter per chunk — native crashes cost one "
-            "chunk), or 'remote' (fan out to a `repro worker` fleet; "
-            "the coordinator URL is printed at startup).  Records are "
-            "bit-identical on every backend"
-        ),
-    )
-    sw.add_argument(
-        "--workers",
-        nargs="+",
-        default=[],
-        metavar="URL",
-        help=(
-            "attachable worker URLs to recruit (--backend remote; "
-            "start them with `repro worker --listen PORT`)"
-        ),
-    )
-    sw.add_argument(
-        "--lease-timeout",
-        type=float,
-        default=30.0,
-        help=(
-            "seconds a remote worker owns a leased chunk before it is "
-            "presumed dead and the chunk requeued (--backend remote)"
-        ),
-    )
-    sw.add_argument(
-        "--worker-grace",
-        type=float,
-        default=60.0,
-        help=(
-            "seconds the remote backend waits with no live worker "
-            "before finishing the sweep serially in-process "
-            "(--backend remote)"
-        ),
-    )
-    sw.add_argument(
-        "--no-batch-eval",
-        action="store_true",
-        help=(
-            "price cells one at a time (reference scalar path) instead "
-            "of batching each grid group through one DAG template; "
-            "records are bit-identical either way"
-        ),
-    )
-    sw.add_argument(
-        "--no-fused-eval",
-        action="store_true",
-        help=(
-            "dispatch one evaluation per strategy and structure group "
-            "instead of fusing all of a grid group's evaluations into "
-            "one multi-template dispatch; records are bit-identical "
-            "either way"
-        ),
-    )
-    sw.add_argument(
         "--truncate-mode",
         choices=["adaptive", "rect"],
         default=None,
@@ -360,30 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
             "kernel truncation mode for pathapprox: 'adaptive' "
             "(default, the bit-exact reference) or 'rect' (fixed-width "
             "binning; every support stays at exactly max_atoms points, "
-            "so the batched kernels never drop to the ragged scalar "
-            "fallback).  Rect records are a different numerical "
-            "approximation and are fingerprinted separately"
-        ),
-    )
-    sw.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "collect kernel-level op counters (convolve/max/truncate "
-            "calls, batched rows, scalar-fallback ratio, evaluation "
-            "dispatches, pooled wavefront width, native-vs-fallback "
-            "rows, per-op wall time) and print the table after the "
-            "sweep; with --jobs N the workers profile themselves and "
-            "the counters are merged"
-        ),
-    )
-    sw.add_argument(
-        "--no-native",
-        action="store_true",
-        help=(
-            "disable the compiled distribution kernels and run the "
-            "pure-python reference path (bit-identical records, "
-            "slower); equivalent to REPRO_NATIVE=0"
+            "so pooled fold steps run through the batched kernels).  "
+            "Rect records are a different numerical approximation and "
+            "are fingerprinted separately"
         ),
     )
     sw.add_argument(
@@ -430,6 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     srv = sub.add_parser(
         "serve",
+        parents=[engine_flags],
         help="run the persistent evaluation service",
         description=(
             "Start the HTTP evaluation service: POST /evaluate and /sweep "
@@ -453,102 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="SQLite result store path (default ./repro-service.db)",
     )
     srv.add_argument(
-        "--jobs",
-        type=_jobs_count,
-        default=1,
-        help="worker processes for coalesced batches (0 = all cores)",
-    )
-    srv.add_argument(
-        "--backend",
-        choices=["serial", "process", "subprocess", "remote"],
-        default=None,
-        help=(
-            "execution backend for dispatched batches; 'remote' turns "
-            "the service into the coordinator of a `repro worker` "
-            "fleet (its /work/* endpoints are always mounted, but only "
-            "'remote' enqueues work on them)"
-        ),
-    )
-    srv.add_argument(
-        "--workers",
-        nargs="+",
-        default=[],
-        metavar="URL",
-        help=(
-            "attachable worker URLs to recruit at startup (--backend "
-            "remote; start them with `repro worker --listen PORT`)"
-        ),
-    )
-    srv.add_argument(
-        "--lease-timeout",
-        type=float,
-        default=30.0,
-        help=(
-            "seconds a remote worker owns a leased work unit before it "
-            "is presumed dead and the unit requeued"
-        ),
-    )
-    srv.add_argument(
-        "--worker-grace",
-        type=float,
-        default=60.0,
-        help=(
-            "seconds a dispatched batch may sit with no live remote "
-            "worker before it falls back to in-process execution"
-        ),
-    )
-    srv.add_argument(
         "--linger",
         type=float,
         default=0.05,
         help="seconds the scheduler waits to coalesce concurrent requests",
-    )
-    srv.add_argument(
-        "--no-batch-eval",
-        action="store_true",
-        help=(
-            "evaluate coalesced batches cell by cell (reference scalar "
-            "path) instead of the batched template entry point"
-        ),
-    )
-    srv.add_argument(
-        "--no-fused-eval",
-        action="store_true",
-        help=(
-            "dispatch coalesced specs per strategy and structure group "
-            "instead of fusing each batch into one multi-template "
-            "dispatch per method"
-        ),
-    )
-    srv.add_argument(
-        "--eval-seed-policy",
-        choices=["positional", "content"],
-        default="positional",
-        help=(
-            "default eval-seed policy applied to /evaluate and /sweep "
-            "payloads that do not name one ('content' lets Monte Carlo "
-            "requests coalesce and hit the durable store)"
-        ),
-    )
-    srv.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "collect kernel-level op counters for the service's batches "
-            "and expose them as 'kernel_profile' in GET /status; with "
-            "--jobs N the workers profile themselves and the counters "
-            "are merged"
-        ),
-    )
-    srv.add_argument(
-        "--no-native",
-        action="store_true",
-        help=(
-            "disable the compiled distribution kernels and serve from "
-            "the pure-python reference path (bit-identical records, "
-            "slower); equivalent to REPRO_NATIVE=0; GET /status "
-            "reports the live backend"
-        ),
     )
 
     sub_ = sub.add_parser(
@@ -871,12 +782,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.figures import log_grid
     from repro.experiments.results import render_cells_table
 
-    if args.no_native:
-        from repro.makespan import native
-
-        # Also sets REPRO_NATIVE=0 so --jobs worker processes inherit it.
-        native.set_enabled(False)
-    message = _family_or_dax(args, "sweep")
+    message = _apply_engine_flags(args, "sweep") or _family_or_dax(args, "sweep")
     if message is not None:
         print(message, file=sys.stderr)
         return 2
@@ -908,12 +814,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             return 2
     if args.ccrs is not None and args.ccr_grid is not None:
         print("--ccrs and --ccr-grid are mutually exclusive", file=sys.stderr)
-        return 2
-    if args.workers and args.backend != "remote":
-        print(
-            "repro sweep: --workers requires --backend remote",
-            file=sys.stderr,
-        )
         return 2
     try:
         if args.ccrs is not None:
@@ -993,8 +893,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             spec,
             jobs=args.jobs,
             progress=progress,
-            batch_eval=not args.no_batch_eval,
-            fused_eval=not args.no_fused_eval,
             backend=backend,
         )
     finally:
@@ -1091,16 +989,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.server import serve
 
-    if args.no_native:
-        from repro.makespan import native
-
-        # Also sets REPRO_NATIVE=0 so --jobs worker processes inherit it.
-        native.set_enabled(False)
-    if args.workers and args.backend != "remote":
-        print(
-            "repro serve: --workers requires --backend remote",
-            file=sys.stderr,
-        )
+    message = _apply_engine_flags(args, "serve")
+    if message is not None:
+        print(message, file=sys.stderr)
         return 2
     serve(
         host=args.host,
@@ -1108,8 +999,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         store=args.store,
         jobs=args.jobs,
         linger=args.linger,
-        batch_eval=not args.no_batch_eval,
-        fused_eval=not args.no_fused_eval,
         eval_seed_policy=args.eval_seed_policy,
         profile=args.profile,
         backend=args.backend,

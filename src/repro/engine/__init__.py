@@ -12,8 +12,8 @@ everything that runs them at scale:
   per-cell child seeds (serial and parallel runs produce identical
   records), chunking, and a progress callback; cells are priced through
   the makespan layer's batched evaluation entry point (one DAG template
-  per structure group, bit-identical to per-cell evaluation;
-  ``batch_eval=False`` is the reference escape hatch) and
+  per strategy and structure group, bit-identical to per-cell
+  evaluation, which survives only as the test oracle) and
   :func:`run_specs` is the batch entry point (several sweeps over one
   shared pipeline, or fanned out spec-per-worker) that
   :mod:`repro.service` dispatches coalesced request batches through;

@@ -40,7 +40,6 @@ from repro.generators import generate
 from repro.makespan.api import (
     expected_makespan,
     expected_makespans,
-    expected_makespans_fused,
     get_evaluator,
 )
 from repro.makespan.ckptnone import ckptnone_expected_makespan
@@ -60,7 +59,6 @@ __all__ = [
     "StageStats",
     "ArtifactCache",
     "Pipeline",
-    "FusedEvalCollector",
 ]
 
 #: Stage names, in pipeline order.
@@ -165,148 +163,6 @@ class ArtifactCache:
         return len(self._store)
 
 
-class _FusedEntry:
-    """One deferred evaluation request: a DAG list awaiting its values.
-
-    Created by :meth:`FusedEvalCollector.add`; after the collector
-    flushes, ``values[i]`` holds the expected makespan of ``dags[i]``,
-    or ``error`` carries the exception that priced the entry's cells
-    (dispatch failures are isolated per job, so co-collected entries
-    keep their results).
-    """
-
-    __slots__ = ("dags", "method", "options", "eval_seeds", "values", "error")
-
-    def __init__(
-        self,
-        dags: Sequence[ProbDAG],
-        method: str,
-        options: Mapping[str, Any],
-        eval_seeds: Optional[Sequence[Optional[int]]],
-    ) -> None:
-        self.dags = list(dags)
-        self.method = method
-        self.options = dict(options)
-        self.eval_seeds = list(eval_seeds) if eval_seeds is not None else None
-        self.values: list = [None] * len(self.dags)
-        self.error: Optional[Exception] = None
-
-
-class FusedEvalCollector:
-    """Deferred work-list of cell evaluations, priced in fused dispatches.
-
-    The engine's sweep stage previously issued one
-    :func:`~repro.makespan.api.expected_makespans` call per (strategy,
-    chunk, structure group) — ~23 calls for a MONTAGE-84 sweep — which
-    capped the pooled wavefront at one group's cells.  A collector
-    instead *defers*: callers :meth:`add` every DAG list a sweep needs
-    (CKPTSOME and CKPTALL, all chunks of a group, co-batched specs) and
-    :meth:`flush` prices the whole work-list through **one**
-    :func:`~repro.makespan.api.expected_makespans_fused` dispatch per
-    method — cells are grouped into template jobs by (structure,
-    options), so a fused dispatch legitimately spans CKPTSOME and
-    CKPTALL DAGs with different structure keys.
-
-    Results are bit-identical to the per-group path (the fused contract
-    extends the batch contract), and stochastic methods keep their
-    per-cell seed streams: each job carries its cells' ``eval_seeds`` in
-    collection order.  Templates of the same structure share one plan
-    store across dispatches via the owning pipeline, so repeated
-    flushes (service batches) reuse compiled plans.
-    """
-
-    def __init__(self, pipeline: "Pipeline") -> None:
-        self._pipeline = pipeline
-        self._entries: list = []
-
-    def add(
-        self,
-        dags: Sequence[ProbDAG],
-        method: str,
-        options: Mapping[str, Any],
-        eval_seeds: Optional[Sequence[Optional[int]]] = None,
-    ) -> _FusedEntry:
-        """Defer a DAG list; returns the entry its values will land in."""
-        if eval_seeds is not None and len(eval_seeds) != len(dags):
-            raise ExperimentError(
-                f"got {len(eval_seeds)} eval seeds for {len(dags)} DAGs"
-            )
-        entry = _FusedEntry(dags, method, options, eval_seeds)
-        self._entries.append(entry)
-        return entry
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def flush(self) -> None:
-        """Price every deferred cell; one fused dispatch per method.
-
-        A dispatch that raises is retried one job at a time, so a bad
-        job (say, invalid options of one co-batched spec) fails only
-        the entries holding its cells; the job's exception lands in
-        their ``error`` slot and the other entries keep their values.
-        """
-        entries, self._entries = self._entries, []
-        by_method: Dict[str, list] = {}
-        for entry in entries:
-            by_method.setdefault(entry.method, []).append(entry)
-        for method, ents in by_method.items():
-            job_map: Dict[Hashable, list] = {}
-            for entry in ents:
-                okey: Hashable
-                try:
-                    okey = tuple(sorted(entry.options.items()))
-                    hash(okey)
-                except TypeError:
-                    # Unhashable option values: the entry's cells still
-                    # fuse with each other, just not across entries.
-                    okey = ("entry", id(entry))
-                seeded = entry.eval_seeds is not None
-                for i, dag in enumerate(entry.dags):
-                    key = (ParamDAG.structure_key(dag), okey, seeded)
-                    members = job_map.get(key)
-                    if members is None:
-                        job_map[key] = members = []
-                    members.append((entry, i))
-            jobs = []
-            slots = []
-            for (skey, _okey, seeded), members in job_map.items():
-                template = ParamDAG.from_dags(
-                    [entry.dags[i] for entry, i in members]
-                )
-                template.set_plan_cache(
-                    self._pipeline.shared_plan_cache(skey)
-                )
-                head = members[0][0]
-                seeds = (
-                    [entry.eval_seeds[i] for entry, i in members]
-                    if seeded
-                    else None
-                )
-                jobs.append((template, dict(head.options), seeds))
-                slots.append(members)
-            self._pipeline.cache.count_compute("evaluate")
-            try:
-                results: list = expected_makespans_fused(jobs, method)
-            except Exception:
-                results = []
-                for job in jobs:
-                    try:
-                        results.append(
-                            expected_makespans_fused([job], method)[0]
-                        )
-                    except Exception as exc:
-                        results.append(exc)
-            for members, values in zip(slots, results):
-                if isinstance(values, Exception):
-                    for entry, _i in members:
-                        if entry.error is None:
-                            entry.error = values
-                else:
-                    for (entry, i), value in zip(members, values):
-                        entry.values[i] = float(value)
-
-
 class Pipeline:
     """The staged paper pipeline over one shared :class:`ArtifactCache`.
 
@@ -325,22 +181,6 @@ class Pipeline:
         # lifetime of the pipeline.
         self._tokens: Dict[int, Tuple[Any, int]] = {}
         self._token_counter = itertools.count()
-        # Per-structure compiled-plan stores shared across the fused
-        # dispatcher's templates (see FusedEvalCollector).
-        self._plan_caches: Dict[Hashable, dict] = {}
-
-    def shared_plan_cache(self, structure_key: Hashable) -> dict:
-        """The pipeline-wide compiled-plan store for one DAG structure.
-
-        Handed to every :class:`~repro.makespan.paramdag.ParamDAG` the
-        fused dispatcher stacks for that structure, so plans compiled in
-        one dispatch are replayed by later ones (further chunks, further
-        service batches) instead of being recompiled per template.
-        """
-        cache = self._plan_caches.get(structure_key)
-        if cache is None:
-            self._plan_caches[structure_key] = cache = {}
-        return cache
 
     def _token(self, obj: Any) -> int:
         entry = self._tokens.get(id(obj))
@@ -358,7 +198,6 @@ class Pipeline:
         """
         self.cache.clear()
         self._tokens.clear()
-        self._plan_caches.clear()
 
     # ------------------------------------------------------------------
     # Stage 1 — prepare: workflow generation, platform, CCR rescaling.
@@ -752,22 +591,19 @@ class Pipeline:
         bandwidth: float = 100e6,
         save_final_outputs: bool = True,
         evaluator_options: Optional[Mapping[str, Any]] = None,
-        fused_eval: bool = True,
     ) -> list:
         """Run stages 4-6 for every ``(pfail, ccr, eval_seed)`` cell of
         one prepared (workflow, processors) group, batching evaluation.
 
         The per-cell stages (scale → plan → segment DAG → CKPTNONE)
         run exactly as :meth:`evaluate_cell` would, in grid order; the
-        expensive expected-makespan evaluations are collected into one
-        work-list — CKPTSOME and CKPTALL together — and priced through
-        a single fused dispatch (``fused_eval=False`` restores the
-        per-(strategy, structure group) dispatch of
-        :meth:`_evaluate_grouped`).  Records are bit-identical on every
-        path: stochastic evaluators (Monte Carlo) receive the cells'
-        ``eval_seed`` streams one per cell, and evaluators without
-        ``supports_batch`` fall back to the per-cell path, seeds
-        intact.
+        expected-makespan evaluations are priced by
+        :meth:`_evaluate_grouped`, one dispatch per strategy and
+        structure group.  Records are bit-identical to
+        :meth:`evaluate_cell`'s: stochastic evaluators (Monte Carlo)
+        receive the cells' ``eval_seed`` streams one per cell, and
+        evaluators without ``supports_batch`` run through the per-cell
+        path (the bit-exactness oracle), seeds intact.
         """
         evaluator = get_evaluator(method)
         if not evaluator.supports_batch:
@@ -776,24 +612,6 @@ class Pipeline:
                 cells, method, seed, bandwidth, save_final_outputs,
                 evaluator_options,
             )
-        if fused_eval:
-            collector = FusedEvalCollector(self)
-            finish = self.evaluate_cells_deferred(
-                family=family,
-                ntasks_requested=ntasks_requested,
-                workflow=workflow,
-                schedule=schedule,
-                processors=processors,
-                cells=cells,
-                collector=collector,
-                method=method,
-                seed=seed,
-                bandwidth=bandwidth,
-                save_final_outputs=save_final_outputs,
-                evaluator_options=evaluator_options,
-            )
-            collector.flush()
-            return finish()
         options = dict(evaluator_options) if evaluator_options else {}
         prepared = self._prepare_cells(
             workflow, schedule, processors, cells, bandwidth,
@@ -828,78 +646,3 @@ class Pipeline:
             ) in enumerate(zip(cells, prepared))
         ]
 
-    def evaluate_cells_deferred(
-        self,
-        family: str,
-        ntasks_requested: int,
-        workflow: Workflow,
-        schedule: Schedule,
-        processors: int,
-        cells: Sequence[Tuple[float, float, Optional[int]]],
-        collector: FusedEvalCollector,
-        method: str = "pathapprox",
-        seed: int = 0,
-        bandwidth: float = 100e6,
-        save_final_outputs: bool = True,
-        evaluator_options: Optional[Mapping[str, Any]] = None,
-    ) -> Callable[[], list]:
-        """Deferred-evaluation twin of :meth:`evaluate_cells`.
-
-        Runs stages 4-5 (+ CKPTNONE) immediately, hands the cells' DAGs
-        to ``collector`` instead of pricing them, and returns a
-        zero-argument *finisher* that assembles the
-        :class:`~repro.engine.records.CellResult` list once the
-        collector has flushed.  The sweep executor uses this to land
-        every chunk of a group — and every co-batched spec — in one
-        fused dispatch.  Evaluators without ``supports_batch`` are
-        priced immediately through the per-cell path (nothing to
-        defer); the finisher then just returns the records.
-        """
-        evaluator = get_evaluator(method)
-        if not evaluator.supports_batch:
-            records = self._evaluate_cells_per_cell(
-                family, ntasks_requested, workflow, schedule, processors,
-                cells, method, seed, bandwidth, save_final_outputs,
-                evaluator_options,
-            )
-            return lambda: records
-        options = dict(evaluator_options) if evaluator_options else {}
-        prepared = self._prepare_cells(
-            workflow, schedule, processors, cells, bandwidth,
-            save_final_outputs,
-        )
-        eval_seeds = self._eval_seeds_for(evaluator, cells)
-        some_entry = collector.add(
-            [p[3] for p in prepared], method, options, eval_seeds
-        )
-        all_entry = collector.add(
-            [p[4] for p in prepared], method, options, eval_seeds
-        )
-
-        def finish() -> list:
-            for entry in (some_entry, all_entry):
-                if entry.error is not None:
-                    raise entry.error
-            return [
-                CellResult(
-                    family=family,
-                    ntasks_requested=ntasks_requested,
-                    ntasks=workflow.n_tasks,
-                    processors=platform.processors,
-                    pfail=pfail,
-                    ccr=ccr,
-                    em_some=some_entry.values[i],
-                    em_all=all_entry.values[i],
-                    em_none=em_none,
-                    checkpoints_some=plan_some.n_segments,
-                    checkpoints_all=plan_all.n_segments,
-                    superchains=len(schedule.superchains),
-                    seed=seed,
-                )
-                for i, (
-                    (pfail, ccr, _eval_seed),
-                    (platform, plan_some, plan_all, _ds, _da, em_none),
-                ) in enumerate(zip(cells, prepared))
-            ]
-
-        return finish

@@ -27,22 +27,16 @@ executed by :func:`run_sweep`.  The execution plan is deterministic:
   private pipeline.  All backends run through one shared dispatch
   loop (:func:`repro.engine.backends.run_tasks`), which owns the
   broken-executor serial restart and the profile-snapshot merge;
-* each chunk's cells are priced through the makespan layer's batched
-  entry point (one parameterised-DAG template per structure group) when
-  the evaluator supports it — bit-identical to per-cell evaluation,
-  with ``batch_eval=False`` as the reference escape hatch; stochastic
+* each chunk's cells — a single-cell chunk or a coalesced service spec
+  included — are priced through
+  :meth:`~repro.engine.pipeline.Pipeline.evaluate_cells`: one call of
+  the makespan layer's batched entry point per checkpoint strategy and
+  structure group, bit-identical to per-cell evaluation.  Stochastic
   evaluators (Monte Carlo) receive their per-cell sampling seeds
   through the batch call, so records are seed-for-seed identical to
-  the per-cell path under either eval-seed policy;
-* on top of batching, the default **fused-evaluation** mode defers
-  every cell-evaluation a sweep needs — CKPTSOME and CKPTALL, every
-  chunk of a (workflow, processors) group, and for :func:`run_specs`
-  every co-batched spec sharing a method — into a
-  :class:`~repro.engine.pipeline.FusedEvalCollector` that prices them
-  through one multi-template dispatch per method.  Records stay
-  bit-identical (pooling never changes per-row kernel results);
-  ``fused_eval=False`` (CLI ``--no-fused-eval``) restores the
-  per-group dispatch.
+  the per-cell path under either eval-seed policy; evaluators that do
+  not declare ``supports_batch`` run through the per-cell path, which
+  is otherwise kept only as the bit-exactness oracle.
 
 Results are always returned in grid order, one
 :class:`~repro.engine.records.CellResult` per cell.
@@ -50,7 +44,6 @@ Results are always returned in grid order, one
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -75,11 +68,10 @@ from repro.engine.backends import (
     get_backend,
     run_tasks,
 )
-from repro.engine.pipeline import FusedEvalCollector, Pipeline
+from repro.engine.pipeline import Pipeline
 from repro.engine.records import CellResult
-from repro.errors import EvaluationError, ExperimentError
+from repro.errors import ExperimentError
 from repro.makespan import profile as _profile
-from repro.makespan.api import get_evaluator
 from repro.util.rng import stable_seed
 from repro.workloads import FamilySource, FileSource, WorkflowSource
 from repro.util.validation import (
@@ -470,19 +462,6 @@ def _progress_message(spec: SweepSpec, cell: CellResult) -> str:
     )
 
 
-def _supports_batch(method: str) -> bool:
-    """Whether the registered evaluator opted into batched evaluation.
-
-    Unknown methods answer False so the per-cell path raises exactly
-    the error it always has.
-    """
-    try:
-        evaluator = get_evaluator(method)
-    except EvaluationError:
-        return False
-    return bool(getattr(evaluator, "supports_batch", False))
-
-
 def _chunk_schedule(
     spec: SweepSpec, chunk: _Chunk, pipeline: Pipeline
 ) -> Tuple[Any, Any]:
@@ -501,100 +480,35 @@ def _chunk_schedule(
     return workflow, schedule
 
 
-def _defer_chunk(
+def _run_chunk(
     spec: SweepSpec,
     chunk: _Chunk,
     pipeline: Pipeline,
-    collector: FusedEvalCollector,
-) -> Callable[[], List[CellResult]]:
-    """Stage one chunk's evaluations on ``collector``; finish later.
+    progress: Optional[Callable[[str], None]] = None,
+) -> List[CellResult]:
+    """Execute one chunk's cells through the staged pipeline.
 
-    Runs the invariant stages and the per-cell preparation immediately
-    (exactly as :func:`_run_chunk` would), defers the expected-makespan
-    pricing to the collector, and returns the finisher that assembles
-    the chunk's records once the collector has flushed.  Evaluators
-    without batch support are priced on the spot (nothing to defer).
+    The invariant stages come from the pipeline cache; the cells are
+    priced by :meth:`~repro.engine.pipeline.Pipeline.evaluate_cells`,
+    which batches each strategy × structure group into one evaluator
+    call (whatever the chunk's size or eval-seed policy).
     """
     workflow, schedule = _chunk_schedule(spec, chunk, pipeline)
-    return pipeline.evaluate_cells_deferred(
+    records = pipeline.evaluate_cells(
         family=spec.family,
         ntasks_requested=chunk.ntasks,
         workflow=workflow,
         schedule=schedule,
         processors=chunk.processors,
         cells=chunk.cells,
-        collector=collector,
         method=spec.method,
         seed=chunk.wf_seed,
         bandwidth=spec.bandwidth,
         save_final_outputs=spec.save_final_outputs,
         evaluator_options=dict(spec.evaluator_options),
     )
-
-
-def _run_chunk(
-    spec: SweepSpec,
-    chunk: _Chunk,
-    pipeline: Pipeline,
-    progress: Optional[Callable[[str], None]] = None,
-    batch_eval: bool = True,
-    fused_eval: bool = True,
-) -> List[CellResult]:
-    """Execute one chunk's cells through the staged pipeline.
-
-    With ``batch_eval`` (the default) and a batch-capable evaluator the
-    chunk's cells are priced through
-    :meth:`~repro.engine.pipeline.Pipeline.evaluate_cells` — the DAG
-    template is built once per structure group and the evaluator runs
-    once per group instead of once per cell; with ``fused_eval`` on top
-    (the default) the chunk's CKPTSOME and CKPTALL evaluations across
-    all structure groups land in one fused dispatch.  Records are
-    bit-identical on every path: stochastic evaluators get their
-    per-cell ``eval_seed`` stream threaded through the batch call
-    (whatever the eval-seed policy), and evaluators without
-    ``supports_batch`` take the per-cell path.
-    """
-    workflow, schedule = _chunk_schedule(spec, chunk, pipeline)
-    if batch_eval and len(chunk.cells) > 1 and _supports_batch(spec.method):
-        records = pipeline.evaluate_cells(
-            family=spec.family,
-            ntasks_requested=chunk.ntasks,
-            workflow=workflow,
-            schedule=schedule,
-            processors=chunk.processors,
-            cells=chunk.cells,
-            method=spec.method,
-            seed=chunk.wf_seed,
-            bandwidth=spec.bandwidth,
-            save_final_outputs=spec.save_final_outputs,
-            evaluator_options=dict(spec.evaluator_options),
-            fused_eval=fused_eval,
-        )
-        if progress is not None:
-            for record in records:
-                progress(_progress_message(spec, record))
-        return records
-    records: List[CellResult] = []
-    for pfail, ccr, eval_seed in chunk.cells:
-        platform = pipeline.platform_for(
-            workflow, chunk.processors, pfail, spec.bandwidth
-        )
-        record = pipeline.evaluate_cell(
-            family=spec.family,
-            ntasks_requested=chunk.ntasks,
-            workflow=workflow,
-            schedule=schedule,
-            platform=platform,
-            pfail=pfail,
-            ccr=ccr,
-            method=spec.method,
-            seed=chunk.wf_seed,
-            eval_seed=eval_seed,
-            save_final_outputs=spec.save_final_outputs,
-            evaluator_options=dict(spec.evaluator_options),
-        )
-        records.append(record)
-        if progress is not None:
+    if progress is not None:
+        for record in records:
             progress(_progress_message(spec, record))
     return records
 
@@ -602,8 +516,6 @@ def _run_chunk(
 def _run_chunk_task(
     spec: SweepSpec,
     chunk: _Chunk,
-    batch_eval: bool = True,
-    fused_eval: bool = True,
     profile: bool = False,
     pipeline: Optional[Pipeline] = None,
 ) -> Tuple[List[CellResult], Optional[Dict[str, Any]]]:
@@ -619,18 +531,12 @@ def _run_chunk_task(
     restart) share one pipeline across tasks; out-of-process executions
     build a private one per chunk.
     """
+    pipe = pipeline if pipeline is not None else Pipeline()
     if not profile:
-        records = _run_chunk(
-            spec, chunk, pipeline if pipeline is not None else Pipeline(),
-            batch_eval=batch_eval, fused_eval=fused_eval,
-        )
-        return records, None
+        return _run_chunk(spec, chunk, pipe), None
     prof = _profile.enable()
     try:
-        records = _run_chunk(
-            spec, chunk, pipeline if pipeline is not None else Pipeline(),
-            batch_eval=batch_eval, fused_eval=fused_eval,
-        )
+        records = _run_chunk(spec, chunk, pipe)
         return records, prof.snapshot()
     finally:
         _profile.disable()
@@ -657,39 +563,12 @@ def _resolve_backend(
     return backend, False
 
 
-def _run_chunks_fused(
-    spec: SweepSpec,
-    chunks: Sequence[_Chunk],
-    pipeline: Pipeline,
-    progress: Optional[Callable[[str], None]],
-) -> List[List[CellResult]]:
-    """Serial fused execution: one dispatch per (workflow, processors)
-    group, spanning all of the group's chunks, both strategies and every
-    structure group."""
-    ordered: List[List[CellResult]] = []
-    for _gi, group in itertools.groupby(chunks, key=lambda c: c.order[0]):
-        collector = FusedEvalCollector(pipeline)
-        finishers = [
-            _defer_chunk(spec, ch, pipeline, collector) for ch in group
-        ]
-        collector.flush()
-        for finish in finishers:
-            records = finish()
-            if progress is not None:
-                for record in records:
-                    progress(_progress_message(spec, record))
-            ordered.append(records)
-    return ordered
-
-
 def run_sweep(
     spec: SweepSpec,
     jobs: int = 1,
     progress: Optional[Callable[[str], None]] = None,
     chunk_cells: Optional[int] = None,
     pipeline: Optional[Pipeline] = None,
-    batch_eval: bool = True,
-    fused_eval: bool = True,
     backend: Union[None, str, ExecutionBackend] = None,
 ) -> List[CellResult]:
     """Execute a sweep; returns one record per cell, in grid order.
@@ -713,19 +592,6 @@ def run_sweep(
     pipeline:
         Existing pipeline (and artifact cache) to reuse for in-process
         execution; ignored on the backend fan-out path.
-    batch_eval:
-        Price each chunk's cells through the evaluator's batched entry
-        point (default) instead of one evaluation per cell.  Records
-        are bit-identical either way — False is the reference escape
-        hatch (CLI ``--no-batch-eval``).  Evaluators without batch
-        support always run per cell.
-    fused_eval:
-        Collect all of a (workflow, processors) group's evaluations —
-        every chunk, CKPTSOME and CKPTALL, every structure group — into
-        one fused dispatch (default) instead of dispatching per
-        strategy and structure group.  Records are bit-identical either
-        way — False is the per-group escape hatch (CLI
-        ``--no-fused-eval``).  Implied off by ``batch_eval=False``.
     backend:
         Where chunks execute: ``None`` (default) keeps the historical
         behaviour — in-process when ``jobs == 1``, a process pool
@@ -746,27 +612,16 @@ def run_sweep(
 
     if backend is None and jobs == 1:
         pipe = pipeline if pipeline is not None else Pipeline()
-        if batch_eval and fused_eval and _supports_batch(spec.method):
-            ordered = _run_chunks_fused(spec, chunks, pipe, progress)
-        else:
-            ordered = [
-                _run_chunk(
-                    spec, ch, pipe, progress, batch_eval=batch_eval,
-                    fused_eval=fused_eval,
-                )
-                for ch in chunks
-            ]
-        return [rec for recs in ordered for rec in recs]
+        return [
+            rec for ch in chunks for rec in _run_chunk(spec, ch, pipe, progress)
+        ]
 
     try:
         exec_backend, owns = _resolve_backend(backend, jobs)
     except BackendUnavailable:
         # No executor support in this environment (restricted sandbox):
         # fall back to the serial path, which produces identical records.
-        return run_sweep(
-            spec, jobs=1, progress=progress, pipeline=pipeline,
-            batch_eval=batch_eval, fused_eval=fused_eval,
-        )
+        return run_sweep(spec, jobs=1, progress=progress, pipeline=pipeline)
 
     if chunk_cells is None and exec_backend.max_inflight != 1:
         # Auto-chunk so a concurrent backend has a few chunks per worker
@@ -788,11 +643,7 @@ def run_sweep(
     results = run_tasks(
         exec_backend,
         [
-            BackendTask(
-                fn=_run_chunk_task,
-                args=(spec, ch, batch_eval, fused_eval),
-                key=ch.order,
-            )
+            BackendTask(fn=_run_chunk_task, args=(spec, ch), key=ch.order)
             for ch in chunks
         ],
         on_result=on_result,
@@ -804,8 +655,6 @@ def run_sweep(
 
 def _run_spec_task(
     spec: SweepSpec,
-    batch_eval: bool = True,
-    fused_eval: bool = True,
     profile: bool = False,
     pipeline: Optional[Pipeline] = None,
 ) -> Tuple[List[CellResult], Optional[Dict[str, Any]]]:
@@ -818,100 +667,13 @@ def _run_spec_task(
     backend threads its shared ``pipeline`` through the sweep.
     """
     if not profile:
-        return run_sweep(
-            spec, jobs=1, pipeline=pipeline, batch_eval=batch_eval,
-            fused_eval=fused_eval,
-        ), None
+        return run_sweep(spec, jobs=1, pipeline=pipeline), None
     prof = _profile.enable()
     try:
-        records = run_sweep(
-            spec, jobs=1, pipeline=pipeline, batch_eval=batch_eval,
-            fused_eval=fused_eval,
-        )
+        records = run_sweep(spec, jobs=1, pipeline=pipeline)
         return records, prof.snapshot()
     finally:
         _profile.disable()
-
-
-def _sweep_deferred(
-    spec: SweepSpec,
-    pipeline: Pipeline,
-    collector: FusedEvalCollector,
-    progress: Optional[Callable[[str], None]],
-) -> Callable[[], List[CellResult]]:
-    """Stage a whole spec's evaluations on a shared collector.
-
-    The cross-spec half of the fused dispatcher: every chunk of every
-    (workflow, processors) group is deferred, so co-batched specs
-    sharing an evaluation method are priced together in one dispatch
-    when the collector flushes.  The returned finisher yields the
-    spec's records in grid order (emitting progress lines as it goes).
-    """
-    if not spec.sizes or not spec.pfails or not spec.ccrs:
-        raise ExperimentError(
-            "sweep grid is empty (sizes, pfails and ccrs must be non-empty)"
-        )
-    chunks = _derive_chunks(spec, None)
-    finishers = [
-        _defer_chunk(spec, ch, pipeline, collector) for ch in chunks
-    ]
-
-    def finish() -> List[CellResult]:
-        records: List[CellResult] = []
-        for fin in finishers:
-            recs = fin()
-            if progress is not None:
-                for rec in recs:
-                    progress(_progress_message(spec, rec))
-            records.extend(recs)
-        return records
-
-    return finish
-
-
-def _run_specs_fused(
-    specs: Sequence[SweepSpec],
-    pipeline: Pipeline,
-    progress: Optional[Callable[[str], None]],
-    return_exceptions: bool,
-    batch_eval: bool,
-    fused_eval: bool,
-) -> List[Any]:
-    """Serial fused execution of a spec batch over one shared collector.
-
-    Specs whose evaluator cannot batch fall back to their own
-    :func:`run_sweep` on the shared pipeline.  A spec that raises —
-    staging or finishing — yields its exception in its slot under
-    ``return_exceptions`` without disturbing the co-batched specs
-    (the collector isolates dispatch failures per template job).
-    """
-    collector = FusedEvalCollector(pipeline)
-    slots: List[Any] = [None] * len(specs)
-    finishers: Dict[int, Callable[[], List[CellResult]]] = {}
-    for i, spec in enumerate(specs):
-        try:
-            if _supports_batch(spec.method):
-                finishers[i] = _sweep_deferred(
-                    spec, pipeline, collector, progress
-                )
-            else:
-                slots[i] = run_sweep(
-                    spec, jobs=1, progress=progress, pipeline=pipeline,
-                    batch_eval=batch_eval, fused_eval=fused_eval,
-                )
-        except Exception as exc:
-            if not return_exceptions:
-                raise
-            slots[i] = exc
-    collector.flush()
-    for i, finish in finishers.items():
-        try:
-            slots[i] = finish()
-        except Exception as exc:
-            if not return_exceptions:
-                raise
-            slots[i] = exc
-    return slots
 
 
 def run_specs(
@@ -920,8 +682,6 @@ def run_specs(
     progress: Optional[Callable[[str], None]] = None,
     pipeline: Optional[Pipeline] = None,
     return_exceptions: bool = False,
-    batch_eval: bool = True,
-    fused_eval: bool = True,
     backend: Union[None, str, ExecutionBackend] = None,
 ) -> List[Any]:
     """Batch entry point: execute several sweeps; one record list per spec.
@@ -931,14 +691,10 @@ def run_specs(
     :class:`~repro.engine.pipeline.Pipeline` through every spec, so specs
     that share a (workflow, processors) pair — e.g. the same grid group
     split across batches — reuse the cached M-SPG tree and schedule
-    instead of recomputing them; with ``fused_eval`` (the default) their
-    evaluations are additionally staged on one shared
-    :class:`~repro.engine.pipeline.FusedEvalCollector`, so co-batched
-    specs sharing an evaluation method are priced through a single
-    fused dispatch.  With ``jobs > 1`` — or an explicit ``backend=``,
-    which takes the same names and instances as :func:`run_sweep` —
-    whole specs fan out over an execution backend (``0``/negative
-    means "all cores"); a single spec falls through to
+    instead of recomputing them.  With ``jobs > 1`` — or an explicit
+    ``backend=``, which takes the same names and instances as
+    :func:`run_sweep` — whole specs fan out over an execution backend
+    (``0``/negative means "all cores"); a single spec falls through to
     :func:`run_sweep`'s own cell-level fan-out.  Records are identical
     for every ``jobs`` value and every backend.
 
@@ -946,15 +702,9 @@ def run_specs(
     its exception object in that slot instead of aborting the whole
     batch (:func:`asyncio.gather` semantics) — the service scheduler
     uses this to fail only the requests belonging to a bad spec while
-    the co-batched specs' results are kept.  The fused path preserves
-    this isolation: dispatch failures are retried one template job at a
-    time, so only the specs feeding a bad job see its exception.
-
-    ``batch_eval`` and ``fused_eval`` are forwarded to every
-    :func:`run_sweep` call: the coalesced service batches ride the same
-    batched/fused evaluation entry points as declared sweeps (False
-    restores the per-cell / per-group reference paths; records are
-    identical either way).
+    the co-batched specs' results are kept.  Every spec is priced
+    through :func:`run_sweep`, so the coalesced service batches ride the
+    same batched evaluation entry point as declared sweeps.
     """
     specs = list(specs)
     if not specs:
@@ -968,7 +718,6 @@ def run_specs(
         try:
             return run_sweep(
                 spec, jobs=n, progress=progress, pipeline=pipe,
-                batch_eval=batch_eval, fused_eval=fused_eval,
                 backend=backend,
             )
         except Exception as exc:
@@ -980,11 +729,6 @@ def run_specs(
         return [one(specs[0], pipeline, jobs)]
     if backend is None and jobs == 1:
         pipe = pipeline if pipeline is not None else Pipeline()
-        if batch_eval and fused_eval:
-            return _run_specs_fused(
-                specs, pipe, progress, return_exceptions, batch_eval,
-                fused_eval,
-            )
         return [one(s, pipe, 1) for s in specs]
     try:
         exec_backend, owns = _resolve_backend(
@@ -993,8 +737,7 @@ def run_specs(
     except BackendUnavailable:
         return run_specs(
             specs, jobs=1, progress=progress, pipeline=pipeline,
-            return_exceptions=return_exceptions, batch_eval=batch_eval,
-            fused_eval=fused_eval,
+            return_exceptions=return_exceptions,
         )
 
     def on_result(i: int, recs: List[CellResult]) -> None:
@@ -1005,9 +748,7 @@ def run_specs(
     out = run_tasks(
         exec_backend,
         [
-            BackendTask(
-                fn=_run_spec_task, args=(s, batch_eval, fused_eval), key=i
-            )
+            BackendTask(fn=_run_spec_task, args=(s,), key=i)
             for i, s in enumerate(specs)
         ],
         on_result=on_result,

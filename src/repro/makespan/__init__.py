@@ -21,9 +21,9 @@ schemas, ``deterministic``/``supports_batch`` capabilities) and the
 layer is **batch native**: a :class:`~repro.makespan.paramdag.ParamDAG`
 carries one DAG structure template plus per-cell 2-state parameter
 arrays, :mod:`repro.makespan.batch` provides the vectorised
-distribution kernels (leading cell axis), and
+rect-mode distribution kernels (leading cell axis), and
 :func:`~repro.makespan.api.expected_makespans` prices a whole parameter
-grid per evaluator call — bit-identical to the per-cell path.
+grid per evaluator call — bit-identical to evaluating each cell alone.
 """
 
 from repro.makespan.two_state import (
@@ -33,16 +33,12 @@ from repro.makespan.two_state import (
 )
 from repro.makespan.probdag import ProbDAG
 from repro.makespan.paramdag import ParamDAG
-from repro.makespan.batch import BatchDistribution, rows_of, two_state_rows
+from repro.makespan.batch import BatchDistribution, two_state_rows
 from repro.makespan.segment_dag import build_segment_dag
 from repro.makespan.montecarlo import montecarlo, montecarlo_batch
 from repro.makespan.dodin import dodin
 from repro.makespan.normal import normal, normal_batch
-from repro.makespan.pathapprox import (
-    pathapprox,
-    pathapprox_batch,
-    pathapprox_fused,
-)
+from repro.makespan.pathapprox import pathapprox, pathapprox_batch
 from repro.makespan.exact import exact
 from repro.makespan.ckptnone import ckptnone_expected_makespan, failure_free_makespan
 from repro.makespan.evaluator import (
@@ -55,7 +51,6 @@ from repro.makespan.api import (
     EVALUATORS,
     expected_makespan,
     expected_makespans,
-    expected_makespans_fused,
     get_evaluator,
 )
 
@@ -66,7 +61,6 @@ __all__ = [
     "ProbDAG",
     "ParamDAG",
     "BatchDistribution",
-    "rows_of",
     "two_state_rows",
     "build_segment_dag",
     "montecarlo",
@@ -76,7 +70,6 @@ __all__ = [
     "normal_batch",
     "pathapprox",
     "pathapprox_batch",
-    "pathapprox_fused",
     "exact",
     "ckptnone_expected_makespan",
     "failure_free_makespan",
@@ -87,6 +80,5 @@ __all__ = [
     "EVALUATORS",
     "expected_makespan",
     "expected_makespans",
-    "expected_makespans_fused",
     "get_evaluator",
 ]

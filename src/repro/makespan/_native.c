@@ -25,8 +25,12 @@
  * tests/test_native.py compares against it atom for atom.
  *
  * Built on first use by repro/makespan/native.py with
- * `cc -O2 -fPIC -shared`; no python headers required (pure C + ctypes).
+ * `cc -O2 -ffp-contract=off -fPIC -shared`; no python headers required
+ * (pure C + ctypes).  Floating-point contraction stays off (the pragma
+ * below and the flag): an FMA rounds a*b+c once where numpy rounds twice.
  */
+
+#pragma STDC FP_CONTRACT OFF
 
 #include <limits.h>
 #include <math.h>
@@ -475,12 +479,12 @@ long long repro_convolve_adaptive_many(const unsigned long long *ptrs,
  * at mass 1), normalised, adaptively truncated.  The union grid and
  * the searchsorted(..., "right") CDF lookups are realised as one
  * two-pointer merge over the sorted supports. */
-long long repro_max_adaptive(const double *av, const double *ap,
-                             long long na,
-                             const double *bv, const double *bp,
-                             long long nb,
-                             long long max_atoms,
-                             double *out_v, double *out_p)
+long long repro_max_with_adaptive(const double *av, const double *ap,
+                                  long long na,
+                                  const double *bv, const double *bp,
+                                  long long nb,
+                                  long long max_atoms,
+                                  double *out_v, double *out_p)
 {
     long long i, j, g, k, status;
     double *cum_a, *cum_b, *grid, *pg;

@@ -15,7 +15,7 @@ bound besides).
 from __future__ import annotations
 
 import time
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any
 
 import numpy as np
 
@@ -32,11 +32,7 @@ from repro.makespan.exact import exact
 from repro.makespan.montecarlo import montecarlo, montecarlo_batch
 from repro.makespan.normal import normal, normal_batch
 from repro.makespan.paramdag import ParamDAG
-from repro.makespan.pathapprox import (
-    pathapprox,
-    pathapprox_batch,
-    pathapprox_fused,
-)
+from repro.makespan.pathapprox import pathapprox, pathapprox_batch
 from repro.makespan.probdag import ProbDAG
 
 __all__ = [
@@ -44,7 +40,6 @@ __all__ = [
     "get_evaluator",
     "expected_makespan",
     "expected_makespans",
-    "expected_makespans_fused",
 ]
 
 #: Evaluator registry, keyed by the paper's method names.  Mutable:
@@ -102,7 +97,6 @@ EVALUATORS.register(
         deterministic=True,
         supports_batch=True,
         batch_fn=pathapprox_batch,
-        fused_fn=pathapprox_fused,
         option_docs={
             "k": "path budget (None = adaptive doubling)",
             "max_atoms": "support budget per discrete distribution",
@@ -192,58 +186,3 @@ def expected_makespans(
     )
     return values
 
-
-def expected_makespans_fused(
-    jobs: Sequence[Tuple[ParamDAG, Any, Optional[Sequence]]],
-    method: str = "pathapprox",
-    **options: Any,
-) -> List[np.ndarray]:
-    """Price many templates through one fused evaluation dispatch.
-
-    ``jobs`` is a sequence of ``(template, job_options, seeds)`` triples:
-    per-job option mappings (merged over the shared ``**options``
-    defaults) and an optional per-cell seed list for stochastic
-    evaluators (``None`` for closed-form methods), following the seed
-    convention of :func:`expected_makespans`.  Returns one value array
-    per job, in job order, each **bit-identical** to the corresponding
-    ``expected_makespans(template, method, **job_options)`` call with
-    the job's seeds threaded through — the fused contract extends the
-    batch contract, and the engine's fused sweep dispatch relies on it.
-    One profile ``dispatch`` op is recorded per call (``rows`` = jobs,
-    ``scalar_rows`` = total cells), so ``repro sweep --profile`` can
-    count dispatches and their pooled width.
-    """
-    evaluator = get_evaluator(method)
-    if not evaluator.supports_batch:
-        raise EvaluationError(
-            f"method {method!r} does not support batched evaluation; "
-            f"evaluate its cells one at a time"
-        )
-    norm_jobs = []
-    total_cells = 0
-    for template, job_options, seeds in jobs:
-        merged = dict(options)
-        if job_options:
-            merged.update(job_options)
-        checked = merged
-        if seeds is not None and "seed" not in checked:
-            checked = {**merged, "seed": seeds}
-        evaluator.validate_options(checked)
-        if seeds is not None and len(seeds) != template.n_cells:
-            raise EvaluationError(
-                f"fused job got {len(seeds)} seeds for "
-                f"{template.n_cells} cells (pass one seed per cell)"
-            )
-        norm_jobs.append((template, merged, seeds))
-        total_cells += template.n_cells
-    if not norm_jobs:
-        return []
-    prof = _profile.ACTIVE
-    if prof is None:
-        return list(evaluator.evaluate_fused(norm_jobs))
-    t0 = time.perf_counter()
-    values = list(evaluator.evaluate_fused(norm_jobs))
-    prof.record(
-        "dispatch", len(norm_jobs), total_cells, time.perf_counter() - t0
-    )
-    return values

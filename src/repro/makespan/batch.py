@@ -1,48 +1,37 @@
 """Vectorised :class:`DiscreteDistribution` kernels with a leading cell axis.
 
 A sweep group prices the same DAG structure under many parameter cells,
-so the distribution algebra gets a batched counterpart:
-:class:`BatchDistribution` holds ``n_cells`` independent distributions
-as ``(n_cells, n_atoms)`` arrays and implements convolution, maximum and
-moment-preserving truncation over the whole stack at once — one NumPy
-pass instead of ``n_cells`` Python-level kernel calls.
+so the rectangular-mode distribution algebra gets a batched
+counterpart: :class:`BatchDistribution` holds ``n_cells`` independent
+distributions as ``(n_cells, n_atoms)`` arrays and implements
+convolution, maximum and fixed-width truncation over the whole stack at
+once — one NumPy pass instead of ``n_cells`` Python-level kernel calls.
 
 **The bit-identity contract.**  Every batched operation produces, for
 each row, *exactly* the atoms the scalar
 :class:`~repro.makespan.distribution.DiscreteDistribution` operation
-would produce for that cell — same values, same probabilities, bit for
-bit.  This is what lets the engine's batched evaluation path guarantee
-records identical to the per-cell path.  The contract is kept two ways:
-
-* on the vectorised fast path, every per-row reduction (stable argsort,
-  cumulative sums, row sums of equal length, scatter-adds in row-major
-  order) performs the same floating-point operations in the same order
-  as its scalar counterpart;
-* wherever a result is *data-dependently ragged* — equal support points
-  merging in some rows but not others, truncation bins emptying, a max
-  grid collapsing — the **affected rows** (and only those) fall back to
-  the scalar kernel, which satisfies the contract trivially.  Rows that
-  agree on an intermediate width are re-grouped and finished vectorised.
-
-Because raggedness is inherent in the default (``"adaptive"``) truncate
-mode, batched operations return either a :class:`BatchDistribution`
-(uniform widths, vectorised path) or a plain ``list`` of scalar
-distributions (ragged); :func:`rows_of` normalises both forms for
-callers.  The rectangular mode (``mode="rect"``) sidesteps raggedness
-altogether: atom counts become shape-stable functions of the input
+would produce for that cell in ``"rect"`` mode — same values, same
+probabilities, bit for bit.  Every per-row reduction (stable argsort,
+cumulative sums, row sums of equal length, the shared
+:func:`~repro.makespan.distribution._rect_bin_rows` binning) performs
+the same floating-point operations in the same order as its scalar
+counterpart.  Rect atom counts are shape-stable functions of the input
 widths (no equal-value merges, no dropped zero-mass atoms, fixed-width
-binning), so rectangular results are always a
-:class:`BatchDistribution` and never touch the scalar kernel.
+binning), so every result is again a :class:`BatchDistribution`.
 
-Kernel calls report rows processed / rows finalised scalar to
-:mod:`repro.makespan.profile` when a collector is active — the
-scalar-fallback ratio that motivates the rectangular mode.
+The default ``"adaptive"`` mode has no batched kernels: its atom counts
+are data-dependent, and batched versions that finalised ragged rows
+through the scalar kernel lost to plain scalar loops at every measured
+width.  Adaptive work runs through the scalar (and native) kernels.
+
+Kernel calls report rows processed to :mod:`repro.makespan.profile`
+when a collector is active.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence
 
 import numpy as np
 
@@ -50,36 +39,12 @@ from repro.errors import EvaluationError
 from repro.makespan import profile as _profile
 from repro.makespan.distribution import (
     DEFAULT_MAX_ATOMS,
-    MODE_ADAPTIVE,
     MODE_RECT,
     DiscreteDistribution,
     _rect_bin_rows,
-    check_mode,
 )
 
-__all__ = ["BatchDistribution", "BatchRows", "rows_of", "two_state_rows"]
-
-#: Result type of batched operations: uniform stack or ragged rows.
-BatchRows = Union["BatchDistribution", List[DiscreteDistribution]]
-
-
-def rows_of(batch: BatchRows) -> List[DiscreteDistribution]:
-    """Per-cell distributions of either result form, in cell order."""
-    if isinstance(batch, BatchDistribution):
-        return batch.rows()
-    return list(batch)
-
-
-def _restack(rows: Sequence[DiscreteDistribution]) -> BatchRows:
-    """Stack rows back into a batch when their widths agree."""
-    width = rows[0].n_atoms
-    if all(r.n_atoms == width for r in rows):
-        return BatchDistribution(
-            np.array([r.values for r in rows]),
-            np.array([r.probs for r in rows]),
-            _canonical=True,
-        )
-    return list(rows)
+__all__ = ["BatchDistribution", "two_state_rows"]
 
 
 def two_state_rows(
@@ -115,10 +80,9 @@ class BatchDistribution:
 
     Rows are canonical (sorted support, equal values merged,
     probabilities normalised) — exactly the invariant of the scalar
-    class, enforced per row.  Rows produced by rectangular-mode kernels
-    relax "merged" to "sorted": they may carry zero-mass duplicate
-    atoms.  Instances are immutable; all operators return new objects
-    (or ragged row lists, see the module docstring).
+    class, enforced per row.  Rows produced by the kernels relax
+    "merged" to "sorted": they may carry zero-mass duplicate atoms.
+    Instances are immutable; all operators return new objects.
     """
 
     __slots__ = ("values", "probs")
@@ -257,190 +221,51 @@ class BatchDistribution:
         )
 
     def convolve(
-        self,
-        other: "BatchDistribution",
-        max_atoms: int = DEFAULT_MAX_ATOMS,
-        mode: str = MODE_ADAPTIVE,
-    ) -> BatchRows:
-        """Per-cell ``X + Y`` for independent stacks, vectorised.
-
-        The outer sums/products and the per-row stable sort run over the
-        whole batch at once; rows whose support develops equal values
-        (a data-dependent merge) finalise through the scalar kernel —
-        adaptive mode only, rectangular mode never merges.
-        """
+        self, other: "BatchDistribution", max_atoms: int = DEFAULT_MAX_ATOMS
+    ) -> "BatchDistribution":
+        """Per-cell ``X + Y`` for independent stacks (rect mode)."""
         self._check_cells(other)
         prof = _profile.ACTIVE
         if prof is None:
-            return self._convolve(other, max_atoms, mode)[0]
+            return self._convolve(other, max_atoms)
         t0 = time.perf_counter()
-        out, n_scalar = self._convolve(other, max_atoms, mode)
+        out = self._convolve(other, max_atoms)
         prof.record(
-            "batch_convolve", self.n_cells, n_scalar, time.perf_counter() - t0
+            "batch_convolve", self.n_cells, 0, time.perf_counter() - t0
         )
         return out
 
     def _convolve(
-        self, other: "BatchDistribution", max_atoms: int, mode: str
-    ) -> Tuple[BatchRows, int]:
+        self, other: "BatchDistribution", max_atoms: int
+    ) -> "BatchDistribution":
         c = self.n_cells
         values = (self.values[:, :, None] + other.values[:, None, :]).reshape(c, -1)
         probs = (self.probs[:, :, None] * other.probs[:, None, :]).reshape(c, -1)
-        if mode == MODE_ADAPTIVE:
-            return _canonical_rows(values, probs, max_atoms)
-        check_mode(mode)
         order = np.argsort(values, axis=1, kind="stable")
         values = np.take_along_axis(values, order, axis=1)
         probs = np.take_along_axis(probs, order, axis=1)
         return self._rect_finalise(other, values, probs, max_atoms, "_convolve")
 
     def max_with(
-        self,
-        other: "BatchDistribution",
-        max_atoms: int = DEFAULT_MAX_ATOMS,
-        mode: str = MODE_ADAPTIVE,
-    ) -> BatchRows:
-        """Per-cell ``max(X, Y)`` for independent stacks.
+        self, other: "BatchDistribution", max_atoms: int = DEFAULT_MAX_ATOMS
+    ) -> "BatchDistribution":
+        """Per-cell ``max(X, Y)`` for independent stacks (rect mode).
 
-        Adaptive mode runs a rank-based CDF-product over the sorted
-        support union — ``O(n log n)`` per row, no comparison tensors —
-        with per-row scalar fallback for rows whose union has duplicate
-        values and per-width regrouping of rows whose positive-mass atom
-        counts disagree.  Rectangular mode keeps the concatenated grid
-        (constant width), so it never falls back.
+        A CDF product over the sorted concatenated supports — constant
+        width, so the rows never go ragged.
         """
         self._check_cells(other)
         prof = _profile.ACTIVE
         if prof is None:
-            return self._max_with(other, max_atoms, mode)[0]
+            return self._max_with(other, max_atoms)
         t0 = time.perf_counter()
-        out, n_scalar = self._max_with(other, max_atoms, mode)
-        prof.record(
-            "batch_max", self.n_cells, n_scalar, time.perf_counter() - t0
-        )
+        out = self._max_with(other, max_atoms)
+        prof.record("batch_max", self.n_cells, 0, time.perf_counter() - t0)
         return out
 
     def _max_with(
-        self, other: "BatchDistribution", max_atoms: int, mode: str
-    ) -> Tuple[BatchRows, int]:
-        if mode == MODE_ADAPTIVE:
-            return self._max_adaptive(other, max_atoms)
-        check_mode(mode)
-        return self._max_rect(other, max_atoms)
-
-    def _max_adaptive(
         self, other: "BatchDistribution", max_atoms: int
-    ) -> Tuple[BatchRows, int]:
-        c, a1 = self.values.shape
-        concat = np.concatenate([self.values, other.values], axis=1)
-        order = np.argsort(concat, axis=1, kind="stable")
-        both = np.take_along_axis(concat, order, axis=1)
-        w = both.shape[1]
-        # The scalar kernel works on the *deduplicated* union grid
-        # (np.union1d) — equivalently, on the last position of each
-        # equal-value run of the sorted concatenation.  The rank counts
-        # (cumsum of operand origin) equal searchsorted(..., "right")
-        # exactly at those run ends — the stable sort puts every copy of
-        # a value at or before its run end — so reading each position's
-        # run end reproduces the scalar CDF lookups under duplicates.
-        is_end = np.empty((c, w), dtype=bool)
-        is_end[:, -1] = True
-        is_end[:, :-1] = both[:, 1:] != both[:, :-1]
-        all_unique = bool(is_end.all())
-        origin_a = order < a1
-        idx1 = np.cumsum(origin_a, axis=1)
-        idx2 = np.cumsum(~origin_a, axis=1)
-        if not all_unique:
-            pos = np.arange(w)
-            marked = np.where(is_end, pos[None, :], w)
-            end_idx = np.minimum.accumulate(marked[:, ::-1], axis=1)[:, ::-1]
-            idx1 = np.take_along_axis(idx1, end_idx, axis=1)
-            idx2 = np.take_along_axis(idx2, end_idx, axis=1)
-        f1 = np.take_along_axis(
-            np.cumsum(self.probs, axis=1), np.maximum(idx1 - 1, 0), axis=1
-        )
-        f1 = np.where(idx1 == 0, 0.0, f1)
-        f2 = np.take_along_axis(
-            np.cumsum(other.probs, axis=1), np.maximum(idx2 - 1, 0), axis=1
-        )
-        f2 = np.where(idx2 == 0, 0.0, f2)
-        f = f1 * f2
-        rows: List[Optional[DiscreteDistribution]] = [None] * c
-        n_scalar = 0
-        # First grouping: rows with equal unique-grid size compact their
-        # run-end values/CDFs together, mirroring the scalar grid.  With
-        # no duplicates anywhere (the common case) every position is its
-        # own run and the whole batch is one group, no compaction copy.
-        if all_unique:
-            u_groups: Dict[int, List[int]] = {w: list(range(c))}
-        else:
-            u_counts = is_end.sum(axis=1)
-            u_groups = {}
-            for i in range(c):
-                u_groups.setdefault(int(u_counts[i]), []).append(i)
-        # Second grouping: within each grid size, rows whose kept-atom
-        # counts agree (zero-mass grid points drop data-dependently)
-        # finish vectorised; degenerate rows (nothing kept) go scalar.
-        width_groups: Dict[int, List[Tuple[List[int], np.ndarray, np.ndarray]]] = {}
-        for u, members in u_groups.items():
-            if all_unique:
-                grid, fu = both, f
-            else:
-                idx = np.asarray(members)
-                mask = is_end[idx]
-                grid = both[idx][mask].reshape(idx.size, u)
-                fu = f[idx][mask].reshape(idx.size, u)
-            probs = np.empty_like(fu)
-            probs[:, 0] = fu[:, 0]
-            probs[:, 1:] = fu[:, 1:] - fu[:, :-1]
-            keep = probs > 0
-            kept = keep.sum(axis=1)
-            kept_groups: Dict[int, List[int]] = {}
-            for j, i in enumerate(members):
-                kj = int(kept[j])
-                if kj == 0:
-                    n_scalar += 1
-                    rows[i] = self.row(i)._max_with(
-                        other.row(i), max_atoms, MODE_ADAPTIVE
-                    )
-                else:
-                    kept_groups.setdefault(kj, []).append(j)
-            for kw, js in kept_groups.items():
-                jdx = np.asarray(js)
-                m2 = keep[jdx]
-                width_groups.setdefault(kw, []).append(
-                    (
-                        [members[j] for j in js],
-                        grid[jdx][m2].reshape(jdx.size, kw),
-                        probs[jdx][m2].reshape(jdx.size, kw),
-                    )
-                )
-        for width, chunks in width_groups.items():
-            slots = [s for chunk in chunks for s in chunk[0]]
-            if len(chunks) == 1:
-                sub_values, sub_probs = chunks[0][1], chunks[0][2]
-            else:
-                sub_values = np.concatenate([chunk[1] for chunk in chunks])
-                sub_probs = np.concatenate([chunk[2] for chunk in chunks])
-            sub, ns = _canonical_rows(
-                sub_values, sub_probs, max_atoms, _sorted=True
-            )
-            n_scalar += ns
-            # Whole batch in one chunk: slots are 0..c-1 in order (both
-            # groupings preserve ascending row order within a chunk).
-            if (
-                len(slots) == c
-                and len(chunks) == 1
-                and isinstance(sub, BatchDistribution)
-            ):
-                return sub, n_scalar
-            for slot, row in zip(slots, rows_of(sub)):
-                rows[slot] = row
-        return _restack(rows), n_scalar  # type: ignore[arg-type]
-
-    def _max_rect(
-        self, other: "BatchDistribution", max_atoms: int
-    ) -> Tuple[BatchRows, int]:
+    ) -> "BatchDistribution":
         c, a1 = self.values.shape
         concat = np.concatenate([self.values, other.values], axis=1)
         order = np.argsort(concat, axis=1, kind="stable")
@@ -485,13 +310,12 @@ class BatchDistribution:
         probs: np.ndarray,
         max_atoms: int,
         op: str,
-    ) -> Tuple[BatchRows, int]:
+    ) -> "BatchDistribution":
         """Normalise sorted rows and apply rectangular binning.
 
-        Shape-stable by construction: every row keeps the same width, so
-        the result is always a :class:`BatchDistribution`.  Rows with a
-        non-positive or non-finite mass total re-raise through the
-        scalar kernel (same error, same message).
+        Shape-stable by construction: every row keeps the same width.
+        Rows with a non-positive or non-finite mass total re-raise
+        through the scalar kernel (same error, same message).
         """
         totals = probs.sum(axis=1)
         bad = ~(np.isfinite(totals) & (totals > 0))
@@ -504,93 +328,28 @@ class BatchDistribution:
         probs = probs / totals[:, None]
         if values.shape[1] > max_atoms:
             values, probs = _rect_bin_rows(values, probs, max_atoms)
-        return BatchDistribution(values, probs, _canonical=True), 0
+        return BatchDistribution(values, probs, _canonical=True)
 
-    def truncate(
-        self, max_atoms: int = DEFAULT_MAX_ATOMS, mode: str = MODE_ADAPTIVE
-    ) -> BatchRows:
-        """Per-cell moment-preserving truncation to ``max_atoms`` points.
+    def truncate(self, max_atoms: int = DEFAULT_MAX_ATOMS) -> "BatchDistribution":
+        """Per-cell fixed-width truncation to exactly ``max_atoms`` points.
 
-        Adaptive mode vectorises the cumulative-probability binning
-        (bins, scatter-add masses and weighted sums) across rows with
-        scalar semantics per row, including the equal-probability-bin
-        conditional means; rows whose bins empty (ragged keep masks)
-        finalise scalar.  Rectangular mode bins by equal value width and
-        always returns a :class:`BatchDistribution` with exactly
-        ``max_atoms`` columns (zero-mass padding below budget).
+        Bins by equal value width; an under-budget stack is padded with
+        zero-mass copies of each row's top atom, so the result always has
+        exactly ``max_atoms`` columns.
         """
         prof = _profile.ACTIVE
         if prof is None:
-            return self._truncate(max_atoms, mode)[0]
+            return self._truncate(max_atoms)
         t0 = time.perf_counter()
-        out, n_scalar = self._truncate(max_atoms, mode)
+        out = self._truncate(max_atoms)
         prof.record(
-            "batch_truncate", self.n_cells, n_scalar, time.perf_counter() - t0
+            "batch_truncate", self.n_cells, 0, time.perf_counter() - t0
         )
         return out
 
-    def _truncate(
-        self, max_atoms: int, mode: str
-    ) -> Tuple[BatchRows, int]:
+    def _truncate(self, max_atoms: int) -> "BatchDistribution":
         if max_atoms < 1:
             raise EvaluationError(f"max_atoms must be >= 1, got {max_atoms}")
-        if mode != MODE_ADAPTIVE:
-            check_mode(mode)
-            return self._truncate_rect(max_atoms), 0
-        if self.n_atoms <= max_atoms:
-            return self, 0
-        cum = np.cumsum(self.probs, axis=1)
-        bins = np.minimum(
-            (cum - self.probs * 0.5) * max_atoms, max_atoms - 1e-9
-        ).astype(int)
-        bins = np.maximum.accumulate(bins, axis=1)
-        c = self.n_cells
-        cell_idx = np.arange(c)[:, None]
-        masses = np.zeros((c, max_atoms))
-        np.add.at(masses, (cell_idx, bins), self.probs)
-        weighted = np.zeros((c, max_atoms))
-        np.add.at(weighted, (cell_idx, bins), self.probs * self.values)
-        keep = masses > 0
-        kept = keep.sum(axis=1)
-        full = kept == max_atoms
-        if full.all():
-            values = weighted / masses
-            # Same lean rebuild as the scalar kernel: strictly increasing
-            # conditional means make the canonicalising re-sort/merge the
-            # identity; ties (floating-point corner) go back through the
-            # full constructor row by row.
-            strict = (np.diff(values, axis=1) > 0).all(axis=1)
-            if strict.all():
-                totals = masses.sum(axis=1)
-                return (
-                    BatchDistribution(
-                        values, masses / totals[:, None], _canonical=True
-                    ),
-                    0,
-                )
-        # Mixed: vectorise the full, strictly-increasing rows; emptied
-        # bins (the scalar kernel sizes its arrays as bins[-1] + 1 and
-        # drops empty bins) and tied rows rebuild through the scalar
-        # constructor.
-        rows: List[Optional[DiscreteDistribution]] = [None] * c
-        n_scalar = 0
-        for i in range(c):
-            row_keep = keep[i]
-            v = weighted[i][row_keep] / masses[i][row_keep]
-            p = masses[i][row_keep]
-            if v.size > 1 and bool(np.any(np.diff(v) <= 0)):
-                rows[i] = DiscreteDistribution(v, p)
-                n_scalar += 1
-            elif not full[i]:
-                total = float(p.sum())
-                rows[i] = DiscreteDistribution._wrap(v, p / total)
-                n_scalar += 1
-            else:
-                total = float(p.sum())
-                rows[i] = DiscreteDistribution._wrap(v, p / total)
-        return _restack(rows), n_scalar  # type: ignore[arg-type]
-
-    def _truncate_rect(self, max_atoms: int) -> "BatchDistribution":
         n = self.n_atoms
         if n == max_atoms:
             return self
@@ -620,52 +379,3 @@ class BatchDistribution:
             f"BatchDistribution(cells={self.n_cells}, atoms={self.n_atoms})"
         )
 
-
-def _canonical_rows(
-    values: np.ndarray,
-    probs: np.ndarray,
-    max_atoms: int,
-    _sorted: bool = False,
-) -> Tuple[BatchRows, int]:
-    """Sort + merge + normalise + truncate rows, vectorised where clean.
-
-    Mirrors ``DiscreteDistribution.__init__`` followed by ``truncate``
-    for every row.  Rows needing a data-dependent merge (equal support
-    points) or failing validation finalise through the scalar
-    constructor — per row, not per batch — so errors and atom layouts
-    match it exactly while the clean rows stay on the vectorised path.
-    Returns the result plus the number of rows finalised scalar.
-    """
-    c = values.shape[0]
-    if not _sorted:
-        order = np.argsort(values, axis=1, kind="stable")
-        values = np.take_along_axis(values, order, axis=1)
-        probs = np.take_along_axis(probs, order, axis=1)
-    if values.shape[1] > 1:
-        dirty = (np.diff(values, axis=1) == 0).any(axis=1)
-    else:
-        dirty = np.zeros(c, dtype=bool)
-    totals = probs.sum(axis=1)
-    dirty |= ~(np.isfinite(totals) & (totals > 0))
-    if not dirty.any():
-        batch = BatchDistribution(
-            values, probs / totals[:, None], _canonical=True
-        )
-        return batch._truncate(max_atoms, MODE_ADAPTIVE)
-    rows: List[Optional[DiscreteDistribution]] = [None] * c
-    n_scalar = int(dirty.sum())
-    for i in np.flatnonzero(dirty):
-        rows[i] = DiscreteDistribution(values[i], probs[i], _sorted=True)._truncate(
-            max_atoms, MODE_ADAPTIVE
-        )
-    clean = ~dirty
-    if clean.any():
-        idx = np.flatnonzero(clean)
-        sub = BatchDistribution(
-            values[idx], probs[idx] / totals[idx][:, None], _canonical=True
-        )
-        result, ns = sub._truncate(max_atoms, MODE_ADAPTIVE)
-        n_scalar += ns
-        for slot, row in zip(idx, rows_of(result)):
-            rows[slot] = row
-    return _restack(rows), n_scalar  # type: ignore[arg-type]

@@ -12,8 +12,8 @@ Two truncation modes are supported:
 
 * ``"adaptive"`` (default, the bit-exactness reference): equal
   *probability* bins whose edges depend on the data — accurate, but the
-  resulting atom counts are data-dependent, which is what forces the
-  batched kernels into ragged per-row fallbacks;
+  resulting atom counts are data-dependent, so this mode runs through
+  the scalar (and native) kernels only;
 * ``"rect"`` (rectangular, opt-in): equal *value-width* bins over the
   support range, always producing exactly ``max_atoms`` atoms from an
   over-budget support (and padding an under-budget one with zero-mass

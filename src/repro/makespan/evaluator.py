@@ -148,30 +148,6 @@ class Evaluator:
             out.append(self.evaluate(template.cell(i), **cell_options))
         return np.array(out, dtype=float)
 
-    def evaluate_fused(self, jobs) -> list:
-        """Price many templates in one dispatch; one value array per job.
-
-        ``jobs`` is a sequence of ``(template, options, seeds)`` triples
-        — per-job option dicts (already validated) and an optional
-        per-cell seed list following the seed convention of
-        :meth:`evaluate_batch` (``None`` for closed-form methods).  The
-        fused contract extends the batch contract: each job's values
-        must be **bit-identical** to ``self.evaluate_batch(template,
-        **options)`` with the job's seeds threaded through the ``seed``
-        option.  The default implementation *is* that loop, satisfying
-        the contract trivially; evaluators whose batch path runs the
-        pooled wavefront executor (PathApprox) override it to pool tape
-        steps across every job's templates, which preserves per-row
-        bit-identity by the batched-kernel contract.
-        """
-        out = []
-        for template, options, seeds in jobs:
-            job_options = dict(options)
-            if seeds is not None and "seed" not in job_options:
-                job_options["seed"] = seeds
-            out.append(self.evaluate_batch(template, **job_options))
-        return out
-
     # ------------------------------------------------------------------
 
     def option_names(self) -> Tuple[str, ...]:
@@ -241,12 +217,10 @@ class FunctionEvaluator(Evaluator):
         deterministic: bool = True,
         supports_batch: bool = False,
         batch_fn: Optional[Callable[..., np.ndarray]] = None,
-        fused_fn: Optional[Callable[..., list]] = None,
         option_docs: Optional[Mapping[str, str]] = None,
     ) -> None:
         self._fn = fn
         self._batch_fn = batch_fn
-        self._fused_fn = fused_fn
         self.name = name if name is not None else getattr(fn, "__name__", "?")
         doc = summary or (inspect.getdoc(fn) or "").split("\n", 1)[0]
         self.summary = doc
@@ -268,11 +242,6 @@ class FunctionEvaluator(Evaluator):
         if self._batch_fn is not None:
             return self._batch_fn(template, **options)
         return super().evaluate_batch(template, **options)
-
-    def evaluate_fused(self, jobs) -> list:
-        if self._fused_fn is not None:
-            return self._fused_fn(jobs)
-        return super().evaluate_fused(jobs)
 
 
 class EvaluatorRegistry(MutableMapping):

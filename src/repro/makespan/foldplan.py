@@ -17,33 +17,30 @@ lifts that work into a **compile-once, execute-many** layer:
 
 * :func:`execute_plans` replays tapes for many cells at once with a
   **pooled wavefront executor**: each round it gathers every step whose
-  operands are ready — across all cells and plans — groups them by
-  (op kind, operand widths), and runs each group as a single batched
-  :class:`~repro.makespan.batch.BatchDistribution` kernel call.
-  Singleton groups go straight to the scalar kernel.  Results land in a
-  per-cell value store keyed by the tape's *semantic* slot names, so
-  they survive across budget doublings (the 64-path plan skips every
-  step the 32-path plan already computed).
+  operands are ready — across all cells and plans — and groups them by
+  (op kind, operand widths).  Rect-mode groups run as one batched
+  :class:`~repro.makespan.batch.BatchDistribution` kernel call;
+  adaptive-mode convolve groups run as one pooled native call and
+  adaptive-mode max groups once per member through the scalar kernel.
+  Results land in a per-cell value store keyed by the tape's *semantic*
+  slot names, so they survive across budget doublings (the 64-path
+  plan skips every step the 32-path plan already computed).
 
-* :func:`pathapprox_plan_fused` drives a whole *list* of templates —
-  heterogeneous structures, one job per (template, options) pair —
-  through the adaptive-k schedule together: each job replicates
-  ``_adaptive_estimate``'s per-cell control flow exactly, while every
-  round's tape steps from every job land in the same pooled
-  :func:`execute_plans` pass (step pooling keys on operand shape, not
-  on the template, so cross-template steps stack into one kernel call).
-  :func:`pathapprox_plan_batch` is the single-job special case.
+* :func:`pathapprox_plan_batch` drives a template's cells through the
+  adaptive-k schedule in lockstep, replicating ``_adaptive_estimate``'s
+  per-cell control flow exactly while every round's tape steps land in
+  one pooled :func:`execute_plans` pass.
 
 **Bit-identity.**  The tape records exactly the operations the scalar
 recursion performs, keyed so that equal inputs share one slot: path-sum
 chains are memoised by node-tuple *prefix* (the scalar chain prefix
 computation is the identical op sequence, so a prefix hit returns the
-identical object), fold subtrees by their frozenset-of-path-sets memo
-key — the same key :class:`~repro.makespan.pathapprox._CellFold` uses.
-Each step's operands are therefore bit-identical to the scalar path's,
-and the batched kernels guarantee bit-identical outputs per row (the
-batch-parity contract), so the replayed estimates equal the scalar
-reference bit for bit — pinned by the evaluator parity tests.
+identical object), fold subtrees by their frozenset of path sets (the
+recursion's result depends only on that set).  Each step's operands are
+therefore bit-identical to the scalar path's; adaptive steps run the
+scalar kernels themselves and rect steps the batched kernels, which
+match the scalar ones row for row, so the replayed estimates equal the
+scalar reference bit for bit — pinned by the evaluator parity tests.
 
 The Clark-fold tape of the NORMAL method (:class:`ClarkPlan`) lives
 here too: a flat (node, predecessors) schedule plus the sink fold,
@@ -61,10 +58,11 @@ import numpy as np
 from repro.errors import EvaluationError
 from repro.makespan import native as _native
 from repro.makespan import profile as _profile
-from repro.makespan.batch import BatchDistribution, rows_of, two_state_rows
+from repro.makespan.batch import BatchDistribution, two_state_rows
 from repro.makespan.distribution import (
     DEFAULT_MAX_ATOMS,
     MODE_ADAPTIVE,
+    MODE_RECT,
     DiscreteDistribution,
 )
 from repro.makespan.pathapprox import (
@@ -80,21 +78,8 @@ __all__ = [
     "compile_fold_plan",
     "execute_plans",
     "pathapprox_plan_batch",
-    "pathapprox_plan_fused",
     "clark_plan",
 ]
-
-#: Adaptive-mode convolve pools route through the scalar kernel at
-#: every width: the batched adaptive convolve builds ragged union grids
-#: whose bookkeeping loses to the scalar loop across the board — a
-#: width sweep (2..96 rows, 64-atom operands) measured it at 0.58x to
-#: 0.74x with no crossover, and BENCH_kernel pins the 64-row point
-#: below 1x.  Rect-mode convolve (fixed-width bins, no ragged grids)
-#: and max/truncate in both modes stay batched — those win.  Routing
-#: never changes results — the scalar and batched kernels are
-#: bit-identical per row — and each decision is recorded as a
-#: ``pool_conv_routed`` profile op.
-CONV_SCALAR_ADAPTIVE = True
 
 #: Leaf slot: the Dirac distribution at 0 (every path sum's seed).
 _P0: Tuple[str, ...] = ("p0",)
@@ -238,10 +223,10 @@ def compile_fold_plan(
 
 
 class _CellRun:
-    """Per-cell replay state: leaf laws plus the persistent slot store."""
+    """Per-cell replay state: leaf laws, the persistent slot store, and
+    the cell's place in the adaptive-k schedule."""
 
     __slots__ = (
-        "index",
         "values",
         "remaining",
         "node_dist",
@@ -250,25 +235,16 @@ class _CellRun:
         "var_key",
         "estimate",
         "stalls",
-        "last_estimate",
-        "last_exhausted",
-        "max_atoms",
-        "mode",
+        "exhausted",
     )
 
     def __init__(
         self,
-        index: int,
         point0: DiscreteDistribution,
         node_dist: List[DiscreteDistribution],
         means: np.ndarray,
         variances: np.ndarray,
-        max_atoms: int = DEFAULT_MAX_ATOMS,
-        mode: str = MODE_ADAPTIVE,
     ) -> None:
-        self.index = index
-        self.max_atoms = max_atoms
-        self.mode = mode
         self.values: Dict[Ref, DiscreteDistribution] = {_P0: point0}
         self.remaining: Dict[int, int] = {}
         self.node_dist = node_dist
@@ -282,8 +258,7 @@ class _CellRun:
         self.var_key = tuple(order)
         self.estimate = 0.0
         self.stalls = 0
-        self.last_estimate = 0.0
-        self.last_exhausted = False
+        self.exhausted = False
 
     def resolve(self, ref: Ref) -> DiscreteDistribution:
         d = self.values.get(ref)
@@ -320,24 +295,25 @@ def _schedule(state: _CellRun, plan: FoldPlan) -> List[int]:
     return ready
 
 
-def execute_plans(work: Sequence[Tuple[_CellRun, FoldPlan]]) -> None:
+def execute_plans(
+    work: Sequence[Tuple[_CellRun, FoldPlan]], max_atoms: int, mode: str
+) -> None:
     """Replay each cell's plan, pooling ready steps across the batch.
 
     Wavefront execution: every round collects the steps whose operands
-    are ready — across all (cell, plan) pairs, possibly spanning many
-    templates and jobs — and groups them by ``(kind, width_a, width_b,
-    max_atoms, mode)`` (the budget and truncation mode ride on each
-    :class:`_CellRun`, so heterogeneous jobs pool safely).  Each group
-    of two or more runs as one batched kernel call (operand rows
-    stacked, results scattered back); singletons — and adaptive-mode
-    convolve pools at any width (:data:`CONV_SCALAR_ADAPTIVE`), where
-    the batched kernel's ragged-grid bookkeeping measurably loses —
-    call the scalar kernel directly.  Execution order never affects
-    results (each step's operands are fixed), so pooling preserves
-    bit-identity.  (A greedy fullest-bin-first variant was tried and
-    measured *slower*: fragmentation is structural — plans differ per
-    cell — so deferral barely grows the pools while the bin bookkeeping
-    taxes every step.)
+    are ready across all (cell, plan) pairs and groups them by ``(kind,
+    width_a, width_b)``.  A rect-mode group of two or more runs as one
+    batched kernel call (operand rows stacked, results scattered back).
+    In adaptive mode a convolve group runs as one pooled native call
+    (members the kernel declines fall back to the python kernel one by
+    one) and a max group runs the scalar kernel once per member — the
+    batched adaptive kernels lost to the scalar ones at every measured
+    width.  Singletons call the scalar kernel directly.  Execution
+    order never affects results (each step's operands are fixed), so
+    pooling preserves bit-identity.  (A greedy fullest-bin-first variant
+    was tried and measured *slower*: fragmentation is structural — plans
+    differ per cell — so deferral barely grows the pools while the bin
+    bookkeeping taxes every step.)
     """
     prof = _profile.ACTIVE
     if prof is not None:
@@ -353,47 +329,14 @@ def execute_plans(work: Sequence[Tuple[_CellRun, FoldPlan]]) -> None:
             _key, kind, a, b = plan.steps[i]
             da = state.resolve(a)
             db = state.resolve(b)
-            groups.setdefault(
-                (kind, da.n_atoms, db.n_atoms, state.max_atoms, state.mode),
-                [],
-            ).append((state, plan, i, da, db))
-        ready = []
-        for (kind, _wa, _wb, max_atoms, mode), members in groups.items():
-            t0 = time.perf_counter() if prof is not None else 0.0
-            routed = (
-                CONV_SCALAR_ADAPTIVE
-                and kind == _CONV
-                and mode == MODE_ADAPTIVE
-                and len(members) > 1
+            groups.setdefault((kind, da.n_atoms, db.n_atoms), []).append(
+                (state, plan, i, da, db)
             )
-            if len(members) == 1 or routed:
-                if kind == _CONV:
-                    outs = None
-                    if routed:
-                        # One pooled native call for the whole group (the
-                        # group key guarantees uniform operand widths);
-                        # members the kernel declines fall back to the
-                        # scalar python path individually.
-                        pooled = _native.convolve_dists_many(
-                            [(m[3], m[4]) for m in members], max_atoms
-                        )
-                        if pooled is not None:
-                            outs = [
-                                d
-                                if d is not None
-                                else m[3]._convolve(m[4], max_atoms, mode)
-                                for m, d in zip(members, pooled)
-                            ]
-                    if outs is None:
-                        outs = [
-                            m[3]._convolve(m[4], max_atoms, mode)
-                            for m in members
-                        ]
-                else:
-                    outs = [
-                        m[3]._max_with(m[4], max_atoms, mode) for m in members
-                    ]
-            else:
+        ready = []
+        for (kind, _wa, _wb), members in groups.items():
+            t0 = time.perf_counter() if prof is not None else 0.0
+            batched = mode == MODE_RECT and len(members) > 1
+            if batched:
                 batch_a = BatchDistribution(
                     np.array([m[3].values for m in members]),
                     np.array([m[3].probs for m in members]),
@@ -405,16 +348,31 @@ def execute_plans(work: Sequence[Tuple[_CellRun, FoldPlan]]) -> None:
                     _canonical=True,
                 )
                 if kind == _CONV:
-                    res = batch_a._convolve(batch_b, max_atoms, mode)[0]
+                    outs = batch_a._convolve(batch_b, max_atoms).rows()
                 else:
-                    res = batch_a._max_with(batch_b, max_atoms, mode)[0]
-                outs = rows_of(res)
+                    outs = batch_a._max_with(batch_b, max_atoms).rows()
+            elif kind == _CONV and mode == MODE_ADAPTIVE and len(members) > 1:
+                # One pooled native call (the group key guarantees
+                # uniform operand widths); members it declines, or all
+                # of them with native off, run the python kernel.
+                pooled = _native.convolve_dists_many(
+                    [(m[3], m[4]) for m in members], max_atoms
+                ) or [None] * len(members)
+                outs = [
+                    d if d is not None else m[3]._convolve(m[4], max_atoms, mode)
+                    for m, d in zip(members, pooled)
+                ]
+            elif kind == _CONV:
+                outs = [m[3]._convolve(m[4], max_atoms, mode) for m in members]
+            else:
+                outs = [m[3]._max_with(m[4], max_atoms, mode) for m in members]
             if prof is not None:
-                wall = time.perf_counter() - t0
-                scalar = len(members) if len(members) == 1 or routed else 0
-                prof.record("pool_step", len(members), scalar, wall)
-                if routed:
-                    prof.record("pool_conv_routed", len(members), 0, wall)
+                prof.record(
+                    "pool_step",
+                    len(members),
+                    0 if batched else len(members),
+                    time.perf_counter() - t0,
+                )
             for (state, plan, i, _da, _db), dist in zip(members, outs):
                 state.values[plan.steps[i][0]] = dist
                 remaining = state.remaining
@@ -429,84 +387,59 @@ def execute_plans(work: Sequence[Tuple[_CellRun, FoldPlan]]) -> None:
                         remaining[d] = nd - 1
 
 
-class _JobRun:
-    """One template's adaptive-k schedule inside a fused execution.
+def pathapprox_plan_batch(
+    template,
+    k: Optional[int] = None,
+    max_atoms: int = DEFAULT_MAX_ATOMS,
+    rtol: float = 2e-4,
+    mode: str = MODE_ADAPTIVE,
+) -> np.ndarray:
+    """PATHAPPROX over every cell of a template via compiled fold plans.
 
-    Owns the per-cell :class:`_CellRun` states and replicates the
-    per-job control flow of the scalar ``_adaptive_estimate`` —
-    explicit-k and wide-DAG single-shot jobs run one round, adaptive
-    jobs double their budget with per-cell stall/exhaustion tracking.
-    The driver only asks two things: which states need the *current*
-    round (``pending`` at ``budget`` paths), and whether another round
-    remains after the results land (:meth:`advance`).
+    Every active cell shares the same lockstep budget sequence (32, 64,
+    ...): each round enumerates the cells' paths, compiles or reuses
+    their plans, and replays them through one pooled
+    :func:`execute_plans` pass.  Per-cell control flow — stall
+    counting, exhaustion, the ``k=None`` / explicit-k / wide-DAG
+    single-shot branches — replicates ``_adaptive_estimate`` exactly,
+    so results are bit-identical to the scalar reference.
     """
-
-    __slots__ = (
-        "template",
-        "preds",
-        "sinks",
-        "cache",
-        "states",
-        "rtol",
-        "adaptive",
-        "first",
-        "budget",
-        "cap",
-        "pending",
-    )
-
-    def __init__(self, template, k: Optional[int], rtol: float,
-                 max_atoms: int, mode: str) -> None:
-        n = template.n
-        self.template = template
-        self.preds = template.preds
-        self.sinks = template.sinks()
-        self.cache = template.plan_cache()
-        means = template.means
-        variances = template.variances
-        point0 = DiscreteDistribution.point(0.0)
-        node_rows = [
-            two_state_rows(
-                template.base[:, j], template.long[:, j], template.p[:, j]
-            )
-            for j in range(n)
-        ]
-        self.states = [
-            _CellRun(
-                c,
-                point0,
-                [rows[c] for rows in node_rows],
-                means[c],
-                variances[c],
-                max_atoms,
-                mode,
-            )
-            for c in range(template.n_cells)
-        ]
-        self.rtol = rtol
-        self.adaptive = k is None and n <= SINGLE_SHOT_N
-        self.first = True
-        if k is not None:
-            self.budget = k
-        elif n > SINGLE_SHOT_N:
-            self.budget = 2 * n
-        else:
-            self.budget = INITIAL_PATHS
-        self.cap = max(8 * n, 2 * INITIAL_PATHS)
-        self.pending: List[_CellRun] = list(self.states)
-
-    def round_work(self) -> List[Tuple[_CellRun, FoldPlan]]:
-        """(state, plan) work items for the pending round, plans cached."""
-        active = self.pending
-        mean_rows = np.stack([st.means for st in active])
+    n = template.n
+    sinks = template.sinks()
+    cache = template.plan_cache()
+    point0 = DiscreteDistribution.point(0.0)
+    node_rows = [
+        two_state_rows(template.base[:, j], template.long[:, j], template.p[:, j])
+        for j in range(n)
+    ]
+    states = [
+        _CellRun(
+            point0,
+            [rows[c] for rows in node_rows],
+            template.means[c],
+            template.variances[c],
+        )
+        for c in range(template.n_cells)
+    ]
+    adaptive = k is None and n <= SINGLE_SHOT_N
+    if k is not None:
+        budget = k
+    elif n > SINGLE_SHOT_N:
+        budget = 2 * n
+    else:
+        budget = INITIAL_PATHS
+    cap = max(8 * n, 2 * INITIAL_PATHS)
+    first = True
+    pending = states
+    while pending:
         paths_cells = _k_best_paths_cells(
-            self.preds, self.sinks, mean_rows, self.budget
+            template.preds, sinks, np.stack([st.means for st in pending]), budget
         )
         work: List[Tuple[_CellRun, FoldPlan]] = []
-        for st, paths in zip(active, paths_cells):
+        for st, paths in zip(pending, paths_cells):
             if not paths:
                 raise EvaluationError("DAG has no source-to-sink path")
-            st.last_exhausted = len(paths) < self.budget
+            st.exhausted = len(paths) < budget
             # Path nodes are distinct, so summing their powers of two is
             # the OR; a plain loop beats functools.reduce on this path.
             masks = []
@@ -517,39 +450,20 @@ class _JobRun:
                 masks.append(m)
             pathset = tuple(masks)
             sig = ("fold", frozenset(pathset), st.var_key)
-            plan = self.cache.get(sig)
+            plan = cache.get(sig)
             if plan is None:
-                plan = compile_fold_plan(pathset, st.var_rank)
-                self.cache[sig] = plan
+                plan = cache[sig] = compile_fold_plan(pathset, st.var_rank)
             work.append((st, plan))
-        return work
-
-    def advance(self) -> bool:
-        """Fold the round's estimates into the schedule; more rounds?
-
-        Mirrors ``_adaptive_estimate``: the exhaustion/cap filter uses
-        the budget just run, the stall counter tolerates
-        :data:`ADAPTIVE_STALLS` consecutive within-``rtol`` refinements,
-        and the budget doubles for the next round.
-        """
-        if not self.adaptive:
-            for st in self.pending:
-                st.estimate = st.last_estimate
-            self.pending = []
-            return False
-        if self.first:
-            self.first = False
-            still = []
-            for st in self.states:
-                st.estimate = st.last_estimate
-                if self.budget < self.cap and not st.last_exhausted:
-                    still.append(st)
-            self.pending = still
-        else:
-            still = []
-            for st in self.pending:
-                refined = st.last_estimate
-                if abs(refined - st.estimate) <= self.rtol * max(
+        execute_plans(work, max_atoms, mode)
+        # Fold the round into each cell's schedule, as _adaptive_estimate
+        # does: a refinement within rtol counts a stall, ADAPTIVE_STALLS
+        # consecutive stalls stop the cell, and exhaustion or the cap
+        # stop it after this budget.
+        still = []
+        for st, plan in work:
+            refined = st.resolve(plan.root).mean()
+            if adaptive and not first:
+                if abs(refined - st.estimate) <= rtol * max(
                     abs(st.estimate), 1e-300
                 ):
                     st.stalls += 1
@@ -558,104 +472,13 @@ class _JobRun:
                         continue
                 else:
                     st.stalls = 0
-                st.estimate = refined
-                if self.budget < self.cap and not st.last_exhausted:
-                    still.append(st)
-            self.pending = still
-        if self.pending:
-            self.budget *= 2
-            return True
-        return False
-
-    def values(self) -> np.ndarray:
-        out = np.empty(len(self.states))
-        for st in self.states:
-            out[st.index] = st.estimate
-        return out
-
-
-def pathapprox_plan_fused(jobs: Sequence[Tuple]) -> List[np.ndarray]:
-    """PATHAPPROX over many templates in one pooled execution.
-
-    ``jobs`` is a sequence of ``(template, options)`` pairs — options
-    use the :func:`~repro.makespan.pathapprox.pathapprox_batch` keyword
-    names (``k``, ``max_atoms``, ``rtol``, ``truncate_mode``); one value
-    array per job is returned, in job order.
-
-    Each job runs the per-cell adaptive-k schedule *exactly* as
-    :func:`pathapprox_plan_batch` would alone — same budgets, same
-    stall logic, same cached plans — but every round pools the ready
-    tape steps of **all** jobs into one :func:`execute_plans` pass:
-    step batching keys on operand shape (plus budget and truncation
-    mode), not on the template, so heterogeneous-structure steps stack
-    into the same batched kernel calls.  Jobs with differing budgets
-    advance side by side (an explicit-k job finishes after round one
-    while adaptive jobs keep doubling).  Per-job results are
-    bit-identical to the single-job path — pooling changes which rows
-    share a kernel call, never what any row computes.
-    """
-    runs: List[_JobRun] = []
-    for template, options in jobs:
-        opts = dict(options) if options else {}
-        runs.append(
-            _JobRun(
-                template,
-                k=opts.get("k"),
-                rtol=opts.get("rtol", 2e-4),
-                max_atoms=opts.get("max_atoms", DEFAULT_MAX_ATOMS),
-                mode=opts.get("truncate_mode", MODE_ADAPTIVE),
-            )
-        )
-
-    pending = [run for run in runs if run.pending]
-    while pending:
-        spans: List[Tuple[_JobRun, List[Tuple[_CellRun, FoldPlan]]]] = []
-        all_work: List[Tuple[_CellRun, FoldPlan]] = []
-        for run in pending:
-            work = run.round_work()
-            spans.append((run, work))
-            all_work.extend(work)
-        execute_plans(all_work)
-        pending = []
-        for run, work in spans:
-            for st, plan in work:
-                st.last_estimate = st.resolve(plan.root).mean()
-            if run.advance():
-                pending.append(run)
-    return [run.values() for run in runs]
-
-
-def pathapprox_plan_batch(
-    template,
-    k: Optional[int] = None,
-    max_atoms: int = DEFAULT_MAX_ATOMS,
-    rtol: float = 2e-4,
-    mode: str = MODE_ADAPTIVE,
-) -> np.ndarray:
-    """PATHAPPROX over every cell of a template via compiled fold plans.
-
-    The single-job case of :func:`pathapprox_plan_fused`: every active
-    cell shares the same lockstep budget sequence (32, 64, ...), each
-    round enumerates paths, compiles or reuses the cells' plans, and
-    replays them through one pooled :func:`execute_plans` pass.
-    Per-cell control flow — stall counting, exhaustion, the ``k=None``
-    / explicit-k / wide-DAG single-shot branches — replicates
-    ``_adaptive_estimate`` exactly, so results are bit-identical to the
-    scalar reference.
-    """
-    return pathapprox_plan_fused(
-        [
-            (
-                template,
-                {
-                    "k": k,
-                    "max_atoms": max_atoms,
-                    "rtol": rtol,
-                    "truncate_mode": mode,
-                },
-            )
-        ]
-    )[0]
+            st.estimate = refined
+            if adaptive and budget < cap and not st.exhausted:
+                still.append(st)
+        first = False
+        pending = still
+        budget *= 2
+    return np.array([st.estimate for st in states])
 
 
 # --------------------------------------------------------------------- #

@@ -12,8 +12,9 @@ error).
 
 Build strategy: compiled on first use with the system C compiler into a
 shared object cached under ``~/.cache/repro-native`` (override with
-``REPRO_NATIVE_CACHE``), keyed by the source hash so stale objects are
-never reused, and loaded through :mod:`ctypes`.  No python headers, no
+``REPRO_NATIVE_CACHE``), keyed by a hash of the source, ABI and
+compiler flags so stale objects are never reused, and loaded through
+:mod:`ctypes`.  No python headers, no
 build step at install time — a checkout plus any of ``cc``/``gcc``/
 ``clang`` is enough, and a missing compiler degrades to the pure-python
 kernels with a one-line warning on stderr (never an exception).
@@ -70,6 +71,11 @@ OPS = ("convolve", "max", "truncate", "rect_bin")
 
 #: Bump together with REPRO_NATIVE_ABI in ``_native.c``.
 _ABI = 1
+
+#: Compiler flags of the shared object.  ``-ffp-contract=off`` keeps the
+#: compiler from fusing ``a*b+c`` into an FMA (default on FMA-capable
+#: targets such as aarch64), which would round differently from numpy.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 _SOURCE = Path(__file__).with_name("_native.c")
 _OFF_VALUES = ("0", "false", "off", "no")
@@ -145,14 +151,22 @@ def _declare(lib: ctypes.CDLL) -> None:
         ptr, ll, ll, ll, ll, ptr, ptr, ptr
     ]
     lib.repro_convolve_adaptive_many.restype = ll
-    lib.repro_max_adaptive.argtypes = [
+    lib.repro_max_with_adaptive.argtypes = [
         ptr, ptr, ll, ptr, ptr, ll, ll, ptr, ptr
     ]
-    lib.repro_max_adaptive.restype = ll
+    lib.repro_max_with_adaptive.restype = ll
     lib.repro_truncate_adaptive.argtypes = [ptr, ptr, ll, ll, ptr, ptr]
     lib.repro_truncate_adaptive.restype = ll
     lib.repro_rect_bin_rows.argtypes = [ptr, ptr, ll, ll, ll, ptr, ptr]
     lib.repro_rect_bin_rows.restype = ll
+
+
+def _object_tag() -> str:
+    """Cache key of the shared object: source, ABI and compiler flags,
+    so an object built from other sources or flags is never loaded."""
+    flags = " ".join(_CFLAGS).encode()
+    key = _SOURCE.read_bytes() + b"|abi=%d|" % _ABI + flags
+    return hashlib.sha256(key).hexdigest()[:16]
 
 
 def _build_and_load() -> Optional[ctypes.CDLL]:
@@ -162,10 +176,8 @@ def _build_and_load() -> Optional[ctypes.CDLL]:
     if not _SOURCE.exists():
         _build_error = f"kernel source missing: {_SOURCE}"
         return None
-    source_bytes = _SOURCE.read_bytes()
-    tag = hashlib.sha256(source_bytes + b"|abi=%d" % _ABI).hexdigest()[:16]
     cache = _cache_dir()
-    so_path = cache / f"_repro_native_{tag}.so"
+    so_path = cache / f"_repro_native_{_object_tag()}.so"
     if not so_path.exists():
         compiler = _find_compiler()
         if compiler is None:
@@ -179,10 +191,7 @@ def _build_and_load() -> Optional[ctypes.CDLL]:
                 suffix=".so", prefix="_repro_native_", dir=str(cache)
             )
             os.close(fd)
-            cmd = [
-                compiler, "-O2", "-fPIC", "-shared",
-                "-o", tmp, str(_SOURCE), "-lm",
-            ]
+            cmd = [compiler, *_CFLAGS, "-o", tmp, str(_SOURCE), "-lm"]
             proc = subprocess.run(
                 cmd, capture_output=True, text=True, timeout=120
             )
@@ -222,7 +231,7 @@ def _get_lib() -> Optional[ctypes.CDLL]:
         else:
             _c_conv = _lib.repro_convolve_adaptive
             _c_conv_many = _lib.repro_convolve_adaptive_many
-            _c_max = _lib.repro_max_adaptive
+            _c_max = _lib.repro_max_with_adaptive
             _c_trunc = _lib.repro_truncate_adaptive
             _c_rect = _lib.repro_rect_bin_rows
     return _lib

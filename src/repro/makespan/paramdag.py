@@ -186,24 +186,6 @@ class ParamDAG:
             self._plan_cache = {}
         return self._plan_cache
 
-    def set_plan_cache(self, cache: dict) -> None:
-        """Adopt an externally shared plan store.
-
-        Plan signatures embed everything a compiled plan depends on
-        (structure-derived path sets, variance orders), so templates
-        stacked from DAGs with the same :meth:`structure_key` can share
-        one store safely — the fused evaluation dispatcher hands every
-        template of a structure the same dict, letting later dispatches
-        (more chunks, more specs) reuse earlier compilations instead of
-        recompiling per template.
-        """
-        if self._plan_cache is not None and self._plan_cache is not cache:
-            raise EvaluationError(
-                "template already has a plan cache; set_plan_cache must "
-                "be called before the first evaluation"
-            )
-        self._plan_cache = cache
-
     def sinks(self) -> List[int]:
         """Indices of nodes without successors."""
         return [i for i in range(self.n) if not self.succs[i]]

@@ -1,12 +1,12 @@
 """Kernel profiling counters for the distribution algebra.
 
 The makespan kernels — scalar :class:`DiscreteDistribution` operations,
-their batched :class:`BatchDistribution` counterparts, and the pooled
-fold-plan executor — report op counts, row counts, scalar-fallback rows
-and per-op wall time here.  The collector is **off by default** and the
-hot-path cost of an inactive hook is a single module-attribute load and
-``None`` check (no timestamping, no allocation), so the hooks stay in
-production code.
+their batched (rect-mode) :class:`BatchDistribution` counterparts, the
+compiled native kernels, and the pooled fold-plan executor — report op
+counts, row counts, scalar-executed rows and per-op wall time here.
+The collector is **off by default** and the hot-path cost of an
+inactive hook is a single module-attribute load and ``None`` check (no
+timestamping, no allocation), so the hooks stay in production code.
 
 Usage::
 
@@ -15,11 +15,9 @@ Usage::
     prof.snapshot()          # JSON-friendly summary
     disable()                # detach
 
-The headline derived metric is the **scalar-fallback ratio**: the share
-of batched-kernel rows that had to finalise through the scalar kernel
-(data-dependent merges, ragged union grids, emptied truncation bins).
-It is the number that motivates the rectangular truncate mode, and the
-``repro sweep --profile`` / ``/status`` surfaces report it.
+The derived metrics — the native ratio (rows the compiled kernels
+absorbed), the pool-singleton ratio and the pooled wavefront width —
+are what the ``repro sweep --profile`` / ``/status`` surfaces report.
 
 The collector is process-local, but no longer parent-only: a
 multiprocess sweep enables a private collector in each worker, ships
@@ -44,19 +42,16 @@ __all__ = [
 
 #: Kernel ops counted one row at a time (the scalar reference kernels).
 SCALAR_OPS = ("convolve", "max", "truncate")
-#: Batched kernel ops; ``rows`` counts cells, ``scalar_rows`` the subset
-#: finalised through the scalar kernel (the fallback ratio's numerator).
+#: Batched (rect-mode) kernel ops; ``rows`` counts cells.
 BATCH_OPS = ("batch_convolve", "batch_max", "batch_truncate")
 #: Pooled fold-plan executor; ``rows`` counts tape steps, ``scalar_rows``
-#: the steps executed singly (no pooling partner of matching shape).
-#: ``pool_exec`` counts wavefront executions (``rows`` = cell-plans per
-#: execution — the pooled wavefront width); ``pool_conv_routed`` counts
-#: convolve groups routed to the scalar kernel because the pool was too
-#: narrow for batching to win (``rows`` = members so routed).
-POOL_OPS = ("pool_step", "pool_exec", "pool_conv_routed")
+#: the steps executed through the scalar kernels (singletons and every
+#: adaptive-mode step).  ``pool_exec`` counts wavefront executions
+#: (``rows`` = cell-plans per execution — the pooled wavefront width).
+POOL_OPS = ("pool_step", "pool_exec")
 
-#: Evaluation dispatches (one ``expected_makespans``/``_fused`` call);
-#: ``rows`` counts jobs per dispatch, ``scalar_rows`` total cells.
+#: Evaluation dispatches (one ``expected_makespans`` call);
+#: ``scalar_rows`` counts the cells priced.
 DISPATCH_OPS = ("dispatch",)
 
 #: Compiled-kernel ops (:mod:`repro.makespan.native`); ``rows`` counts
@@ -98,48 +93,24 @@ class KernelProfile:
     # derived views
     # ------------------------------------------------------------------
 
-    def scalar_fallback_ratio(self) -> Optional[float]:
-        """Scalar-finalised rows / total rows across batched kernels.
-
-        ``None`` when no batched kernel ran (nothing to fall back from).
-        """
-        rows = scalar = 0
-        for op in BATCH_OPS:
-            entry = self.counters.get(op)
-            if entry:
-                rows += int(entry["rows"])
-                scalar += int(entry["scalar_rows"])
-        if rows == 0:
-            return None
-        return scalar / rows
-
     def pool_singleton_ratio(self) -> Optional[float]:
         """Scalar-executed tape steps / total steps in the fold-plan
-        executor (singletons plus scalar-routed adaptive-convolve pool
-        members)."""
+        executor (singletons plus every adaptive-mode step)."""
         entry = self.counters.get("pool_step")
         if not entry or entry["rows"] == 0:
             return None
         return entry["scalar_rows"] / entry["rows"]
 
     def dispatches(self) -> int:
-        """Number of evaluation dispatches issued (fused or per-group)."""
+        """Number of evaluation dispatches (``expected_makespans`` calls)."""
         entry = self.counters.get("dispatch")
         return int(entry["calls"]) if entry else 0
-
-    def dispatch_jobs_mean(self) -> Optional[float]:
-        """Mean number of template jobs per evaluation dispatch."""
-        entry = self.counters.get("dispatch")
-        if not entry or entry["calls"] == 0:
-            return None
-        return entry["rows"] / entry["calls"]
 
     def pool_width_mean(self) -> Optional[float]:
         """Mean cell-plans per pooled wavefront execution.
 
         The width of the work-list each :func:`~repro.makespan.foldplan.
-        execute_plans` pass replays — the number the fused dispatcher
-        exists to raise (per-group dispatch caps it at the group's cell
+        execute_plans` pass replays (at most the structure group's cell
         count).
         """
         entry = self.counters.get("pool_exec")
@@ -206,10 +177,8 @@ class KernelProfile:
         }
         return {
             "ops": ops,
-            "scalar_fallback_ratio": self.scalar_fallback_ratio(),
             "pool_singleton_ratio": self.pool_singleton_ratio(),
             "dispatches": self.dispatches(),
-            "dispatch_jobs_mean": self.dispatch_jobs_mean(),
             "pool_width_mean": self.pool_width_mean(),
             "native_rows": self.native_rows(),
             "native_miss_rows": self.native_miss_rows(),
@@ -227,20 +196,11 @@ class KernelProfile:
                 f"{op:<21} {int(e['calls']):>9} {int(e['rows']):>10} "
                 f"{int(e['scalar_rows']):>9} {e['wall_s']:>9.3f}"
             )
-        ratio = self.scalar_fallback_ratio()
-        lines.append(
-            "scalar-fallback ratio: "
-            + ("n/a (no batched kernel calls)" if ratio is None else f"{ratio:.4f}")
-        )
         pooled = self.pool_singleton_ratio()
         if pooled is not None:
             lines.append(f"pool singleton ratio:  {pooled:.4f}")
         if self.dispatches():
-            jobs_mean = self.dispatch_jobs_mean()
-            lines.append(
-                f"dispatches:            {self.dispatches()} "
-                f"(mean {jobs_mean:.1f} jobs each)"
-            )
+            lines.append(f"dispatches:            {self.dispatches()}")
         width = self.pool_width_mean()
         if width is not None:
             lines.append(f"pool width mean:       {width:.2f} cells")

@@ -21,9 +21,9 @@ requests it
    every fresh record back to the store.  The
    dispatch rides the engine's batched evaluation entry point: each
    coalesced spec's cells are priced through one DAG template per
-   structure group (bit-identical to per-cell evaluation;
-   ``batch_eval=False`` restores the reference path), and the sizes of
-   the dispatched batches are surfaced via ``/status``.
+   strategy and structure group (bit-identical to per-cell
+   evaluation), and the sizes of the dispatched batches are surfaced
+   via ``/status``.
 
 Batches are *exact covers*: a group's requested (pfail, CCR) cells are
 partitioned into one spec per pfail value, so no unrequested cell is
@@ -168,8 +168,6 @@ class BatchScheduler:
         store: Optional[ResultStore] = None,
         jobs: int = 1,
         linger: float = 0.05,
-        batch_eval: bool = True,
-        fused_eval: bool = True,
         registry: Optional[SourceRegistry] = None,
         backend: Union[None, str, "ExecutionBackend"] = None,
     ) -> None:
@@ -187,15 +185,6 @@ class BatchScheduler:
         #: (``request.workflow``); a fresh empty registry by default so
         #: callers can always ``scheduler.registry.register(...)``.
         self.registry = registry if registry is not None else SourceRegistry()
-        #: Dispatch coalesced specs through the engine's batched
-        #: evaluation entry point (records are bit-identical either
-        #: way; False restores the per-cell reference path).
-        self.batch_eval = batch_eval
-        #: Stage co-batched specs on one shared fused-evaluation
-        #: collector, so specs sharing a method are priced through a
-        #: single multi-template dispatch (False restores the
-        #: per-group dispatch; records are bit-identical either way).
-        self.fused_eval = fused_eval
         self.pipeline = Pipeline()
         self.stats = SchedulerStats()
         self._lock = threading.Lock()
@@ -291,7 +280,6 @@ class BatchScheduler:
             results = run_specs(
                 specs, jobs=self.jobs, progress=progress,
                 pipeline=self.pipeline, return_exceptions=True,
-                batch_eval=self.batch_eval, fused_eval=self.fused_eval,
                 backend=self.backend,
             )
             sizes = []

@@ -191,6 +191,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     service: "ReproService"  # bound by ReproService._handler_class
     protocol_version = "HTTP/1.1"
+    # _reply sends headers and body in separate writes; with Nagle on, a
+    # keep-alive client's delayed ACK holds the body back ~40 ms.
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------
 
@@ -380,8 +383,6 @@ class _Handler(BaseHTTPRequestHandler):
                     "store_hits": sched.store_hits,
                     "computed_cells": sched.computed_cells,
                     "batches": sched.batches,
-                    "batch_eval": svc.scheduler.batch_eval,
-                    "fused_eval": svc.scheduler.fused_eval,
                     "batch_size_max": sched.batch_size_max,
                     "batch_size_mean": sched.batch_size_mean,
                     "last_batch_sizes": list(sched.last_batch_sizes),
@@ -443,8 +444,6 @@ class ReproService:
         jobs: int = 1,
         linger: float = 0.05,
         log: Optional[Callable[[str], None]] = None,
-        batch_eval: bool = True,
-        fused_eval: bool = True,
         eval_seed_policy: str = "positional",
         profile: bool = False,
         backend: Optional[str] = None,
@@ -487,8 +486,7 @@ class ReproService:
         for source in self.store.load_sources():
             self.registry.register(source)
         self.scheduler = BatchScheduler(
-            self.store, jobs=jobs, linger=linger, batch_eval=batch_eval,
-            fused_eval=fused_eval, registry=self.registry,
+            self.store, jobs=jobs, linger=linger, registry=self.registry
         )
         self.log = log
         self.started_at = time.time()
@@ -602,8 +600,6 @@ def serve(
     jobs: int = 1,
     linger: float = 0.05,
     log: Optional[Callable[[str], None]] = print,
-    batch_eval: bool = True,
-    fused_eval: bool = True,
     eval_seed_policy: str = "positional",
     profile: bool = False,
     backend: Optional[str] = None,
@@ -614,7 +610,6 @@ def serve(
     """Run a blocking evaluation service (the ``repro serve`` command)."""
     service = ReproService(
         host=host, port=port, store=store, jobs=jobs, linger=linger, log=log,
-        batch_eval=batch_eval, fused_eval=fused_eval,
         eval_seed_policy=eval_seed_policy, profile=profile,
         backend=backend, workers=workers, lease_timeout=lease_timeout,
         worker_grace=worker_grace,

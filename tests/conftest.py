@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.makespan.api import EVALUATORS
+from repro.makespan.evaluator import FunctionEvaluator
 from repro.mspg.graph import Workflow
 from repro.platform import Platform
 
@@ -92,3 +94,31 @@ def platform5() -> Platform:
 @pytest.fixture
 def reliable_platform() -> Platform:
     return Platform(processors=4, failure_rate=0.0, bandwidth=1e8)
+
+
+@pytest.fixture
+def per_cell(monkeypatch):
+    """Route methods through the per-cell oracle for the rest of a test.
+
+    ``per_cell("pathapprox")`` re-registers the method as a plain
+    :class:`FunctionEvaluator` of its scalar entry point, without
+    ``supports_batch``, so the engine prices every cell through
+    :meth:`repro.engine.Pipeline.evaluate_cell` — the bit-exactness
+    oracle the batched path is compared against.  Stochastic methods
+    stay ``deterministic=False``, so they still receive per-cell seeds.
+    """
+
+    def route(*methods: str) -> None:
+        for method in methods:
+            batched = EVALUATORS[method]
+            monkeypatch.setitem(
+                EVALUATORS,
+                method,
+                FunctionEvaluator(
+                    batched.evaluate,
+                    name=method,
+                    deterministic=batched.deterministic,
+                ),
+            )
+
+    return route

@@ -2,15 +2,15 @@
 
 Three layers of the batch contract are pinned here:
 
-* **kernels** — batched ``DiscreteDistribution`` convolution / maximum /
-  truncation equal the scalar loop atom for atom (including the ragged
-  fallbacks and the moment-preserving binning invariants);
+* **kernels** — batched (rect-mode) ``DiscreteDistribution``
+  convolution / maximum / truncation equal the scalar loop atom for atom,
+  and batched truncation keeps the binning invariants;
 * **templates** — :class:`ParamDAG` materialises cells bit-identical to
   the DAGs it was stacked from;
 * **evaluators / engine** — batched sweeps produce ``CellResult``
-  records bit-identical to the per-cell reference path for every
-  closed-form method on real workflow grids, while Monte Carlo keeps
-  its per-cell grid-positional sampling seeds.
+  records bit-identical to the per-cell oracle for every closed-form
+  method on real workflow grids (single-cell grids included), while
+  Monte Carlo keeps its per-cell grid-positional sampling seeds.
 """
 
 import numpy as np
@@ -20,13 +20,10 @@ from hypothesis import strategies as st
 
 from repro.engine import Pipeline, SweepSpec, run_sweep
 from repro.errors import EvaluationError
+from repro.experiments.figures import run_cell
 from repro.makespan.api import expected_makespan, expected_makespans
-from repro.makespan.batch import (
-    BatchDistribution,
-    rows_of,
-    two_state_rows,
-)
-from repro.makespan.distribution import DiscreteDistribution
+from repro.makespan.batch import BatchDistribution, two_state_rows
+from repro.makespan.distribution import MODE_RECT, DiscreteDistribution
 from repro.makespan.paramdag import ParamDAG
 from repro.makespan.probdag import ProbDAG
 from repro.util.rng import stable_seed
@@ -47,7 +44,7 @@ def random_batch(seed: int, n_cells: int, n_atoms: int) -> BatchDistribution:
 
 def assert_rows_equal(batch, scalars):
     """Atom-for-atom equality of a batch result and a scalar loop."""
-    rows = rows_of(batch)
+    rows = batch.rows()
     assert len(rows) == len(scalars)
     for row, ref in zip(rows, scalars):
         assert row.values.tolist() == ref.values.tolist()
@@ -119,29 +116,7 @@ class TestBatchConvolve:
         b = random_batch(seed + 100, 5, 4)
         assert_rows_equal(
             a.convolve(b, 64),
-            [x.convolve(y, 64) for x, y in zip(a.rows(), b.rows())],
-        )
-
-    def test_collisions_fall_back_identically(self):
-        # Integer supports force equal sums in some rows only — the
-        # data-dependent merge makes the result ragged.
-        a = BatchDistribution.stack(
-            [
-                DiscreteDistribution([0.0, 1.0], [0.5, 0.5]),
-                DiscreteDistribution([0.0, 1.25], [0.5, 0.5]),
-            ]
-        )
-        b = BatchDistribution.stack(
-            [
-                DiscreteDistribution([1.0, 2.0], [0.5, 0.5]),
-                DiscreteDistribution([1.0, 2.0], [0.5, 0.5]),
-            ]
-        )
-        result = a.convolve(b, 64)
-        assert isinstance(result, list)  # ragged: row 0 merged, row 1 not
-        assert_rows_equal(
-            result,
-            [x.convolve(y, 64) for x, y in zip(a.rows(), b.rows())],
+            [x.convolve(y, 64, MODE_RECT) for x, y in zip(a.rows(), b.rows())],
         )
 
     def test_truncating_convolve_matches_scalar(self):
@@ -149,7 +124,7 @@ class TestBatchConvolve:
         b = random_batch(8, 3, 20)
         assert_rows_equal(
             a.convolve(b, 16),
-            [x.convolve(y, 16) for x, y in zip(a.rows(), b.rows())],
+            [x.convolve(y, 16, MODE_RECT) for x, y in zip(a.rows(), b.rows())],
         )
 
 
@@ -160,11 +135,11 @@ class TestBatchMax:
         b = random_batch(seed + 50, 4, 8)
         assert_rows_equal(
             a.max_with(b, 64),
-            [x.max_with(y, 64) for x, y in zip(a.rows(), b.rows())],
+            [x.max_with(y, 64, MODE_RECT) for x, y in zip(a.rows(), b.rows())],
         )
 
     def test_shared_support_matches_scalar_loop(self):
-        # Overlapping supports shrink the union grid per row.
+        # Overlapping supports put equal values on the max grid.
         a = BatchDistribution.stack(
             [
                 DiscreteDistribution([1.0, 2.0, 3.0], [1.0, 1.0, 1.0]),
@@ -179,7 +154,7 @@ class TestBatchMax:
         )
         assert_rows_equal(
             a.max_with(b, 64),
-            [x.max_with(y, 64) for x, y in zip(a.rows(), b.rows())],
+            [x.max_with(y, 64, MODE_RECT) for x, y in zip(a.rows(), b.rows())],
         )
 
     def test_point_masses(self):
@@ -192,7 +167,7 @@ class TestBatchMax:
         )
         assert_rows_equal(
             a.max_with(b, 64),
-            [x.max_with(y, 64) for x, y in zip(a.rows(), b.rows())],
+            [x.max_with(y, 64, MODE_RECT) for x, y in zip(a.rows(), b.rows())],
         )
 
 
@@ -202,12 +177,8 @@ class TestBatchTruncate:
         batch = random_batch(11, 6, 80)
         assert_rows_equal(
             batch.truncate(atoms),
-            [r.truncate(atoms) for r in batch.rows()],
+            [r.truncate(atoms, MODE_RECT) for r in batch.rows()],
         )
-
-    def test_noop_below_limit(self):
-        batch = random_batch(12, 3, 8)
-        assert batch.truncate(16) is batch
 
     def test_invalid_budget(self):
         with pytest.raises(EvaluationError):
@@ -216,9 +187,9 @@ class TestBatchTruncate:
     @given(st.integers(0, 10_000), st.integers(2, 48))
     @settings(max_examples=25, deadline=None)
     def test_moment_preserving_binning_invariants(self, seed, atoms):
-        """The scalar truncation invariants, per batched row: the mean
-        is preserved exactly (conditional bin means) and the CDF moves
-        by at most one bin of probability mass."""
+        """The rect truncation invariants, per batched row: exactly
+        ``atoms`` points come out, the mean is preserved (conditional
+        bin means), and no mass moves by more than one bin width."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(atoms + 1, 200))
         batch = BatchDistribution.stack(
@@ -229,13 +200,14 @@ class TestBatchTruncate:
                 for _ in range(3)
             ]
         )
-        rows = rows_of(batch.truncate(atoms))
+        rows = batch.truncate(atoms).rows()
         for original, truncated in zip(batch.rows(), rows):
-            assert truncated.n_atoms <= atoms
+            assert truncated.n_atoms == atoms
             assert truncated.mean() == pytest.approx(original.mean(), rel=1e-9)
-            bound = 1.0 / atoms + float(original.probs.max())
+            width = (original.values[-1] - original.values[0]) / atoms
             for x in rng.uniform(0, 1000, 3):
-                assert abs(truncated.cdf(x) - original.cdf(x)) <= bound + 1e-9
+                assert original.cdf(x - width) <= truncated.cdf(x) + 1e-9
+                assert truncated.cdf(x) <= original.cdf(x + width) + 1e-9
 
 
 class TestParamDAG:
@@ -379,38 +351,37 @@ class TestEngineBatchParity:
         kwargs.update(overrides)
         return SweepSpec(**kwargs)
 
-    @pytest.mark.parametrize("method", ["pathapprox", "normal", "dodin"])
-    def test_closed_form_records_bit_identical(self, method):
-        spec = self.spec(method)
-        batched = run_sweep(spec, jobs=1, batch_eval=True)
-        per_cell = run_sweep(spec, jobs=1, batch_eval=False)
-        assert batched == per_cell
+    def assert_matches_oracle(self, spec, per_cell):
+        batched = run_sweep(spec, jobs=1)
+        per_cell(spec.method)
+        assert batched == run_sweep(spec, jobs=1)
+        return batched
 
-    def test_spawn_policy_records_bit_identical(self):
-        spec = self.spec("pathapprox", seed_policy="spawn")
-        assert run_sweep(spec, jobs=1, batch_eval=True) == run_sweep(
-            spec, jobs=1, batch_eval=False
+    @pytest.mark.parametrize("method", ["pathapprox", "normal", "dodin"])
+    def test_closed_form_records_bit_identical(self, method, per_cell):
+        self.assert_matches_oracle(self.spec(method), per_cell)
+
+    def test_spawn_policy_records_bit_identical(self, per_cell):
+        self.assert_matches_oracle(
+            self.spec("pathapprox", seed_policy="spawn"), per_cell
         )
 
-    def test_degenerate_pfail_zero_bit_identical(self):
+    def test_degenerate_pfail_zero_bit_identical(self, per_cell):
         # pfail=0 makes every 2-state law a single-atom point mass — the
         # batched node-law pass must fall back per degenerate cell.
-        spec = self.spec("pathapprox", pfails=(0.0, 0.01))
-        assert run_sweep(spec, jobs=1, batch_eval=True) == run_sweep(
-            spec, jobs=1, batch_eval=False
+        self.assert_matches_oracle(
+            self.spec("pathapprox", pfails=(0.0, 0.01)), per_cell
         )
 
-    def test_montecarlo_keeps_positional_seeds(self):
+    def test_montecarlo_keeps_positional_seeds(self, per_cell):
         """Monte Carlo's default (positional) eval seeds survive
-        batch_eval: the batch entry point threads the same per-cell
-        seed streams, so both settings agree exactly — and genuinely
+        batching: the batch entry point threads the same per-cell seed
+        streams as the oracle, so both agree exactly — and genuinely
         depend on the seeds."""
-        spec = self.spec(
-            "montecarlo", evaluator_options={"trials": 200}
+        batched = self.assert_matches_oracle(
+            self.spec("montecarlo", evaluator_options={"trials": 200}),
+            per_cell,
         )
-        batched = run_sweep(spec, jobs=1, batch_eval=True)
-        per_cell = run_sweep(spec, jobs=1, batch_eval=False)
-        assert batched == per_cell
         # Contrast: an explicit shared seed changes the records, proving
         # the grid-positional eval seeds above were actually in use.
         pinned = run_sweep(
@@ -421,10 +392,39 @@ class TestEngineBatchParity:
         )
         assert pinned != batched
 
-    def test_evaluator_options_thread_through_batch(self):
-        spec = self.spec("pathapprox", evaluator_options={"k": 6})
-        batched = run_sweep(spec, jobs=1, batch_eval=True)
-        per_cell = run_sweep(spec, jobs=1, batch_eval=False)
-        assert batched == per_cell
+    def test_evaluator_options_thread_through_batch(self, per_cell):
+        default_k = run_sweep(self.spec("pathapprox"), jobs=1)
+        batched = self.assert_matches_oracle(
+            self.spec("pathapprox", evaluator_options={"k": 6}), per_cell
+        )
         # The option matters: default-k records differ.
-        assert batched != run_sweep(self.spec("pathapprox"), jobs=1)
+        assert batched != default_k
+
+    @pytest.mark.parametrize(
+        "method,options,policy",
+        [
+            ("pathapprox", {}, "positional"),
+            ("pathapprox", {"truncate_mode": "rect"}, "positional"),
+            ("normal", {}, "positional"),
+            ("montecarlo", {"trials": 200}, "content"),
+        ],
+        ids=["pathapprox", "pathapprox-rect", "normal", "montecarlo-content"],
+    )
+    def test_single_cell_spec_matches_the_oracle(
+        self, method, options, policy, per_cell
+    ):
+        """A 1×1 grid — the service's per-request spec — is priced by
+        the batch path too, and must equal the per-cell oracle."""
+        spec = self.spec(
+            method,
+            processors={50: (3,)},
+            pfails=(0.01,),
+            ccrs=(0.1,),
+            evaluator_options=options,
+            eval_seed_policy=policy,
+        )
+        (batched,) = self.assert_matches_oracle(spec, per_cell)
+        if not options:
+            assert batched == run_cell(
+                "montage", 50, 3, 0.01, 0.1, seed=2017, method=method
+            )

@@ -15,6 +15,31 @@ class TestParser:
             main(["--version"])
         assert exc.value.code == 0
 
+    @pytest.mark.parametrize(
+        "argv,dest,value,default",
+        [
+            (["--jobs", "3"], "jobs", 3, 1),
+            (["--backend", "remote"], "backend", "remote", None),
+            (["--workers", "http://a:1", "http://b:2"], "workers",
+             ["http://a:1", "http://b:2"], []),
+            (["--lease-timeout", "5"], "lease_timeout", 5.0, 30.0),
+            (["--worker-grace", "7"], "worker_grace", 7.0, 60.0),
+            (["--profile"], "profile", True, False),
+            (["--no-native"], "no_native", True, False),
+            (["--eval-seed-policy", "content"], "eval_seed_policy",
+             "content", "positional"),
+        ],
+        ids=[
+            "jobs", "backend", "workers", "lease-timeout", "worker-grace",
+            "profile", "no-native", "eval-seed-policy",
+        ],
+    )
+    def test_sweep_and_serve_share_flags(self, argv, dest, value, default):
+        parser = build_parser()
+        for command in ("sweep", "serve"):
+            assert getattr(parser.parse_args([command]), dest) == default
+            assert getattr(parser.parse_args([command, *argv]), dest) == value
+
 
 class TestGenerate:
     def test_json(self, tmp_path, capsys):
@@ -214,10 +239,11 @@ class TestSweep:
         assert main(self.BASE + ["--jobs", "2", "--out", str(b)]) == 0
         assert a.read_text() == b.read_text()
 
-    def test_no_batch_eval_identical_records(self, tmp_path):
+    def test_no_batch_eval_identical_records(self, tmp_path, per_cell):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         assert main(self.BASE + ["--out", str(a)]) == 0
-        assert main(self.BASE + ["--no-batch-eval", "--out", str(b)]) == 0
+        per_cell("pathapprox")
+        assert main(self.BASE + ["--out", str(b)]) == 0
         assert a.read_text() == b.read_text()
 
     def test_ccr_grid_default(self, capsys):
@@ -260,11 +286,12 @@ class TestSweepDax:
         assert all(r.family == family for r in records)
         assert all(r.ntasks == 8 for r in records)
 
-    def test_jobs_and_batch_eval_bit_identical(self, tmp_path):
+    def test_jobs_and_batch_eval_bit_identical(self, tmp_path, per_cell):
         a, b, c = (tmp_path / n for n in ("a.jsonl", "b.jsonl", "c.jsonl"))
         assert main(self.BASE + ["--out", str(a)]) == 0
         assert main(self.BASE + ["--jobs", "2", "--out", str(b)]) == 0
-        assert main(self.BASE + ["--no-batch-eval", "--out", str(c)]) == 0
+        per_cell("pathapprox")
+        assert main(self.BASE + ["--out", str(c)]) == 0
         assert a.read_text() == b.read_text() == c.read_text()
 
     def test_family_and_dax_mutually_exclusive(self, capsys):

@@ -1,60 +1,23 @@
-"""Tests for the fused evaluation dispatcher (cross-group wavefronts).
+"""Tests for what the single batched evaluation path owes its callers.
 
-Four layers of the fused contract are pinned here:
+Three layers are pinned here:
 
-* **makespan API** — :func:`expected_makespans_fused` prices many
-  templates bit-identical to per-template ``expected_makespans`` calls,
-  validates per-job options and seed lists, and records dispatch
-  telemetry;
-* **engine** — fused sweeps (the default) produce ``CellResult``
-  records byte-identical to the per-group and per-cell reference paths
-  on real workflow grids, for adaptive and rect pathapprox, normal,
-  and content-seeded Monte Carlo;
-* **dispatch shape** — a grid lands one dispatch per (workflow,
-  processors) group spanning both checkpoint strategies and every
-  structure group, and ``run_specs`` fuses co-batched specs into a
-  single dispatch per method, with per-spec error isolation intact;
-* **observability** — the kernel profile counts dispatches, pooled
-  wavefront width and scalar-routed convolve groups, and merges
-  worker snapshots.
+* **engine** — batched sweeps produce ``CellResult`` records
+  byte-identical to the per-cell oracle on real workflow grids, for
+  adaptive and rect pathapprox, normal, and Monte Carlo under both
+  eval-seed policies, chunked or not, with one dispatch per checkpoint
+  strategy and structure group;
+* **run_specs** — a batch of specs keeps per-spec error isolation, mixed
+  methods, and the per-cell fallback for methods without batching;
+* **observability** — kernel-profile snapshots merge, including the
+  ones ``jobs=2`` workers ship back.
 """
 
-import numpy as np
 import pytest
 
-from repro.engine import Pipeline, SweepSpec, run_specs, run_sweep
-from repro.engine.pipeline import FusedEvalCollector
-from repro.engine.sweep import _derive_chunks
+from repro.engine import SweepSpec, run_specs, run_sweep
 from repro.errors import EvaluationError, ExperimentError
 from repro.makespan import profile as kernel_profile
-from repro.makespan.api import (
-    expected_makespans,
-    expected_makespans_fused,
-)
-from repro.makespan.paramdag import ParamDAG
-from repro.makespan.probdag import ProbDAG
-
-
-def chain_dag(seed: int, n: int = 5) -> ProbDAG:
-    rng = np.random.default_rng(seed)
-    dag = ProbDAG()
-    prev = None
-    for i in range(n):
-        dag.add(
-            f"t{i}",
-            float(rng.uniform(1, 10)),
-            float(rng.uniform(10, 30)),
-            float(rng.uniform(0.01, 0.3)),
-            () if prev is None else (prev,),
-        )
-        prev = f"t{i}"
-    return dag
-
-
-def template(seed: int, n_cells: int = 3, n: int = 5) -> ParamDAG:
-    return ParamDAG.from_dags(
-        [chain_dag(seed * 100 + i, n) for i in range(n_cells)]
-    )
 
 
 @pytest.fixture(autouse=True)
@@ -63,90 +26,8 @@ def no_leaked_profile():
     kernel_profile.disable()
 
 
-class TestFusedApi:
-    def test_fused_matches_per_template(self):
-        jobs = [
-            (template(1), {}, None),
-            (template(2, n_cells=2), {"k": 4}, None),
-            (template(3), {"truncate_mode": "rect"}, None),
-        ]
-        fused = expected_makespans_fused(jobs, "pathapprox")
-        for (tpl, opts, _seeds), values in zip(jobs, fused):
-            ref = expected_makespans(tpl, "pathapprox", **opts)
-            assert values.tolist() == ref.tolist()
-
-    def test_shared_options_merge_under_job_options(self):
-        tpl = template(4)
-        fused = expected_makespans_fused(
-            [(tpl, {}, None), (tpl, {"k": 2}, None)], "pathapprox", k=6
-        )
-        assert fused[0].tolist() == expected_makespans(
-            tpl, "pathapprox", k=6
-        ).tolist()
-        assert fused[1].tolist() == expected_makespans(
-            tpl, "pathapprox", k=2
-        ).tolist()
-
-    def test_montecarlo_per_cell_seeds(self):
-        tpl = template(5, n_cells=3)
-        seeds = [11, 22, 33]
-        fused = expected_makespans_fused(
-            [(tpl, {"trials": 300}, seeds)], "montecarlo"
-        )
-        ref = expected_makespans(tpl, "montecarlo", trials=300, seed=seeds)
-        assert fused[0].tolist() == ref.tolist()
-
-    def test_seed_count_mismatch_raises(self):
-        with pytest.raises(EvaluationError, match="2 seeds for 3 cells"):
-            expected_makespans_fused(
-                [(template(6, n_cells=3), {"trials": 10}, [1, 2])],
-                "montecarlo",
-            )
-
-    def test_bad_option_raises(self):
-        with pytest.raises(EvaluationError):
-            expected_makespans_fused(
-                [(template(7), {"no_such_option": 1}, None)], "pathapprox"
-            )
-
-    def test_unknown_method_raises(self):
-        with pytest.raises(EvaluationError, match="unknown evaluation"):
-            expected_makespans_fused([(template(8), {}, None)], "nope")
-
-    def test_empty_job_list(self):
-        assert expected_makespans_fused([], "pathapprox") == []
-
-    def test_dispatch_telemetry(self):
-        prof = kernel_profile.enable()
-        expected_makespans_fused(
-            [(template(9), {}, None), (template(10, n_cells=2), {}, None)],
-            "pathapprox",
-        )
-        assert prof.dispatches() == 1
-        assert prof.dispatch_jobs_mean() == 2.0
-        # 3 + 2 cells cross both templates in pooled wavefronts.
-        entry = prof.counters["dispatch"]
-        assert entry["scalar_rows"] == 5
-        assert prof.pool_width_mean() is not None
-
-
-class TestPlanCacheSharing:
-    def test_set_plan_cache_before_eval(self):
-        tpl = template(11)
-        shared = {}
-        tpl.set_plan_cache(shared)
-        expected_makespans(tpl, "pathapprox")
-        assert shared  # compiled plans landed in the shared store
-
-    def test_set_plan_cache_after_eval_raises(self):
-        tpl = template(12)
-        expected_makespans(tpl, "pathapprox")
-        with pytest.raises(EvaluationError, match="before the first"):
-            tpl.set_plan_cache({})
-
-
 class TestEngineFusedParity:
-    """Fused vs per-group vs per-cell records are byte-identical."""
+    """Batched records are byte-identical to the per-cell oracle's."""
 
     def spec(self, family, method, **overrides):
         kwargs = dict(
@@ -163,133 +44,60 @@ class TestEngineFusedParity:
         kwargs.update(overrides)
         return SweepSpec(**kwargs)
 
-    def assert_three_way(self, spec):
-        fused = run_sweep(spec, jobs=1)
-        per_group = run_sweep(spec, jobs=1, fused_eval=False)
-        per_cell = run_sweep(spec, jobs=1, batch_eval=False)
-        assert fused == per_group
-        assert fused == per_cell
+    def assert_matches_oracle(self, spec, per_cell):
+        batched = run_sweep(spec, jobs=1)
+        per_cell(spec.method)
+        assert batched == run_sweep(spec, jobs=1)
 
     @pytest.mark.parametrize("family", ["montage", "genome", "ligo"])
-    def test_pathapprox_adaptive(self, family):
-        self.assert_three_way(self.spec(family, "pathapprox"))
+    def test_pathapprox_adaptive(self, family, per_cell):
+        self.assert_matches_oracle(self.spec(family, "pathapprox"), per_cell)
 
     @pytest.mark.parametrize("family", ["montage", "genome", "ligo"])
-    def test_pathapprox_rect(self, family):
-        self.assert_three_way(
+    def test_pathapprox_rect(self, family, per_cell):
+        self.assert_matches_oracle(
             self.spec(
                 family, "pathapprox",
                 evaluator_options={"truncate_mode": "rect"},
-            )
+            ),
+            per_cell,
         )
 
-    def test_normal(self):
-        self.assert_three_way(self.spec("montage", "normal"))
+    def test_normal(self, per_cell):
+        self.assert_matches_oracle(self.spec("montage", "normal"), per_cell)
 
-    def test_montecarlo_content_seeds(self):
-        self.assert_three_way(
+    def test_montecarlo_content_seeds(self, per_cell):
+        self.assert_matches_oracle(
             self.spec(
                 "montage", "montecarlo",
                 evaluator_options={"trials": 200},
                 eval_seed_policy="content",
-            )
+            ),
+            per_cell,
         )
 
-    def test_montecarlo_positional_seeds(self):
-        self.assert_three_way(
+    def test_montecarlo_positional_seeds(self, per_cell):
+        self.assert_matches_oracle(
             self.spec(
                 "montage", "montecarlo",
                 evaluator_options={"trials": 200},
-            )
+            ),
+            per_cell,
         )
 
     def test_chunked_fused_identical(self):
-        # Splitting a group into chunks must not change fused records —
-        # all chunks of the group land in the same dispatch.
+        # Splitting a group into chunks (down to single cells) must not
+        # change the records.
         spec = self.spec("montage", "pathapprox")
-        assert run_sweep(spec, jobs=1, chunk_cells=2) == run_sweep(
-            spec, jobs=1
+        whole = run_sweep(spec, jobs=1)
+        assert run_sweep(spec, jobs=1, chunk_cells=2) == whole
+        assert run_sweep(spec, jobs=1, chunk_cells=1) == whole
+
+    def test_explicit_k_fused_identical(self, per_cell):
+        self.assert_matches_oracle(
+            self.spec("genome", "pathapprox", evaluator_options={"k": 4}),
+            per_cell,
         )
-
-    def test_explicit_k_fused_identical(self):
-        self.assert_three_way(
-            self.spec("genome", "pathapprox", evaluator_options={"k": 4})
-        )
-
-
-class TestDispatchShape:
-    def spec(self, **overrides):
-        kwargs = dict(
-            family="montage",
-            sizes=(50,),
-            processors={50: (3, 5, 7, 10)},
-            pfails=(0.005, 0.01, 0.02),
-            ccrs=(0.001, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0),
-            seed=2017,
-            seed_policy="stable",
-        )
-        kwargs.update(overrides)
-        return SweepSpec(**kwargs)
-
-    def test_one_dispatch_per_group(self):
-        # MONTAGE-84: 4 (workflow, processors) groups, 21 cells each.
-        # Each group's CKPTSOME + CKPTALL evaluations across all its
-        # structure groups fuse into ONE dispatch (the ISSUE's <= 6).
-        spec = self.spec()
-        prof = kernel_profile.enable()
-        run_sweep(spec, jobs=1)
-        assert prof.dispatches() == 4
-        assert prof.dispatch_jobs_mean() >= 2.0  # some+all at minimum
-        kernel_profile.disable()
-
-        prof = kernel_profile.enable()
-        run_sweep(spec, jobs=1, fused_eval=False)
-        per_group_dispatches = prof.dispatches()
-        kernel_profile.disable()
-        assert per_group_dispatches > 4
-
-    def test_fused_widens_wavefront(self):
-        spec = self.spec(processors={50: (3, 5)})
-        prof = kernel_profile.enable()
-        run_sweep(spec, jobs=1)
-        fused_width = prof.pool_width_mean()
-        kernel_profile.disable()
-
-        prof = kernel_profile.enable()
-        run_sweep(spec, jobs=1, fused_eval=False)
-        grouped_width = prof.pool_width_mean()
-        kernel_profile.disable()
-        assert fused_width is not None and grouped_width is not None
-        assert fused_width > grouped_width
-
-    def test_conv_routing_counter(self):
-        # Adaptive convolve pools route through the scalar kernel (the
-        # batched adaptive convolve loses at every measured width); the
-        # routing decisions are counted.
-        prof = kernel_profile.enable()
-        run_sweep(self.spec(processors={50: (3,)}), jobs=1)
-        routed = prof.counters.get("pool_conv_routed")
-        assert routed is not None and routed["rows"] > 0
-        # Routed members are scalar rows of pool_step, never batched.
-        assert prof.counters["pool_step"]["scalar_rows"] >= routed["rows"]
-
-    def test_mixed_strategies_share_dispatch(self):
-        # Directly exercise the collector: CKPTSOME and CKPTALL cells of
-        # one group arrive as separate entries but one flush = one
-        # dispatch (they differ in structure, not method).
-        spec = self.spec(processors={50: (3,)}, pfails=(0.01,), ccrs=(0.1, 1.0))
-        pipe = Pipeline()
-        collector = FusedEvalCollector(pipe)
-        from repro.engine.sweep import _defer_chunk
-
-        (chunk,) = _derive_chunks(spec, None)
-        finish = _defer_chunk(spec, chunk, pipe, collector)
-        assert len(collector) == 2  # some + all staged separately
-        prof = kernel_profile.enable()
-        collector.flush()
-        assert prof.dispatches() == 1
-        records = finish()
-        assert records == run_sweep(spec, jobs=1, batch_eval=False)
 
 
 class TestRunSpecsFused:
@@ -308,21 +116,11 @@ class TestRunSpecsFused:
         kwargs.update(overrides)
         return SweepSpec(**kwargs)
 
-    def test_cross_spec_single_dispatch(self):
-        specs = [self.spec("montage"), self.spec("genome")]
-        prof = kernel_profile.enable()
-        fused = run_specs(specs, jobs=1)
-        assert prof.dispatches() == 1
-        kernel_profile.disable()
-        unfused = run_specs(specs, jobs=1, fused_eval=False)
-        assert fused == unfused
-
     def test_mixed_methods_dispatch_per_method(self):
         specs = [self.spec("montage"), self.spec("montage", method="normal")]
-        prof = kernel_profile.enable()
-        results = run_specs(specs, jobs=1)
-        assert prof.dispatches() == 2  # one per method, not per spec
-        assert results == run_specs(specs, jobs=1, fused_eval=False)
+        assert run_specs(specs, jobs=1) == [
+            run_sweep(spec, jobs=1) for spec in specs
+        ]
 
     def test_error_isolation(self):
         # A spec that fails validation at dispatch time lands its
@@ -339,17 +137,37 @@ class TestRunSpecsFused:
         with pytest.raises(EvaluationError):
             run_specs([bad, self.spec("montage")], jobs=1)
 
-    def test_non_batch_method_falls_back(self):
-        # 'exact' supports batching but tiny grids stay correct; use a
-        # fake non-batch method through the registry instead: simplest
-        # honest check is an empty-grid spec error surfacing per spec.
+    def test_non_batch_method_falls_back(self, per_cell):
+        # A method without supports_batch is priced cell by cell inside
+        # the batch, next to a batched spec and a spec whose empty grid
+        # fails on its own.
+        good = [self.spec("genome"), self.spec("montage", method="normal")]
+        expected = [run_sweep(spec, jobs=1) for spec in good]
         bad = self.spec("montage")
         object.__setattr__(bad, "ccrs", ())  # empty grid, staged error
-        results = run_specs(
-            [bad, self.spec("genome")], jobs=1, return_exceptions=True
-        )
+        per_cell("normal")
+        results = run_specs([bad, *good], jobs=1, return_exceptions=True)
         assert isinstance(results[0], ExperimentError)
-        assert results[1] == run_sweep(self.spec("genome"), jobs=1)
+        assert results[1:] == expected
+
+
+class TestDispatchShape:
+    def test_one_dispatch_per_group(self):
+        # One expected_makespans call per checkpoint strategy and
+        # structure group: a single-cell chunk makes exactly two, and
+        # the cells of a whole grid group share theirs.
+        spec = SweepSpec(
+            family="montage", sizes=(30,), processors={30: (3, 5)},
+            pfails=(0.01,), ccrs=(0.01, 0.1, 1.0), seed=2017,
+            seed_policy="stable",
+        )
+        prof = kernel_profile.enable()
+        run_sweep(spec, jobs=1, chunk_cells=1)
+        assert prof.dispatches() == 2 * spec.n_cells
+        prof = kernel_profile.enable()
+        run_sweep(spec, jobs=1)
+        assert 2 * len(spec.processors[30]) <= prof.dispatches()
+        assert prof.dispatches() < 2 * spec.n_cells
 
 
 class TestProfileMerge:
@@ -383,7 +201,6 @@ class TestProfileMerge:
         prof.record("pool_exec", rows=42)
         snap = prof.snapshot()
         assert snap["dispatches"] == 1
-        assert snap["dispatch_jobs_mean"] == 4.0
         assert snap["pool_width_mean"] == 42.0
 
     def test_parallel_sweep_merges_worker_profiles(self):

@@ -178,26 +178,28 @@ class TestPositionalGoldenRecords:
 
 class TestMonteCarloBatch:
     @pytest.mark.parametrize("family", ["montage", "genome", "ligo"])
-    def test_bit_identical_to_per_cell_under_content_policy(self, family):
+    def test_bit_identical_to_per_cell_under_content_policy(
+        self, family, per_cell
+    ):
         spec = mc_spec(family=family, eval_seed_policy="content")
-        batched = run_sweep(spec, jobs=1, batch_eval=True)
-        per_cell = run_sweep(spec, jobs=1, batch_eval=False)
-        assert batched == per_cell
+        batched = run_sweep(spec, jobs=1)
+        per_cell("montecarlo")
+        assert batched == run_sweep(spec, jobs=1)
 
-    def test_bit_identical_under_positional_policy_too(self):
+    def test_bit_identical_under_positional_policy_too(self, per_cell):
         spec = mc_spec()
-        assert run_sweep(spec, jobs=1, batch_eval=True) == run_sweep(
-            spec, jobs=1, batch_eval=False
-        )
+        batched = run_sweep(spec, jobs=1)
+        per_cell("montecarlo")
+        assert batched == run_sweep(spec, jobs=1)
 
-    def test_antithetic_odd_trials_bit_identical(self):
+    def test_antithetic_odd_trials_bit_identical(self, per_cell):
         spec = mc_spec(
             eval_seed_policy="content",
             evaluator_options={"trials": 201, "antithetic": True},
         )
-        assert run_sweep(spec, jobs=1, batch_eval=True) == run_sweep(
-            spec, jobs=1, batch_eval=False
-        )
+        batched = run_sweep(spec, jobs=1)
+        per_cell("montecarlo")
+        assert batched == run_sweep(spec, jobs=1)
 
     def test_content_records_are_grid_position_independent(self):
         spec = mc_spec(eval_seed_policy="content")

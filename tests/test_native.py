@@ -22,6 +22,7 @@ Four contracts are pinned here:
 
 import os
 import pickle
+import subprocess
 import sys
 
 import numpy as np
@@ -321,6 +322,31 @@ class TestGracefulDegradation:
         native.set_enabled(True)
         assert native.enabled() is True
         assert native.status()["backend"] == "native"
+
+
+class TestBuildFlags:
+    """Floating-point contraction is pinned off, and the flags key the
+    cached object."""
+
+    def test_tag_follows_the_flags(self, monkeypatch):
+        tag = native._object_tag()
+        monkeypatch.setattr(native, "_CFLAGS", native._CFLAGS + ("-O3",))
+        assert native._object_tag() != tag
+
+    def test_compile_command_disables_contraction(self, monkeypatch, tmp_path):
+        native._reset_for_tests()
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))
+        monkeypatch.setattr(native, "_find_compiler", lambda: "cc")
+        commands = []
+
+        def fake_run(cmd, **kwargs):
+            commands.append(cmd)
+            return subprocess.CompletedProcess(cmd, 1, "", "refused")
+
+        monkeypatch.setattr(native.subprocess, "run", fake_run)
+        assert native.available() is False
+        (cmd,) = commands
+        assert "-ffp-contract=off" in cmd
 
 
 class TestDistributionStateContract:

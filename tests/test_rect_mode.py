@@ -24,7 +24,7 @@ from repro.engine import SweepSpec, run_sweep
 from repro.errors import EvaluationError
 from repro.experiments.claims import check_all_claims, render_claims
 from repro.experiments.figures import PAPER_FIGURES
-from repro.makespan.batch import BatchDistribution, rows_of
+from repro.makespan.batch import BatchDistribution
 from repro.makespan.distribution import (
     MODE_RECT,
     DiscreteDistribution,
@@ -134,17 +134,17 @@ class TestRectBatchParity:
         b = random_batch(2, 24, 24)
         budget = 12
         pairs = [
-            (a.convolve(b, budget, MODE_RECT),
+            (a.convolve(b, budget),
              [x.convolve(y, budget, MODE_RECT)
               for x, y in zip(a.rows(), b.rows())]),
-            (a.max_with(b, budget, MODE_RECT),
+            (a.max_with(b, budget),
              [x.max_with(y, budget, MODE_RECT)
               for x, y in zip(a.rows(), b.rows())]),
-            (a.truncate(budget, MODE_RECT),
+            (a.truncate(budget),
              [x.truncate(budget, MODE_RECT) for x in a.rows()]),
         ]
         for batched, scalar in pairs:
-            for got, want in zip(rows_of(batched), scalar):
+            for got, want in zip(batched.rows(), scalar):
                 assert np.array_equal(got.values, want.values)
                 assert np.array_equal(got.probs, want.probs)
 
@@ -152,11 +152,7 @@ class TestRectBatchParity:
         # Rect never goes ragged: one batch out, exactly the budget wide.
         a = random_batch(3, 16, 20)
         b = random_batch(4, 16, 20)
-        for out in (
-            a.convolve(b, 10, MODE_RECT),
-            a.max_with(b, 10, MODE_RECT),
-            a.truncate(10, MODE_RECT),
-        ):
+        for out in (a.convolve(b, 10), a.max_with(b, 10), a.truncate(10)):
             assert isinstance(out, BatchDistribution)
             assert out.n_atoms == 10
 

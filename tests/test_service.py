@@ -532,12 +532,13 @@ class TestBatchScheduler:
         assert scheduler.stats.last_batch_sizes == (1,)
         assert scheduler.stats.batch_size_max == 2
 
-    def test_batch_eval_off_is_bit_identical(self):
+    def test_batch_eval_off_is_bit_identical(self, per_cell):
         requests = self.grid_requests()
         batched = BatchScheduler(ResultStore(":memory:")).evaluate_many(requests)
-        reference = BatchScheduler(
-            ResultStore(":memory:"), batch_eval=False
-        ).evaluate_many(requests)
+        per_cell(requests[0].method)
+        reference = BatchScheduler(ResultStore(":memory:")).evaluate_many(
+            requests
+        )
         assert [o.record for o in batched] == [o.record for o in reference]
 
     def test_background_worker_coalesces_duplicates(self):

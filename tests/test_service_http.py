@@ -1,6 +1,11 @@
 """End-to-end tests for the service HTTP server + client on an
 ephemeral port, including store persistence across a restart."""
 
+import http.client
+import json
+import statistics
+import time
+
 import pytest
 
 from repro.engine import SweepSpec, run_sweep
@@ -44,6 +49,30 @@ class TestEvaluate:
             seed=2017,
         )
         assert reply.record == expected
+
+    def test_keep_alive_store_hits_answer_promptly(self, service):
+        # Headers and body go out in separate writes; without
+        # TCP_NODELAY, Nagle holds the body until the client's delayed
+        # ACK, about 40 ms per reply on a keep-alive connection.
+        svc, client = service
+        client.evaluate(**CELL)
+        host, port = svc.address
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        body = json.dumps(CELL)
+        times = []
+        try:
+            for _ in range(10):
+                t0 = time.perf_counter()
+                conn.request(
+                    "POST", "/evaluate", body=body,
+                    headers={"Content-Type": "application/json"},
+                )
+                reply = json.loads(conn.getresponse().read())
+                times.append(time.perf_counter() - t0)
+                assert reply["cached"] is True
+        finally:
+            conn.close()
+        assert statistics.median(times) < 0.020
 
     def test_bad_request_is_client_error(self, service):
         _, client = service
@@ -160,7 +189,6 @@ class TestStatusAndCache:
         assert status["scheduler"]["store_hits"] == 1
         assert status["uptime_s"] > 0
         # batched-evaluation visibility: the dispatched batch sizes
-        assert status["scheduler"]["batch_eval"] is True
         assert status["scheduler"]["batch_size_max"] == 1
         assert status["scheduler"]["last_batch_sizes"] == [1]
         assert status["scheduler"]["batch_size_mean"] == pytest.approx(1.0)

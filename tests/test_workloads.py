@@ -174,13 +174,14 @@ class TestSweepSpecSource:
                 source=src,
             )
 
-    def test_sweep_identical_across_jobs_and_batch_eval(self):
+    def test_sweep_identical_across_jobs_and_batch_eval(self, per_cell):
         spec = source_spec(FileSource(small_workflow()), processors=(2, 3))
-        reference = run_sweep(spec, batch_eval=False)
-        assert run_sweep(spec) == reference
+        reference = run_sweep(spec)
         assert run_sweep(spec, jobs=2) == reference
         assert run_sweep(spec, jobs=3, chunk_cells=1) == reference
         assert [r.family for r in reference] == [spec.family] * 4
+        per_cell(spec.method)
+        assert run_sweep(spec) == reference
 
     def test_sweep_amortizes_over_shared_content(self):
         # Two specs over the same content on one pipeline: the workflow
@@ -196,7 +197,7 @@ class TestSweepSpecSource:
         assert stats["mspgify"].misses == 1
         assert stats["mspgify"].hits >= 1
 
-    def test_monte_carlo_file_source_per_cell(self):
+    def test_monte_carlo_file_source_per_cell(self, per_cell):
         # Monte Carlo records for file sources are identical whether
         # the batch entry point runs or not (per-cell seeds thread
         # through the batch call).
@@ -205,7 +206,9 @@ class TestSweepSpecSource:
             method="montecarlo",
             evaluator_options={"trials": 200},
         )
-        assert run_sweep(spec) == run_sweep(spec, batch_eval=False)
+        batched = run_sweep(spec)
+        per_cell("montecarlo")
+        assert batched == run_sweep(spec)
 
 
 class TestEvalRequestWorkflow:
@@ -592,11 +595,12 @@ class TestServiceSources:
 
 
 class TestExampleDax:
-    def test_checked_in_example_sweeps(self):
+    def test_checked_in_example_sweeps(self, per_cell):
         src = load_source("examples/diamond.dax")
         assert src.workflow.n_tasks == 8
         spec = source_spec(src, processors=(2, 3))
-        reference = run_sweep(spec, batch_eval=False)
-        assert run_sweep(spec) == reference
+        reference = run_sweep(spec)
         assert run_sweep(spec, jobs=2) == reference
         assert all(r.family == src.spec_family for r in reference)
+        per_cell(spec.method)
+        assert run_sweep(spec) == reference
