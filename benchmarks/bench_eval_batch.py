@@ -72,7 +72,7 @@ def run_grid(spec: SweepSpec) -> Tuple[Dict[str, float], List[CellResult]]:
     with the native kernels disabled, so the artifact carries the
     native-vs-python column with parity asserted.  A separate (untimed)
     profiled pass collects the dispatch telemetry — dispatch count,
-    mean pooled wavefront width, native-vs-fallback rows — so the JSON
+    mean cells per fold replay pass, native-vs-fallback rows — so the JSON
     artifact pins the dispatch shape, not just the wall time.
     """
     t0 = time.perf_counter()

@@ -1,21 +1,17 @@
-"""Kernel-layer microbenchmark: scalar vs batched vs plan-replayed.
+"""Kernel-layer microbenchmark: native vs python, scalar vs plan-replayed.
 
-Times the three distribution primitives (convolve / max / truncate) as
-per-row scalar loops against their single-call
-:class:`~repro.makespan.batch.BatchDistribution` counterparts in the
-``rect`` truncation mode (fixed-width binning — the only mode with
-batched kernels), and the PATHAPPROX fold as the per-cell scalar
-reference against the compiled fold-plan replay
+Times the PATHAPPROX fold as the per-cell scalar reference against the
+compiled fold-plan replay
 (:func:`~repro.makespan.pathapprox.pathapprox_batch`) on a real MONTAGE
-structure group, in both modes.  All comparisons assert bit-identical
-results before any timing is reported.
+structure group, in both truncation modes, and each distribution
+primitive (convolve / max / truncate / rect binning) as a per-row loop
+with the compiled kernels (:mod:`repro.makespan.native`) enabled and
+disabled.  All comparisons assert bit-identical results before any
+timing is reported.
 
-A native-vs-python pass times each scalar primitive with the compiled
-kernels (:mod:`repro.makespan.native`) enabled and disabled — parity
-asserted — and lands as the ``native`` block of the JSON summary.  One
-profiled replay pass collects the kernel counters, so the summary
-carries the fold executor's pool-singleton ratio.  The machine-readable
-summary lands in ``BENCH_kernel.json`` at the repo root;
+One profiled replay pass per mode collects the kernel counters into
+the ``profile_ops`` block.  The machine-readable summary lands in
+``BENCH_kernel.json`` at the repo root;
 ``REPRO_BENCH_SMOKE=1`` shrinks sizes for the CI bench-smoke job.
 Run directly::
 
@@ -32,7 +28,6 @@ import numpy as np
 
 from repro.engine import Pipeline
 from repro.makespan import profile as kernel_profile
-from repro.makespan.batch import BatchDistribution
 from repro.makespan.distribution import (
     MODE_ADAPTIVE,
     MODE_RECT,
@@ -54,17 +49,15 @@ BUDGET = max(4, N_ATOMS // 2)
 REPEATS = 2 if SMOKE else 20
 
 
-def random_batch(seed: int, n_cells: int, n_atoms: int) -> BatchDistribution:
+def random_rows(seed: int, n_cells: int, n_atoms: int) -> List[DiscreteDistribution]:
     rng = np.random.default_rng(seed)
-    return BatchDistribution.stack(
-        [
-            DiscreteDistribution(
-                rng.uniform(0.0, 100.0, n_atoms),
-                rng.uniform(0.05, 1.0, n_atoms),
-            )
-            for _ in range(n_cells)
-        ]
-    )
+    return [
+        DiscreteDistribution(
+            rng.uniform(0.0, 100.0, n_atoms),
+            rng.uniform(0.05, 1.0, n_atoms),
+        )
+        for _ in range(n_cells)
+    ]
 
 
 def _best(fn: Callable[[], object], repeats: int) -> Tuple[float, object]:
@@ -79,50 +72,14 @@ def _best(fn: Callable[[], object], repeats: int) -> Tuple[float, object]:
 
 
 def _assert_rows_equal(
-    scalar: List[DiscreteDistribution], batched, label: str
+    expected: List[DiscreteDistribution],
+    got: List[DiscreteDistribution],
+    label: str,
 ) -> None:
-    rows = batched if isinstance(batched, list) else batched.rows()
-    assert len(rows) == len(scalar), label
-    for s, b in zip(scalar, rows):
-        assert np.array_equal(s.values, b.values), label
-        assert np.array_equal(s.probs, b.probs), label
-
-
-def bench_primitives() -> Dict[str, Dict[str, float]]:
-    """Scalar-loop vs batched-call timings for each rect primitive."""
-    a = random_batch(1, N_CELLS, N_ATOMS)
-    b = random_batch(2, N_CELLS, N_ATOMS)
-    a_rows, b_rows = a.rows(), b.rows()
-    ops: Dict[str, Tuple[Callable, Callable]] = {
-        "convolve": (
-            lambda: [
-                x.convolve(y, BUDGET, MODE_RECT) for x, y in zip(a_rows, b_rows)
-            ],
-            lambda: a.convolve(b, BUDGET),
-        ),
-        "max": (
-            lambda: [
-                x.max_with(y, BUDGET, MODE_RECT) for x, y in zip(a_rows, b_rows)
-            ],
-            lambda: a.max_with(b, BUDGET),
-        ),
-        "truncate": (
-            lambda: [x.truncate(BUDGET, MODE_RECT) for x in a_rows],
-            lambda: a.truncate(BUDGET),
-        ),
-    }
-    out: Dict[str, Dict[str, float]] = {}
-    for name, (scalar_fn, batch_fn) in ops.items():
-        scalar_wall, scalar_res = _best(scalar_fn, REPEATS)
-        batch_wall, batch_res = _best(batch_fn, REPEATS)
-        _assert_rows_equal(scalar_res, batch_res, name)
-        out[name] = {
-            "scalar_wall_s": scalar_wall,
-            "batched_wall_s": batch_wall,
-            "speedup": scalar_wall / batch_wall,
-            "rows_per_s": N_CELLS / batch_wall,
-        }
-    return out
+    assert len(got) == len(expected), label
+    for e, g in zip(expected, got):
+        assert np.array_equal(e.values, g.values), label
+        assert np.array_equal(e.probs, g.probs), label
 
 
 def fold_template() -> ParamDAG:
@@ -192,8 +149,8 @@ def bench_native() -> Dict[str, object]:
     """
     from repro.makespan import native
 
-    a_rows = random_batch(1, N_CELLS, N_ATOMS).rows()
-    b_rows = random_batch(2, N_CELLS, N_ATOMS).rows()
+    a_rows = random_rows(1, N_CELLS, N_ATOMS)
+    b_rows = random_rows(2, N_CELLS, N_ATOMS)
     ops: Dict[str, Callable[[], List[DiscreteDistribution]]] = {
         "convolve": lambda: [
             x.convolve(y, BUDGET, MODE_ADAPTIVE)
@@ -231,15 +188,10 @@ def bench_native() -> Dict[str, object]:
     }
 
 
-def profiled_ratios(template: ParamDAG) -> Dict[str, object]:
-    """One profiled pass: batched primitives + plan replay, both modes."""
-    a = random_batch(1, N_CELLS, N_ATOMS)
-    b = random_batch(2, N_CELLS, N_ATOMS)
+def profiled_replay(template: ParamDAG) -> Dict[str, object]:
+    """One profiled plan-replay pass per mode: the kernel counters."""
     prof = kernel_profile.enable()
     try:
-        a.convolve(b, BUDGET)
-        a.max_with(b, BUDGET)
-        a.truncate(BUDGET)
         for mode in (MODE_ADAPTIVE, MODE_RECT):
             pathapprox_batch(template, truncate_mode=mode)
         snap = prof.snapshot()
@@ -249,26 +201,17 @@ def profiled_ratios(template: ParamDAG) -> Dict[str, object]:
 
 
 def compare() -> str:
-    primitives = bench_primitives()
     native = bench_native()
     template = fold_template()
     fold = bench_fold(template)
-    snap = profiled_ratios(template)
+    snap = profiled_replay(template)
 
     lines = [
-        f"kernel microbenchmark — {N_CELLS} cells x {N_ATOMS} atoms, "
-        f"budget {BUDGET}"
-    ]
-    for name, stats in primitives.items():
-        lines.append(
-            f"  {name:<9} rect     scalar {stats['scalar_wall_s']*1e3:8.2f}ms  "
-            f"batched {stats['batched_wall_s']*1e3:8.2f}ms  "
-            f"speedup {stats['speedup']:5.2f}x"
-        )
-    lines.append(
+        f"kernel microbenchmark — {N_CELLS} rows x {N_ATOMS} atoms, "
+        f"budget {BUDGET}",
         f"  native kernels: {native['backend']}"
-        + (f" ({native['compiler']})" if native["compiler"] else "")
-    )
+        + (f" ({native['compiler']})" if native["compiler"] else ""),
+    ]
     for name, stats in native["ops"].items():
         lines.append(
             f"  {name:<9} native   python {stats['python_wall_s']*1e3:8.2f}ms  "
@@ -282,9 +225,6 @@ def compare() -> str:
             f"speedup {stats['speedup']:5.2f}x  "
             f"({stats['cells_per_s']:.2f} cells/s, {stats['cells']} cells)"
         )
-    pooled = snap["pool_singleton_ratio"]
-    if pooled is not None:
-        lines.append(f"  pool singleton ratio  {pooled:.4f}")
 
     summary = {
         "benchmark": "kernels",
@@ -292,10 +232,8 @@ def compare() -> str:
         "n_cells": N_CELLS,
         "n_atoms": N_ATOMS,
         "budget": BUDGET,
-        "ops": primitives,
         "native": native,
         "fold": fold,
-        "pool_singleton_ratio": pooled,
         "profile_ops": snap["ops"],
     }
     save_json("BENCH_kernel.json", summary)
@@ -303,12 +241,11 @@ def compare() -> str:
 
 
 def bench_kernels(benchmark):
-    """Times the batched convolve kernel; validates parity along the way."""
+    """Times the fold-plan replay; validates parity along the way."""
     report = compare()
     save_artifact("kernels.txt", report + "\n")
-    a = random_batch(1, N_CELLS, N_ATOMS)
-    b = random_batch(2, N_CELLS, N_ATOMS)
-    benchmark(lambda: a.convolve(b, BUDGET))
+    template = fold_template()
+    benchmark(lambda: pathapprox_batch(template))
 
 
 if __name__ == "__main__":

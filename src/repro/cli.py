@@ -220,8 +220,8 @@ def _engine_flags() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "collect kernel-level op counters (convolve/max/truncate "
-            "calls, batched rows, evaluation dispatches, pooled "
-            "wavefront width, native-vs-fallback rows, per-op wall "
+            "calls and rows, evaluation dispatches, cells per fold "
+            "replay pass, native-vs-fallback rows, per-op wall "
             "time): `sweep` prints the table after the grid, `serve` "
             "exposes it as 'kernel_profile' in GET /status; with "
             "--jobs N the workers profile themselves and the counters "
@@ -382,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "kernel truncation mode for pathapprox: 'adaptive' "
             "(default, the bit-exact reference) or 'rect' (fixed-width "
-            "binning; every support stays at exactly max_atoms points, "
-            "so pooled fold steps run through the batched kernels).  "
+            "binning: an over-budget support is binned to exactly "
+            "max_atoms equal-width bins).  "
             "Rect records are a different numerical approximation and "
             "are fingerprinted separately"
         ),

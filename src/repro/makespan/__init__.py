@@ -20,8 +20,8 @@ Evaluators are registered behind the
 schemas, ``deterministic``/``supports_batch`` capabilities) and the
 layer is **batch native**: a :class:`~repro.makespan.paramdag.ParamDAG`
 carries one DAG structure template plus per-cell 2-state parameter
-arrays, :mod:`repro.makespan.batch` provides the vectorised
-rect-mode distribution kernels (leading cell axis), and
+arrays, :func:`~repro.makespan.distribution.two_state_rows` builds a
+node's per-cell 2-state laws in one vectorised pass, and
 :func:`~repro.makespan.api.expected_makespans` prices a whole parameter
 grid per evaluator call — bit-identical to evaluating each cell alone.
 """
@@ -33,7 +33,7 @@ from repro.makespan.two_state import (
 )
 from repro.makespan.probdag import ProbDAG
 from repro.makespan.paramdag import ParamDAG
-from repro.makespan.batch import BatchDistribution, two_state_rows
+from repro.makespan.distribution import two_state_rows
 from repro.makespan.segment_dag import build_segment_dag
 from repro.makespan.montecarlo import montecarlo, montecarlo_batch
 from repro.makespan.dodin import dodin
@@ -60,7 +60,6 @@ __all__ = [
     "two_state_from_span",
     "ProbDAG",
     "ParamDAG",
-    "BatchDistribution",
     "two_state_rows",
     "build_segment_dag",
     "montecarlo",

@@ -35,7 +35,6 @@
 #include <limits.h>
 #include <math.h>
 #include <stddef.h>
-#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -310,9 +309,9 @@ static void merge_runs(const double *restrict sv, const double *restrict sp,
  * np.argsort(kind="stable") on the ravelled grid, with sequential
  * memory access instead of a comparison sort's O(n log n) random
  * probes.  The duplicate merge then accumulates sequentially in
- * sorted order — exactly the np.add.at order of the constructor. */
-/* Core convolve over caller-provided scratch (4 * na * nb doubles),
- * so pooled calls reuse one allocation across members. */
+ * sorted order — exactly the np.add.at order of the constructor.
+ * buf is caller-owned scratch of 4 * na * nb doubles: the two
+ * ping-pong (value, prob) planes of the merge passes. */
 static long long convolve_core(const double *av, const double *ap,
                                long long na,
                                const double *bv, const double *bp,
@@ -427,47 +426,6 @@ long long repro_convolve_adaptive(const double *av, const double *ap,
                            out_v, out_p, buf);
     free(buf);
     return status;
-}
-
-/* Pooled convolve: k independent pairs sharing (na, nb, max_atoms) —
- * the shape under which the fold-plan executor groups adaptive
- * convolve pools — in one call over one reused scratch allocation.
- * ``ptrs`` holds k quads (av, ap, bv, bp); outputs land in row i of
- * the (k, cap) out planes with per-member atom counts (or FALLBACK)
- * in out_n.  Returns the number of members served. */
-long long repro_convolve_adaptive_many(const unsigned long long *ptrs,
-                                       long long k,
-                                       long long na, long long nb,
-                                       long long max_atoms,
-                                       double *out_v, double *out_p,
-                                       long long *out_n)
-{
-    long long i, cap, served;
-    double *buf;
-
-    if (k <= 0 || na <= 0 || nb <= 0 || max_atoms < 1)
-        return FALLBACK;
-    cap = na * nb;
-    if (cap > max_atoms)
-        cap = max_atoms;
-    buf = (double *)malloc((size_t)(4 * na * nb) * sizeof(double));
-    if (buf == NULL)
-        return FALLBACK;
-    served = 0;
-    for (i = 0; i < k; i++) {
-        const double *av = (const double *)(uintptr_t)ptrs[4 * i + 0];
-        const double *ap = (const double *)(uintptr_t)ptrs[4 * i + 1];
-        const double *bv = (const double *)(uintptr_t)ptrs[4 * i + 2];
-        const double *bp = (const double *)(uintptr_t)ptrs[4 * i + 3];
-        long long n = convolve_core(av, ap, na, bv, bp, nb, max_atoms,
-                                    out_v + i * cap, out_p + i * cap,
-                                    buf);
-        out_n[i] = n;
-        if (n >= 0)
-            served++;
-    }
-    free(buf);
-    return served;
 }
 
 /* ------------------------------------------------------------------ */

@@ -103,7 +103,7 @@ EVALUATORS.register(
             "factor_common": "factor tasks shared by whole path groups",
             "rtol": "relative tolerance of the adaptive schedule",
             "truncate_mode": "kernel truncation: 'adaptive' (reference) "
-            "or 'rect' (fixed-width binning, batched fast path)",
+            "or 'rect' (fixed-width binning)",
         },
     )
 )

@@ -29,7 +29,7 @@ active; the inactive hook is a single attribute load.
 from __future__ import annotations
 
 import time
-from typing import Iterable, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -43,6 +43,7 @@ __all__ = [
     "MODE_ADAPTIVE",
     "MODE_RECT",
     "TRUNCATE_MODES",
+    "two_state_rows",
 ]
 
 DEFAULT_MAX_ATOMS = 512
@@ -67,11 +68,10 @@ def _rect_bin_rows(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Fixed-width binning of sorted, normalised rows to ``max_atoms``.
 
-    The single rectangular kernel, shared by the scalar and batched
-    paths (the scalar path feeds one-row views), which makes their
-    bit-parity structural rather than coincidental.  Dispatches to the
-    compiled kernel when :mod:`repro.makespan.native` is enabled; the
-    numpy body below is the bit-exactness reference and the fallback.
+    The single rectangular kernel behind every rect-mode op (the scalar
+    kernels feed one-row views).  Dispatches to the compiled kernel
+    when :mod:`repro.makespan.native` is enabled; the numpy body below
+    is the bit-exactness reference and the fallback.
     """
     out = _native.rect_bin_rows(values, probs, max_atoms)
     if out is not None:
@@ -98,8 +98,8 @@ def _rect_bin_rows_py(
     scaled = (values - lo[:, None]) / safe_span[:, None] * max_atoms
     bins = np.minimum(scaled.astype(int), max_atoms - 1)
     # Scatter-add via flattened bincount (much faster than np.add.at);
-    # row-major traversal accumulates each bin in the same left-to-right
-    # atom order for the scalar and batched callers alike.
+    # row-major traversal accumulates each bin in left-to-right atom
+    # order, the order the compiled kernel reproduces.
     flat = (bins + np.arange(c)[:, None] * max_atoms).ravel()
     size = c * max_atoms
     masses = np.bincount(flat, weights=probs.ravel(), minlength=size).reshape(
@@ -189,10 +189,11 @@ class DiscreteDistribution:
         """Wrap arrays already in canonical form (sorted support, equal
         values merged, probabilities normalised) without re-validating.
 
-        Internal fast path for the batched kernels
-        (:mod:`repro.makespan.batch`), which produce canonical rows by
-        construction; going through ``__init__`` would re-run the sort/
-        merge/normalise pipeline and must yield the identical arrays.
+        Internal fast path for code that produces canonical arrays by
+        construction — the native kernel wrappers, the rect kernels and
+        :func:`two_state_rows`; going through ``__init__`` would re-run
+        the sort/merge/normalise pipeline and must yield the identical
+        arrays.
         Rectangular-mode rows relax "merged" to "sorted": they may carry
         zero-mass duplicate atoms, which every consumer tolerates.
         """
@@ -443,3 +444,32 @@ class DiscreteDistribution:
             f"DiscreteDistribution(atoms={self.n_atoms}, mean={self.mean():.6g}, "
             f"std={self.variance() ** 0.5:.3g})"
         )
+
+
+def two_state_rows(
+    base: np.ndarray, long: np.ndarray, p: np.ndarray
+) -> List[DiscreteDistribution]:
+    """Per-cell 2-state laws for one node, built in one vectorised pass.
+
+    Equivalent to ``[DiscreteDistribution.two_state(base[c], long[c],
+    p[c]) for c in cells]`` atom for atom.  The generic cells (``0 < p <
+    1`` and ``long > base``) share one numpy construction, normalised
+    like the scalar constructor (a length-2 row sum is ``(1 - p) + p``
+    either way); every other cell goes through the scalar constructor.
+    """
+    base = np.asarray(base, dtype=float)
+    long = np.asarray(long, dtype=float)
+    p = np.asarray(p, dtype=float)
+    generic = (p > 0.0) & (p < 1.0) & (long > base)
+    rows: List[DiscreteDistribution] = [None] * base.size  # type: ignore[list-item]
+    cells = np.flatnonzero(generic)
+    values = np.stack([base[cells], long[cells]], axis=1)
+    probs = np.stack([1.0 - p[cells], p[cells]], axis=1)
+    probs /= probs.sum(axis=1)[:, None]
+    for c, v, q in zip(cells, values, probs):
+        rows[c] = DiscreteDistribution._wrap(v, q)
+    for c in np.flatnonzero(~generic):
+        rows[c] = DiscreteDistribution.two_state(
+            float(base[c]), float(long[c]), float(p[c])
+        )
+    return rows

@@ -15,21 +15,17 @@ lifts that work into a **compile-once, execute-many** layer:
   (:meth:`~repro.makespan.paramdag.ParamDAG.plan_cache`), so the cells
   of a sweep group that share a signature share one compilation.
 
-* :func:`execute_plans` replays tapes for many cells at once with a
-  **pooled wavefront executor**: each round it gathers every step whose
-  operands are ready — across all cells and plans — and groups them by
-  (op kind, operand widths).  Rect-mode groups run as one batched
-  :class:`~repro.makespan.batch.BatchDistribution` kernel call;
-  adaptive-mode convolve groups run as one pooled native call and
-  adaptive-mode max groups once per member through the scalar kernel.
-  Results land in a per-cell value store keyed by the tape's *semantic*
-  slot names, so they survive across budget doublings (the 64-path
-  plan skips every step the 32-path plan already computed).
+* :func:`execute_plans` replays each cell's tape in order through the
+  scalar :class:`~repro.makespan.distribution.DiscreteDistribution`
+  kernels (native when live).  Results land in a per-cell value store
+  keyed by the tape's *semantic* slot names, so they survive across
+  budget doublings (the 64-path plan skips every step the 32-path plan
+  already computed).
 
 * :func:`pathapprox_plan_batch` drives a template's cells through the
   adaptive-k schedule in lockstep, replicating ``_adaptive_estimate``'s
-  per-cell control flow exactly while every round's tape steps land in
-  one pooled :func:`execute_plans` pass.
+  per-cell control flow exactly while every round's tapes replay in
+  one :func:`execute_plans` pass.
 
 **Bit-identity.**  The tape records exactly the operations the scalar
 recursion performs, keyed so that equal inputs share one slot: path-sum
@@ -37,10 +33,9 @@ chains are memoised by node-tuple *prefix* (the scalar chain prefix
 computation is the identical op sequence, so a prefix hit returns the
 identical object), fold subtrees by their frozenset of path sets (the
 recursion's result depends only on that set).  Each step's operands are
-therefore bit-identical to the scalar path's; adaptive steps run the
-scalar kernels themselves and rect steps the batched kernels, which
-match the scalar ones row for row, so the replayed estimates equal the
-scalar reference bit for bit — pinned by the evaluator parity tests.
+therefore bit-identical to the scalar path's, and the replay runs the
+scalar kernels themselves, so the replayed estimates equal the scalar
+reference bit for bit — pinned by the evaluator parity tests.
 
 The Clark-fold tape of the NORMAL method (:class:`ClarkPlan`) lives
 here too: a flat (node, predecessors) schedule plus the sink fold,
@@ -50,20 +45,17 @@ structure scans.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import EvaluationError
-from repro.makespan import native as _native
 from repro.makespan import profile as _profile
-from repro.makespan.batch import BatchDistribution, two_state_rows
 from repro.makespan.distribution import (
     DEFAULT_MAX_ATOMS,
     MODE_ADAPTIVE,
-    MODE_RECT,
     DiscreteDistribution,
+    two_state_rows,
 )
 from repro.makespan.pathapprox import (
     ADAPTIVE_STALLS,
@@ -96,35 +88,19 @@ Ref = Tuple
 
 
 class FoldPlan:
-    """A compiled fold: flat post-order op tape plus dependency edges.
+    """A compiled fold: a flat post-order op tape.
 
     ``steps[i] = (key, kind, a, b)`` computes slot ``key`` as
     ``a kind b``; operands are earlier steps or leaves, so the tape is
-    topologically ordered.  ``deps``/``dependents`` are the intra-tape
-    edges the wavefront executor counts down; ``root`` is the slot
-    holding the folded maximum.  Plans are immutable and shared across
-    cells — all per-cell state lives in the executor.
+    topologically ordered and replays front to back.  ``root`` is the
+    slot holding the folded maximum.  Plans are immutable and shared
+    across cells — all per-cell state lives in the cell's value store.
     """
 
-    __slots__ = ("steps", "index", "deps", "dependents", "root")
+    __slots__ = ("steps", "root")
 
     def __init__(self, steps: List[Tuple], root: Ref) -> None:
         self.steps: Tuple[Tuple, ...] = tuple(steps)
-        self.index: Dict[Ref, int] = {s[0]: i for i, s in enumerate(steps)}
-        deps: List[Tuple[int, ...]] = []
-        dependents: List[List[int]] = [[] for _ in steps]
-        for i, (_key, _kind, a, b) in enumerate(steps):
-            d = []
-            for operand in (a, b):
-                j = self.index.get(operand)
-                if j is not None:
-                    d.append(j)
-                    dependents[j].append(i)
-            deps.append(tuple(d))
-        self.deps: Tuple[Tuple[int, ...], ...] = tuple(deps)
-        self.dependents: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(d) for d in dependents
-        )
         self.root = root
 
     def __repr__(self) -> str:
@@ -223,13 +199,11 @@ def compile_fold_plan(
 
 
 class _CellRun:
-    """Per-cell replay state: leaf laws, the persistent slot store, and
-    the cell's place in the adaptive-k schedule."""
+    """Per-cell replay state: the slot store (seeded with the leaf laws)
+    and the cell's place in the adaptive-k schedule."""
 
     __slots__ = (
         "values",
-        "remaining",
-        "node_dist",
         "means",
         "var_rank",
         "var_key",
@@ -240,16 +214,13 @@ class _CellRun:
 
     def __init__(
         self,
-        point0: DiscreteDistribution,
-        node_dist: List[DiscreteDistribution],
+        leaves: Dict[Ref, DiscreteDistribution],
         means: np.ndarray,
         variances: np.ndarray,
     ) -> None:
-        self.values: Dict[Ref, DiscreteDistribution] = {_P0: point0}
-        self.remaining: Dict[int, int] = {}
-        self.node_dist = node_dist
+        self.values = leaves
         self.means = means
-        n = len(node_dist)
+        n = len(means)
         order = sorted(range(n), key=lambda v: (variances[v], v))
         rank = [0] * n
         for r, v in enumerate(order):
@@ -260,131 +231,32 @@ class _CellRun:
         self.stalls = 0
         self.exhausted = False
 
-    def resolve(self, ref: Ref) -> DiscreteDistribution:
-        d = self.values.get(ref)
-        if d is None:
-            # Only ("law", node) leaves can miss the store.
-            d = self.node_dist[ref[1]]
-            self.values[ref] = d
-        return d
-
-
-def _schedule(state: _CellRun, plan: FoldPlan) -> List[int]:
-    """Seed the dependency countdown; return the initially ready steps.
-
-    Steps whose slot is already in the cell's store (computed by an
-    earlier budget's plan) are skipped outright, and satisfy their
-    dependents' counts.
-    """
-    ready: List[int] = []
-    remaining = state.remaining
-    remaining.clear()
-    values = state.values
-    steps = plan.steps
-    for i, step in enumerate(steps):
-        if step[0] in values:
-            continue
-        nd = 0
-        for d in plan.deps[i]:
-            if steps[d][0] not in values:
-                nd += 1
-        if nd:
-            remaining[i] = nd
-        else:
-            ready.append(i)
-    return ready
-
 
 def execute_plans(
     work: Sequence[Tuple[_CellRun, FoldPlan]], max_atoms: int, mode: str
 ) -> None:
-    """Replay each cell's plan, pooling ready steps across the batch.
+    """Replay each cell's plan in tape order through the scalar kernels.
 
-    Wavefront execution: every round collects the steps whose operands
-    are ready across all (cell, plan) pairs and groups them by ``(kind,
-    width_a, width_b)``.  A rect-mode group of two or more runs as one
-    batched kernel call (operand rows stacked, results scattered back).
-    In adaptive mode a convolve group runs as one pooled native call
-    (members the kernel declines fall back to the python kernel one by
-    one) and a max group runs the scalar kernel once per member — the
-    batched adaptive kernels lost to the scalar ones at every measured
-    width.  Singletons call the scalar kernel directly.  Execution
-    order never affects results (each step's operands are fixed), so
-    pooling preserves bit-identity.  (A greedy fullest-bin-first variant
-    was tried and measured *slower*: fragmentation is structural — plans
-    differ per cell — so deferral barely grows the pools while the bin
-    bookkeeping taxes every step.)
+    A step whose slot is already in the cell's store was computed by an
+    earlier budget's plan and is skipped; every other step runs
+    :meth:`~repro.makespan.distribution.DiscreteDistribution.convolve`
+    or :meth:`~repro.makespan.distribution.DiscreteDistribution.max_with`
+    on operands the tape order has already filled in (native kernels
+    when live).  Each step's operands are fixed by the tape, so the
+    replay is bit-identical to the scalar recursion.
     """
     prof = _profile.ACTIVE
     if prof is not None:
         prof.record("pool_exec", len(work))
-    ready: List[Tuple[_CellRun, FoldPlan, int]] = []
     for state, plan in work:
-        for i in _schedule(state, plan):
-            ready.append((state, plan, i))
-
-    while ready:
-        groups: Dict[Tuple, List[Tuple]] = {}
-        for state, plan, i in ready:
-            _key, kind, a, b = plan.steps[i]
-            da = state.resolve(a)
-            db = state.resolve(b)
-            groups.setdefault((kind, da.n_atoms, db.n_atoms), []).append(
-                (state, plan, i, da, db)
-            )
-        ready = []
-        for (kind, _wa, _wb), members in groups.items():
-            t0 = time.perf_counter() if prof is not None else 0.0
-            batched = mode == MODE_RECT and len(members) > 1
-            if batched:
-                batch_a = BatchDistribution(
-                    np.array([m[3].values for m in members]),
-                    np.array([m[3].probs for m in members]),
-                    _canonical=True,
-                )
-                batch_b = BatchDistribution(
-                    np.array([m[4].values for m in members]),
-                    np.array([m[4].probs for m in members]),
-                    _canonical=True,
-                )
-                if kind == _CONV:
-                    outs = batch_a._convolve(batch_b, max_atoms).rows()
-                else:
-                    outs = batch_a._max_with(batch_b, max_atoms).rows()
-            elif kind == _CONV and mode == MODE_ADAPTIVE and len(members) > 1:
-                # One pooled native call (the group key guarantees
-                # uniform operand widths); members it declines, or all
-                # of them with native off, run the python kernel.
-                pooled = _native.convolve_dists_many(
-                    [(m[3], m[4]) for m in members], max_atoms
-                ) or [None] * len(members)
-                outs = [
-                    d if d is not None else m[3]._convolve(m[4], max_atoms, mode)
-                    for m, d in zip(members, pooled)
-                ]
-            elif kind == _CONV:
-                outs = [m[3]._convolve(m[4], max_atoms, mode) for m in members]
+        values = state.values
+        for key, kind, a, b in plan.steps:
+            if key in values:
+                continue
+            if kind == _CONV:
+                values[key] = values[a].convolve(values[b], max_atoms, mode)
             else:
-                outs = [m[3]._max_with(m[4], max_atoms, mode) for m in members]
-            if prof is not None:
-                prof.record(
-                    "pool_step",
-                    len(members),
-                    0 if batched else len(members),
-                    time.perf_counter() - t0,
-                )
-            for (state, plan, i, _da, _db), dist in zip(members, outs):
-                state.values[plan.steps[i][0]] = dist
-                remaining = state.remaining
-                for d in plan.dependents[i]:
-                    nd = remaining.get(d)
-                    if nd is None:
-                        continue
-                    if nd == 1:
-                        del remaining[d]
-                        ready.append((state, plan, d))
-                    else:
-                        remaining[d] = nd - 1
+                values[key] = values[a].max_with(values[b], max_atoms, mode)
 
 
 def pathapprox_plan_batch(
@@ -398,29 +270,28 @@ def pathapprox_plan_batch(
 
     Every active cell shares the same lockstep budget sequence (32, 64,
     ...): each round enumerates the cells' paths, compiles or reuses
-    their plans, and replays them through one pooled
-    :func:`execute_plans` pass.  Per-cell control flow — stall
-    counting, exhaustion, the ``k=None`` / explicit-k / wide-DAG
-    single-shot branches — replicates ``_adaptive_estimate`` exactly,
-    so results are bit-identical to the scalar reference.
+    their plans, and replays them through one :func:`execute_plans`
+    pass.  Per-cell control flow — stall counting, exhaustion, the
+    ``k=None`` / explicit-k / wide-DAG single-shot branches — replicates
+    ``_adaptive_estimate`` exactly, so results are bit-identical to the
+    scalar reference.
     """
     n = template.n
     sinks = template.sinks()
     cache = template.plan_cache()
     point0 = DiscreteDistribution.point(0.0)
+    law_keys = [("law", v) for v in range(n)]
     node_rows = [
         two_state_rows(template.base[:, j], template.long[:, j], template.p[:, j])
         for j in range(n)
     ]
-    states = [
-        _CellRun(
-            point0,
-            [rows[c] for rows in node_rows],
-            template.means[c],
-            template.variances[c],
+    states = []
+    for c in range(template.n_cells):
+        leaves: Dict[Ref, DiscreteDistribution] = {_P0: point0}
+        leaves.update(zip(law_keys, (rows[c] for rows in node_rows)))
+        states.append(
+            _CellRun(leaves, template.means[c], template.variances[c])
         )
-        for c in range(template.n_cells)
-    ]
     adaptive = k is None and n <= SINGLE_SHOT_N
     if k is not None:
         budget = k
@@ -461,7 +332,7 @@ def pathapprox_plan_batch(
         # stop it after this budget.
         still = []
         for st, plan in work:
-            refined = st.resolve(plan.root).mean()
+            refined = st.values[plan.root].mean()
             if adaptive and not first:
                 if abs(refined - st.estimate) <= rtol * max(
                     abs(st.estimate), 1e-300

@@ -5,7 +5,7 @@ truncate and the rectangular row binning — have a C implementation in
 ``_native.c`` that replicates the numpy operation order of the python
 reference bit for bit.  This module owns the build/load lifecycle and
 exposes one thin wrapper per kernel; each wrapper returns the result
-arrays on success or ``None`` when the caller must run the python path
+on success or ``None`` when the caller must run the python path
 (native disabled, build unavailable, or the kernel declined an input it
 cannot reproduce exactly — the reference then raises the reference
 error).
@@ -55,14 +55,10 @@ __all__ = [
     "enabled",
     "set_enabled",
     "status",
-    "convolve_adaptive",
-    "max_adaptive",
-    "truncate_adaptive",
     "rect_bin_rows",
     "convolve_dists",
     "max_dists",
     "truncate_dist",
-    "convolve_dists_many",
     "OPS",
 ]
 
@@ -99,7 +95,6 @@ _ok: Optional[bool] = None
 
 # Hot function handles, bound once after a successful load.
 _c_conv = None
-_c_conv_many = None
 _c_max = None
 _c_trunc = None
 _c_rect = None
@@ -147,10 +142,6 @@ def _declare(lib: ctypes.CDLL) -> None:
         ptr, ptr, ll, ptr, ptr, ll, ll, ptr, ptr
     ]
     lib.repro_convolve_adaptive.restype = ll
-    lib.repro_convolve_adaptive_many.argtypes = [
-        ptr, ll, ll, ll, ll, ptr, ptr, ptr
-    ]
-    lib.repro_convolve_adaptive_many.restype = ll
     lib.repro_max_with_adaptive.argtypes = [
         ptr, ptr, ll, ptr, ptr, ll, ll, ptr, ptr
     ]
@@ -222,7 +213,7 @@ def _build_and_load() -> Optional[ctypes.CDLL]:
 
 def _get_lib() -> Optional[ctypes.CDLL]:
     global _lib, _attempted
-    global _c_conv, _c_conv_many, _c_max, _c_trunc, _c_rect
+    global _c_conv, _c_max, _c_trunc, _c_rect
     if not _attempted:
         _attempted = True
         _lib = _build_and_load()
@@ -230,7 +221,6 @@ def _get_lib() -> Optional[ctypes.CDLL]:
             _warn_once()
         else:
             _c_conv = _lib.repro_convolve_adaptive
-            _c_conv_many = _lib.repro_convolve_adaptive_many
             _c_max = _lib.repro_max_with_adaptive
             _c_trunc = _lib.repro_truncate_adaptive
             _c_rect = _lib.repro_rect_bin_rows
@@ -309,7 +299,7 @@ def _reset_for_tests() -> None:
     """Forget build state so tests can exercise failure paths."""
     global _lib, _attempted, _build_error, _warned, _compiler, _so_path
     global _disabled_runtime, _ok
-    global _c_conv, _c_conv_many, _c_max, _c_trunc, _c_rect
+    global _c_conv, _c_max, _c_trunc, _c_rect
     _lib = None
     _attempted = False
     _build_error = None
@@ -318,111 +308,18 @@ def _reset_for_tests() -> None:
     _so_path = None
     _disabled_runtime = False
     _ok = None
-    _c_conv = _c_conv_many = _c_max = _c_trunc = _c_rect = None
+    _c_conv = _c_max = _c_trunc = _c_rect = None
 
 
 # --------------------------------------------------------------------- #
 # kernel wrappers
 # --------------------------------------------------------------------- #
 #
-# Each wrapper returns the output arrays, or None when the python path
-# must run.  A None from the *kernel* (status < 0) means the input needs
-# reference handling (error raising, NaN ordering, negative bins) — the
-# python path then reproduces it exactly.
-
-
-def _usable_1d(*arrays: np.ndarray) -> bool:
-    for arr in arrays:
-        if arr.dtype is not _F64 and arr.dtype != _F64:
-            return False
-        if not arr.flags.c_contiguous:
-            return False
-    return True
-
-
-def convolve_adaptive(
-    av: np.ndarray, ap: np.ndarray, bv: np.ndarray, bp: np.ndarray,
-    max_atoms: int,
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Native X + Y (adaptive mode): merged outer sum, truncated."""
-    prof = _profile.ACTIVE
-    if not _fast_ok() or not _usable_1d(av, ap, bv, bp):
-        if prof is not None:
-            prof.record("native_miss_convolve", 1, 0, 0.0)
-        return None
-    na = av.size
-    nb = bv.size
-    cap = min(na * nb, int(max_atoms))
-    out_v = np.empty(cap)
-    out_p = np.empty(cap)
-    t0 = time.perf_counter() if prof is not None else 0.0
-    n = _c_conv(
-        av.ctypes.data, ap.ctypes.data, na,
-        bv.ctypes.data, bp.ctypes.data, nb,
-        int(max_atoms), out_v.ctypes.data, out_p.ctypes.data,
-    )
-    if n < 0:
-        if prof is not None:
-            prof.record("native_miss_convolve", 1, 0, 0.0)
-        return None
-    if prof is not None:
-        prof.record("native_convolve", 1, 0, time.perf_counter() - t0)
-    return out_v[:n], out_p[:n]
-
-
-def max_adaptive(
-    av: np.ndarray, ap: np.ndarray, bv: np.ndarray, bp: np.ndarray,
-    max_atoms: int,
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Native max(X, Y) (adaptive mode): CDF product on the union grid."""
-    prof = _profile.ACTIVE
-    if not _fast_ok() or not _usable_1d(av, ap, bv, bp):
-        if prof is not None:
-            prof.record("native_miss_max", 1, 0, 0.0)
-        return None
-    na = av.size
-    nb = bv.size
-    cap = min(na + nb, int(max_atoms))
-    out_v = np.empty(cap)
-    out_p = np.empty(cap)
-    t0 = time.perf_counter() if prof is not None else 0.0
-    n = _c_max(
-        av.ctypes.data, ap.ctypes.data, na,
-        bv.ctypes.data, bp.ctypes.data, nb,
-        int(max_atoms), out_v.ctypes.data, out_p.ctypes.data,
-    )
-    if n < 0:
-        if prof is not None:
-            prof.record("native_miss_max", 1, 0, 0.0)
-        return None
-    if prof is not None:
-        prof.record("native_max", 1, 0, time.perf_counter() - t0)
-    return out_v[:n], out_p[:n]
-
-
-def truncate_adaptive(
-    v: np.ndarray, p: np.ndarray, max_atoms: int
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Native adaptive truncate of an over-budget canonical support."""
-    prof = _profile.ACTIVE
-    if not _fast_ok() or not _usable_1d(v, p):
-        if prof is not None:
-            prof.record("native_miss_truncate", 1, 0, 0.0)
-        return None
-    out_v = np.empty(int(max_atoms))
-    out_p = np.empty(int(max_atoms))
-    t0 = time.perf_counter() if prof is not None else 0.0
-    n = _c_trunc(
-        v.ctypes.data, p.ctypes.data, v.size,
-        int(max_atoms), out_v.ctypes.data, out_p.ctypes.data,
-    )
-    if n < 0:
-        if prof is not None:
-            prof.record("native_miss_truncate", 1, 0, 0.0)
-        return None
-    if prof is not None:
-        prof.record("native_truncate", 1, 0, time.perf_counter() - t0)
-    return out_v[:n], out_p[:n]
+# Each wrapper returns its result (the binned arrays here, a wrapped
+# distribution below), or None when the python path must run.  A None
+# from the *kernel* (status < 0) means the input needs reference
+# handling (error raising, NaN ordering, negative bins) — the python
+# path then reproduces it exactly.
 
 
 def rect_bin_rows(
@@ -568,74 +465,3 @@ def truncate_dist(dist, max_atoms: int):
     if prof is not None:
         prof.record("native_truncate", 1, 0, time.perf_counter() - t0)
     return _wrap_dist(out_v[:n], out_p[:n], (ov, op))
-
-
-def convolve_dists_many(pairs, max_atoms: int):
-    """Pooled native convolve over uniformly-shaped pairs.
-
-    ``pairs`` is a sequence of ``(a, b)`` distributions that all share
-    ``a.n_atoms`` / ``b.n_atoms`` (the fold-plan executor groups pools
-    by exactly that shape).  One C call prices the whole pool over one
-    reused scratch buffer.  Returns a list of wrapped distributions
-    (``None`` entries want the python path) or ``None`` when native
-    dispatch is off entirely.
-    """
-    prof = _profile.ACTIVE
-    k = len(pairs)
-    if not _fast_ok():
-        if prof is not None:
-            prof.record("native_miss_convolve", k, 0, 0.0)
-        return None
-    a0, b0 = pairs[0]
-    na = a0.values.size
-    nb = b0.values.size
-    cap = min(na * nb, int(max_atoms))
-    flat = []
-    for a, b in pairs:
-        aa = a._addrs
-        if aa is None:
-            aa = (a.values.ctypes.data, a.probs.ctypes.data)
-            a._addrs = aa
-        bb = b._addrs
-        if bb is None:
-            bb = (b.values.ctypes.data, b.probs.ctypes.data)
-            b._addrs = bb
-        flat.append(aa[0])
-        flat.append(aa[1])
-        flat.append(bb[0])
-        flat.append(bb[1])
-    ptrs = np.array(flat, dtype=np.uint64)
-    out_v = np.empty((k, cap))
-    out_p = np.empty((k, cap))
-    out_n = np.empty(k, dtype=np.int64)
-    base_v = out_v.ctypes.data
-    base_p = out_p.ctypes.data
-    t0 = time.perf_counter() if prof is not None else 0.0
-    served = _c_conv_many(
-        ptrs.ctypes.data, k, na, nb, int(max_atoms),
-        base_v, base_p, out_n.ctypes.data,
-    )
-    if served < 0:
-        if prof is not None:
-            prof.record("native_miss_convolve", k, 0, 0.0)
-        return None
-    if prof is not None:
-        wall = time.perf_counter() - t0
-        prof.record("native_convolve", int(served), 0, wall)
-        if served < k:
-            prof.record("native_miss_convolve", k - int(served), 0, 0.0)
-    row_bytes = cap * 8
-    outs = []
-    for i in range(k):
-        n = out_n[i]
-        if n < 0:
-            outs.append(None)
-        else:
-            outs.append(
-                _wrap_dist(
-                    out_v[i, :n],
-                    out_p[i, :n],
-                    (base_v + i * row_bytes, base_p + i * row_bytes),
-                )
-            )
-    return outs

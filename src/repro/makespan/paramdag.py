@@ -31,9 +31,11 @@ class ParamDAG:
     """A ProbDAG structure template with per-cell 2-state parameters.
 
     Construct via :meth:`from_dags` (stack per-cell DAGs that share a
-    structure) or :meth:`from_arrays`.  Instances are read-only by
-    convention; the structure lists are shared with materialised cells,
-    so neither should be mutated.
+    structure) or :meth:`from_template`.  Every constructor rejects
+    parameters outside the 2-state domain (``0 <= base <= long``,
+    ``0 <= p <= 1``), as :meth:`ProbDAG.add` does per node.  Instances
+    are read-only by convention; the structure lists are shared with
+    materialised cells, so neither should be mutated.
     """
 
     __slots__ = (
@@ -69,6 +71,22 @@ class ParamDAG:
             raise EvaluationError(
                 f"parameter arrays disagree in shape: {base.shape}, "
                 f"{long.shape}, {p.shape}"
+            )
+        # The domain ProbDAG.add enforces per node, checked for every
+        # cell at once; the negated form also rejects NaN.
+        bad = np.argwhere(~((base >= 0.0) & (long >= base)))
+        if bad.size:
+            c, j = bad[0]
+            raise EvaluationError(
+                f"cell {c}, node {names[j]!r}: need 0 <= base <= long, "
+                f"got ({float(base[c, j])}, {float(long[c, j])})"
+            )
+        bad = np.argwhere(~((p >= 0.0) & (p <= 1.0)))
+        if bad.size:
+            c, j = bad[0]
+            raise EvaluationError(
+                f"cell {c}, node {names[j]!r}: p={float(p[c, j])} "
+                f"outside [0, 1]"
             )
         self.names = names
         self.preds = preds

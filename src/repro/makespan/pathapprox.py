@@ -370,8 +370,8 @@ def pathapprox(
 
     ``truncate_mode`` selects the distribution kernels' truncation
     scheme: ``"adaptive"`` (default, the bit-exactness reference) or
-    ``"rect"`` (fixed-width binning, the batched fast path — see
-    :mod:`repro.makespan.distribution`).
+    ``"rect"`` (fixed-width binning, a separately fingerprinted
+    approximation — see :mod:`repro.makespan.distribution`).
     """
     check_mode(truncate_mode)
     if dag.n == 0:
@@ -407,11 +407,10 @@ def pathapprox_batch(
 
     The heavy lifting happens in :mod:`repro.makespan.foldplan`: the
     fold recursion is compiled once per (path set, variance order)
-    signature into a flat op tape cached on the template, and the tapes
-    of all cells are replayed together by a pooled wavefront executor
-    that groups same-shaped steps across cells into single batched
-    kernel calls.  The adaptive-k schedule runs the batch in lockstep
-    with per-cell stall/exhaustion tracking, replicating the scalar
+    signature into a flat op tape cached on the template, and each
+    cell's tape is replayed in order through the scalar kernels.  The
+    adaptive-k schedule runs the batch in lockstep with per-cell
+    stall/exhaustion tracking, replicating the scalar
     :func:`_adaptive_estimate` control flow exactly.
     """
     check_mode(truncate_mode)

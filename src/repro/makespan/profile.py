@@ -1,8 +1,7 @@
 """Kernel profiling counters for the distribution algebra.
 
 The makespan kernels — scalar :class:`DiscreteDistribution` operations,
-their batched (rect-mode) :class:`BatchDistribution` counterparts, the
-compiled native kernels, and the pooled fold-plan executor — report op
+the compiled native kernels, and the fold-plan replay — report op
 counts, row counts, scalar-executed rows and per-op wall time here.
 The collector is **off by default** and the hot-path cost of an
 inactive hook is a single module-attribute load and ``None`` check (no
@@ -16,8 +15,8 @@ Usage::
     disable()                # detach
 
 The derived metrics — the native ratio (rows the compiled kernels
-absorbed), the pool-singleton ratio and the pooled wavefront width —
-are what the ``repro sweep --profile`` / ``/status`` surfaces report.
+absorbed), the dispatch count and the mean replay width — are what the
+``repro sweep --profile`` / ``/status`` surfaces report.
 
 The collector is process-local, but no longer parent-only: a
 multiprocess sweep enables a private collector in each worker, ships
@@ -42,13 +41,9 @@ __all__ = [
 
 #: Kernel ops counted one row at a time (the scalar reference kernels).
 SCALAR_OPS = ("convolve", "max", "truncate")
-#: Batched (rect-mode) kernel ops; ``rows`` counts cells.
-BATCH_OPS = ("batch_convolve", "batch_max", "batch_truncate")
-#: Pooled fold-plan executor; ``rows`` counts tape steps, ``scalar_rows``
-#: the steps executed through the scalar kernels (singletons and every
-#: adaptive-mode step).  ``pool_exec`` counts wavefront executions
-#: (``rows`` = cell-plans per execution — the pooled wavefront width).
-POOL_OPS = ("pool_step", "pool_exec")
+#: Fold-plan replay passes; ``rows`` counts the (cell, plan) pairs one
+#: :func:`~repro.makespan.foldplan.execute_plans` pass replays.
+POOL_OPS = ("pool_exec",)
 
 #: Evaluation dispatches (one ``expected_makespans`` call);
 #: ``scalar_rows`` counts the cells priced.
@@ -93,21 +88,13 @@ class KernelProfile:
     # derived views
     # ------------------------------------------------------------------
 
-    def pool_singleton_ratio(self) -> Optional[float]:
-        """Scalar-executed tape steps / total steps in the fold-plan
-        executor (singletons plus every adaptive-mode step)."""
-        entry = self.counters.get("pool_step")
-        if not entry or entry["rows"] == 0:
-            return None
-        return entry["scalar_rows"] / entry["rows"]
-
     def dispatches(self) -> int:
         """Number of evaluation dispatches (``expected_makespans`` calls)."""
         entry = self.counters.get("dispatch")
         return int(entry["calls"]) if entry else 0
 
     def pool_width_mean(self) -> Optional[float]:
-        """Mean cell-plans per pooled wavefront execution.
+        """Mean (cell, plan) pairs per fold-plan replay pass.
 
         The width of the work-list each :func:`~repro.makespan.foldplan.
         execute_plans` pass replays (at most the structure group's cell
@@ -177,7 +164,6 @@ class KernelProfile:
         }
         return {
             "ops": ops,
-            "pool_singleton_ratio": self.pool_singleton_ratio(),
             "dispatches": self.dispatches(),
             "pool_width_mean": self.pool_width_mean(),
             "native_rows": self.native_rows(),
@@ -196,9 +182,6 @@ class KernelProfile:
                 f"{op:<21} {int(e['calls']):>9} {int(e['rows']):>10} "
                 f"{int(e['scalar_rows']):>9} {e['wall_s']:>9.3f}"
             )
-        pooled = self.pool_singleton_ratio()
-        if pooled is not None:
-            lines.append(f"pool singleton ratio:  {pooled:.4f}")
         if self.dispatches():
             lines.append(f"dispatches:            {self.dispatches()}")
         width = self.pool_width_mean()

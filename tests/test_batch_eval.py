@@ -1,12 +1,14 @@
-"""Tests for the batched evaluation core: kernels, templates, parity.
+"""Tests for the batched evaluation core: node laws, templates, parity.
 
-Three layers of the batch contract are pinned here:
+Four layers of the batch contract are pinned here:
 
-* **kernels** — batched (rect-mode) ``DiscreteDistribution``
-  convolution / maximum / truncation equal the scalar loop atom for atom,
-  and batched truncation keeps the binning invariants;
+* **node laws** — :func:`two_state_rows` builds each cell's 2-state law
+  atom for atom like the scalar constructor, degenerate cells included;
+* **binning** — the multi-row rect binning kernel keeps the truncation
+  invariants on every row and equals the scalar truncation;
 * **templates** — :class:`ParamDAG` materialises cells bit-identical to
-  the DAGs it was stacked from;
+  the DAGs it was stacked from, and rejects parameters outside the
+  2-state domain;
 * **evaluators / engine** — batched sweeps produce ``CellResult``
   records bit-identical to the per-cell oracle for every closed-form
   method on real workflow grids (single-cell grids included), while
@@ -22,78 +24,18 @@ from repro.engine import Pipeline, SweepSpec, run_sweep
 from repro.errors import EvaluationError
 from repro.experiments.figures import run_cell
 from repro.makespan.api import expected_makespan, expected_makespans
-from repro.makespan.batch import BatchDistribution, two_state_rows
-from repro.makespan.distribution import MODE_RECT, DiscreteDistribution
+from repro.makespan.distribution import (
+    MODE_RECT,
+    DiscreteDistribution,
+    _rect_bin_rows,
+    two_state_rows,
+)
 from repro.makespan.paramdag import ParamDAG
 from repro.makespan.probdag import ProbDAG
 from repro.util.rng import stable_seed
 
 
-def random_batch(seed: int, n_cells: int, n_atoms: int) -> BatchDistribution:
-    rng = np.random.default_rng(seed)
-    return BatchDistribution.stack(
-        [
-            DiscreteDistribution(
-                rng.uniform(0.0, 100.0, n_atoms),
-                rng.uniform(0.05, 1.0, n_atoms),
-            )
-            for _ in range(n_cells)
-        ]
-    )
-
-
-def assert_rows_equal(batch, scalars):
-    """Atom-for-atom equality of a batch result and a scalar loop."""
-    rows = batch.rows()
-    assert len(rows) == len(scalars)
-    for row, ref in zip(rows, scalars):
-        assert row.values.tolist() == ref.values.tolist()
-        assert row.probs.tolist() == ref.probs.tolist()
-
-
 class TestBatchConstruction:
-    def test_stack_and_rows_roundtrip(self):
-        batch = random_batch(0, 4, 6)
-        assert batch.n_cells == 4 and batch.n_atoms == 6
-        restacked = BatchDistribution.stack(batch.rows())
-        assert restacked.values.tolist() == batch.values.tolist()
-
-    def test_stack_rejects_ragged(self):
-        with pytest.raises(EvaluationError):
-            BatchDistribution.stack(
-                [DiscreteDistribution.point(1.0),
-                 DiscreteDistribution.two_state(1.0, 2.0, 0.5)]
-            )
-
-    def test_constructor_canonicalises_per_row(self):
-        batch = BatchDistribution([[3.0, 1.0], [5.0, 2.0]], [[1.0, 3.0], [1.0, 1.0]])
-        assert_rows_equal(
-            batch,
-            [
-                DiscreteDistribution([3.0, 1.0], [1.0, 3.0]),
-                DiscreteDistribution([5.0, 2.0], [1.0, 1.0]),
-            ],
-        )
-
-    def test_point(self):
-        batch = BatchDistribution.point(7.0, 3)
-        assert_rows_equal(batch, [DiscreteDistribution.point(7.0)] * 3)
-
-    def test_two_state_matches_scalar(self):
-        base = np.array([1.0, 2.0, 3.0])
-        long = np.array([1.5, 3.0, 4.5])
-        p = np.array([0.25, 0.5, 0.9])
-        assert_rows_equal(
-            BatchDistribution.two_state(base, long, p),
-            [DiscreteDistribution.two_state(b, l, q) for b, l, q in zip(base, long, p)],
-        )
-
-    def test_two_state_rejects_degenerate(self):
-        with pytest.raises(EvaluationError):
-            BatchDistribution.two_state(
-                np.array([1.0]), np.array([1.5]), np.array([0.0])
-            )
-
     def test_two_state_rows_handles_degenerate_cells(self):
         base = np.array([1.0, 2.0, 3.0, 4.0])
         long = np.array([1.5, 2.0, 4.5, 6.0])
@@ -104,104 +46,33 @@ class TestBatchConstruction:
             assert row.values.tolist() == ref.values.tolist()
             assert row.probs.tolist() == ref.probs.tolist()
 
-    def test_mean_matches_rows(self):
-        batch = random_batch(1, 5, 9)
-        assert batch.mean().tolist() == [r.mean() for r in batch.rows()]
-
-
-class TestBatchConvolve:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_matches_scalar_loop(self, seed):
-        a = random_batch(seed, 5, 7)
-        b = random_batch(seed + 100, 5, 4)
-        assert_rows_equal(
-            a.convolve(b, 64),
-            [x.convolve(y, 64, MODE_RECT) for x, y in zip(a.rows(), b.rows())],
-        )
-
-    def test_truncating_convolve_matches_scalar(self):
-        a = random_batch(7, 3, 20)
-        b = random_batch(8, 3, 20)
-        assert_rows_equal(
-            a.convolve(b, 16),
-            [x.convolve(y, 16, MODE_RECT) for x, y in zip(a.rows(), b.rows())],
-        )
-
-
-class TestBatchMax:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_scalar_loop(self, seed):
-        a = random_batch(seed, 4, 6)
-        b = random_batch(seed + 50, 4, 8)
-        assert_rows_equal(
-            a.max_with(b, 64),
-            [x.max_with(y, 64, MODE_RECT) for x, y in zip(a.rows(), b.rows())],
-        )
-
-    def test_shared_support_matches_scalar_loop(self):
-        # Overlapping supports put equal values on the max grid.
-        a = BatchDistribution.stack(
-            [
-                DiscreteDistribution([1.0, 2.0, 3.0], [1.0, 1.0, 1.0]),
-                DiscreteDistribution([1.0, 2.0, 4.0], [1.0, 2.0, 1.0]),
-            ]
-        )
-        b = BatchDistribution.stack(
-            [
-                DiscreteDistribution([2.0, 3.0], [1.0, 1.0]),
-                DiscreteDistribution([0.5, 2.0], [1.0, 3.0]),
-            ]
-        )
-        assert_rows_equal(
-            a.max_with(b, 64),
-            [x.max_with(y, 64, MODE_RECT) for x, y in zip(a.rows(), b.rows())],
-        )
-
-    def test_point_masses(self):
-        a = BatchDistribution.point(1.0, 2)
-        b = BatchDistribution.stack(
-            [
-                DiscreteDistribution.two_state(0.0, 2.0, 0.5),
-                DiscreteDistribution.two_state(0.0, 0.5, 0.5),
-            ]
-        )
-        assert_rows_equal(
-            a.max_with(b, 64),
-            [x.max_with(y, 64, MODE_RECT) for x, y in zip(a.rows(), b.rows())],
-        )
-
 
 class TestBatchTruncate:
-    @pytest.mark.parametrize("atoms", [1, 2, 16, 50])
-    def test_matches_scalar_loop(self, atoms):
-        batch = random_batch(11, 6, 80)
-        assert_rows_equal(
-            batch.truncate(atoms),
-            [r.truncate(atoms, MODE_RECT) for r in batch.rows()],
-        )
-
-    def test_invalid_budget(self):
-        with pytest.raises(EvaluationError):
-            random_batch(13, 2, 4).truncate(0)
-
     @given(st.integers(0, 10_000), st.integers(2, 48))
     @settings(max_examples=25, deadline=None)
     def test_moment_preserving_binning_invariants(self, seed, atoms):
-        """The rect truncation invariants, per batched row: exactly
-        ``atoms`` points come out, the mean is preserved (conditional
-        bin means), and no mass moves by more than one bin width."""
+        """The rect truncation invariants, per row of a multi-row call to
+        the binning kernel: exactly ``atoms`` points come out, the mean
+        is preserved (conditional bin means), no mass moves by more than
+        one bin width, and each row equals the scalar truncation."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(atoms + 1, 200))
-        batch = BatchDistribution.stack(
-            [
-                DiscreteDistribution(
-                    rng.uniform(0, 1000, n), rng.uniform(1e-6, 1.0, n)
-                )
-                for _ in range(3)
-            ]
+        originals = [
+            DiscreteDistribution(
+                rng.uniform(0, 1000, n), rng.uniform(1e-6, 1.0, n)
+            )
+            for _ in range(3)
+        ]
+        values, probs = _rect_bin_rows(
+            np.stack([d.values for d in originals]),
+            np.stack([d.probs for d in originals]),
+            atoms,
         )
-        rows = batch.truncate(atoms).rows()
-        for original, truncated in zip(batch.rows(), rows):
+        for original, v, p in zip(originals, values, probs):
+            truncated = DiscreteDistribution._wrap(v, p)
+            scalar = original.truncate(atoms, MODE_RECT)
+            assert truncated.values.tolist() == scalar.values.tolist()
+            assert truncated.probs.tolist() == scalar.probs.tolist()
             assert truncated.n_atoms == atoms
             assert truncated.mean() == pytest.approx(original.mean(), rel=1e-9)
             width = (original.values[-1] - original.values[0]) / atoms
@@ -264,6 +135,35 @@ class TestParamDAG:
     def test_from_dags_needs_cells(self):
         with pytest.raises(EvaluationError):
             ParamDAG.from_dags([])
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("p", 1.5, r"p=1.5 outside \[0, 1\]"),
+            ("p", -0.5, r"p=-0.5 outside \[0, 1\]"),
+            ("p", float("nan"), r"p=nan outside \[0, 1\]"),
+            ("base", -1.0, r"need 0 <= base <= long, got \(-1.0, 3.0\)"),
+            ("long", 1.0, r"need 0 <= base <= long, got \(2.0, 1.0\)"),
+        ],
+        ids=["p-above-1", "p-negative", "p-nan", "base-negative", "long-below-base"],
+    )
+    def test_out_of_domain_parameters_rejected(self, field, value, message):
+        """Every constructor checks the domain ProbDAG.add enforces, so
+        the batch path can never price a cell the per-cell path
+        refuses (a diamond whose cell 1 has one bad node 'b')."""
+        dag = ProbDAG()
+        dag.add("a", 1.0, 1.5, 0.1)
+        dag.add("b", 2.0, 3.0, 0.2, preds=["a"])
+        dag.add("c", 1.0, 1.5, 0.3, preds=["a"])
+        dag.add("d", 1.0, 1.5, 0.1, preds=["b", "c"])
+        arrays = {
+            "base": np.tile(dag.base, (2, 1)),
+            "long": np.tile(dag.long, (2, 1)),
+            "p": np.tile(dag.p, (2, 1)),
+        }
+        arrays[field][1, 1] = value
+        with pytest.raises(EvaluationError, match=rf"cell 1, node 'b': {message}"):
+            ParamDAG.from_template(dag, **arrays)
 
 
 def group_dags(family: str, processors: int, pfails, ccrs, method_dag="all"):

@@ -7,7 +7,9 @@ Four contracts are pinned here:
   arrays the pure-python numpy reference produces, across ragged
   sizes, duplicate supports, infinite atoms, zero-mass pads and
   degenerate pfail=0 cells; inputs the compiled kernel declines fall
-  back to the reference (including its error behaviour).
+  back to the reference (including its error behaviour).  A hypothesis
+  differential fuzz drives the same edge cases through every primitive
+  at operand widths around ``max_atoms``.
 * **golden records** — six baseline family grids sweep to records
   byte-identical to PR 9 HEAD (values pinned as hex float literals),
   with the native kernels on and off.
@@ -27,6 +29,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.engine import SweepSpec, run_sweep
@@ -177,20 +181,6 @@ class TestBitIdentity:
         assert_dist_equal(got, ref)
 
     @needs_native
-    def test_pooled_convolve_matches_scalar(self):
-        """One pooled C call per uniform group equals per-pair results."""
-        rng = np.random.default_rng(11)
-        pairs = [
-            (random_dist(rng, 24), random_dist(rng, 17)) for _ in range(9)
-        ]
-        native.set_enabled(True)
-        outs = native.convolve_dists_many(pairs, 32)
-        assert outs is not None and all(o is not None for o in outs)
-        native.set_enabled(False)
-        for (a, b), out in zip(pairs, outs):
-            assert_dist_equal(out, a.convolve(b, 32, MODE_ADAPTIVE))
-
-    @needs_native
     def test_native_actually_served(self):
         """With a compiler present the adaptive ops really go native."""
         rng = np.random.default_rng(3)
@@ -207,6 +197,105 @@ class TestBitIdentity:
         assert snap["native_rows"] >= 2
         assert snap["native_miss_rows"] == 0
         assert snap["native_ratio"] == 1.0
+
+
+#: Finite atom values: a small integer pool (duplicate supports,
+#: exactly tied sums) and arbitrary reals.
+FUZZ_VALUES = st.one_of(
+    st.integers(-4, 4).map(float),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+#: Atom masses: zero-mass atoms mixed with positive ones.
+FUZZ_MASSES = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+
+
+@st.composite
+def fuzz_case(draw):
+    """``(a, b, max_atoms)``: operands whose widths sit at and around
+    ``max_atoms`` (width 1 is a point mass; twice the budget forces the
+    truncation branch even after duplicate atoms merge)."""
+    max_atoms = draw(st.integers(1, 24))
+    widths = st.sampled_from(
+        sorted(
+            {1, 2, max(1, max_atoms - 1), max_atoms, max_atoms + 1,
+             2 * max_atoms + 1}
+        )
+    )
+
+    def dist():
+        n = draw(widths)
+        values = draw(st.lists(FUZZ_VALUES, min_size=n, max_size=n))
+        if draw(st.integers(0, 3)) == 0:  # a quarter carry a ±inf atom
+            values[draw(st.integers(0, n - 1))] = draw(
+                st.sampled_from([np.inf, -np.inf])
+            )
+        masses = draw(st.lists(FUZZ_MASSES, min_size=n, max_size=n))
+        masses[0] = masses[0] or 1.0  # some atom must carry mass
+        return DiscreteDistribution(values, masses)
+
+    return dist(), dist(), max_atoms
+
+
+def assert_same_outcome(got, ref):
+    """Both paths raised (``both_backends`` compared the errors) or both
+    returned the same atoms."""
+    if ref is None:
+        assert got is None
+        return
+    assert_dist_equal(got, ref)
+
+
+@needs_native
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # reference on ±inf
+class TestNativeDifferentialFuzz:
+    """Every native primitive against the python oracle on drawn inputs:
+    duplicate supports, ±inf atoms, zero-mass atoms, point masses and
+    widths near ``max_atoms``.  The compiled path must reproduce the
+    reference exactly or decline (then the reference raises its own
+    error on both sides)."""
+
+    @given(fuzz_case())
+    @settings(max_examples=150, deadline=None)
+    def test_convolve(self, case):
+        a, b, max_atoms = case
+        assert_same_outcome(
+            *both_backends(lambda: a.convolve(b, max_atoms, MODE_ADAPTIVE))
+        )
+
+    @given(fuzz_case())
+    @settings(max_examples=150, deadline=None)
+    def test_max_with(self, case):
+        a, b, max_atoms = case
+        assert_same_outcome(
+            *both_backends(lambda: a.max_with(b, max_atoms, MODE_ADAPTIVE))
+        )
+
+    @given(fuzz_case())
+    @settings(max_examples=150, deadline=None)
+    def test_truncate(self, case):
+        a, _b, max_atoms = case
+        assert_same_outcome(
+            *both_backends(lambda: a.truncate(max_atoms, MODE_ADAPTIVE))
+        )
+
+    @given(fuzz_case())
+    @settings(max_examples=100, deadline=None)
+    def test_rect_binning(self, case):
+        """Rect convolve, max and truncate all bin through the native
+        row kernel; padded rect rows add zero-mass duplicate atoms."""
+        a, b, max_atoms = case
+
+        def padded():
+            return a.truncate(max_atoms + 2, MODE_RECT)
+
+        for op in (
+            lambda: a.convolve(b, max_atoms, MODE_RECT),
+            lambda: a.max_with(b, max_atoms, MODE_RECT),
+            lambda: a.truncate(max_atoms, MODE_RECT),
+            lambda: padded().convolve(b, max_atoms, MODE_RECT),
+            lambda: padded().max_with(b, max_atoms, MODE_RECT),
+        ):
+            assert_same_outcome(*both_backends(op))
 
 
 #: Six baseline grids, golden em_some/em_all/em_none pinned from PR 9
