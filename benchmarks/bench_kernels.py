@@ -3,14 +3,13 @@
 Times the PATHAPPROX fold as the per-cell scalar reference against the
 compiled fold-plan replay
 (:func:`~repro.makespan.pathapprox.pathapprox_batch`) on a real MONTAGE
-structure group, in both truncation modes, and each distribution
-primitive (convolve / max / truncate / rect binning) as a per-row loop
-with the compiled kernels (:mod:`repro.makespan.native`) enabled and
-disabled.  All comparisons assert bit-identical results before any
-timing is reported.
+structure group, and each distribution primitive (convolve / max /
+truncate) as a per-row loop with the compiled kernels
+(:mod:`repro.makespan.native`) enabled and disabled.  All comparisons
+assert bit-identical results before any timing is reported.
 
-One profiled replay pass per mode collects the kernel counters into
-the ``profile_ops`` block.  The machine-readable summary lands in
+One profiled replay pass collects the kernel counters into the
+``profile_ops`` block.  The machine-readable summary lands in
 ``BENCH_kernel.json`` at the repo root;
 ``REPRO_BENCH_SMOKE=1`` shrinks sizes for the CI bench-smoke job.
 Run directly::
@@ -28,11 +27,7 @@ import numpy as np
 
 from repro.engine import Pipeline
 from repro.makespan import profile as kernel_profile
-from repro.makespan.distribution import (
-    MODE_ADAPTIVE,
-    MODE_RECT,
-    DiscreteDistribution,
-)
+from repro.makespan.distribution import DiscreteDistribution
 from repro.makespan.paramdag import ParamDAG
 from repro.makespan.pathapprox import pathapprox, pathapprox_batch
 from repro.util.rng import stable_seed
@@ -110,32 +105,27 @@ def fold_template() -> ParamDAG:
 
 
 def bench_fold(template: ParamDAG) -> Dict[str, Dict[str, float]]:
-    """Per-cell scalar fold vs compiled plan replay, both modes."""
-    out: Dict[str, Dict[str, float]] = {}
-    for mode in (MODE_ADAPTIVE, MODE_RECT):
-        t0 = time.perf_counter()
-        scalar = np.array(
-            [
-                pathapprox(template.cell(c), truncate_mode=mode)
-                for c in range(template.n_cells)
-            ]
-        )
-        scalar_wall = time.perf_counter() - t0
-        # min over repeats: the first replay also pays plan compilation,
-        # later ones replay cached plans (the steady-state sweep cost).
-        plan_wall, replayed = _best(
-            lambda: pathapprox_batch(template, truncate_mode=mode),
-            2 if SMOKE else 3,
-        )
-        assert np.array_equal(scalar, replayed), f"fold/{mode}"
-        out[mode] = {
+    """Per-cell scalar fold vs compiled plan replay."""
+    t0 = time.perf_counter()
+    scalar = np.array(
+        [pathapprox(template.cell(c)) for c in range(template.n_cells)]
+    )
+    scalar_wall = time.perf_counter() - t0
+    # min over repeats: the first replay also pays plan compilation,
+    # later ones replay cached plans (the steady-state sweep cost).
+    plan_wall, replayed = _best(
+        lambda: pathapprox_batch(template), 2 if SMOKE else 3
+    )
+    assert np.array_equal(scalar, replayed), "fold"
+    return {
+        "adaptive": {
             "cells": template.n_cells,
             "scalar_wall_s": scalar_wall,
             "plan_wall_s": plan_wall,
             "speedup": scalar_wall / plan_wall,
             "cells_per_s": template.n_cells / plan_wall,
         }
-    return out
+    }
 
 
 def bench_native() -> Dict[str, object]:
@@ -153,15 +143,10 @@ def bench_native() -> Dict[str, object]:
     b_rows = random_rows(2, N_CELLS, N_ATOMS)
     ops: Dict[str, Callable[[], List[DiscreteDistribution]]] = {
         "convolve": lambda: [
-            x.convolve(y, BUDGET, MODE_ADAPTIVE)
-            for x, y in zip(a_rows, b_rows)
+            x.convolve(y, BUDGET) for x, y in zip(a_rows, b_rows)
         ],
-        "max": lambda: [
-            x.max_with(y, BUDGET, MODE_ADAPTIVE)
-            for x, y in zip(a_rows, b_rows)
-        ],
-        "truncate": lambda: [x.truncate(BUDGET, MODE_ADAPTIVE) for x in a_rows],
-        "rect_bin": lambda: [x.truncate(BUDGET, MODE_RECT) for x in a_rows],
+        "max": lambda: [x.max_with(y, BUDGET) for x, y in zip(a_rows, b_rows)],
+        "truncate": lambda: [x.truncate(BUDGET) for x in a_rows],
     }
     was_enabled = native.enabled()
     status = native.status()
@@ -189,11 +174,10 @@ def bench_native() -> Dict[str, object]:
 
 
 def profiled_replay(template: ParamDAG) -> Dict[str, object]:
-    """One profiled plan-replay pass per mode: the kernel counters."""
+    """One profiled plan-replay pass: the kernel counters."""
     prof = kernel_profile.enable()
     try:
-        for mode in (MODE_ADAPTIVE, MODE_RECT):
-            pathapprox_batch(template, truncate_mode=mode)
+        pathapprox_batch(template)
         snap = prof.snapshot()
     finally:
         kernel_profile.disable()

@@ -30,7 +30,6 @@ Sub-commands::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -376,19 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sw.add_argument(
-        "--truncate-mode",
-        choices=["adaptive", "rect"],
-        default=None,
-        help=(
-            "kernel truncation mode for pathapprox: 'adaptive' "
-            "(default, the bit-exact reference) or 'rect' (fixed-width "
-            "binning: an over-budget support is binned to exactly "
-            "max_atoms equal-width bins).  "
-            "Rect records are a different numerical approximation and "
-            "are fingerprinted separately"
-        ),
-    )
-    sw.add_argument(
         "--out",
         type=Path,
         default=None,
@@ -597,8 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Report the compiled-kernel layer's status: whether the "
             "native shared object is built and loaded, which switch "
             "disabled it (flag, REPRO_NATIVE, build failure), and the "
-            "backend serving each primitive (convolve / max / truncate "
-            "/ rect_bin).  Every op always has a backend — the pure-"
+            "backend serving each primitive (convolve / max / "
+            "truncate).  Every op always has a backend — the pure-"
             "python numpy path is the bit-exact reference and the "
             "fallback."
         ),
@@ -854,17 +840,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ExperimentError as exc:
         print(f"invalid sweep grid: {exc}", file=sys.stderr)
         return 2
-    if args.truncate_mode is not None:
-        if args.method != "pathapprox":
-            print(
-                "--truncate-mode applies to the pathapprox method only "
-                f"(got --method {args.method})",
-                file=sys.stderr,
-            )
-            return 2
-        spec = dataclasses.replace(
-            spec, evaluator_options=(("truncate_mode", args.truncate_mode),)
-        )
     progress = None if args.quiet else (lambda msg: print("  " + msg))
     backend = args.backend
     owned_backend = None

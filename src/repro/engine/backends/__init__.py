@@ -39,6 +39,7 @@ from repro.engine.backends.remote import (
     WorkServer,
     attach_worker,
     queue_routes,
+    read_json_body,
 )
 from repro.engine.backends.subproc import SubprocessBackend
 from repro.engine.backends.worker import WorkerLoop, WorkerServer
@@ -61,6 +62,7 @@ __all__ = [
     "attach_worker",
     "get_backend",
     "queue_routes",
+    "read_json_body",
     "run_tasks",
 ]
 

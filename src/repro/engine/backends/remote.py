@@ -53,13 +53,14 @@ from repro.engine.backends.base import (
     decode_result,
     encode_task,
 )
-from repro.errors import BackendError
+from repro.errors import BackendError, ServiceError
 
 __all__ = [
     "WorkQueue",
     "WorkServer",
     "RemoteWorkerBackend",
     "queue_routes",
+    "read_json_body",
     "attach_worker",
 ]
 
@@ -297,7 +298,38 @@ class WorkQueue:
 
 
 # ----------------------------------------------------------------------
-# HTTP plumbing shared by WorkServer and the evaluation service.
+# HTTP plumbing shared by WorkServer, the attachable worker and the
+# evaluation service.
+
+
+def read_json_body(handler: BaseHTTPRequestHandler) -> Dict[str, Any]:
+    """The request's JSON object body, framed by ``Content-Length``.
+
+    A missing header or an empty body reads as ``{}``.  Raises
+    :class:`~repro.errors.ServiceError` for a length that is not a
+    non-negative integer (and marks the connection for closing: the
+    body's framing is unknown, so nothing after the headers can be
+    trusted), for a body that is not JSON, and for JSON that is not an
+    object.  Every handler answers the error with a 400.
+    """
+    header = handler.headers.get("Content-Length")
+    try:
+        length = int(header or 0)
+    except ValueError:
+        length = -1
+    if length < 0:
+        handler.close_connection = True
+        raise ServiceError(f"invalid Content-Length header {header!r}")
+    raw = handler.rfile.read(length) if length else b""
+    if not raw:
+        return {}
+    try:
+        payload = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ServiceError(f"request body is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ServiceError("request body must be a JSON object")
+    return payload
 
 
 def queue_routes(
@@ -388,13 +420,8 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
         if route is None:
             self._reply(404, {"error": f"unknown path {self.path!r}"})
             return
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
         try:
-            payload = json.loads(raw.decode("utf-8")) if raw else {}
-            if not isinstance(payload, dict):
-                raise ValueError("body must be a JSON object")
-            self._reply(200, route(payload))
+            self._reply(200, route(read_json_body(self)))
         except Exception as exc:  # noqa: BLE001 — report, don't die
             self._reply(400, {"error": str(exc)})
 

@@ -39,6 +39,7 @@ from repro.engine.backends.base import (
     encode_result,
     run_encoded_task,
 )
+from repro.engine.backends.remote import read_json_body
 from repro.errors import BackendError
 
 __all__ = ["WorkerLoop", "WorkerServer", "default_worker_id"]
@@ -203,11 +204,8 @@ class _WorkerHandler(BaseHTTPRequestHandler):
         if self.path.rstrip("/") != "/attach":
             self._reply(404, {"error": f"unknown path {self.path!r}"})
             return
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
         try:
-            payload = json.loads(raw.decode("utf-8")) if raw else {}
-            coordinator = str(payload["coordinator"])
+            coordinator = str(read_json_body(self)["coordinator"])
         except Exception as exc:  # noqa: BLE001 — malformed attach
             self._reply(
                 400, {"error": f"attach payload needs 'coordinator': {exc}"}

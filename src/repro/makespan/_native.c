@@ -133,10 +133,10 @@ static long long canonicalize(double *v, double *p, long long n,
 
 /* Reduce a canonical, normalised support of n > max_atoms points to at
  * most max_atoms equal-probability bins, each replaced by its
- * conditional mean.  Mirrors DiscreteDistribution._truncate (adaptive
- * branch) exactly, including the monotone-bins accumulate, the
- * sequential scatter, and the strictly-increasing guard that routes
- * floating-point ties through the canonicalising constructor. */
+ * conditional mean.  Mirrors DiscreteDistribution._truncate exactly,
+ * including the monotone-bins accumulate, the sequential scatter, and
+ * the strictly-increasing guard that routes floating-point ties through
+ * the canonicalising constructor. */
 static long long truncate_adaptive_core(const double *v, const double *p,
                                         long long n, long long max_atoms,
                                         double *ov, double *op)
@@ -536,73 +536,6 @@ long long repro_max_with_adaptive(const double *av, const double *ap,
     }
     free(cum_a);
     return status;
-}
-
-/* ------------------------------------------------------------------ */
-/* rectangular binning                                                 */
-/* ------------------------------------------------------------------ */
-
-/* Fixed-width binning of c sorted, normalised rows of n atoms each to
- * exactly max_atoms atoms per row — the shared kernel behind the rect
- * truncation mode.  Mirrors _rect_bin_rows: cast-then-clamp bin
- * indices, row-major sequential scatter (the flattened-bincount
- * order), conditional means for massy bins, centres for empty ones,
- * per-row pairwise totals.  Outputs are (c, max_atoms) row-major. */
-long long repro_rect_bin_rows(const double *values, const double *probs,
-                              long long c, long long n,
-                              long long max_atoms,
-                              double *out_v, double *out_p)
-{
-    long long r, a, b;
-    double *masses, *weighted;
-
-    if (c <= 0 || n <= 0 || max_atoms < 1)
-        return FALLBACK;
-    masses = (double *)malloc((size_t)(2 * max_atoms) * sizeof(double));
-    if (masses == NULL)
-        return FALLBACK;
-    weighted = masses + max_atoms;
-
-    for (r = 0; r < c; r++) {
-        const double *V = values + r * n;
-        const double *P = probs + r * n;
-        double lo = V[0];
-        double span = V[n - 1] - lo;
-        double safe_span = (span > 0.0) ? span : 1.0;
-        double width = span / (double)max_atoms;
-        double total;
-
-        memset(masses, 0, (size_t)(2 * max_atoms) * sizeof(double));
-        for (a = 0; a < n; a++) {
-            double sc = (V[a] - lo) / safe_span * (double)max_atoms;
-            long long bi;
-            if (!isfinite(sc)) {
-                free(masses);
-                return FALLBACK; /* astype(int) of non-finite */
-            }
-            bi = (long long)sc; /* truncate toward zero, like astype */
-            if (bi > max_atoms - 1)
-                bi = max_atoms - 1;
-            if (bi < 0) {
-                free(masses);
-                return FALLBACK; /* np.bincount raises on negatives */
-            }
-            masses[bi] += P[a];
-            weighted[bi] += P[a] * V[a];
-        }
-        total = pairwise_sum(masses, (ptrdiff_t)max_atoms);
-        for (b = 0; b < max_atoms; b++) {
-            double val;
-            if (masses[b] > 0.0)
-                val = weighted[b] / masses[b];
-            else
-                val = lo + ((double)b + 0.5) * width;
-            out_v[r * max_atoms + b] = val;
-            out_p[r * max_atoms + b] = masses[b] / total;
-        }
-    }
-    free(masses);
-    return 0;
 }
 
 /* ABI version stamp so the loader can reject stale cached objects. */

@@ -102,8 +102,6 @@ EVALUATORS.register(
             "max_atoms": "support budget per discrete distribution",
             "factor_common": "factor tasks shared by whole path groups",
             "rtol": "relative tolerance of the adaptive schedule",
-            "truncate_mode": "kernel truncation: 'adaptive' (reference) "
-            "or 'rect' (fixed-width binning)",
         },
     )
 )

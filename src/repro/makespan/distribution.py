@@ -4,23 +4,10 @@ Dodin's method and the path-based approximation manipulate distributions
 of sums and maxima of independent 2-state variables.  Exact supports grow
 exponentially under convolution, so :class:`DiscreteDistribution` keeps at
 most ``max_atoms`` support points, merging excess atoms by cumulative-
-probability binning.  Binning preserves the mean *exactly* (each bin's
-value is its conditional mean) and distorts the CDF by at most one bin of
-probability mass — the property tests pin both facts down.
-
-Two truncation modes are supported:
-
-* ``"adaptive"`` (default, the bit-exactness reference): equal
-  *probability* bins whose edges depend on the data — accurate, but the
-  resulting atom counts are data-dependent, so this mode runs through
-  the scalar (and native) kernels only;
-* ``"rect"`` (rectangular, opt-in): equal *value-width* bins over the
-  support range, always producing exactly ``max_atoms`` atoms from an
-  over-budget support (and padding an under-budget one with zero-mass
-  atoms on explicit :meth:`truncate` calls).  Deterministic bin edges,
-  exact mean preservation, variance reduced by at most ``width²/4``;
-  rows may carry zero-mass duplicate atoms (tolerated everywhere, the
-  equal-value merge is skipped by design so widths stay shape-stable).
+probability binning: equal *probability* bins whose edges depend on the
+data, each replaced by its conditional mean.  Binning preserves the mean
+*exactly* and distorts the CDF by at most one bin of probability mass —
+the property tests pin both facts down.
 
 Kernel calls report to :mod:`repro.makespan.profile` when a collector is
 active; the inactive hook is a single attribute load.
@@ -29,7 +16,7 @@ active; the inactive hook is a single attribute load.
 from __future__ import annotations
 
 import time
-from typing import Iterable, List, Tuple
+from typing import Iterable, List
 
 import numpy as np
 
@@ -40,82 +27,10 @@ from repro.makespan import profile as _profile
 __all__ = [
     "DiscreteDistribution",
     "DEFAULT_MAX_ATOMS",
-    "MODE_ADAPTIVE",
-    "MODE_RECT",
-    "TRUNCATE_MODES",
     "two_state_rows",
 ]
 
 DEFAULT_MAX_ATOMS = 512
-
-#: Data-dependent equal-probability binning (the reference semantics).
-MODE_ADAPTIVE = "adaptive"
-#: Fixed-width value binning with shape-stable atom counts.
-MODE_RECT = "rect"
-TRUNCATE_MODES = (MODE_ADAPTIVE, MODE_RECT)
-
-
-def check_mode(mode: str) -> None:
-    """Reject unknown truncation modes with a uniform error."""
-    if mode not in TRUNCATE_MODES:
-        raise EvaluationError(
-            f"unknown truncate mode {mode!r}; choose from {TRUNCATE_MODES}"
-        )
-
-
-def _rect_bin_rows(
-    values: np.ndarray, probs: np.ndarray, max_atoms: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Fixed-width binning of sorted, normalised rows to ``max_atoms``.
-
-    The single rectangular kernel behind every rect-mode op (the scalar
-    kernels feed one-row views).  Dispatches to the compiled kernel
-    when :mod:`repro.makespan.native` is enabled; the numpy body below
-    is the bit-exactness reference and the fallback.
-    """
-    out = _native.rect_bin_rows(values, probs, max_atoms)
-    if out is not None:
-        return out
-    return _rect_bin_rows_py(values, probs, max_atoms)
-
-
-def _rect_bin_rows_py(
-    values: np.ndarray, probs: np.ndarray, max_atoms: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Pure-numpy rectangular binning (the reference implementation).
-
-    Bin edges are deterministic functions of each row's support range:
-    ``max_atoms`` equal-width bins spanning ``[values[0], values[-1]]``.
-    Massy bins take their conditional mean (so the mean is preserved
-    exactly up to summation rounding); empty bins take their centre with
-    zero mass — every output row has exactly ``max_atoms`` atoms.
-    """
-    c = values.shape[0]
-    lo = values[:, 0]
-    span = values[:, -1] - lo
-    # A zero span (all atoms equal) degenerates to a point mass in bin 0.
-    safe_span = np.where(span > 0.0, span, 1.0)
-    scaled = (values - lo[:, None]) / safe_span[:, None] * max_atoms
-    bins = np.minimum(scaled.astype(int), max_atoms - 1)
-    # Scatter-add via flattened bincount (much faster than np.add.at);
-    # row-major traversal accumulates each bin in left-to-right atom
-    # order, the order the compiled kernel reproduces.
-    flat = (bins + np.arange(c)[:, None] * max_atoms).ravel()
-    size = c * max_atoms
-    masses = np.bincount(flat, weights=probs.ravel(), minlength=size).reshape(
-        c, max_atoms
-    )
-    weighted = np.bincount(
-        flat, weights=(probs * values).ravel(), minlength=size
-    ).reshape(c, max_atoms)
-    width = span / max_atoms
-    centers = lo[:, None] + (np.arange(max_atoms) + 0.5) * width[:, None]
-    has_mass = masses > 0
-    out_values = np.where(
-        has_mass, weighted / np.where(has_mass, masses, 1.0), centers
-    )
-    totals = masses.sum(axis=1)
-    return out_values, masses / totals[:, None]
 
 
 class DiscreteDistribution:
@@ -190,12 +105,10 @@ class DiscreteDistribution:
         values merged, probabilities normalised) without re-validating.
 
         Internal fast path for code that produces canonical arrays by
-        construction — the native kernel wrappers, the rect kernels and
-        :func:`two_state_rows`; going through ``__init__`` would re-run
-        the sort/merge/normalise pipeline and must yield the identical
-        arrays.
-        Rectangular-mode rows relax "merged" to "sorted": they may carry
-        zero-mass duplicate atoms, which every consumer tolerates.
+        construction — the native kernel wrappers, the python max and
+        truncate kernels and :func:`two_state_rows`; going through ``__init__`` would
+        re-run the sort/merge/normalise pipeline and must yield the
+        identical arrays.
         """
         dist = cls.__new__(cls)
         dist.values = values
@@ -257,76 +170,50 @@ class DiscreteDistribution:
         return DiscreteDistribution(self.values + offset, self.probs, _sorted=True)
 
     def convolve(
-        self,
-        other: "DiscreteDistribution",
-        max_atoms: int = DEFAULT_MAX_ATOMS,
-        mode: str = MODE_ADAPTIVE,
+        self, other: "DiscreteDistribution", max_atoms: int = DEFAULT_MAX_ATOMS
     ) -> "DiscreteDistribution":
         """Distribution of ``X + Y`` for independent ``X``, ``Y``."""
         prof = _profile.ACTIVE
         if prof is None:
-            return self._convolve(other, max_atoms, mode)
+            return self._convolve(other, max_atoms)
         t0 = time.perf_counter()
-        out = self._convolve(other, max_atoms, mode)
+        out = self._convolve(other, max_atoms)
         prof.record("convolve", 1, 1, time.perf_counter() - t0)
         return out
 
     def _convolve(
-        self, other: "DiscreteDistribution", max_atoms: int, mode: str
+        self, other: "DiscreteDistribution", max_atoms: int
     ) -> "DiscreteDistribution":
-        if mode == MODE_ADAPTIVE:
-            native_out = _native.convolve_dists(self, other, max_atoms)
-            if native_out is not None:
-                return native_out
+        native_out = _native.convolve_dists(self, other, max_atoms)
+        if native_out is not None:
+            return native_out
         v = np.add.outer(self.values, other.values).ravel()
         p = np.multiply.outer(self.probs, other.probs).ravel()
-        if mode == MODE_ADAPTIVE:
-            return DiscreteDistribution(v, p)._truncate(max_atoms, mode)
-        check_mode(mode)
-        order = np.argsort(v, kind="stable")
-        v = v[order]
-        p = p[order]
-        total = float(p.sum())
-        if not np.isfinite(total) or total <= 0:
-            raise EvaluationError(f"probabilities sum to {total}")
-        p = p / total
-        if v.size <= max_atoms:
-            return DiscreteDistribution._wrap(v, p)
-        values, probs = _rect_bin_rows(v[None, :], p[None, :], max_atoms)
-        return DiscreteDistribution._wrap(values[0], probs[0])
+        return DiscreteDistribution(v, p)._truncate(max_atoms)
 
     def max_with(
-        self,
-        other: "DiscreteDistribution",
-        max_atoms: int = DEFAULT_MAX_ATOMS,
-        mode: str = MODE_ADAPTIVE,
+        self, other: "DiscreteDistribution", max_atoms: int = DEFAULT_MAX_ATOMS
     ) -> "DiscreteDistribution":
         """Distribution of ``max(X, Y)`` for independent ``X``, ``Y``.
 
         The CDF of the max is the product of the CDFs on the union of the
-        supports (rectangular mode keeps the *concatenated* supports —
-        duplicates carry zero incremental mass — so the output width is
-        a shape-stable function of the input widths).
+        supports.
         """
         prof = _profile.ACTIVE
         if prof is None:
-            return self._max_with(other, max_atoms, mode)
+            return self._max_with(other, max_atoms)
         t0 = time.perf_counter()
-        out = self._max_with(other, max_atoms, mode)
+        out = self._max_with(other, max_atoms)
         prof.record("max", 1, 1, time.perf_counter() - t0)
         return out
 
     def _max_with(
-        self, other: "DiscreteDistribution", max_atoms: int, mode: str
+        self, other: "DiscreteDistribution", max_atoms: int
     ) -> "DiscreteDistribution":
-        if mode == MODE_ADAPTIVE:
-            native_out = _native.max_dists(self, other, max_atoms)
-            if native_out is not None:
-                return native_out
-            grid = np.union1d(self.values, other.values)
-        else:
-            check_mode(mode)
-            grid = np.sort(np.concatenate([self.values, other.values]))
+        native_out = _native.max_dists(self, other, max_atoms)
+        if native_out is not None:
+            return native_out
+        grid = np.union1d(self.values, other.values)
         idx1 = np.searchsorted(self.values, grid, "right")
         f1 = np.cumsum(self.probs)[idx1 - 1]
         # searchsorted-1 is -1 for grid points below the support minimum;
@@ -339,17 +226,6 @@ class DiscreteDistribution:
         probs = np.empty_like(f)
         probs[0] = f[0]
         probs[1:] = f[1:] - f[:-1]
-        if mode == MODE_RECT:
-            total = float(probs.sum())
-            if not np.isfinite(total) or total <= 0:
-                raise EvaluationError(f"probabilities sum to {total}")
-            probs = probs / total
-            if grid.size <= max_atoms:
-                return DiscreteDistribution._wrap(grid, probs)
-            values, probs = _rect_bin_rows(
-                grid[None, :], probs[None, :], max_atoms
-            )
-            return DiscreteDistribution._wrap(values[0], probs[0])
         keep = probs > 0
         if not np.any(keep):  # numerically degenerate; keep the top atom
             keep[-1] = True
@@ -362,34 +238,26 @@ class DiscreteDistribution:
         total = float(p.sum())
         if not np.isfinite(total) or total <= 0:
             raise EvaluationError(f"probabilities sum to {total}")
-        return DiscreteDistribution._wrap(v, p / total)._truncate(max_atoms, mode)
+        return DiscreteDistribution._wrap(v, p / total)._truncate(max_atoms)
 
-    def truncate(
-        self, max_atoms: int = DEFAULT_MAX_ATOMS, mode: str = MODE_ADAPTIVE
-    ) -> "DiscreteDistribution":
+    def truncate(self, max_atoms: int = DEFAULT_MAX_ATOMS) -> "DiscreteDistribution":
         """Reduce the support to ``max_atoms`` points, preserving the mean.
 
-        ``"adaptive"`` (default) groups atoms into equal-probability
-        bins, each replaced by its conditional mean; at most
-        ``max_atoms`` data-dependent atoms come out.  ``"rect"`` bins by
-        equal value width and always returns **exactly** ``max_atoms``
-        atoms — an under-budget support is padded with zero-mass copies
-        of its top atom, which makes the call idempotent at fixed width.
+        Atoms are grouped into equal-probability bins, each replaced by
+        its conditional mean; at most ``max_atoms`` data-dependent atoms
+        come out.
         """
         prof = _profile.ACTIVE
         if prof is None:
-            return self._truncate(max_atoms, mode)
+            return self._truncate(max_atoms)
         t0 = time.perf_counter()
-        out = self._truncate(max_atoms, mode)
+        out = self._truncate(max_atoms)
         prof.record("truncate", 1, 1, time.perf_counter() - t0)
         return out
 
-    def _truncate(self, max_atoms: int, mode: str) -> "DiscreteDistribution":
+    def _truncate(self, max_atoms: int) -> "DiscreteDistribution":
         if max_atoms < 1:
             raise EvaluationError(f"max_atoms must be >= 1, got {max_atoms}")
-        if mode != MODE_ADAPTIVE:
-            check_mode(mode)
-            return self._truncate_rect(max_atoms)
         if self.n_atoms <= max_atoms:
             return self
         native_out = _native.truncate_dist(self, max_atoms)
@@ -423,21 +291,6 @@ class DiscreteDistribution:
             return DiscreteDistribution(v, p)
         total = float(p.sum())
         return DiscreteDistribution._wrap(v, p / total)
-
-    def _truncate_rect(self, max_atoms: int) -> "DiscreteDistribution":
-        n = self.n_atoms
-        if n == max_atoms:
-            return self
-        if n < max_atoms:
-            pad = max_atoms - n
-            return DiscreteDistribution._wrap(
-                np.concatenate([self.values, np.full(pad, self.values[-1])]),
-                np.concatenate([self.probs, np.zeros(pad)]),
-            )
-        values, probs = _rect_bin_rows(
-            self.values[None, :], self.probs[None, :], max_atoms
-        )
-        return DiscreteDistribution._wrap(values[0], probs[0])
 
     def __repr__(self) -> str:
         return (

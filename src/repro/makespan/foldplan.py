@@ -36,11 +36,6 @@ recursion's result depends only on that set).  Each step's operands are
 therefore bit-identical to the scalar path's, and the replay runs the
 scalar kernels themselves, so the replayed estimates equal the scalar
 reference bit for bit — pinned by the evaluator parity tests.
-
-The Clark-fold tape of the NORMAL method (:class:`ClarkPlan`) lives
-here too: a flat (node, predecessors) schedule plus the sink fold,
-cached on the template so repeated ``normal_batch`` calls skip the
-structure scans.
 """
 
 from __future__ import annotations
@@ -53,7 +48,6 @@ from repro.errors import EvaluationError
 from repro.makespan import profile as _profile
 from repro.makespan.distribution import (
     DEFAULT_MAX_ATOMS,
-    MODE_ADAPTIVE,
     DiscreteDistribution,
     two_state_rows,
 )
@@ -66,11 +60,9 @@ from repro.makespan.pathapprox import (
 
 __all__ = [
     "FoldPlan",
-    "ClarkPlan",
     "compile_fold_plan",
     "execute_plans",
     "pathapprox_plan_batch",
-    "clark_plan",
 ]
 
 #: Leaf slot: the Dirac distribution at 0 (every path sum's seed).
@@ -233,7 +225,7 @@ class _CellRun:
 
 
 def execute_plans(
-    work: Sequence[Tuple[_CellRun, FoldPlan]], max_atoms: int, mode: str
+    work: Sequence[Tuple[_CellRun, FoldPlan]], max_atoms: int
 ) -> None:
     """Replay each cell's plan in tape order through the scalar kernels.
 
@@ -254,9 +246,9 @@ def execute_plans(
             if key in values:
                 continue
             if kind == _CONV:
-                values[key] = values[a].convolve(values[b], max_atoms, mode)
+                values[key] = values[a].convolve(values[b], max_atoms)
             else:
-                values[key] = values[a].max_with(values[b], max_atoms, mode)
+                values[key] = values[a].max_with(values[b], max_atoms)
 
 
 def pathapprox_plan_batch(
@@ -264,7 +256,6 @@ def pathapprox_plan_batch(
     k: Optional[int] = None,
     max_atoms: int = DEFAULT_MAX_ATOMS,
     rtol: float = 2e-4,
-    mode: str = MODE_ADAPTIVE,
 ) -> np.ndarray:
     """PATHAPPROX over every cell of a template via compiled fold plans.
 
@@ -325,7 +316,7 @@ def pathapprox_plan_batch(
             if plan is None:
                 plan = cache[sig] = compile_fold_plan(pathset, st.var_rank)
             work.append((st, plan))
-        execute_plans(work, max_atoms, mode)
+        execute_plans(work, max_atoms)
         # Fold the round into each cell's schedule, as _adaptive_estimate
         # does: a refinement within rtol counts a stall, ADAPTIVE_STALLS
         # consecutive stalls stop the cell, and exhaustion or the cap
@@ -350,43 +341,3 @@ def pathapprox_plan_batch(
         pending = still
         budget *= 2
     return np.array([st.estimate for st in states])
-
-
-# --------------------------------------------------------------------- #
-# the NORMAL method's Clark-fold tape
-# --------------------------------------------------------------------- #
-
-
-class ClarkPlan:
-    """Flat schedule of the Sculli/Clark moment propagation.
-
-    ``steps[i] = (node, predecessors)`` in topological order; ``sinks``
-    is the final fold.  Pure structure — the batched replay streams the
-    template's parameter matrices through it.
-    """
-
-    __slots__ = ("steps", "sinks")
-
-    def __init__(
-        self, steps: Tuple[Tuple[int, Tuple[int, ...]], ...], sinks: Tuple[int, ...]
-    ) -> None:
-        self.steps = steps
-        self.sinks = sinks
-
-    def __repr__(self) -> str:
-        return f"ClarkPlan(steps={len(self.steps)}, sinks={len(self.sinks)})"
-
-
-def clark_plan(template) -> ClarkPlan:
-    """The template's Clark-fold tape, compiled once and cached."""
-    cache = template.plan_cache()
-    plan = cache.get("clark")
-    if plan is None:
-        plan = ClarkPlan(
-            steps=tuple(
-                (v, tuple(template.preds[v])) for v in range(template.n)
-            ),
-            sinks=tuple(template.sinks()),
-        )
-        cache["clark"] = plan
-    return plan

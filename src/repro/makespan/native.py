@@ -1,14 +1,13 @@
 """Runtime loader and dispatch for the compiled distribution kernels.
 
-The hot per-row primitives — adaptive convolve, adaptive max, adaptive
-truncate and the rectangular row binning — have a C implementation in
-``_native.c`` that replicates the numpy operation order of the python
-reference bit for bit.  This module owns the build/load lifecycle and
-exposes one thin wrapper per kernel; each wrapper returns the result
-on success or ``None`` when the caller must run the python path
-(native disabled, build unavailable, or the kernel declined an input it
-cannot reproduce exactly — the reference then raises the reference
-error).
+The hot per-row primitives — convolve, max and truncate — have a C
+implementation in ``_native.c`` that replicates the numpy operation
+order of the python reference bit for bit.  This module owns the
+build/load lifecycle and exposes one thin wrapper per kernel; each
+wrapper returns the result on success or ``None`` when the caller must
+run the python path (native disabled, build unavailable, or the kernel
+declined an input it cannot reproduce exactly — the reference then
+raises the reference error).
 
 Build strategy: compiled on first use with the system C compiler into a
 shared object cached under ``~/.cache/repro-native`` (override with
@@ -55,7 +54,6 @@ __all__ = [
     "enabled",
     "set_enabled",
     "status",
-    "rect_bin_rows",
     "convolve_dists",
     "max_dists",
     "truncate_dist",
@@ -63,7 +61,7 @@ __all__ = [
 ]
 
 #: Kernel ops the native library implements (status/`repro kernels`).
-OPS = ("convolve", "max", "truncate", "rect_bin")
+OPS = ("convolve", "max", "truncate")
 
 #: Bump together with REPRO_NATIVE_ABI in ``_native.c``.
 _ABI = 1
@@ -75,7 +73,6 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 _SOURCE = Path(__file__).with_name("_native.c")
 _OFF_VALUES = ("0", "false", "off", "no")
-_F64 = np.dtype(np.float64)
 
 _lib: Optional[ctypes.CDLL] = None
 _attempted = False
@@ -97,7 +94,6 @@ _ok: Optional[bool] = None
 _c_conv = None
 _c_max = None
 _c_trunc = None
-_c_rect = None
 
 
 def _env_off() -> bool:
@@ -148,8 +144,6 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.repro_max_with_adaptive.restype = ll
     lib.repro_truncate_adaptive.argtypes = [ptr, ptr, ll, ll, ptr, ptr]
     lib.repro_truncate_adaptive.restype = ll
-    lib.repro_rect_bin_rows.argtypes = [ptr, ptr, ll, ll, ll, ptr, ptr]
-    lib.repro_rect_bin_rows.restype = ll
 
 
 def _object_tag() -> str:
@@ -213,7 +207,7 @@ def _build_and_load() -> Optional[ctypes.CDLL]:
 
 def _get_lib() -> Optional[ctypes.CDLL]:
     global _lib, _attempted
-    global _c_conv, _c_max, _c_trunc, _c_rect
+    global _c_conv, _c_max, _c_trunc
     if not _attempted:
         _attempted = True
         _lib = _build_and_load()
@@ -223,7 +217,6 @@ def _get_lib() -> Optional[ctypes.CDLL]:
             _c_conv = _lib.repro_convolve_adaptive
             _c_max = _lib.repro_max_with_adaptive
             _c_trunc = _lib.repro_truncate_adaptive
-            _c_rect = _lib.repro_rect_bin_rows
     return _lib
 
 
@@ -299,7 +292,7 @@ def _reset_for_tests() -> None:
     """Forget build state so tests can exercise failure paths."""
     global _lib, _attempted, _build_error, _warned, _compiler, _so_path
     global _disabled_runtime, _ok
-    global _c_conv, _c_max, _c_trunc, _c_rect
+    global _c_conv, _c_max, _c_trunc
     _lib = None
     _attempted = False
     _build_error = None
@@ -308,59 +301,20 @@ def _reset_for_tests() -> None:
     _so_path = None
     _disabled_runtime = False
     _ok = None
-    _c_conv = _c_max = _c_trunc = _c_rect = None
+    _c_conv = _c_max = _c_trunc = None
 
 
 # --------------------------------------------------------------------- #
 # kernel wrappers
 # --------------------------------------------------------------------- #
 #
-# Each wrapper returns its result (the binned arrays here, a wrapped
-# distribution below), or None when the python path must run.  A None
-# from the *kernel* (status < 0) means the input needs reference
-# handling (error raising, NaN ordering, negative bins) — the python
-# path then reproduces it exactly.
-
-
-def rect_bin_rows(
-    values: np.ndarray, probs: np.ndarray, max_atoms: int
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Native fixed-width binning of ``(c, n)`` rows to ``max_atoms``."""
-    prof = _profile.ACTIVE
-    c = values.shape[0]
-    if (
-        not _fast_ok()
-        or values.dtype != _F64
-        or probs.dtype != _F64
-        or not values.flags.c_contiguous
-        or not probs.flags.c_contiguous
-    ):
-        if prof is not None:
-            prof.record("native_miss_rect_bin", c, 0, 0.0)
-        return None
-    n = values.shape[1]
-    out_v = np.empty((c, int(max_atoms)))
-    out_p = np.empty((c, int(max_atoms)))
-    t0 = time.perf_counter() if prof is not None else 0.0
-    rc = _c_rect(
-        values.ctypes.data, probs.ctypes.data, c, n,
-        int(max_atoms), out_v.ctypes.data, out_p.ctypes.data,
-    )
-    if rc < 0:
-        if prof is not None:
-            prof.record("native_miss_rect_bin", c, 0, 0.0)
-        return None
-    if prof is not None:
-        prof.record("native_rect_bin", c, 0, time.perf_counter() - t0)
-    return out_v, out_p
-
-
-# --------------------------------------------------------------------- #
-# distribution-level fast paths
-# --------------------------------------------------------------------- #
+# Each wrapper returns a wrapped distribution, or None when the python
+# path must run.  A None from the *kernel* (status < 0) means the input
+# needs reference handling (error raising, NaN ordering, negative bins)
+# — the python path then reproduces it exactly.
 #
-# The scalar dispatch sites pass whole DiscreteDistribution objects so
-# the wrappers can reuse the data addresses cached on each instance
+# The dispatch sites pass whole DiscreteDistribution objects so the
+# wrappers can reuse the data addresses cached on each instance
 # (resolving ``.ctypes.data`` costs ~2us per array on slow-attribute
 # interpreters — it would rival the kernel itself on small supports).
 # Canonical distributions hold freshly-created contiguous float64
@@ -445,7 +399,7 @@ def max_dists(a, b, max_atoms: int):
 
 
 def truncate_dist(dist, max_atoms: int):
-    """Native adaptive truncate returning a wrapped distribution."""
+    """Native truncate returning a wrapped distribution, or ``None``."""
     prof = _profile.ACTIVE
     if not _fast_ok():
         if prof is not None:

@@ -154,24 +154,17 @@ def normal_batch(template) -> np.ndarray:
     vectorised Clark fold per edge instead of one scalar fold per edge
     per cell — and is bit-identical to evaluating each materialised
     cell with :func:`normal` (pinned by the batch-parity tests).
-
-    The propagation schedule (node order, predecessor folds, sink fold)
-    is a pure function of structure; it is compiled once into a
-    :class:`~repro.makespan.foldplan.ClarkPlan` cached on the template
-    and replayed here over the parameter matrices.
     """
     n = template.n
     n_cells = template.n_cells
     if n == 0:
         return np.zeros(n_cells)
-    from repro.makespan.foldplan import clark_plan
-
-    plan = clark_plan(template)
     task_means = template.means
     task_vars = template.variances
     means: List[np.ndarray] = [None] * n  # type: ignore[list-item]
     variances: List[np.ndarray] = [None] * n  # type: ignore[list-item]
-    for v, preds in plan.steps:
+    for v in range(n):
+        preds = template.preds[v]
         if preds:
             m_ready, v_ready = means[preds[0]], variances[preds[0]]
             for q in preds[1:]:
@@ -184,7 +177,7 @@ def normal_batch(template) -> np.ndarray:
         means[v] = m_ready + task_means[:, v]
         variances[v] = v_ready + task_vars[:, v]
 
-    sinks = plan.sinks
+    sinks = template.sinks()
     m_out, v_out = means[sinks[0]], variances[sinks[0]]
     for s in sinks[1:]:
         m_out, v_out = _clark_max_cells(m_out, v_out, means[s], variances[s])

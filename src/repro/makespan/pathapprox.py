@@ -36,12 +36,7 @@ from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import EvaluationError
-from repro.makespan.distribution import (
-    DEFAULT_MAX_ATOMS,
-    MODE_ADAPTIVE,
-    DiscreteDistribution,
-    check_mode,
-)
+from repro.makespan.distribution import DEFAULT_MAX_ATOMS, DiscreteDistribution
 from repro.makespan.probdag import ProbDAG
 
 __all__ = [
@@ -223,22 +218,19 @@ def _k_best_paths_cells(
 
 
 def _path_sum(
-    dag: ProbDAG, nodes: Sequence[int], max_atoms: int, mode: str = MODE_ADAPTIVE
+    dag: ProbDAG, nodes: Sequence[int], max_atoms: int
 ) -> DiscreteDistribution:
     dist = DiscreteDistribution.point(0.0)
     for v in nodes:
         t = dag.task(v)
         dist = dist.convolve(
-            DiscreteDistribution.two_state(t.base, t.long, t.p), max_atoms, mode
+            DiscreteDistribution.two_state(t.base, t.long, t.p), max_atoms
         )
     return dist
 
 
 def _fold_factored(
-    dag: ProbDAG,
-    paths: List[FrozenSet[int]],
-    max_atoms: int,
-    mode: str = MODE_ADAPTIVE,
+    dag: ProbDAG, paths: List[FrozenSet[int]], max_atoms: int
 ) -> DiscreteDistribution:
     """max over path sums with recursive common-task factoring.
 
@@ -255,7 +247,7 @@ def _fold_factored(
     if not nonempty:
         folded = DiscreteDistribution.point(0.0)
     elif len(nonempty) == 1:
-        folded = _path_sum(dag, sorted(nonempty[0]), max_atoms, mode)
+        folded = _path_sum(dag, sorted(nonempty[0]), max_atoms)
     else:
         variances = {v: dag.task(v).variance for p in nonempty for v in p}
         split = max(variances, key=lambda v: (variances[v], v))
@@ -264,24 +256,20 @@ def _fold_factored(
         if not without:
             # split is common to all non-empty remainders; recurse (their
             # intersection is non-empty, so the recursion strips it).
-            folded = _fold_factored(dag, with_split, max_atoms, mode)
+            folded = _fold_factored(dag, with_split, max_atoms)
         else:
-            folded = _fold_factored(dag, with_split, max_atoms, mode).max_with(
-                _fold_factored(dag, without, max_atoms, mode), max_atoms, mode
+            folded = _fold_factored(dag, with_split, max_atoms).max_with(
+                _fold_factored(dag, without, max_atoms), max_atoms
             )
     if common:
         folded = folded.convolve(
-            _path_sum(dag, sorted(common), max_atoms, mode), max_atoms, mode
+            _path_sum(dag, sorted(common), max_atoms), max_atoms
         )
     return folded
 
 
 def _estimate_with_k(
-    dag: ProbDAG,
-    k: int,
-    max_atoms: int,
-    factor_common: bool,
-    mode: str = MODE_ADAPTIVE,
+    dag: ProbDAG, k: int, max_atoms: int, factor_common: bool
 ) -> Tuple[float, bool]:
     """Estimate with a fixed budget; also reports path-supply exhaustion."""
     paths = k_longest_paths(dag, k)
@@ -290,15 +278,13 @@ def _estimate_with_k(
     exhausted = len(paths) < k
     if factor_common:
         return (
-            _fold_factored(
-                dag, [frozenset(p) for p in paths], max_atoms, mode
-            ).mean(),
+            _fold_factored(dag, [frozenset(p) for p in paths], max_atoms).mean(),
             exhausted,
         )
     folded: DiscreteDistribution = None  # type: ignore[assignment]
     for path in paths:
-        dist = _path_sum(dag, path, max_atoms, mode)
-        folded = dist if folded is None else folded.max_with(dist, max_atoms, mode)
+        dist = _path_sum(dag, path, max_atoms)
+        folded = dist if folded is None else folded.max_with(dist, max_atoms)
     return folded.mean(), exhausted
 
 
@@ -355,7 +341,6 @@ def pathapprox(
     max_atoms: int = DEFAULT_MAX_ATOMS,
     factor_common: bool = True,
     rtol: float = ADAPTIVE_RTOL,
-    truncate_mode: str = MODE_ADAPTIVE,
 ) -> float:
     """Path-based estimate of the expected makespan of a 2-state DAG.
 
@@ -368,21 +353,17 @@ def pathapprox(
     hundreds of paths; narrow ones stop at the first doubling.  Pass an
     explicit ``k`` to pin the budget (used by the ablation benchmarks).
 
-    ``truncate_mode`` selects the distribution kernels' truncation
-    scheme: ``"adaptive"`` (default, the bit-exactness reference) or
-    ``"rect"`` (fixed-width binning, a separately fingerprinted
-    approximation — see :mod:`repro.makespan.distribution`).
+    Every convolution and max keeps at most ``max_atoms`` atoms through
+    the mean-preserving equal-probability binning of
+    :mod:`repro.makespan.distribution`.
     """
-    check_mode(truncate_mode)
     if dag.n == 0:
         return 0.0
     return _adaptive_estimate(
         dag.n,
         k,
         rtol,
-        lambda budget: _estimate_with_k(
-            dag, budget, max_atoms, factor_common, truncate_mode
-        ),
+        lambda budget: _estimate_with_k(dag, budget, max_atoms, factor_common),
     )
 
 
@@ -397,7 +378,6 @@ def pathapprox_batch(
     max_atoms: int = DEFAULT_MAX_ATOMS,
     factor_common: bool = True,
     rtol: float = ADAPTIVE_RTOL,
-    truncate_mode: str = MODE_ADAPTIVE,
 ) -> np.ndarray:
     """Path-based estimates for every cell of a parameterised DAG.
 
@@ -413,7 +393,6 @@ def pathapprox_batch(
     stall/exhaustion tracking, replicating the scalar
     :func:`_adaptive_estimate` control flow exactly.
     """
-    check_mode(truncate_mode)
     n_cells = template.n_cells
     if template.n == 0:
         return np.zeros(n_cells)
@@ -428,14 +407,11 @@ def pathapprox_batch(
                     max_atoms=max_atoms,
                     factor_common=False,
                     rtol=rtol,
-                    truncate_mode=truncate_mode,
                 )
                 for c in range(n_cells)
             ]
         )
     from repro.makespan.foldplan import pathapprox_plan_batch
 
-    return pathapprox_plan_batch(
-        template, k=k, max_atoms=max_atoms, rtol=rtol, mode=truncate_mode
-    )
+    return pathapprox_plan_batch(template, k=k, max_atoms=max_atoms, rtol=rtol)
 

@@ -54,12 +54,7 @@ DISPATCH_OPS = ("dispatch",)
 #: ``native_miss_*`` op counting rows that fell back to the python
 #: reference (native disabled, build failed, or an input the compiled
 #: kernel declines — NaN supports, mixed infinities).
-NATIVE_OPS = (
-    "native_convolve",
-    "native_max",
-    "native_truncate",
-    "native_rect_bin",
-)
+NATIVE_OPS = ("native_convolve", "native_max", "native_truncate")
 NATIVE_MISS_OPS = tuple("native_miss_" + op[len("native_"):] for op in NATIVE_OPS)
 
 
@@ -124,8 +119,9 @@ class KernelProfile:
     def native_ratio(self) -> Optional[float]:
         """Share of native-eligible rows the compiled path absorbed.
 
-        ``None`` when no native-dispatched op ran at all (e.g. a rect-
-        mode-only sweep with native disabled records nothing).
+        ``None`` when no native-dispatched op ran at all (e.g. a sweep
+        priced only by Clark's normal method, which uses no distribution
+        kernel).
         """
         served = self.native_rows()
         missed = self.native_miss_rows()

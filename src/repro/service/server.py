@@ -92,6 +92,7 @@ from repro.engine.backends import (
     RemoteWorkerBackend,
     WorkQueue,
     queue_routes,
+    read_json_body,
 )
 from repro.engine.records import record_to_dict
 from repro.engine.sweep import SweepSpec
@@ -210,19 +211,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_json(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            return {}
-        try:
-            payload = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ServiceError(f"request body is not valid JSON: {exc}") from None
-        if not isinstance(payload, dict):
-            raise ServiceError("request body must be a JSON object")
-        return payload
-
     def _dispatch(self, routes: Dict[str, Callable[[], None]]) -> None:
         handler = routes.get(self.path.rstrip("/") or "/")
         if handler is None:
@@ -258,12 +246,12 @@ class _Handler(BaseHTTPRequestHandler):
         # the wire protocol cannot drift between the two hosts.
         for path, handler in queue_routes(self.service.work_queue).items():
             routes[path] = (
-                lambda h=handler: self._reply(200, h(self._read_json()))
+                lambda h=handler: self._reply(200, h(read_json_body(self)))
             )
         self._dispatch(routes)
 
     def _post_evaluate(self) -> None:
-        payload = self._read_json()
+        payload = read_json_body(self)
         payload.setdefault(
             "eval_seed_policy", self.service.default_eval_seed_policy
         )
@@ -281,7 +269,7 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _post_register(self) -> None:
-        payload = self._read_json()
+        payload = read_json_body(self)
         body = payload.get("workflow")
         if not isinstance(body, dict):
             raise ServiceError(
@@ -324,7 +312,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply(200, {"sources": self.service.registry.describe()})
 
     def _post_sweep(self) -> None:
-        payload = self._read_json()
+        payload = read_json_body(self)
         payload.setdefault(
             "eval_seed_policy", self.service.default_eval_seed_policy
         )
@@ -416,7 +404,7 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _post_cache(self) -> None:
-        payload = self._read_json()
+        payload = read_json_body(self)
         action = payload.get("action")
         if action != "clear":
             raise ServiceError(

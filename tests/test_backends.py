@@ -12,8 +12,10 @@ a dead worker's leases, and the client retries idempotent reads only.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
+import urllib.parse
 import urllib.request
 from concurrent.futures import Future
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -429,6 +431,50 @@ class TestRemoteFleet:
             assert status["work_queue"]["pending"] == 0
         finally:
             server.close()
+
+
+# ----------------------------------------------------------------------
+# Request framing: every HTTP host rejects a malformed Content-Length.
+
+
+@pytest.fixture(params=["service", "coordinator", "worker"])
+def post_endpoint(request, tmp_path):
+    """``(url, path)`` of a POST route on each of the three HTTP hosts."""
+    if request.param == "service":
+        with ReproService(port=0, store=tmp_path / "s.db", linger=0.0) as svc:
+            yield svc.url, "/evaluate"
+        return
+    if request.param == "coordinator":
+        server = WorkServer(WorkQueue(lease_timeout=5.0)).start()
+        path = "/work/lease"
+    else:
+        server = WorkerServer(port=0).start()
+        path = "/attach"
+    try:
+        yield server.url, path
+    finally:
+        server.close()
+
+
+@pytest.mark.parametrize("length", ["-1", "abc"])
+def test_malformed_content_length_is_a_400(post_endpoint, length):
+    """A negative or non-numeric length gets a 400 naming the header and
+    a closed connection, never a hang, a 500 or a dropped socket."""
+    url, path = post_endpoint
+    parts = urllib.parse.urlsplit(url)
+    address = (parts.hostname, parts.port)
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.sendall(
+            f"POST {path} HTTP/1.1\r\nHost: {parts.netloc}\r\n"
+            f"Content-Length: {length}\r\n\r\n".encode("ascii")
+        )
+        # Reads to EOF: the server must close the connection, since the
+        # body framing is unknown.
+        with sock.makefile("rb") as stream:
+            reply = stream.read()
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.split(b"\r\n")[0].split()[1] == b"400"
+    assert "Content-Length" in json.loads(body)["error"]
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,9 @@
 """Tests for the batched evaluation core: node laws, templates, parity.
 
-Four layers of the batch contract are pinned here:
+Three layers of the batch contract are pinned here:
 
 * **node laws** — :func:`two_state_rows` builds each cell's 2-state law
   atom for atom like the scalar constructor, degenerate cells included;
-* **binning** — the multi-row rect binning kernel keeps the truncation
-  invariants on every row and equals the scalar truncation;
 * **templates** — :class:`ParamDAG` materialises cells bit-identical to
   the DAGs it was stacked from, and rejects parameters outside the
   2-state domain;
@@ -17,19 +15,12 @@ Four layers of the batch contract are pinned here:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.engine import Pipeline, SweepSpec, run_sweep
 from repro.errors import EvaluationError
 from repro.experiments.figures import run_cell
 from repro.makespan.api import expected_makespan, expected_makespans
-from repro.makespan.distribution import (
-    MODE_RECT,
-    DiscreteDistribution,
-    _rect_bin_rows,
-    two_state_rows,
-)
+from repro.makespan.distribution import DiscreteDistribution, two_state_rows
 from repro.makespan.paramdag import ParamDAG
 from repro.makespan.probdag import ProbDAG
 from repro.util.rng import stable_seed
@@ -45,40 +36,6 @@ class TestBatchConstruction:
             ref = DiscreteDistribution.two_state(float(b), float(l), float(q))
             assert row.values.tolist() == ref.values.tolist()
             assert row.probs.tolist() == ref.probs.tolist()
-
-
-class TestBatchTruncate:
-    @given(st.integers(0, 10_000), st.integers(2, 48))
-    @settings(max_examples=25, deadline=None)
-    def test_moment_preserving_binning_invariants(self, seed, atoms):
-        """The rect truncation invariants, per row of a multi-row call to
-        the binning kernel: exactly ``atoms`` points come out, the mean
-        is preserved (conditional bin means), no mass moves by more than
-        one bin width, and each row equals the scalar truncation."""
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(atoms + 1, 200))
-        originals = [
-            DiscreteDistribution(
-                rng.uniform(0, 1000, n), rng.uniform(1e-6, 1.0, n)
-            )
-            for _ in range(3)
-        ]
-        values, probs = _rect_bin_rows(
-            np.stack([d.values for d in originals]),
-            np.stack([d.probs for d in originals]),
-            atoms,
-        )
-        for original, v, p in zip(originals, values, probs):
-            truncated = DiscreteDistribution._wrap(v, p)
-            scalar = original.truncate(atoms, MODE_RECT)
-            assert truncated.values.tolist() == scalar.values.tolist()
-            assert truncated.probs.tolist() == scalar.probs.tolist()
-            assert truncated.n_atoms == atoms
-            assert truncated.mean() == pytest.approx(original.mean(), rel=1e-9)
-            width = (original.values[-1] - original.values[0]) / atoms
-            for x in rng.uniform(0, 1000, 3):
-                assert original.cdf(x - width) <= truncated.cdf(x) + 1e-9
-                assert truncated.cdf(x) <= original.cdf(x + width) + 1e-9
 
 
 class TestParamDAG:
@@ -304,11 +261,10 @@ class TestEngineBatchParity:
         "method,options,policy",
         [
             ("pathapprox", {}, "positional"),
-            ("pathapprox", {"truncate_mode": "rect"}, "positional"),
             ("normal", {}, "positional"),
             ("montecarlo", {"trials": 200}, "content"),
         ],
-        ids=["pathapprox", "pathapprox-rect", "normal", "montecarlo-content"],
+        ids=["pathapprox", "normal", "montecarlo-content"],
     )
     def test_single_cell_spec_matches_the_oracle(
         self, method, options, policy, per_cell

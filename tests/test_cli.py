@@ -177,9 +177,7 @@ class TestMethods:
         assert payload["montecarlo"]["supports_batch"] is True
         assert payload["pathapprox"]["supports_batch"] is True
         option_names = [o["name"] for o in payload["pathapprox"]["options"]]
-        assert option_names == [
-            "k", "max_atoms", "factor_common", "rtol", "truncate_mode",
-        ]
+        assert option_names == ["k", "max_atoms", "factor_common", "rtol"]
 
 
 class TestSweep:

@@ -1,8 +1,12 @@
 """Tests for the Evaluator protocol, registry and call-time validation."""
 
+import http.client
+import json
+
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.errors import EvaluationError
 from repro.makespan.api import (
     EVALUATORS,
@@ -18,6 +22,7 @@ from repro.makespan.evaluator import (
 )
 from repro.makespan.paramdag import ParamDAG
 from repro.makespan.probdag import ProbDAG
+from repro.service import ReproService
 
 
 def chain_dag(weights):
@@ -45,7 +50,6 @@ class TestDeclaredSchemas:
             "max_atoms",
             "factor_common",
             "rtol",
-            "truncate_mode",
         )
         assert EVALUATORS["normal"].option_names() == ()
         assert "trials" in EVALUATORS["montecarlo"].option_names()
@@ -139,6 +143,46 @@ class TestCallTimeValidation:
         with pytest.raises(EvaluationError) as exc:
             get_evaluator("nope")
         assert "unknown evaluation method" in str(exc.value)
+
+    def test_truncate_mode_is_rejected_everywhere(self, tmp_path, capsys):
+        """PathApprox has one truncation scheme: a ``truncate_mode``
+        option is an unknown option in the library, a 400 from the
+        service, and an unrecognised flag (exit 2) on the CLI."""
+        message = (
+            "unknown option(s) 'truncate_mode' for method 'pathapprox'; "
+            "accepted options: ['factor_common', 'k', 'max_atoms', 'rtol']"
+        )
+        with pytest.raises(EvaluationError) as exc:
+            expected_makespan(
+                chain_dag([1.0, 2.0]), "pathapprox", truncate_mode="rect"
+            )
+        assert str(exc.value) == message
+
+        request = dict(
+            family="genome", ntasks=30, processors=3, pfail=1e-3, ccr=0.01,
+            evaluator_options={"truncate_mode": "rect"},
+        )
+        with ReproService(port=0, store=tmp_path / "store.db", linger=0.0) as svc:
+            conn = http.client.HTTPConnection(*svc.address, timeout=30)
+            try:
+                conn.request(
+                    "POST", "/evaluate", body=json.dumps(request),
+                    headers={"Content-Type": "application/json"},
+                )
+                reply = conn.getresponse()
+                assert reply.status == 400
+                assert json.loads(reply.read())["error"] == message
+            finally:
+                conn.close()
+
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "sweep", "--family", "genome", "--sizes", "50",
+                "--processors", "3", "--pfails", "0.01", "--ccrs", "0.01",
+                "--quiet", "--truncate-mode", "rect",
+            ])
+        assert exc.value.code == 2
+        assert "--truncate-mode" in capsys.readouterr().err
 
 
 class TestBatchDispatch:

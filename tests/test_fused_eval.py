@@ -4,9 +4,9 @@ Three layers are pinned here:
 
 * **engine** — batched sweeps produce ``CellResult`` records
   byte-identical to the per-cell oracle on real workflow grids, for
-  adaptive and rect pathapprox, normal, and Monte Carlo under both
-  eval-seed policies, chunked or not, with one dispatch per checkpoint
-  strategy and structure group;
+  pathapprox, normal, and Monte Carlo under both eval-seed policies,
+  chunked or not, with one dispatch per checkpoint strategy and
+  structure group;
 * **run_specs** — a batch of specs keeps per-spec error isolation, mixed
   methods, and the per-cell fallback for methods without batching;
 * **observability** — kernel-profile snapshots merge, including the
@@ -52,16 +52,6 @@ class TestEngineFusedParity:
     @pytest.mark.parametrize("family", ["montage", "genome", "ligo"])
     def test_pathapprox_adaptive(self, family, per_cell):
         self.assert_matches_oracle(self.spec(family, "pathapprox"), per_cell)
-
-    @pytest.mark.parametrize("family", ["montage", "genome", "ligo"])
-    def test_pathapprox_rect(self, family, per_cell):
-        self.assert_matches_oracle(
-            self.spec(
-                family, "pathapprox",
-                evaluator_options={"truncate_mode": "rect"},
-            ),
-            per_cell,
-        )
 
     def test_normal(self, per_cell):
         self.assert_matches_oracle(self.spec("montage", "normal"), per_cell)

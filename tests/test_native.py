@@ -2,11 +2,10 @@
 
 Four contracts are pinned here:
 
-* **bit-identity** — every native primitive (adaptive convolve / max /
-  truncate and the shared rect row binning) returns atom-for-atom the
-  arrays the pure-python numpy reference produces, across ragged
-  sizes, duplicate supports, infinite atoms, zero-mass pads and
-  degenerate pfail=0 cells; inputs the compiled kernel declines fall
+* **bit-identity** — every native primitive (convolve / max /
+  truncate) returns atom-for-atom the arrays the pure-python numpy
+  reference produces, across ragged sizes, duplicate supports,
+  infinite atoms and degenerate pfail=0 cells; inputs the compiled kernel declines fall
   back to the reference (including its error behaviour).  A hypothesis
   differential fuzz drives the same edge cases through every primitive
   at operand widths around ``max_atoms``.
@@ -36,13 +35,7 @@ from repro.cli import main
 from repro.engine import SweepSpec, run_sweep
 from repro.makespan import native
 from repro.makespan import profile as kernel_profile
-from repro.makespan.distribution import (
-    MODE_ADAPTIVE,
-    MODE_RECT,
-    DiscreteDistribution,
-    _rect_bin_rows,
-    _rect_bin_rows_py,
-)
+from repro.makespan.distribution import DiscreteDistribution
 
 HAVE_NATIVE = native.available()
 
@@ -108,14 +101,14 @@ class TestBitIdentity:
         a = random_dist(rng, na)
         b = random_dist(rng, nb)
         fn = getattr(a, "convolve" if op == "convolve" else "max_with")
-        got, ref = both_backends(lambda: fn(b, max_atoms, MODE_ADAPTIVE))
+        got, ref = both_backends(lambda: fn(b, max_atoms))
         assert_dist_equal(got, ref)
 
     @pytest.mark.parametrize("n,max_atoms", [(5, 4), (100, 16), (700, 64)])
     def test_truncate(self, n, max_atoms):
         rng = np.random.default_rng(n * 1000 + max_atoms)
         d = random_dist(rng, n)
-        got, ref = both_backends(lambda: d.truncate(max_atoms, MODE_ADAPTIVE))
+        got, ref = both_backends(lambda: d.truncate(max_atoms))
         assert_dist_equal(got, ref)
 
     @pytest.mark.parametrize("op", ["convolve", "max", "truncate"])
@@ -126,10 +119,10 @@ class TestBitIdentity:
             a = random_dist(rng, 20, inf_atom=True)
             b = random_dist(rng, 15, inf_atom=trial % 2 == 0)
             if op == "truncate":
-                got, ref = both_backends(lambda: a.truncate(8, MODE_ADAPTIVE))
+                got, ref = both_backends(lambda: a.truncate(8))
             else:
                 fn = getattr(a, "convolve" if op == "convolve" else "max_with")
-                got, ref = both_backends(lambda: fn(b, 8, MODE_ADAPTIVE))
+                got, ref = both_backends(lambda: fn(b, 8))
             if ref is not None:
                 assert_dist_equal(got, ref)
 
@@ -137,60 +130,39 @@ class TestBitIdentity:
         """Exactly-equal sums exercise the canonicalising tie path."""
         a = DiscreteDistribution([1.0, 2.0, 3.0], [0.2, 0.3, 0.5])
         b = DiscreteDistribution([1.0, 2.0, 3.0], [0.5, 0.25, 0.25])
-        got, ref = both_backends(lambda: a.convolve(b, 64, MODE_ADAPTIVE))
+        got, ref = both_backends(lambda: a.convolve(b, 64))
         assert_dist_equal(got, ref)
-        got, ref = both_backends(lambda: a.max_with(b, 64, MODE_ADAPTIVE))
+        got, ref = both_backends(lambda: a.max_with(b, 64))
         assert_dist_equal(got, ref)
 
     def test_point_masses(self):
         """Degenerate pfail=0 cells collapse to point distributions."""
         p = DiscreteDistribution.point(5.0)
         q = DiscreteDistribution.point(3.0)
-        got, ref = both_backends(lambda: p.convolve(q, 4, MODE_ADAPTIVE))
+        got, ref = both_backends(lambda: p.convolve(q, 4))
         assert_dist_equal(got, ref)
         assert got.values.tolist() == [8.0]
-        got, ref = both_backends(lambda: p.max_with(q, 4, MODE_ADAPTIVE))
+        got, ref = both_backends(lambda: p.max_with(q, 4))
         assert_dist_equal(got, ref)
         assert got.values.tolist() == [5.0]
 
     def test_two_state_pfail_zero(self):
         """pfail=0 two-state laws are Dirac; the algebra must keep them."""
         d = DiscreteDistribution.two_state(10.0, 30.0, 0.0)
-        got, ref = both_backends(lambda: d.convolve(d, 8, MODE_ADAPTIVE))
-        assert_dist_equal(got, ref)
-
-    @pytest.mark.parametrize("c,n,max_atoms", [(1, 20, 8), (5, 77, 16), (3, 500, 64)])
-    def test_rect_bin_rows(self, c, n, max_atoms):
-        rng = np.random.default_rng(c * n)
-        values = np.sort(rng.normal(50.0, 20.0, (c, n)), axis=1)
-        probs = rng.random((c, n))
-        probs /= probs.sum(axis=1, keepdims=True)
-        native.set_enabled(True)
-        gv, gp = _rect_bin_rows(values, probs, max_atoms)
-        rv, rp = _rect_bin_rows_py(values, probs, max_atoms)
-        # Empty bins divide 0/0 → NaN centres in both implementations.
-        assert np.array_equal(gv, rv, equal_nan=True)
-        assert np.array_equal(gp, rp)
-
-    def test_rect_mode_truncate_with_zero_mass_pads(self):
-        """Rect rows carry zero-mass pad atoms; binning must keep parity."""
-        base = DiscreteDistribution(
-            np.arange(1.0, 41.0), np.r_[np.full(30, 1 / 30.0), np.zeros(10)]
-        )
-        got, ref = both_backends(lambda: base.truncate(8, MODE_RECT))
+        got, ref = both_backends(lambda: d.convolve(d, 8))
         assert_dist_equal(got, ref)
 
     @needs_native
     def test_native_actually_served(self):
-        """With a compiler present the adaptive ops really go native."""
+        """With a compiler present the kernel ops really go native."""
         rng = np.random.default_rng(3)
         a = random_dist(rng, 30)
         b = random_dist(rng, 30)
         native.set_enabled(True)
         prof = kernel_profile.enable()
         try:
-            a.convolve(b, 16, MODE_ADAPTIVE)
-            a.max_with(b, 16, MODE_ADAPTIVE)
+            a.convolve(b, 16)
+            a.max_with(b, 16)
             snap = prof.snapshot()
         finally:
             kernel_profile.disable()
@@ -258,44 +230,19 @@ class TestNativeDifferentialFuzz:
     @settings(max_examples=150, deadline=None)
     def test_convolve(self, case):
         a, b, max_atoms = case
-        assert_same_outcome(
-            *both_backends(lambda: a.convolve(b, max_atoms, MODE_ADAPTIVE))
-        )
+        assert_same_outcome(*both_backends(lambda: a.convolve(b, max_atoms)))
 
     @given(fuzz_case())
     @settings(max_examples=150, deadline=None)
     def test_max_with(self, case):
         a, b, max_atoms = case
-        assert_same_outcome(
-            *both_backends(lambda: a.max_with(b, max_atoms, MODE_ADAPTIVE))
-        )
+        assert_same_outcome(*both_backends(lambda: a.max_with(b, max_atoms)))
 
     @given(fuzz_case())
     @settings(max_examples=150, deadline=None)
     def test_truncate(self, case):
         a, _b, max_atoms = case
-        assert_same_outcome(
-            *both_backends(lambda: a.truncate(max_atoms, MODE_ADAPTIVE))
-        )
-
-    @given(fuzz_case())
-    @settings(max_examples=100, deadline=None)
-    def test_rect_binning(self, case):
-        """Rect convolve, max and truncate all bin through the native
-        row kernel; padded rect rows add zero-mass duplicate atoms."""
-        a, b, max_atoms = case
-
-        def padded():
-            return a.truncate(max_atoms + 2, MODE_RECT)
-
-        for op in (
-            lambda: a.convolve(b, max_atoms, MODE_RECT),
-            lambda: a.max_with(b, max_atoms, MODE_RECT),
-            lambda: a.truncate(max_atoms, MODE_RECT),
-            lambda: padded().convolve(b, max_atoms, MODE_RECT),
-            lambda: padded().max_with(b, max_atoms, MODE_RECT),
-        ):
-            assert_same_outcome(*both_backends(op))
+        assert_same_outcome(*both_backends(lambda: a.truncate(max_atoms)))
 
 
 #: Six baseline grids, golden em_some/em_all/em_none pinned from PR 9
@@ -373,7 +320,7 @@ class TestGracefulDegradation:
         assert native.available() is False
         assert native.enabled() is False
         a = DiscreteDistribution([1.0, 2.0], [0.5, 0.5])
-        out = a.convolve(a, 4, MODE_ADAPTIVE)
+        out = a.convolve(a, 4)
         assert out.mean() == pytest.approx(3.0)
         err = capsys.readouterr().err
         warnings = [
@@ -385,7 +332,7 @@ class TestGracefulDegradation:
         assert "falling back to the pure-python kernels" in warnings[0]
         # The warning names the reason, one line, once.
         assert "no C compiler found" in warnings[0]
-        a.convolve(a, 4, MODE_ADAPTIVE)
+        a.convolve(a, 4)
         assert "unavailable" not in capsys.readouterr().err
 
     def test_status_reports_build_failure(self, monkeypatch, tmp_path):
@@ -445,7 +392,7 @@ class TestDistributionStateContract:
     def test_pickle_drops_address_cache(self):
         rng = np.random.default_rng(5)
         native.set_enabled(True)
-        d = random_dist(rng, 20).convolve(random_dist(rng, 20), 16, MODE_ADAPTIVE)
+        d = random_dist(rng, 20).convolve(random_dist(rng, 20), 16)
         assert d._addrs is not None  # native outputs pre-seed the cache
         clone = pickle.loads(pickle.dumps(d))
         assert clone._addrs is None
@@ -461,7 +408,7 @@ class TestKernelsCli:
         assert main(["kernels"]) == 0
         out = capsys.readouterr().out
         assert "distribution kernel backends" in out
-        for op in ("convolve", "max", "truncate", "rect_bin"):
+        for op in ("convolve", "max", "truncate"):
             assert op in out
         assert "backend:" in out
 
@@ -471,7 +418,7 @@ class TestKernelsCli:
         assert main(["kernels", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["backend"] in ("native", "python")
-        assert set(payload["ops"]) == {"convolve", "max", "truncate", "rect_bin"}
+        assert set(payload["ops"]) == {"convolve", "max", "truncate"}
 
     def test_reflects_env_off(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_NATIVE", "0")

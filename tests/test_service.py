@@ -57,7 +57,6 @@ class TestFingerprint:
             {"save_final_outputs": False},
             {"seed_policy": "spawn"},
             {"evaluator_options": {"k": 3}},
-            {"evaluator_options": {"truncate_mode": "rect"}},
         ],
     )
     def test_every_field_changes_the_fingerprint(self, change):
