@@ -63,11 +63,13 @@ def save_json(name: str, payload) -> Path:
     These files are the cross-PR perf trajectory: every run overwrites
     ``<repo root>/<name>`` with one flat JSON object (wall times,
     cells/sec, cache hit rates, speedups) that tooling can diff between
-    commits.
+    commits.  Every summary records the machine's core count
+    (``cpu_count``), without which its parallel columns cannot be read.
     """
     import json
 
     path = ROOT_DIR / name
+    payload = {**payload, "cpu_count": os.cpu_count()}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 

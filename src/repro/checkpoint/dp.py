@@ -21,7 +21,7 @@ use ``-1`` ("no earlier checkpoint") to keep 0 a valid position.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -44,26 +44,27 @@ def dp_from_table(table: np.ndarray) -> Tuple[List[int], float]:
     if table.shape != (n, n):
         raise CheckpointError(f"cost table must be square, got {table.shape}")
 
-    etime = np.empty(n)
-    last = np.empty(n, dtype=int)
+    rows = np.asarray(table, dtype=float).tolist()
+    etime: List[float] = []
+    last: List[int] = []
     for j in range(n):
-        best = float(table[0, j])
+        best = rows[0][j]
         arg = -1
         for i in range(j):
-            cand = etime[i] + float(table[i + 1, j])
+            cand = etime[i] + rows[i + 1][j]
             if cand < best:
                 best = cand
                 arg = i
-        etime[j] = best
-        last[j] = arg
+        etime.append(best)
+        last.append(arg)
 
     positions: List[int] = []
     j = n - 1
     while j >= 0:
         positions.append(j)
-        j = int(last[j])
+        j = last[j]
     positions.reverse()
-    return positions, float(etime[n - 1])
+    return positions, etime[n - 1]
 
 
 def optimal_checkpoint_positions(

@@ -21,6 +21,23 @@ The model exposes an ``O(n²)`` table of the first-order expected times
 index (reads only ever grow with ``j``; checkpoint contents are maintained
 with per-file outside-consumer counters), so the whole table costs
 ``O(n·F)`` set operations where ``F`` is the file-degree of the chain.
+
+Two implementations share these semantics:
+
+* :class:`SuperchainCostModel` prices one superchain on one platform
+  from the workflow's own file maps — the per-cell reference;
+* :class:`ScheduleIncidence` compiles every superchain's file incidence
+  of a (workflow, schedule) pair once into integer file ids, producer
+  positions and consumer counts, and :class:`ScheduleCosts` prices it at
+  one set of file sizes (one CCR).  Eq. (2) uses λ only through
+  ``T = X(1 + λX/2)``, so one span table ``X(i, j)`` serves every pfail
+  of that CCR.
+
+Both walk every float in the same order — the table's incremental
+add-then-subtract checkpoint sums and the direct sums of
+:meth:`SuperchainCostModel.read_cost` / :meth:`~SuperchainCostModel.ckpt_cost`
+can differ in the last bit, so each keeps its own — and produce
+bit-identical tables and segment costs.
 """
 
 from __future__ import annotations
@@ -33,9 +50,22 @@ from repro.errors import CheckpointError
 from repro.makespan.two_state import first_order_expected_time
 from repro.mspg.graph import Workflow
 from repro.platform import Platform
-from repro.scheduling.schedule import Superchain
+from repro.scheduling.schedule import Schedule, Superchain
 
-__all__ = ["SuperchainCostModel"]
+__all__ = [
+    "SuperchainCostModel",
+    "ScheduleIncidence",
+    "ChainIncidence",
+    "ScheduleCosts",
+    "expected_times",
+]
+
+
+def expected_times(spans: np.ndarray, failure_rate: float) -> np.ndarray:
+    """``T(i, j)`` of Equation (2) from a span table ``X(i, j)``."""
+    with np.errstate(invalid="ignore"):
+        p = np.clip(failure_rate * spans, 0.0, 1.0 - 1e-12)
+        return spans * (1.0 + 0.5 * p)
 
 
 class SuperchainCostModel:
@@ -72,6 +102,7 @@ class SuperchainCostModel:
         self._outputs: List[List[str]] = [
             sorted(workflow.outputs(t)) for t in self.tasks
         ]
+        self._files: Optional[Tuple[Dict[str, float], Dict[str, int]]] = None
 
     # ------------------------------------------------------------------ #
     # elementary costs
@@ -140,11 +171,28 @@ class SuperchainCostModel:
     # table construction (incremental sweeps)
     # ------------------------------------------------------------------ #
 
+    def _chain_files(self) -> Tuple[Dict[str, float], Dict[str, int]]:
+        """Sizes of the chain's own files and consumer counts of its
+        outputs, resolved once per model."""
+        if self._files is None:
+            wf = self.workflow
+            sizes = {
+                f: wf.file_size(f)
+                for files in (*self._inputs, *self._outputs)
+                for f in files
+            }
+            consumers = {
+                f: len(wf.consumers(f))
+                for files in self._outputs
+                for f in files
+            }
+            self._files = (sizes, consumers)
+        return self._files
+
     def span_table(self) -> np.ndarray:
         """``X(i, j)`` for all ``i <= j`` (upper-triangular, else NaN)."""
         n = self.n
-        wf = self.workflow
-        sizes = {f: wf.file_size(f) for f in wf.file_names}
+        sizes, consumers = self._chain_files()
         spans = np.full((n, n), np.nan)
         for i in range(n):
             read_b = 0.0
@@ -174,8 +222,7 @@ class SuperchainCostModel:
                 # still needs them.
                 for f in self._outputs[j]:
                     produced_at[f] = j
-                    consumers = wf.consumers(f)
-                    count = len(consumers)
+                    count = consumers[f]
                     if count == 0:
                         count = 1 if self.save_final_outputs else 0
                     live[f] = count
@@ -190,8 +237,207 @@ class SuperchainCostModel:
 
     def expected_time_table(self) -> np.ndarray:
         """``T(i, j)`` of Equation (2) for all ``i <= j``."""
-        spans = self.span_table()
-        lam = self.platform.failure_rate
-        with np.errstate(invalid="ignore"):
-            p = np.clip(lam * spans, 0.0, 1.0 - 1e-12)
-            return spans * (1.0 + 0.5 * p)
+        return expected_times(self.span_table(), self.platform.failure_rate)
+
+
+# ---------------------------------------------------------------------- #
+# compiled incidence: structure once per (workflow, schedule)
+# ---------------------------------------------------------------------- #
+
+
+class ChainIncidence:
+    """One superchain's file incidence, in integer file ids.
+
+    Per task position ``k`` (files in the same sorted order as
+    :class:`SuperchainCostModel`):
+
+    * ``inputs[k]`` — ``(file, producer, drop)``: ``producer`` is the
+      producing task's position in this chain (``-1`` if it lies outside
+      it), and ``drop`` marks the read by the last of the file's
+      consumers when all of them follow its producer in this chain — a
+      slice holding that read and the producer need not checkpoint it;
+    * ``outputs[k]`` — ``(file, consumers, lo, hi)``: the consumer count,
+      and the span ``[lo, hi]`` of consumer positions when every
+      consumer is in this chain (``lo = hi = n`` when one is not).
+    """
+
+    __slots__ = ("superchain", "n", "wprefix", "inputs", "outputs")
+
+    def __init__(
+        self, workflow: Workflow, superchain: Superchain, ids: Dict[str, int]
+    ) -> None:
+        tasks = superchain.tasks
+        n = len(tasks)
+        pos = {t: k for k, t in enumerate(tasks)}
+        weights = np.array([workflow.weight(t) for t in tasks], dtype=float)
+        self.superchain = superchain
+        self.n = n
+        self.wprefix: List[float] = np.concatenate(
+            ([0.0], np.cumsum(weights))
+        ).tolist()
+
+        def file_id(f: str) -> int:
+            return ids.setdefault(f, len(ids))
+
+        drop_at: Dict[str, int] = {}
+        outputs = []
+        for k, t in enumerate(tasks):
+            row = []
+            for f in sorted(workflow.outputs(t)):
+                consumers = [pos.get(c) for c in workflow.consumers(f)]
+                later = [q for q in consumers if q is not None and q > k]
+                if consumers and len(later) == len(consumers):
+                    drop_at[f] = max(later)
+                if consumers and None not in consumers:
+                    lo, hi = min(consumers), max(consumers)
+                else:
+                    lo = hi = n
+                row.append((file_id(f), len(consumers), lo, hi))
+            outputs.append(tuple(row))
+        inputs = []
+        for k, t in enumerate(tasks):
+            row = []
+            for f in sorted(workflow.inputs(t)):
+                producer = pos.get(workflow.producer(f), -1)
+                row.append((file_id(f), producer, drop_at.get(f) == k))
+            inputs.append(tuple(row))
+        self.inputs = tuple(inputs)
+        self.outputs = tuple(outputs)
+
+    def span_table(
+        self, sizes: Sequence[float], bandwidth: float, save_final_outputs: bool
+    ) -> np.ndarray:
+        """``X(i, j)`` at file sizes ``sizes`` (indexed by file id), in
+        :meth:`SuperchainCostModel.span_table`'s operation order."""
+        n = self.n
+        wp = self.wprefix
+        inputs = self.inputs
+        outputs = self.outputs
+        spans = np.full((n, n), np.nan)
+        for i in range(n):
+            read_b = 0.0
+            ckpt_b = 0.0
+            read_seen: set = set()
+            row = []
+            for j in range(i, n):
+                for f, producer, drop in inputs[j]:
+                    if i <= producer < j:
+                        # Produced inside the slice: one fewer outside
+                        # consumer, and the last one retires the file.
+                        if drop:
+                            ckpt_b -= sizes[f]
+                        continue
+                    if f not in read_seen:
+                        read_seen.add(f)
+                        read_b += sizes[f]
+                for f, consumers, _lo, _hi in outputs[j]:
+                    if consumers or save_final_outputs:
+                        ckpt_b += sizes[f]
+                row.append((read_b + ckpt_b) / bandwidth + wp[j + 1] - wp[i])
+            spans[i, i:] = row
+        return spans
+
+    def segment_costs(
+        self,
+        sizes: Sequence[float],
+        bandwidth: float,
+        save_final_outputs: bool,
+        i: int,
+        j: int,
+    ) -> Tuple[float, float, float]:
+        """``(R, W, C)`` of slice ``[i..j]`` as direct sums, in
+        :meth:`SuperchainCostModel.read_cost` / ``compute`` /
+        ``ckpt_cost`` operation order."""
+        read_b = 0.0
+        seen: set = set()
+        for k in range(i, j + 1):
+            for f, producer, _drop in self.inputs[k]:
+                if f in seen:
+                    continue
+                if not i <= producer <= j:
+                    seen.add(f)
+                    read_b += sizes[f]
+        ckpt_b = 0.0
+        for k in range(i, j + 1):
+            for f, consumers, lo, hi in self.outputs[k]:
+                if consumers:
+                    if not (i <= lo and hi <= j):
+                        ckpt_b += sizes[f]
+                elif save_final_outputs:
+                    ckpt_b += sizes[f]
+        return (
+            read_b / bandwidth,
+            self.wprefix[j + 1] - self.wprefix[i],
+            ckpt_b / bandwidth,
+        )
+
+
+class ScheduleIncidence:
+    """Every superchain's :class:`ChainIncidence`, compiled once per
+    (workflow, schedule).
+
+    Only structure and task weights enter, so CCR-rescaled copies of the
+    workflow share it; ``files`` maps file ids back to names.
+    """
+
+    __slots__ = ("files", "chains")
+
+    def __init__(self, workflow: Workflow, schedule: Schedule) -> None:
+        ids: Dict[str, int] = {}
+        self.chains: Tuple[ChainIncidence, ...] = tuple(
+            ChainIncidence(workflow, sc, ids) for sc in schedule.superchains
+        )
+        self.files: Tuple[str, ...] = tuple(ids)
+
+
+class ScheduleCosts:
+    """A schedule's segment costs at one set of file sizes (one CCR).
+
+    Span tables and segment ``(R, W, C)`` triples are computed on first
+    use and kept for the object's life, so every pfail of a CCR shares
+    them.  The engine builds one per CCR of one batched call.
+    """
+
+    __slots__ = (
+        "incidence",
+        "sizes",
+        "bandwidth",
+        "save_final_outputs",
+        "_tables",
+        "_segments",
+    )
+
+    def __init__(
+        self,
+        incidence: ScheduleIncidence,
+        workflow: Workflow,
+        bandwidth: float,
+        save_final_outputs: bool = True,
+    ) -> None:
+        self.incidence = incidence
+        self.sizes = [workflow.file_size(f) for f in incidence.files]
+        self.bandwidth = bandwidth
+        self.save_final_outputs = save_final_outputs
+        self._tables: Dict[int, np.ndarray] = {}
+        self._segments: Dict[Tuple[int, int, int], Tuple[float, ...]] = {}
+
+    def span_table(self, chain: int) -> np.ndarray:
+        """``X(i, j)`` of superchain ``chain`` (shared; do not mutate)."""
+        table = self._tables.get(chain)
+        if table is None:
+            table = self.incidence.chains[chain].span_table(
+                self.sizes, self.bandwidth, self.save_final_outputs
+            )
+            self._tables[chain] = table
+        return table
+
+    def segment(self, chain: int, i: int, j: int) -> Tuple[float, ...]:
+        """``(R, W, C)`` of slice ``[i..j]`` of superchain ``chain``."""
+        key = (chain, i, j)
+        costs = self._segments.get(key)
+        if costs is None:
+            costs = self.incidence.chains[chain].segment_costs(
+                self.sizes, self.bandwidth, self.save_final_outputs, i, j
+            )
+            self._segments[key] = costs
+        return costs

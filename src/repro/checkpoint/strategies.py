@@ -14,23 +14,32 @@ Both plan builders share the segment cost model, so CKPTALL is exactly the
 "all segments are singletons" point of CKPTSOME's search space; Algorithm 2
 can therefore never produce a superchain whose expected time exceeds
 CKPTALL's (tested property).
+
+:func:`plan_from_costs` builds either plan from a schedule's shared
+:class:`~repro.checkpoint.segments.ScheduleCosts` instead of fresh cost
+models — the engine's batched path, bit-identical to the builders above.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
-from repro.checkpoint.dp import optimal_checkpoint_positions
+from repro.checkpoint.dp import dp_from_table, optimal_checkpoint_positions
 from repro.checkpoint.plan import CheckpointPlan
-from repro.checkpoint.segments import SuperchainCostModel
+from repro.checkpoint.segments import (
+    ScheduleCosts,
+    SuperchainCostModel,
+    expected_times,
+)
 from repro.errors import CheckpointError
 from repro.mspg.graph import Workflow
 from repro.platform import Platform
-from repro.scheduling.schedule import Schedule
+from repro.scheduling.schedule import Schedule, Superchain
 
 __all__ = [
     "ckpt_all_plan",
     "ckpt_some_plan",
+    "plan_from_costs",
     "plan_for_strategy",
     "STRATEGIES",
 ]
@@ -38,19 +47,22 @@ __all__ = [
 
 def _emit_segments(
     plan: CheckpointPlan,
-    cost: SuperchainCostModel,
+    sc: Superchain,
     positions: List[int],
+    costs: Callable[[int, int], Tuple[float, float, float]],
 ) -> None:
+    """Cut ``sc`` after each of ``positions``; ``costs(i, j)`` gives the
+    slice's ``(R, W, C)``."""
     start = 0
-    sc = cost.superchain
     for end in positions:
+        read_cost, compute, ckpt_cost = costs(start, end)
         plan.add_segment(
             superchain_index=sc.index,
             processor=sc.processor,
             tasks=sc.tasks[start : end + 1],
-            read_cost=cost.read_cost(start, end),
-            compute=cost.compute(start, end),
-            ckpt_cost=cost.ckpt_cost(start, end),
+            read_cost=read_cost,
+            compute=compute,
+            ckpt_cost=ckpt_cost,
         )
         start = end + 1
     if start != len(sc.tasks):
@@ -58,6 +70,16 @@ def _emit_segments(
             f"checkpoint positions {positions} do not cover superchain "
             f"{sc.index} of length {len(sc.tasks)}"
         )
+
+
+def _model_costs(
+    cost: SuperchainCostModel,
+) -> Callable[[int, int], Tuple[float, float, float]]:
+    return lambda i, j: (
+        cost.read_cost(i, j),
+        cost.compute(i, j),
+        cost.ckpt_cost(i, j),
+    )
 
 
 def ckpt_all_plan(
@@ -72,7 +94,8 @@ def ckpt_all_plan(
         cost = SuperchainCostModel(
             workflow, sc, platform, save_final_outputs=save_final_outputs
         )
-        _emit_segments(plan, cost, list(range(len(sc.tasks))))
+        positions = list(range(len(sc.tasks)))
+        _emit_segments(plan, sc, positions, _model_costs(cost))
     return plan
 
 
@@ -89,7 +112,37 @@ def ckpt_some_plan(
             workflow, sc, platform, save_final_outputs=save_final_outputs
         )
         positions, _ = optimal_checkpoint_positions(cost)
-        _emit_segments(plan, cost, positions)
+        _emit_segments(plan, sc, positions, _model_costs(cost))
+    return plan
+
+
+def plan_from_costs(
+    costs: ScheduleCosts, strategy: str, failure_rate: float
+) -> CheckpointPlan:
+    """``ckpt_all`` or ``ckpt_some`` plan from a schedule's shared costs.
+
+    Bit-identical to :func:`ckpt_all_plan` / :func:`ckpt_some_plan` on
+    the workflow the costs were priced on, with ``failure_rate`` as the
+    platform's λ; the span tables and segment costs come from ``costs``
+    instead of fresh per-superchain cost models.
+    """
+    if strategy not in STRATEGIES:
+        raise CheckpointError(
+            f"unknown strategy {strategy!r}; choose from {sorted(STRATEGIES)}"
+        )
+    plan = CheckpointPlan(strategy)
+    for k, chain in enumerate(costs.incidence.chains):
+        if strategy == "ckpt_all":
+            positions = list(range(chain.n))
+        else:
+            table = expected_times(costs.span_table(k), failure_rate)
+            positions, _ = dp_from_table(table)
+        _emit_segments(
+            plan,
+            chain.superchain,
+            positions,
+            lambda i, j, k=k: costs.segment(k, i, j),
+        )
     return plan
 
 

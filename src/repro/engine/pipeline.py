@@ -12,13 +12,28 @@ both are invariant across the pfail/CCR axes.  :class:`Pipeline` makes
 each stage an explicit method whose result lands in an
 :class:`ArtifactCache` keyed by exactly the inputs it depends on — a
 sweep reuses the tree and schedule instead of recomputing them per cell.
+Next to each schedule the cache keeps its compiled file incidence
+(:class:`~repro.checkpoint.segments.ScheduleIncidence`), the structure
+Algorithm 2's cost tables are priced from.
 
-The cache also exploits two cheaper invariances:
+:meth:`Pipeline.evaluate_cells` prices a whole (workflow, processors)
+group and shares what only part of a cell's inputs determine, for the
+length of the call:
 
-* CCR rescaling touches file sizes only, so scaled workflows are shared
-  across the pfail axis;
+* CCR rescaling touches file sizes only, so each distinct CCR is
+  rescaled once, and its span tables ``X(i, j)``, segment costs and
+  CKPTALL plan are built once for every pfail — Eq. (2) uses λ only
+  through ``T = X(1 + λX/2)``; each cell runs Algorithm 2's recursion
+  and prices only its new segments;
+* every distinct (strategy, segmentation) gets one segment-DAG skeleton
+  whose rows are filled from the cells' segment spans, and is priced by
+  one batched evaluator call;
 * the CKPTNONE estimator (Theorem 1) contains no I/O term, so its value
-  is shared across the CCR axis.
+  is cached across the CCR axis.
+
+:meth:`Pipeline.evaluate_cell` runs the same stages one cell at a time
+from the per-cell cost model, segment DAG and evaluator — the
+bit-exactness oracle of the batched path.
 
 Per-stage hit/miss counters (:meth:`ArtifactCache.stats`) make the reuse
 observable; the call-count tests pin the "once per (workflow,
@@ -29,11 +44,23 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.ccr import scale_to_ccr
 from repro.checkpoint.plan import CheckpointPlan
-from repro.checkpoint.strategies import ckpt_all_plan, ckpt_some_plan
+from repro.checkpoint.segments import ScheduleCosts, ScheduleIncidence
+from repro.checkpoint.strategies import STRATEGIES, plan_from_costs
 from repro.engine.records import CellResult
 from repro.errors import ExperimentError
 from repro.generators import generate
@@ -45,7 +72,7 @@ from repro.makespan.api import (
 from repro.makespan.ckptnone import ckptnone_expected_makespan
 from repro.makespan.paramdag import ParamDAG
 from repro.makespan.probdag import ProbDAG
-from repro.makespan.segment_dag import build_segment_dag
+from repro.makespan.segment_dag import SegmentDagSkeleton, build_segment_dag
 from repro.mspg.expr import MSPG
 from repro.mspg.graph import Workflow
 from repro.mspg.transform import mspgify
@@ -79,7 +106,12 @@ STAGES: Tuple[str, ...] = (
 #: rate — a long sweep measured exactly that: 0 hits / 168 misses per
 #: stage before they were reclassified.  Their ``misses`` counter is
 #: work-done telemetry (one computation each), not a cache outcome, and
-#: :meth:`ArtifactCache.hit_rate` excludes them.
+#: :meth:`ArtifactCache.hit_rate` excludes them.  CCR rescaling is
+#: compute-only too (not even counted): a long-lived pipeline that stored
+#: one rescaled workflow per distinct CCR grew without bound.  What the
+#: pfail axis can share — the rescaled workflow, its span tables and
+#: segment costs, the CKPTALL plan — lives for one
+#: :meth:`Pipeline.evaluate_cells` call instead.
 COMPUTE_ONLY_STAGES: Tuple[str, ...] = ("plan", "build_dag", "evaluate")
 
 #: Stages that actually store artifacts — the denominator of
@@ -249,13 +281,15 @@ class Pipeline:
     def scale(
         self, workflow: Workflow, platform: Platform, ccr: Optional[float]
     ) -> Workflow:
-        """CCR-rescaled copy of ``workflow`` (shared across the pfail axis)."""
+        """CCR-rescaled copy of ``workflow`` (computed, never stored).
+
+        Only the platform's bandwidth enters, so one copy serves every
+        pfail; :meth:`evaluate_cells` rescales once per distinct CCR of
+        its call.
+        """
         if ccr is None:
             return workflow
-        key = ("scaled", self._token(workflow), platform.bandwidth, ccr)
-        return self.cache.get_or_compute(
-            "prepare", key, lambda: scale_to_ccr(workflow, platform, ccr)
-        )
+        return scale_to_ccr(workflow, platform, ccr)
 
     # ------------------------------------------------------------------
     # Stage 2 — mspgify: structure only, invariant across the whole sweep.
@@ -305,6 +339,19 @@ class Pipeline:
             ),
         )
 
+    def incidence(
+        self, workflow: Workflow, schedule: Schedule
+    ) -> ScheduleIncidence:
+        """The schedule's compiled file incidence, cached next to it.
+
+        Structure and task weights only, so it is shared by every CCR
+        and pfail of the (workflow, schedule) pair.
+        """
+        key = ("incidence", self._token(workflow), self._token(schedule))
+        return self.cache.get_or_compute(
+            "allocate", key, lambda: ScheduleIncidence(workflow, schedule)
+        )
+
     # ------------------------------------------------------------------
     # Stage 4 — plan: checkpoint placement (per cell; counted, not stored).
 
@@ -315,18 +362,27 @@ class Pipeline:
         platform: Platform,
         strategy: str = "some",
         save_final_outputs: bool = True,
+        costs: Optional[ScheduleCosts] = None,
     ) -> CheckpointPlan:
-        """One strategy's checkpoint plan on the (scaled) workflow."""
-        builders = {"some": ckpt_some_plan, "all": ckpt_all_plan}
+        """One strategy's checkpoint plan on the (scaled) workflow.
+
+        ``costs`` — the schedule's shared cost tables at ``workflow``'s
+        file sizes — prices the plan from those tables (the batched
+        path); without it, fresh per-superchain cost models do (the
+        per-cell oracle).  Both give bit-identical plans.
+        """
+        names = {"some": "ckpt_some", "all": "ckpt_all"}
         try:
-            builder = builders[strategy]
+            name = names[strategy]
         except KeyError:
             raise ExperimentError(
                 f"unknown checkpoint strategy {strategy!r}; "
-                f"choose from {sorted(builders)}"
+                f"choose from {sorted(names)}"
             ) from None
         self.cache.count_compute("plan")
-        return builder(
+        if costs is not None:
+            return plan_from_costs(costs, name, platform.failure_rate)
+        return STRATEGIES[name](
             workflow, schedule, platform, save_final_outputs=save_final_outputs
         )
 
@@ -352,9 +408,21 @@ class Pipeline:
         schedule: Schedule,
         plan: CheckpointPlan,
         platform: Platform,
-    ) -> ProbDAG:
-        """2-state probabilistic segment DAG for one plan."""
+        cells: Optional[Sequence[Tuple[CheckpointPlan, Platform]]] = None,
+    ) -> Union[ProbDAG, ParamDAG]:
+        """2-state probabilistic segment DAG for one plan.
+
+        With ``cells`` — ``(plan, platform)`` pairs whose plans all cut
+        the schedule like ``plan`` — the DAG's structure is built once
+        and returned as one :class:`ParamDAG` with a row per cell,
+        filled straight from its segment spans (the batched path).
+        Without it, the per-cell oracle's :class:`ProbDAG`.
+        """
         self.cache.count_compute("build_dag")
+        if cells is not None:
+            return SegmentDagSkeleton(workflow, plan).template(
+                [(p, pl.failure_rate) for p, pl in cells]
+            )
         return build_segment_dag(workflow, schedule, plan, platform)
 
     # ------------------------------------------------------------------
@@ -469,40 +537,6 @@ class Pipeline:
     # ------------------------------------------------------------------
     # Batched cell evaluation (stages 4-6 over a whole grid group).
 
-    def _evaluate_grouped(
-        self,
-        dags: Sequence[ProbDAG],
-        method: str,
-        options: Mapping[str, Any],
-        eval_seeds: Optional[Sequence[Optional[int]]] = None,
-    ) -> list:
-        """Price many same-group DAGs through the batch entry point.
-
-        Cells are grouped by :meth:`ParamDAG.structure_key` (pfail/CCR
-        can move the checkpoint plan, so a group's segment DAGs need
-        not all coincide); each structure group becomes one template
-        priced in a single :func:`expected_makespans` call.  Results
-        are bit-identical to per-cell evaluation — the batch contract
-        every ``supports_batch`` evaluator is pinned to.  ``eval_seeds``
-        (one per DAG) is forwarded as the batch ``seed`` option in each
-        group's cell order, mirroring the seed injection
-        :meth:`evaluate` performs per cell for stochastic methods.
-        """
-        groups: Dict[Hashable, list] = {}
-        for i, dag in enumerate(dags):
-            groups.setdefault(ParamDAG.structure_key(dag), []).append(i)
-        out: list = [None] * len(dags)
-        for indices in groups.values():
-            template = ParamDAG.from_dags([dags[i] for i in indices])
-            group_options = dict(options)
-            if eval_seeds is not None and "seed" not in group_options:
-                group_options["seed"] = [eval_seeds[i] for i in indices]
-            self.cache.count_compute("evaluate")
-            values = expected_makespans(template, method, **group_options)
-            for i, value in zip(indices, values):
-                out[i] = float(value)
-        return out
-
     def _evaluate_cells_per_cell(
         self,
         family: str,
@@ -538,31 +572,6 @@ class Pipeline:
             for pfail, ccr, eval_seed in cells
         ]
 
-    def _prepare_cells(
-        self,
-        workflow: Workflow,
-        schedule: Schedule,
-        processors: int,
-        cells: Sequence[Tuple[float, float, Optional[int]]],
-        bandwidth: float,
-        save_final_outputs: bool,
-    ) -> list:
-        """Stages 4-5 + CKPTNONE for every cell, in grid order."""
-        prepared = []
-        for pfail, ccr, _eval_seed in cells:
-            platform = self.platform_for(workflow, processors, pfail, bandwidth)
-            scaled = self.scale(workflow, platform, ccr)
-            plan_some, plan_all = self.plans(
-                scaled, schedule, platform, save_final_outputs
-            )
-            dag_some = self.segment_dag(scaled, schedule, plan_some, platform)
-            dag_all = self.segment_dag(scaled, schedule, plan_all, platform)
-            em_none = self.evaluate_none(workflow, scaled, schedule, platform)
-            prepared.append(
-                (platform, plan_some, plan_all, dag_some, dag_all, em_none)
-            )
-        return prepared
-
     @staticmethod
     def _eval_seeds_for(
         evaluator, cells: Sequence[Tuple[float, float, Optional[int]]]
@@ -595,11 +604,13 @@ class Pipeline:
         """Run stages 4-6 for every ``(pfail, ccr, eval_seed)`` cell of
         one prepared (workflow, processors) group, batching evaluation.
 
-        The per-cell stages (scale → plan → segment DAG → CKPTNONE)
-        run exactly as :meth:`evaluate_cell` would, in grid order; the
-        expected-makespan evaluations are priced by
-        :meth:`_evaluate_grouped`, one dispatch per strategy and
-        structure group.  Records are bit-identical to
+        Each distinct CCR is rescaled once, and its span tables, segment
+        costs and CKPTALL plan (:class:`ScheduleCosts`) serve every
+        pfail; per cell, only Algorithm 2's recursion and the costs of
+        segments no earlier cell priced run.  Each distinct
+        (strategy, segmentation) then gets one segment-DAG skeleton and
+        one :func:`expected_makespans` dispatch over its cells.  None of
+        this outlives the call.  Records are bit-identical to
         :meth:`evaluate_cell`'s: stochastic evaluators (Monte Carlo)
         receive the cells' ``eval_seed`` streams one per cell, and
         evaluators without ``supports_batch`` run through the per-cell
@@ -613,16 +624,36 @@ class Pipeline:
                 evaluator_options,
             )
         options = dict(evaluator_options) if evaluator_options else {}
-        prepared = self._prepare_cells(
-            workflow, schedule, processors, cells, bandwidth,
-            save_final_outputs,
-        )
+        incidence = self.incidence(workflow, schedule)
+        # Per distinct CCR: (rescaled workflow, shared costs, CKPTALL plan).
+        by_ccr: Dict[Optional[float], tuple] = {}
+        prepared = []
+        for pfail, ccr, _eval_seed in cells:
+            platform = self.platform_for(workflow, processors, pfail, bandwidth)
+            shared = by_ccr.get(ccr)
+            if shared is None:
+                scaled = self.scale(workflow, platform, ccr)
+                costs = ScheduleCosts(
+                    incidence, scaled, platform.bandwidth, save_final_outputs
+                )
+                plan_all = self.plan(
+                    scaled, schedule, platform, "all", save_final_outputs, costs
+                )
+                shared = by_ccr[ccr] = (scaled, costs, plan_all)
+            scaled, costs, plan_all = shared
+            plan_some = self.plan(
+                scaled, schedule, platform, "some", save_final_outputs, costs
+            )
+            em_none = self.evaluate_none(workflow, scaled, schedule, platform)
+            prepared.append((platform, plan_some, plan_all, em_none))
         eval_seeds = self._eval_seeds_for(evaluator, cells)
-        em_some = self._evaluate_grouped(
-            [p[3] for p in prepared], method, options, eval_seeds
+        em_some = self._evaluate_plans(
+            workflow, schedule, [(p[1], p[0]) for p in prepared],
+            method, options, eval_seeds,
         )
-        em_all = self._evaluate_grouped(
-            [p[4] for p in prepared], method, options, eval_seeds
+        em_all = self._evaluate_plans(
+            workflow, schedule, [(p[2], p[0]) for p in prepared],
+            method, options, eval_seeds,
         )
         return [
             CellResult(
@@ -642,7 +673,48 @@ class Pipeline:
             )
             for i, (
                 (pfail, ccr, _eval_seed),
-                (platform, plan_some, plan_all, _ds, _da, em_none),
+                (platform, plan_some, plan_all, em_none),
             ) in enumerate(zip(cells, prepared))
         ]
 
+    def _evaluate_plans(
+        self,
+        workflow: Workflow,
+        schedule: Schedule,
+        cells: Sequence[Tuple[CheckpointPlan, Platform]],
+        method: str,
+        options: Mapping[str, Any],
+        eval_seeds: Optional[Sequence[Optional[int]]],
+    ) -> List[float]:
+        """Expected makespans of one strategy's plans, one per cell.
+
+        Cells are grouped by segmentation (the plans' segment lengths in
+        schedule order, which fix the DAG's structure); each group
+        becomes one template priced in a single
+        :func:`expected_makespans` call, bit-identical to per-cell
+        evaluation — the batch contract every ``supports_batch``
+        evaluator is pinned to.  ``eval_seeds`` (one per cell) is
+        forwarded as the batch ``seed`` option in the group's cell
+        order, mirroring the injection :meth:`evaluate` performs per
+        cell for stochastic methods.
+        """
+        groups: Dict[Tuple[int, ...], List[int]] = {}
+        for i, (plan, _platform) in enumerate(cells):
+            key = tuple(len(seg.tasks) for seg in plan.segments)
+            groups.setdefault(key, []).append(i)
+        out: List[float] = [0.0] * len(cells)
+        for indices in groups.values():
+            template = self.segment_dag(
+                workflow,
+                schedule,
+                *cells[indices[0]],
+                cells=[cells[i] for i in indices],
+            )
+            group_options = dict(options)
+            if eval_seeds is not None and "seed" not in group_options:
+                group_options["seed"] = [eval_seeds[i] for i in indices]
+            self.cache.count_compute("evaluate")
+            values = expected_makespans(template, method, **group_options)
+            for i, value in zip(indices, values):
+                out[i] = float(value)
+        return out

@@ -31,7 +31,10 @@ class ParamDAG:
     """A ProbDAG structure template with per-cell 2-state parameters.
 
     Construct via :meth:`from_dags` (stack per-cell DAGs that share a
-    structure) or :meth:`from_template`.  Every constructor rejects
+    structure), :meth:`from_template`, or directly from structure lists
+    and arrays, as the engine's
+    :class:`~repro.makespan.segment_dag.SegmentDagSkeleton` does.  Every
+    constructor rejects
     parameters outside the 2-state domain (``0 <= base <= long``,
     ``0 <= p <= 1``), as :meth:`ProbDAG.add` does per node.  Instances
     are read-only by convention; the structure lists are shared with
@@ -106,8 +109,7 @@ class ParamDAG:
     def structure_key(dag: ProbDAG) -> Hashable:
         """Hashable identity of a DAG's structure (names + edges).
 
-        Two DAGs with equal keys can share one template; the engine
-        groups a sweep's cells by this key before batching.
+        Two DAGs with equal keys can share one template.
         """
         return (
             tuple(dag.names),

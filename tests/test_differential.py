@@ -1,0 +1,149 @@
+"""Differential test from workflow to record.
+
+The batched engine path (:meth:`repro.engine.Pipeline.evaluate_cells`:
+shared span tables, one segment-DAG skeleton per segmentation, batched
+evaluators) must reproduce the per-cell oracle
+(:meth:`~repro.engine.Pipeline.evaluate_cell`: a fresh cost model,
+segment DAG and scalar evaluator per cell) byte for byte, on random
+M-SPG workflows with adversarial parameters: shared and zero-size
+files, equal task weights (ties in Algorithm 2), a pfail of 0 or near 1,
+a CCR of 0 or large.  When one side raises, the other must raise the
+same error type.  Monte Carlo runs under both eval-seed policies.
+
+The slice here is bounded and derandomized so tier-1 stays fast and
+reproducible; raise ``max_examples`` for a long local run.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.engine import SweepSpec, run_sweep
+from repro.generators.random_mspg import random_tree, workflow_from_tree
+from repro.makespan.api import EVALUATORS
+from repro.makespan.evaluator import FunctionEvaluator
+from repro.workloads import FileSource
+
+PFAILS = (0.0, 1e-4, 1e-2, 0.5, 0.999)
+CCRS = (0.0, 1e-3, 1.0, 50.0)
+METHODS = ("pathapprox", "normal", "dodin")
+
+
+@st.composite
+def workflows(draw):
+    """A random M-SPG workflow of 1-40 tasks with adversarial sizes."""
+    ntasks = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    shared = draw(st.sampled_from((0.0, 1.0)))
+    zero_frac = draw(st.sampled_from((0.0, 0.25, 0.75, 1.0)))
+    equal_weights = draw(st.booleans())
+    rng = np.random.default_rng(seed)
+
+    def size(r):
+        return 0.0 if r.random() < zero_frac else float(r.lognormal(13.0, 1.0))
+
+    return workflow_from_tree(
+        random_tree(ntasks, rng),
+        seed=rng,
+        weight_sampler=(lambda r: 5.0) if equal_weights else None,
+        size_sampler=size,
+        shared_output_prob=shared,
+    )
+
+
+def subsets(values, max_size):
+    return st.lists(
+        st.sampled_from(values), min_size=1, max_size=max_size, unique=True
+    ).map(tuple)
+
+
+def outcome(spec):
+    """The sweep's records with every float as ``float.hex``, or the
+    type of the error it raised."""
+    try:
+        records = run_sweep(spec)
+    except Exception as exc:  # noqa: BLE001 — the error type is compared
+        return type(exc)
+    return [
+        tuple(
+            v.hex() if isinstance(v, float) else v
+            for v in dataclasses.astuple(record)
+        )
+        for record in records
+    ]
+
+
+def oracle_outcome(spec):
+    """:func:`outcome` with the spec's method routed through the
+    per-cell oracle (re-registered without ``supports_batch``)."""
+    batched = EVALUATORS[spec.method]
+    EVALUATORS[spec.method] = FunctionEvaluator(
+        batched.evaluate, name=spec.method, deterministic=batched.deterministic
+    )
+    try:
+        return outcome(spec)
+    finally:
+        EVALUATORS[spec.method] = batched
+
+
+class TestEngineDifferential:
+    @settings(
+        max_examples=200,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        wf=workflows(),
+        processors=subsets(range(1, 6), 2),
+        pfails=subsets(PFAILS, 2),
+        ccrs=subsets(CCRS, 2),
+        save_final_outputs=st.booleans(),
+        method=st.sampled_from(METHODS),
+    )
+    def test_batched_records_equal_per_cell_oracle(
+        self, wf, processors, pfails, ccrs, save_final_outputs, method
+    ):
+        spec = SweepSpec.from_source(
+            FileSource(wf),
+            processors=processors,
+            pfails=pfails,
+            ccrs=ccrs,
+            method=method,
+            save_final_outputs=save_final_outputs,
+            seed_policy="stable",
+        )
+        assert outcome(spec) == oracle_outcome(spec)
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        wf=workflows(),
+        processors=subsets(range(1, 6), 2),
+        pfails=subsets(PFAILS, 2),
+        ccrs=subsets(CCRS, 2),
+        eval_seed_policy=st.sampled_from(("content", "positional")),
+    )
+    def test_monte_carlo_records_equal_per_cell_oracle(
+        self, wf, processors, pfails, ccrs, eval_seed_policy
+    ):
+        """Sampling seeds thread through the batch call cell by cell."""
+        spec = SweepSpec.from_source(
+            FileSource(wf),
+            processors=processors,
+            pfails=pfails,
+            ccrs=ccrs,
+            method="montecarlo",
+            evaluator_options={"trials": 300},
+            eval_seed_policy=eval_seed_policy,
+            seed_policy="stable",
+        )
+        assert outcome(spec) == oracle_outcome(spec)

@@ -1,10 +1,12 @@
 """Tests for the pipeline engine: artifact cache, staged pipeline,
 sweep executor parity/determinism, and the record schema."""
 
+import numpy as np
 import pytest
 
 import repro.engine.pipeline as pipeline_mod
 from repro.api import run_strategies
+from repro.checkpoint.segments import ChainIncidence, SuperchainCostModel
 from repro.engine import (
     ArtifactCache,
     CellResult,
@@ -20,7 +22,9 @@ from repro.errors import ExperimentError
 from repro.experiments.claims import sweep_and_check
 from repro.experiments.figures import run_cell
 from repro.generators import generate
+from repro.makespan.segment_dag import SegmentDagSkeleton
 from repro.util.rng import stable_seed
+from repro.workloads import FileSource
 
 
 def small_spec(**overrides):
@@ -90,15 +94,54 @@ class TestPipelineStages:
         assert s1 is not s2
         assert pipe.cache.stats()["allocate"].misses == 2
 
-    def test_scaled_workflow_shared_across_pfail_axis(self):
+    def test_scaled_workflow_shared_across_pfail_axis(self, monkeypatch):
+        """One batched call rescales once per distinct CCR and hands the
+        same copy to every pfail's plan; the copy is never stored."""
         pipe = Pipeline()
         wf = generate("montage", 50, 3)
-        plat_a = pipe.platform_for(wf, 5, 0.01)
-        plat_b = pipe.platform_for(wf, 5, 0.001)
-        assert plat_a.failure_rate != plat_b.failure_rate
-        scaled_a = pipe.scale(wf, plat_a, 0.1)
-        scaled_b = pipe.scale(wf, plat_b, 0.1)
-        assert scaled_a is scaled_b  # same bandwidth, same CCR
+        schedule = pipe.schedule_for(wf, 5, seed=7)
+        real_plan = Pipeline.plan
+        planned = []  # (strategy, pfail's λ, the workflow it was priced on)
+
+        def recording_plan(self, workflow, schedule, platform, strategy,
+                           *args):
+            planned.append((strategy, platform.failure_rate, workflow))
+            return real_plan(self, workflow, schedule, platform, strategy,
+                             *args)
+
+        monkeypatch.setattr(Pipeline, "plan", recording_plan)
+        cells = [
+            (pfail, ccr, None)
+            for pfail in (0.01, 0.001, 0.0001)
+            for ccr in (0.1, 1.0)
+        ]
+        entries = len(pipe.cache)
+        pipe.evaluate_cells("montage", 50, wf, schedule, 5, cells,
+                            method="normal")
+        some = [(lam, w) for s, lam, w in planned if s == "some"]
+        every = [w for s, _lam, w in planned if s == "all"]
+        # CKPTALL is planned once per CCR, on the CCR's rescaled copy,
+        # and every pfail's CKPTSOME plan is priced on those two copies.
+        assert len(every) == 2 and every[0] is not every[1]
+        assert len(some) == 6 and len({lam for lam, _ in some}) == 3
+        assert all(w is every[i % 2] for i, (_lam, w) in enumerate(some))
+        # Stored: three platforms, the incidence and three CKPTNONE values.
+        assert len(pipe.cache) == entries + 3 + 1 + 3
+
+    def test_cache_flat_over_distinct_ccrs(self):
+        """A long-lived pipeline (the service keeps one) must not grow
+        with the number of distinct CCRs it has priced."""
+        pipe = Pipeline()
+        source = FileSource(generate("genome", 30, 4))
+        sizes = []
+        for ccr in np.geomspace(1e-3, 1.0, 50):
+            spec = SweepSpec.from_source(
+                source, processors=(3,), pfails=(0.01,), ccrs=(float(ccr),),
+                method="normal", seed_policy="stable",
+            )
+            run_sweep(spec, pipeline=pipe)
+            sizes.append(len(pipe.cache))
+        assert sizes[-1] == sizes[0]
 
     def test_clear_releases_tokens_and_artifacts(self):
         pipe = Pipeline()
@@ -242,6 +285,85 @@ class TestCallCounts:
         # the schedule once per (workflow, processors) pair.
         assert counts["mspgify"] == 1
         assert counts["allocate"] == 2
+
+    def grid(self):
+        return small_spec(
+            pfails=(0.01, 0.001, 0.0001), ccrs=(1e-3, 1e-2, 1e-1)
+        )
+
+    def test_incidence_compiled_once_per_schedule(self, monkeypatch):
+        built = []
+        real = pipeline_mod.ScheduleIncidence
+
+        def counting(workflow, schedule):
+            built.append(schedule)
+            return real(workflow, schedule)
+
+        monkeypatch.setattr(pipeline_mod, "ScheduleIncidence", counting)
+        assert len(run_sweep(self.grid())) == 2 * 3 * 3
+        assert len(built) == 2 and built[0] is not built[1]
+
+    def test_span_tables_once_per_ccr_and_superchain(
+        self, monkeypatch, per_cell
+    ):
+        """Eq. (2) uses λ only through T = X(1 + λX/2): the batched path
+        builds each CCR's span tables once for all three pfails, a third
+        of what the per-cell oracle builds."""
+        spec = self.grid()
+        counts = {"batched": 0, "oracle": 0}
+        real_chain = ChainIncidence.span_table
+        real_model = SuperchainCostModel.span_table
+
+        def chain_table(self, *args):
+            counts["batched"] += 1
+            return real_chain(self, *args)
+
+        def model_table(self):
+            counts["oracle"] += 1
+            return real_model(self)
+
+        monkeypatch.setattr(ChainIncidence, "span_table", chain_table)
+        monkeypatch.setattr(SuperchainCostModel, "span_table", model_table)
+        records = run_sweep(spec)
+        per_group = {r.processors: r.superchains for r in records}
+        superchains = sum(per_group.values())
+        assert counts == {"batched": 3 * superchains, "oracle": 0}
+        per_cell(spec.method)
+        assert run_sweep(spec) == records
+        assert counts["oracle"] == 3 * counts["batched"]
+
+    def test_one_skeleton_per_strategy_and_segmentation(self, monkeypatch):
+        segmentations = set()
+        real_plan = Pipeline.plan
+
+        def recording_plan(self, workflow, schedule, platform, strategy,
+                           *args, **kwargs):
+            plan = real_plan(
+                self, workflow, schedule, platform, strategy, *args, **kwargs
+            )
+            segmentations.add((
+                platform.processors,
+                strategy,
+                tuple(len(seg) for seg in plan.segments),
+            ))
+            return plan
+
+        skeletons = []
+        real_init = SegmentDagSkeleton.__init__
+
+        def counting_init(self, workflow, plan):
+            skeletons.append(plan)
+            real_init(self, workflow, plan)
+
+        monkeypatch.setattr(Pipeline, "plan", recording_plan)
+        monkeypatch.setattr(SegmentDagSkeleton, "__init__", counting_init)
+        run_sweep(self.grid())
+        # Both strategies and both processor counts contribute, and
+        # CKPTALL cuts every CCR the same way.
+        assert {(p, s) for p, s, _ in segmentations} == {
+            (p, s) for p in (3, 5) for s in ("some", "all")
+        }
+        assert len(skeletons) == len(segmentations)
 
     def test_ckptnone_cached_across_ccr_axis(self):
         spec = small_spec(processors={50: (3,)})
