@@ -3,10 +3,10 @@
 Profiling (PR 1) showed PathApprox evaluation is ~95% of per-cell sweep
 cost.  This benchmark isolates the batched evaluation core's win: the
 same grid is run through :func:`repro.engine.run_sweep` twice — once
-through the per-cell oracle (the method re-registered without
-``supports_batch``: one evaluator call per cell, 2-state laws rebuilt
-per path occurrence) and once through the batched path (one dispatch
-per strategy and structure group).  Records are asserted
+through the per-cell oracle (``Pipeline.evaluate_cell`` per cell: one
+evaluator call per cell, 2-state laws rebuilt per path occurrence) and
+once through the batched path (one dispatch per strategy and structure
+group).  Records are asserted
 bit-identical; the machine-readable summary lands in
 ``BENCH_eval.json`` at the repo root with ``cells_per_s`` / ``wall_s``
 / ``speedup`` keys per grid and overall, plus the dispatch telemetry

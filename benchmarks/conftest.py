@@ -75,18 +75,11 @@ def save_json(name: str, payload) -> Path:
 
 
 def per_cell_sweep(spec):
-    """``run_sweep(spec, jobs=1)`` through the per-cell oracle: the
-    spec's method is re-registered without ``supports_batch`` for the
-    call, so every cell is priced by ``Pipeline.evaluate_cell``."""
+    """``run_sweep(spec, jobs=1)`` through the per-cell oracle: within
+    the call, every cell is priced by ``Pipeline.evaluate_cell`` (see
+    ``tests/conftest.py:oracle_route``)."""
     from repro.engine import run_sweep
-    from repro.makespan.api import EVALUATORS
-    from repro.makespan.evaluator import FunctionEvaluator
+    from tests.conftest import oracle_route
 
-    batched = EVALUATORS[spec.method]
-    EVALUATORS[spec.method] = FunctionEvaluator(
-        batched.evaluate, name=spec.method, deterministic=batched.deterministic
-    )
-    try:
+    with oracle_route(spec.method):
         return run_sweep(spec, jobs=1)
-    finally:
-        EVALUATORS[spec.method] = batched

@@ -165,8 +165,9 @@ def _engine_flags() -> argparse.ArgumentParser:
         choices=["serial", "process", "subprocess", "remote"],
         default=None,
         help=(
-            "execution backend for the fan-out: 'process' (the --jobs "
-            "default), 'serial' (one-at-a-time reference), 'subprocess' "
+            "execution backend for the fan-out: 'process' (the --jobs N "
+            "default), 'serial' (in-process, one task at a time; the "
+            "--jobs 1 default), 'subprocess' "
             "(a fresh interpreter per work unit — native crashes cost one "
             "unit), or 'remote' (a `repro worker` fleet: `sweep` prints "
             "its coordinator URL at startup, `serve` becomes the "
@@ -310,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="list registered expected-makespan evaluators",
         description=(
             "List every evaluator in the makespan registry with its "
-            "declared keyword options and capabilities (deterministic "
-            "vs stochastic, batched grid evaluation)."
+            "declared keyword options and kind (deterministic vs "
+            "stochastic)."
         ),
     )
     met.add_argument(
@@ -723,7 +724,6 @@ def _cmd_methods(args: argparse.Namespace) -> int:
             ev.name: {
                 "summary": ev.summary,
                 "deterministic": ev.deterministic,
-                "supports_batch": ev.supports_batch,
                 "options": (
                     "any"
                     if ev.accepts_any_option
@@ -747,13 +747,12 @@ def _cmd_methods(args: argparse.Namespace) -> int:
             [
                 ev.name,
                 "deterministic" if ev.deterministic else "stochastic",
-                "yes" if ev.supports_batch else "no",
                 options,
             ]
         )
     print(
         format_table(
-            ["method", "kind", "batch", "options"],
+            ["method", "kind", "options"],
             rows,
             title="registered expected-makespan evaluators",
         )

@@ -14,14 +14,14 @@ everything that runs them at scale:
   the makespan layer's batched evaluation entry point (one DAG template
   per strategy and structure group, bit-identical to per-cell
   evaluation, which survives only as the test oracle) and
-  :func:`run_specs` is the batch entry point (several sweeps over one
-  shared pipeline, or fanned out spec-per-worker) that
-  :mod:`repro.service` dispatches coalesced request batches through;
+  :func:`run_specs` is the batch entry point (several sweeps whose
+  chunks share one dispatch) that :mod:`repro.service` dispatches
+  coalesced request batches through;
 * :mod:`repro.engine.backends` — the execution backends themselves:
-  one ``submit(task) → future`` protocol, four implementations (serial
-  reference, process pool, fresh-interpreter subprocesses, remote
-  ``repro worker`` fleet over a lease/complete work queue) and the one
-  shared dispatch loop that owns broken-executor restart and
+  one ``submit(task) → future`` protocol, four implementations
+  (in-process serial, process pool, fresh-interpreter subprocesses,
+  remote ``repro worker`` fleet over a lease/complete work queue) and
+  the one shared dispatch loop that owns broken-executor restart and
   profile-snapshot merging.  Records are bit-identical across all of
   them;
 * :mod:`repro.engine.records` — the typed result-record schema with

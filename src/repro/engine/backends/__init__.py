@@ -6,8 +6,8 @@ One protocol (:class:`~repro.engine.backends.base.ExecutionBackend`:
 dispatch loop (:func:`~repro.engine.backends.dispatch.run_tasks`):
 
 ==============  =====================================================
-``serial``      in-process reference path (shared pipeline, one task
-                at a time)
+``serial``      in-process execution (the ``jobs == 1`` path: the
+                caller's pipeline, one task at a time)
 ``process``     ``concurrent.futures`` process pool — the historical
                 ``jobs > 1`` behaviour, lazy-spawn fallback included
 ``subprocess``  one fresh interpreter per task — a native crash takes

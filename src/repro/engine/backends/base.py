@@ -1,8 +1,9 @@
 """The execution-backend protocol: spawn/collect over pickleable tasks.
 
 A *backend* turns the sweep engine's pickleable work units — one
-:func:`repro.engine.sweep._run_chunk_task` per grid chunk, one
-:func:`repro.engine.sweep._run_spec_task` per coalesced spec — into
+:func:`repro.engine.sweep._run_chunk_task` per grid chunk, for
+:func:`~repro.engine.sweep.run_sweep` and
+:func:`~repro.engine.sweep.run_specs` alike — into
 :class:`concurrent.futures.Future` results, hiding *where* the work
 runs: in-process (:class:`~repro.engine.backends.local.SerialBackend`),
 in a process pool
@@ -12,7 +13,8 @@ fresh interpreter per task
 fleet of HTTP workers
 (:class:`~repro.engine.backends.remote.RemoteWorkerBackend`).
 
-Every task function follows one contract::
+The engine's one task function, like any task run through
+:func:`~repro.engine.backends.run_tasks`, follows one contract::
 
     fn(*args, profile=False, pipeline=None) -> (result, profile_snapshot)
 

@@ -12,15 +12,16 @@ process-pool block, broken-pool fallback and profile-snapshot merge.
   :mod:`repro.makespan.profile` collector and the backend runs tasks
   out-of-process (``supports_profile_merge``), tasks are asked to
   self-profile and their snapshots are folded into the parent collector
-  here, at the single ``_merge`` call site;
+  here, at one call site;
 * **broken-backend restart** — a backend that dies mid-run
   (:class:`~concurrent.futures.process.BrokenProcessPool`,
-  :class:`~repro.engine.backends.base.BrokenBackendError`) triggers a
-  serial in-process restart of the **remaining** tasks only: results
-  already collected are kept, their ``on_result`` callbacks are *not*
-  re-fired, and their work is not recomputed (the historical
-  whole-grid restart re-reported — and re-priced — every completed
-  chunk).
+  :class:`~repro.engine.backends.base.BrokenBackendError`) hands the
+  **remaining** tasks only to a
+  :class:`~repro.engine.backends.local.SerialBackend`, through this same
+  loop: results already collected are kept, their ``on_result``
+  callbacks are *not* re-fired, and their work is not recomputed (the
+  historical whole-grid restart re-reported — and re-priced — every
+  completed chunk).
 
 Per-task exception isolation (``return_exceptions=True``) survives the
 restart: a failing task lands its exception in its own slot on either
@@ -40,43 +41,13 @@ from repro.engine.backends.base import (
     BrokenBackendError,
     ExecutionBackend,
 )
+from repro.engine.backends.local import SerialBackend
 from repro.makespan import profile as _profile
 
 __all__ = ["run_tasks"]
 
 #: Failures that mean "the executor is gone", not "this task is bad".
 _BROKEN = (BrokenBackendError, BrokenProcessPool)
-
-
-def _merge(snapshot: Optional[Dict[str, Any]]) -> None:
-    """Fold a task's profile snapshot into the parent collector (the
-    single call site the two executors used to duplicate)."""
-    if snapshot is not None and _profile.ACTIVE is not None:
-        _profile.ACTIVE.merge(snapshot)
-
-
-def _run_serially(
-    task: BackendTask,
-    results: Dict[Any, Any],
-    on_result: Optional[Callable[[Any, Any], None]],
-    return_exceptions: bool,
-) -> None:
-    """Execute one task in-process (the restart path).
-
-    ``profile=False``: the parent's collector — when active — records
-    in-process kernel ops directly, so no snapshot round-trip.
-    """
-    try:
-        payload, snapshot = task.fn(*task.args, profile=False)
-    except Exception as exc:
-        if not return_exceptions:
-            raise
-        results[task.key] = exc
-        return
-    _merge(snapshot)
-    results[task.key] = payload
-    if on_result is not None:
-        on_result(task.key, payload)
 
 
 def run_tasks(
@@ -131,7 +102,8 @@ def run_tasks(
                         raise
                     results[task.key] = exc
                     continue
-                _merge(snapshot)
+                if snapshot is not None and _profile.ACTIVE is not None:
+                    _profile.ACTIVE.merge(snapshot)
                 results[task.key] = payload
                 if on_result is not None:
                     on_result(task.key, payload)
@@ -162,6 +134,12 @@ def run_tasks(
                 f"! {backend.name} backend broke ({broken}); finishing "
                 f"{len(remaining)} remaining task(s) serially"
             )
-        for task in remaining:
-            _run_serially(task, results, on_result, return_exceptions)
+        results.update(
+            run_tasks(
+                SerialBackend(),
+                remaining,
+                on_result=on_result,
+                return_exceptions=return_exceptions,
+            )
+        )
     return results

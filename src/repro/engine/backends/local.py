@@ -1,11 +1,12 @@
 """In-process and process-pool execution backends.
 
-:class:`SerialBackend` is the reference implementation of the protocol:
-``submit`` runs the task on the calling thread and returns an
-already-resolved future.  It threads one shared
-:class:`~repro.engine.pipeline.Pipeline` through its tasks, so
-consecutive chunks of the same (workflow, processors) group reuse the
-cached M-SPG tree and schedule exactly like the inline serial path.
+:class:`SerialBackend` is the reference implementation of the protocol
+and the engine's in-process execution (``jobs == 1``, a backend that
+cannot start, the broken-backend restart): ``submit`` runs the task on
+the calling thread and returns an already-resolved future.  It threads
+one :class:`~repro.engine.pipeline.Pipeline` — the caller's, when one
+is given — through its tasks, so chunks of the same (workflow,
+processors) pair reuse the cached M-SPG tree and schedule.
 
 :class:`ProcessPoolBackend` wraps ``concurrent.futures`` — the
 historical ``jobs > 1`` behaviour.  Workers spawn lazily, so a sandbox
@@ -27,12 +28,14 @@ from repro.engine.backends.base import (
     BackendUnavailable,
     ExecutionBackend,
 )
+from repro.engine.pipeline import Pipeline
 
 __all__ = ["SerialBackend", "ProcessPoolBackend"]
 
 
 class SerialBackend(ExecutionBackend):
-    """Run every task inline on the calling thread (the jobs=1 path).
+    """Run every task inline on the calling thread (the jobs=1 path),
+    on ``pipeline`` (a fresh one by default).
 
     ``supports_profile_merge`` is False: tasks run inside the parent's
     address space, so an active profile collector records their kernel
@@ -45,10 +48,8 @@ class SerialBackend(ExecutionBackend):
     #: progress lines appear as each task finishes, not all at the end.
     max_inflight = 1
 
-    def __init__(self) -> None:
-        from repro.engine.pipeline import Pipeline
-
-        self._pipeline = Pipeline()
+    def __init__(self, pipeline: Optional[Pipeline] = None) -> None:
+        self._pipeline = pipeline if pipeline is not None else Pipeline()
 
     def submit(self, task: BackendTask, profile: bool = False) -> "Future[Any]":
         future: "Future[Any]" = Future()

@@ -69,6 +69,11 @@ __all__ = [
 #: touches it cycling through the fleet forever.
 MAX_ATTEMPTS = 5
 
+#: Seconds a request body may take to arrive once its headers are in.
+#: Applied to the body read only, so an idle keep-alive connection
+#: keeps the server's own (unbounded) timeout.
+BODY_TIMEOUT_S = 10.0
+
 
 class _Unit:
     __slots__ = (
@@ -302,15 +307,41 @@ class WorkQueue:
 # evaluation service.
 
 
+def _read_body(handler: BaseHTTPRequestHandler, length: int) -> bytes:
+    """Up to ``length`` body bytes: what arrives within
+    :data:`BODY_TIMEOUT_S` before the client stops sending."""
+    connection = handler.connection
+    deadline = time.monotonic() + BODY_TIMEOUT_S
+    chunks: List[bytes] = []
+    missing = length
+    try:
+        while missing > 0:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                break
+            connection.settimeout(remaining)
+            chunk = handler.rfile.read1(missing)
+            if not chunk:
+                break
+            chunks.append(chunk)
+            missing -= len(chunk)
+    except TimeoutError:  # the client stopped sending: a short body
+        pass
+    finally:
+        connection.settimeout(handler.timeout)
+    return b"".join(chunks)
+
+
 def read_json_body(handler: BaseHTTPRequestHandler) -> Dict[str, Any]:
     """The request's JSON object body, framed by ``Content-Length``.
 
     A missing header or an empty body reads as ``{}``.  Raises
     :class:`~repro.errors.ServiceError` for a length that is not a
-    non-negative integer (and marks the connection for closing: the
-    body's framing is unknown, so nothing after the headers can be
-    trusted), for a body that is not JSON, and for JSON that is not an
-    object.  Every handler answers the error with a 400.
+    non-negative integer, for a body shorter than its length once
+    :data:`BODY_TIMEOUT_S` has passed (both also mark the connection
+    for closing: the body's framing is broken, so nothing after the
+    headers can be trusted), for a body that is not JSON, and for JSON
+    that is not an object.  Every handler answers the error with a 400.
     """
     header = handler.headers.get("Content-Length")
     try:
@@ -320,7 +351,13 @@ def read_json_body(handler: BaseHTTPRequestHandler) -> Dict[str, Any]:
     if length < 0:
         handler.close_connection = True
         raise ServiceError(f"invalid Content-Length header {header!r}")
-    raw = handler.rfile.read(length) if length else b""
+    raw = _read_body(handler, length) if length else b""
+    if len(raw) < length:
+        handler.close_connection = True
+        raise ServiceError(
+            f"request body ended after {len(raw)} of its {length} "
+            "Content-Length bytes"
+        )
     if not raw:
         return {}
     try:

@@ -537,41 +537,6 @@ class Pipeline:
     # ------------------------------------------------------------------
     # Batched cell evaluation (stages 4-6 over a whole grid group).
 
-    def _evaluate_cells_per_cell(
-        self,
-        family: str,
-        ntasks_requested: int,
-        workflow: Workflow,
-        schedule: Schedule,
-        processors: int,
-        cells: Sequence[Tuple[float, float, Optional[int]]],
-        method: str,
-        seed: int,
-        bandwidth: float,
-        save_final_outputs: bool,
-        evaluator_options: Optional[Mapping[str, Any]],
-    ) -> list:
-        """The per-cell reference path (evaluators without batching)."""
-        return [
-            self.evaluate_cell(
-                family=family,
-                ntasks_requested=ntasks_requested,
-                workflow=workflow,
-                schedule=schedule,
-                platform=self.platform_for(
-                    workflow, processors, pfail, bandwidth
-                ),
-                pfail=pfail,
-                ccr=ccr,
-                method=method,
-                seed=seed,
-                eval_seed=eval_seed,
-                save_final_outputs=save_final_outputs,
-                evaluator_options=evaluator_options,
-            )
-            for pfail, ccr, eval_seed in cells
-        ]
-
     @staticmethod
     def _eval_seeds_for(
         evaluator, cells: Sequence[Tuple[float, float, Optional[int]]]
@@ -609,20 +574,14 @@ class Pipeline:
         pfail; per cell, only Algorithm 2's recursion and the costs of
         segments no earlier cell priced run.  Each distinct
         (strategy, segmentation) then gets one segment-DAG skeleton and
-        one :func:`expected_makespans` dispatch over its cells.  None of
-        this outlives the call.  Records are bit-identical to
-        :meth:`evaluate_cell`'s: stochastic evaluators (Monte Carlo)
-        receive the cells' ``eval_seed`` streams one per cell, and
-        evaluators without ``supports_batch`` run through the per-cell
-        path (the bit-exactness oracle), seeds intact.
+        one :func:`expected_makespans` dispatch over its cells, whatever
+        the evaluator.  None of this outlives the call.  Records are
+        bit-identical to :meth:`evaluate_cell`'s (the per-cell oracle):
+        stochastic evaluators (Monte Carlo) receive the cells'
+        ``eval_seed`` streams one per cell, and an evaluator without a
+        vectorised batch prices the template cell by cell.
         """
         evaluator = get_evaluator(method)
-        if not evaluator.supports_batch:
-            return self._evaluate_cells_per_cell(
-                family, ntasks_requested, workflow, schedule, processors,
-                cells, method, seed, bandwidth, save_final_outputs,
-                evaluator_options,
-            )
         options = dict(evaluator_options) if evaluator_options else {}
         incidence = self.incidence(workflow, schedule)
         # Per distinct CCR: (rescaled workflow, shared costs, CKPTALL plan).
@@ -692,11 +651,10 @@ class Pipeline:
         schedule order, which fix the DAG's structure); each group
         becomes one template priced in a single
         :func:`expected_makespans` call, bit-identical to per-cell
-        evaluation — the batch contract every ``supports_batch``
-        evaluator is pinned to.  ``eval_seeds`` (one per cell) is
-        forwarded as the batch ``seed`` option in the group's cell
-        order, mirroring the injection :meth:`evaluate` performs per
-        cell for stochastic methods.
+        evaluation — the batch contract every evaluator is pinned to.
+        ``eval_seeds`` (one per cell) is forwarded as the batch ``seed``
+        option in the group's cell order, mirroring the injection
+        :meth:`evaluate` performs per cell for stochastic methods.
         """
         groups: Dict[Tuple[int, ...], List[int]] = {}
         for i, (plan, _platform) in enumerate(cells):

@@ -1,32 +1,31 @@
-"""Grid sweep executor: staged pipeline × (optional) process-pool fan-out.
+"""Grid sweep executor: staged pipeline × pluggable backend fan-out.
 
 A sweep is declared as a :class:`SweepSpec` — one workflow family (or
 an external workflow file wrapped in a
 :class:`~repro.workloads.FileSource`, see :meth:`SweepSpec.from_source`),
 a set of sizes, per-size processor counts, and pfail/CCR axes — and
-executed by :func:`run_sweep`.  The execution plan is deterministic:
+executed by :func:`run_sweep`; :func:`run_specs` executes several at
+once.  Both take one route from spec to record:
 
-* the grid is decomposed into *groups*, one per (size, processors) pair,
-  iterated size-major (the historical ``run_figure`` order);
+* each grid is decomposed into *groups*, one per (size, processors)
+  pair, iterated size-major (the historical ``run_figure`` order), and
+  groups may be split into *chunks* of contiguous cells;
 * every seed is derived **up front in the parent process**, so records
-  are bit-identical whatever ``jobs`` or chunking is used.  Two seed
-  policies exist: ``"stable"`` reproduces the historical
+  are bit-identical whatever ``jobs``, chunking or backend is used.
+  Two seed policies exist: ``"stable"`` reproduces the historical
   :func:`repro.util.rng.stable_seed` derivation (the paper figures), and
   ``"spawn"`` derives child seeds through
   :class:`numpy.random.SeedSequence` spawning (the recommended scheme
   for independent parallel streams);
-* with ``jobs == 1`` the groups run in-process over one shared
-  :class:`~repro.engine.pipeline.Pipeline`, so the M-SPG tree is built
-  once per workflow and the schedule once per (workflow, processors)
-  pair;
-* with ``jobs > 1`` — or an explicit ``backend=`` — chunks fan out
-  over a pluggable :mod:`execution backend <repro.engine.backends>`
-  (process pool by default; serial reference, fresh-interpreter
-  subprocesses and a remote ``repro worker`` fleet are the others),
-  each worker amortising the invariant stages over its chunk with a
-  private pipeline.  All backends run through one shared dispatch
-  loop (:func:`repro.engine.backends.run_tasks`), which owns the
-  broken-executor serial restart and the profile-snapshot merge;
+* every chunk is one ``_run_chunk_task`` unit, driven through the
+  shared dispatch loop (:func:`repro.engine.backends.run_tasks`) on an
+  :mod:`execution backend <repro.engine.backends>`.  With ``jobs == 1``
+  that backend is a :class:`~repro.engine.backends.SerialBackend` on
+  the caller's :class:`~repro.engine.pipeline.Pipeline`, so the M-SPG
+  tree is built once per workflow and the schedule once per (workflow,
+  processors) pair; with ``jobs > 1`` it is a process pool, and an
+  explicit ``backend=`` picks any other (fresh-interpreter
+  subprocesses, a remote ``repro worker`` fleet);
 * each chunk's cells — a single-cell chunk or a coalesced service spec
   included — are priced through
   :meth:`~repro.engine.pipeline.Pipeline.evaluate_cells`: one call of
@@ -34,9 +33,7 @@ executed by :func:`run_sweep`.  The execution plan is deterministic:
   structure group, bit-identical to per-cell evaluation.  Stochastic
   evaluators (Monte Carlo) receive their per-cell sampling seeds
   through the batch call, so records are seed-for-seed identical to
-  the per-cell path under either eval-seed policy; evaluators that do
-  not declare ``supports_batch`` run through the per-cell path, which
-  is otherwise kept only as the bit-exactness oracle.
+  the per-cell oracle under either eval-seed policy.
 
 Results are always returned in grid order, one
 :class:`~repro.engine.records.CellResult` per cell.
@@ -65,6 +62,7 @@ from repro.engine.backends import (
     BackendTask,
     BackendUnavailable,
     ExecutionBackend,
+    SerialBackend,
     get_backend,
     run_tasks,
 )
@@ -78,6 +76,7 @@ from repro.util.validation import (
     bandwidth_error,
     ccr_error,
     pfail_error,
+    require_integer,
     seed_error,
 )
 
@@ -140,7 +139,9 @@ class SweepSpec:
     def __post_init__(self) -> None:
         try:
             object.__setattr__(
-                self, "sizes", tuple(int(n) for n in self.sizes)
+                self,
+                "sizes",
+                tuple(require_integer(n, "size") for n in self.sizes),
             )
             object.__setattr__(
                 self, "pfails", tuple(float(p) for p in self.pfails)
@@ -151,9 +152,14 @@ class SweepSpec:
             object.__setattr__(
                 self,
                 "processors",
-                {int(k): tuple(v) for k, v in dict(self.processors).items()},
+                {
+                    require_integer(k, "size"): tuple(
+                        require_integer(p, "processor count") for p in v
+                    )
+                    for k, v in dict(self.processors).items()
+                },
             )
-            object.__setattr__(self, "seed", int(self.seed))
+            object.__setattr__(self, "seed", require_integer(self.seed, "seed"))
             object.__setattr__(self, "bandwidth", float(self.bandwidth))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ExperimentError(
@@ -189,9 +195,16 @@ class SweepSpec:
             if msg is not None:
                 raise ExperimentError(msg)
         for ntasks in self.sizes:
+            if ntasks < 1:
+                raise ExperimentError(f"sizes must be >= 1, got {ntasks}")
             if not self.processors.get(ntasks):
                 raise ExperimentError(
                     f"no processor counts configured for size {ntasks}"
+                )
+            if min(self.processors[ntasks]) < 1:
+                raise ExperimentError(
+                    f"processor counts must be >= 1, got "
+                    f"{self.processors[ntasks]} for size {ntasks}"
                 )
         if self.source is not None:
             if not isinstance(self.source, FileSource):
@@ -436,22 +449,23 @@ def _derive_chunks(
             )
             group_index += 1
 
+    return _split(groups, chunk_cells)
+
+
+def _split(groups: List[_Chunk], chunk_cells: Optional[int]) -> List[_Chunk]:
+    """Each group's cells in chunks of at most ``chunk_cells``.
+
+    Finer chunks balance a concurrent backend's load at the cost of
+    re-amortising the invariant stages once per chunk instead of once
+    per group; ``None`` or a non-positive size keeps whole groups.
+    """
     if chunk_cells is None or chunk_cells <= 0:
         return groups
-    # Split each group's cell list into chunks of at most ``chunk_cells``
-    # for finer load balancing (at the cost of re-amortising the
-    # invariant stages once per chunk instead of once per group).
-    chunks: List[_Chunk] = []
-    for g in groups:
-        for j in range(0, len(g.cells), chunk_cells):
-            chunks.append(
-                replace(
-                    g,
-                    order=(g.order[0], j),
-                    cells=g.cells[j : j + chunk_cells],
-                )
-            )
-    return chunks
+    return [
+        replace(g, order=(g.order[0], j), cells=g.cells[j : j + chunk_cells])
+        for g in groups
+        for j in range(0, len(g.cells), chunk_cells)
+    ]
 
 
 def _progress_message(spec: SweepSpec, cell: CellResult) -> str:
@@ -481,10 +495,7 @@ def _chunk_schedule(
 
 
 def _run_chunk(
-    spec: SweepSpec,
-    chunk: _Chunk,
-    pipeline: Pipeline,
-    progress: Optional[Callable[[str], None]] = None,
+    spec: SweepSpec, chunk: _Chunk, pipeline: Pipeline
 ) -> List[CellResult]:
     """Execute one chunk's cells through the staged pipeline.
 
@@ -494,7 +505,7 @@ def _run_chunk(
     call (whatever the chunk's size or eval-seed policy).
     """
     workflow, schedule = _chunk_schedule(spec, chunk, pipeline)
-    records = pipeline.evaluate_cells(
+    return pipeline.evaluate_cells(
         family=spec.family,
         ntasks_requested=chunk.ntasks,
         workflow=workflow,
@@ -507,10 +518,6 @@ def _run_chunk(
         save_final_outputs=spec.save_final_outputs,
         evaluator_options=dict(spec.evaluator_options),
     )
-    if progress is not None:
-        for record in records:
-            progress(_progress_message(spec, record))
-    return records
 
 
 def _run_chunk_task(
@@ -519,7 +526,7 @@ def _run_chunk_task(
     profile: bool = False,
     pipeline: Optional[Pipeline] = None,
 ) -> Tuple[List[CellResult], Optional[Dict[str, Any]]]:
-    """Backend work-unit entry point: price one chunk, ship the records.
+    """The one backend work unit: price one chunk, ship the records.
 
     Follows the :mod:`repro.engine.backends` task contract — returns
     ``(records, profile_snapshot)``.  The snapshot is ``None`` unless
@@ -527,9 +534,9 @@ def _run_chunk_task(
     does not cross the process boundary, so the worker enables a
     private one and ships the counters back for
     :meth:`~repro.makespan.profile.KernelProfile.merge`.  ``pipeline``
-    lets an in-process backend (serial reference, broken-executor
-    restart) share one pipeline across tasks; out-of-process executions
-    build a private one per chunk.
+    is the in-process :class:`~repro.engine.backends.SerialBackend`'s
+    shared pipeline; out-of-process executions build a private one per
+    chunk.
     """
     pipe = pipeline if pipeline is not None else Pipeline()
     if not profile:
@@ -542,25 +549,98 @@ def _run_chunk_task(
         _profile.disable()
 
 
-def _resolve_backend(
-    backend: Union[None, str, ExecutionBackend], jobs: int
-) -> Tuple[ExecutionBackend, bool]:
-    """Turn a ``backend=`` argument into ``(instance, owns_backend)``.
+def _dispatch(
+    specs: Sequence[SweepSpec],
+    jobs: int,
+    progress: Optional[Callable[[str], None]],
+    chunk_cells: Optional[int],
+    pipeline: Optional[Pipeline],
+    backend: Union[None, str, ExecutionBackend],
+    return_exceptions: bool,
+) -> List[Any]:
+    """The one route from specs to records, shared by :func:`run_sweep`
+    and :func:`run_specs`; one record list (or error) per spec.
 
-    ``None`` means the historical default — a process pool sized by
-    ``jobs``.  A string goes through
-    :func:`repro.engine.backends.get_backend`; an instance is used as
-    is (and not closed: the caller owns its lifecycle — this is how the
-    service threads one long-lived remote fleet through every batch).
-    Raises :class:`~repro.engine.backends.BackendUnavailable` when the
-    environment cannot host the backend; callers fall back to the
-    serial in-process path, which produces identical records.
+    Every spec's chunks, and so every seed, are derived here in the
+    parent; each chunk becomes one :func:`_run_chunk_task` unit driven
+    through :func:`~repro.engine.backends.run_tasks`, and each spec's
+    records are reassembled in grid order.  With ``return_exceptions``
+    a spec's slot holds its own first error in grid order (an empty
+    grid's included) and the other specs' records are kept.
     """
+    out: List[Any] = [[] for _ in specs]
+    groups: Dict[int, List[_Chunk]] = {}
+    for i, spec in enumerate(specs):
+        try:
+            if not spec.sizes or not spec.pfails or not spec.ccrs:
+                raise ExperimentError(
+                    "sweep grid is empty (sizes, pfails and ccrs must be "
+                    "non-empty)"
+                )
+            groups[i] = _derive_chunks(spec, None)
+        except Exception as exc:
+            if not return_exceptions:
+                raise
+            out[i] = exc
+
+    if jobs is None or jobs < 1:
+        jobs = os.cpu_count() or 1
     if backend is None:
-        backend = "process"
-    if isinstance(backend, str):
-        return get_backend(backend, jobs=jobs), True
-    return backend, False
+        backend = "serial" if jobs == 1 else "process"
+    owns = isinstance(backend, str)
+    if owns:
+        # A backend built here is closed by the dispatch loop; an
+        # instance belongs to the caller (the service threads one
+        # long-lived remote fleet through every batch).
+        try:
+            backend = (
+                SerialBackend(pipeline)
+                if backend == "serial"
+                else get_backend(backend, jobs=jobs)
+            )
+        except BackendUnavailable:
+            # No executor support in this environment (restricted
+            # sandbox): run in-process, which produces identical records.
+            backend = SerialBackend(pipeline)
+
+    if chunk_cells is None and backend.max_inflight != 1:
+        # Auto-chunk so a concurrent backend has a few chunks per worker
+        # even when the batch has fewer (size, processors) groups than
+        # workers.  (A one-at-a-time backend keeps group granularity —
+        # splitting would only re-amortise the invariant stages.)
+        target = 2 * max(jobs, 2)
+        if sum(map(len, groups.values())) < target:
+            cells = sum(len(g.cells) for gs in groups.values() for g in gs)
+            chunk_cells = max(1, math.ceil(cells / target))
+    tasks = [
+        BackendTask(
+            fn=_run_chunk_task, args=(specs[i], chunk), key=(i, *chunk.order)
+        )
+        for i, gs in groups.items()
+        for chunk in _split(gs, chunk_cells)
+    ]
+
+    def on_result(key: Tuple[int, int, int], recs: List[CellResult]) -> None:
+        if progress is not None:
+            for rec in recs:
+                progress(_progress_message(specs[key[0]], rec))
+
+    results = run_tasks(
+        backend,
+        tasks,
+        on_result=on_result,
+        on_note=progress,
+        return_exceptions=return_exceptions,
+        owns_backend=owns,
+    )
+    for task in tasks:
+        i, value = task.key[0], results[task.key]
+        if isinstance(out[i], list):
+            if isinstance(value, BaseException):
+                out[i] = value
+            else:
+                out[i].extend(value)
+    return out
 
 
 def run_sweep(
@@ -591,89 +671,21 @@ def run_sweep(
         changes the records, only the work distribution.
     pipeline:
         Existing pipeline (and artifact cache) to reuse for in-process
-        execution; ignored on the backend fan-out path.
+        execution; ignored by out-of-process backends.
     backend:
-        Where chunks execute: ``None`` (default) keeps the historical
-        behaviour — in-process when ``jobs == 1``, a process pool
-        otherwise; a name from :data:`repro.engine.backends.BACKENDS`
-        (``"serial"``, ``"process"``, ``"subprocess"``, ``"remote"``)
-        or a ready :class:`~repro.engine.backends.ExecutionBackend`
-        instance forces that backend regardless of ``jobs``.  Every
-        seed is derived here in the parent before submission, so
-        records are bit-identical across all backends.
+        Where chunks execute: ``None`` (default) runs in-process when
+        ``jobs == 1`` and on a process pool otherwise; a name from
+        :data:`repro.engine.backends.BACKENDS` (``"serial"``,
+        ``"process"``, ``"subprocess"``, ``"remote"``) or a ready
+        :class:`~repro.engine.backends.ExecutionBackend` instance
+        forces that backend regardless of ``jobs``.  Every seed is
+        derived here in the parent before submission, so records are
+        bit-identical across all backends.
     """
-    if not spec.sizes or not spec.pfails or not spec.ccrs:
-        raise ExperimentError(
-            "sweep grid is empty (sizes, pfails and ccrs must be non-empty)"
-        )
-    chunks = _derive_chunks(spec, chunk_cells)
-    if jobs is None or jobs < 1:
-        jobs = os.cpu_count() or 1
-
-    if backend is None and jobs == 1:
-        pipe = pipeline if pipeline is not None else Pipeline()
-        return [
-            rec for ch in chunks for rec in _run_chunk(spec, ch, pipe, progress)
-        ]
-
-    try:
-        exec_backend, owns = _resolve_backend(backend, jobs)
-    except BackendUnavailable:
-        # No executor support in this environment (restricted sandbox):
-        # fall back to the serial path, which produces identical records.
-        return run_sweep(spec, jobs=1, progress=progress, pipeline=pipeline)
-
-    if chunk_cells is None and exec_backend.max_inflight != 1:
-        # Auto-chunk so a concurrent backend has a few chunks per worker
-        # even when the grid has fewer (size, processors) groups than
-        # workers.  (A one-at-a-time backend keeps group granularity —
-        # splitting would only re-amortise the invariant stages.)
-        per_group = len(spec.pfails) * len(spec.ccrs)
-        n_groups = len(chunks)
-        target = 2 * max(jobs, 2)
-        if n_groups < target:
-            chunk_cells = max(1, math.ceil(per_group * n_groups / target))
-            chunks = _derive_chunks(spec, chunk_cells)
-
-    def on_result(order: Tuple[int, int], recs: List[CellResult]) -> None:
-        if progress is not None:
-            for rec in recs:
-                progress(_progress_message(spec, rec))
-
-    results = run_tasks(
-        exec_backend,
-        [
-            BackendTask(fn=_run_chunk_task, args=(spec, ch), key=ch.order)
-            for ch in chunks
-        ],
-        on_result=on_result,
-        on_note=progress,
-        owns_backend=owns,
+    (records,) = _dispatch(
+        [spec], jobs, progress, chunk_cells, pipeline, backend, False
     )
-    return [rec for order in sorted(results) for rec in results[order]]
-
-
-def _run_spec_task(
-    spec: SweepSpec,
-    profile: bool = False,
-    pipeline: Optional[Pipeline] = None,
-) -> Tuple[List[CellResult], Optional[Dict[str, Any]]]:
-    """Backend work-unit entry point for :func:`run_specs`: one serial
-    sweep per unit.
-
-    Returns ``(records, profile_snapshot)`` exactly like
-    :func:`_run_chunk_task` — out-of-process workers profile themselves
-    when the parent holds an active collector, and an in-process
-    backend threads its shared ``pipeline`` through the sweep.
-    """
-    if not profile:
-        return run_sweep(spec, jobs=1, pipeline=pipeline), None
-    prof = _profile.enable()
-    try:
-        records = run_sweep(spec, jobs=1, pipeline=pipeline)
-        return records, prof.snapshot()
-    finally:
-        _profile.disable()
+    return records
 
 
 def run_specs(
@@ -687,73 +699,26 @@ def run_specs(
     """Batch entry point: execute several sweeps; one record list per spec.
 
     This is the hook the service scheduler dispatches coalesced request
-    batches through.  Serial execution (``jobs == 1``) threads one shared
-    :class:`~repro.engine.pipeline.Pipeline` through every spec, so specs
-    that share a (workflow, processors) pair — e.g. the same grid group
-    split across batches — reuse the cached M-SPG tree and schedule
-    instead of recomputing them.  With ``jobs > 1`` — or an explicit
-    ``backend=``, which takes the same names and instances as
-    :func:`run_sweep` — whole specs fan out over an execution backend
-    (``0``/negative means "all cores"); a single spec falls through to
-    :func:`run_sweep`'s own cell-level fan-out.  Records are identical
-    for every ``jobs`` value and every backend.
+    batches through.  It takes :func:`run_sweep`'s route over the whole
+    batch: every spec's chunks are units of one dispatch, so on a
+    concurrent backend (``jobs > 1`` — ``0``/negative means "all
+    cores" — or an explicit ``backend=``) the chunks of all specs fan
+    out together, and in-process execution (``jobs == 1``) threads one
+    shared :class:`~repro.engine.pipeline.Pipeline` through every spec,
+    so specs that share a (workflow, processors) pair — e.g. the same
+    grid group split across batches — reuse the cached M-SPG tree and
+    schedule.  Records are identical for every ``jobs`` value and every
+    backend.
 
     With ``return_exceptions=True`` a spec whose execution raises yields
     its exception object in that slot instead of aborting the whole
     batch (:func:`asyncio.gather` semantics) — the service scheduler
     uses this to fail only the requests belonging to a bad spec while
-    the co-batched specs' results are kept.  Every spec is priced
-    through :func:`run_sweep`, so the coalesced service batches ride the
-    same batched evaluation entry point as declared sweeps.
+    the co-batched specs' results are kept.
     """
     specs = list(specs)
     if not specs:
         return []
-    if jobs is None or jobs < 1:
-        jobs = os.cpu_count() or 1
-
-    def one(
-        spec: SweepSpec, pipe: Optional[Pipeline], n: int
-    ) -> Any:
-        try:
-            return run_sweep(
-                spec, jobs=n, progress=progress, pipeline=pipe,
-                backend=backend,
-            )
-        except Exception as exc:
-            if not return_exceptions:
-                raise
-            return exc
-
-    if len(specs) == 1:
-        return [one(specs[0], pipeline, jobs)]
-    if backend is None and jobs == 1:
-        pipe = pipeline if pipeline is not None else Pipeline()
-        return [one(s, pipe, 1) for s in specs]
-    try:
-        exec_backend, owns = _resolve_backend(
-            backend, min(jobs, len(specs))
-        )
-    except BackendUnavailable:
-        return run_specs(
-            specs, jobs=1, progress=progress, pipeline=pipeline,
-            return_exceptions=return_exceptions,
-        )
-
-    def on_result(i: int, recs: List[CellResult]) -> None:
-        if progress is not None:
-            for rec in recs:
-                progress(_progress_message(specs[i], rec))
-
-    out = run_tasks(
-        exec_backend,
-        [
-            BackendTask(fn=_run_spec_task, args=(s,), key=i)
-            for i, s in enumerate(specs)
-        ],
-        on_result=on_result,
-        on_note=progress,
-        return_exceptions=return_exceptions,
-        owns_backend=owns,
+    return _dispatch(
+        specs, jobs, progress, None, pipeline, backend, return_exceptions
     )
-    return [out[i] for i in range(len(specs))]

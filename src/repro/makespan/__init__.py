@@ -17,13 +17,15 @@ DAGs only) and the Theorem 1 estimator for CKPTNONE
 
 Evaluators are registered behind the
 :class:`~repro.makespan.evaluator.Evaluator` protocol (declared option
-schemas, ``deterministic``/``supports_batch`` capabilities) and the
-layer is **batch native**: a :class:`~repro.makespan.paramdag.ParamDAG`
-carries one DAG structure template plus per-cell 2-state parameter
-arrays, :func:`~repro.makespan.distribution.two_state_rows` builds a
-node's per-cell 2-state laws in one vectorised pass, and
+schemas, a ``deterministic`` capability) and the layer is **batch
+native**: a :class:`~repro.makespan.paramdag.ParamDAG` carries one DAG
+structure template plus per-cell 2-state parameter arrays,
+:func:`~repro.makespan.distribution.two_state_rows` builds a node's
+per-cell 2-state laws in one vectorised pass, and
 :func:`~repro.makespan.api.expected_makespans` prices a whole parameter
-grid per evaluator call — bit-identical to evaluating each cell alone.
+grid per evaluator call — bit-identical to evaluating each cell alone,
+for every evaluator (one without a vectorised batch loops over the
+template's cells).
 """
 
 from repro.makespan.two_state import (

@@ -2,10 +2,11 @@
 
 The registry (:data:`EVALUATORS`) maps the paper's method names to
 :class:`~repro.makespan.evaluator.Evaluator` instances carrying a
-declared option schema and capability flags; :func:`expected_makespan`
+declared option schema and a capability flag; :func:`expected_makespan`
 prices one DAG, :func:`expected_makespans` prices a whole parameterised
 grid through the evaluator's batch entry point (bit-identical to the
-per-cell path — the engine's batched sweep stage relies on it).
+per-cell path — the engine prices every cell of every sweep through
+it, whatever the evaluator).
 Options are validated at call time against the evaluator *currently*
 registered, so replacing an entry never leaves stale validation behind
 (the old ``inspect``-keyed cache did exactly that, and grew without
@@ -56,7 +57,6 @@ EVALUATORS.register(
         # The batch entry point accepts one seed per cell (the engine
         # threads each cell's eval_seed through), so batched sampling
         # is bit-identical to the per-cell loop under any seed policy.
-        supports_batch=True,
         batch_fn=montecarlo_batch,
         option_docs={
             "trials": "number of sampled scenarios",
@@ -71,8 +71,8 @@ EVALUATORS.register(
         dodin,
         name="dodin",
         summary="series-parallel reduction with node duplication",
+        # Structure-driven: no vectorised batch, grids run the cell loop.
         deterministic=True,
-        supports_batch=True,  # structure-driven; batches via the cell loop
         option_docs={
             "max_atoms": "support budget per discrete distribution",
             "node_budget_factor": "duplication growth bound (x n + 64)",
@@ -85,7 +85,6 @@ EVALUATORS.register(
         name="normal",
         summary="Sculli's normal approximation (Clark's moment fold)",
         deterministic=True,
-        supports_batch=True,
         batch_fn=normal_batch,
     )
 )
@@ -95,7 +94,6 @@ EVALUATORS.register(
         name="pathapprox",
         summary="longest-path approximation (the paper's choice)",
         deterministic=True,
-        supports_batch=True,
         batch_fn=pathapprox_batch,
         option_docs={
             "k": "path budget (None = adaptive doubling)",
@@ -111,7 +109,6 @@ EVALUATORS.register(
         name="exact",
         summary="exhaustive scenario enumeration (small DAGs only)",
         deterministic=True,
-        supports_batch=True,
         option_docs={
             "limit": "refuse DAGs with more than this many nodes",
             "batch": "scenarios per vectorised block",
@@ -164,15 +161,10 @@ def expected_makespans(
     Dispatches to the evaluator's batch entry point; the result is
     bit-identical to evaluating each ``template.cell(i)`` through
     :func:`expected_makespan` (stochastic evaluators accept one seed
-    per cell — Monte Carlo's ``seed=[...]``).  Raises for evaluators
-    that do not support batching.
+    per cell — Monte Carlo's ``seed=[...]``).  An evaluator without a
+    vectorised batch runs that per-cell loop itself.
     """
     evaluator = get_evaluator(method)
-    if not evaluator.supports_batch:
-        raise EvaluationError(
-            f"method {method!r} does not support batched evaluation; "
-            f"evaluate its cells one at a time"
-        )
     evaluator.validate_options(kwargs)
     prof = _profile.ACTIVE
     if prof is None:

@@ -7,19 +7,19 @@ introspection:
 * an **option schema** — the keyword options the method accepts, with
   defaults and one-line docs (``repro methods`` renders it; the
   dispatcher validates against it at call time);
-* **capabilities** — ``deterministic`` (closed-form methods whose result
-  is a pure function of the DAG) vs stochastic (Monte Carlo, whose
-  result depends on a sampling seed), and ``supports_batch`` (the
-  evaluator can price a whole parameterised grid in one call);
+* a **capability** — ``deterministic`` (closed-form methods whose
+  result is a pure function of the DAG) vs stochastic (Monte Carlo,
+  whose result depends on a sampling seed);
 * a **batch entry point** — :meth:`Evaluator.evaluate_batch` takes a
   :class:`~repro.makespan.paramdag.ParamDAG` (one DAG template plus
   per-cell 2-state parameter arrays) and returns one expected makespan
   per cell.  The batch contract is strict: results must be
   **bit-identical** to evaluating each materialised cell through
   :meth:`Evaluator.evaluate`.  The default implementation simply loops
-  over cells, which satisfies the contract trivially; vectorised
-  overrides (PathApprox, Sculli's normal) keep it by construction and
-  are pinned by the parity tests.
+  over cells, which satisfies the contract trivially, so every
+  evaluator — a plain callable included — is priced through it;
+  vectorised overrides (PathApprox, Sculli's normal, Monte Carlo) keep
+  it by construction and are pinned by the parity tests.
 
 The registry (:class:`EvaluatorRegistry`) replaces the bare
 string→function dict *and* the old ``inspect``-keyed option cache.  The
@@ -80,10 +80,10 @@ class Evaluator:
     """Base class for expected-makespan evaluators.
 
     Subclasses (or :class:`FunctionEvaluator` instances) provide
-    :meth:`evaluate`; everything else — option validation, capability
-    flags, the batch entry point — has sensible defaults.  Instances are
-    callable so legacy ``EVALUATORS[name](dag, ...)`` call sites keep
-    working unchanged.
+    :meth:`evaluate`; everything else — option validation, the
+    capability flag, the batch entry point — has sensible defaults.
+    Instances are callable so legacy ``EVALUATORS[name](dag, ...)`` call
+    sites keep working unchanged.
     """
 
     #: Registry key (the paper's method name).
@@ -94,15 +94,6 @@ class Evaluator:
     options: Tuple[EvaluatorOption, ...] = ()
     #: Closed-form (pure function of the DAG) vs sampling-based.
     deterministic: bool = True
-    #: Whether :meth:`evaluate_batch` may be used by the engine.  Batch
-    #: evaluation reuses one DAG template for many parameter cells, so
-    #: it must stay False for methods whose per-cell result depends on
-    #: anything outside the template parameters (Monte Carlo: the
-    #: sampling seed is derived from the cell's grid position).  The
-    #: default is the conservative False — the engine then takes the
-    #: per-cell path, which is always correct; evaluators that honour
-    #: the batch contract opt in explicitly.
-    supports_batch: bool = False
     #: Accepts arbitrary keywords (``**kwargs`` legacy wrappers only).
     accepts_any_option: bool = False
 
@@ -177,10 +168,7 @@ class Evaluator:
 
     def __repr__(self) -> str:  # pragma: no cover — debugging aid
         kind = "deterministic" if self.deterministic else "stochastic"
-        return (
-            f"<Evaluator {self.name!r} ({kind}, "
-            f"batch={'yes' if self.supports_batch else 'no'})>"
-        )
+        return f"<Evaluator {self.name!r} ({kind})>"
 
 
 def _options_from_signature(fn: Callable[..., float]) -> Tuple[Tuple[EvaluatorOption, ...], bool]:
@@ -215,7 +203,6 @@ class FunctionEvaluator(Evaluator):
         name: Optional[str] = None,
         summary: str = "",
         deterministic: bool = True,
-        supports_batch: bool = False,
         batch_fn: Optional[Callable[..., np.ndarray]] = None,
         option_docs: Optional[Mapping[str, str]] = None,
     ) -> None:
@@ -233,7 +220,6 @@ class FunctionEvaluator(Evaluator):
         self.options = options
         self.accepts_any_option = accepts_any
         self.deterministic = deterministic
-        self.supports_batch = supports_batch
 
     def evaluate(self, dag, **options: Any) -> float:
         return self._fn(dag, **options)
@@ -252,9 +238,8 @@ class EvaluatorRegistry(MutableMapping):
     derived from the new function's signature then and there, so
     monkeypatching an entry mid-process can never validate against a
     stale signature (the failure mode of the old ``inspect`` cache).
-    Wrapped plain callables are conservatively marked
-    ``supports_batch=False``: the engine falls back to the per-cell
-    path for them rather than assuming the batch contract holds.
+    A wrapped plain callable batches through the default cell loop, so
+    the engine prices it exactly as it would one cell at a time.
     """
 
     def __init__(self) -> None:

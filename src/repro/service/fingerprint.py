@@ -45,6 +45,7 @@ from repro.util.validation import (
     bandwidth_error,
     ccr_error,
     pfail_error,
+    require_integer,
     seed_error,
 )
 
@@ -160,11 +161,19 @@ class EvalRequest:
                 "a request needs either a family or a workflow content hash"
             )
         try:
-            object.__setattr__(self, "ntasks", int(self.ntasks))
-            object.__setattr__(self, "processors", int(self.processors))
+            object.__setattr__(
+                self, "ntasks", require_integer(self.ntasks, "ntasks")
+            )
+            object.__setattr__(
+                self,
+                "processors",
+                require_integer(self.processors, "processors"),
+            )
             object.__setattr__(self, "pfail", float(self.pfail))
             object.__setattr__(self, "ccr", float(self.ccr))
-            object.__setattr__(self, "seed", int(self.seed))
+            object.__setattr__(
+                self, "seed", require_integer(self.seed, "seed")
+            )
             object.__setattr__(self, "bandwidth", float(self.bandwidth))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ServiceError(f"bad numeric request field: {exc}") from None

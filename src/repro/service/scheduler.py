@@ -15,10 +15,10 @@ requests it
    pair — exactly the :class:`~repro.engine.pipeline.ArtifactCache`
    reuse the sweep engine gives a declared grid;
 4. **dispatches** the specs through :func:`repro.engine.sweep.run_specs`
-   (shared pipeline when serial; spec-per-worker fan-out over a
-   pluggable execution backend for ``jobs > 1`` or an explicit
-   ``backend=`` — including a remote ``repro worker`` fleet) and writes
-   every fresh record back to the store.  The
+   (the shared pipeline when serial; chunk fan-out over a pluggable
+   execution backend for ``jobs > 1`` or an explicit ``backend=`` —
+   including a remote ``repro worker`` fleet) and writes every fresh
+   record back to the store.  The
    dispatch rides the engine's batched evaluation entry point: each
    coalesced spec's cells are priced through one DAG template per
    strategy and structure group (bit-identical to per-cell

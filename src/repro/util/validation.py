@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
-from typing import Optional
+import numbers
+from typing import Any, Optional
 
 __all__ = [
+    "require_integer",
     "require_positive",
     "require_nonnegative",
     "require_in_unit_interval",
@@ -14,6 +16,22 @@ __all__ = [
     "bandwidth_error",
     "seed_error",
 ]
+
+
+def require_integer(value: Any, name: str) -> int:
+    """``int(value)`` for an integer field, refusing what ``int()`` would
+    silently truncate.
+
+    A bool, or a real number with a fractional part such as ``2.5``,
+    raises ``ValueError``; any other value coerces exactly as ``int()``
+    does, errors included, so accepted values keep their meaning.
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    number = int(value)
+    if isinstance(value, numbers.Real) and number != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return number
 
 
 def require_positive(value: float, name: str) -> float:

@@ -1,11 +1,14 @@
-"""Shared fixtures: the paper's example graphs and small builders."""
+"""Shared fixtures: the paper's example graphs, small builders and the
+route to the per-cell oracle."""
 
 from __future__ import annotations
 
+import contextlib
+import inspect
+
 import pytest
 
-from repro.makespan.api import EVALUATORS
-from repro.makespan.evaluator import FunctionEvaluator
+from repro.engine.pipeline import Pipeline
 from repro.mspg.graph import Workflow
 from repro.platform import Platform
 
@@ -96,29 +99,53 @@ def reliable_platform() -> Platform:
     return Platform(processors=4, failure_rate=0.0, bandwidth=1e8)
 
 
-@pytest.fixture
-def per_cell(monkeypatch):
-    """Route methods through the per-cell oracle for the rest of a test.
+@contextlib.contextmanager
+def oracle_route(*methods: str):
+    """Price the named methods through the per-cell oracle while active.
 
-    ``per_cell("pathapprox")`` re-registers the method as a plain
-    :class:`FunctionEvaluator` of its scalar entry point, without
-    ``supports_batch``, so the engine prices every cell through
-    :meth:`repro.engine.Pipeline.evaluate_cell` — the bit-exactness
-    oracle the batched path is compared against.  Stochastic methods
-    stay ``deterministic=False``, so they still receive per-cell seeds.
+    Patches :meth:`repro.engine.Pipeline.evaluate_cells` so that a chunk
+    whose method is one of ``methods`` runs cell by cell through
+    :meth:`~repro.engine.Pipeline.evaluate_cell` — a fresh cost model,
+    segment DAG and scalar evaluator per cell, seeds intact: the
+    bit-exactness oracle the batched route is compared against.  Other
+    methods keep the batched route.  The patch lives in this process's
+    class, so a pool worker forked while it is active inherits it:
+    compute out-of-process results before entering.
     """
+    batched = Pipeline.evaluate_cells
+    signature = inspect.signature(batched)
 
-    def route(*methods: str) -> None:
-        for method in methods:
-            batched = EVALUATORS[method]
-            monkeypatch.setitem(
-                EVALUATORS,
-                method,
-                FunctionEvaluator(
-                    batched.evaluate,
-                    name=method,
-                    deterministic=batched.deterministic,
+    def evaluate_cells(self, *args, **kwargs):
+        call = signature.bind(self, *args, **kwargs)
+        call.apply_defaults()
+        fields = dict(call.arguments)
+        if fields["method"] not in methods:
+            return batched(self, *args, **kwargs)
+        del fields["self"]
+        cells = fields.pop("cells")
+        processors = fields.pop("processors")
+        bandwidth = fields.pop("bandwidth")
+        return [
+            self.evaluate_cell(
+                platform=self.platform_for(
+                    fields["workflow"], processors, pfail, bandwidth
                 ),
+                pfail=pfail,
+                ccr=ccr,
+                eval_seed=eval_seed,
+                **fields,
             )
+            for pfail, ccr, eval_seed in cells
+        ]
 
-    return route
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Pipeline, "evaluate_cells", evaluate_cells)
+        yield
+
+
+@pytest.fixture
+def per_cell():
+    """``per_cell("pathapprox")``: :func:`oracle_route` for the rest of
+    the test."""
+    with contextlib.ExitStack() as stack:
+        yield lambda *methods: stack.enter_context(oracle_route(*methods))

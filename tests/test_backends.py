@@ -11,6 +11,7 @@ a dead worker's leases, and the client retries idempotent reads only.
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
 import threading
@@ -35,6 +36,7 @@ from repro.engine.backends import (
     get_backend,
     run_tasks,
 )
+import repro.engine.backends.remote as remote_mod
 from repro.engine.backends.base import encode_result
 from repro.engine.backends.remote import MAX_ATTEMPTS, _post_json
 from repro.engine.backends.worker import WorkerLoop, WorkerServer
@@ -249,10 +251,10 @@ class TestDispatchLoop:
         """Pool construction failure keeps today's silent serial fallback."""
         import repro.engine.sweep as sweep_mod
 
-        def boom(backend, jobs):
+        def boom(name, jobs):
             raise BackendUnavailable("no processes here")
 
-        monkeypatch.setattr(sweep_mod, "_resolve_backend", boom)
+        monkeypatch.setattr(sweep_mod, "get_backend", boom)
         spec = _spec("montage")
         assert run_sweep(spec, jobs=3) == run_sweep(spec, jobs=1)
 
@@ -475,6 +477,48 @@ def test_malformed_content_length_is_a_400(post_endpoint, length):
     head, _, body = reply.partition(b"\r\n\r\n")
     assert head.split(b"\r\n")[0].split()[1] == b"400"
     assert "Content-Length" in json.loads(body)["error"]
+
+
+def test_short_body_is_a_400(post_endpoint, monkeypatch):
+    """A body shorter than its Content-Length gets a 400 and a closed
+    connection once the body deadline passes; the handler thread is
+    not held until the client hangs up."""
+    monkeypatch.setattr(remote_mod, "BODY_TIMEOUT_S", 0.2)
+    url, path = post_endpoint
+    parts = urllib.parse.urlsplit(url)
+    address = (parts.hostname, parts.port)
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.sendall(
+            f"POST {path} HTTP/1.1\r\nHost: {parts.netloc}\r\n"
+            f"Content-Length: 100\r\n\r\n{{\"worker\": ".encode("ascii")
+        )
+        # The client keeps the connection open and sends nothing more.
+        with sock.makefile("rb") as stream:
+            reply = stream.read()
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.split(b"\r\n")[0].split()[1] == b"400"
+    assert "Content-Length" in json.loads(body)["error"]
+
+
+def test_body_deadline_spares_idle_keep_alive(tmp_path, monkeypatch):
+    """The deadline covers the body read only: a keep-alive connection
+    idle for longer than it still serves the next request."""
+    monkeypatch.setattr(remote_mod, "BODY_TIMEOUT_S", 0.2)
+    with ReproService(port=0, store=tmp_path / "s.db", linger=0.0) as svc:
+        parts = urllib.parse.urlsplit(svc.url)
+        conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=5)
+
+        def lease():
+            conn.request("POST", "/work/lease", body=json.dumps({"worker": "w"}))
+            reply = conn.getresponse()
+            return reply.status, json.loads(reply.read())
+
+        try:
+            assert lease() == (200, {"unit": None})
+            time.sleep(0.4)  # idle past the body deadline
+            assert lease() == (200, {"unit": None})
+        finally:
+            conn.close()
 
 
 # ----------------------------------------------------------------------

@@ -174,8 +174,6 @@ class TestMethods:
         assert main(["methods", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["montecarlo"]["deterministic"] is False
-        assert payload["montecarlo"]["supports_batch"] is True
-        assert payload["pathapprox"]["supports_batch"] is True
         option_names = [o["name"] for o in payload["pathapprox"]["options"]]
         assert option_names == ["k", "max_atoms", "factor_common", "rtol"]
 

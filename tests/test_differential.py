@@ -8,9 +8,10 @@ segment DAG and scalar evaluator per cell) byte for byte, on random
 M-SPG workflows with adversarial parameters: shared and zero-size
 files, equal task weights (ties in Algorithm 2), a pfail of 0 or near 1,
 a CCR of 0 or large.  When one side raises, the other must raise the
-same error type.  Monte Carlo runs under both eval-seed policies.
+same error type.  Monte Carlo runs under both eval-seed policies, and a
+sample of the engine cases runs on a process pool.
 
-The slice here is bounded and derandomized so tier-1 stays fast and
+The slices here are bounded and derandomized so tier-1 stays fast and
 reproducible; raise ``max_examples`` for a long local run.
 """
 
@@ -19,14 +20,15 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import SweepSpec, run_sweep
+from repro.engine import ProcessPoolBackend, SweepSpec, run_specs
 from repro.generators.random_mspg import random_tree, workflow_from_tree
-from repro.makespan.api import EVALUATORS
-from repro.makespan.evaluator import FunctionEvaluator
 from repro.workloads import FileSource
+
+from conftest import oracle_route
 
 PFAILS = (0.0, 1e-4, 1e-2, 0.5, 0.999)
 CCRS = (0.0, 1e-3, 1.0, 50.0)
@@ -61,33 +63,33 @@ def subsets(values, max_size):
     ).map(tuple)
 
 
-def outcome(spec):
+def outcome(spec, backend=None):
     """The sweep's records with every float as ``float.hex``, or the
     type of the error it raised."""
-    try:
-        records = run_sweep(spec)
-    except Exception as exc:  # noqa: BLE001 — the error type is compared
-        return type(exc)
+    (result,) = run_specs([spec], backend=backend, return_exceptions=True)
+    if isinstance(result, Exception):
+        return type(result)
     return [
         tuple(
             v.hex() if isinstance(v, float) else v
             for v in dataclasses.astuple(record)
         )
-        for record in records
+        for record in result
     ]
 
 
 def oracle_outcome(spec):
     """:func:`outcome` with the spec's method routed through the
-    per-cell oracle (re-registered without ``supports_batch``)."""
-    batched = EVALUATORS[spec.method]
-    EVALUATORS[spec.method] = FunctionEvaluator(
-        batched.evaluate, name=spec.method, deterministic=batched.deterministic
-    )
-    try:
+    per-cell oracle."""
+    with oracle_route(spec.method):
         return outcome(spec)
-    finally:
-        EVALUATORS[spec.method] = batched
+
+
+@pytest.fixture(scope="module")
+def pool():
+    backend = ProcessPoolBackend(jobs=2)
+    yield backend
+    backend.close()
 
 
 class TestEngineDifferential:
@@ -118,6 +120,38 @@ class TestEngineDifferential:
             seed_policy="stable",
         )
         assert outcome(spec) == oracle_outcome(spec)
+
+    @settings(
+        max_examples=20,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        wf=workflows(),
+        processors=subsets(range(1, 6), 2),
+        pfails=subsets(PFAILS, 2),
+        ccrs=subsets(CCRS, 2),
+        save_final_outputs=st.booleans(),
+        method=st.sampled_from(METHODS),
+    )
+    def test_process_pool_records_equal_per_cell_oracle(
+        self, pool, wf, processors, pfails, ccrs, save_final_outputs, method
+    ):
+        """The engine property with the batched side on a second backend.
+        The pool side runs first: a worker forked while the oracle route
+        is patched in would price with the oracle too."""
+        spec = SweepSpec.from_source(
+            FileSource(wf),
+            processors=processors,
+            pfails=pfails,
+            ccrs=ccrs,
+            method=method,
+            save_final_outputs=save_final_outputs,
+            seed_policy="stable",
+        )
+        pooled = outcome(spec, backend=pool)
+        assert pooled == oracle_outcome(spec)
 
     @settings(
         max_examples=100,

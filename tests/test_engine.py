@@ -1,10 +1,13 @@
 """Tests for the pipeline engine: artifact cache, staged pipeline,
 sweep executor parity/determinism, and the record schema."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import repro.engine.pipeline as pipeline_mod
+import repro.engine.sweep as sweep_mod
 from repro.api import run_strategies
 from repro.checkpoint.segments import ChainIncidence, SuperchainCostModel
 from repro.engine import (
@@ -17,14 +20,20 @@ from repro.engine import (
     records_to_jsonl,
     run_sweep,
 )
-from repro.engine.sweep import _derive_chunks
+from repro.engine.sweep import _derive_chunks, run_specs
 from repro.errors import ExperimentError
 from repro.experiments.claims import sweep_and_check
 from repro.experiments.figures import run_cell
 from repro.generators import generate
+from repro.makespan.api import EVALUATORS
 from repro.makespan.segment_dag import SegmentDagSkeleton
+from repro.service import BatchScheduler
+from repro.service.fingerprint import requests_from_spec
+from repro.service.scheduler import plan_batches
 from repro.util.rng import stable_seed
 from repro.workloads import FileSource
+
+from conftest import oracle_route
 
 
 def small_spec(**overrides):
@@ -365,6 +374,112 @@ class TestCallCounts:
         }
         assert len(skeletons) == len(segmentations)
 
+    @pytest.fixture
+    def chunk_calls(self, monkeypatch):
+        """Every chunk priced from here on, in call order; the per-cell
+        oracle ``Pipeline.evaluate_cell`` must not run at all."""
+        calls = []
+        real = sweep_mod._run_chunk_task
+
+        def counting(spec, chunk, profile=False, pipeline=None):
+            calls.append(chunk)
+            return real(spec, chunk, profile=profile, pipeline=pipeline)
+
+        def oracle(*args, **kwargs):
+            raise AssertionError("the per-cell oracle ran")
+
+        monkeypatch.setattr(sweep_mod, "_run_chunk_task", counting)
+        monkeypatch.setattr(Pipeline, "evaluate_cell", oracle)
+        return calls
+
+    @pytest.mark.parametrize("chunk_cells", [None, 1])
+    def test_run_sweep_runs_one_task_per_chunk(self, chunk_calls, chunk_cells):
+        spec = self.grid()
+        records = run_sweep(spec, chunk_cells=chunk_cells)
+        assert chunk_calls == _derive_chunks(spec, chunk_cells)
+        assert len(records) == spec.n_cells
+
+    def test_run_specs_runs_one_task_per_chunk(self, chunk_calls):
+        specs = [
+            small_spec(pfails=(0.01,)),
+            small_spec(family="montage", processors={50: (4,)}),
+            self.grid(),
+        ]
+        results = run_specs(specs)
+        assert chunk_calls == [
+            chunk for spec in specs for chunk in _derive_chunks(spec, None)
+        ]
+        assert [len(r) for r in results] == [s.n_cells for s in specs]
+
+    def test_scheduler_runs_one_task_per_chunk(self, chunk_calls):
+        scheduler = BatchScheduler()
+        requests = requests_from_spec(self.grid())
+        outcomes = scheduler.evaluate_many(requests)
+        batches = plan_batches(requests, scheduler.registry)
+        assert len(chunk_calls) == sum(
+            len(_derive_chunks(spec, None)) for spec, _ in batches
+        )
+        assert sum(len(c.cells) for c in chunk_calls) == len(outcomes)
+
+    def test_plain_callable_is_priced_through_the_batch_entry(
+        self, monkeypatch, chunk_calls
+    ):
+        dispatched = []
+        real = pipeline_mod.expected_makespans
+
+        def counting(template, method, **options):
+            dispatched.append(template.n_cells)
+            return real(template, method, **options)
+
+        monkeypatch.setattr(pipeline_mod, "expected_makespans", counting)
+        monkeypatch.setitem(
+            EVALUATORS, "probe", lambda dag: float(dag.base.sum())
+        )
+        spec = small_spec(method="probe")
+        records = run_sweep(spec)
+        # Two strategies: every cell is priced twice, all in batches.
+        assert sum(dispatched) == 2 * len(records) == 2 * spec.n_cells
+        assert all(r.em_some > 0 for r in records)
+
+    @pytest.mark.parametrize("seed_policy", ["stable", "spawn"])
+    @pytest.mark.parametrize("family", ["montage", "genome", "ligo"])
+    def test_digest_evaluator_same_records_on_both_routes(
+        self, monkeypatch, family, seed_policy
+    ):
+        """A method whose value hashes every name, edge and parameter
+        of its DAG returns byte-identical records through the batched
+        route and through the per-cell oracle: the two routes build
+        the same DAGs."""
+
+        def digest(dag):
+            parts = [
+                (
+                    name,
+                    tuple(dag.preds[i]),
+                    float(dag.base[i]).hex(),
+                    float(dag.long[i]).hex(),
+                    float(dag.p[i]).hex(),
+                )
+                for i, name in enumerate(dag.names)
+            ]
+            blob = hashlib.sha256(repr(parts).encode()).digest()
+            return 1.0 + int.from_bytes(blob[:6], "big") / 2**48
+
+        monkeypatch.setitem(EVALUATORS, "digest", digest)
+        spec = SweepSpec(
+            family=family,
+            sizes=(30,),
+            processors={30: (3, 5)},
+            pfails=(0.01, 0.0001),
+            ccrs=(1e-3, 1.0),
+            seed=2017,
+            method="digest",
+            seed_policy=seed_policy,
+        )
+        batched = records_to_jsonl(run_sweep(spec))
+        with oracle_route("digest"):
+            assert records_to_jsonl(run_sweep(spec)) == batched
+
     def test_ckptnone_cached_across_ccr_axis(self):
         spec = small_spec(processors={50: (3,)})
         records = run_sweep(spec)
@@ -410,11 +525,21 @@ class TestSweepSpecValidation:
             {"bandwidth": "x"},
             {"evaluator_options": 5},
             {"evaluator_options": {1: "a", "b": 2}},  # unsortable keys
+            {"processors": {50: (2.5,)}},
+            {"processors": {50: (0,)}},
+            {"processors": {50: (True,)}},
+            {"sizes": (0,), "processors": {0: (3,)}},
+            {"seed": 11.5},
         ],
     )
     def test_non_finite_or_out_of_range_values_rejected(self, bad):
         with pytest.raises(ExperimentError):
             small_spec(**bad)
+
+    def test_integral_values_coerce_as_int_does(self):
+        spec = small_spec(processors={50.0: ("3", 5.0)}, seed=11.0)
+        assert spec.processors == {50: (3, 5)} and spec.seed == 11
+        assert all(type(p) is int for p in spec.processors[50])
 
 
 class TestCellWfSeed:

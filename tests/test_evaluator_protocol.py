@@ -37,12 +37,8 @@ def chain_dag(weights):
 class TestDeclaredSchemas:
     def test_builtin_capabilities(self):
         assert EVALUATORS["montecarlo"].deterministic is False
-        # Batch-capable since the content-seed work: the batch entry
-        # point takes one sampling seed per cell.
-        assert EVALUATORS["montecarlo"].supports_batch is True
         for name in ("pathapprox", "normal", "dodin", "exact"):
             assert EVALUATORS[name].deterministic is True
-            assert EVALUATORS[name].supports_batch is True
 
     def test_builtin_option_schemas(self):
         assert EVALUATORS["pathapprox"].option_names() == (
@@ -82,7 +78,6 @@ class TestRegistry:
         registry["f"] = lambda dag, alpha=1.0: alpha
         assert isinstance(registry["f"], Evaluator)
         assert registry["f"].option_names() == ("alpha",)
-        assert registry["f"].supports_batch is False  # conservative default
 
     def test_setitem_rejects_name_mismatch_and_non_callables(self):
         registry = EvaluatorRegistry()
@@ -233,15 +228,3 @@ class TestBatchDispatch:
         values = Probe().evaluate_batch(template, bump=1.0)
         assert seen == [2, 2]
         assert values.tolist() == [4.0, 8.0]
-
-    def test_subclasses_default_to_no_batch(self):
-        """supports_batch must be opt-in: a custom (possibly seed
-        dependent) evaluator is never silently batch-dispatched."""
-
-        class Custom(Evaluator):
-            name = "custom"
-
-            def evaluate(self, dag):
-                return 0.0
-
-        assert Custom().supports_batch is False

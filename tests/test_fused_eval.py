@@ -8,7 +8,7 @@ Three layers are pinned here:
   chunked or not, with one dispatch per checkpoint strategy and
   structure group;
 * **run_specs** — a batch of specs keeps per-spec error isolation, mixed
-  methods, and the per-cell fallback for methods without batching;
+  methods, and a method routed through the per-cell oracle;
 * **observability** — kernel-profile snapshots merge, including the
   ones ``jobs=2`` workers ship back.
 """
@@ -128,9 +128,9 @@ class TestRunSpecsFused:
             run_specs([bad, self.spec("montage")], jobs=1)
 
     def test_non_batch_method_falls_back(self, per_cell):
-        # A method without supports_batch is priced cell by cell inside
-        # the batch, next to a batched spec and a spec whose empty grid
-        # fails on its own.
+        # A method routed through the per-cell oracle is priced cell by
+        # cell inside the batch, next to a batched spec and a spec whose
+        # empty grid fails on its own.
         good = [self.spec("genome"), self.spec("montage", method="normal")]
         expected = [run_sweep(spec, jobs=1) for spec in good]
         bad = self.spec("montage")

@@ -312,8 +312,7 @@ class TestMonteCarloBatch:
         def noisy(dag, seed=None):
             return float(np.random.default_rng(seed).random()) + dag.base.sum()
 
-        ev = FunctionEvaluator(noisy, name="noisy", deterministic=False,
-                               supports_batch=True)
+        ev = FunctionEvaluator(noisy, name="noisy", deterministic=False)
         template = ParamDAG.from_dags(
             [chain_dag([1.0]), chain_dag([2.0])]
         )

@@ -99,6 +99,11 @@ class TestFingerprint:
             {"ntasks": "abc"},
             {"method": "nope"},
             {"seed_policy": "nope"},
+            # int() would truncate these to a different cell.
+            {"processors": 2.5},
+            {"ntasks": 30.9},
+            {"seed": 1.5},
+            {"processors": True},
         ],
     )
     def test_invalid_requests_rejected(self, bad):
