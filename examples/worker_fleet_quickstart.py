@@ -2,12 +2,14 @@
 """Quickstart: the remote worker fleet, end to end.
 
 Starts an evaluation service with ``backend="remote"`` — the service
-stops computing anything itself and instead queues pickleable work
-units that ``repro worker`` processes lease over HTTP.  The script
-recruits two workers, submits a sweep (every record must match the
-in-process engine bit for bit), re-submits it (the durable store must
-answer without the fleet seeing a single unit), then kills a worker
-mid-unit and shows the queue requeueing its lease to the survivor.
+stops computing anything itself and instead queues JSON work units (a
+sweep spec and a chunk of its cells: data, never code) that
+``repro worker URL`` processes lease over HTTP.  The script starts two
+worker loops against the service, submits a sweep (every record must
+match the in-process engine bit for bit), re-submits it (the durable
+store must answer without the fleet seeing a single unit), then lets a
+worker vanish mid-unit and shows the queue requeueing its unit to the
+survivor once the lease expires.
 
 This doubles as the CI smoke test: it asserts every claim it prints.
 

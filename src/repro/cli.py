@@ -21,8 +21,7 @@ Sub-commands::
     submit     submit one cell to a running service (or --local store);
                --dax registers + submits an external workflow
     worker     run a fleet worker: poll a coordinator for leased work
-               units (`repro worker URL`) or listen for recruitment
-               (`repro worker --listen PORT`)
+               units (`repro worker URL`)
     store      export/import a service result store as JSONL (offline
                cache interchange between machines)
 """
@@ -169,19 +168,11 @@ def _engine_flags() -> argparse.ArgumentParser:
             "default), 'serial' (in-process, one task at a time; the "
             "--jobs 1 default), 'subprocess' "
             "(a fresh interpreter per work unit — native crashes cost one "
-            "unit), or 'remote' (a `repro worker` fleet: `sweep` prints "
-            "its coordinator URL at startup, `serve` becomes the "
-            "coordinator).  Records are bit-identical on every backend"
-        ),
-    )
-    flags.add_argument(
-        "--workers",
-        nargs="+",
-        default=[],
-        metavar="URL",
-        help=(
-            "attachable worker URLs to recruit (--backend remote; "
-            "start them with `repro worker --listen PORT`)"
+            "unit), or 'remote' (a fleet of `repro worker URL` "
+            "processes: `sweep` prints its coordinator URL at startup, "
+            "`serve` becomes the coordinator).  The subprocess and remote "
+            "backends ship each unit as JSON data.  Records are "
+            "bit-identical on every backend"
         ),
     )
     flags.add_argument(
@@ -240,18 +231,13 @@ def _engine_flags() -> argparse.ArgumentParser:
     return flags
 
 
-def _apply_engine_flags(
-    args: argparse.Namespace, command: str
-) -> Optional[str]:
-    """Act on the shared ``sweep``/``serve`` flags; returns an error line."""
+def _apply_engine_flags(args: argparse.Namespace) -> None:
+    """Act on the shared ``sweep``/``serve`` flags."""
     if args.no_native:
         from repro.makespan import native
 
         # Also sets REPRO_NATIVE=0 so --jobs worker processes inherit it.
         native.set_enabled(False)
-    if args.workers and args.backend != "remote":
-        return f"repro {command}: --workers requires --backend remote"
-    return None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -535,34 +521,18 @@ def build_parser() -> argparse.ArgumentParser:
         "worker",
         help="run a fleet worker for the remote execution backend",
         description=(
-            "Run one compute worker of a remote-backend fleet.  With a "
-            "coordinator URL (a `repro serve --backend remote` service, "
-            "or the coordinator a `repro sweep --backend remote` "
-            "prints) the worker registers and polls it for leased work "
-            "units.  With --listen PORT it serves a small HTTP "
-            "endpoint instead and waits to be recruited (POST /attach, "
-            "what --workers does).  Work units are pickled task "
-            "payloads: only point workers at coordinators you trust."
+            "Run one compute worker of a remote-backend fleet: register "
+            "with a coordinator (a `repro serve --backend remote` "
+            "service, or the URL a `repro sweep --backend remote` "
+            "prints) and poll it for leased work units.  A unit is JSON "
+            "data (a sweep spec and a chunk of its cells), never code; "
+            "one that does not decode is reported back as a failure."
         ),
     )
     wrk.add_argument(
         "coordinator",
-        nargs="?",
-        default=None,
         help="coordinator base URL to poll (e.g. http://127.0.0.1:8765)",
     )
-    wrk.add_argument(
-        "--listen",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help=(
-            "serve an attachable worker on PORT (0 = ephemeral, "
-            "printed at startup) instead of requiring a coordinator "
-            "up front; may be combined with a coordinator URL"
-        ),
-    )
-    wrk.add_argument("--host", default="127.0.0.1")
     wrk.add_argument(
         "--id",
         default=None,
@@ -767,7 +737,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.figures import log_grid
     from repro.experiments.results import render_cells_table
 
-    message = _apply_engine_flags(args, "sweep") or _family_or_dax(args, "sweep")
+    _apply_engine_flags(args)
+    message = _family_or_dax(args, "sweep")
     if message is not None:
         print(message, file=sys.stderr)
         return 2
@@ -848,14 +819,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         from repro.engine.backends import RemoteWorkerBackend
 
         backend = owned_backend = RemoteWorkerBackend(
-            workers=args.workers,
             lease_timeout=args.lease_timeout,
             worker_grace=args.worker_grace,
         )
+        # Flushed: a script reading this line from a redirected stdout
+        # needs the URL before the sweep blocks on its fleet.
         print(
             f"remote backend coordinator at {backend.coordinator_url} — "
-            f"attach workers with `repro worker {backend.coordinator_url}`"
-            + (f" ({len(backend.attached)} recruited)" if backend.attached else "")
+            f"start workers with `repro worker {backend.coordinator_url}`",
+            flush=True,
         )
     prof = None
     if args.profile:
@@ -963,10 +935,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.server import serve
 
-    message = _apply_engine_flags(args, "serve")
-    if message is not None:
-        print(message, file=sys.stderr)
-        return 2
+    _apply_engine_flags(args)
     serve(
         host=args.host,
         port=args.port,
@@ -976,7 +945,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         eval_seed_policy=args.eval_seed_policy,
         profile=args.profile,
         backend=args.backend,
-        workers=args.workers,
         lease_timeout=args.lease_timeout,
         worker_grace=args.worker_grace,
     )
@@ -1103,37 +1071,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.engine.backends.worker import WorkerLoop, WorkerServer
+    from repro.engine.backends.worker import WorkerLoop
 
-    if args.coordinator is None and args.listen is None:
-        print(
-            "repro worker: pass a coordinator URL to poll, or --listen "
-            "PORT to wait for recruitment (or both)",
-            file=sys.stderr,
-        )
-        return 2
     log = None if args.quiet else print
-    if args.listen is not None:
-        server = WorkerServer(
-            host=args.host,
-            port=args.listen,
-            worker_id=args.id,
-            poll_interval=args.poll_interval,
-            log=log,
-        )
-        if log is not None:
-            log(
-                f"worker {server.worker_id} listening on {server.url} "
-                "(recruit with `repro sweep --backend remote --workers "
-                f"{server.url}` or POST /attach)"
-            )
-        if args.coordinator is not None:
-            server.attach(args.coordinator)
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:  # pragma: no cover — interactive only
-            server.close()
-        return 0
     loop = WorkerLoop(
         args.coordinator,
         worker_id=args.id,

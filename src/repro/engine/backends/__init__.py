@@ -18,12 +18,12 @@ dispatch loop (:func:`~repro.engine.backends.dispatch.run_tasks`):
 
 Records are bit-identical across all four: every seed is derived in
 the parent before submission, so *where* a task runs can never change
-*what* it computes.  Use :func:`get_backend` to build one by name.
+*what* it computes.  The two that leave the process ship each unit as
+JSON data (:func:`repro.engine.sweep.unit_to_json`), never as code.
+Use :func:`get_backend` to build one by name.
 """
 
 from __future__ import annotations
-
-from typing import Optional, Sequence
 
 from repro.engine.backends.base import (
     BackendTask,
@@ -34,15 +34,15 @@ from repro.engine.backends.base import (
 from repro.engine.backends.dispatch import run_tasks
 from repro.engine.backends.local import ProcessPoolBackend, SerialBackend
 from repro.engine.backends.remote import (
+    JsonHandler,
     RemoteWorkerBackend,
     WorkQueue,
     WorkServer,
-    attach_worker,
     queue_routes,
     read_json_body,
 )
 from repro.engine.backends.subproc import SubprocessBackend
-from repro.engine.backends.worker import WorkerLoop, WorkerServer
+from repro.engine.backends.worker import WorkerLoop
 from repro.errors import BackendError
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
     "BackendUnavailable",
     "BrokenBackendError",
     "ExecutionBackend",
+    "JsonHandler",
     "ProcessPoolBackend",
     "RemoteWorkerBackend",
     "SerialBackend",
@@ -58,8 +59,6 @@ __all__ = [
     "WorkQueue",
     "WorkServer",
     "WorkerLoop",
-    "WorkerServer",
-    "attach_worker",
     "get_backend",
     "queue_routes",
     "read_json_body",
@@ -70,22 +69,14 @@ __all__ = [
 BACKENDS = ("serial", "process", "subprocess", "remote")
 
 
-def get_backend(
-    name: str,
-    jobs: int = 1,
-    workers: Sequence[str] = (),
-    queue: Optional[WorkQueue] = None,
-    coordinator_url: Optional[str] = None,
-    lease_timeout: float = 30.0,
-    worker_grace: float = 60.0,
-) -> ExecutionBackend:
+def get_backend(name: str, jobs: int = 1) -> ExecutionBackend:
     """Build an execution backend by name.
 
-    ``jobs`` sizes the local pools; ``workers``/``queue``/
-    ``lease_timeout``/``worker_grace`` configure the remote fleet (see
-    :class:`~repro.engine.backends.remote.RemoteWorkerBackend`).
-    Raises :class:`~repro.engine.backends.base.BackendUnavailable` when
-    the environment cannot host the backend (callers fall back to the
+    ``jobs`` sizes the local pools; ``"remote"`` builds a standalone
+    :class:`~repro.engine.backends.remote.RemoteWorkerBackend` with its
+    own coordinator for ``repro worker`` processes to poll.  Raises
+    :class:`~repro.engine.backends.base.BackendUnavailable` when the
+    environment cannot host the backend (callers fall back to the
     in-process serial path) and :class:`~repro.errors.BackendError` for
     an unknown name.
     """
@@ -96,13 +87,7 @@ def get_backend(
     if name == "subprocess":
         return SubprocessBackend(jobs=jobs)
     if name == "remote":
-        return RemoteWorkerBackend(
-            queue=queue,
-            coordinator_url=coordinator_url,
-            workers=workers,
-            lease_timeout=lease_timeout,
-            worker_grace=worker_grace,
-        )
+        return RemoteWorkerBackend()
     raise BackendError(
         f"unknown execution backend {name!r}; choose from {list(BACKENDS)}"
     )

@@ -1,6 +1,6 @@
-"""The execution-backend protocol: spawn/collect over pickleable tasks.
+"""The execution-backend protocol: spawn/collect over work units.
 
-A *backend* turns the sweep engine's pickleable work units — one
+A *backend* turns the sweep engine's work units — one
 :func:`repro.engine.sweep._run_chunk_task` per grid chunk, for
 :func:`~repro.engine.sweep.run_sweep` and
 :func:`~repro.engine.sweep.run_specs` alike — into
@@ -27,19 +27,19 @@ records a task computes are **backend-independent by construction**:
 all seeds are derived in the parent before submission, so the
 ``jobs=1 ≡ jobs=N`` contract generalises to "≡ any backend".
 
-The wire codec (:func:`encode_task` / :func:`run_encoded_task` /
-:func:`encode_result` / :func:`decode_result`) is shared by the
-subprocess runner and the remote worker loop.  It is pickle-based and
-therefore **trusted-fleet only**: anyone who can POST to a work queue
-or feed a runner's stdin can execute code as the worker.  Bind
-coordinators to loopback/private interfaces.
+The backends that leave the process (subprocess, remote) ship a unit
+as JSON data, through the codec next to the types it carries
+(:func:`repro.engine.sweep.unit_to_json` and its inverses): a unit is
+a sweep spec, a chunk of grid cells and a profiling flag, never a
+function call.  Both refuse any task but the engine's chunk unit at
+:meth:`~ExecutionBackend.submit`; the process pool keeps
+:mod:`concurrent.futures`' local pipes.
 """
 
 from __future__ import annotations
 
-import pickle
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
 from repro.errors import BackendError
@@ -49,12 +49,6 @@ __all__ = [
     "BackendUnavailable",
     "BrokenBackendError",
     "ExecutionBackend",
-    "decode_result",
-    "encode_error",
-    "decode_error",
-    "encode_result",
-    "encode_task",
-    "run_encoded_task",
 ]
 
 
@@ -76,7 +70,7 @@ class BrokenBackendError(BackendError):
 
 @dataclass(frozen=True)
 class BackendTask:
-    """One unit of backend work: a pickleable task function call.
+    """One unit of backend work: a task function call.
 
     ``key`` is the caller's ordering key (a chunk's grid order, a
     spec's batch index) — opaque to the backend, used by the dispatch
@@ -123,56 +117,3 @@ class ExecutionBackend:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-
-# ----------------------------------------------------------------------
-# Wire codec (subprocess runner + remote worker loop).
-
-#: Protocol 4 keeps payloads readable by any supported interpreter.
-_PICKLE_PROTOCOL = 4
-
-
-def encode_task(
-    fn: Callable[..., Any], args: Tuple[Any, ...], profile: bool
-) -> bytes:
-    """Serialise one task call for an out-of-process runner."""
-    return pickle.dumps((fn, tuple(args), bool(profile)), _PICKLE_PROTOCOL)
-
-
-def run_encoded_task(blob: bytes) -> Any:
-    """Execute an :func:`encode_task` payload in this process."""
-    try:
-        fn, args, profile = pickle.loads(blob)
-    except Exception as exc:  # noqa: BLE001 — malformed payload
-        raise BackendError(f"undecodable task payload: {exc}") from None
-    return fn(*args, profile=profile)
-
-
-def encode_result(value: Any) -> bytes:
-    """Serialise a task's ``(result, snapshot)`` pair."""
-    return pickle.dumps(value, _PICKLE_PROTOCOL)
-
-
-def decode_result(blob: bytes) -> Any:
-    return pickle.loads(blob)
-
-
-def encode_error(exc: BaseException) -> bytes:
-    """Serialise a task exception (fall back to its message when the
-    exception object itself does not pickle)."""
-    try:
-        return pickle.dumps(exc, _PICKLE_PROTOCOL)
-    except Exception:  # noqa: BLE001 — unpicklable exception state
-        return pickle.dumps(
-            BackendError(f"{type(exc).__name__}: {exc}"), _PICKLE_PROTOCOL
-        )
-
-
-def decode_error(blob: bytes, fallback: str = "worker error") -> BaseException:
-    try:
-        exc = pickle.loads(blob)
-    except Exception:  # noqa: BLE001 — undecodable error payload
-        return BackendError(fallback)
-    if isinstance(exc, BaseException):
-        return exc
-    return BackendError(f"{fallback}: {exc!r}")

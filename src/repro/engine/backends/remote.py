@@ -1,18 +1,30 @@
 """Remote worker fleet: lease/complete work queue + HTTP coordinator.
 
-The remote backend is pull-based.  A :class:`WorkQueue` holds encoded
-work units; ``repro worker`` processes poll a *coordinator* over HTTP —
-``POST /work/lease`` to claim a unit, ``POST /work/complete`` /
-``POST /work/fail`` to settle it — and register themselves via
-``POST /workers/register`` (surfaced in ``/status``).  Every lease
-carries a deadline: a worker that dies mid-unit simply stops renewing,
-and the unit is **requeued** for the next lease poll once the deadline
-passes, so a killed worker never loses work, only time.  Because all
-seeds are derived before submission, a requeued unit recomputed by a
-different worker produces byte-identical records — first completion
-wins, late duplicates are ignored.
+The remote backend is pull-based.  A :class:`WorkQueue` holds JSON work
+units (:func:`repro.engine.sweep.unit_to_json`); ``repro worker``
+processes poll a *coordinator* over HTTP — ``POST /work/lease`` to
+claim a unit, ``POST /work/complete`` / ``POST /work/fail`` to settle
+it — and register themselves via ``POST /workers/register`` (surfaced
+in ``/status``).  Every lease carries a deadline, and workers never
+renew it: a unit still unsettled when its lease expires (its worker
+died, or is merely slow) is **requeued** for the next lease poll, so a
+killed worker never loses work, only time.  A slow unit is then
+computed twice; because all seeds are derived before submission, both
+copies are byte-identical, and the first completion wins.
 
-Two processes can host the coordinator endpoints:
+Units are data, not code.  A unit is a sweep spec, a chunk of grid
+cells and a profiling flag; a completion is the chunk's records and a
+profile snapshot; a failure is an error type and message.  The queue
+decodes every completion and checks it against its unit's cells before
+it settles anything: one that does not decode or does not match gets a
+400, and the unit is requeued, up to :data:`MAX_ATTEMPTS` leases.  A
+settled unit is dropped, so a long-lived coordinator tracks only live
+work.  No payload runs as code, but any client that can lease a unit
+can still report numbers for it: keep coordinators on private
+interfaces.
+
+Two processes can host the coordinator endpoints, through one
+:class:`JsonHandler` and one route table (:func:`queue_routes`):
 
 * :class:`~repro.service.server.ReproService` mounts them next to
   ``/evaluate`` (``repro serve --backend remote``), so a worker fleet
@@ -20,21 +32,13 @@ Two processes can host the coordinator endpoints:
   fingerprints never reach the queue at all;
 * :class:`WorkServer`, a minimal standalone coordinator the
   :class:`RemoteWorkerBackend` spins up (ephemeral port) when there is
-  no service to attach to (``repro sweep --backend remote``).
+  no service to host them (``repro sweep --backend remote``).
 
-``--workers URL...`` recruits *attachable* workers (``repro worker
---listen PORT``): the backend POSTs each URL ``/attach`` with its own
-coordinator address and the worker starts polling back.  Workers
-started as ``repro worker COORDINATOR_URL`` need no recruiting — they
-poll the coordinator directly.
-
-Payloads ride the pickle wire codec of
-:mod:`repro.engine.backends.base` — trusted fleets only.
+Workers join either one as ``repro worker COORDINATOR_URL``.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import threading
 import time
@@ -43,30 +47,28 @@ import uuid
 from collections import deque
 from concurrent.futures import Future
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.engine.backends.base import (
     BackendTask,
     BrokenBackendError,
     ExecutionBackend,
-    decode_error,
-    decode_result,
-    encode_task,
 )
-from repro.errors import BackendError, ServiceError
+from repro.errors import BackendError, ReproError, ServiceError
 
 __all__ = [
+    "JsonHandler",
     "WorkQueue",
     "WorkServer",
     "RemoteWorkerBackend",
     "queue_routes",
     "read_json_body",
-    "attach_worker",
 ]
 
-#: A unit is abandoned (its future fails) after this many lease
-#: expiries — the backstop against a unit that kills every worker that
-#: touches it cycling through the fleet forever.
+#: A unit is abandoned (its future fails) after this many leases whose
+#: worker never delivered a valid result — the backstop against a unit
+#: that kills, or garbles, every worker that touches it cycling through
+#: the fleet forever.
 MAX_ATTEMPTS = 5
 
 #: Seconds a request body may take to arrive once its headers are in.
@@ -80,7 +82,7 @@ class _Unit:
         "unit_id", "payload", "future", "worker", "deadline", "attempts",
     )
 
-    def __init__(self, unit_id: str, payload: bytes) -> None:
+    def __init__(self, unit_id: str, payload: Dict[str, Any]) -> None:
         self.unit_id = unit_id
         self.payload = payload
         self.future: "Future[Any]" = Future()
@@ -90,12 +92,14 @@ class _Unit:
 
 
 class WorkQueue:
-    """Thread-safe lease/complete queue of encoded work units.
+    """Thread-safe lease/complete queue of JSON work units.
 
     ``lease_timeout`` is the seconds a worker owns a unit before it is
     considered dead and the unit requeued (checked lazily on every
     lease/stats call and by the backend's monitor — no reaper thread of
-    its own, so an embedding service pays nothing while idle).
+    its own, so an embedding service pays nothing while idle).  A unit
+    is dropped as soon as it settles — completed, failed, abandoned or
+    failed by :meth:`fail_pending` — so the queue holds live units only.
     """
 
     def __init__(self, lease_timeout: float = 30.0) -> None:
@@ -105,8 +109,9 @@ class WorkQueue:
             )
         self.lease_timeout = float(lease_timeout)
         self._lock = threading.Lock()
-        self._units: Dict[str, _Unit] = {}
-        self._pending: deque = deque()  # unit ids awaiting a lease
+        self._units: Dict[str, _Unit] = {}  # live (unsettled) units
+        # Ids awaiting a lease; ids of units settled since are skipped.
+        self._pending: deque = deque()
         self._workers: Dict[str, Dict[str, Any]] = {}
         self._counters = {
             "submitted": 0,
@@ -117,8 +122,9 @@ class WorkQueue:
 
     # -- producer side -------------------------------------------------
 
-    def submit(self, payload: bytes) -> "Future[Any]":
-        """Enqueue one encoded unit; the future resolves on completion."""
+    def submit(self, payload: Dict[str, Any]) -> "Future[Any]":
+        """Enqueue one JSON unit; the future resolves to its decoded
+        ``(records, profile_snapshot)`` pair."""
         unit = _Unit(uuid.uuid4().hex, payload)
         with self._lock:
             self._units[unit.unit_id] = unit
@@ -133,36 +139,40 @@ class WorkQueue:
 
     def _reap_locked(self) -> int:
         now = time.monotonic()
-        requeued = 0
-        for unit in self._units.values():
-            if unit.worker is None or unit.future.done():
-                continue
-            if unit.deadline is not None and unit.deadline < now:
-                unit.worker = None
-                unit.deadline = None
-                if unit.attempts >= MAX_ATTEMPTS:
-                    unit.future.set_exception(
-                        BackendError(
-                            f"work unit {unit.unit_id[:8]} abandoned after "
-                            f"{unit.attempts} expired leases"
-                        )
-                    )
-                else:
-                    self._pending.append(unit.unit_id)
-                    requeued += 1
-        self._counters["requeued"] += requeued
-        return requeued
+        expired = [
+            unit
+            for unit in self._units.values()
+            if unit.worker is not None and unit.deadline < now
+        ]
+        return sum(self._release_locked(u, "lease expired") for u in expired)
+
+    def _release_locked(self, unit: _Unit, reason: str) -> bool:
+        """Take back ``unit``'s lease: requeue the unit, or abandon it
+        once it has had :data:`MAX_ATTEMPTS` leases.  True if requeued."""
+        unit.worker = None
+        unit.deadline = None
+        if unit.attempts < MAX_ATTEMPTS:
+            self._pending.append(unit.unit_id)
+            self._counters["requeued"] += 1
+            return True
+        del self._units[unit.unit_id]
+        unit.future.set_exception(
+            BackendError(
+                f"work unit {unit.unit_id[:8]} abandoned after "
+                f"{unit.attempts} leases (last: {reason})"
+            )
+        )
+        return False
 
     def fail_pending(self, exc: BaseException) -> int:
         """Fail every unsettled unit (fleet declared dead / shutdown)."""
         with self._lock:
-            failed = 0
-            for unit in self._units.values():
-                if not unit.future.done():
-                    unit.future.set_exception(exc)
-                    failed += 1
+            units = list(self._units.values())
+            self._units.clear()
             self._pending.clear()
-            return failed
+            for unit in units:
+                unit.future.set_exception(exc)
+            return len(units)
 
     # -- worker side ---------------------------------------------------
 
@@ -176,7 +186,7 @@ class WorkQueue:
             if meta:
                 entry["meta"] = dict(meta)
 
-    def lease(self, worker: str) -> Optional[Tuple[str, bytes]]:
+    def lease(self, worker: str) -> Optional[Tuple[str, Dict[str, Any]]]:
         """Claim the next pending unit for ``worker`` (None = no work).
 
         Leasing doubles as the worker heartbeat and as the lazy reap
@@ -192,7 +202,7 @@ class WorkQueue:
             entry["last_seen"] = time.time()
             while self._pending:
                 unit = self._units.get(self._pending.popleft())
-                if unit is None or unit.future.done():
+                if unit is None:
                     continue
                 unit.worker = worker
                 unit.deadline = time.monotonic() + self.lease_timeout
@@ -200,64 +210,84 @@ class WorkQueue:
                 return unit.unit_id, unit.payload
             return None
 
-    def complete(self, unit_id: str, worker: str, result_blob: bytes) -> bool:
-        """Settle a unit with its encoded ``(result, snapshot)`` pair.
+    def complete(self, unit_id: str, worker: str, result: Any) -> bool:
+        """Settle a unit with its JSON result ``{records, profile}``.
 
-        Idempotent: a late duplicate (the unit was requeued and another
-        worker finished first) is acknowledged but ignored — results
-        are byte-identical whichever worker computed them.
+        The result must decode and match the unit's cells
+        (:func:`~repro.engine.sweep.result_from_json`).  One that does
+        not raises :class:`~repro.errors.BackendError` and requeues the
+        unit (see :meth:`_settle`).  Returns False for a unit no longer
+        tracked: a late duplicate (the unit was requeued and another
+        worker finished first) is ignored — results are byte-identical
+        whichever worker computed them.
         """
-        with self._lock:
-            unit = self._units.get(unit_id)
-            if unit is None:
-                return False
-            entry = self._workers.get(worker)
-            if entry is not None:
-                entry["last_seen"] = time.time()
-                entry["units_done"] = entry.get("units_done", 0) + 1
-            if unit.future.done():
-                return False
-            unit.worker = None
-            unit.deadline = None
-            self._counters["completed"] += 1
-            # Settled under the lock so a racing duplicate completion
-            # (lease expired, both workers answered) cannot double-set.
-            try:
-                unit.future.set_result(decode_result(result_blob))
-            except Exception as exc:  # noqa: BLE001 — corrupted result
-                unit.future.set_exception(
-                    BackendError(f"undecodable worker result: {exc}")
-                )
-            return True
+        # Deferred: repro.engine.sweep imports this package.
+        from repro.engine.sweep import result_from_json
 
-    def fail(
-        self,
-        unit_id: str,
-        worker: str,
-        message: str,
-        error_blob: Optional[bytes] = None,
-    ) -> bool:
-        """Settle a unit with the exception its task raised.
+        return self._settle(
+            unit_id,
+            worker,
+            "completed",
+            lambda unit: result_from_json(result, unit.payload),
+        )
+
+    def fail(self, unit_id: str, worker: str, error: Any) -> bool:
+        """Settle a unit with the JSON error ``{type, message}`` its task
+        raised (:func:`~repro.engine.sweep.error_from_json`).
 
         This is a *task* failure (bad spec, evaluation error) reported
         by a live worker — it resolves the unit, unlike a worker death,
-        which requeues it.
+        which requeues it.  A malformed error is refused like a
+        malformed result.
+        """
+        from repro.engine.sweep import error_from_json
+
+        return self._settle(
+            unit_id, worker, "failed", lambda unit: error_from_json(error)
+        )
+
+    def _settle(
+        self,
+        unit_id: str,
+        worker: str,
+        outcome: str,
+        decode: Callable[[_Unit], Any],
+    ) -> bool:
+        """Resolve a live unit with ``decode(unit)``: a result, or the
+        exception to fail it with.
+
+        A message ``decode`` refuses (a :class:`~repro.errors.BackendError`)
+        settles nothing: the unit's lease is taken back — the unit is
+        requeued, or abandoned after :data:`MAX_ATTEMPTS` leases — and
+        the error is re-raised for the route to answer with a 400.
         """
         with self._lock:
             unit = self._units.get(unit_id)
-            if unit is None or unit.future.done():
-                return False
+        if unit is None:
+            return False
+        try:
+            value = decode(unit)  # outside the lock: records decode here
+        except BackendError as exc:
+            with self._lock:
+                leased = unit.worker is not None
+                if leased and self._units.get(unit_id) is unit:
+                    self._release_locked(unit, f"refused: {exc}")
+            raise BackendError(
+                f"work unit {unit_id[:8]} refused: {exc}"
+            ) from None
+        with self._lock:
+            if self._units.pop(unit_id, None) is None:
+                return False  # another worker settled it meanwhile
+            self._counters[outcome] += 1
             entry = self._workers.get(worker)
             if entry is not None:
                 entry["last_seen"] = time.time()
-            unit.worker = None
-            unit.deadline = None
-            self._counters["failed"] += 1
-            unit.future.set_exception(
-                decode_error(error_blob, message)
-                if error_blob is not None
-                else BackendError(message)
-            )
+                if outcome == "completed":
+                    entry["units_done"] += 1
+            if isinstance(value, BaseException):
+                unit.future.set_exception(value)
+            else:
+                unit.future.set_result(value)
             return True
 
     # -- introspection -------------------------------------------------
@@ -278,14 +308,10 @@ class WorkQueue:
     def stats(self) -> Dict[str, Any]:
         with self._lock:
             self._reap_locked()
-            leased = sum(
-                1
-                for u in self._units.values()
-                if u.worker is not None and not u.future.done()
-            )
+            leased = sum(u.worker is not None for u in self._units.values())
             return {
                 "lease_timeout_s": self.lease_timeout,
-                "pending": len(self._pending),
+                "pending": len(self._units) - leased,
                 "leased": leased,
                 "workers": len(self._workers),
                 **self._counters,
@@ -303,8 +329,7 @@ class WorkQueue:
 
 
 # ----------------------------------------------------------------------
-# HTTP plumbing shared by WorkServer, the attachable worker and the
-# evaluation service.
+# HTTP plumbing shared by WorkServer and the evaluation service.
 
 
 def _read_body(handler: BaseHTTPRequestHandler, length: int) -> bytes:
@@ -340,8 +365,9 @@ def read_json_body(handler: BaseHTTPRequestHandler) -> Dict[str, Any]:
     non-negative integer, for a body shorter than its length once
     :data:`BODY_TIMEOUT_S` has passed (both also mark the connection
     for closing: the body's framing is broken, so nothing after the
-    headers can be trusted), for a body that is not JSON, and for JSON
-    that is not an object.  Every handler answers the error with a 400.
+    headers can be trusted), for a body that is not JSON (nested too
+    deep to parse included), and for JSON that is not an object.  Every
+    handler answers the error with a 400.
     """
     header = handler.headers.get("Content-Length")
     try:
@@ -362,49 +388,101 @@ def read_json_body(handler: BaseHTTPRequestHandler) -> Dict[str, Any]:
         return {}
     try:
         payload = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad bytes, JSON, depth
         raise ServiceError(f"request body is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ServiceError("request body must be a JSON object")
     return payload
 
 
-def queue_routes(
-    queue: WorkQueue,
-) -> Dict[str, Callable[[Dict[str, Any]], Dict[str, Any]]]:
-    """The coordinator's POST routes as ``path → handler(payload)``.
+#: A route: the request's handler in, the JSON body of its 200 reply out.
+Route = Callable[["JsonHandler"], Dict[str, Any]]
 
-    Both hosts — the standalone :class:`WorkServer` and the evaluation
-    service's handler — dispatch through this one table, so the wire
-    protocol cannot drift between them.
+
+class JsonHandler(BaseHTTPRequestHandler):
+    """The JSON request handler both HTTP hosts build on.
+
+    A bound subclass carries the server's route tables, built once per
+    server: ``get_routes`` and ``post_routes`` map a path to a
+    :data:`Route`.  :meth:`_dispatch` answers an unknown path with a
+    404, a :class:`~repro.errors.ReproError` (a bad request, a refused
+    work-unit message) with a 400 and any other exception with a 500;
+    the handler thread survives all three.
     """
 
-    def _lease(payload: Dict[str, Any]) -> Dict[str, Any]:
-        worker = str(payload.get("worker") or "anonymous")
-        leased = queue.lease(worker)
+    protocol_version = "HTTP/1.1"
+    # _reply sends headers and body in separate writes; with Nagle on, a
+    # keep-alive client's delayed ACK holds the body back ~40 ms.
+    disable_nagle_algorithm = True
+    get_routes: Mapping[str, Route] = {}
+    post_routes: Mapping[str, Route] = {}
+
+    def _reply(self, status: int, payload: Dict[str, Any]) -> None:
+        body = json.dumps(payload).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def _dispatch(self, routes: Mapping[str, Route]) -> None:
+        route = routes.get(self.path.rstrip("/") or "/")
+        if route is None:
+            self._reply(404, {"error": f"unknown path {self.path!r}"})
+            return
+        try:
+            self._reply(200, route(self))
+        except ReproError as exc:
+            self._reply(400, {"error": str(exc)})
+        except Exception as exc:  # noqa: BLE001 — never kill the thread
+            self._reply(500, {"error": f"internal error: {exc}"})
+
+    def do_GET(self) -> None:  # noqa: N802 — http.server API
+        self._dispatch(self.get_routes)
+
+    def do_POST(self) -> None:  # noqa: N802 — http.server API
+        self._dispatch(self.post_routes)
+
+
+def queue_routes(queue: WorkQueue) -> Dict[str, Route]:
+    """The coordinator's POST routes over ``queue``.
+
+    Both hosts — the standalone :class:`WorkServer` and the evaluation
+    service — mount this one table, so the wire protocol cannot drift
+    between them.  A lease answers ``{"unit": id, "payload": unit}``
+    (``unit`` is None when there is no work); a completion carries
+    ``{"unit", "worker", "result"}`` and a failure ``{"unit",
+    "worker", "error"}``, each answered ``{"accepted": bool}``.
+    """
+
+    def _lease(handler: JsonHandler) -> Dict[str, Any]:
+        payload = read_json_body(handler)
+        leased = queue.lease(str(payload.get("worker") or "anonymous"))
         if leased is None:
             return {"unit": None}
-        unit_id, blob = leased
-        return {
-            "unit": unit_id,
-            "payload": base64.b64encode(blob).decode("ascii"),
-        }
+        unit_id, unit = leased
+        return {"unit": unit_id, "payload": unit}
 
-    def _complete(payload: Dict[str, Any]) -> Dict[str, Any]:
-        unit = str(payload.get("unit") or "")
-        worker = str(payload.get("worker") or "anonymous")
-        blob = base64.b64decode(str(payload.get("payload") or ""))
-        return {"accepted": queue.complete(unit, worker, blob)}
+    def _complete(handler: JsonHandler) -> Dict[str, Any]:
+        payload = read_json_body(handler)
+        accepted = queue.complete(
+            str(payload.get("unit") or ""),
+            str(payload.get("worker") or "anonymous"),
+            payload.get("result"),
+        )
+        return {"accepted": accepted}
 
-    def _fail(payload: Dict[str, Any]) -> Dict[str, Any]:
-        unit = str(payload.get("unit") or "")
-        worker = str(payload.get("worker") or "anonymous")
-        message = str(payload.get("error") or "worker task failed")
-        raw = payload.get("payload")
-        blob = base64.b64decode(str(raw)) if raw else None
-        return {"accepted": queue.fail(unit, worker, message, blob)}
+    def _fail(handler: JsonHandler) -> Dict[str, Any]:
+        payload = read_json_body(handler)
+        accepted = queue.fail(
+            str(payload.get("unit") or ""),
+            str(payload.get("worker") or "anonymous"),
+            payload.get("error"),
+        )
+        return {"accepted": accepted}
 
-    def _register(payload: Dict[str, Any]) -> Dict[str, Any]:
+    def _register(handler: JsonHandler) -> Dict[str, Any]:
+        payload = read_json_body(handler)
         worker = str(payload.get("worker") or "anonymous")
         meta = payload.get("meta")
         queue.register(worker, meta if isinstance(meta, dict) else None)
@@ -422,45 +500,9 @@ def queue_routes(
     }
 
 
-class _CoordinatorHandler(BaseHTTPRequestHandler):
-    """Minimal JSON handler for the standalone coordinator."""
-
-    queue: WorkQueue  # bound per server via a subclass attribute
-    protocol_version = "HTTP/1.1"
-
+class _CoordinatorHandler(JsonHandler):
     def log_message(self, fmt: str, *args: Any) -> None:  # noqa: ARG002
         pass  # the coordinator is chatty (polling); stay silent
-
-    def _reply(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def do_GET(self) -> None:  # noqa: N802 — http.server API
-        if self.path.rstrip("/") == "/status":
-            self._reply(
-                200,
-                {
-                    "coordinator": "repro-work-server",
-                    "work_queue": self.queue.stats(),
-                    "workers": self.queue.workers(),
-                },
-            )
-        else:
-            self._reply(404, {"error": f"unknown path {self.path!r}"})
-
-    def do_POST(self) -> None:  # noqa: N802 — http.server API
-        route = queue_routes(self.queue).get(self.path.rstrip("/"))
-        if route is None:
-            self._reply(404, {"error": f"unknown path {self.path!r}"})
-            return
-        try:
-            self._reply(200, route(read_json_body(self)))
-        except Exception as exc:  # noqa: BLE001 — report, don't die
-            self._reply(400, {"error": str(exc)})
 
 
 class WorkServer:
@@ -473,7 +515,19 @@ class WorkServer:
         port: int = 0,
     ) -> None:
         self.queue = queue
-        handler = type("_BoundCoordinator", (_CoordinatorHandler,), {"queue": queue})
+
+        def _status(handler: JsonHandler) -> Dict[str, Any]:
+            return {
+                "coordinator": "repro-work-server",
+                "work_queue": queue.stats(),
+                "workers": queue.workers(),
+            }
+
+        routes = {
+            "get_routes": {"/status": _status},
+            "post_routes": queue_routes(queue),
+        }
+        handler = type("_BoundCoordinator", (_CoordinatorHandler,), routes)
         self._httpd = ThreadingHTTPServer((host, port), handler)
         self._httpd.daemon_threads = True
         self._thread: Optional[threading.Thread] = None
@@ -513,21 +567,6 @@ def _post_json(
         return json.loads(resp.read().decode("utf-8"))
 
 
-def attach_worker(worker_url: str, coordinator_url: str) -> str:
-    """Recruit an attachable worker (``repro worker --listen``): tell it
-    to start polling ``coordinator_url``.  Returns the worker's id."""
-    try:
-        reply = _post_json(
-            worker_url.rstrip("/") + "/attach",
-            {"coordinator": coordinator_url},
-        )
-    except OSError as exc:
-        raise BackendError(
-            f"cannot attach worker at {worker_url}: {exc}"
-        ) from None
-    return str(reply.get("worker", worker_url))
-
-
 class RemoteWorkerBackend(ExecutionBackend):
     """HTTP fan-out over a worker fleet sharing one work queue.
 
@@ -540,12 +579,13 @@ class RemoteWorkerBackend(ExecutionBackend):
       :class:`WorkQueue` and :class:`WorkServer` on an ephemeral port
       (:attr:`coordinator_url`) for workers to poll.
 
-    ``workers`` lists attachable worker URLs to recruit at
-    construction.  ``worker_grace`` bounds how long submitted work may
-    sit with **no live worker**: past it, every unsettled future fails
-    with :class:`~repro.engine.backends.base.BrokenBackendError` and
-    the dispatch loop finishes the sweep serially in-process — a
-    fleetless remote sweep degrades, it does not hang.
+    ``worker_grace`` bounds how long submitted work may sit with **no
+    live worker**: past it, every unsettled future fails with
+    :class:`~repro.engine.backends.base.BrokenBackendError` and the
+    dispatch loop finishes the sweep serially in-process — a fleetless
+    remote sweep degrades, it does not hang.  :meth:`submit` refuses
+    any task but the engine's chunk unit with a
+    :class:`~repro.errors.BackendError`.
     """
 
     name = "remote"
@@ -556,7 +596,6 @@ class RemoteWorkerBackend(ExecutionBackend):
         self,
         queue: Optional[WorkQueue] = None,
         coordinator_url: Optional[str] = None,
-        workers: Sequence[str] = (),
         lease_timeout: float = 30.0,
         worker_grace: float = 60.0,
         host: str = "127.0.0.1",
@@ -571,15 +610,6 @@ class RemoteWorkerBackend(ExecutionBackend):
             self.queue = WorkQueue(lease_timeout=lease_timeout)
             self._server = WorkServer(self.queue, host=host, port=port).start()
             self.coordinator_url = self._server.url
-        self.attached: List[str] = []
-        for worker_url in workers:
-            if self.coordinator_url is None:
-                raise BackendError(
-                    "cannot recruit workers without a coordinator URL"
-                )
-            self.attached.append(
-                attach_worker(worker_url, self.coordinator_url)
-            )
         self._closed = threading.Event()
         self._last_settled = time.monotonic()
         self._monitor = threading.Thread(
@@ -588,10 +618,12 @@ class RemoteWorkerBackend(ExecutionBackend):
         self._monitor.start()
 
     def submit(self, task: BackendTask, profile: bool = False) -> "Future[Any]":
+        # Deferred: repro.engine.sweep imports this package.
+        from repro.engine.sweep import unit_to_json
+
         if self._closed.is_set():
             raise BackendError("remote backend is closed")
-        payload = encode_task(task.fn, task.args, profile)
-        future = self.queue.submit(payload)
+        future = self.queue.submit(unit_to_json(task, profile))
         future.add_done_callback(self._note_settled)
         return future
 

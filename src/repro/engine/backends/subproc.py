@@ -3,43 +3,39 @@
 Unlike the process pool — whose long-lived workers amortise interpreter
 startup but share fate with every task they ever ran —
 :class:`SubprocessBackend` runs each work unit in a brand-new
-``python -m repro.engine.backends.subproc`` child: the task payload is
-piped to stdin (:func:`~repro.engine.backends.base.encode_task`), the
-``(result, profile_snapshot)`` pair comes back on stdout.  A native
-crash (segfault in a C extension, OOM kill) takes down exactly one
-task: the child's nonzero exit surfaces as a
+``python -m repro.engine.backends.subproc`` child: the JSON unit
+(:func:`~repro.engine.sweep.unit_to_json`) is piped to stdin, its JSON
+result comes back on stdout and is checked against the unit's cells.
+A native crash (segfault in a C extension, OOM kill) takes down
+exactly one task: the child's nonzero exit surfaces as a
 :class:`~repro.errors.BackendError` for that task alone, it never
 poisons an executor shared with other tasks.  The price is one
 interpreter start (and one cold pipeline) per task.
 
 Runner protocol (the ``__main__`` block below)::
 
-    stdin   pickle (fn, args, profile)           [encode_task]
-    stdout  pickle ("ok", (result, snapshot))    [task succeeded]
-            pickle ("error", pickled-exception)  [task raised]
+    stdin   {"spec": ..., "chunk": ..., "profile": ...}   [unit_to_json]
+    stdout  {"result": {"records": [...], "profile": ...}} [task succeeded]
+            {"error": {"type": ..., "message": ...}}       [task raised]
     exit 0 either way; any other exit status means the interpreter
     itself died.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
 from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Dict, Optional
 
 from repro.engine.backends.base import (
     BackendTask,
     BackendUnavailable,
+    BrokenBackendError,
     ExecutionBackend,
-    decode_error,
-    decode_result,
-    encode_error,
-    encode_result,
-    encode_task,
-    run_encoded_task,
 )
 from repro.errors import BackendError
 
@@ -79,24 +75,27 @@ class SubprocessBackend(ExecutionBackend):
         )
 
     def submit(self, task: BackendTask, profile: bool = False) -> "Future[Any]":
+        # Deferred: repro.engine.sweep imports this package.
+        from repro.engine.sweep import unit_to_json
+
         if self._threads is None:
             raise BackendUnavailable("subprocess backend is closed")
-        payload = encode_task(task.fn, task.args, profile)
-        return self._threads.submit(self._run_child, payload)
+        unit = unit_to_json(task, profile)
+        return self._threads.submit(self._run_child, unit)
 
-    def _run_child(self, payload: bytes) -> Any:
+    def _run_child(self, unit: Dict[str, Any]) -> Any:
+        from repro.engine.sweep import error_from_json, result_from_json
+
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "repro.engine.backends.subproc"],
-                input=payload,
+                input=json.dumps(unit).encode("utf-8"),
                 capture_output=True,
                 env=self._env,
             )
-        except (OSError, PermissionError) as exc:
+        except OSError as exc:
             # Process creation itself is blocked: broken, not a task
             # failure — the dispatch loop restarts serially.
-            from repro.engine.backends.base import BrokenBackendError
-
             raise BrokenBackendError(
                 f"cannot spawn a task interpreter: {exc}"
             ) from None
@@ -108,14 +107,14 @@ class SubprocessBackend(ExecutionBackend):
                 + (": " + " | ".join(tail) if tail else "")
             )
         try:
-            status, value = decode_result(proc.stdout)
-        except Exception as exc:  # noqa: BLE001 — corrupted reply pipe
+            reply = dict(json.loads(proc.stdout))
+        except (TypeError, ValueError) as exc:  # a corrupted reply pipe
             raise BackendError(
                 f"undecodable subprocess reply: {exc}"
             ) from None
-        if status == "error":
-            raise decode_error(value, "subprocess task failed")
-        return value
+        if "error" in reply:
+            raise error_from_json(reply["error"])
+        return result_from_json(reply.get("result"), unit)
 
     def close(self) -> None:
         threads, self._threads = self._threads, None
@@ -124,15 +123,15 @@ class SubprocessBackend(ExecutionBackend):
 
 
 def _runner_main() -> int:
-    """``python -m repro.engine.backends.subproc``: run one piped task."""
-    payload = sys.stdin.buffer.read()
+    """``python -m repro.engine.backends.subproc``: run one piped unit."""
+    from repro.engine.sweep import error_to_json, run_unit
+
     try:
-        value = run_encoded_task(payload)
-        reply = encode_result(("ok", value))
-    except BaseException as exc:  # noqa: BLE001 — shipped to the parent
-        reply = encode_result(("error", encode_error(exc)))
-    sys.stdout.buffer.write(reply)
-    sys.stdout.buffer.flush()
+        reply = {"result": run_unit(json.loads(sys.stdin.buffer.read()))}
+    except Exception as exc:  # noqa: BLE001 — shipped to the parent
+        reply = {"error": error_to_json(exc)}
+    sys.stdout.write(json.dumps(reply))
+    sys.stdout.flush()
     return 0
 
 

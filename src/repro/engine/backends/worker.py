@@ -1,48 +1,33 @@
 """``repro worker`` — the fleet's compute process.
 
-Two ways to run one:
+``repro worker http://coordinator:8765`` registers with the coordinator
+— a ``repro serve --backend remote`` service or the standalone
+:class:`~repro.engine.backends.remote.WorkServer` a ``repro sweep
+--backend remote`` prints — then loops lease → execute → complete.
+Transient coordinator outages (restart, network blip) are retried with
+backoff; a unit whose completion cannot be delivered is simply dropped
+— its lease expires and the queue requeues it, so at-least-once
+delivery holds without worker-side state.
 
-* **Poller** (``repro worker http://coordinator:8765``): registers with
-  the coordinator — a ``repro serve --backend remote`` service or a
-  sweep's standalone :class:`~repro.engine.backends.remote.WorkServer`
-  — then loops lease → execute → complete.  Transient coordinator
-  outages (restart, network blip) are retried with backoff; a unit
-  whose completion cannot be delivered is simply dropped — its lease
-  expires and the queue requeues it, so at-least-once delivery holds
-  without worker-side state.
-* **Attachable** (``repro worker --listen 9400``): a small HTTP server
-  that waits to be recruited — ``POST /attach {"coordinator": URL}``
-  starts a poller thread against that coordinator (this is what
-  ``--workers URL...`` does).  ``GET /status`` reports the worker id,
-  attached coordinators and units done.
-
-Executing a unit means unpickling and calling a task function — run
-workers only against coordinators you trust (see
-:mod:`repro.engine.backends.base`).
+A leased unit is JSON data (:func:`repro.engine.sweep.run_unit` decodes
+and runs it): nothing in it runs as code.  A unit that does not decode
+is reported back through ``/work/fail`` as a
+:class:`~repro.errors.BackendError`, like any task failure, and the
+worker keeps polling.
 """
 
 from __future__ import annotations
 
-import base64
-import json
 import os
 import socket
 import threading
-import urllib.error
-import urllib.request
 import uuid
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
-from repro.engine.backends.base import (
-    encode_error,
-    encode_result,
-    run_encoded_task,
-)
-from repro.engine.backends.remote import read_json_body
+from repro.engine.backends.remote import _post_json
 from repro.errors import BackendError
 
-__all__ = ["WorkerLoop", "WorkerServer", "default_worker_id"]
+__all__ = ["WorkerLoop", "default_worker_id"]
 
 
 def default_worker_id() -> str:
@@ -73,16 +58,10 @@ class WorkerLoop:
     # -- transport -----------------------------------------------------
 
     def _post(self, path: str, payload: Dict[str, Any]) -> Dict[str, Any]:
-        data = json.dumps(payload).encode("utf-8")
-        req = urllib.request.Request(
-            self.coordinator + path,
-            data=data,
-            headers={"Content-Type": "application/json"},
-        )
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return json.loads(resp.read().decode("utf-8"))
-        except (urllib.error.URLError, OSError, ValueError) as exc:
+            return _post_json(self.coordinator + path, payload, self.timeout)
+        except (OSError, ValueError, RecursionError) as exc:
+            # URLError is an OSError; a reply too deep to parse recurses.
             raise BackendError(
                 f"coordinator {self.coordinator}{path}: {exc}"
             ) from None
@@ -97,7 +76,7 @@ class WorkerLoop:
         self._stop.set()
 
     def start(self) -> "WorkerLoop":
-        """Run :meth:`run` on a daemon thread (attachable mode/tests)."""
+        """Run :meth:`run` on a daemon thread (tests, embedding)."""
         self._thread = threading.Thread(
             target=self.run, name=f"repro-worker-{self.worker_id}", daemon=True
         )
@@ -141,15 +120,17 @@ class WorkerLoop:
 
     def _poll_once(self) -> bool:
         """One lease poll; returns True when a unit was executed."""
+        # Deferred: repro.engine.sweep imports this package.
+        from repro.engine.sweep import error_to_json, run_unit
+
         reply = self._post("/work/lease", {"worker": self.worker_id})
         unit_id = reply.get("unit")
         if not unit_id:
             return False
-        payload = base64.b64decode(str(reply.get("payload") or ""))
         self._say(f"leased unit {str(unit_id)[:8]}")
         try:
-            value = run_encoded_task(payload)
-        except BaseException as exc:  # noqa: BLE001 — shipped back
+            result = run_unit(reply.get("payload"))
+        except Exception as exc:  # noqa: BLE001 — shipped back
             self.units_failed += 1
             self._say(f"unit {str(unit_id)[:8]} failed: {exc}")
             self._post(
@@ -157,144 +138,14 @@ class WorkerLoop:
                 {
                     "unit": unit_id,
                     "worker": self.worker_id,
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "payload": base64.b64encode(
-                        encode_error(exc)
-                    ).decode("ascii"),
+                    "error": error_to_json(exc),
                 },
             )
             return True
         self.units_done += 1
         self._post(
             "/work/complete",
-            {
-                "unit": unit_id,
-                "worker": self.worker_id,
-                "payload": base64.b64encode(
-                    encode_result(value)
-                ).decode("ascii"),
-            },
+            {"unit": unit_id, "worker": self.worker_id, "result": result},
         )
         self._say(f"completed unit {str(unit_id)[:8]}")
         return True
-
-
-class _WorkerHandler(BaseHTTPRequestHandler):
-    server_ref: "WorkerServer"
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, fmt: str, *args: Any) -> None:  # noqa: ARG002
-        pass
-
-    def _reply(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def do_GET(self) -> None:  # noqa: N802 — http.server API
-        if self.path.rstrip("/") == "/status":
-            self._reply(200, self.server_ref.describe())
-        else:
-            self._reply(404, {"error": f"unknown path {self.path!r}"})
-
-    def do_POST(self) -> None:  # noqa: N802 — http.server API
-        if self.path.rstrip("/") != "/attach":
-            self._reply(404, {"error": f"unknown path {self.path!r}"})
-            return
-        try:
-            coordinator = str(read_json_body(self)["coordinator"])
-        except Exception as exc:  # noqa: BLE001 — malformed attach
-            self._reply(
-                400, {"error": f"attach payload needs 'coordinator': {exc}"}
-            )
-            return
-        self._reply(200, self.server_ref.attach(coordinator))
-
-
-class WorkerServer:
-    """Attachable worker: an HTTP shell around on-demand poller loops."""
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        worker_id: Optional[str] = None,
-        poll_interval: float = 0.2,
-        log: Optional[Callable[[str], None]] = None,
-    ) -> None:
-        self.worker_id = worker_id or default_worker_id()
-        self.poll_interval = poll_interval
-        self.log = log
-        self._loops: List[WorkerLoop] = []
-        self._lock = threading.Lock()
-        handler = type("_BoundWorker", (_WorkerHandler,), {"server_ref": self})
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def url(self) -> str:
-        host, port = self._httpd.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def attach(self, coordinator: str) -> Dict[str, Any]:
-        """Start (or reuse) a poller loop against ``coordinator``."""
-        with self._lock:
-            for loop in self._loops:
-                if loop.coordinator == coordinator.rstrip("/"):
-                    return {"worker": self.worker_id, "attached": False}
-            loop = WorkerLoop(
-                coordinator,
-                worker_id=self.worker_id,
-                poll_interval=self.poll_interval,
-                log=self.log,
-            ).start()
-            self._loops.append(loop)
-        return {"worker": self.worker_id, "attached": True}
-
-    def describe(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "worker": self.worker_id,
-                "coordinators": [loop.coordinator for loop in self._loops],
-                "units_done": sum(loop.units_done for loop in self._loops),
-                "units_failed": sum(
-                    loop.units_failed for loop in self._loops
-                ),
-            }
-
-    def start(self) -> "WorkerServer":
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name=f"repro-worker-http-{self.worker_id}",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Blocking variant for the CLI."""
-        try:
-            self._httpd.serve_forever()
-        except KeyboardInterrupt:  # pragma: no cover — interactive only
-            pass
-        finally:
-            self.close()
-
-    def close(self) -> None:
-        with self._lock:
-            for loop in self._loops:
-                loop.stop()
-            loops, self._loops = list(self._loops), []
-        if self._thread is not None:
-            waiter = threading.Thread(target=self._httpd.shutdown, daemon=True)
-            waiter.start()
-            waiter.join(timeout=5.0)
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self._httpd.server_close()
-        for loop in loops:
-            loop.join(timeout=2.0)

@@ -25,7 +25,9 @@ once.  Both take one route from spec to record:
   tree is built once per workflow and the schedule once per (workflow,
   processors) pair; with ``jobs > 1`` it is a process pool, and an
   explicit ``backend=`` picks any other (fresh-interpreter
-  subprocesses, a remote ``repro worker`` fleet);
+  subprocesses, a remote ``repro worker`` fleet), which receive each
+  unit as JSON data through this module's codec (:func:`unit_to_json`
+  and its inverses), never as code;
 * each chunk's cells — a single-cell chunk or a coalesced service spec
   included — are priced through
   :meth:`~repro.engine.pipeline.Pipeline.evaluate_cells`: one call of
@@ -41,9 +43,10 @@ Results are always returned in grid order, one
 
 from __future__ import annotations
 
+import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import (
     Any,
     Callable,
@@ -58,6 +61,7 @@ from typing import (
 
 import numpy as np
 
+from repro import errors as _errors
 from repro.engine.backends import (
     BackendTask,
     BackendUnavailable,
@@ -67,8 +71,9 @@ from repro.engine.backends import (
     run_tasks,
 )
 from repro.engine.pipeline import Pipeline
-from repro.engine.records import CellResult
-from repro.errors import ExperimentError
+from repro.engine.records import CellResult, record_from_dict
+from repro.errors import BackendError, ExperimentError, ReproError
+from repro.generators.serialization import workflow_from_json, workflow_to_json
 from repro.makespan import profile as _profile
 from repro.util.rng import stable_seed
 from repro.workloads import FamilySource, FileSource, WorkflowSource
@@ -86,6 +91,12 @@ __all__ = [
     "cell_eval_seed",
     "run_sweep",
     "run_specs",
+    "unit_to_json",
+    "unit_from_json",
+    "run_unit",
+    "result_from_json",
+    "error_to_json",
+    "error_from_json",
 ]
 
 #: Allowed seed-derivation policies.
@@ -547,6 +558,197 @@ def _run_chunk_task(
         return records, prof.snapshot()
     finally:
         _profile.disable()
+
+
+# ----------------------------------------------------------------------
+# The JSON unit codec: the one wire form of a _run_chunk_task call,
+# shared by the subprocess runner (stdin/stdout) and the remote work
+# queue (/work/lease, /work/complete, /work/fail).  Messages are data:
+# nothing in one names code to run, and every decoder answers what it
+# cannot check with a BackendError.
+#
+#   unit    {"spec": {SweepSpec fields}, "chunk": {_Chunk fields},
+#            "profile": bool}
+#   result  {"records": [CellResult fields, ...], "profile": snapshot}
+#   error   {"type": "EvaluationError", "message": "..."}
+
+#: What a malformed message may raise while it is rebuilt.
+_DECODE_ERRORS = (
+    ReproError, KeyError, TypeError, ValueError, OverflowError, AttributeError,
+)
+
+#: Spec fields whose JSON type :meth:`SweepSpec.__post_init__` does not
+#: coerce, so the decoder checks it.
+_PLAIN_FIELDS = {"str": str, "bool": bool}
+
+#: :mod:`repro.errors` classes an error message may name.
+_ERROR_TYPES = {name: getattr(_errors, name) for name in _errors.__all__}
+
+
+def unit_to_json(task: BackendTask, profile: bool) -> Dict[str, Any]:
+    """The JSON unit of one backend task: ``{spec, chunk, profile}``.
+
+    Only :func:`_run_chunk_task` calls have a wire form; any other task
+    raises :class:`~repro.errors.BackendError`.  A file source travels
+    as its ``repro-workflow-v1`` body next to its content hash.
+    """
+    if task.fn is not _run_chunk_task:
+        raise BackendError(
+            f"only sweep chunk units can leave the process, not "
+            f"{getattr(task.fn, '__qualname__', task.fn)!r}"
+        )
+    spec, chunk = task.args
+    body = {f.name: getattr(spec, f.name) for f in fields(SweepSpec)}
+    body["processors"] = list(spec.processors.items())  # int keys survive
+    if spec.source is not None:
+        body["source"] = {
+            "hash": spec.source.content_hash,
+            "workflow": workflow_to_json(spec.source.workflow),
+        }
+    unit = {"spec": body, "chunk": asdict(chunk), "profile": bool(profile)}
+    try:
+        # The round trip turns tuples into lists: the unit held by a
+        # work queue is exactly the one a worker receives.
+        return json.loads(json.dumps(unit))
+    except (TypeError, ValueError) as exc:
+        raise BackendError(f"sweep unit has no JSON form: {exc}") from None
+
+
+def unit_from_json(unit: Any) -> Tuple[SweepSpec, _Chunk, bool]:
+    """Rebuild ``(spec, chunk, profile)`` from a JSON unit.
+
+    The spec takes exactly :class:`SweepSpec`'s fields and passes its
+    validation again; a file source's body must hash to its stated
+    content hash, and the chunk's cells must lie on the spec's grid.
+    Anything else raises :class:`~repro.errors.BackendError`.
+    """
+    try:
+        body = dict(unit["spec"])
+        if set(body) != {f.name for f in fields(SweepSpec)}:
+            raise ValueError(f"spec fields {sorted(body)}")
+        for f in fields(SweepSpec):
+            kind = _PLAIN_FIELDS.get(f.type)
+            if kind is not None and not isinstance(body[f.name], kind):
+                raise ValueError(f"spec field {f.name!r} must be a {f.type}")
+        if body["source"] is not None:
+            source = FileSource(workflow_from_json(body["source"]["workflow"]))
+            if source.content_hash != body["source"]["hash"]:
+                raise ValueError("workflow body does not match its hash")
+            body["source"] = source
+        spec = SweepSpec(**body)
+        raw = unit["chunk"]
+        group, index = raw["order"]
+        chunk = _Chunk(
+            order=(
+                require_integer(group, "order"),
+                require_integer(index, "order"),
+            ),
+            ntasks=require_integer(raw["ntasks"], "size"),
+            processors=require_integer(raw["processors"], "processor count"),
+            wf_seed=require_integer(raw["wf_seed"], "seed"),
+            sched_seed=require_integer(raw["sched_seed"], "seed"),
+            cells=tuple(
+                (float(pfail), float(ccr), require_integer(seed, "seed"))
+                for pfail, ccr, seed in raw["cells"]
+            ),
+        )
+        profile = unit["profile"]
+    except _DECODE_ERRORS as exc:
+        raise BackendError(f"malformed work unit: {exc!r}") from None
+    if (
+        not isinstance(profile, bool)
+        or not chunk.cells
+        or chunk.processors not in spec.processors.get(chunk.ntasks, ())
+        or any(
+            pfail not in spec.pfails or ccr not in spec.ccrs
+            for pfail, ccr, _ in chunk.cells
+        )
+    ):
+        raise BackendError("malformed work unit: chunk is off its spec's grid")
+    return spec, chunk, profile
+
+
+def run_unit(unit: Any) -> Dict[str, Any]:
+    """Execute one JSON unit in this process; returns its JSON result.
+
+    Raises what the task raises, and
+    :class:`~repro.errors.BackendError` for a unit that does not decode.
+    """
+    spec, chunk, profile = unit_from_json(unit)
+    records, snapshot = _run_chunk_task(spec, chunk, profile=profile)
+    return {"records": [asdict(r) for r in records], "profile": snapshot}
+
+
+def result_from_json(
+    result: Any, unit: Mapping[str, Any]
+) -> Tuple[List[CellResult], Optional[Dict[str, Any]]]:
+    """Rebuild a unit's ``(records, profile_snapshot)`` from its JSON
+    result, checked against the unit's cells.
+
+    The records must be one per cell, in cell order, each carrying its
+    cell's family, size, processor count, pfail, CCR and workflow seed;
+    the snapshot keeps only the op counters
+    :meth:`~repro.makespan.profile.KernelProfile.merge` reads.  Anything
+    else raises :class:`~repro.errors.BackendError`.
+    """
+    spec, chunk = unit["spec"], unit["chunk"]
+    try:
+        records = [record_from_dict(r) for r in result["records"]]
+        snapshot = result["profile"]
+        if snapshot is not None:
+            snapshot = {
+                "ops": {
+                    str(op): {
+                        "calls": require_integer(e["calls"], "calls"),
+                        "rows": require_integer(e["rows"], "rows"),
+                        "scalar_rows": require_integer(
+                            e["scalar_rows"], "rows"
+                        ),
+                        "wall_s": float(e["wall_s"]),
+                    }
+                    for op, e in dict(snapshot["ops"]).items()
+                }
+            }
+    except _DECODE_ERRORS as exc:
+        raise BackendError(f"malformed work unit result: {exc!r}") from None
+    cells = [
+        (spec["family"], chunk["ntasks"], chunk["processors"], pfail, ccr,
+         chunk["wf_seed"])
+        for pfail, ccr, _ in chunk["cells"]
+    ]
+    got = [
+        (r.family, r.ntasks_requested, r.processors, r.pfail, r.ccr, r.seed)
+        for r in records
+    ]
+    if got != cells:
+        raise BackendError(
+            f"work unit result does not match its unit: {len(got)} "
+            f"record(s) for {len(cells)} cell(s), or a record off its cell"
+        )
+    return records, snapshot
+
+
+def error_to_json(exc: BaseException) -> Dict[str, str]:
+    """The JSON error of a failed unit: ``{type, message}``."""
+    return {"type": type(exc).__name__, "message": str(exc)}
+
+
+def error_from_json(error: Any) -> ReproError:
+    """The :mod:`repro.errors` exception a JSON error names; any other
+    type becomes a :class:`~repro.errors.BackendError` that keeps the
+    type's name.  A malformed error raises the BackendError instead."""
+    try:
+        kind, message = error["type"], error["message"]
+    except _DECODE_ERRORS as exc:
+        raise BackendError(f"malformed work unit error: {exc!r}") from None
+    if not isinstance(kind, str) or not isinstance(message, str):
+        raise BackendError(
+            "malformed work unit error: type and message must be strings"
+        )
+    cls = _ERROR_TYPES.get(kind)
+    if cls is None:
+        return BackendError(f"{kind}: {message}")
+    return cls(message)
 
 
 def _dispatch(

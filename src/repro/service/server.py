@@ -72,23 +72,25 @@ requeued.  The durable store sits in front of the queue, so answered
 fingerprints never reach the fleet at all.
 
 Errors come back as ``{"error": ...}`` with status 400 (bad request /
-library error) or 404 (unknown path).  Start a blocking server with
+library error), 404 (unknown path) or 500 (anything else), through the
+:class:`~repro.engine.backends.remote.JsonHandler` base the standalone
+coordinator shares.  Start a blocking server with
 :func:`serve`, or an in-process background one with
 ``ReproService(...).start()`` (used by the tests and the quickstart).
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro import __version__
 from repro.engine.backends import (
     BACKENDS,
+    JsonHandler,
     RemoteWorkerBackend,
     WorkQueue,
     queue_routes,
@@ -96,7 +98,7 @@ from repro.engine.backends import (
 )
 from repro.engine.records import record_to_dict
 from repro.engine.sweep import SweepSpec
-from repro.errors import ReproError, ServiceError
+from repro.errors import ServiceError
 from repro.engine.sweep import EVAL_SEED_POLICIES
 from repro.makespan import native as native_kernels
 from repro.makespan import profile as kernel_profile
@@ -187,70 +189,21 @@ def sweep_spec_from_payload(
     )
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """JSON request handler; the owning service is a class attribute."""
+class _Handler(JsonHandler):
+    """The service's JSON routes.  The owning service and the route
+    tables are class attributes of the subclass each
+    :class:`ReproService` binds (built once, in its constructor)."""
 
-    service: "ReproService"  # bound by ReproService._handler_class
-    protocol_version = "HTTP/1.1"
-    # _reply sends headers and body in separate writes; with Nagle on, a
-    # keep-alive client's delayed ACK holds the body back ~40 ms.
-    disable_nagle_algorithm = True
-
-    # -- plumbing ------------------------------------------------------
+    service: "ReproService"
 
     def log_message(self, fmt: str, *args: Any) -> None:
         log = self.service.log
         if log is not None:
             log(f"{self.address_string()} {fmt % args}")
 
-    def _reply(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _dispatch(self, routes: Dict[str, Callable[[], None]]) -> None:
-        handler = routes.get(self.path.rstrip("/") or "/")
-        if handler is None:
-            self._reply(404, {"error": f"unknown path {self.path!r}"})
-            return
-        try:
-            handler()
-        except ReproError as exc:
-            self._reply(400, {"error": str(exc)})
-        except Exception as exc:  # noqa: BLE001 — never kill the thread
-            self._reply(500, {"error": f"internal error: {exc}"})
-
     # -- routes --------------------------------------------------------
 
-    def do_GET(self) -> None:  # noqa: N802 — http.server API
-        self._dispatch(
-            {
-                "/status": self._get_status,
-                "/cache": self._get_cache,
-                "/sources": self._get_sources,
-            }
-        )
-
-    def do_POST(self) -> None:  # noqa: N802 — http.server API
-        routes: Dict[str, Callable[[], None]] = {
-            "/evaluate": self._post_evaluate,
-            "/sweep": self._post_sweep,
-            "/cache": self._post_cache,
-            "/register": self._post_register,
-        }
-        # The remote backend's coordinator endpoints ride the same
-        # route table (queue_routes) as the standalone WorkServer, so
-        # the wire protocol cannot drift between the two hosts.
-        for path, handler in queue_routes(self.service.work_queue).items():
-            routes[path] = (
-                lambda h=handler: self._reply(200, h(read_json_body(self)))
-            )
-        self._dispatch(routes)
-
-    def _post_evaluate(self) -> None:
+    def _post_evaluate(self) -> Dict[str, Any]:
         payload = read_json_body(self)
         payload.setdefault(
             "eval_seed_policy", self.service.default_eval_seed_policy
@@ -258,17 +211,14 @@ class _Handler(BaseHTTPRequestHandler):
         request = request_from_dict(payload)
         t0 = time.perf_counter()
         outcome = self.service.scheduler.submit(request).result()
-        self._reply(
-            200,
-            {
-                "fingerprint": outcome.fingerprint,
-                "cached": outcome.cached,
-                "wall_time_s": time.perf_counter() - t0,
-                "record": record_to_dict(outcome.record),
-            },
-        )
+        return {
+            "fingerprint": outcome.fingerprint,
+            "cached": outcome.cached,
+            "wall_time_s": time.perf_counter() - t0,
+            "record": record_to_dict(outcome.record),
+        }
 
-    def _post_register(self) -> None:
+    def _post_register(self) -> Dict[str, Any]:
         payload = read_json_body(self)
         body = payload.get("workflow")
         if not isinstance(body, dict):
@@ -297,21 +247,18 @@ class _Handler(BaseHTTPRequestHandler):
         # its registry from the store, so /sweep-by-hash keeps working
         # without a re-upload.
         self.service.store.save_source(source)
-        self._reply(
-            200,
-            {
-                "workflow": source.content_hash,
-                "family": source.spec_family,
-                "ntasks": source.workflow.n_tasks,
-                "label": source.label,
-                "known": known,
-            },
-        )
+        return {
+            "workflow": source.content_hash,
+            "family": source.spec_family,
+            "ntasks": source.workflow.n_tasks,
+            "label": source.label,
+            "known": known,
+        }
 
-    def _get_sources(self) -> None:
-        self._reply(200, {"sources": self.service.registry.describe()})
+    def _get_sources(self) -> Dict[str, Any]:
+        return {"sources": self.service.registry.describe()}
 
-    def _post_sweep(self) -> None:
+    def _post_sweep(self) -> Dict[str, Any]:
         payload = read_json_body(self)
         payload.setdefault(
             "eval_seed_policy", self.service.default_eval_seed_policy
@@ -345,65 +292,59 @@ class _Handler(BaseHTTPRequestHandler):
                 "positional); use seed_policy 'stable' for bit-identical "
                 "numbers"
             )
-        self._reply(200, payload)
+        return payload
 
-    def _get_status(self) -> None:
+    def _get_status(self) -> Dict[str, Any]:
         svc = self.service
         store_stats = svc.store.stats()
         sched = svc.scheduler.stats
-        self._reply(
-            200,
-            {
-                "version": __version__,
-                "uptime_s": time.time() - svc.started_at,
-                "sources": len(svc.registry),
-                "eval_seed_policy": svc.default_eval_seed_policy,
-                "store": {
-                    "path": svc.store.path,
-                    "entries": store_stats.entries,
-                    "hits": store_stats.hits,
-                    "misses": store_stats.misses,
-                    "hit_rate": store_stats.hit_rate,
-                },
-                "scheduler": {
-                    "submitted": sched.submitted,
-                    "deduped": sched.deduped,
-                    "store_hits": sched.store_hits,
-                    "computed_cells": sched.computed_cells,
-                    "batches": sched.batches,
-                    "batch_size_max": sched.batch_size_max,
-                    "batch_size_mean": sched.batch_size_mean,
-                    "last_batch_sizes": list(sched.last_batch_sizes),
-                },
-                "backend": svc.backend_name,
-                # Which distribution-kernel backend serves this process
-                # (compiled native vs pure-python reference) and why.
-                "kernels": native_kernels.status(),
-                "work_queue": svc.work_queue.stats(),
-                "workers": svc.work_queue.workers(),
-                # Present only while kernel profiling is live (serve
-                # --profile, or an embedding process calling enable()).
-                "kernel_profile": kernel_profile.snapshot(),
+        return {
+            "version": __version__,
+            "uptime_s": time.time() - svc.started_at,
+            "sources": len(svc.registry),
+            "eval_seed_policy": svc.default_eval_seed_policy,
+            "store": {
+                "path": svc.store.path,
+                "entries": store_stats.entries,
+                "hits": store_stats.hits,
+                "misses": store_stats.misses,
+                "hit_rate": store_stats.hit_rate,
             },
-        )
+            "scheduler": {
+                "submitted": sched.submitted,
+                "deduped": sched.deduped,
+                "store_hits": sched.store_hits,
+                "computed_cells": sched.computed_cells,
+                "batches": sched.batches,
+                "batch_size_max": sched.batch_size_max,
+                "batch_size_mean": sched.batch_size_mean,
+                "last_batch_sizes": list(sched.last_batch_sizes),
+            },
+            "backend": svc.backend_name,
+            # Which distribution-kernel backend serves this process
+            # (compiled native vs pure-python reference) and why.
+            "kernels": native_kernels.status(),
+            "work_queue": svc.work_queue.stats(),
+            "workers": svc.work_queue.workers(),
+            # Present only while kernel profiling is live (serve
+            # --profile, or an embedding process calling enable()).
+            "kernel_profile": kernel_profile.snapshot(),
+        }
 
-    def _get_cache(self) -> None:
+    def _get_cache(self) -> Dict[str, Any]:
         svc = self.service
         stats = svc.store.stats()
-        self._reply(
-            200,
-            {
-                "path": svc.store.path,
-                "schema_version": SCHEMA_VERSION,
-                "entries": stats.entries,
-                "session_hits": stats.hits,
-                "session_misses": stats.misses,
-                "session_hit_rate": stats.hit_rate,
-                "total_hits": stats.total_hits,
-            },
-        )
+        return {
+            "path": svc.store.path,
+            "schema_version": SCHEMA_VERSION,
+            "entries": stats.entries,
+            "session_hits": stats.hits,
+            "session_misses": stats.misses,
+            "session_hit_rate": stats.hit_rate,
+            "total_hits": stats.total_hits,
+        }
 
-    def _post_cache(self) -> None:
+    def _post_cache(self) -> Dict[str, Any]:
         payload = read_json_body(self)
         action = payload.get("action")
         if action != "clear":
@@ -412,7 +353,7 @@ class _Handler(BaseHTTPRequestHandler):
             )
         self.service.store.clear()
         self.service.scheduler.reset_pipeline()
-        self._reply(200, {"cleared": True})
+        return {"cleared": True}
 
 
 class ReproService:
@@ -435,7 +376,6 @@ class ReproService:
         eval_seed_policy: str = "positional",
         profile: bool = False,
         backend: Optional[str] = None,
-        workers: Sequence[str] = (),
         lease_timeout: float = 30.0,
         worker_grace: float = 60.0,
     ) -> None:
@@ -486,7 +426,26 @@ class ReproService:
         self.backend_name = backend or (
             "process" if jobs not in (None, 1) else "inline"
         )
-        handler = type("_BoundHandler", (_Handler,), {"service": self})
+        routes = {
+            "get_routes": {
+                "/status": _Handler._get_status,
+                "/cache": _Handler._get_cache,
+                "/sources": _Handler._get_sources,
+            },
+            "post_routes": {
+                "/evaluate": _Handler._post_evaluate,
+                "/sweep": _Handler._post_sweep,
+                "/cache": _Handler._post_cache,
+                "/register": _Handler._post_register,
+                # The remote backend's coordinator endpoints: the table
+                # the standalone WorkServer mounts, so the wire protocol
+                # cannot drift between the two hosts.
+                **queue_routes(self.work_queue),
+            },
+        }
+        handler = type(
+            "_BoundHandler", (_Handler,), {"service": self, **routes}
+        )
         self._httpd = ThreadingHTTPServer((host, port), handler)
         self._httpd.daemon_threads = True
         self._thread: Optional[threading.Thread] = None
@@ -495,13 +454,9 @@ class ReproService:
         #: batches; the local backends are built per dispatch).
         self._backend_obj: Optional[RemoteWorkerBackend] = None
         if backend == "remote":
-            # Constructed after the HTTP socket is bound: recruiting
-            # attachable workers sends them this service's own URL as
-            # the coordinator address.
             self._backend_obj = RemoteWorkerBackend(
                 queue=self.work_queue,
                 coordinator_url=self.url,
-                workers=workers,
                 worker_grace=worker_grace,
             )
             self.scheduler.backend = self._backend_obj
@@ -591,7 +546,6 @@ def serve(
     eval_seed_policy: str = "positional",
     profile: bool = False,
     backend: Optional[str] = None,
-    workers: Sequence[str] = (),
     lease_timeout: float = 30.0,
     worker_grace: float = 60.0,
 ) -> None:
@@ -599,7 +553,7 @@ def serve(
     service = ReproService(
         host=host, port=port, store=store, jobs=jobs, linger=linger, log=log,
         eval_seed_policy=eval_seed_policy, profile=profile,
-        backend=backend, workers=workers, lease_timeout=lease_timeout,
+        backend=backend, lease_timeout=lease_timeout,
         worker_grace=worker_grace,
     )
     if log is not None:

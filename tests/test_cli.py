@@ -20,8 +20,6 @@ class TestParser:
         [
             (["--jobs", "3"], "jobs", 3, 1),
             (["--backend", "remote"], "backend", "remote", None),
-            (["--workers", "http://a:1", "http://b:2"], "workers",
-             ["http://a:1", "http://b:2"], []),
             (["--lease-timeout", "5"], "lease_timeout", 5.0, 30.0),
             (["--worker-grace", "7"], "worker_grace", 7.0, 60.0),
             (["--profile"], "profile", True, False),
@@ -30,7 +28,7 @@ class TestParser:
              "content", "positional"),
         ],
         ids=[
-            "jobs", "backend", "workers", "lease-timeout", "worker-grace",
+            "jobs", "backend", "lease-timeout", "worker-grace",
             "profile", "no-native", "eval-seed-policy",
         ],
     )
@@ -39,6 +37,14 @@ class TestParser:
         for command in ("sweep", "serve"):
             assert getattr(parser.parse_args([command]), dest) == default
             assert getattr(parser.parse_args([command, *argv]), dest) == value
+
+    def test_worker_takes_a_coordinator_url_only(self, capsys):
+        parser = build_parser()
+        args = parser.parse_args(["worker", "http://127.0.0.1:1"])
+        assert args.coordinator == "http://127.0.0.1:1"
+        for argv in (["worker"], ["worker", "--listen", "9400"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
 
 
 class TestGenerate:
@@ -253,6 +259,53 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "unknown workflow family" in err and "Traceback" not in err
 
+    def test_remote_backend_prints_coordinator_before_blocking(
+        self, tmp_path
+    ):
+        """`sweep --backend remote` flushes its coordinator URL while it
+        waits on the fleet, even into a pipe, so a script can start
+        `repro worker URL`; the records match the serial sweep's."""
+        import os
+        import re
+        import subprocess
+        import sys
+        import threading
+
+        from repro.engine.backends.worker import WorkerLoop
+
+        remote, serial = tmp_path / "remote.jsonl", tmp_path / "serial.jsonl"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        env.pop("PYTHONUNBUFFERED", None)  # a pipe stays block-buffered
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", *self.BASE,
+             "--backend", "remote", "--worker-grace", "300",
+             "--out", str(remote)],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        lines: list = []
+        reader = threading.Thread(
+            target=lambda: lines.append(proc.stdout.readline()), daemon=True
+        )
+        reader.start()
+        worker = None
+        try:
+            reader.join(timeout=60)
+            assert lines, "no coordinator line while the sweep waits"
+            url = re.search(r"coordinator at (http://\S+)", lines[0]).group(1)
+            worker = WorkerLoop(url, poll_interval=0.02).start()
+            assert proc.wait(timeout=120) == 0
+        finally:
+            if worker is not None:
+                worker.stop()
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+        assert main(self.BASE + ["--out", str(serial)]) == 0
+        assert remote.read_bytes() == serial.read_bytes()
+
 
 class TestSweepDax:
     BASE = [
@@ -393,14 +446,6 @@ class TestArgumentValidation:
     def test_jobs_zero_means_all_cores(self, capsys):
         # 0 is auto (one worker per core), not a rejected value.
         assert main(TestSweep.BASE + ["--jobs", "0"]) == 0
-
-    def test_workers_without_remote_backend_rejected(self, capsys):
-        rc = main(
-            TestSweep.BASE
-            + ["--backend", "process", "--workers", "http://127.0.0.1:1"]
-        )
-        assert rc == 2
-        assert "--backend remote" in capsys.readouterr().err
 
 
 class TestSubmitLocal:
