@@ -75,12 +75,15 @@ from repro.engine.records import CellResult, record_from_dict
 from repro.errors import BackendError, ExperimentError, ReproError
 from repro.generators.serialization import workflow_from_json, workflow_to_json
 from repro.makespan import profile as _profile
+from repro.makespan.api import EVALUATORS
+from repro.scheduling.linearize import LINEARIZERS
 from repro.util.rng import stable_seed
 from repro.workloads import FamilySource, FileSource, WorkflowSource
 from repro.util.validation import (
     bandwidth_error,
     ccr_error,
     pfail_error,
+    require_float,
     require_integer,
     seed_error,
 )
@@ -111,9 +114,29 @@ SEED_POLICIES = ("spawn", "stable")
 EVAL_SEED_POLICIES = ("positional", "content")
 
 
+def _axis(values: Any, convert: Callable[[Any, str], Any], name: str) -> tuple:
+    """A grid axis as a tuple of ``convert``-ed values; a string is
+    refused rather than read one character per value."""
+    if isinstance(values, (str, bytes)):
+        raise TypeError(f"{name} values must be a list, got {values!r}")
+    return tuple(convert(v, name) for v in values)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
-    """Declarative description of one parameter-grid sweep."""
+    """Declarative description of one parameter-grid sweep.
+
+    Construction is the one place a cell's fields are checked: every
+    entry point — the CLI, the unit codec and the service, whose
+    :class:`~repro.service.fingerprint.EvalRequest` validates as its
+    1×1 spec — refuses the same input with the same
+    :class:`~repro.errors.ExperimentError` message.  String fields must
+    be strings and ``save_final_outputs`` a bool; the numeric fields
+    coerce as ``int()``/``float()`` do, but a bool, or an integer field
+    with a fractional part, is refused; ``method`` must be registered in
+    :data:`~repro.makespan.api.EVALUATORS` and ``linearizer`` known;
+    evaluator options need string names and finite JSON-scalar values.
+    """
 
     family: str
     sizes: Tuple[int, ...]
@@ -148,54 +171,85 @@ class SweepSpec:
     source: Optional[FileSource] = None
 
     def __post_init__(self) -> None:
+        for name, kind in (
+            ("family", str), ("method", str), ("linearizer", str),
+            ("seed_policy", str), ("eval_seed_policy", str), ("name", str),
+            ("save_final_outputs", bool),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ExperimentError(
+                    f"{name} must be a {kind.__name__}, got {value!r}"
+                )
         try:
             object.__setattr__(
-                self,
-                "sizes",
-                tuple(require_integer(n, "size") for n in self.sizes),
+                self, "sizes", _axis(self.sizes, require_integer, "size")
             )
             object.__setattr__(
-                self, "pfails", tuple(float(p) for p in self.pfails)
+                self, "pfails", _axis(self.pfails, require_float, "pfail")
             )
             object.__setattr__(
-                self, "ccrs", tuple(float(c) for c in self.ccrs)
+                self, "ccrs", _axis(self.ccrs, require_float, "CCR")
             )
             object.__setattr__(
                 self,
                 "processors",
                 {
-                    require_integer(k, "size"): tuple(
-                        require_integer(p, "processor count") for p in v
+                    require_integer(k, "size"): _axis(
+                        v, require_integer, "processor count"
                     )
                     for k, v in dict(self.processors).items()
                 },
             )
             object.__setattr__(self, "seed", require_integer(self.seed, "seed"))
-            object.__setattr__(self, "bandwidth", float(self.bandwidth))
+            object.__setattr__(
+                self, "bandwidth", require_float(self.bandwidth, "bandwidth")
+            )
         except (TypeError, ValueError, OverflowError) as exc:
             raise ExperimentError(
                 f"bad numeric sweep field: {exc}"
             ) from None
         try:
-            object.__setattr__(
-                self,
-                "evaluator_options",
-                tuple(sorted(dict(self.evaluator_options).items())),
-            )
+            options = tuple(sorted(dict(self.evaluator_options).items()))
         except (TypeError, ValueError) as exc:
             raise ExperimentError(
                 f"evaluator_options must be a mapping with string keys: "
                 f"{exc}"
             ) from None
-        if self.seed_policy not in SEED_POLICIES:
+        # Option values must be JSON scalars: records, unit messages and
+        # service fingerprints carry them as strict JSON, and the
+        # service's coalesce key needs them hashable.
+        for key, value in options:
+            if not isinstance(key, str):
+                raise ExperimentError(
+                    f"evaluator option names must be strings, got {key!r}"
+                )
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ExperimentError(
+                    f"evaluator option {key!r} must be finite, got {value}"
+                )
+            if value is not None and not isinstance(
+                value, (str, int, float, bool)
+            ):
+                raise ExperimentError(
+                    f"evaluator option {key!r} must be a JSON scalar "
+                    f"(str/int/float/bool/None), got {type(value).__name__}"
+                )
+        object.__setattr__(self, "evaluator_options", options)
+        for label, value, known in (
+            ("method", self.method, EVALUATORS),
+            ("linearizer", self.linearizer, LINEARIZERS),
+            ("seed policy", self.seed_policy, SEED_POLICIES),
+            ("eval-seed policy", self.eval_seed_policy, EVAL_SEED_POLICIES),
+        ):
+            if value not in known:
+                raise ExperimentError(
+                    f"unknown {label} {value!r}; choose from {sorted(known)}"
+                )
+        if not self.sizes or not self.pfails or not self.ccrs:
             raise ExperimentError(
-                f"unknown seed policy {self.seed_policy!r}; "
-                f"choose from {list(SEED_POLICIES)}"
-            )
-        if self.eval_seed_policy not in EVAL_SEED_POLICIES:
-            raise ExperimentError(
-                f"unknown eval-seed policy {self.eval_seed_policy!r}; "
-                f"choose from {list(EVAL_SEED_POLICIES)}"
+                "sweep grid is empty (sizes, pfails and ccrs must be "
+                "non-empty)"
             )
         for msg in (
             *(pfail_error(pfail) for pfail in self.pfails),
@@ -565,7 +619,9 @@ def _run_chunk_task(
 # shared by the subprocess runner (stdin/stdout) and the remote work
 # queue (/work/lease, /work/complete, /work/fail).  Messages are data:
 # nothing in one names code to run, and every decoder answers what it
-# cannot check with a BackendError.
+# cannot check with a BackendError.  A unit's spec is checked by
+# SweepSpec itself, types included, so a unit is refused exactly where
+# the same spec built in-process would be.
 #
 #   unit    {"spec": {SweepSpec fields}, "chunk": {_Chunk fields},
 #            "profile": bool}
@@ -576,10 +632,6 @@ def _run_chunk_task(
 _DECODE_ERRORS = (
     ReproError, KeyError, TypeError, ValueError, OverflowError, AttributeError,
 )
-
-#: Spec fields whose JSON type :meth:`SweepSpec.__post_init__` does not
-#: coerce, so the decoder checks it.
-_PLAIN_FIELDS = {"str": str, "bool": bool}
 
 #: :mod:`repro.errors` classes an error message may name.
 _ERROR_TYPES = {name: getattr(_errors, name) for name in _errors.__all__}
@@ -618,18 +670,15 @@ def unit_from_json(unit: Any) -> Tuple[SweepSpec, _Chunk, bool]:
     """Rebuild ``(spec, chunk, profile)`` from a JSON unit.
 
     The spec takes exactly :class:`SweepSpec`'s fields and passes its
-    validation again; a file source's body must hash to its stated
-    content hash, and the chunk's cells must lie on the spec's grid.
-    Anything else raises :class:`~repro.errors.BackendError`.
+    construction checks again (the one validator of a cell's fields);
+    a file source's body must hash to its stated content hash, and the
+    chunk's cells must lie on the spec's grid.  Anything else raises
+    :class:`~repro.errors.BackendError`.
     """
     try:
         body = dict(unit["spec"])
         if set(body) != {f.name for f in fields(SweepSpec)}:
             raise ValueError(f"spec fields {sorted(body)}")
-        for f in fields(SweepSpec):
-            kind = _PLAIN_FIELDS.get(f.type)
-            if kind is not None and not isinstance(body[f.name], kind):
-                raise ValueError(f"spec field {f.name!r} must be a {f.type}")
         if body["source"] is not None:
             source = FileSource(workflow_from_json(body["source"]["workflow"]))
             if source.content_hash != body["source"]["hash"]:
@@ -767,18 +816,13 @@ def _dispatch(
     parent; each chunk becomes one :func:`_run_chunk_task` unit driven
     through :func:`~repro.engine.backends.run_tasks`, and each spec's
     records are reassembled in grid order.  With ``return_exceptions``
-    a spec's slot holds its own first error in grid order (an empty
-    grid's included) and the other specs' records are kept.
+    a spec's slot holds its own first error in grid order and the other
+    specs' records are kept.
     """
     out: List[Any] = [[] for _ in specs]
     groups: Dict[int, List[_Chunk]] = {}
     for i, spec in enumerate(specs):
         try:
-            if not spec.sizes or not spec.pfails or not spec.ccrs:
-                raise ExperimentError(
-                    "sweep grid is empty (sizes, pfails and ccrs must be "
-                    "non-empty)"
-                )
             groups[i] = _derive_chunks(spec, None)
         except Exception as exc:
             if not return_exceptions:

@@ -124,8 +124,11 @@ def run_cell(
     """Run one experiment cell from scratch (convenience entry point).
 
     :func:`run_figure` amortises generation/scheduling across the grid;
-    this standalone version runs a fresh pipeline end to end and is what
-    the CLI's ``evaluate`` sub-command and the quickstart example call.
+    this standalone version runs a fresh pipeline end to end through the
+    per-cell route (the engine's bit-exactness oracle), with the
+    ``"stable"`` workflow and schedule seeds a 1×1 grid derives.  (The
+    CLI's ``evaluate`` sub-command does not call it: it calls
+    :func:`repro.api.run_strategies` with the root seed itself.)
     """
     pipe = Pipeline()
     wf_seed = stable_seed(seed, family, ntasks)

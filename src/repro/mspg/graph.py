@@ -23,6 +23,7 @@ Design notes
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import (
     Dict,
@@ -91,7 +92,7 @@ class Task:
     def __post_init__(self) -> None:
         if not isinstance(self.id, str) or not self.id:
             raise WorkflowError(f"task id must be a non-empty string, got {self.id!r}")
-        if not (self.weight >= 0) or self.weight != self.weight:
+        if not (math.isfinite(self.weight) and self.weight >= 0):
             raise WorkflowError(
                 f"task {self.id!r}: weight must be a finite number >= 0, "
                 f"got {self.weight!r}"
@@ -145,7 +146,7 @@ class Workflow:
         """
         if name in self._file_sizes:
             raise WorkflowError(f"duplicate file name {name!r}")
-        if not (size >= 0) or size != size:
+        if not (math.isfinite(size) and size >= 0):
             raise WorkflowError(
                 f"file {name!r}: size must be a finite number >= 0, got {size!r}"
             )
@@ -427,8 +428,10 @@ class Workflow:
         factor, which changes checkpoint/recovery costs coherently across
         workflow classes.
         """
-        if not (factor >= 0) or factor != factor:
-            raise WorkflowError(f"scale factor must be >= 0, got {factor!r}")
+        if not (math.isfinite(factor) and factor >= 0):
+            raise WorkflowError(
+                f"scale factor must be a finite number >= 0, got {factor!r}"
+            )
         wf = self.copy()
         wf._file_sizes = {f: s * factor for f, s in self._file_sizes.items()}
         return wf

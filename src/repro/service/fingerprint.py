@@ -32,22 +32,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.engine.records import CellResult
-from repro.engine.sweep import EVAL_SEED_POLICIES, SEED_POLICIES, SweepSpec
-from repro.errors import ServiceError
-from repro.makespan.api import EVALUATORS
-from repro.workloads import SourceRegistry, file_family
-from repro.util.validation import (
-    bandwidth_error,
-    ccr_error,
-    pfail_error,
-    require_integer,
-    seed_error,
-)
+from repro.engine.sweep import SweepSpec
+from repro.errors import ExperimentError, ServiceError
+from repro.workloads import FileSource, SourceRegistry, file_family
 
 __all__ = [
     "EvalRequest",
@@ -105,6 +96,15 @@ class EvalRequest:
     :class:`~repro.engine.sweep.SweepSpec` does.  ``evaluator_options``
     accepts a mapping and is canonicalised to a sorted tuple of pairs.
 
+    Validation: a request checks only its own rules (the shape of a
+    ``workflow`` hash, its agreement with ``family``, and that one of
+    the two is given).  Every other field is a cell field, checked by
+    building the request's 1×1 :class:`~repro.engine.sweep.SweepSpec`:
+    its :class:`~repro.errors.ExperimentError` comes back as a
+    :class:`~repro.errors.ServiceError` with the same message, and the
+    request keeps the spec's normalised values, so an accepted request
+    fingerprints exactly as before.
+
     ``workflow`` names an external workflow by canonical content hash
     (:func:`repro.workloads.workflow_hash`) instead of generating a
     ``family`` instance; the family string is then content-derived
@@ -136,7 +136,6 @@ class EvalRequest:
     workflow: Optional[str] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "family", str(self.family))
         if self.workflow is not None:
             if (
                 not isinstance(self.workflow, str)
@@ -149,7 +148,7 @@ class EvalRequest:
                     f"got {self.workflow!r}"
                 )
             derived = file_family(self.workflow)
-            if self.family and self.family != derived:
+            if self.family not in ("", derived):
                 raise ServiceError(
                     f"family {self.family!r} contradicts the workflow "
                     f"content hash (its family string is {derived!r}); "
@@ -160,79 +159,25 @@ class EvalRequest:
             raise ServiceError(
                 "a request needs either a family or a workflow content hash"
             )
+        # Every other rule is the cell's, checked once by SweepSpec: the
+        # request is valid iff its 1×1 spec is, and takes the spec's
+        # normalised values.  (No source: the hash is resolved at
+        # dispatch, against the service's registry.)
         try:
-            object.__setattr__(
-                self, "ntasks", require_integer(self.ntasks, "ntasks")
-            )
-            object.__setattr__(
-                self,
-                "processors",
-                require_integer(self.processors, "processors"),
-            )
-            object.__setattr__(self, "pfail", float(self.pfail))
-            object.__setattr__(self, "ccr", float(self.ccr))
-            object.__setattr__(
-                self, "seed", require_integer(self.seed, "seed")
-            )
-            object.__setattr__(self, "bandwidth", float(self.bandwidth))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ServiceError(f"bad numeric request field: {exc}") from None
-        try:
-            options = tuple(sorted(dict(self.evaluator_options).items()))
-        except (TypeError, ValueError) as exc:
-            raise ServiceError(
-                f"evaluator_options must be a mapping with string keys: {exc}"
-            ) from None
-        object.__setattr__(self, "evaluator_options", options)
-        if self.ntasks < 1:
-            raise ServiceError(f"ntasks must be >= 1, got {self.ntasks}")
-        if self.processors < 1:
-            raise ServiceError(
-                f"processors must be >= 1, got {self.processors}"
-            )
-        for msg in (
-            pfail_error(self.pfail),
-            ccr_error(self.ccr),
-            bandwidth_error(self.bandwidth),
-            seed_error(self.seed),
+            spec = _cell_spec(self)
+        except ExperimentError as exc:
+            raise ServiceError(str(exc)) from None
+        (ntasks,) = spec.sizes
+        for name, value in (
+            ("ntasks", ntasks),
+            ("processors", spec.processors[ntasks][0]),
+            ("pfail", spec.pfails[0]),
+            ("ccr", spec.ccrs[0]),
+            ("seed", spec.seed),
+            ("bandwidth", spec.bandwidth),
+            ("evaluator_options", spec.evaluator_options),
         ):
-            if msg is not None:
-                raise ServiceError(msg)
-        # Option values must be JSON scalars: the canonical fingerprint
-        # payload is strict JSON, and the scheduler's coalesce_key needs
-        # hashable options (an unhashable value would otherwise blow up
-        # batch planning mid-dispatch, failing unrelated requests).
-        for key, value in options:
-            if not isinstance(key, str):
-                raise ServiceError(
-                    f"evaluator option names must be strings, got {key!r}"
-                )
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ServiceError(
-                    f"evaluator option {key!r} must be finite, got {value}"
-                )
-            if value is not None and not isinstance(
-                value, (str, int, float, bool)
-            ):
-                raise ServiceError(
-                    f"evaluator option {key!r} must be a JSON scalar "
-                    f"(str/int/float/bool/None), got {type(value).__name__}"
-                )
-        if self.method not in EVALUATORS:
-            raise ServiceError(
-                f"unknown method {self.method!r}; "
-                f"choose from {sorted(EVALUATORS)}"
-            )
-        if self.seed_policy not in SEED_POLICIES:
-            raise ServiceError(
-                f"unknown seed policy {self.seed_policy!r}; "
-                f"choose from {list(SEED_POLICIES)}"
-            )
-        if self.eval_seed_policy not in EVAL_SEED_POLICIES:
-            raise ServiceError(
-                f"unknown eval-seed policy {self.eval_seed_policy!r}; "
-                f"choose from {list(EVAL_SEED_POLICIES)}"
-            )
+            object.__setattr__(self, name, value)
 
     @property
     def coalesce_key(self) -> Tuple[Any, ...]:
@@ -333,10 +278,22 @@ def request_to_spec(
                 f"source {request.workflow[:12]!r} "
                 f"({source.workflow.n_tasks} tasks)"
             )
+    return _cell_spec(request, source)
+
+
+def _cell_spec(
+    request: EvalRequest, source: Optional[FileSource] = None
+) -> SweepSpec:
+    """The :class:`SweepSpec` whose grid is exactly the request's cell.
+
+    :class:`EvalRequest` validates by building it from its raw fields,
+    so the processor map goes in as (size, counts) pairs, which the
+    spec checks even when the size is unhashable.
+    """
     return SweepSpec(
         family=request.family,
         sizes=(request.ntasks,),
-        processors={request.ntasks: (request.processors,)},
+        processors=((request.ntasks, (request.processors,)),),
         pfails=(request.pfail,),
         ccrs=(request.ccr,),
         seed=request.seed,

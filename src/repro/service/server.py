@@ -83,6 +83,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import fields
 from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple, Union
@@ -119,74 +120,50 @@ def sweep_spec_from_payload(
 ) -> SweepSpec:
     """Build a :class:`SweepSpec` from a ``/sweep`` JSON payload.
 
-    ``processors`` may be a mapping (size → counts, JSON string keys
-    accepted) or a flat list applied to every size, mirroring the CLI.
-    A ``workflow`` content hash (resolved through ``registry``)
-    replaces ``family``/``sizes``: the grid's single size is the file's
-    task count and ``processors`` must be a flat list of counts.
+    The accepted fields are :class:`SweepSpec`'s own, with a
+    ``workflow`` content hash (resolved through ``registry``) in place
+    of ``source``; the spec checks every value.  ``processors`` may be
+    a mapping (size → counts, JSON string keys accepted) or a flat list
+    applied to every size, mirroring the CLI.  A ``workflow`` replaces
+    ``family``/``sizes``: the grid's single size is the file's task
+    count and ``processors`` must be a flat list of counts.
     """
     payload = dict(payload)
-    source = None
-    if payload.get("workflow") is not None:
+    accepted = {f.name for f in fields(SweepSpec)} - {"source"} | {"workflow"}
+    unknown = sorted(set(payload) - accepted)
+    if unknown:
+        raise ServiceError(
+            f"unknown sweep field(s) {', '.join(map(repr, unknown))}; "
+            f"accepted: {sorted(accepted)}"
+        )
+    workflow = payload.pop("workflow", None)
+    if workflow is not None:
         if registry is None:
             raise ServiceError(
                 "sweep payload names a workflow source but no source "
                 "registry is available"
             )
-        source = registry.require(str(payload.pop("workflow")))
+        source = payload["source"] = registry.require(str(workflow))
         payload.setdefault("family", source.spec_family)
         payload.setdefault("sizes", [source.workflow.n_tasks])
-    try:
-        family = payload.pop("family")
-        sizes = payload.pop("sizes")
-        processors = payload.pop("processors")
-        pfails = payload.pop("pfails")
-        ccrs = payload.pop("ccrs")
-    except KeyError as exc:
-        raise ServiceError(f"sweep payload missing field {exc.args[0]!r}") from None
+    for name in ("family", "sizes", "processors", "pfails", "ccrs"):
+        if name not in payload:
+            raise ServiceError(f"sweep payload missing field {name!r}")
+    processors = payload["processors"]
     if not isinstance(processors, dict):
-        # Flat list → the same counts for every size; everything else
-        # (int/float coercion of sizes, keys, pfails, ccrs, evaluator
-        # options) is SweepSpec.__post_init__'s job — it raises
-        # ExperimentError, which the handler maps to a 400 like any
-        # other validation failure.
+        # Flat list → the same counts for every size (the spec checks
+        # the counts themselves).
         try:
-            counts = tuple(processors)
-            processors = {n: counts for n in sizes}
+            payload["processors"] = {n: processors for n in payload["sizes"]}
         except TypeError as exc:
             raise ServiceError(f"bad sweep sizes/processors: {exc}") from None
-    elif source is not None:
+    elif workflow is not None:
         raise ServiceError(
             "a workflow-sourced sweep takes a flat processors list "
             "(its single size is the file's task count)"
         )
-    allowed = {
-        "seed",
-        "method",
-        "bandwidth",
-        "linearizer",
-        "save_final_outputs",
-        "seed_policy",
-        "eval_seed_policy",
-        "evaluator_options",
-        "name",
-    }
-    unknown = sorted(set(payload) - allowed)
-    if unknown:
-        raise ServiceError(
-            f"unknown sweep field(s) {', '.join(map(repr, unknown))}; "
-            f"accepted: {sorted(allowed | {'family', 'sizes', 'processors', 'pfails', 'ccrs', 'workflow'})}"
-        )
     payload.setdefault("seed_policy", "stable")
-    return SweepSpec(
-        family=family,
-        sizes=sizes,
-        processors=processors,
-        pfails=pfails,
-        ccrs=ccrs,
-        source=source,
-        **payload,
-    )
+    return SweepSpec(**payload)
 
 
 class _Handler(JsonHandler):
@@ -231,10 +208,13 @@ class _Handler(JsonHandler):
 
         try:
             wf = workflow_from_json(body)
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (
+            KeyError, TypeError, ValueError, AttributeError, OverflowError,
+        ) as exc:
             # Structurally malformed bodies (missing 'tasks', wrong
-            # shapes) raise bare builtins from the deserialiser; keep
-            # the malformed-input-is-400 contract /evaluate and /sweep
+            # shapes, an integer too large for a float) raise bare
+            # builtins from the deserialiser; keep the
+            # malformed-input-is-400 contract /evaluate and /sweep
             # follow.
             raise ServiceError(
                 f"malformed workflow serialization: {exc!r}"

@@ -409,11 +409,13 @@ class ResultStore:
     def import_jsonl(self, source: Union[str, Path]) -> int:
         """Ingest an :meth:`export_jsonl` dump; returns entries added.
 
-        Each line's fingerprint is recomputed from its request and must
-        match (a mismatch means the dump was edited or written by an
-        incompatible fingerprint schema).  Existing entries are left
-        untouched.  The import is atomic: on any error the store is
-        rolled back to its prior state.
+        Each line's request must validate, and its fingerprint is
+        recomputed from the request and must match (a mismatch means
+        the dump was edited or written by an incompatible fingerprint
+        schema); either failure is a :class:`~repro.errors.ServiceError`
+        naming the line.  Existing entries are left untouched.  The
+        import is atomic: on any error the store is rolled back to its
+        prior state.
         """
         if isinstance(source, Path):
             text = source.read_text()
@@ -424,18 +426,23 @@ class ResultStore:
         added = 0
         with self._lock:
             try:
-                for line in text.splitlines():
+                for number, line in enumerate(text.splitlines(), start=1):
                     line = line.strip()
                     if not line:
                         continue
                     payload = json.loads(line)
-                    request = request_from_dict(payload["request"])
+                    try:
+                        request = request_from_dict(payload["request"])
+                    except ServiceError as exc:
+                        raise ServiceError(
+                            f"dump line {number}: request refused: {exc}"
+                        ) from None
                     fp = fingerprint(request)
                     if fp != payload["fingerprint"]:
                         raise ServiceError(
-                            f"fingerprint mismatch on import: line says "
-                            f"{payload['fingerprint'][:12]}…, request hashes "
-                            f"to {fp[:12]}…"
+                            f"fingerprint mismatch on import: line {number} "
+                            f"says {payload['fingerprint'][:12]}…, request "
+                            f"hashes to {fp[:12]}…"
                         )
                     record = record_from_dict(payload["record"])
                     cur = self._conn.execute(
@@ -660,10 +667,13 @@ class ResultStore:
     def load_sources(self) -> List[Any]:
         """All persisted file sources, oldest first.
 
-        Each row's workflow is deserialised and its content hash
-        re-derived on load; a row whose stored hash no longer matches
-        its content (an edited or corrupted store) is refused rather
-        than silently served under the wrong address.
+        Each row's workflow is deserialised, checked as a
+        :class:`~repro.workloads.FileSource` (non-empty, positive total
+        weight) and its content hash re-derived on load; a row that
+        fails, or whose stored hash no longer matches its content (an
+        edited or corrupted store), is refused with a
+        :class:`~repro.errors.ServiceError` naming it rather than
+        silently served under the wrong address.
         """
         from repro.generators.serialization import workflow_from_json
         from repro.workloads import FileSource
@@ -676,13 +686,14 @@ class ResultStore:
         sources = []
         for content_hash, workflow_json, label in rows:
             try:
-                workflow = workflow_from_json(json.loads(workflow_json))
+                source = FileSource(
+                    workflow_from_json(json.loads(workflow_json)), label=label
+                )
             except Exception as exc:  # noqa: BLE001 — map to ServiceError
                 raise ServiceError(
-                    f"stored workflow source {content_hash[:12]!r} does "
-                    f"not deserialise: {exc!r}"
+                    f"stored workflow source {content_hash[:12]!r} is not "
+                    f"a valid source: {exc!r}"
                 ) from None
-            source = FileSource(workflow, label=label)
             if source.content_hash != content_hash:
                 raise ServiceError(
                     f"stored workflow source {content_hash[:12]!r} hashes "

@@ -8,6 +8,7 @@ from typing import Any, Optional
 
 __all__ = [
     "require_integer",
+    "require_float",
     "require_positive",
     "require_nonnegative",
     "require_in_unit_interval",
@@ -32,6 +33,15 @@ def require_integer(value: Any, name: str) -> int:
     if isinstance(value, numbers.Real) and number != value:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return number
+
+
+def require_float(value: Any, name: str) -> float:
+    """``float(value)`` for a real field, refusing a bool, which
+    ``float()`` would read as 0.0 or 1.0; any other value coerces
+    exactly as ``float()`` does, errors included."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def require_positive(value: float, name: str) -> float:
@@ -60,10 +70,11 @@ def require_in_unit_interval(
 
 
 # ----------------------------------------------------------------------
-# Experiment-parameter domains.  Enforced at three altitudes — argparse
-# types in the CLI, SweepSpec in the engine, EvalRequest in the service
-# — each with its own exception type, so these return an error message
-# (``None`` when valid) and every site states the rule exactly once.
+# Experiment-parameter domains.  Enforced at two sites — argparse types
+# in the CLI, and SweepSpec in the engine, which a service EvalRequest
+# delegates to by building its 1×1 spec — each with its own exception
+# type, so these return an error message (``None`` when valid) and
+# every site states the rule exactly once.
 
 
 def pfail_error(value: float) -> Optional[str]:

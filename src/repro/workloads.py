@@ -154,6 +154,13 @@ class FileSource(WorkflowSource):
     def __init__(self, workflow: Workflow, label: Optional[str] = None) -> None:
         if workflow.n_tasks < 1:
             raise WorkflowError("a file source needs a non-empty workflow")
+        if not workflow.total_weight > 0:
+            # λ = −ln(1−pfail)/w̄ needs a positive mean task weight, so
+            # no cell of such a workflow can be priced.
+            raise WorkflowError(
+                "a file source needs a positive total task weight, got "
+                f"{workflow.total_weight!r}"
+            )
         self.workflow = workflow
         self.content_hash = workflow_hash(workflow)
         self.label = label if label is not None else workflow.name

@@ -168,7 +168,9 @@ class TestBackendParity:
 
     def test_run_specs_error_isolation_on_backend_path(self):
         good = _spec("montage")
-        bad = _spec("montage", method="no-such-method")
+        # A spec that constructs but fails at evaluation: the evaluator
+        # refuses k=-3 (an unknown method is refused by SweepSpec itself).
+        bad = _spec("montage", evaluator_options={"k": -3})
         reference = run_sweep(good, jobs=1)
         # On subprocess the error crosses the wire as {type, message}
         # and comes back as the same repro.errors class.
@@ -277,11 +279,18 @@ class TestUnitCodec:
             lambda u: u["chunk"].update(wf_seed="seed"),
             lambda u: u.update(profile="yes"),
             lambda u: u.pop("chunk"),
+            lambda u: u["spec"].update(save_final_outputs="false"),
+            lambda u: u["spec"].update(pfails=[False]),
+            lambda u: u["spec"].update(bandwidth=True),
+            lambda u: u["spec"].update(linearizer="nope"),
+            lambda u: u["spec"].update(method="bogus"),
         ],
         ids=[
             "missing-field", "extra-field", "non-str-family", "bad-pfail",
             "off-grid-processors", "off-grid-pfail", "no-cells",
             "non-int-seed", "non-bool-profile", "no-chunk",
+            "str-bool", "bool-pfail", "bool-bandwidth", "unknown-linearizer",
+            "unknown-method",
         ],
     )
     def test_malformed_unit_is_a_backend_error(self, mutate):

@@ -22,6 +22,7 @@ from repro.experiments.figures import run_cell
 from repro.makespan.api import expected_makespan, expected_makespans
 from repro.makespan.distribution import DiscreteDistribution, two_state_rows
 from repro.makespan.paramdag import ParamDAG
+from repro.makespan.pathapprox import pathapprox
 from repro.makespan.probdag import ProbDAG
 from repro.util.rng import stable_seed
 
@@ -174,6 +175,35 @@ class TestEvaluatorBatchParity:
                 assert float(value) == expected_makespan(
                     dag, "pathapprox", **options
                 )
+
+    @pytest.mark.parametrize("k", [3, 10, 20])
+    def test_tied_path_means_truncated_like_the_scalar_path(self, k):
+        """Paths that tie on mean but differ in variance: a budget below
+        the path count keeps a tie-order-dependent subset, and another
+        subset prices differently, so the batched k-best DP must break
+        ties exactly as the scalar one does.
+
+        Six layers of two nodes, each node joined to both nodes of the
+        layer before: a variable one (base 10, long 20, p 0.5) and a
+        fixed one (base = long = 15).  All 64 paths have mean 90; the
+        second cell scales every weight by 0.8, keeping the ties exact.
+        Each node truncates its merged candidate list, so reversing the
+        tie order anywhere in the DP changes the kept paths.
+        """
+        dags = []
+        for scale in (1.0, 0.8):
+            dag = ProbDAG()
+            prev = []
+            for depth in range(6):
+                dag.add(f"a{depth}", 10 * scale, 20 * scale, 0.5, preds=prev)
+                dag.add(f"b{depth}", 15 * scale, 15 * scale, 0.0, preds=prev)
+                prev = [f"a{depth}", f"b{depth}"]
+            dag.add("sink", 0.0, 0.0, 0.0, preds=prev)
+            dags.append(dag)
+        template = ParamDAG.from_dags(dags)
+        batched = expected_makespans(template, "pathapprox", k=k)
+        scalar = [pathapprox(template.cell(i), k=k) for i in range(2)]
+        assert [float(v).hex() for v in batched] == [v.hex() for v in scalar]
 
     def test_empty_template(self):
         template = ParamDAG.from_dags([ProbDAG()])

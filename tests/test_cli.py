@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -259,6 +261,21 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "unknown workflow family" in err and "Traceback" not in err
 
+    def test_unknown_method_exit_2_with_the_spec_message(self, tmp_path, capsys):
+        """sweep and submit refuse a bogus method with one line carrying
+        SweepSpec's message, before any evaluation."""
+        assert main(self.BASE + ["--method", "bogus"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("invalid sweep grid: unknown method 'bogus'")
+        assert main(
+            ["submit", "--family", "genome", "--method", "bogus", "--local",
+             "--store", str(tmp_path / "s.db")]
+        ) == 2
+        submit_err = capsys.readouterr().err
+        assert submit_err.count("\n") == 1
+        assert submit_err.split(": ", 1)[1] == err.split(": ", 1)[1]
+
     def test_remote_backend_prints_coordinator_before_blocking(
         self, tmp_path
     ):
@@ -354,6 +371,28 @@ class TestSweepDax:
     def test_neither_family_nor_dax(self, capsys):
         assert main(["sweep", "--quiet"]) == 2
         assert "--family or --dax" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "pattern, runtime, message",
+        [
+            (r'runtime="40.0"', 'runtime="inf"', "finite"),
+            (r'runtime="[^"]*"', 'runtime="0.0"', "positive total task weight"),
+        ],
+        ids=["infinite-runtime", "zero-total-weight"],
+    )
+    def test_out_of_domain_workflow_exit_2_one_line(
+        self, tmp_path, capsys, pattern, runtime, message
+    ):
+        """A workflow no cell can price is refused where it is loaded,
+        not by a traceback from inside the sweep."""
+        text = re.sub(pattern, runtime, open("examples/diamond.dax").read())
+        path = tmp_path / "edited.dax"
+        path.write_text(text)
+        argv = [str(path) if a == "examples/diamond.dax" else a for a in self.BASE]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"cannot load {path}:") and message in err
 
 
 class TestFigure:

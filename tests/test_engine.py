@@ -495,6 +495,27 @@ class TestSweepSpecValidation:
         with pytest.raises(ExperimentError):
             small_spec(sizes=(42,))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"method": "bogus"},
+            {"linearizer": "nope"},
+            {"save_final_outputs": "false"},
+            {"save_final_outputs": 1},
+            {"family": 5},
+            {"name": None},
+            {"evaluator_options": {"k": [1]}},
+            {"evaluator_options": {"rtol": float("inf")}},
+            {"evaluator_options": {1: "x"}},
+        ],
+    )
+    def test_wrong_types_and_unknown_names_rejected(self, bad):
+        """SweepSpec is the one validator of a cell's fields: a wrong
+        type or an unregistered name is refused here, never inside a
+        dispatched sweep."""
+        with pytest.raises(ExperimentError):
+            small_spec(**bad)
+
     def test_empty_processor_tuple(self):
         with pytest.raises(ExperimentError):
             small_spec(processors={50: ()})
@@ -530,6 +551,10 @@ class TestSweepSpecValidation:
             {"processors": {50: (True,)}},
             {"sizes": (0,), "processors": {0: (3,)}},
             {"seed": 11.5},
+            {"pfails": (False,)},
+            {"ccrs": (True,)},
+            {"bandwidth": True},
+            {"ccrs": "1"},
         ],
     )
     def test_non_finite_or_out_of_range_values_rejected(self, bad):

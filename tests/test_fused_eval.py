@@ -16,7 +16,7 @@ Three layers are pinned here:
 import pytest
 
 from repro.engine import SweepSpec, run_specs, run_sweep
-from repro.errors import EvaluationError, ExperimentError
+from repro.errors import EvaluationError
 from repro.makespan import profile as kernel_profile
 
 
@@ -129,15 +129,14 @@ class TestRunSpecsFused:
 
     def test_non_batch_method_falls_back(self, per_cell):
         # A method routed through the per-cell oracle is priced cell by
-        # cell inside the batch, next to a batched spec and a spec whose
-        # empty grid fails on its own.
+        # cell inside the batch, next to a batched spec and a spec that
+        # fails on its own at evaluation.
         good = [self.spec("genome"), self.spec("montage", method="normal")]
         expected = [run_sweep(spec, jobs=1) for spec in good]
-        bad = self.spec("montage")
-        object.__setattr__(bad, "ccrs", ())  # empty grid, staged error
+        bad = self.spec("montage", evaluator_options={"k": -3})
         per_cell("normal")
         results = run_specs([bad, *good], jobs=1, return_exceptions=True)
-        assert isinstance(results[0], ExperimentError)
+        assert isinstance(results[0], EvaluationError)
         assert results[1:] == expected
 
 

@@ -22,8 +22,9 @@ class TestTask:
             Task("a", -1.0)
 
     def test_nan_weight(self):
-        with pytest.raises(WorkflowError):
-            Task("a", float("nan"))
+        for weight in (float("nan"), float("inf")):
+            with pytest.raises(WorkflowError, match="finite"):
+                Task("a", weight)
 
     def test_empty_id(self):
         with pytest.raises(WorkflowError):
@@ -70,8 +71,9 @@ class TestConstruction:
 
     def test_negative_file_size_rejected(self):
         wf = Workflow()
-        with pytest.raises(WorkflowError):
-            wf.add_file("f", -5.0)
+        for size in (-5.0, float("nan"), float("inf")):
+            with pytest.raises(WorkflowError, match="finite"):
+                wf.add_file("f", size)
 
 
 class TestAccessors:
@@ -181,5 +183,6 @@ class TestTransforms:
         assert chain5.scale_file_sizes(0.0).total_file_bytes == 0.0
 
     def test_scale_negative_rejected(self, chain5):
-        with pytest.raises(WorkflowError):
-            chain5.scale_file_sizes(-1.0)
+        for factor in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(WorkflowError, match="finite"):
+                chain5.scale_file_sizes(factor)

@@ -634,6 +634,30 @@ class TestDurableSources:
             with pytest.raises(ServiceError, match="edited or corrupted"):
                 store.load_sources()
 
+    def test_zero_weight_row_refused(self, tmp_path):
+        """A stored workflow no cell can price (every task weighs 0, so
+        lambda is undefined) is refused on load like a corrupted row,
+        by a ServiceError naming its hash."""
+        from repro.generators.serialization import workflow_to_json
+        from repro.workloads import workflow_hash
+
+        workflow = small_workflow(weight=0.0)
+        content_hash = workflow_hash(workflow)
+        path = tmp_path / "zero.db"
+        ResultStore(path).close()
+        conn = sqlite3.connect(path)
+        conn.execute(
+            "INSERT INTO sources VALUES (?, ?, ?, ?)",
+            (content_hash, json.dumps(workflow_to_json(workflow)), None, 0.0),
+        )
+        conn.commit()
+        conn.close()
+        with ResultStore(path) as store:
+            with pytest.raises(
+                ServiceError, match=f"{content_hash[:12]}.*positive total"
+            ):
+                store.load_sources()
+
     def test_service_restart_keeps_sources(self, tmp_path):
         path = tmp_path / "svc.db"
         wf = small_workflow()

@@ -1,6 +1,8 @@
 """Tests for the evaluation service core: fingerprints, the durable
 result store, and the coalescing batch scheduler."""
 
+import json
+
 import pytest
 
 import repro.engine.pipeline as pipeline_mod
@@ -53,7 +55,7 @@ class TestFingerprint:
             {"seed": 12},
             {"method": "dodin"},
             {"bandwidth": 200e6},
-            {"linearizer": "heavy"},
+            {"linearizer": "minlive"},
             {"save_final_outputs": False},
             {"seed_policy": "spawn"},
             {"evaluator_options": {"k": 3}},
@@ -278,6 +280,29 @@ class TestResultStore:
         with ResultStore(path) as reopened:
             assert len(reopened) == 1
             assert good not in reopened
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("save_final_outputs", "false"), ("linearizer", "heavy"),
+         ("pfail", False)],
+    )
+    def test_import_refuses_a_request_that_no_longer_validates(
+        self, tmp_path, field, value
+    ):
+        """Older builds stored requests the cell validator refuses (a
+        string for a bool, an unknown linearizer, a bool for a number):
+        such a dump line is refused by number, and atomically."""
+        src = ResultStore(":memory:")
+        (record,) = run_sweep(request_to_spec(req()))
+        for r in (req(), req(ccr=0.1)):
+            src.put(r, record)
+        lines = [json.loads(line) for line in src.export_jsonl().splitlines()]
+        lines[1]["request"][field] = value
+        dst = ResultStore(tmp_path / "dst.db")
+        with pytest.raises(ServiceError, match="dump line 2: request refused"):
+            dst.import_jsonl("\n".join(json.dumps(line) for line in lines))
+        assert len(dst) == 0
+        dst.close()
 
     def test_backfill_from_sweep_jsonl(self, tmp_path):
         from repro.engine import records_to_jsonl

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from repro.engine import SweepSpec, run_sweep
-from repro.errors import ServiceError
+from repro.errors import ExperimentError, ServiceError
 from repro.experiments.figures import run_cell
 from repro.service import ReproService, ServiceClient
 
@@ -117,6 +117,60 @@ class TestEvaluate:
         _, client = service
         with pytest.raises(ServiceError):
             client.evaluate(**{**CELL, "family": "not-a-family"})
+
+
+def raw_request(svc, method, path, payload=None):
+    """(status, JSON body) of one request, bypassing the client."""
+    conn = http.client.HTTPConnection(*svc.address, timeout=30)
+    try:
+        conn.request(
+            method, path,
+            body=None if payload is None else json.dumps(payload),
+            headers={"Content-Type": "application/json"},
+        )
+        reply = conn.getresponse()
+        return reply.status, json.loads(reply.read())
+    finally:
+        conn.close()
+
+
+#: One broken cell rule per case, as a request field and as a sweep
+#: field.  At the parent commit the first three passed as the true
+#: record, 0.0 and 1.0, and the linearizer failed only after dispatch.
+BAD_CELLS = {
+    "str-bool": ({"save_final_outputs": "false"}, {"save_final_outputs": "false"}),
+    "bool-pfail": ({"pfail": False}, {"pfails": [False]}),
+    "bool-bandwidth": ({"bandwidth": True}, {"bandwidth": True}),
+    "unknown-linearizer": ({"linearizer": "nope"}, {"linearizer": "nope"}),
+    "unknown-method": ({"method": "bogus"}, {"method": "bogus"}),
+}
+
+
+class TestOneCellValidator:
+    """A request validates as its 1×1 SweepSpec: /evaluate, /sweep and
+    SweepSpec itself refuse the same input with the same message, and
+    nothing reaches the scheduler."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_CELLS))
+    def test_every_entry_point_refuses_with_the_spec_message(
+        self, service, case
+    ):
+        svc, _ = service
+        cell_field, sweep_field = BAD_CELLS[case]
+        grid = dict(family="genome", sizes=[30], processors=[3],
+                    pfails=[1e-3], ccrs=[0.01])
+        with pytest.raises(ExperimentError) as spec_exc:
+            SweepSpec(**{**grid, "processors": {30: [3]}, **sweep_field})
+        message = str(spec_exc.value)
+        for path, payload in (
+            ("/evaluate", {**CELL, **cell_field}),
+            ("/sweep", {**grid, **sweep_field}),
+        ):
+            status, body = raw_request(svc, "POST", path, payload)
+            assert (status, body) == (400, {"error": message}), path
+        assert svc.scheduler.stats.submitted == 0
+        assert svc.store.stats().entries == 0
+        assert raw_request(svc, "GET", "/status")[0] == 200
 
 
 class TestSweep:

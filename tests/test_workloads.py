@@ -106,6 +106,12 @@ class TestFileSource:
         with pytest.raises(WorkflowError):
             FileSource(Workflow("empty"))
 
+    def test_zero_total_weight_rejected(self):
+        """λ = −ln(1−pfail)/w̄ needs w̄ > 0: a workflow whose tasks all
+        weigh 0 is refused where it becomes a source."""
+        with pytest.raises(WorkflowError, match="positive total task weight"):
+            FileSource(small_workflow(weight=0.0))
+
     def test_family_source_cache_key_matches_prepare(self):
         # FamilySource keys the artifact cache exactly as
         # Pipeline.prepare always has, so family sweeps share entries.
@@ -537,6 +543,22 @@ class TestServiceSources:
                 },
                 SourceRegistry(),
             )
+
+    def test_register_integer_too_large_for_a_float_is_400(self):
+        body = workflow_to_json(small_workflow())
+        body["tasks"][0]["weight"] = 10**400
+        with ReproService(port=0, linger=0.0) as svc:
+            client = ServiceClient(svc.url)
+            with pytest.raises(ServiceError, match="malformed workflow"):
+                client._request("/register", {"workflow": body})
+
+    def test_register_zero_weight_workflow_is_400(self):
+        with ReproService(port=0, linger=0.0) as svc:
+            client = ServiceClient(svc.url)
+            with pytest.raises(ServiceError, match="positive total task weight"):
+                client.register(small_workflow(weight=0.0))
+            assert len(svc.registry) == 0
+            assert svc.store.source_count() == 0
 
     def test_register_bad_payload_is_400(self):
         with ReproService(port=0, linger=0.01) as svc:
