@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import re
+from pathlib import Path
 
 import pytest
 
@@ -385,9 +386,10 @@ class TestSweepDax:
     ):
         """A workflow no cell can price is refused where it is loaded,
         not by a traceback from inside the sweep."""
-        text = re.sub(pattern, runtime, open("examples/diamond.dax").read())
         path = tmp_path / "edited.dax"
-        path.write_text(text)
+        path.write_text(
+            re.sub(pattern, runtime, Path("examples/diamond.dax").read_text())
+        )
         argv = [str(path) if a == "examples/diamond.dax" else a for a in self.BASE]
         assert main(argv) == 2
         err = capsys.readouterr().err

@@ -135,8 +135,9 @@ def raw_request(svc, method, path, payload=None):
 
 
 #: One broken cell rule per case, as a request field and as a sweep
-#: field.  At the parent commit the first three passed as the true
-#: record, 0.0 and 1.0, and the linearizer failed only after dispatch.
+#: field.  Before requests validated as their 1×1 spec, the first three
+#: were answered as the true record, 0.0 and 1.0, and the linearizer
+#: failed only after dispatch.
 BAD_CELLS = {
     "str-bool": ({"save_final_outputs": "false"}, {"save_final_outputs": "false"}),
     "bool-pfail": ({"pfail": False}, {"pfails": [False]}),
