@@ -13,8 +13,11 @@ bit-identical; the machine-readable summary lands in
 (``dispatches``, ``pool_width_mean``).
 
 Grids: the 84-cell MONTAGE grid of ``bench_sweep_engine.py`` and a
-40-cell GENOME-50 grid.  ``REPRO_BENCH_SMOKE=1`` shrinks both to a few
-cells (the CI bench-smoke job uses this to validate the JSON shape
+40-cell GENOME-50 grid.  Each timed column (per-cell, batched, native
+off) is the median of :data:`REPEATS` interleaved runs, with its first
+and third quartiles beside it (``<column>_q1`` / ``<column>_q3``).
+``REPRO_BENCH_SMOKE=1`` shrinks both grids to a few cells and one
+repeat (the CI bench-smoke job uses this to validate the JSON shape
 without paying the full wall time).  Run directly::
 
     PYTHONPATH=src:. python benchmarks/bench_eval_batch.py
@@ -23,8 +26,9 @@ without paying the full wall time).  Run directly::
 from __future__ import annotations
 
 import os
+import statistics
 import time
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.engine import CellResult, SweepSpec, run_sweep
 from repro.experiments.figures import log_grid
@@ -35,6 +39,9 @@ from benchmarks.conftest import per_cell_sweep, save_artifact, save_json
 
 #: Tiny grids for the CI smoke job (JSON shape, not timings).
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
+
+#: Timed runs per column; each figure is their median.
+REPEATS = 1 if SMOKE else 5
 
 
 def montage_spec() -> SweepSpec:
@@ -63,39 +70,58 @@ def genome_spec() -> SweepSpec:
     )
 
 
+def _timed(fn: Callable[[], List[CellResult]], walls: List[float]):
+    """Run ``fn`` once, appending its wall time to ``walls``."""
+    t0 = time.perf_counter()
+    out = fn()
+    walls.append(time.perf_counter() - t0)
+    return out
+
+
+def _median_quartiles(walls: List[float]) -> Tuple[float, float, float]:
+    if len(walls) == 1:
+        return walls[0], walls[0], walls[0]
+    q1, median, q3 = statistics.quantiles(walls, n=4, method="inclusive")
+    return median, q1, q3
+
+
+def _no_native_sweep(spec: SweepSpec) -> List[CellResult]:
+    was_enabled = native_kernels.enabled()
+    native_kernels.set_enabled(False)
+    try:
+        return run_sweep(spec, jobs=1)
+    finally:
+        native_kernels.set_enabled(was_enabled)
+
+
 def run_grid(spec: SweepSpec) -> Tuple[Dict[str, float], List[CellResult]]:
     """Time per-cell vs batched evaluation of one grid.
 
     Both paths are asserted bit-identical; the timed default is the
     batched path with whatever kernel backend is live (native when a
-    compiler is present).  A third timed pass re-runs the batched path
+    compiler is present).  A third timed column re-runs the batched path
     with the native kernels disabled, so the artifact carries the
-    native-vs-python column with parity asserted.  A separate (untimed)
+    native-vs-python column with parity asserted.  The three columns run
+    in turn, :data:`REPEATS` times, so drift in the machine's speed
+    spreads over all of them.  A separate (untimed)
     profiled pass collects the dispatch telemetry — dispatch count,
     mean cells per fold replay pass, native-vs-fallback rows — so the JSON
     artifact pins the dispatch shape, not just the wall time.
     """
-    t0 = time.perf_counter()
-    per_cell = per_cell_sweep(spec)
-    wall_per_cell = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    batched = run_sweep(spec, jobs=1)
-    wall_batched = time.perf_counter() - t0
-    was_enabled = native_kernels.enabled()
-    native_kernels.set_enabled(False)
-    try:
-        t0 = time.perf_counter()
-        no_native = run_sweep(spec, jobs=1)
-        wall_no_native = time.perf_counter() - t0
-    finally:
-        native_kernels.set_enabled(was_enabled)
-    assert batched == per_cell, (
-        f"{spec.name}: batched records diverge from the per-cell path"
-    )
-    assert no_native == per_cell, (
-        f"{spec.name}: native-disabled records diverge from the "
-        "per-cell path"
-    )
+    walls: Dict[str, List[float]] = {
+        "per_cell_wall_s": [], "wall_s": [], "no_native_wall_s": []
+    }
+    for _ in range(REPEATS):
+        per_cell = _timed(lambda: per_cell_sweep(spec), walls["per_cell_wall_s"])
+        batched = _timed(lambda: run_sweep(spec, jobs=1), walls["wall_s"])
+        no_native = _timed(lambda: _no_native_sweep(spec), walls["no_native_wall_s"])
+        assert batched == per_cell, (
+            f"{spec.name}: batched records diverge from the per-cell path"
+        )
+        assert no_native == per_cell, (
+            f"{spec.name}: native-disabled records diverge from the "
+            "per-cell path"
+        )
     prof = kernel_profile.enable()
     try:
         run_sweep(spec, jobs=1)
@@ -103,12 +129,17 @@ def run_grid(spec: SweepSpec) -> Tuple[Dict[str, float], List[CellResult]]:
     finally:
         kernel_profile.disable()
     cells = len(batched)
-    return (
+    stats: Dict[str, float] = {"cells": cells, "repeats": REPEATS}
+    for column, samples in walls.items():
+        median, q1, q3 = _median_quartiles(samples)
+        stats[column] = median
+        stats[f"{column}_q1"] = q1
+        stats[f"{column}_q3"] = q3
+    wall_batched = stats["wall_s"]
+    wall_per_cell = stats["per_cell_wall_s"]
+    wall_no_native = stats["no_native_wall_s"]
+    stats.update(
         {
-            "cells": cells,
-            "wall_s": wall_batched,
-            "per_cell_wall_s": wall_per_cell,
-            "no_native_wall_s": wall_no_native,
             "cells_per_s": cells / wall_batched,
             "per_cell_cells_per_s": cells / wall_per_cell,
             "no_native_cells_per_s": cells / wall_no_native,
@@ -118,9 +149,9 @@ def run_grid(spec: SweepSpec) -> Tuple[Dict[str, float], List[CellResult]]:
             "pool_width_mean": snap["pool_width_mean"],
             "native_rows": snap["native_rows"],
             "native_ratio": snap["native_ratio"],
-        },
-        batched,
+        }
     )
+    return stats, batched
 
 
 def compare() -> Tuple[str, List[CellResult]]:
@@ -134,7 +165,10 @@ def compare() -> Tuple[str, List[CellResult]]:
         "kernel_backend": kernel_status["backend"],
         "grids": {},
     }
-    lines = ["batched vs per-cell evaluation (jobs=1, bit-identical records)"]
+    lines = [
+        "batched vs per-cell evaluation (jobs=1, bit-identical records, "
+        f"median of {REPEATS})"
+    ]
     montage_cells: List[CellResult] = []
     total_cells = 0
     total_batched = 0.0

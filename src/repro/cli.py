@@ -137,6 +137,16 @@ def _check_family(family: str) -> Optional[str]:
     return None
 
 
+def _check_method(method: str) -> Optional[str]:
+    """The unknown-method message, worded as the sweep validator's, or
+    ``None`` when the method is registered."""
+    from repro.makespan.api import EVALUATORS
+
+    if method not in EVALUATORS:
+        return f"unknown method {method!r}; choose from {sorted(EVALUATORS)}"
+    return None
+
+
 def _load_dax_source(path: Path):
     """Load a workflow file as a :class:`~repro.workloads.FileSource`.
 
@@ -643,7 +653,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     from repro.errors import SerializationError, WorkflowError
     from repro.generators import generate
 
-    message = _family_or_dax(args, "evaluate")
+    message = _family_or_dax(args, "evaluate") or _check_method(args.method)
     if message is not None:
         print(message, file=sys.stderr)
         return 2

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Dict, List, Union
 
 from repro.errors import SerializationError
 from repro.mspg.graph import Workflow
@@ -41,21 +41,96 @@ def workflow_to_json(workflow: Workflow) -> Dict[str, Any]:
     }
 
 
-def workflow_from_json(data: Dict[str, Any]) -> Workflow:
-    """Deserialise a workflow from :func:`workflow_to_json` output."""
+def _string(value: Any, what: str) -> str:
+    if not isinstance(value, str):
+        raise SerializationError(
+            f"{what} must be a string, got {type(value).__name__}"
+        )
+    return value
+
+
+def _number(value: Any, what: str) -> float:
+    """``value`` as a float; bools, non-numbers and integers too large
+    for a float are refused (the range checks stay with the graph)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SerializationError(
+            f"{what} must be a number, got {type(value).__name__}"
+        )
+    try:
+        return float(value)
+    except OverflowError:
+        raise SerializationError(f"{what} is too large for a float") from None
+
+
+def _objects(data: Dict[str, Any], key: str) -> List[Dict[str, Any]]:
+    entries = data.get(key)
+    if not isinstance(entries, list):
+        got = type(entries).__name__ if key in data else "nothing"
+        raise SerializationError(f"workflow {key!r} must be a list, got {got}")
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise SerializationError(
+                f"each of the workflow's {key!r} must be an object, got "
+                f"{type(entry).__name__}"
+            )
+    return entries
+
+
+def workflow_from_json(data: Any) -> Workflow:
+    """Deserialise a workflow from :func:`workflow_to_json` output.
+
+    Every field's JSON type is checked here, where a body enters:
+    anything that is not the schema's shape raises
+    :class:`~repro.errors.SerializationError`, and the graph's own rules
+    (finite non-negative weights, known ids, no cycles) raise
+    :class:`~repro.errors.WorkflowError` from the graph.
+    """
+    if not isinstance(data, dict):
+        raise SerializationError(
+            f"a workflow must be a JSON object, got {type(data).__name__}"
+        )
     if data.get("schema") != _SCHEMA:
         raise SerializationError(
             f"unexpected schema {data.get('schema')!r}; expected {_SCHEMA!r}"
         )
-    wf = Workflow(data.get("name", "workflow"))
-    for t in data["tasks"]:
-        wf.add_task(t["id"], t["weight"], category=t.get("category", ""))
-    for f in data["files"]:
-        wf.add_file(f["name"], f["size"], producer=f.get("producer"))
-        for consumer in f.get("consumers", []):
-            wf.add_input(consumer, f["name"])
-    for u, v in data.get("control_edges", []):
-        wf.add_control_edge(u, v)
+    wf = Workflow(_string(data.get("name", "workflow"), "workflow name"))
+    for t in _objects(data, "tasks"):
+        task_id = _string(t.get("id"), "task id")
+        wf.add_task(
+            task_id,
+            _number(t.get("weight"), f"task {task_id!r} weight"),
+            category=_string(t.get("category", ""), f"task {task_id!r} category"),
+        )
+    for f in _objects(data, "files"):
+        name = _string(f.get("name"), "file name")
+        producer = f.get("producer")
+        wf.add_file(
+            name,
+            _number(f.get("size"), f"file {name!r} size"),
+            producer=None
+            if producer is None
+            else _string(producer, f"file {name!r} producer"),
+        )
+        consumers = f.get("consumers", [])
+        if not isinstance(consumers, list) or not all(
+            isinstance(c, str) for c in consumers
+        ):
+            raise SerializationError(
+                f"file {name!r} consumers must be a list of strings"
+            )
+        for consumer in consumers:
+            wf.add_input(consumer, name)
+    edges = data.get("control_edges", [])
+    if not isinstance(edges, list) or not all(
+        isinstance(e, (list, tuple)) and len(e) == 2 for e in edges
+    ):
+        raise SerializationError(
+            "workflow 'control_edges' must be a list of [source, target] pairs"
+        )
+    for u, v in edges:
+        wf.add_control_edge(
+            _string(u, "control edge source"), _string(v, "control edge target")
+        )
     wf.validate()
     return wf
 
@@ -68,7 +143,7 @@ def save_workflow(workflow: Workflow, path: Union[str, Path]) -> None:
 def load_workflow(path: Union[str, Path]) -> Workflow:
     """Read a workflow from a JSON file."""
     try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        data = json.loads(Path(path).read_bytes())
+    except (ValueError, RecursionError) as exc:  # bad bytes, JSON, depth
         raise SerializationError(f"cannot parse {path}: {exc}") from exc
     return workflow_from_json(data)

@@ -24,6 +24,10 @@
  * construction — the python path stays the bit-exactness oracle and
  * tests/test_native.py compares against it atom for atom.
  *
+ * repro_replay_tape runs a whole compiled fold tape through the same
+ * convolve and max routines in one call, so the pathapprox replay
+ * crosses ctypes once per cell and budget round rather than per op.
+ *
  * Built on first use by repro/makespan/native.py with
  * `cc -O2 -ffp-contract=off -fPIC -shared`; no python headers required
  * (pure C + ctypes).  Floating-point contraction stays off (the pragma
@@ -38,7 +42,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define REPRO_NATIVE_ABI 1
+#define REPRO_NATIVE_ABI 2
 #define FALLBACK (-1)
 
 /* ------------------------------------------------------------------ */
@@ -535,6 +539,103 @@ long long repro_max_with_adaptive(const double *av, const double *ap,
                                         out_v, out_p);
     }
     free(cum_a);
+    return status;
+}
+
+/* ------------------------------------------------------------------ */
+/* fold tape replay                                                    */
+/* ------------------------------------------------------------------ */
+
+/* Stop statuses of repro_replay_tape. */
+#define TAPE_DONE 0    /* every step ran or was already filled */
+#define TAPE_GROW 1    /* the step needs more arena: grow it and resume */
+#define TAPE_DECLINE 2 /* the step declined: finish the cell in python */
+
+/* Replay one cell's lowered fold tape (repro/makespan/foldplan.py) into
+ * its slot arena.  Step s is the int32 quadruple tape[4s..4s+3] =
+ * (kind, a, b, out): kind 0 convolves slots a and b into slot out,
+ * kind 1 takes their max.  Slot i holds slot_len[i] atoms at offset
+ * slot_off[i] of the value and probability planes arena_v and arena_p,
+ * which hold cap atoms each; slot_len[i] == 0 marks it unfilled.  A
+ * filled output slot (a leaf law, or a step an earlier budget's tape
+ * ran) is skipped, as the python loop skips keys already in its store.
+ * Every other step runs convolve_core or repro_max_with_adaptive on its
+ * operand slots and appends the result at offset cursor[1], the atoms
+ * in use, so each result is bit for bit the per-op entries' result.
+ *
+ * Replay starts at step cursor[0] and stops with cursor[0] at the step
+ * it stopped on, returning:
+ *   TAPE_DONE    - past the last step;
+ *   TAPE_GROW    - the step's output (at most max_atoms atoms) may not
+ *                  fit: nothing was written, cursor[2] holds the atoms
+ *                  the arena needs, and the caller grows both planes
+ *                  and calls again;
+ *   TAPE_DECLINE - the kernel returned FALLBACK (or an operand slot is
+ *                  unfilled): the caller finishes the cell on the python
+ *                  kernels, which meet the step as the per-op path does.
+ * ran[0] and ran[1] count the convolve and max steps run. */
+long long repro_replay_tape(const int *tape, long long nsteps,
+                            long long *slot_off, long long *slot_len,
+                            double *arena_v, double *arena_p,
+                            long long cap, long long max_atoms,
+                            long long *cursor, long long *ran)
+{
+    double *buf = NULL;
+    long long buf_len = 0, s, status = TAPE_DONE;
+
+    for (s = cursor[0]; s < nsteps; s++) {
+        const int *step = tape + 4 * s;
+        const int is_max = step[0] != 0;
+        long long a = step[1], b = step[2], out = step[3];
+        long long na = slot_len[a], nb = slot_len[b], bound, n;
+        double *ov = arena_v + cursor[1], *op = arena_p + cursor[1];
+
+        if (slot_len[out] > 0)
+            continue;
+        if (na <= 0 || nb <= 0 || max_atoms < 1) {
+            status = TAPE_DECLINE;
+            break;
+        }
+        bound = is_max ? na + nb : na * nb;
+        if (bound > max_atoms)
+            bound = max_atoms;
+        if (cursor[1] + bound > cap) {
+            cursor[2] = cursor[1] + bound;
+            status = TAPE_GROW;
+            break;
+        }
+        if (is_max)
+            n = repro_max_with_adaptive(arena_v + slot_off[a],
+                                        arena_p + slot_off[a], na,
+                                        arena_v + slot_off[b],
+                                        arena_p + slot_off[b], nb,
+                                        max_atoms, ov, op);
+        else {
+            if (4 * na * nb > buf_len) {
+                free(buf);
+                buf_len = 4 * na * nb;
+                buf = (double *)malloc((size_t)buf_len * sizeof(double));
+                if (buf == NULL) {
+                    status = TAPE_DECLINE;
+                    break;
+                }
+            }
+            n = convolve_core(arena_v + slot_off[a], arena_p + slot_off[a],
+                              na, arena_v + slot_off[b],
+                              arena_p + slot_off[b], nb, max_atoms,
+                              ov, op, buf);
+        }
+        if (n < 0) {
+            status = TAPE_DECLINE;
+            break;
+        }
+        slot_off[out] = cursor[1];
+        slot_len[out] = n;
+        cursor[1] += n;
+        ran[is_max]++;
+    }
+    free(buf);
+    cursor[0] = s;
     return status;
 }
 

@@ -15,12 +15,18 @@ lifts that work into a **compile-once, execute-many** layer:
   (:meth:`~repro.makespan.paramdag.ParamDAG.plan_cache`), so the cells
   of a sweep group that share a signature share one compilation.
 
-* :func:`execute_plans` replays each cell's tape in order through the
-  scalar :class:`~repro.makespan.distribution.DiscreteDistribution`
-  kernels (native when live).  Results land in a per-cell value store
-  keyed by the tape's *semantic* slot names, so they survive across
-  budget doublings (the 64-path plan skips every step the 32-path plan
-  already computed).
+* :func:`execute_plans` replays each cell's tape in order.  Results
+  land in a per-cell store keyed by the tape's *semantic* slot names,
+  so they survive across budget doublings (the 64-path plan skips every
+  step the 32-path plan already computed).  With native kernels live,
+  each plan is lowered once onto its template's slot table (one int per
+  semantic key) and a cell's whole tape replays in one C call
+  (:func:`~repro.makespan.native.replay_tape`) into the cell's arena,
+  which holds its leaf laws and every slot filled so far.  The python
+  loop over the scalar
+  :class:`~repro.makespan.distribution.DiscreteDistribution` kernels is
+  the oracle: it replays every cell under ``REPRO_NATIVE=0``, and
+  finishes any cell the C replay declined.
 
 * :func:`pathapprox_plan_batch` drives a template's cells through the
   adaptive-k schedule in lockstep, replicating ``_adaptive_estimate``'s
@@ -33,18 +39,21 @@ chains are memoised by node-tuple *prefix* (the scalar chain prefix
 computation is the identical op sequence, so a prefix hit returns the
 identical object), fold subtrees by their frozenset of path sets (the
 recursion's result depends only on that set).  Each step's operands are
-therefore bit-identical to the scalar path's, and the replay runs the
-scalar kernels themselves, so the replayed estimates equal the scalar
+therefore bit-identical to the scalar path's, and either replay runs
+the scalar kernels' own code (the C replay calls the routines behind the
+per-op native kernels), so the replayed estimates equal the scalar
 reference bit for bit — pinned by the evaluator parity tests.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import EvaluationError
+from repro.makespan import native as _native
 from repro.makespan import profile as _profile
 from repro.makespan.distribution import (
     DEFAULT_MAX_ATOMS,
@@ -190,11 +199,105 @@ def compile_fold_plan(
     return FoldPlan(steps, root)
 
 
+#: Plan-cache key of a template's :class:`_SlotTable`.
+_SLOTS = ("slots",)
+
+#: Atoms a cell's arena holds at first (more if its leaf laws need it);
+#: the arena grows whenever a step's output might not fit.
+_ARENA_ATOMS = 1 << 15
+
+
+class _SlotTable:
+    """One template's numbering of the tapes' semantic slot keys.
+
+    ``index`` maps each key to its slot in insertion order: slot 0 is
+    ``("p0",)`` and slot ``1 + v`` node ``v``'s law, and each step key
+    gets the next number the first time a plan is lowered, so equal keys
+    share a slot across every plan, budget and cell of the template.
+    :meth:`lower` turns a plan into the int32 ``(kind, a, b, out)``
+    quadruples the C replay reads (kind 0 convolve, 1 max), once per
+    plan.
+    """
+
+    __slots__ = ("index", "tapes")
+
+    def __init__(self, n: int) -> None:
+        leaves = [_P0] + [("law", v) for v in range(n)]
+        self.index: Dict[Ref, int] = {k: i for i, k in enumerate(leaves)}
+        self.tapes: Dict[FoldPlan, np.ndarray] = {}
+
+    def lower(self, plan: FoldPlan) -> np.ndarray:
+        tape = self.tapes.get(plan)
+        if tape is None:
+            index = self.index
+            quads: List[int] = []
+            for key, kind, a, b in plan.steps:
+                out = index.get(key)
+                if out is None:
+                    out = index[key] = len(index)
+                quads += (kind is _MAX, index[a], index[b], out)
+            tape = self.tapes[plan] = np.array(quads, dtype=np.int32)
+        return tape
+
+
+class _Arena:
+    """A cell's slot store for the C replay: slot ``i`` holds
+    ``length[i]`` atoms at ``off[i]`` of the ``values`` and ``probs``
+    planes, and ``length[i] == 0`` marks it unfilled.  ``cursor`` is the
+    C entry's (step, atoms used, atoms needed)."""
+
+    __slots__ = ("off", "length", "values", "probs", "cursor")
+
+    def __init__(self, leaves: Sequence[DiscreteDistribution]) -> None:
+        self.length = np.array([d.values.size for d in leaves], dtype=np.int64)
+        self.off = np.cumsum(self.length) - self.length
+        used = int(self.length.sum())
+        cap = max(_ARENA_ATOMS, used)
+        self.values = np.empty(cap)
+        self.probs = np.empty(cap)
+        self.values[:used] = np.concatenate([d.values for d in leaves])
+        self.probs[:used] = np.concatenate([d.probs for d in leaves])
+        self.cursor = np.array([0, used, 0], dtype=np.int64)
+
+    def replay(self, tape: np.ndarray, slots: int, max_atoms: int, ran) -> bool:
+        """Run ``tape`` into the arena, growing it as the C entry asks;
+        ``False`` when a step declined (``cursor[0]`` is that step)."""
+        have = self.length.size
+        if have < slots:
+            pad = np.zeros(max(slots, 2 * have) - have, dtype=np.int64)
+            self.length = np.concatenate([self.length, pad])
+            self.off = np.concatenate([self.off, pad])
+        cursor = self.cursor
+        cursor[0] = 0
+        while True:
+            status = _native.replay_tape(
+                tape, self.off, self.length, self.values, self.probs,
+                max_atoms, cursor, ran,
+            )
+            if status != _native.TAPE_GROW:
+                return status == _native.TAPE_DONE
+            used = int(cursor[1])
+            spare = np.empty(max(2 * self.values.size, int(cursor[2])) - used)
+            self.values = np.concatenate((self.values[:used], spare))
+            self.probs = np.concatenate((self.probs[:used], spare))
+
+    def dist(self, slot: int) -> DiscreteDistribution:
+        """Slot ``slot`` as a distribution (views of the planes)."""
+        o = int(self.off[slot])
+        end = o + int(self.length[slot])
+        return DiscreteDistribution._wrap(self.values[o:end], self.probs[o:end])
+
+
 class _CellRun:
-    """Per-cell replay state: the slot store (seeded with the leaf laws)
-    and the cell's place in the adaptive-k schedule."""
+    """Per-cell replay state: the leaf laws (in slot order), the slot
+    store — the C replay's :class:`_Arena`, or the python loop's dict,
+    built from the leaves or the arena the first time the cell runs on
+    it — and the cell's place in the adaptive-k schedule."""
 
     __slots__ = (
+        "leaves",
+        "table",
+        "arena",
         "values",
         "means",
         "var_rank",
@@ -206,11 +309,15 @@ class _CellRun:
 
     def __init__(
         self,
-        leaves: Dict[Ref, DiscreteDistribution],
+        leaves: List[DiscreteDistribution],
+        table: _SlotTable,
         means: np.ndarray,
         variances: np.ndarray,
     ) -> None:
-        self.values = leaves
+        self.leaves = leaves
+        self.table = table
+        self.arena: Optional[_Arena] = None
+        self.values: Optional[Dict[Ref, DiscreteDistribution]] = None
         self.means = means
         n = len(means)
         order = sorted(range(n), key=lambda v: (variances[v], v))
@@ -223,25 +330,88 @@ class _CellRun:
         self.stalls = 0
         self.exhausted = False
 
+    def store(self) -> Dict[Ref, DiscreteDistribution]:
+        """The python loop's slot store.  A cell moves onto it for good:
+        its filled arena slots (or its leaves) seed the dict."""
+        values = self.values
+        if values is None:
+            arena = self.arena
+            if arena is None:
+                values = dict(zip(self.table.index, self.leaves))
+            else:
+                keys = list(self.table.index)
+                values = {
+                    keys[s]: arena.dist(s) for s in np.flatnonzero(arena.length)
+                }
+                self.arena = None
+            self.values = values
+        return values
+
+    def mean(self, ref: Ref) -> float:
+        """Mean of the distribution in slot ``ref``."""
+        if self.values is not None:
+            return self.values[ref].mean()
+        return self.arena.dist(self.table.index[ref]).mean()
+
+
+def _replay_native(work, max_atoms: int, prof) -> List[Tuple[_CellRun, FoldPlan]]:
+    """One C call per cell (more only when its arena grows); returns the
+    pairs left to the python loop: cells already on it, and cells a step
+    declined on."""
+    left = []
+    ran = np.zeros(2, dtype=np.int64)
+    wall = 0.0
+    for state, plan in work:
+        if state.values is not None:
+            left.append((state, plan))
+            continue
+        if state.arena is None:
+            state.arena = _Arena(state.leaves)
+        table = state.table
+        tape = table.lower(plan)
+        t0 = time.perf_counter() if prof is not None else 0.0
+        done = state.arena.replay(tape, len(table.index), max_atoms, ran)
+        if prof is not None:
+            wall += time.perf_counter() - t0
+        if not done:
+            left.append((state, plan))
+    if prof is not None:
+        # One call serves both ops; its time is split by step count.
+        steps = int(ran[0] + ran[1])
+        for op, count in (("native_convolve", ran[0]), ("native_max", ran[1])):
+            if count:
+                prof.record(op, int(count), 0, wall * int(count) / steps)
+    return left
+
 
 def execute_plans(
     work: Sequence[Tuple[_CellRun, FoldPlan]], max_atoms: int
 ) -> None:
-    """Replay each cell's plan in tape order through the scalar kernels.
+    """Replay each cell's plan in tape order.
 
-    A step whose slot is already in the cell's store was computed by an
-    earlier budget's plan and is skipped; every other step runs
+    With native kernels live, each cell's plan is lowered onto its
+    template's slot table and replayed into the cell's arena by one
+    :func:`~repro.makespan.native.replay_tape` call, which skips slots an
+    earlier budget filled; the steps run are recorded as
+    ``native_convolve``/``native_max`` rows.  The python loop below is
+    the oracle: it runs every cell under ``REPRO_NATIVE=0``, and a cell
+    whose step the C replay declined finishes on it from the slots the
+    arena filled, so the declined step meets the python kernels exactly
+    as the per-op path does.  It skips a step whose slot is already in
+    the cell's store and runs
     :meth:`~repro.makespan.distribution.DiscreteDistribution.convolve`
     or :meth:`~repro.makespan.distribution.DiscreteDistribution.max_with`
-    on operands the tape order has already filled in (native kernels
-    when live).  Each step's operands are fixed by the tape, so the
-    replay is bit-identical to the scalar recursion.
+    on operands the tape order has already filled in.  Each step's
+    operands are fixed by the tape, so either replay is bit-identical to
+    the scalar recursion.
     """
     prof = _profile.ACTIVE
     if prof is not None:
         prof.record("pool_exec", len(work))
+    if _native.enabled():
+        work = _replay_native(work, max_atoms, prof)
     for state, plan in work:
-        values = state.values
+        values = state.store()
         for key, kind, a, b in plan.steps:
             if key in values:
                 continue
@@ -270,19 +440,23 @@ def pathapprox_plan_batch(
     n = template.n
     sinks = template.sinks()
     cache = template.plan_cache()
+    table = cache.get(_SLOTS)
+    if table is None:
+        table = cache[_SLOTS] = _SlotTable(n)
     point0 = DiscreteDistribution.point(0.0)
-    law_keys = [("law", v) for v in range(n)]
     node_rows = [
         two_state_rows(template.base[:, j], template.long[:, j], template.p[:, j])
         for j in range(n)
     ]
-    states = []
-    for c in range(template.n_cells):
-        leaves: Dict[Ref, DiscreteDistribution] = {_P0: point0}
-        leaves.update(zip(law_keys, (rows[c] for rows in node_rows)))
-        states.append(
-            _CellRun(leaves, template.means[c], template.variances[c])
+    states = [
+        _CellRun(
+            [point0, *(rows[c] for rows in node_rows)],
+            table,
+            template.means[c],
+            template.variances[c],
         )
+        for c in range(template.n_cells)
+    ]
     adaptive = k is None and n <= SINGLE_SHOT_N
     if k is not None:
         budget = k
@@ -323,7 +497,7 @@ def pathapprox_plan_batch(
         # stop it after this budget.
         still = []
         for st, plan in work:
-            refined = st.values[plan.root].mean()
+            refined = st.mean(plan.root)
             if adaptive and not first:
                 if abs(refined - st.estimate) <= rtol * max(
                     abs(st.estimate), 1e-300

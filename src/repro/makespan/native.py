@@ -9,6 +9,13 @@ run the python path (native disabled, build unavailable, or the kernel
 declined an input it cannot reproduce exactly — the reference then
 raises the reference error).
 
+:func:`replay_tape` is the one entry that is not a single op: it runs a
+cell's whole lowered fold tape (:mod:`repro.makespan.foldplan`) through
+the same convolve and max routines in one C call, writing into the
+cell's slot arena.  It stops early when a step needs more arena (the
+caller grows it and resumes) or declines (the caller finishes the cell
+on the python kernels, which meet that step as the per-op path does).
+
 Build strategy: compiled on first use with the system C compiler into a
 shared object cached under ``~/.cache/repro-native`` (override with
 ``REPRO_NATIVE_CACHE``), keyed by a hash of the source, ABI and
@@ -30,7 +37,8 @@ Profiling: when a :mod:`repro.makespan.profile` collector is active,
 each wrapper records ``native_<op>`` rows it served and
 ``native_miss_<op>`` rows that fell back, so ``--profile`` and
 BENCH_kernel.json show exactly how much work the compiled path
-absorbed.
+absorbed; the fold replay records the convolve and max steps its tape
+calls ran as ``native_convolve`` and ``native_max`` rows.
 """
 
 from __future__ import annotations
@@ -57,6 +65,7 @@ __all__ = [
     "convolve_dists",
     "max_dists",
     "truncate_dist",
+    "replay_tape",
     "OPS",
 ]
 
@@ -64,7 +73,12 @@ __all__ = [
 OPS = ("convolve", "max", "truncate")
 
 #: Bump together with REPRO_NATIVE_ABI in ``_native.c``.
-_ABI = 1
+_ABI = 2
+
+#: Stop statuses of :func:`replay_tape` (``TAPE_*`` in ``_native.c``).
+TAPE_DONE = 0
+TAPE_GROW = 1
+TAPE_DECLINE = 2
 
 #: Compiler flags of the shared object.  ``-ffp-contract=off`` keeps the
 #: compiler from fusing ``a*b+c`` into an FMA (default on FMA-capable
@@ -94,6 +108,7 @@ _ok: Optional[bool] = None
 _c_conv = None
 _c_max = None
 _c_trunc = None
+_c_tape = None
 
 
 def _env_off() -> bool:
@@ -144,6 +159,10 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.repro_max_with_adaptive.restype = ll
     lib.repro_truncate_adaptive.argtypes = [ptr, ptr, ll, ll, ptr, ptr]
     lib.repro_truncate_adaptive.restype = ll
+    lib.repro_replay_tape.argtypes = [
+        ptr, ll, ptr, ptr, ptr, ptr, ll, ll, ptr, ptr
+    ]
+    lib.repro_replay_tape.restype = ll
 
 
 def _object_tag() -> str:
@@ -207,7 +226,7 @@ def _build_and_load() -> Optional[ctypes.CDLL]:
 
 def _get_lib() -> Optional[ctypes.CDLL]:
     global _lib, _attempted
-    global _c_conv, _c_max, _c_trunc
+    global _c_conv, _c_max, _c_trunc, _c_tape
     if not _attempted:
         _attempted = True
         _lib = _build_and_load()
@@ -217,6 +236,7 @@ def _get_lib() -> Optional[ctypes.CDLL]:
             _c_conv = _lib.repro_convolve_adaptive
             _c_max = _lib.repro_max_with_adaptive
             _c_trunc = _lib.repro_truncate_adaptive
+            _c_tape = _lib.repro_replay_tape
     return _lib
 
 
@@ -292,7 +312,7 @@ def _reset_for_tests() -> None:
     """Forget build state so tests can exercise failure paths."""
     global _lib, _attempted, _build_error, _warned, _compiler, _so_path
     global _disabled_runtime, _ok
-    global _c_conv, _c_max, _c_trunc
+    global _c_conv, _c_max, _c_trunc, _c_tape
     _lib = None
     _attempted = False
     _build_error = None
@@ -301,7 +321,7 @@ def _reset_for_tests() -> None:
     _so_path = None
     _disabled_runtime = False
     _ok = None
-    _c_conv = _c_max = _c_trunc = None
+    _c_conv = _c_max = _c_trunc = _c_tape = None
 
 
 # --------------------------------------------------------------------- #
@@ -419,3 +439,33 @@ def truncate_dist(dist, max_atoms: int):
     if prof is not None:
         prof.record("native_truncate", 1, 0, time.perf_counter() - t0)
     return _wrap_dist(out_v[:n], out_p[:n], (ov, op))
+
+
+def replay_tape(tape, off, length, values, probs, max_atoms, cursor, ran):
+    """Replay a lowered fold tape into a cell's slot arena in one call.
+
+    ``tape`` is the int32 ``(kind, a, b, out)`` quadruples of
+    :mod:`repro.makespan.foldplan`; ``off`` and ``length`` (int64) place
+    each slot in the ``values``/``probs`` planes (float64, equal size),
+    ``length`` 0 marking an unfilled slot; ``cursor`` (int64) is the step
+    to start at, the atoms in use and, after :data:`TAPE_GROW`, the atoms
+    needed; ``ran`` (int64) counts the convolve and max steps run.
+    Returns :data:`TAPE_DONE`, :data:`TAPE_GROW` or :data:`TAPE_DECLINE`
+    with ``cursor[0]`` at the step it stopped on (see
+    ``repro_replay_tape`` in ``_native.c``).  Call only while
+    :func:`enabled`.
+    """
+    if tape.size and int(tape.max()) >= length.size:
+        raise ValueError("tape names a slot the arena does not hold")
+    return _c_tape(
+        tape.ctypes.data,
+        tape.size // 4,
+        off.ctypes.data,
+        length.ctypes.data,
+        values.ctypes.data,
+        probs.ctypes.data,
+        values.size,
+        int(max_atoms),
+        cursor.ctypes.data,
+        ran.ctypes.data,
+    )

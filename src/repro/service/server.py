@@ -206,19 +206,7 @@ class _Handler(JsonHandler):
             )
         from repro.generators.serialization import workflow_from_json
 
-        try:
-            wf = workflow_from_json(body)
-        except (
-            KeyError, TypeError, ValueError, AttributeError, OverflowError,
-        ) as exc:
-            # Structurally malformed bodies (missing 'tasks', wrong
-            # shapes, an integer too large for a float) raise bare
-            # builtins from the deserialiser; keep the
-            # malformed-input-is-400 contract /evaluate and /sweep
-            # follow.
-            raise ServiceError(
-                f"malformed workflow serialization: {exc!r}"
-            ) from None
+        wf = workflow_from_json(body)
         label = payload.get("label")
         source = FileSource(wf, label=str(label) if label is not None else None)
         known = source.content_hash in self.service.registry

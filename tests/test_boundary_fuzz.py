@@ -10,9 +10,12 @@ key.  The properties:
 * :func:`request_from_dict` and :func:`sweep_spec_from_payload` either
   return an object whose every field has its declared type and lies in
   its domain, or raise a :class:`~repro.errors.ReproError`;
-* ``FileSource(workflow_from_json(body))`` either yields finite weights
-  and sizes with a positive total weight, or raises an error that
-  ``/register`` answers with a 400;
+* ``FileSource(workflow_from_json(body))`` either accepts a body whose
+  fields have the schema's JSON types (no bool read as a number, no
+  string read as a list) and yields finite weights and sizes with a
+  positive total weight, or raises a
+  :class:`~repro.errors.ReproError`, which ``/register`` answers with a
+  400;
 * over HTTP, refused draws get a 400 with an ``error`` field from
   ``/evaluate``, ``/sweep`` and ``/register``, never a 500.
 
@@ -28,7 +31,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.sweep import EVAL_SEED_POLICIES, SEED_POLICIES
-from repro.errors import ReproError
+from repro.errors import ReproError, SerializationError
 from repro.generators.serialization import workflow_from_json, workflow_to_json
 from repro.makespan.api import EVALUATORS
 from repro.scheduling.linearize import LINEARIZERS
@@ -74,10 +77,26 @@ EDGE = st.one_of(
     st.floats(),
 )
 
-#: What ``/register`` answers with a 400 (see ``_post_register``).
-WORKFLOW_ERRORS = (
-    ReproError, KeyError, TypeError, ValueError, AttributeError, OverflowError,
-)
+#: Bodies the reader once coerced or crashed on, one edit each.
+REFUSED_WORKFLOWS = {
+    "missing-tasks": lambda body: body.pop("tasks"),
+    "files-not-a-list": lambda body: body.update(files={}),
+    "task-not-an-object": lambda body: body["tasks"].append("e"),
+    "bool-weight": lambda body: body["tasks"][0].update(weight=True),
+    "string-weight": lambda body: body["tasks"][0].update(weight="7"),
+    "bool-size": lambda body: body["files"][0].update(size=False),
+    "size-too-large": lambda body: body["files"][0].update(size=10**400),
+    "string-consumers": lambda body: next(
+        f for f in body["files"] if f["consumers"] == ["b"]
+    ).update(consumers="b"),
+    "control-edges-not-pairs": lambda body: body.update(control_edges=[["a"]]),
+}
+
+
+def _refused_body(name):
+    body = copy.deepcopy(WORKFLOW)
+    REFUSED_WORKFLOWS[name](body)
+    return body
 
 
 def fuzz(max_examples):
@@ -173,8 +192,27 @@ def _load_workflow(body):
     """The source, or ``None`` when refused as /register refuses it."""
     try:
         return FileSource(workflow_from_json(body))
-    except WORKFLOW_ERRORS:
+    except ReproError:
         return None
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_body_types(body):
+    """An accepted body has the schema's JSON types throughout."""
+    assert isinstance(body["tasks"], list) and isinstance(body["files"], list)
+    for task in body["tasks"]:
+        assert isinstance(task["id"], str) and _is_number(task["weight"])
+    for f in body["files"]:
+        assert isinstance(f["name"], str) and _is_number(f["size"])
+        assert f.get("producer") is None or isinstance(f["producer"], str)
+        consumers = f.get("consumers", [])
+        assert isinstance(consumers, list)
+        assert all(isinstance(c, str) for c in consumers)
+    for edge in body.get("control_edges", []):
+        assert len(edge) == 2 and all(isinstance(t, str) for t in edge)
 
 
 WORKFLOW_FIELDS = [
@@ -209,15 +247,22 @@ class TestParsers:
     @fuzz(300)
     @given(data=st.data(), where=st.sampled_from(WORKFLOW_FIELDS), value=EDGE)
     def test_workflow_is_in_domain_or_refused(self, data, where, value):
-        source = _load_workflow(_edit_workflow(data, where, value))
+        body = _edit_workflow(data, where, value)
+        source = _load_workflow(body)
         if source is None:
             return
+        _check_body_types(body)
         wf = source.workflow
         assert all(math.isfinite(t.weight) and t.weight >= 0
                    for t in wf.tasks())
         assert all(math.isfinite(wf.file_size(f)) and wf.file_size(f) >= 0
                    for f in wf.file_names)
         assert wf.total_weight > 0
+
+    @pytest.mark.parametrize("name", sorted(REFUSED_WORKFLOWS))
+    def test_refused_workflow_bodies(self, name):
+        with pytest.raises(SerializationError):
+            workflow_from_json(_refused_body(name))
 
 
 @pytest.fixture(scope="module")
@@ -253,6 +298,13 @@ class TestHttpBoundary:
         assume(_load_workflow(body) is None)
         status, reply = raw_request(
             service, "POST", "/register", {"workflow": body}
+        )
+        assert status == 400 and reply["error"]
+
+    @pytest.mark.parametrize("name", sorted(REFUSED_WORKFLOWS))
+    def test_register_refused_workflow_bodies(self, service, name):
+        status, reply = raw_request(
+            service, "POST", "/register", {"workflow": _refused_body(name)}
         )
         assert status == 400 and reply["error"]
 

@@ -165,6 +165,23 @@ class TestEvaluate:
         ) == 2
         assert "--ntasks cannot be combined" in capsys.readouterr().err
 
+    def test_unknown_method_exit_2_before_generating(self, monkeypatch, capsys):
+        """One line naming the registered methods, worded as the sweep
+        validator's, and no workflow is generated first."""
+
+        def generate(*args, **kwargs):
+            raise AssertionError("generated a workflow for a bogus method")
+
+        monkeypatch.setattr("repro.generators.generate", generate)
+        assert main(
+            ["evaluate", "--family", "genome", "--ntasks", "20",
+             "--processors", "2", "--method", "bogus"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert main(TestSweep.BASE + ["--method", "bogus"]) == 2
+        assert err == capsys.readouterr().err.split(": ", 1)[1]
+
 
 class TestMethods:
     def test_lists_registered_evaluators(self, capsys):
@@ -395,6 +412,77 @@ class TestSweepDax:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"cannot load {path}:") and message in err
+
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sweep", "--processors", "2", "--pfails", "0.01", "--ccrs",
+             "0.01", "--quiet"],
+            ["evaluate", "--processors", "2"],
+            ["submit", "--processors", "2", "--local"],
+        ],
+        ids=["sweep", "evaluate", "submit"],
+    )
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda body: body.pop("tasks"), "'tasks' must be a list"),
+            (
+                lambda body: body["tasks"][0].update(weight=True),
+                "weight must be a number",
+            ),
+            (
+                lambda body: next(
+                    f for f in body["files"] if f["consumers"] == ["b"]
+                ).update(consumers="b"),
+                "consumers must be a list of strings",
+            ),
+        ],
+        ids=["missing-tasks", "bool-weight", "string-consumers"],
+    )
+    def test_malformed_json_workflow_exit_2_one_line(
+        self, tmp_path, capsys, command, edit, message
+    ):
+        """A repro-workflow-v1 body of the wrong shape is refused where it
+        is loaded: no traceback, and no silent coercion (a bool weight
+        used to load as 1.0, a string of consumers one per character)."""
+        import json
+
+        from repro.generators.serialization import workflow_to_json
+        from tests.test_workloads import small_workflow
+
+        body = workflow_to_json(small_workflow())
+        edit(body)
+        path = tmp_path / "wf.json"
+        path.write_text(json.dumps(body))
+        argv = [command[0], "--dax", str(path), *command[1:]]
+        if command[0] == "submit":
+            argv += ["--store", str(tmp_path / "s.db")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"cannot load {path}:") and message in err
+
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"[" * 100_000 + b"]" * 100_000,
+            b'{"schema": "repro-workflow-v1", "tasks": [{"id": "a", "weight": '
+            + b"1" * 5000 + b"}]}",
+            b'{"schema": "repro-workflow-v1", "name": "\xff"}',
+        ],
+        ids=["nested-too-deep", "integer-too-long", "not-utf8"],
+    )
+    def test_unparseable_json_workflow_exit_2_one_line(self, tmp_path, capsys, raw):
+        path = tmp_path / "wf.json"
+        path.write_bytes(raw)
+        argv = [str(path) if a == "examples/diamond.dax" else a for a in self.BASE]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"cannot load {path}: cannot parse")
 
 
 class TestFigure:

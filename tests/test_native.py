@@ -1,6 +1,6 @@
 """Tests for the compiled distribution kernels (repro.makespan.native).
 
-Four contracts are pinned here:
+Five contracts are pinned here:
 
 * **bit-identity** — every native primitive (convolve / max /
   truncate) returns atom-for-atom the arrays the pure-python numpy
@@ -12,6 +12,10 @@ Four contracts are pinned here:
 * **golden records** — six baseline family grids sweep to records
   byte-identical to PR 9 HEAD (values pinned as hex float literals),
   with the native kernels on and off.
+* **fold replay** — the C tape replay prices random templates exactly
+  as the python loop does; a cell whose step declines finishes on that
+  loop, arenas grow mid-tape, and the kernel counters match the loop's
+  op for op.
 * **graceful degradation** — a failed build warns once on stderr,
   names the fallback, and leaves every operation serving from the
   python path; ``repro kernels`` and ``native.status()`` report which
@@ -33,9 +37,12 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.engine import SweepSpec, run_sweep
-from repro.makespan import native
+from repro.errors import EvaluationError
+from repro.makespan import foldplan, native
 from repro.makespan import profile as kernel_profile
 from repro.makespan.distribution import DiscreteDistribution
+from repro.makespan.paramdag import ParamDAG
+from repro.makespan.pathapprox import pathapprox_batch
 
 HAVE_NATIVE = native.available()
 
@@ -208,6 +215,41 @@ def fuzz_case(draw):
     return dist(), dist(), max_atoms
 
 
+@st.composite
+def replay_case(draw):
+    """``(template, k, max_atoms)``: a layered DAG whose nodes each join
+    one or more nodes of the layer before (shared nodes, overlapping
+    paths), over cells whose laws include ``p`` of 0 and 1 and
+    ``long == base``, with an atom budget small enough to truncate."""
+    preds = []
+    prev = []
+    for _depth in range(draw(st.integers(1, 4))):
+        layer = []
+        for _ in range(draw(st.integers(1, 3))):
+            joined = draw(st.lists(st.sampled_from(prev), unique=True,
+                                   min_size=1, max_size=len(prev))) if prev else []
+            layer.append(len(preds))
+            preds.append(sorted(joined))
+        prev = layer
+    n = len(preds)
+    succs = [[v for v in range(n) if u in preds[v]] for u in range(n)]
+    n_cells = draw(st.integers(1, 3))
+
+    def matrix(elements):
+        return np.array(
+            draw(st.lists(elements, min_size=n * n_cells, max_size=n * n_cells))
+        ).reshape(n_cells, n)
+
+    base = matrix(st.one_of(st.sampled_from([0.0, 1.0, 2.0, 4.0]),
+                            st.floats(0.5, 50.0)))
+    stretch = matrix(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    p = matrix(st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0)))
+    template = ParamDAG(
+        [f"t{v}" for v in range(n)], preds, succs, base, base * stretch, p
+    )
+    return template, draw(st.integers(1, 6)), draw(st.integers(1, 6))
+
+
 def assert_same_outcome(got, ref):
     """Both paths raised (``both_backends`` compared the errors) or both
     returned the same atoms."""
@@ -243,6 +285,132 @@ class TestNativeDifferentialFuzz:
     def test_truncate(self, case):
         a, _b, max_atoms = case
         assert_same_outcome(*both_backends(lambda: a.truncate(max_atoms)))
+
+    @given(replay_case())
+    @settings(max_examples=60, deadline=None)
+    def test_fold_replay(self, case):
+        """The C tape replay against the python loop, adaptive and with
+        a pinned path budget."""
+        template, k, max_atoms = case
+        for budget in (None, k):
+            got, ref = both_backends(
+                lambda: pathapprox_batch(template, k=budget, max_atoms=max_atoms)
+            )
+            assert [v.hex() for v in got] == [v.hex() for v in ref]
+
+
+def replay_template(n_cells=4, seed=0):
+    """Four layers of two nodes, each joined to both nodes of the layer
+    before (16 paths, so the first budget holds every node)."""
+    preds = [[]] * 2 + [[2 * d, 2 * d + 1] for d in range(3) for _ in range(2)]
+    succs = [[v for v in range(8) if u in preds[v]] for u in range(8)]
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(1.0, 10.0, (n_cells, 8))
+    return ParamDAG(
+        [f"t{v}" for v in range(8)], preds, succs, base,
+        base * rng.uniform(1.2, 3.0, (n_cells, 8)),
+        rng.uniform(0.05, 0.5, (n_cells, 8)),
+    )
+
+
+@needs_native
+class TestNativeReplay:
+    """The C replay's exits: a declined step, a full arena, and the
+    kernel counters the replay reports."""
+
+    #: The cell and node whose law is replaced by a planted one.
+    CELL, NODE = 2, 5
+
+    @pytest.mark.parametrize(
+        "values, probs",
+        [([1.0, np.nan], [0.5, 0.5]), ([1.0], [0.0])],
+        ids=["nan-atom-value", "zero-mass-error"],
+    )
+    def test_declined_cell_finishes_on_the_python_loop(
+        self, monkeypatch, values, probs
+    ):
+        """No valid template reaches a native decline, so one cell gets
+        a law the C kernels refuse: a NaN atom (the python loop prices
+        it) or no mass at all (the python loop raises).  That cell ends
+        as the python loop ends it; the others keep their native
+        values."""
+        template = replay_template()
+        native.set_enabled(True)
+        clean = pathapprox_batch(template)
+        real = foldplan.two_state_rows
+        calls = []
+
+        def planted(base, long, p):
+            rows = real(base, long, p)
+            if len(calls) % template.n == self.NODE:
+                rows[self.CELL] = DiscreteDistribution._wrap(
+                    np.array(values), np.array(probs)
+                )
+            calls.append(1)
+            return rows
+
+        monkeypatch.setattr(foldplan, "two_state_rows", planted)
+        prof = kernel_profile.enable()
+        try:
+            pathapprox_batch(template)
+        except EvaluationError as exc:
+            assert "probabilities sum to" in str(exc)
+        finally:
+            kernel_profile.disable()
+        # Per-op kernel calls happen only on the python loop, which a
+        # native run reaches only through the declined cell.
+        assert prof.counters["native_miss_convolve"]["rows"] >= 1
+        assert prof.counters["native_convolve"]["rows"] >= 1
+        got, ref = both_backends(lambda: pathapprox_batch(template))
+        if ref is None:  # both raised the same error (both_backends)
+            return
+        assert got[self.CELL].hex() == ref[self.CELL].hex()
+        others = [c for c in range(template.n_cells) if c != self.CELL]
+        assert [got[c].hex() for c in others] == [clean[c].hex() for c in others]
+
+    def test_every_arena_grows_mid_tape(self, monkeypatch):
+        """Arenas that start at their leaf laws' size grow on their first
+        step and resume there; the results still equal the python
+        loop's."""
+        template = replay_template(n_cells=5, seed=1)
+        monkeypatch.setattr(foldplan, "_ARENA_ATOMS", 1)
+        real = native.replay_tape
+        grown = set()
+
+        def counted(tape, off, length, values, probs, max_atoms, cursor, ran):
+            status = real(tape, off, length, values, probs, max_atoms, cursor, ran)
+            if status == native.TAPE_GROW:
+                grown.add(id(cursor))
+            return status
+
+        monkeypatch.setattr(native, "replay_tape", counted)
+        got, ref = both_backends(lambda: pathapprox_batch(template))
+        assert [v.hex() for v in got] == [v.hex() for v in ref]
+        assert len(grown) == template.n_cells
+
+    def test_counters_match_the_python_loop(self):
+        """Each tape step is one native row, as each python-loop step is
+        one kernel call; the replay passes record the same width."""
+        spec = SweepSpec(
+            family="montage", sizes=(30,), processors={30: (3,)},
+            pfails=(0.01,), ccrs=(0.01, 0.1), seed=2017,
+            seed_policy="stable",
+        )
+
+        def counters(flag):
+            native.set_enabled(flag)
+            prof = kernel_profile.enable()
+            try:
+                run_sweep(spec, jobs=1)
+            finally:
+                kernel_profile.disable()
+            return prof.counters
+
+        on, off = counters(True), counters(False)
+        assert on["native_convolve"]["rows"] == off["convolve"]["calls"] > 0
+        assert on["native_max"]["rows"] == off["max"]["calls"] > 0
+        assert on["pool_exec"] == off["pool_exec"]
+        assert not any(op.startswith("native_miss_") for op in on)
 
 
 #: Six baseline grids, golden em_some/em_all/em_none pinned from PR 9

@@ -549,7 +549,7 @@ class TestServiceSources:
         body["tasks"][0]["weight"] = 10**400
         with ReproService(port=0, linger=0.0) as svc:
             client = ServiceClient(svc.url)
-            with pytest.raises(ServiceError, match="malformed workflow"):
+            with pytest.raises(ServiceError, match="too large for a float"):
                 client._request("/register", {"workflow": body})
 
     def test_register_zero_weight_workflow_is_400(self):
@@ -565,24 +565,33 @@ class TestServiceSources:
             client = ServiceClient(svc.url)
             with pytest.raises(ServiceError, match="workflow"):
                 client._request("/register", {"nope": 1})
-            # Structurally malformed bodies (missing keys, wrong shapes)
-            # are 400s too — "malformed workflow", not "internal error".
-            with pytest.raises(ServiceError, match="malformed workflow"):
+            # Bodies of the wrong shape (missing keys, wrong types) are
+            # 400s naming the field, not "internal error" or a coercion.
+            with pytest.raises(ServiceError, match="'tasks' must be a list"):
                 client._request(
                     "/register",
                     {"workflow": {"schema": "repro-workflow-v1"}},
                 )
-            with pytest.raises(ServiceError, match="malformed workflow"):
-                client._request(
-                    "/register",
-                    {
-                        "workflow": {
-                            "schema": "repro-workflow-v1",
-                            "tasks": [{"id": "a"}],  # no weight
-                            "files": [],
-                        }
-                    },
-                )
+            for weight in (None, True):  # missing, and a bool
+                with pytest.raises(ServiceError, match="weight must be a number"):
+                    client._request(
+                        "/register",
+                        {
+                            "workflow": {
+                                "schema": "repro-workflow-v1",
+                                "tasks": [{"id": "a", "weight": weight}],
+                                "files": [],
+                            }
+                        },
+                    )
+            body = workflow_to_json(small_workflow())
+            consumed_by_b = next(
+                f for f in body["files"] if f["consumers"] == ["b"]
+            )
+            consumed_by_b["consumers"] = "b"  # read as ["b"] once
+            with pytest.raises(ServiceError, match="list of strings"):
+                client._request("/register", {"workflow": body})
+            assert len(svc.registry) == 0
 
     def test_store_hit_survives_restart_with_reregistration(self, tmp_path):
         wf = small_workflow()
