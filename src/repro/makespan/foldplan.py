@@ -203,7 +203,12 @@ def compile_fold_plan(
 _SLOTS = ("slots",)
 
 #: Atoms a cell's arena holds at first (more if its leaf laws need it);
-#: the arena grows whenever a step's output might not fit.
+#: the arena grows whenever a step's output might not fit.  A MONTAGE-50
+#: cell fills 21k atoms in the median and 35k at the 90th percentile.
+#: Starting at twice the leaf atoms instead grew each cell about 7 times
+#: and cost 5% of ``montage-pathapprox`` cells/s (4 alternating 30-s
+#: pairs, 2-core x86-64) without lowering peak RSS: a page is resident
+#: only once written.
 _ARENA_ATOMS = 1 << 15
 
 
@@ -494,23 +499,25 @@ def pathapprox_plan_batch(
         # Fold the round into each cell's schedule, as _adaptive_estimate
         # does: a refinement within rtol counts a stall, ADAPTIVE_STALLS
         # consecutive stalls stop the cell, and exhaustion or the cap
-        # stop it after this budget.
+        # stop it after this budget.  A stopped cell keeps only its
+        # estimate: its slot store is dropped.
         still = []
         for st, plan in work:
             refined = st.mean(plan.root)
+            stalled = False
             if adaptive and not first:
                 if abs(refined - st.estimate) <= rtol * max(
                     abs(st.estimate), 1e-300
                 ):
                     st.stalls += 1
-                    if st.stalls >= ADAPTIVE_STALLS:
-                        st.estimate = refined
-                        continue
+                    stalled = st.stalls >= ADAPTIVE_STALLS
                 else:
                     st.stalls = 0
             st.estimate = refined
-            if adaptive and budget < cap and not st.exhausted:
+            if adaptive and budget < cap and not st.exhausted and not stalled:
                 still.append(st)
+            else:
+                st.arena = st.values = None
         first = False
         pending = still
         budget *= 2

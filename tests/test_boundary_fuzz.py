@@ -82,6 +82,8 @@ REFUSED_WORKFLOWS = {
     "missing-tasks": lambda body: body.pop("tasks"),
     "files-not-a-list": lambda body: body.update(files={}),
     "task-not-an-object": lambda body: body["tasks"].append("e"),
+    "missing-weight": lambda body: body["tasks"][0].pop("weight"),
+    "missing-size": lambda body: body["files"][0].pop("size"),
     "bool-weight": lambda body: body["tasks"][0].update(weight=True),
     "string-weight": lambda body: body["tasks"][0].update(weight="7"),
     "bool-size": lambda body: body["files"][0].update(size=False),

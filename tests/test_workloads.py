@@ -572,14 +572,18 @@ class TestServiceSources:
                     "/register",
                     {"workflow": {"schema": "repro-workflow-v1"}},
                 )
-            for weight in (None, True):  # missing, and a bool
+            for task in (
+                {"id": "a"},  # no weight
+                {"id": "a", "weight": None},
+                {"id": "a", "weight": True},
+            ):
                 with pytest.raises(ServiceError, match="weight must be a number"):
                     client._request(
                         "/register",
                         {
                             "workflow": {
                                 "schema": "repro-workflow-v1",
-                                "tasks": [{"id": "a", "weight": weight}],
+                                "tasks": [task],
                                 "files": [],
                             }
                         },
