@@ -26,16 +26,20 @@ without paying the full wall time).  Run directly::
 from __future__ import annotations
 
 import os
-import statistics
-import time
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.engine import CellResult, SweepSpec, run_sweep
 from repro.experiments.figures import log_grid
 from repro.makespan import native as native_kernels
 from repro.makespan import profile as kernel_profile
 
-from benchmarks.conftest import per_cell_sweep, save_artifact, save_json
+from benchmarks.conftest import (
+    per_cell_sweep,
+    save_artifact,
+    save_json,
+    summarize_walls,
+    timed,
+)
 
 #: Tiny grids for the CI smoke job (JSON shape, not timings).
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
@@ -70,21 +74,6 @@ def genome_spec() -> SweepSpec:
     )
 
 
-def _timed(fn: Callable[[], List[CellResult]], walls: List[float]):
-    """Run ``fn`` once, appending its wall time to ``walls``."""
-    t0 = time.perf_counter()
-    out = fn()
-    walls.append(time.perf_counter() - t0)
-    return out
-
-
-def _median_quartiles(walls: List[float]) -> Tuple[float, float, float]:
-    if len(walls) == 1:
-        return walls[0], walls[0], walls[0]
-    q1, median, q3 = statistics.quantiles(walls, n=4, method="inclusive")
-    return median, q1, q3
-
-
 def _no_native_sweep(spec: SweepSpec) -> List[CellResult]:
     was_enabled = native_kernels.enabled()
     native_kernels.set_enabled(False)
@@ -112,9 +101,9 @@ def run_grid(spec: SweepSpec) -> Tuple[Dict[str, float], List[CellResult]]:
         "per_cell_wall_s": [], "wall_s": [], "no_native_wall_s": []
     }
     for _ in range(REPEATS):
-        per_cell = _timed(lambda: per_cell_sweep(spec), walls["per_cell_wall_s"])
-        batched = _timed(lambda: run_sweep(spec, jobs=1), walls["wall_s"])
-        no_native = _timed(lambda: _no_native_sweep(spec), walls["no_native_wall_s"])
+        per_cell = timed(lambda: per_cell_sweep(spec), walls["per_cell_wall_s"])
+        batched = timed(lambda: run_sweep(spec, jobs=1), walls["wall_s"])
+        no_native = timed(lambda: _no_native_sweep(spec), walls["no_native_wall_s"])
         assert batched == per_cell, (
             f"{spec.name}: batched records diverge from the per-cell path"
         )
@@ -130,11 +119,7 @@ def run_grid(spec: SweepSpec) -> Tuple[Dict[str, float], List[CellResult]]:
         kernel_profile.disable()
     cells = len(batched)
     stats: Dict[str, float] = {"cells": cells, "repeats": REPEATS}
-    for column, samples in walls.items():
-        median, q1, q3 = _median_quartiles(samples)
-        stats[column] = median
-        stats[f"{column}_q1"] = q1
-        stats[f"{column}_q3"] = q3
+    stats.update(summarize_walls(walls))
     wall_batched = stats["wall_s"]
     wall_per_cell = stats["per_cell_wall_s"]
     wall_no_native = stats["no_native_wall_s"]

@@ -8,11 +8,15 @@ truncate) as a per-row loop with the compiled kernels
 (:mod:`repro.makespan.native`) enabled and disabled.  All comparisons
 assert bit-identical results before any timing is reported.
 
-One profiled replay pass collects the kernel counters into the
-``profile_ops`` block.  The machine-readable summary lands in
-``BENCH_kernel.json`` at the repo root;
-``REPRO_BENCH_SMOKE=1`` shrinks sizes for the CI bench-smoke job.
-Run directly::
+Each timed figure is the median of :data:`REPEATS` interleaved runs
+(the fold's scalar and replay columns alternate, and so do each
+primitive's native and python passes), with its first and third
+quartiles beside it (``<figure>_q1`` / ``<figure>_q3``), as in
+``bench_eval_batch.py``.  One profiled replay pass collects the kernel
+counters into the ``profile_ops`` block.  The machine-readable summary
+lands in ``BENCH_kernel.json`` at the repo root;
+``REPRO_BENCH_SMOKE=1`` shrinks sizes, and runs each figure once, for
+the CI bench-smoke job.  Run directly::
 
     PYTHONPATH=src:. python benchmarks/bench_kernels.py
 """
@@ -20,8 +24,7 @@ Run directly::
 from __future__ import annotations
 
 import os
-import time
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -32,7 +35,7 @@ from repro.makespan.paramdag import ParamDAG
 from repro.makespan.pathapprox import pathapprox, pathapprox_batch
 from repro.util.rng import stable_seed
 
-from benchmarks.conftest import save_artifact, save_json
+from benchmarks.conftest import save_artifact, save_json, summarize_walls, timed
 
 #: Tiny sizes for the CI smoke job (JSON shape, not timings).
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
@@ -41,7 +44,8 @@ N_CELLS = 8 if SMOKE else 64
 N_ATOMS = 16 if SMOKE else 64
 #: Truncation budget below the operand width, so every op truncates.
 BUDGET = max(4, N_ATOMS // 2)
-REPEATS = 2 if SMOKE else 20
+#: Timed runs per figure; each figure is their median.
+REPEATS = 1 if SMOKE else 5
 
 
 def random_rows(seed: int, n_cells: int, n_atoms: int) -> List[DiscreteDistribution]:
@@ -53,17 +57,6 @@ def random_rows(seed: int, n_cells: int, n_atoms: int) -> List[DiscreteDistribut
         )
         for _ in range(n_cells)
     ]
-
-
-def _best(fn: Callable[[], object], repeats: int) -> Tuple[float, object]:
-    """Minimum wall time over ``repeats`` runs, plus the last result."""
-    best = float("inf")
-    out = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, out
 
 
 def _assert_rows_equal(
@@ -105,35 +98,36 @@ def fold_template() -> ParamDAG:
 
 
 def bench_fold(template: ParamDAG) -> Dict[str, Dict[str, float]]:
-    """Per-cell scalar fold vs compiled plan replay."""
-    t0 = time.perf_counter()
-    scalar = np.array(
-        [pathapprox(template.cell(c)) for c in range(template.n_cells)]
-    )
-    scalar_wall = time.perf_counter() - t0
-    # min over repeats: the first replay also pays plan compilation,
-    # later ones replay cached plans (the steady-state sweep cost).
-    plan_wall, replayed = _best(
-        lambda: pathapprox_batch(template), 2 if SMOKE else 3
-    )
-    assert np.array_equal(scalar, replayed), "fold"
-    return {
-        "adaptive": {
-            "cells": template.n_cells,
-            "scalar_wall_s": scalar_wall,
-            "plan_wall_s": plan_wall,
-            "speedup": scalar_wall / plan_wall,
-            "cells_per_s": template.n_cells / plan_wall,
-        }
-    }
+    """Per-cell scalar fold vs compiled plan replay.  Each replay prices
+    a fresh copy of the template, as a sweep dispatches each template
+    once, so no repeat reuses state an earlier one left on it."""
+    walls: Dict[str, List[float]] = {"scalar_wall_s": [], "plan_wall_s": []}
+    for _ in range(REPEATS):
+        scalar = timed(
+            lambda: np.array(
+                [pathapprox(template.cell(c)) for c in range(template.n_cells)]
+            ),
+            walls["scalar_wall_s"],
+        )
+        fresh = ParamDAG(
+            template.names, template.preds, template.succs,
+            template.base, template.long, template.p,
+        )
+        replayed = timed(lambda: pathapprox_batch(fresh), walls["plan_wall_s"])
+        assert np.array_equal(scalar, replayed), "fold"
+    stats: Dict[str, float] = {"cells": template.n_cells, "repeats": REPEATS}
+    stats.update(summarize_walls(walls))
+    stats["speedup"] = stats["scalar_wall_s"] / stats["plan_wall_s"]
+    stats["cells_per_s"] = template.n_cells / stats["plan_wall_s"]
+    return {"adaptive": stats}
 
 
 def bench_native() -> Dict[str, object]:
     """Compiled vs pure-python scalar kernels, bit-parity asserted.
 
-    Times the per-row scalar loop for each primitive twice — native
-    kernels enabled and disabled — asserting the results identical
-    before reporting.  When no compiler is available both passes run
+    Times one pass of the per-row scalar loop for each primitive twice —
+    native kernels enabled and disabled — per repeat, asserting the
+    results identical before reporting.  When no compiler is available both passes run
     the python reference and the block records ``available: false``
     (speedups ~1.0), so the JSON shape is stable either way.
     """
@@ -150,25 +144,29 @@ def bench_native() -> Dict[str, object]:
     }
     was_enabled = native.enabled()
     status = native.status()
-    out_ops: Dict[str, Dict[str, float]] = {}
+    walls: Dict[str, Dict[str, List[float]]] = {
+        name: {"python_wall_s": [], "native_wall_s": []} for name in ops
+    }
     try:
-        for name, fn in ops.items():
-            native.set_enabled(True)
-            native_wall, native_res = _best(fn, REPEATS)
-            native.set_enabled(False)
-            python_wall, python_res = _best(fn, REPEATS)
-            _assert_rows_equal(python_res, native_res, f"native/{name}")
-            out_ops[name] = {
-                "python_wall_s": python_wall,
-                "native_wall_s": native_wall,
-                "speedup": python_wall / native_wall,
-            }
+        for _ in range(REPEATS):
+            for name, fn in ops.items():
+                native.set_enabled(True)
+                native_res = timed(fn, walls[name]["native_wall_s"])
+                native.set_enabled(False)
+                python_res = timed(fn, walls[name]["python_wall_s"])
+                _assert_rows_equal(python_res, native_res, f"native/{name}")
     finally:
         native.set_enabled(was_enabled)
+    out_ops: Dict[str, Dict[str, float]] = {}
+    for name, columns in walls.items():
+        stats = summarize_walls(columns)
+        stats["speedup"] = stats["python_wall_s"] / stats["native_wall_s"]
+        out_ops[name] = stats
     return {
         "available": status["available"],
         "backend": status["backend"],
         "compiler": status["compiler"],
+        "repeats": REPEATS,
         "ops": out_ops,
     }
 
@@ -192,7 +190,7 @@ def compare() -> str:
 
     lines = [
         f"kernel microbenchmark — {N_CELLS} rows x {N_ATOMS} atoms, "
-        f"budget {BUDGET}",
+        f"budget {BUDGET}, median of {REPEATS}",
         f"  native kernels: {native['backend']}"
         + (f" ({native['compiler']})" if native["compiler"] else ""),
     ]

@@ -15,9 +15,14 @@ three failure probabilities — minutes, not hours).
 from __future__ import annotations
 
 import os
+import statistics
+import time
 from pathlib import Path
+from typing import Callable, Dict, List, Tuple, TypeVar
 
 import pytest
+
+T = TypeVar("T")
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -72,6 +77,34 @@ def save_json(name: str, payload) -> Path:
     payload = {**payload, "cpu_count": os.cpu_count()}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
+
+
+def timed(fn: Callable[[], T], walls: List[float]) -> T:
+    """Run ``fn`` once, appending its wall time to ``walls``."""
+    t0 = time.perf_counter()
+    out = fn()
+    walls.append(time.perf_counter() - t0)
+    return out
+
+
+def median_quartiles(walls: List[float]) -> Tuple[float, float, float]:
+    """``(median, q1, q3)`` of a timed column's samples."""
+    if len(walls) == 1:
+        return walls[0], walls[0], walls[0]
+    q1, median, q3 = statistics.quantiles(walls, n=4, method="inclusive")
+    return median, q1, q3
+
+
+def summarize_walls(walls: Dict[str, List[float]]) -> Dict[str, float]:
+    """Each column's median under its own key, with ``<key>_q1`` and
+    ``<key>_q3`` beside it."""
+    stats: Dict[str, float] = {}
+    for column, samples in walls.items():
+        median, q1, q3 = median_quartiles(samples)
+        stats[column] = median
+        stats[f"{column}_q1"] = q1
+        stats[f"{column}_q3"] = q3
+    return stats
 
 
 def per_cell_sweep(spec):

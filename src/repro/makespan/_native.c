@@ -8,12 +8,10 @@
  *     multiples of eight) so normalisation totals match np.sum exactly;
  *   - cumulative sums and scatter-adds are strictly sequential in
  *     array order, matching np.cumsum / np.add.at / np.bincount;
- *   - the convolve support sort is reproduced by a k-way heap merge
- *     over the virtual outer-sum rows with a (value, row) lexicographic
- *     comparator, which yields exactly the stable row-major order of
- *     np.argsort(kind="stable") on the ravelled outer sum — equal
- *     values within a row are contiguous in j, and the row index
- *     tie-break reproduces the flat-index tie-break;
+ *   - the convolve support sort is a bottom-up merge over the sorted
+ *     runs of the virtual outer-sum grid, which yields exactly the
+ *     order of np.argsort(kind="stable") on the ravelled grid: sort by
+ *     value, ties by flat index (see convolve_core);
  *   - int casts truncate toward zero like ndarray.astype(int).
  *
  * Anything the reference would reject (non-finite totals, negative
@@ -24,9 +22,10 @@
  * construction — the python path stays the bit-exactness oracle and
  * tests/test_native.py compares against it atom for atom.
  *
- * repro_replay_tape runs a whole compiled fold tape through the same
- * convolve and max routines in one call, so the pathapprox replay
- * crosses ctypes once per cell and budget round rather than per op.
+ * repro_replay_tape evaluates a compiled fold's root on demand over a
+ * step table through the same convolve and max routines in one call,
+ * so the pathapprox replay crosses ctypes once per cell and budget
+ * round rather than per op.
  *
  * Built on first use by repro/makespan/native.py with
  * `cc -O2 -ffp-contract=off -fPIC -shared`; no python headers required
@@ -42,7 +41,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define REPRO_NATIVE_ABI 2
+#define REPRO_NATIVE_ABI 3
 #define FALLBACK (-1)
 
 /* ------------------------------------------------------------------ */
@@ -304,18 +303,108 @@ static void merge_runs(const double *restrict sv, const double *restrict sp,
     }
 }
 
+/* merge_runs for runs laid out in column order: equal values go to the
+ * smaller flat index, carried beside each atom in the index planes. */
+static void merge_runs_indexed(const double *restrict sv,
+                               const double *restrict sp,
+                               const int *restrict si,
+                               double *restrict dv, double *restrict dp,
+                               int *restrict di,
+                               long long lo, long long mid, long long hi)
+{
+    long long i = lo, j = mid, k = lo;
+    while (i < mid && j < hi) {
+        long long tl = (sv[i] < sv[j]) | ((sv[i] == sv[j]) & (si[i] < si[j]));
+        double vl = sv[i], vr = sv[j];
+        double pl = sp[i], pr = sp[j];
+        int il = si[i], ir = si[j];
+        dv[k] = tl ? vl : vr;
+        dp[k] = tl ? pl : pr;
+        di[k] = tl ? il : ir;
+        i += tl;
+        j += 1 - tl;
+        k++;
+    }
+    if (i < mid) {
+        memcpy(dv + k, sv + i, (size_t)(mid - i) * sizeof(double));
+        memcpy(dp + k, sp + i, (size_t)(mid - i) * sizeof(double));
+        memcpy(di + k, si + i, (size_t)(mid - i) * sizeof(int));
+    }
+    else if (j < hi) {
+        memcpy(dv + k, sv + j, (size_t)(hi - j) * sizeof(double));
+        memcpy(dp + k, sp + j, (size_t)(hi - j) * sizeof(double));
+        memcpy(di + k, si + j, (size_t)(hi - j) * sizeof(int));
+    }
+}
+
+/* Sort the grid in the (v[0], p[0]) planes, made of sorted runs of
+ * `run` atoms, by bottom-up merge passes that ping-pong with the
+ * (v[1], p[1]) planes; ix[0] and ix[1] are the index planes of the
+ * column layout, or NULL for the row layout.  On return v[0], p[0]
+ * (and ix[0]) name the planes that hold the sorted grid. */
+static void merge_grid(double **v, double **p, int **ix,
+                       long long run, long long total)
+{
+    long long width, start;
+    for (width = run; width < total; width *= 2) {
+        const double *sv = v[0], *sp = p[0];
+        const int *si = ix[0];
+        for (start = 0; start < total; start += 2 * width) {
+            long long mid = start + width;
+            long long end = start + 2 * width;
+            long long n;
+            int ordered;
+            if (mid > total)
+                mid = total;
+            if (end > total)
+                end = total;
+            /* Two runs already in order (or a lone run) copy through. */
+            ordered = mid == end || sv[mid - 1] < sv[mid] ||
+                      (sv[mid - 1] == sv[mid] &&
+                       (si == NULL || si[mid - 1] < si[mid]));
+            n = end - start;
+            if (ordered) {
+                memcpy(v[1] + start, sv + start, (size_t)n * sizeof(double));
+                memcpy(p[1] + start, sp + start, (size_t)n * sizeof(double));
+                if (si != NULL)
+                    memcpy(ix[1] + start, si + start, (size_t)n * sizeof(int));
+            }
+            else if (si == NULL)
+                merge_runs(sv, sp, v[1], p[1], start, mid, end);
+            else
+                merge_runs_indexed(sv, sp, si, v[1], p[1], ix[1],
+                                   start, mid, end);
+        }
+        { double *t = v[0]; v[0] = v[1]; v[1] = t; }
+        { double *t = p[0]; p[0] = p[1]; p[1] = t; }
+        { int *t = ix[0]; ix[0] = ix[1]; ix[1] = t; }
+    }
+}
+
 /* Distribution of X + Y: outer sum of the supports, stable-sorted,
- * equal values merged, normalised, adaptively truncated.  The sort
- * exploits the outer sum's structure: row i of the (materialised,
- * row-major) sum grid enumerates av[i] + bv[j] for ascending j and is
- * already sorted, so a bottom-up stable merge over the nb-long runs
- * (left run wins ties) yields exactly the stable row-major order of
- * np.argsort(kind="stable") on the ravelled grid, with sequential
- * memory access instead of a comparison sort's O(n log n) random
- * probes.  The duplicate merge then accumulates sequentially in
- * sorted order — exactly the np.add.at order of the constructor.
- * buf is caller-owned scratch of 4 * na * nb doubles: the two
- * ping-pong (value, prob) planes of the merge passes. */
+ * equal values merged, normalised, adaptively truncated.
+ *
+ * The sort is the order of np.argsort(kind="stable") on the ravelled
+ * row-major outer sum: by value, equal values by flat index i*nb + j.
+ * It exploits the grid's structure, since both supports ascend:
+ *   - row layout (na <= nb): row i holds av[i] + bv[j] for ascending j,
+ *     a sorted run whose flat indices ascend, and the runs lie in flat
+ *     order, so a merge whose ties take the left run is that order;
+ *   - column layout (na > nb): column j holds av[i] + bv[j] for
+ *     ascending i, again sorted (sums of distinct av[i] may round to
+ *     equal values, never to descending ones) with ascending flat
+ *     indices, but a column's atoms interleave with its neighbours' in
+ *     flat order, so each atom carries its flat index in an int32 plane
+ *     and equal values go to the smaller index.  That is the same total
+ *     order, so the two layouts sort the grid identically, and the
+ *     column layout takes log2(nb) merge passes instead of log2(na).
+ * A grid of more than INT_MAX atoms keeps the row layout (its flat
+ * indices would not fit the plane).  Merges run over sequential memory
+ * instead of a comparison sort's O(n log n) random probes.  The
+ * duplicate merge then accumulates sequentially in sorted order —
+ * exactly the np.add.at order of the constructor.  buf is caller-owned
+ * scratch of 5 * na * nb doubles: the two ping-pong (value, prob)
+ * planes and, in the last na * nb doubles, the two int32 index planes. */
 static long long convolve_core(const double *av, const double *ap,
                                long long na,
                                const double *bv, const double *bp,
@@ -324,8 +413,9 @@ static long long convolve_core(const double *av, const double *ap,
                                double *out_v, double *out_p,
                                double *buf)
 {
-    long long i, j, m, total_atoms, width, status;
-    double *sv, *sp, *dv, *dp, *mv, *mp;
+    long long i, j, m, total_atoms, status;
+    double *v[2], *p[2], *mv, *mp;
+    int *ix[2] = {NULL, NULL};
     double total;
     int a_pinf, a_ninf, b_pinf, b_ninf;
 
@@ -336,50 +426,49 @@ static long long convolve_core(const double *av, const double *ap,
         return FALLBACK; /* inf + -inf would be NaN */
 
     total_atoms = na * nb;
-    /* Two ping-pong (value, prob) planes for the merge passes. */
-    sv = buf;
-    sp = buf + total_atoms;
-    dv = sp + total_atoms;
-    dp = dv + total_atoms;
+    v[0] = buf;
+    p[0] = buf + total_atoms;
+    v[1] = p[0] + total_atoms;
+    p[1] = v[1] + total_atoms;
 
-    for (i = 0; i < na; i++) {
-        const double a_val = av[i], a_pr = ap[i];
-        double *rv = sv + i * nb, *rp = sp + i * nb;
+    if (na > nb && total_atoms <= INT_MAX) {
+        ix[0] = (int *)(p[1] + total_atoms);
+        ix[1] = ix[0] + total_atoms;
         for (j = 0; j < nb; j++) {
-            double pr = a_pr * bp[j];
-            if (pr < -1e-12) {
-                /* constructor raises "negative probability atom" */
-                return FALLBACK;
+            const double b_val = bv[j], b_pr = bp[j];
+            double *cv = v[0] + j * na, *cp = p[0] + j * na;
+            int *ci = ix[0] + j * na;
+            for (i = 0; i < na; i++) {
+                double pr = ap[i] * b_pr;
+                if (pr < -1e-12) {
+                    /* constructor raises "negative probability atom" */
+                    return FALLBACK;
+                }
+                cv[i] = av[i] + b_val;
+                cp[i] = pr;
+                ci[i] = (int)(i * nb + j);
             }
-            rv[j] = a_val + bv[j];
-            rp[j] = pr;
         }
+        merge_grid(v, p, ix, na, total_atoms);
     }
-
-    for (width = nb; width < total_atoms; width *= 2) {
-        long long start;
-        for (start = 0; start < total_atoms; start += 2 * width) {
-            long long mid = start + width;
-            long long end = start + 2 * width;
-            if (mid > total_atoms)
-                mid = total_atoms;
-            if (end > total_atoms)
-                end = total_atoms;
-            if (mid < end && sv[mid - 1] <= sv[mid]) {
-                /* already in order (ties stay left-first): copy through */
-                memcpy(dv + start, sv + start,
-                       (size_t)(end - start) * sizeof(double));
-                memcpy(dp + start, sp + start,
-                       (size_t)(end - start) * sizeof(double));
+    else {
+        for (i = 0; i < na; i++) {
+            const double a_val = av[i], a_pr = ap[i];
+            double *rv = v[0] + i * nb, *rp = p[0] + i * nb;
+            for (j = 0; j < nb; j++) {
+                double pr = a_pr * bp[j];
+                if (pr < -1e-12) {
+                    /* constructor raises "negative probability atom" */
+                    return FALLBACK;
+                }
+                rv[j] = a_val + bv[j];
+                rp[j] = pr;
             }
-            else
-                merge_runs(sv, sp, dv, dp, start, mid, end);
         }
-        { double *t = sv; sv = dv; dv = t; }
-        { double *t = sp; sp = dp; dp = t; }
+        merge_grid(v, p, ix, nb, total_atoms);
     }
-    mv = sv;
-    mp = sp;
+    mv = v[0];
+    mp = p[0];
 
     /* Sequential equal-value merge over the sorted grid. */
     m = 0;
@@ -423,7 +512,7 @@ long long repro_convolve_adaptive(const double *av, const double *ap,
 
     if (na <= 0 || nb <= 0 || max_atoms < 1)
         return FALLBACK;
-    buf = (double *)malloc((size_t)(4 * na * nb) * sizeof(double));
+    buf = (double *)malloc((size_t)(5 * na * nb) * sizeof(double));
     if (buf == NULL)
         return FALLBACK;
     status = convolve_core(av, ap, na, bv, bp, nb, max_atoms,
@@ -547,73 +636,100 @@ long long repro_max_with_adaptive(const double *av, const double *ap,
 /* ------------------------------------------------------------------ */
 
 /* Stop statuses of repro_replay_tape. */
-#define TAPE_DONE 0    /* every step ran or was already filled */
-#define TAPE_GROW 1    /* the step needs more arena: grow it and resume */
-#define TAPE_DECLINE 2 /* the step declined: finish the cell in python */
+#define TAPE_DONE 0    /* the root slot is filled */
+#define TAPE_GROW 1    /* a step needs more arena: grow it and call again */
+#define TAPE_DECLINE 2 /* a step declined: finish the cell in python */
 
-/* Replay one cell's lowered fold tape (repro/makespan/foldplan.py) into
- * its slot arena.  Step s is the int32 quadruple tape[4s..4s+3] =
- * (kind, a, b, out): kind 0 convolves slots a and b into slot out,
- * kind 1 takes their max.  Slot i holds slot_len[i] atoms at offset
- * slot_off[i] of the value and probability planes arena_v and arena_p,
- * which hold cap atoms each; slot_len[i] == 0 marks it unfilled.  A
- * filled output slot (a leaf law, or a step an earlier budget's tape
- * ran) is skipped, as the python loop skips keys already in its store.
- * Every other step runs convolve_core or repro_max_with_adaptive on its
- * operand slots and appends the result at offset cursor[1], the atoms
- * in use, so each result is bit for bit the per-op entries' result.
+/* Evaluate slot `root` of one cell on demand over a compiled fold's
+ * step table (repro/makespan/foldplan.py).  Slot s is defined by the
+ * int32 triple table[3s..3s+2] = (kind, a, b): kind 0 convolves slots a
+ * and b, kind 1 takes their max; the leaf slots (the Dirac at 0 and the
+ * node laws) come first and are never computed.  Slot i of the cell
+ * holds slot_len[i] atoms at offset slot_off[i] of the value and
+ * probability planes arena_v and arena_p, which hold cap atoms each;
+ * slot_len[i] == 0 marks it unfilled.
  *
- * Replay starts at step cursor[0] and stops with cursor[0] at the step
- * it stopped on, returning:
- *   TAPE_DONE    - past the last step;
- *   TAPE_GROW    - the step's output (at most max_atoms atoms) may not
- *                  fit: nothing was written, cursor[2] holds the atoms
- *                  the arena needs, and the caller grows both planes
- *                  and calls again;
- *   TAPE_DECLINE - the kernel returned FALLBACK (or an operand slot is
- *                  unfilled): the caller finishes the cell on the python
- *                  kernels, which meet the step as the per-op path does.
+ * The walk is a depth-first post-order from the root with an explicit
+ * stack: an unfilled slot pushes its first unfilled operand (a before
+ * b), and runs once both are filled, so only the root's unfilled
+ * closure runs — a slot an earlier budget round filled is never run
+ * again — in the order of the scalar recursion.  Each step runs
+ * convolve_core or repro_max_with_adaptive on its operand slots and
+ * appends the result at offset cursor[0], the atoms in use, so each
+ * result is bit for bit the per-op entries' result.  A step's operands
+ * must index earlier slots (else the step declines), so the stack holds
+ * strictly decreasing slots and never more than root + 1 of them.
+ *
+ * Returns:
+ *   TAPE_DONE    - the root is filled;
+ *   TAPE_GROW    - a step's output (at most max_atoms atoms) may not
+ *                  fit: nothing was written for it, cursor[1] holds the
+ *                  atoms the arena needs, and the caller grows both
+ *                  planes and calls again from the root (the slots
+ *                  filled so far are kept, so the walk resumes there);
+ *   TAPE_DECLINE - a kernel returned FALLBACK, a step's operand does not
+ *                  index an earlier slot, or the root is out of range:
+ *                  the caller finishes the cell on the python kernels,
+ *                  which meet the step as the per-op path does.
  * ran[0] and ran[1] count the convolve and max steps run. */
-long long repro_replay_tape(const int *tape, long long nsteps,
+long long repro_replay_tape(const int *table, long long nslots,
+                            long long root,
                             long long *slot_off, long long *slot_len,
                             double *arena_v, double *arena_p,
                             long long cap, long long max_atoms,
                             long long *cursor, long long *ran)
 {
     double *buf = NULL;
-    long long buf_len = 0, s, status = TAPE_DONE;
+    long long buf_len = 0, depth = 0, status = TAPE_DONE;
+    long long *stack;
 
-    for (s = cursor[0]; s < nsteps; s++) {
-        const int *step = tape + 4 * s;
-        const int is_max = step[0] != 0;
-        long long a = step[1], b = step[2], out = step[3];
-        long long na = slot_len[a], nb = slot_len[b], bound, n;
-        double *ov = arena_v + cursor[1], *op = arena_p + cursor[1];
+    if (root < 0 || root >= nslots || max_atoms < 1)
+        return TAPE_DECLINE;
+    if (slot_len[root] > 0)
+        return TAPE_DONE;
+    stack = (long long *)malloc((size_t)(root + 1) * sizeof(long long));
+    if (stack == NULL)
+        return TAPE_DECLINE;
+    stack[depth++] = root;
+    while (depth > 0) {
+        const long long s = stack[depth - 1];
+        const int *step = table + 3 * s;
+        const long long kind = step[0], a = step[1], b = step[2];
+        long long na, nb, bound, n;
+        double *ov = arena_v + cursor[0], *op = arena_p + cursor[0];
 
-        if (slot_len[out] > 0)
-            continue;
-        if (na <= 0 || nb <= 0 || max_atoms < 1) {
+        if ((kind != 0 && kind != 1) || a < 0 || a >= s || b < 0 || b >= s) {
             status = TAPE_DECLINE;
             break;
         }
-        bound = is_max ? na + nb : na * nb;
+        na = slot_len[a];
+        nb = slot_len[b];
+        if (na == 0) {
+            stack[depth++] = a;
+            continue;
+        }
+        if (nb == 0) {
+            stack[depth++] = b;
+            continue;
+        }
+        bound = kind ? na + nb : na * nb;
         if (bound > max_atoms)
             bound = max_atoms;
-        if (cursor[1] + bound > cap) {
-            cursor[2] = cursor[1] + bound;
+        if (cursor[0] + bound > cap) {
+            cursor[1] = cursor[0] + bound;
             status = TAPE_GROW;
             break;
         }
-        if (is_max)
+        if (kind)
             n = repro_max_with_adaptive(arena_v + slot_off[a],
                                         arena_p + slot_off[a], na,
                                         arena_v + slot_off[b],
                                         arena_p + slot_off[b], nb,
                                         max_atoms, ov, op);
         else {
-            if (4 * na * nb > buf_len) {
+            if (5 * na * nb > buf_len) {
                 free(buf);
-                buf_len = 4 * na * nb;
+                buf_len = 5 * na * nb;
                 buf = (double *)malloc((size_t)buf_len * sizeof(double));
                 if (buf == NULL) {
                     status = TAPE_DECLINE;
@@ -629,13 +745,14 @@ long long repro_replay_tape(const int *tape, long long nsteps,
             status = TAPE_DECLINE;
             break;
         }
-        slot_off[out] = cursor[1];
-        slot_len[out] = n;
-        cursor[1] += n;
-        ran[is_max]++;
+        slot_off[s] = cursor[0];
+        slot_len[s] = n;
+        cursor[0] += n;
+        ran[kind]++;
+        depth--;
     }
     free(buf);
-    cursor[0] = s;
+    free(stack);
     return status;
 }
 

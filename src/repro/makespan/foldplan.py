@@ -1,54 +1,65 @@
-"""Compiled fold plans: execute-many replay of the pathapprox recursion.
+"""Compiled folds: one step table per call, replayed by demand.
 
 The scalar PATHAPPROX estimator (:mod:`repro.makespan.pathapprox`)
 spends its time in two python-level recursions that are determined
-entirely by DAG *structure* — the common-task factoring of
-``_fold_factored`` and the node walks of ``_path_sum`` — yet re-derives
-them for every cell and every adaptive-k budget doubling.  This module
-lifts that work into a **compile-once, execute-many** layer:
+entirely by DAG *structure* and variance order — the common-task
+factoring of ``_fold_factored`` and the node walks of ``_path_sum`` —
+yet re-derives them for every cell and every adaptive-k budget
+doubling.  This module compiles that work once per call and replays it:
 
-* :func:`compile_fold_plan` runs the recursion *symbolically* once per
-  (path set, variance order) signature and records a flat post-order op
-  tape — CONVOLVE and MAX steps over semantic slots — as a
-  :class:`FoldPlan`.  Plans are cached on the
-  :class:`~repro.makespan.paramdag.ParamDAG` template
-  (:meth:`~repro.makespan.paramdag.ParamDAG.plan_cache`), so the cells
-  of a sweep group that share a signature share one compilation.
+* :func:`pathapprox_plan_batch` builds one :class:`_StepTable` per call.
+  Slot ``s`` of the table is a triple ``(kind, a, b)``: the convolve or
+  max of two earlier slots; the leaves come first (slot 0 the Dirac at
+  0, slot ``1 + v`` node ``v``'s law).
 
-* :func:`execute_plans` replays each cell's tape in order.  Results
-  land in a per-cell store keyed by the tape's *semantic* slot names,
-  so they survive across budget doublings (the 64-path plan skips every
-  step the 32-path plan already computed).  With native kernels live,
-  each plan is lowered once onto its template's slot table (one int per
-  semantic key) and a cell's whole tape replays in one C call
-  (:func:`~repro.makespan.native.replay_tape`) into the cell's arena,
-  which holds its leaf laws and every slot filled so far.  The python
-  loop over the scalar
-  :class:`~repro.makespan.distribution.DiscreteDistribution` kernels is
-  the oracle: it replays every cell under ``REPRO_NATIVE=0``, and
-  finishes any cell the C replay declined.
+* :func:`compile_fold_plan` compiles one cell's fold for one budget
+  round into that table and returns the root slot.  It runs the
+  recursion *symbolically* through memos that live for the whole call:
+  path-sum prefixes keyed by their node mask (shared by every variance
+  order), and, per variance order (:class:`_Order`), fold groups and
+  leaf chains keyed by path masks in *rank space* — bit ``r`` is the
+  node of variance rank ``r``, so the split node is the union's highest
+  bit.  A subtree compiled in an earlier round or for another cell of
+  the same variance order is a dict hit, so every slot is compiled once.
+
+* :func:`execute_plans` evaluates each cell's root on demand: a
+  depth-first walk runs only the root's unfilled closure (operand ``a``
+  before ``b``) and keeps every slot it fills, so a later round runs
+  only the steps its larger fold adds.  With native kernels live, each
+  cell's walk is one C call (:func:`~repro.makespan.native.replay_tape`)
+  into the cell's arena, which holds its leaf laws and every slot filled
+  so far.  The python loop over the scalar
+  :class:`~repro.makespan.distribution.DiscreteDistribution` kernels
+  walks the table the same way and is the oracle: it evaluates every
+  cell under ``REPRO_NATIVE=0``, and finishes any cell the C replay
+  declined.
 
 * :func:`pathapprox_plan_batch` drives a template's cells through the
   adaptive-k schedule in lockstep, replicating ``_adaptive_estimate``'s
-  per-cell control flow exactly while every round's tapes replay in
+  per-cell control flow exactly while every round's roots evaluate in
   one :func:`execute_plans` pass.
 
-**Bit-identity.**  The tape records exactly the operations the scalar
-recursion performs, keyed so that equal inputs share one slot: path-sum
-chains are memoised by node-tuple *prefix* (the scalar chain prefix
-computation is the identical op sequence, so a prefix hit returns the
-identical object), fold subtrees by their frozenset of path sets (the
-recursion's result depends only on that set).  Each step's operands are
-therefore bit-identical to the scalar path's, and either replay runs
-the scalar kernels' own code (the C replay calls the routines behind the
-per-op native kernels), so the replayed estimates equal the scalar
-reference bit for bit — pinned by the evaluator parity tests.
+The compile state is plain objects without reference cycles, dropped
+when the call returns; nothing is cached on the template.
+
+**Bit-identity.**  Each slot records exactly one operation the scalar
+recursion performs, on the operands it uses: path-sum chains are
+memoised by node *prefix* (the scalar chain computes every prefix, so a
+prefix hit is the identical intermediate), fold subtrees by their set
+of paths under one variance order (the recursion's result depends only
+on that set and the split order).  Each step's operands are therefore
+bit-identical to the scalar path's, and either replay runs the scalar
+kernels' own code (the C replay calls the routines behind the per-op
+native kernels), so the replayed estimates equal the scalar reference
+bit for bit — pinned by the evaluator parity tests.  A cell runs each
+distinct step of its folds once across all its rounds, so its kernel
+calls are the same with native kernels on and off.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,139 +79,161 @@ from repro.makespan.pathapprox import (
 )
 
 __all__ = [
-    "FoldPlan",
     "compile_fold_plan",
     "execute_plans",
     "pathapprox_plan_batch",
 ]
 
-#: Leaf slot: the Dirac distribution at 0 (every path sum's seed).
-_P0: Tuple[str, ...] = ("p0",)
-
-#: Step kinds on the tape.
-_CONV = "conv"
-_MAX = "max"
-
-#: Slot reference — a leaf (``("p0",)`` / ``("law", node)``) or a step
-#: key (``("s", node_prefix)`` / ``("m", path_key)`` / ``("c",
-#: path_key)``).  Semantic by construction: equal refs denote equal
-#: distributions for a given cell, across plans and budgets.
-Ref = Tuple
+#: Step kinds of the table (the C replay's ``kind``).
+_CONV = 0
+_MAX = 1
 
 
-class FoldPlan:
-    """A compiled fold: a flat post-order op tape.
+class _StepTable:
+    """One call's step table and its path-sum prefix memo.
 
-    ``steps[i] = (key, kind, a, b)`` computes slot ``key`` as
-    ``a kind b``; operands are earlier steps or leaves, so the tape is
-    topologically ordered and replays front to back.  ``root`` is the
-    slot holding the folded maximum.  Plans are immutable and shared
-    across cells — all per-cell state lives in the cell's value store.
+    Slot ``s`` is ``steps[3s:3s+3] == [kind, a, b]``, the distribution
+    ``a kind b`` of two earlier slots.  The ``n + 1`` leaf slots come
+    first as ``[-1, -1, -1]`` (never computed: no earlier operands).
+    ``prefix`` maps a node mask to the slot of the path sum over those
+    nodes, the chain of convolutions seeded at the Dirac at 0 in
+    ascending node order that the scalar ``_path_sum`` computes; every
+    variance order shares it.
     """
 
-    __slots__ = ("steps", "root")
+    __slots__ = ("steps", "prefix", "_array")
 
-    def __init__(self, steps: List[Tuple], root: Ref) -> None:
-        self.steps: Tuple[Tuple, ...] = tuple(steps)
-        self.root = root
+    def __init__(self, n: int) -> None:
+        self.steps: List[int] = [-1] * (3 * (n + 1))
+        self.prefix: Dict[int, int] = {0: 0}
+        self._array = np.empty(0, dtype=np.int32)
 
-    def __repr__(self) -> str:
-        return f"FoldPlan(steps={len(self.steps)}, root={self.root!r})"
+    def emit(self, kind: int, a: int, b: int) -> int:
+        """Append slot ``a kind b``; returns its number."""
+        steps = self.steps
+        steps += (kind, a, b)
+        return len(steps) // 3 - 1
+
+    def path_sum(self, nodes: int) -> int:
+        """Slot of the path sum over node mask ``nodes``.
+
+        Memoised per prefix: the scalar chain computes every prefix
+        anyway, so a prefix hit reuses the identical intermediate.  The
+        highest nodes are stripped until a known prefix (at worst the
+        empty one, slot 0) remains, then convolved back on in ascending
+        order.
+        """
+        prefix = self.prefix
+        slot = prefix.get(nodes)
+        if slot is not None:
+            return slot
+        stripped = []
+        rest = nodes
+        while slot is None:
+            top = rest.bit_length() - 1
+            stripped.append(top)
+            rest ^= 1 << top
+            slot = prefix.get(rest)
+        for v in reversed(stripped):
+            rest |= 1 << v
+            slot = prefix[rest] = self.emit(_CONV, slot, 1 + v)
+        return slot
+
+    def array(self) -> np.ndarray:
+        """The table as the C replay's int32 triples; each slot is
+        converted once, when the first replay after its compile asks."""
+        done = self._array.size
+        if done < len(self.steps):
+            tail = np.array(self.steps[done:], dtype=np.int32)
+            self._array = np.concatenate((self._array, tail))
+        return self._array
 
 
-def compile_fold_plan(
-    paths: Sequence[int], var_rank: Sequence[int]
-) -> FoldPlan:
-    """Compile the factored fold of ``paths`` into a :class:`FoldPlan`.
+class _Order:
+    """The compile memos of one variance order within a call.
 
-    ``paths`` are node-set **bitmasks** (bit ``v`` set iff node ``v`` is
-    on the path) — set algebra on python ints is an order of magnitude
-    cheaper than on frozensets, and a mask is its own canonical form, so
-    masks double as the memo keys.  Runs exactly the recursion of
-    ``_fold_factored`` (same intersection stripping, same
-    highest-variance split, same memo granularity), but emits tape steps
-    instead of computing distributions.  ``var_rank[v]`` must rank nodes
-    by the scalar split key ``(variance, id)`` ascending — a strict
-    total order, so ``max`` by rank picks the same split node.
+    ``node[r]`` is the node of variance rank ``r`` (ascending by the
+    scalar split key ``(variance, id)``).  Masks here are in rank space
+    (bit ``r`` is ``node[r]``), so a group's split node — the highest
+    variance in its union — is the union's highest bit.  ``chains`` maps
+    a rank mask to its path-sum slot, ``folds`` a frozenset of rank-mask
+    paths to its fold's slot.
     """
-    steps: List[Tuple] = []
-    index: Dict[Ref, int] = {}
-    sum_memo: Dict[Tuple[int, ...], Ref] = {}
-    fold_memo: Dict[FrozenSet[int], Ref] = {}
 
-    def emit(key: Ref, kind: str, a: Ref, b: Ref) -> Ref:
-        if key not in index:
-            index[key] = len(steps)
-            steps.append((key, kind, a, b))
-        return key
+    __slots__ = ("table", "node", "chains", "folds")
 
-    def nodes_of(mask: int) -> List[int]:
-        # Set bits, ascending == the scalar recursion's sorted() order.
-        out: List[int] = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
+    def __init__(self, table: _StepTable, node: Tuple[int, ...]) -> None:
+        self.table = table
+        self.node = node
+        self.chains: Dict[int, int] = {}
+        self.folds: Dict[frozenset, int] = {}
 
-    def sum_ref(nodes: Tuple[int, ...]) -> Ref:
-        ref = sum_memo.get(nodes)
-        if ref is not None:
-            return ref
-        # Chain convolutions seeded at point(0), memoised per *prefix*:
-        # the scalar chain computes every prefix anyway, so a prefix hit
-        # reuses the identical intermediate.
-        prev: Ref = _P0
-        for j in range(len(nodes)):
-            prefix = nodes[: j + 1]
-            ref = sum_memo.get(prefix)
-            if ref is None:
-                ref = emit(("s", prefix), _CONV, prev, ("law", nodes[j]))
-                sum_memo[prefix] = ref
-            prev = ref
-        return prev
+    def chain(self, mask: int) -> int:
+        """Slot of the path sum over the nodes of rank mask ``mask``."""
+        slot = self.chains.get(mask)
+        if slot is None:
+            node = self.node
+            nodes = 0
+            rest = mask
+            while rest:
+                low = rest & -rest
+                nodes |= 1 << node[low.bit_length() - 1]
+                rest ^= low
+            slot = self.chains[mask] = self.table.path_sum(nodes)
+        return slot
 
-    def fold_ref(group: Tuple[int, ...]) -> Ref:
+    def fold(self, group: Tuple[int, ...]) -> int:
+        """Slot of ``_fold_factored`` over ``group`` (distinct non-empty
+        rank masks): the same intersection stripping, highest-variance
+        split and memo granularity, emitting slots instead of computing
+        distributions."""
         key = frozenset(group)
-        ref = fold_memo.get(key)
-        if ref is not None:
-            return ref
+        slot = self.folds.get(key)
+        if slot is not None:
+            return slot
         common = group[0]
         for q in group[1:]:
             common &= q
-        rest = [q & ~common for q in group]
-        nonempty = [q for q in rest if q]
+        # common is a subset of every path: XOR strips it.
+        nonempty = [q ^ common for q in group if q != common]
         if not nonempty:
-            folded: Ref = _P0
+            slot = 0
         elif len(nonempty) == 1:
-            folded = sum_ref(tuple(nodes_of(nonempty[0])))
+            slot = self.chain(nonempty[0])
         else:
             union = 0
             for q in nonempty:
                 union |= q
-            split = max(nodes_of(union), key=var_rank.__getitem__)
-            bit = 1 << split
+            bit = 1 << (union.bit_length() - 1)
             with_split = tuple(q for q in nonempty if q & bit)
             without = tuple(q for q in nonempty if not q & bit)
             if not without:
-                folded = fold_ref(with_split)
+                slot = self.fold(with_split)
             else:
-                folded = emit(
-                    ("m", key), _MAX, fold_ref(with_split), fold_ref(without)
+                slot = self.table.emit(
+                    _MAX, self.fold(with_split), self.fold(without)
                 )
         if common:
-            folded = emit(
-                ("c", key), _CONV, folded, sum_ref(tuple(nodes_of(common)))
-            )
-        fold_memo[key] = folded
-        return folded
-
-    root = fold_ref(tuple(paths))
-    return FoldPlan(steps, root)
+            slot = self.table.emit(_CONV, slot, self.chain(common))
+        self.folds[key] = slot
+        return slot
 
 
-#: Plan-cache key of a template's :class:`_SlotTable`.
-_SLOTS = ("slots",)
+def compile_fold_plan(order: _Order, paths: Sequence[int]) -> int:
+    """Compile the factored fold of ``paths`` into ``order``'s step
+    table; returns the root slot.
+
+    ``paths`` are node masks in ``order``'s rank space, as
+    :func:`~repro.makespan.pathapprox._k_best_paths_cells` returns them
+    (set algebra on python ints is an order of magnitude cheaper than on
+    frozensets, and a mask is its own canonical form).  Runs exactly the
+    recursion of ``_fold_factored``, through memos that live for the
+    whole :func:`pathapprox_plan_batch` call: a subtree an earlier round
+    or another cell of the same variance order compiled is not compiled
+    again, and a fold compiled before returns its root at once.
+    """
+    return order.fold(tuple(paths))
+
 
 #: Atoms a cell's arena holds at first (more if its leaf laws need it);
 #: the arena grows whenever a step's output might not fit.  A MONTAGE-50
@@ -212,44 +245,11 @@ _SLOTS = ("slots",)
 _ARENA_ATOMS = 1 << 15
 
 
-class _SlotTable:
-    """One template's numbering of the tapes' semantic slot keys.
-
-    ``index`` maps each key to its slot in insertion order: slot 0 is
-    ``("p0",)`` and slot ``1 + v`` node ``v``'s law, and each step key
-    gets the next number the first time a plan is lowered, so equal keys
-    share a slot across every plan, budget and cell of the template.
-    :meth:`lower` turns a plan into the int32 ``(kind, a, b, out)``
-    quadruples the C replay reads (kind 0 convolve, 1 max), once per
-    plan.
-    """
-
-    __slots__ = ("index", "tapes")
-
-    def __init__(self, n: int) -> None:
-        leaves = [_P0] + [("law", v) for v in range(n)]
-        self.index: Dict[Ref, int] = {k: i for i, k in enumerate(leaves)}
-        self.tapes: Dict[FoldPlan, np.ndarray] = {}
-
-    def lower(self, plan: FoldPlan) -> np.ndarray:
-        tape = self.tapes.get(plan)
-        if tape is None:
-            index = self.index
-            quads: List[int] = []
-            for key, kind, a, b in plan.steps:
-                out = index.get(key)
-                if out is None:
-                    out = index[key] = len(index)
-                quads += (kind is _MAX, index[a], index[b], out)
-            tape = self.tapes[plan] = np.array(quads, dtype=np.int32)
-        return tape
-
-
 class _Arena:
     """A cell's slot store for the C replay: slot ``i`` holds
     ``length[i]`` atoms at ``off[i]`` of the ``values`` and ``probs``
     planes, and ``length[i] == 0`` marks it unfilled.  ``cursor`` is the
-    C entry's (step, atoms used, atoms needed)."""
+    C entry's (atoms used, atoms needed)."""
 
     __slots__ = ("off", "length", "values", "probs", "cursor")
 
@@ -262,27 +262,27 @@ class _Arena:
         self.probs = np.empty(cap)
         self.values[:used] = np.concatenate([d.values for d in leaves])
         self.probs[:used] = np.concatenate([d.probs for d in leaves])
-        self.cursor = np.array([0, used, 0], dtype=np.int64)
+        self.cursor = np.array([used, 0], dtype=np.int64)
 
-    def replay(self, tape: np.ndarray, slots: int, max_atoms: int, ran) -> bool:
-        """Run ``tape`` into the arena, growing it as the C entry asks;
-        ``False`` when a step declined (``cursor[0]`` is that step)."""
+    def replay(self, table: np.ndarray, root: int, max_atoms: int, ran) -> bool:
+        """Fill slot ``root`` by demand over ``table``, growing the arena
+        as the C entry asks; ``False`` when a step declined."""
+        slots = table.size // 3
         have = self.length.size
         if have < slots:
             pad = np.zeros(max(slots, 2 * have) - have, dtype=np.int64)
             self.length = np.concatenate([self.length, pad])
             self.off = np.concatenate([self.off, pad])
         cursor = self.cursor
-        cursor[0] = 0
         while True:
             status = _native.replay_tape(
-                tape, self.off, self.length, self.values, self.probs,
+                table, root, self.off, self.length, self.values, self.probs,
                 max_atoms, cursor, ran,
             )
             if status != _native.TAPE_GROW:
                 return status == _native.TAPE_DONE
-            used = int(cursor[1])
-            spare = np.empty(max(2 * self.values.size, int(cursor[2])) - used)
+            used = int(cursor[0])
+            spare = np.empty(max(2 * self.values.size, int(cursor[1])) - used)
             self.values = np.concatenate((self.values[:used], spare))
             self.probs = np.concatenate((self.probs[:used], spare))
 
@@ -294,92 +294,76 @@ class _Arena:
 
 
 class _CellRun:
-    """Per-cell replay state: the leaf laws (in slot order), the slot
-    store — the C replay's :class:`_Arena`, or the python loop's dict,
-    built from the leaves or the arena the first time the cell runs on
-    it — and the cell's place in the adaptive-k schedule."""
+    """Per-cell replay state: the leaf laws (in slot order), the compile
+    memos of the cell's variance order, the slot store — the C replay's
+    :class:`_Arena`, or the python loop's dict, built from the leaves or
+    the arena the first time the cell runs on it — and the cell's place
+    in the adaptive-k schedule."""
 
     __slots__ = (
         "leaves",
-        "table",
+        "order",
         "arena",
         "values",
-        "means",
-        "var_rank",
-        "var_key",
         "estimate",
         "stalls",
         "exhausted",
     )
 
-    def __init__(
-        self,
-        leaves: List[DiscreteDistribution],
-        table: _SlotTable,
-        means: np.ndarray,
-        variances: np.ndarray,
-    ) -> None:
+    def __init__(self, leaves: List[DiscreteDistribution], order: _Order) -> None:
         self.leaves = leaves
-        self.table = table
+        self.order = order
         self.arena: Optional[_Arena] = None
-        self.values: Optional[Dict[Ref, DiscreteDistribution]] = None
-        self.means = means
-        n = len(means)
-        order = sorted(range(n), key=lambda v: (variances[v], v))
-        rank = [0] * n
-        for r, v in enumerate(order):
-            rank[v] = r
-        self.var_rank = rank
-        self.var_key = tuple(order)
+        self.values: Optional[Dict[int, DiscreteDistribution]] = None
         self.estimate = 0.0
         self.stalls = 0
         self.exhausted = False
 
-    def store(self) -> Dict[Ref, DiscreteDistribution]:
+    def store(self) -> Dict[int, DiscreteDistribution]:
         """The python loop's slot store.  A cell moves onto it for good:
         its filled arena slots (or its leaves) seed the dict."""
         values = self.values
         if values is None:
             arena = self.arena
             if arena is None:
-                values = dict(zip(self.table.index, self.leaves))
+                values = dict(enumerate(self.leaves))
             else:
-                keys = list(self.table.index)
                 values = {
-                    keys[s]: arena.dist(s) for s in np.flatnonzero(arena.length)
+                    s: arena.dist(s)
+                    for s in np.flatnonzero(arena.length).tolist()
                 }
                 self.arena = None
             self.values = values
         return values
 
-    def mean(self, ref: Ref) -> float:
-        """Mean of the distribution in slot ``ref``."""
+    def mean(self, slot: int) -> float:
+        """Mean of the distribution in slot ``slot``."""
         if self.values is not None:
-            return self.values[ref].mean()
-        return self.arena.dist(self.table.index[ref]).mean()
+            return self.values[slot].mean()
+        return self.arena.dist(slot).mean()
 
 
-def _replay_native(work, max_atoms: int, prof) -> List[Tuple[_CellRun, FoldPlan]]:
+def _replay_native(
+    work, table: np.ndarray, max_atoms: int, prof
+) -> List[Tuple[_CellRun, int]]:
     """One C call per cell (more only when its arena grows); returns the
     pairs left to the python loop: cells already on it, and cells a step
     declined on."""
     left = []
     ran = np.zeros(2, dtype=np.int64)
     wall = 0.0
-    for state, plan in work:
+    for state, root in work:
         if state.values is not None:
-            left.append((state, plan))
+            left.append((state, root))
             continue
         if state.arena is None:
             state.arena = _Arena(state.leaves)
-        table = state.table
-        tape = table.lower(plan)
         t0 = time.perf_counter() if prof is not None else 0.0
-        done = state.arena.replay(tape, len(table.index), max_atoms, ran)
+        done = state.arena.replay(table, root, max_atoms, ran)
         if prof is not None:
             wall += time.perf_counter() - t0
         if not done:
-            left.append((state, plan))
+            left.append((state, root))
     if prof is not None:
         # One call serves both ops; its time is split by step count.
         steps = int(ran[0] + ran[1])
@@ -390,40 +374,51 @@ def _replay_native(work, max_atoms: int, prof) -> List[Tuple[_CellRun, FoldPlan]
 
 
 def execute_plans(
-    work: Sequence[Tuple[_CellRun, FoldPlan]], max_atoms: int
+    work: Sequence[Tuple[_CellRun, int]], table: _StepTable, max_atoms: int
 ) -> None:
-    """Replay each cell's plan in tape order.
+    """Evaluate each cell's root slot on demand over ``table``.
 
-    With native kernels live, each cell's plan is lowered onto its
-    template's slot table and replayed into the cell's arena by one
-    :func:`~repro.makespan.native.replay_tape` call, which skips slots an
-    earlier budget filled; the steps run are recorded as
+    ``work`` pairs each cell with the root :func:`compile_fold_plan`
+    returned for it.  Each walk is depth first from the root and runs
+    only the unfilled closure, operand ``a`` before ``b``, keeping every
+    slot it fills for the cell's later rounds.  With native kernels live
+    each cell's walk is one :func:`~repro.makespan.native.replay_tape`
+    call into the cell's arena, and the steps run are recorded as
     ``native_convolve``/``native_max`` rows.  The python loop below is
-    the oracle: it runs every cell under ``REPRO_NATIVE=0``, and a cell
+    the oracle: it walks every cell under ``REPRO_NATIVE=0``, and a cell
     whose step the C replay declined finishes on it from the slots the
     arena filled, so the declined step meets the python kernels exactly
-    as the per-op path does.  It skips a step whose slot is already in
-    the cell's store and runs
+    as the per-op path does.  It runs
     :meth:`~repro.makespan.distribution.DiscreteDistribution.convolve`
     or :meth:`~repro.makespan.distribution.DiscreteDistribution.max_with`
-    on operands the tape order has already filled in.  Each step's
-    operands are fixed by the tape, so either replay is bit-identical to
-    the scalar recursion.
+    on operands already in the cell's store.  Each slot's operands are
+    fixed by the table, so either walk is bit-identical to the scalar
+    recursion.
     """
     prof = _profile.ACTIVE
     if prof is not None:
         prof.record("pool_exec", len(work))
     if _native.enabled():
-        work = _replay_native(work, max_atoms, prof)
-    for state, plan in work:
+        work = _replay_native(work, table.array(), max_atoms, prof)
+    steps = table.steps
+    for state, root in work:
         values = state.store()
-        for key, kind, a, b in plan.steps:
-            if key in values:
-                continue
-            if kind == _CONV:
-                values[key] = values[a].convolve(values[b], max_atoms)
+        if root in values:
+            continue
+        stack = [root]
+        while stack:
+            s = stack[-1]
+            kind, a, b = steps[3 * s : 3 * s + 3]
+            if a not in values:
+                stack.append(a)
+            elif b not in values:
+                stack.append(b)
             else:
-                values[key] = values[a].max_with(values[b], max_atoms)
+                if kind == _CONV:
+                    values[s] = values[a].convolve(values[b], max_atoms)
+                else:
+                    values[s] = values[a].max_with(values[b], max_atoms)
+                stack.pop()
 
 
 def pathapprox_plan_batch(
@@ -432,36 +427,41 @@ def pathapprox_plan_batch(
     max_atoms: int = DEFAULT_MAX_ATOMS,
     rtol: float = 2e-4,
 ) -> np.ndarray:
-    """PATHAPPROX over every cell of a template via compiled fold plans.
+    """PATHAPPROX over every cell of a template via one step table.
 
     Every active cell shares the same lockstep budget sequence (32, 64,
-    ...): each round enumerates the cells' paths, compiles or reuses
-    their plans, and replays them through one :func:`execute_plans`
-    pass.  Per-cell control flow — stall counting, exhaustion, the
-    ``k=None`` / explicit-k / wide-DAG single-shot branches — replicates
+    ...): each round enumerates the cells' paths as rank-space masks,
+    compiles each cell's fold into the call's step table (one
+    :func:`compile_fold_plan` call per cell and round, through memos
+    shared by every round and, per variance order, by every cell), and
+    evaluates the roots through one :func:`execute_plans` pass.  The
+    table, memos and slot stores are dropped on return.  Per-cell
+    control flow — stall counting, exhaustion, the ``k=None`` /
+    explicit-k / wide-DAG single-shot branches — replicates
     ``_adaptive_estimate`` exactly, so results are bit-identical to the
     scalar reference.
     """
     n = template.n
+    n_cells = template.n_cells
     sinks = template.sinks()
-    cache = template.plan_cache()
-    table = cache.get(_SLOTS)
-    if table is None:
-        table = cache[_SLOTS] = _SlotTable(n)
+    table = _StepTable(n)
+    orders: Dict[Tuple[int, ...], _Order] = {}
     point0 = DiscreteDistribution.point(0.0)
     node_rows = [
         two_state_rows(template.base[:, j], template.long[:, j], template.p[:, j])
         for j in range(n)
     ]
-    states = [
-        _CellRun(
-            [point0, *(rows[c] for rows in node_rows)],
-            table,
-            template.means[c],
-            template.variances[c],
-        )
-        for c in range(template.n_cells)
-    ]
+    variances = template.variances
+    var_rank = np.empty((n_cells, n), dtype=np.int64)
+    states = []
+    for c in range(n_cells):
+        var = variances[c]
+        node = tuple(sorted(range(n), key=lambda v: (var[v], v)))
+        var_rank[c, node] = np.arange(n)
+        order = orders.get(node)
+        if order is None:
+            order = orders[node] = _Order(table, node)
+        states.append(_CellRun([point0, *(rows[c] for rows in node_rows)], order))
     adaptive = k is None and n <= SINGLE_SHOT_N
     if k is not None:
         budget = k
@@ -471,39 +471,28 @@ def pathapprox_plan_batch(
         budget = INITIAL_PATHS
     cap = max(8 * n, 2 * INITIAL_PATHS)
     first = True
-    pending = states
+    pending = list(range(n_cells))
     while pending:
         paths_cells = _k_best_paths_cells(
-            template.preds, sinks, np.stack([st.means for st in pending]), budget
+            template.preds, sinks, template.means[pending], budget,
+            var_rank[pending],
         )
-        work: List[Tuple[_CellRun, FoldPlan]] = []
-        for st, paths in zip(pending, paths_cells):
+        work: List[Tuple[_CellRun, int]] = []
+        for c, paths in zip(pending, paths_cells):
             if not paths:
                 raise EvaluationError("DAG has no source-to-sink path")
+            st = states[c]
             st.exhausted = len(paths) < budget
-            # Path nodes are distinct, so summing their powers of two is
-            # the OR; a plain loop beats functools.reduce on this path.
-            masks = []
-            for p in paths:
-                m = 0
-                for v in p:
-                    m += 1 << v
-                masks.append(m)
-            pathset = tuple(masks)
-            sig = ("fold", frozenset(pathset), st.var_key)
-            plan = cache.get(sig)
-            if plan is None:
-                plan = cache[sig] = compile_fold_plan(pathset, st.var_rank)
-            work.append((st, plan))
-        execute_plans(work, max_atoms)
+            work.append((st, compile_fold_plan(st.order, paths)))
+        execute_plans(work, table, max_atoms)
         # Fold the round into each cell's schedule, as _adaptive_estimate
         # does: a refinement within rtol counts a stall, ADAPTIVE_STALLS
         # consecutive stalls stop the cell, and exhaustion or the cap
         # stop it after this budget.  A stopped cell keeps only its
         # estimate: its slot store is dropped.
         still = []
-        for st, plan in work:
-            refined = st.mean(plan.root)
+        for c, (st, root) in zip(pending, work):
+            refined = st.mean(root)
             stalled = False
             if adaptive and not first:
                 if abs(refined - st.estimate) <= rtol * max(
@@ -515,7 +504,7 @@ def pathapprox_plan_batch(
                     st.stalls = 0
             st.estimate = refined
             if adaptive and budget < cap and not st.exhausted and not stalled:
-                still.append(st)
+                still.append(c)
             else:
                 st.arena = st.values = None
         first = False

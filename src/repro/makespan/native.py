@@ -9,12 +9,14 @@ run the python path (native disabled, build unavailable, or the kernel
 declined an input it cannot reproduce exactly — the reference then
 raises the reference error).
 
-:func:`replay_tape` is the one entry that is not a single op: it runs a
-cell's whole lowered fold tape (:mod:`repro.makespan.foldplan`) through
-the same convolve and max routines in one C call, writing into the
-cell's slot arena.  It stops early when a step needs more arena (the
-caller grows it and resumes) or declines (the caller finishes the cell
-on the python kernels, which meet that step as the per-op path does).
+:func:`replay_tape` is the one entry that is not a single op: it
+evaluates one cell's fold root on demand over a compiled step table
+(:mod:`repro.makespan.foldplan`), running the root's unfilled closure
+through the same convolve and max routines in one C call and writing
+into the cell's slot arena.  It stops early when a step needs more
+arena (the caller grows it and calls again from the root) or declines
+(the caller finishes the cell on the python kernels, which meet that
+step as the per-op path does).
 
 Build strategy: compiled on first use with the system C compiler into a
 shared object cached under ``~/.cache/repro-native`` (override with
@@ -37,8 +39,9 @@ Profiling: when a :mod:`repro.makespan.profile` collector is active,
 each wrapper records ``native_<op>`` rows it served and
 ``native_miss_<op>`` rows that fell back, so ``--profile`` and
 BENCH_kernel.json show exactly how much work the compiled path
-absorbed; the fold replay records the convolve and max steps its tape
-calls ran as ``native_convolve`` and ``native_max`` rows.
+absorbed; the fold replay records the convolve and max steps its
+:func:`replay_tape` calls ran as ``native_convolve`` and ``native_max``
+rows.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ __all__ = [
 OPS = ("convolve", "max", "truncate")
 
 #: Bump together with REPRO_NATIVE_ABI in ``_native.c``.
-_ABI = 2
+_ABI = 3
 
 #: Stop statuses of :func:`replay_tape` (``TAPE_*`` in ``_native.c``).
 TAPE_DONE = 0
@@ -160,7 +163,7 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.repro_truncate_adaptive.argtypes = [ptr, ptr, ll, ll, ptr, ptr]
     lib.repro_truncate_adaptive.restype = ll
     lib.repro_replay_tape.argtypes = [
-        ptr, ll, ptr, ptr, ptr, ptr, ll, ll, ptr, ptr
+        ptr, ll, ll, ptr, ptr, ptr, ptr, ll, ll, ptr, ptr
     ]
     lib.repro_replay_tape.restype = ll
 
@@ -441,25 +444,29 @@ def truncate_dist(dist, max_atoms: int):
     return _wrap_dist(out_v[:n], out_p[:n], (ov, op))
 
 
-def replay_tape(tape, off, length, values, probs, max_atoms, cursor, ran):
-    """Replay a lowered fold tape into a cell's slot arena in one call.
+def replay_tape(table, root, off, length, values, probs, max_atoms, cursor, ran):
+    """Evaluate slot ``root`` of one cell over a fold's step table.
 
-    ``tape`` is the int32 ``(kind, a, b, out)`` quadruples of
-    :mod:`repro.makespan.foldplan`; ``off`` and ``length`` (int64) place
-    each slot in the ``values``/``probs`` planes (float64, equal size),
-    ``length`` 0 marking an unfilled slot; ``cursor`` (int64) is the step
-    to start at, the atoms in use and, after :data:`TAPE_GROW`, the atoms
-    needed; ``ran`` (int64) counts the convolve and max steps run.
-    Returns :data:`TAPE_DONE`, :data:`TAPE_GROW` or :data:`TAPE_DECLINE`
-    with ``cursor[0]`` at the step it stopped on (see
-    ``repro_replay_tape`` in ``_native.c``).  Call only while
-    :func:`enabled`.
+    ``table`` is the int32 ``(kind, a, b)`` triple of every slot of
+    :mod:`repro.makespan.foldplan`'s step table (kind 0 convolve, 1 max;
+    the leaf slots come first and are never computed); ``off`` and
+    ``length`` (int64, at least one entry per slot) place each slot in
+    the ``values``/``probs`` planes (float64, equal size), ``length`` 0
+    marking an unfilled slot; ``cursor`` (int64) holds the atoms in use
+    and, after :data:`TAPE_GROW`, the atoms needed; ``ran`` (int64)
+    counts the convolve and max steps run.  Only the root's unfilled
+    closure runs, depth first with ``a`` before ``b``.  Returns
+    :data:`TAPE_DONE`, :data:`TAPE_GROW` (grow the planes and call
+    again) or :data:`TAPE_DECLINE` (see ``repro_replay_tape`` in
+    ``_native.c``).  Call only while :func:`enabled`.
     """
-    if tape.size and int(tape.max()) >= length.size:
-        raise ValueError("tape names a slot the arena does not hold")
+    nslots = table.size // 3
+    if length.size < nslots or off.size < nslots:
+        raise ValueError("the step table has slots the arena does not hold")
     return _c_tape(
-        tape.ctypes.data,
-        tape.size // 4,
+        table.ctypes.data,
+        nslots,
+        int(root),
         off.ctypes.data,
         length.ctypes.data,
         values.ctypes.data,

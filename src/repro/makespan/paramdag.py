@@ -12,7 +12,10 @@ Batch-capable evaluators consume the template directly (means/variances
 are precomputed as arrays, the per-node 2-state atom laws are built in
 one vectorised pass); everything else can materialise any cell as an
 ordinary :class:`~repro.makespan.probdag.ProbDAG` via :meth:`cell`,
-which reproduces the source DAG of that cell bit for bit.
+which reproduces the source DAG of that cell bit for bit.  A template
+holds data only: evaluators keep their compiled state (PATHAPPROX's step
+table, :mod:`repro.makespan.foldplan`) for the length of one call, not
+on the template.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ class ParamDAG:
         "p",
         "_means",
         "_variances",
-        "_plan_cache",
     )
 
     def __init__(
@@ -99,7 +101,6 @@ class ParamDAG:
         self.p = p
         self._means: np.ndarray = None  # type: ignore[assignment]
         self._variances: np.ndarray = None  # type: ignore[assignment]
-        self._plan_cache: dict = None  # type: ignore[assignment]
 
     # ------------------------------------------------------------------
     # constructors
@@ -191,20 +192,6 @@ class ParamDAG:
             d = self.long - self.base
             self._variances = self.p * (1.0 - self.p) * d * d
         return self._variances
-
-    def plan_cache(self) -> dict:
-        """Mutable store for compiled evaluation plans, keyed by plan
-        signature (see :mod:`repro.makespan.foldplan`).
-
-        Plans depend only on structure and on signatures derived from
-        the parameter matrices (path sets, variance orders), both fixed
-        for a template's lifetime, so caching them here lets every
-        evaluation of the template — and every budget doubling within
-        one evaluation — reuse earlier compilations.
-        """
-        if self._plan_cache is None:
-            self._plan_cache = {}
-        return self._plan_cache
 
     def sinks(self) -> List[int]:
         """Indices of nodes without successors."""

@@ -127,16 +127,24 @@ def _k_best_paths_cells(
     sinks: Sequence[int],
     means: np.ndarray,
     k: int,
-) -> List[List[List[int]]]:
-    """:func:`k_longest_paths` for many cells sharing one structure.
+    var_rank: np.ndarray,
+) -> List[List[int]]:
+    """:func:`k_longest_paths` for many cells sharing one structure,
+    each path returned as a node mask in its cell's rank space.
 
-    ``means`` has shape ``(cells, n)``; the result holds each cell's
-    path list.  The K-best DP runs with a leading cell axis — the entry
-    counts kept per node are structure-determined, so every cell's
-    arrays stack — and each row's ``argpartition``/stable ``argsort``
-    applies the scalar call's algorithm to the scalar call's data, so
-    the enumerated paths match the per-cell reference exactly (pinned
-    by the evaluator parity tests).
+    ``means`` has shape ``(cells, n)``.  ``var_rank`` has the same shape
+    and holds a permutation of ``range(n)`` per row: node ``v`` of cell
+    ``c`` is bit ``var_rank[c, v]`` of that cell's masks, so the result holds, per
+    cell, one python int per path in the scalar call's path order.  The
+    K-best DP runs with a leading cell axis — the entry counts kept per
+    node are structure-determined, so every cell's arrays stack — and
+    each row's ``argpartition``/stable ``argsort`` applies the scalar
+    call's algorithm to the scalar call's data, so the enumerated paths
+    match the per-cell reference exactly (pinned by the evaluator parity
+    tests).  The walk back from the sinks ORs each node's bit into its
+    path's mask in numpy, over 63-bit words (an int64 holds each word
+    exactly), so any ``n`` works; only the finished words become python
+    ints.
     """
     if k < 1:
         raise EvaluationError(f"k must be >= 1, got {k}")
@@ -198,23 +206,30 @@ def _k_best_paths_cells(
     v_cur = node_col[cols]
     r_cur = rank_col[cols]
     ci_idx = np.arange(c)[:, None]
-    trail: List[np.ndarray] = []
+    # Each node's bit in its cell's mask words: bit[w, c, v] is node v's
+    # bit if word w holds it, else 0; column n, the walk's -1 padding,
+    # stays 0.  Path nodes are distinct, so adding their bits is the OR.
+    words = -(-n // 63)
+    bit = np.zeros((words, c, n + 1), dtype=np.int64)
+    bit[var_rank // 63, ci_idx, np.arange(n)] = np.left_shift(1, var_rank % 63)
+    masks = np.zeros((words, c, kk), dtype=np.int64)
     while True:
-        trail.append(v_cur)
         active = v_cur != -1
         if not active.any():
             break
+        masks += bit[:, ci_idx, v_cur]
         safe_v = np.where(active, v_cur, 0)
         safe_r = np.where(active, r_cur, 0)
         v_cur = np.where(active, pred_tab[safe_v, ci_idx, safe_r], -1)
         r_cur = rank_tab[safe_v, ci_idx, safe_r]
-    arr = np.stack(trail)  # (depth, cells, kk), -1-padded past each end
-    lens = (arr != -1).sum(axis=0).tolist()
-    seqs = arr.transpose(1, 2, 0).tolist()
-    return [
-        [seq[d - 1 :: -1] for seq, d in zip(row_seqs, row_lens)]
-        for row_seqs, row_lens in zip(seqs, lens)
-    ]
+    out = masks[0].tolist()
+    for w in range(1, words):
+        shift = 63 * w
+        out = [
+            [low | (high << shift) for low, high in zip(row, high_row)]
+            for row, high_row in zip(out, masks[w].tolist())
+        ]
+    return out
 
 
 def _path_sum(
@@ -385,12 +400,12 @@ def pathapprox_batch(
     result array is **bit-identical** to evaluating each materialised
     cell with :func:`pathapprox` (pinned by the batch-parity tests).
 
-    The heavy lifting happens in :mod:`repro.makespan.foldplan`: the
-    fold recursion is compiled once per (path set, variance order)
-    signature into a flat op tape cached on the template, and each
-    cell's tape is replayed in order through the scalar kernels.  The
-    adaptive-k schedule runs the batch in lockstep with per-cell
-    stall/exhaustion tracking, replicating the scalar
+    The heavy lifting happens in :mod:`repro.makespan.foldplan`: each
+    cell's fold is compiled into one step table per call, through memos
+    shared by every budget round and by the cells of a variance order,
+    and each cell's root is evaluated on demand through the scalar
+    kernels.  The adaptive-k schedule runs the batch in lockstep with
+    per-cell stall/exhaustion tracking, replicating the scalar
     :func:`_adaptive_estimate` control flow exactly.
     """
     n_cells = template.n_cells

@@ -5,12 +5,21 @@ from __future__ import annotations
 
 import contextlib
 import inspect
+import os
 
 import pytest
 
 from repro.engine.pipeline import Pipeline
 from repro.mspg.graph import Workflow
 from repro.platform import Platform
+
+
+def fuzz_examples(count: int) -> int:
+    """Hypothesis ``max_examples`` for a fuzz test: ``count`` times
+    ``REPRO_FUZZ_SCALE`` (default 1).  Tier-1 runs the bounded slice;
+    a long run (CI's ``fuzz-long`` job sets 10) draws more of the
+    domain with no edit to the tests."""
+    return count * int(os.environ.get("REPRO_FUZZ_SCALE", "1"))
 
 
 def add_data_edge(wf: Workflow, u: str, v: str, size: float = 1e6) -> str:

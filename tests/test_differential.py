@@ -12,7 +12,8 @@ same error type.  Monte Carlo runs under both eval-seed policies, and a
 sample of the engine cases runs on a process pool.
 
 The slices here are bounded and derandomized so tier-1 stays fast and
-reproducible; raise ``max_examples`` for a long local run.
+reproducible; set ``REPRO_FUZZ_SCALE`` (``conftest.fuzz_examples``) for
+a long run.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from repro.engine import ProcessPoolBackend, SweepSpec, run_specs
 from repro.generators.random_mspg import random_tree, workflow_from_tree
 from repro.workloads import FileSource
 
-from conftest import oracle_route
+from conftest import fuzz_examples, oracle_route
 
 PFAILS = (0.0, 1e-4, 1e-2, 0.5, 0.999)
 CCRS = (0.0, 1e-3, 1.0, 50.0)
@@ -94,7 +95,7 @@ def pool():
 
 class TestEngineDifferential:
     @settings(
-        max_examples=200,
+        max_examples=fuzz_examples(200),
         deadline=None,
         derandomize=True,
         suppress_health_check=[HealthCheck.too_slow],
@@ -122,7 +123,7 @@ class TestEngineDifferential:
         assert outcome(spec) == oracle_outcome(spec)
 
     @settings(
-        max_examples=20,
+        max_examples=fuzz_examples(20),
         deadline=None,
         derandomize=True,
         suppress_health_check=[HealthCheck.too_slow],
@@ -154,7 +155,7 @@ class TestEngineDifferential:
         assert pooled == oracle_outcome(spec)
 
     @settings(
-        max_examples=100,
+        max_examples=fuzz_examples(100),
         deadline=None,
         derandomize=True,
         suppress_health_check=[HealthCheck.too_slow],

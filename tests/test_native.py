@@ -12,10 +12,12 @@ Five contracts are pinned here:
 * **golden records** — six baseline family grids sweep to records
   byte-identical to PR 9 HEAD (values pinned as hex float literals),
   with the native kernels on and off.
-* **fold replay** — the C tape replay prices random templates exactly
-  as the python loop does; a cell whose step declines finishes on that
-  loop, arenas grow mid-tape, and the kernel counters match the loop's
-  op for op.
+* **fold replay** — the C demand replay over a call's step table
+  prices random and wide templates exactly as the python loop does; a
+  cell whose step declines finishes on that loop, arenas grow mid-walk,
+  a malformed table declines, every step is compiled and run once
+  across budget rounds, the kernel counters match the loop's op for op,
+  and a call leaves no cyclic garbage.
 * **graceful degradation** — a failed build warns once on stderr,
   names the fallback, and leaves every operation serving from the
   python path; ``repro kernels`` and ``native.status()`` report which
@@ -25,6 +27,7 @@ Five contracts are pinned here:
   store through JSONL.
 """
 
+import gc
 import os
 import pickle
 import subprocess
@@ -42,7 +45,9 @@ from repro.makespan import foldplan, native
 from repro.makespan import profile as kernel_profile
 from repro.makespan.distribution import DiscreteDistribution
 from repro.makespan.paramdag import ParamDAG
-from repro.makespan.pathapprox import pathapprox_batch
+from repro.makespan.pathapprox import pathapprox, pathapprox_batch
+
+from conftest import fuzz_examples
 
 HAVE_NATIVE = native.available()
 
@@ -250,6 +255,31 @@ def replay_case(draw):
     return template, draw(st.integers(1, 6)), draw(st.integers(1, 6))
 
 
+@st.composite
+def column_case(draw):
+    """``(a, b, max_atoms)`` with more atoms in ``a`` than in ``b``: the
+    convolve's column layout.  Atoms sit on a coarse grid (exactly tied
+    sums across rows and columns), and one operand may sit near up to
+    1e16, where an ulp exceeds the grid step, so sums of distinct atoms
+    also tie by rounding.  Masses differ, so the order in which tied
+    atoms merge shows in the last bits."""
+    nb = draw(st.integers(1, 6))
+    na = draw(st.integers(nb + 1, 40))
+    step = draw(st.sampled_from([1.0, 0.5, 0.25, 3.0]))
+    offset = draw(st.sampled_from([0.0, 1e6, 2.0**52, 1e15, 1e16]))
+
+    def dist(n, shift):
+        grid = draw(st.lists(st.integers(-48, 48), min_size=n, max_size=n,
+                             unique=True))
+        masses = draw(st.lists(st.floats(1e-6, 1.0), min_size=n, max_size=n))
+        return DiscreteDistribution([shift + step * x for x in grid], masses)
+
+    big_first = draw(st.booleans())
+    a = dist(na, offset if big_first else 0.0)
+    b = dist(nb, 0.0 if big_first else offset)
+    return a, b, draw(st.integers(1, 2 * na * nb))
+
+
 def assert_same_outcome(got, ref):
     """Both paths raised (``both_backends`` compared the errors) or both
     returned the same atoms."""
@@ -269,25 +299,33 @@ class TestNativeDifferentialFuzz:
     error on both sides)."""
 
     @given(fuzz_case())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=fuzz_examples(150), deadline=None)
     def test_convolve(self, case):
         a, b, max_atoms = case
         assert_same_outcome(*both_backends(lambda: a.convolve(b, max_atoms)))
 
     @given(fuzz_case())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=fuzz_examples(150), deadline=None)
     def test_max_with(self, case):
         a, b, max_atoms = case
         assert_same_outcome(*both_backends(lambda: a.max_with(b, max_atoms)))
 
     @given(fuzz_case())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=fuzz_examples(150), deadline=None)
     def test_truncate(self, case):
         a, _b, max_atoms = case
         assert_same_outcome(*both_backends(lambda: a.truncate(max_atoms)))
 
+    @given(column_case())
+    @settings(max_examples=fuzz_examples(150), deadline=None)
+    def test_convolve_column_ties(self, case):
+        """The column layout (more atoms in the first operand) merges
+        tied sums in flat-index order, as numpy's stable argsort does."""
+        a, b, max_atoms = case
+        assert_same_outcome(*both_backends(lambda: a.convolve(b, max_atoms)))
+
     @given(replay_case())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=fuzz_examples(60), deadline=None)
     def test_fold_replay(self, case):
         """The C tape replay against the python loop, adaptive and with
         a pinned path budget."""
@@ -299,18 +337,29 @@ class TestNativeDifferentialFuzz:
             assert [v.hex() for v in got] == [v.hex() for v in ref]
 
 
+def layered_template(widths, n_cells, seed):
+    """Layers of the given widths, each node joined to every node of the
+    layer before; random 2-state laws per cell."""
+    preds, prev = [], []
+    for width in widths:
+        layer = list(range(len(preds), len(preds) + width))
+        preds += [list(prev) for _ in layer]
+        prev = layer
+    n = len(preds)
+    succs = [[v for v in range(n) if u in preds[v]] for u in range(n)]
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(1.0, 10.0, (n_cells, n))
+    return ParamDAG(
+        [f"t{v}" for v in range(n)], preds, succs, base,
+        base * rng.uniform(1.2, 3.0, (n_cells, n)),
+        rng.uniform(0.05, 0.5, (n_cells, n)),
+    )
+
+
 def replay_template(n_cells=4, seed=0):
     """Four layers of two nodes, each joined to both nodes of the layer
     before (16 paths, so the first budget holds every node)."""
-    preds = [[]] * 2 + [[2 * d, 2 * d + 1] for d in range(3) for _ in range(2)]
-    succs = [[v for v in range(8) if u in preds[v]] for u in range(8)]
-    rng = np.random.default_rng(seed)
-    base = rng.uniform(1.0, 10.0, (n_cells, 8))
-    return ParamDAG(
-        [f"t{v}" for v in range(8)], preds, succs, base,
-        base * rng.uniform(1.2, 3.0, (n_cells, 8)),
-        rng.uniform(0.05, 0.5, (n_cells, 8)),
-    )
+    return layered_template([2] * 4, n_cells, seed)
 
 
 @needs_native
@@ -370,15 +419,17 @@ class TestNativeReplay:
 
     def test_every_arena_grows_mid_tape(self, monkeypatch):
         """Arenas that start at their leaf laws' size grow on their first
-        step and resume there; the results still equal the python
-        loop's."""
+        step and the walk resumes from the root; the results still equal
+        the python loop's."""
         template = replay_template(n_cells=5, seed=1)
         monkeypatch.setattr(foldplan, "_ARENA_ATOMS", 1)
         real = native.replay_tape
         grown = set()
 
-        def counted(tape, off, length, values, probs, max_atoms, cursor, ran):
-            status = real(tape, off, length, values, probs, max_atoms, cursor, ran)
+        def counted(table, root, off, length, values, probs, max_atoms,
+                    cursor, ran):
+            status = real(table, root, off, length, values, probs,
+                          max_atoms, cursor, ran)
             if status == native.TAPE_GROW:
                 grown.add(id(cursor))
             return status
@@ -387,6 +438,93 @@ class TestNativeReplay:
         got, ref = both_backends(lambda: pathapprox_batch(template))
         assert [v.hex() for v in got] == [v.hex() for v in ref]
         assert len(grown) == template.n_cells
+
+    def test_rows_equal_the_tables_steps(self, monkeypatch):
+        """One cell over three budget rounds (seven layers of two nodes:
+        128 paths against budgets of 32, 64 and 128) shares one step
+        table, and no step is compiled or run twice across the rounds:
+        the native rows, and the python loop's kernel calls, equal the
+        table's convolve and max slots; each later round adds fewer
+        slots than its fold compiled alone; and compiling a round's
+        paths again adds nothing and returns that round's root."""
+        template = layered_template([2] * 7, n_cells=1, seed=3)
+        leaves = template.n + 1
+        rounds, sizes = [], []
+        real_compile = foldplan.compile_fold_plan
+        real_execute = foldplan.execute_plans
+
+        def compile_fold_plan(order, paths):
+            root = real_compile(order, paths)
+            rounds.append((order, list(paths), root))
+            return root
+
+        def execute_plans(work, table, max_atoms):
+            sizes.append((table, len(table.steps) // 3))
+            return real_execute(work, table, max_atoms)
+
+        monkeypatch.setattr(foldplan, "compile_fold_plan", compile_fold_plan)
+        monkeypatch.setattr(foldplan, "execute_plans", execute_plans)
+
+        def counters(flag):
+            native.set_enabled(flag)
+            rounds.clear()
+            sizes.clear()
+            prof = kernel_profile.enable()
+            try:
+                pathapprox_batch(template)
+            finally:
+                kernel_profile.disable()
+            return prof.counters
+
+        on = counters(True)
+        assert len(rounds) == 3 and len({id(t) for t, _ in sizes}) == 1
+        table = sizes[0][0]
+        kinds = table.steps[3 * leaves :: 3]
+        assert on["native_convolve"]["rows"] == kinds.count(0) > 0
+        assert on["native_max"]["rows"] == kinds.count(1) > 0
+        added = np.diff([leaves] + [size for _t, size in sizes])
+        for (order, paths, _root), new in list(zip(rounds, added))[1:]:
+            alone = foldplan._StepTable(template.n)
+            real_compile(foldplan._Order(alone, order.node), paths)
+            assert 0 < new < len(alone.steps) // 3 - leaves
+        total = len(table.steps)
+        for order, paths, root in rounds:
+            assert real_compile(order, paths) == root
+        assert len(table.steps) == total
+        off = counters(False)
+        assert off["convolve"]["calls"] == kinds.count(0)
+        assert off["max"]["calls"] == kinds.count(1)
+
+    @pytest.mark.parametrize(
+        "steps, root",
+        [
+            ([(0, 0, 4), (0, 3, 1)], 4),  # slot 3 reads the later slot 4
+            ([(0, 3, 1)], 3),  # slot 3 reads itself
+            ([(0, -1, 1)], 3),  # a negative operand
+            ([(2, 1, 2)], 3),  # no such kind
+            ([(0, 1, 2)], 4),  # the root is past the table
+            ([(0, 1, 2)], -1),
+        ],
+        ids=["later", "self", "negative", "kind", "root-past", "root-negative"],
+    )
+    def test_malformed_table_declines(self, steps, root):
+        """A step whose operand does not index an earlier slot, an
+        unknown kind or a root outside the table declines before any
+        kernel runs, so a cycle cannot grow the walk's stack."""
+        native.set_enabled(True)
+        assert native.enabled()  # loads the library
+        leaves = [
+            DiscreteDistribution.point(0.0),
+            DiscreteDistribution([1.0, 2.0], [0.5, 0.5]),
+            DiscreteDistribution([3.0, 5.0], [0.25, 0.75]),
+        ]
+        arena = foldplan._Arena(leaves)
+        table = np.array([-1] * 9 + [x for step in steps for x in step],
+                         dtype=np.int32)
+        ran = np.zeros(2, dtype=np.int64)
+        assert not arena.replay(table, root, 8, ran)
+        assert ran.tolist() == [0, 0]
+        assert arena.length[3:].tolist() == [0] * (arena.length.size - 3)
 
     def test_counters_match_the_python_loop(self):
         """Each tape step is one native row, as each python-loop step is
@@ -411,6 +549,53 @@ class TestNativeReplay:
         assert on["native_max"]["rows"] == off["max"]["calls"] > 0
         assert on["pool_exec"] == off["pool_exec"]
         assert not any(op.startswith("native_miss_") for op in on)
+
+
+class TestStepTable:
+    """The step table's call-scoped state and its rank-space masks."""
+
+    @pytest.mark.parametrize(
+        "use_native",
+        [pytest.param(True, marks=needs_native), False],
+        ids=["native", "python"],
+    )
+    def test_no_cyclic_garbage(self, use_native):
+        """The compile memos, step table and slot stores are plain
+        objects without reference cycles: a call leaves nothing for the
+        cycle collector (an 18-node, 4-cell template)."""
+        native.set_enabled(use_native)
+        template = layered_template([2] * 9, n_cells=4, seed=0)
+        pathapprox_batch(template)  # imports and the native build
+        gc.collect()
+        gc.disable()
+        try:
+            pathapprox_batch(template)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @needs_native
+    @pytest.mark.parametrize(
+        "widths",
+        [
+            [1] * 6 + [3] + [1] * 12 + [3] + [1] * 12 + [3] + [1] * 12
+            + [3] + [1] * 16,
+            [1] * 12 + [3] + [1] * 30 + [3] + [1] * 30 + [3] + [1] * 30
+            + [3] + [1] * 26,
+        ],
+        ids=["70-nodes", "140-nodes"],
+    )
+    @pytest.mark.parametrize("k", [None, 20], ids=["adaptive", "k20"])
+    def test_wide_templates_span_mask_words(self, widths, k):
+        """70 and 140 nodes: path masks of two and three 63-bit words,
+        81 paths of three budget rounds.  Native on, native off and the
+        per-cell scalar estimator agree under ``float.hex``."""
+        template = layered_template(widths, n_cells=2, seed=len(widths))
+        assert template.n == sum(widths) in (70, 140)
+        got, ref = both_backends(lambda: pathapprox_batch(template, k=k))
+        scalar = [pathapprox(template.cell(c), k=k) for c in range(2)]
+        assert [v.hex() for v in got] == [v.hex() for v in ref]
+        assert [v.hex() for v in ref] == [v.hex() for v in scalar]
 
 
 #: Six baseline grids, golden em_some/em_all/em_none pinned from PR 9
