@@ -3,14 +3,18 @@
 Times the PATHAPPROX fold as the per-cell scalar reference against the
 compiled fold-plan replay
 (:func:`~repro.makespan.pathapprox.pathapprox_batch`) on a real MONTAGE
-structure group, and each distribution primitive (convolve / max /
-truncate) as a per-row loop with the compiled kernels
-(:mod:`repro.makespan.native`) enabled and disabled.  All comparisons
-assert bit-identical results before any timing is reported.
+structure group, Clark's fold
+(:func:`~repro.makespan.normal.normal_batch`) in numpy against the C
+fold on a real GENOME-300 segment-DAG template, and each distribution
+primitive (convolve / max / truncate) as a per-row loop with the
+compiled kernels (:mod:`repro.makespan.native`) enabled and disabled.
+All comparisons assert bit-identical results before any timing is
+reported.
 
 Each timed figure is the median of :data:`REPEATS` interleaved runs
-(the fold's scalar and replay columns alternate, and so do each
-primitive's native and python passes), with its first and third
+(the fold's scalar and replay columns alternate, and so do the Clark
+fold's and each primitive's native and python passes), with its first
+and third
 quartiles beside it (``<figure>_q1`` / ``<figure>_q3``), as in
 ``bench_eval_batch.py``.  One profiled replay pass collects the kernel
 counters into the ``profile_ops`` block.  The machine-readable summary
@@ -29,8 +33,10 @@ from typing import Callable, Dict, List
 import numpy as np
 
 from repro.engine import Pipeline
+from repro.experiments.figures import log_grid
 from repro.makespan import profile as kernel_profile
 from repro.makespan.distribution import DiscreteDistribution
+from repro.makespan.normal import normal_batch
 from repro.makespan.paramdag import ParamDAG
 from repro.makespan.pathapprox import pathapprox, pathapprox_batch
 from repro.util.rng import stable_seed
@@ -95,6 +101,60 @@ def fold_template() -> ParamDAG:
         groups.setdefault(ParamDAG.structure_key(dag), []).append(i)
     largest = max(groups.values(), key=len)
     return ParamDAG.from_dags([dags[i] for i in largest])
+
+
+def clark_template() -> ParamDAG:
+    """CKPTALL's segment-DAG template of a real GENOME-300 grid on 18
+    processors (GENOME-50 on 5 in smoke mode): every pfail and CCR cell
+    cuts the schedule the same way, as in ``perfbench``'s Normal grid."""
+    pipe = Pipeline()
+    family = "genome"
+    size, procs = (50, 5) if SMOKE else (300, 18)
+    wf = pipe.prepare(family, size, stable_seed(2017, family, size))
+    schedule = pipe.schedule_for(
+        wf, procs, seed=stable_seed(2017, family, size, procs),
+        tree=pipe.mspg_tree(wf),
+    )
+    pfails = (1e-3,) if SMOKE else (1e-2, 1e-3, 1e-4)
+    ccrs = (1e-3,) if SMOKE else log_grid(1e-4, 1e-2, 7)
+    dags = []
+    for pfail in pfails:
+        platform = pipe.platform_for(wf, procs, pfail, 100e6)
+        for ccr in ccrs:
+            scaled = pipe.scale(wf, platform, ccr)
+            plan = pipe.plan(scaled, schedule, platform, "all")
+            dags.append(pipe.segment_dag(scaled, schedule, plan, platform))
+    return ParamDAG.from_dags(dags)
+
+
+def bench_clark(template: ParamDAG) -> Dict[str, float]:
+    """Clark's fold over a template: the numpy fold (native off) against
+    one C call, interleaved, results equal under ``float.hex``."""
+    from repro.makespan import native
+
+    was_enabled = native.enabled()
+    walls: Dict[str, List[float]] = {"python_wall_s": [], "native_wall_s": []}
+    try:
+        for _ in range(REPEATS):
+            native.set_enabled(True)
+            folded = timed(lambda: normal_batch(template), walls["native_wall_s"])
+            native.set_enabled(False)
+            python = timed(lambda: normal_batch(template), walls["python_wall_s"])
+            assert [v.hex() for v in folded.tolist()] == [
+                v.hex() for v in python.tolist()
+            ], "clark fold"
+    finally:
+        native.set_enabled(was_enabled)
+    stats: Dict[str, float] = {
+        "cells": template.n_cells,
+        "nodes": template.n,
+        "edges": sum(len(ps) for ps in template.preds),
+        "repeats": REPEATS,
+        "backend": native.status()["ops"]["normal"],
+    }
+    stats.update(summarize_walls(walls))
+    stats["speedup"] = stats["python_wall_s"] / stats["native_wall_s"]
+    return stats
 
 
 def bench_fold(template: ParamDAG) -> Dict[str, Dict[str, float]]:
@@ -184,6 +244,7 @@ def profiled_replay(template: ParamDAG) -> Dict[str, object]:
 
 def compare() -> str:
     native = bench_native()
+    clark = bench_clark(clark_template())
     template = fold_template()
     fold = bench_fold(template)
     snap = profiled_replay(template)
@@ -200,6 +261,13 @@ def compare() -> str:
             f"native  {stats['native_wall_s']*1e3:8.2f}ms  "
             f"speedup {stats['speedup']:5.2f}x"
         )
+    lines.append(
+        f"  clark     {clark['backend']:<8} "
+        f"python {clark['python_wall_s']*1e3:8.2f}ms  "
+        f"native  {clark['native_wall_s']*1e3:8.2f}ms  "
+        f"speedup {clark['speedup']:5.2f}x  "
+        f"({clark['cells']} cells x {clark['nodes']} nodes)"
+    )
     for mode, stats in fold.items():
         lines.append(
             f"  fold      {mode:<8} scalar {stats['scalar_wall_s']:7.2f}s   "
@@ -215,6 +283,7 @@ def compare() -> str:
         "n_atoms": N_ATOMS,
         "budget": BUDGET,
         "native": native,
+        "clark_fold": clark,
         "fold": fold,
         "profile_ops": snap["ops"],
     }

@@ -15,7 +15,21 @@ from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 from repro.errors import CheckpointError
 
-__all__ = ["Segment", "CheckpointPlan"]
+__all__ = ["Segment", "CheckpointPlan", "check_segment_costs"]
+
+
+def check_segment_costs(
+    read_cost: float, compute: float, ckpt_cost: float
+) -> None:
+    """Raise :class:`CheckpointError` unless ``R``, ``W`` and ``C`` are
+    all ``>= 0`` (NaN fails), naming the first that is not."""
+    for name, v in (
+        ("read_cost", read_cost),
+        ("compute", compute),
+        ("ckpt_cost", ckpt_cost),
+    ):
+        if not (v >= 0) or v != v:
+            raise CheckpointError(f"segment {name} must be >= 0, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -46,13 +60,7 @@ class Segment:
     def __post_init__(self) -> None:
         if not self.tasks:
             raise CheckpointError("segment must contain at least one task")
-        for name, v in (
-            ("read_cost", self.read_cost),
-            ("compute", self.compute),
-            ("ckpt_cost", self.ckpt_cost),
-        ):
-            if not (v >= 0) or v != v:
-                raise CheckpointError(f"segment {name} must be >= 0, got {v!r}")
+        check_segment_costs(self.read_cost, self.compute, self.ckpt_cost)
 
     @property
     def span(self) -> float:

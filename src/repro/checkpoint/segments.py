@@ -46,6 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.checkpoint.plan import check_segment_costs
 from repro.errors import CheckpointError
 from repro.makespan.two_state import first_order_expected_time
 from repro.mspg.graph import Workflow
@@ -393,9 +394,9 @@ class ScheduleIncidence:
 class ScheduleCosts:
     """A schedule's segment costs at one set of file sizes (one CCR).
 
-    Span tables and segment ``(R, W, C)`` triples are computed on first
-    use and kept for the object's life, so every pfail of a CCR shares
-    them.  The engine builds one per CCR of one batched call.
+    Span tables and segment spans are computed on first use and kept
+    for the object's life, so every pfail of a CCR shares them.  The
+    engine builds one per CCR of one batched call.
     """
 
     __slots__ = (
@@ -404,7 +405,7 @@ class ScheduleCosts:
         "bandwidth",
         "save_final_outputs",
         "_tables",
-        "_segments",
+        "_spans",
     )
 
     def __init__(
@@ -419,7 +420,7 @@ class ScheduleCosts:
         self.bandwidth = bandwidth
         self.save_final_outputs = save_final_outputs
         self._tables: Dict[int, np.ndarray] = {}
-        self._segments: Dict[Tuple[int, int, int], Tuple[float, ...]] = {}
+        self._spans: Dict[Tuple[int, int, int], float] = {}
 
     def span_table(self, chain: int) -> np.ndarray:
         """``X(i, j)`` of superchain ``chain`` (shared; do not mutate)."""
@@ -431,13 +432,21 @@ class ScheduleCosts:
             self._tables[chain] = table
         return table
 
-    def segment(self, chain: int, i: int, j: int) -> Tuple[float, ...]:
-        """``(R, W, C)`` of slice ``[i..j]`` of superchain ``chain``."""
+    def span(self, chain: int, i: int, j: int) -> float:
+        """``X = R + W + C`` of slice ``[i..j]`` of superchain ``chain``.
+
+        Summed as :attr:`~repro.checkpoint.plan.Segment.span` sums the
+        slice's segment, after the segment's own cost check, so a
+        negative or NaN cost raises the same
+        :class:`~repro.errors.CheckpointError`.
+        """
         key = (chain, i, j)
-        costs = self._segments.get(key)
-        if costs is None:
-            costs = self.incidence.chains[chain].segment_costs(
+        span = self._spans.get(key)
+        if span is None:
+            incidence = self.incidence.chains[chain]
+            read_cost, compute, ckpt_cost = incidence.segment_costs(
                 self.sizes, self.bandwidth, self.save_final_outputs, i, j
             )
-            self._segments[key] = costs
-        return costs
+            check_segment_costs(read_cost, compute, ckpt_cost)
+            span = self._spans[key] = read_cost + compute + ckpt_cost
+        return span

@@ -15,14 +15,16 @@ Both plan builders share the segment cost model, so CKPTALL is exactly the
 can therefore never produce a superchain whose expected time exceeds
 CKPTALL's (tested property).
 
-:func:`plan_from_costs` builds either plan from a schedule's shared
+:func:`cuts_from_costs` gives either plan as its cut vector (:data:`Cuts`,
+the checkpoint positions of each superchain) from a schedule's shared
 :class:`~repro.checkpoint.segments.ScheduleCosts` instead of fresh cost
-models — the engine's batched path, bit-identical to the builders above.
+models — the engine's batched path, which builds no segment objects and
+cuts exactly where the builders above do.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.checkpoint.dp import dp_from_table, optimal_checkpoint_positions
 from repro.checkpoint.plan import CheckpointPlan
@@ -39,10 +41,31 @@ from repro.scheduling.schedule import Schedule, Superchain
 __all__ = [
     "ckpt_all_plan",
     "ckpt_some_plan",
-    "plan_from_costs",
+    "cuts_from_costs",
+    "Cuts",
     "plan_for_strategy",
     "STRATEGIES",
 ]
+
+#: A plan as the batched path holds it: per superchain, in schedule
+#: order, the 0-based positions after which a checkpoint is taken.
+Cuts = Tuple[Tuple[int, ...], ...]
+
+
+def _check_cover(sc: Superchain, positions: Sequence[int]) -> None:
+    """Checkpoint positions must cut ``sc`` into contiguous non-empty
+    slices that end at its last task."""
+    start = 0
+    for end in positions:
+        if end < start:
+            start = -1
+            break
+        start = end + 1
+    if start != len(sc.tasks):
+        raise CheckpointError(
+            f"checkpoint positions {list(positions)} do not cover superchain "
+            f"{sc.index} of length {len(sc.tasks)}"
+        )
 
 
 def _emit_segments(
@@ -53,6 +76,7 @@ def _emit_segments(
 ) -> None:
     """Cut ``sc`` after each of ``positions``; ``costs(i, j)`` gives the
     slice's ``(R, W, C)``."""
+    _check_cover(sc, positions)
     start = 0
     for end in positions:
         read_cost, compute, ckpt_cost = costs(start, end)
@@ -65,11 +89,6 @@ def _emit_segments(
             ckpt_cost=ckpt_cost,
         )
         start = end + 1
-    if start != len(sc.tasks):
-        raise CheckpointError(
-            f"checkpoint positions {positions} do not cover superchain "
-            f"{sc.index} of length {len(sc.tasks)}"
-        )
 
 
 def _model_costs(
@@ -116,34 +135,33 @@ def ckpt_some_plan(
     return plan
 
 
-def plan_from_costs(
+def cuts_from_costs(
     costs: ScheduleCosts, strategy: str, failure_rate: float
-) -> CheckpointPlan:
-    """``ckpt_all`` or ``ckpt_some`` plan from a schedule's shared costs.
+) -> Cuts:
+    """The ``ckpt_all`` or ``ckpt_some`` plan's cut vector from a
+    schedule's shared costs.
 
-    Bit-identical to :func:`ckpt_all_plan` / :func:`ckpt_some_plan` on
-    the workflow the costs were priced on, with ``failure_rate`` as the
-    platform's λ; the span tables and segment costs come from ``costs``
-    instead of fresh per-superchain cost models.
+    Per superchain: ``range(n)`` for CKPTALL, Algorithm 2's positions
+    for CKPTSOME, on the span tables of ``costs`` with ``failure_rate``
+    as the platform's λ — where :func:`ckpt_all_plan` /
+    :func:`ckpt_some_plan` cut on the workflow the costs were priced
+    on.  Positions that do not cover a superchain raise the
+    :class:`CheckpointError` :func:`_emit_segments` raises.
     """
     if strategy not in STRATEGIES:
         raise CheckpointError(
             f"unknown strategy {strategy!r}; choose from {sorted(STRATEGIES)}"
         )
-    plan = CheckpointPlan(strategy)
+    cuts = []
     for k, chain in enumerate(costs.incidence.chains):
         if strategy == "ckpt_all":
-            positions = list(range(chain.n))
+            positions = tuple(range(chain.n))
         else:
             table = expected_times(costs.span_table(k), failure_rate)
-            positions, _ = dp_from_table(table)
-        _emit_segments(
-            plan,
-            chain.superchain,
-            positions,
-            lambda i, j, k=k: costs.segment(k, i, j),
-        )
-    return plan
+            positions = tuple(dp_from_table(table)[0])
+            _check_cover(chain.superchain, positions)
+        cuts.append(positions)
+    return tuple(cuts)
 
 
 STRATEGIES: Dict[str, Callable[..., CheckpointPlan]] = {

@@ -21,13 +21,14 @@ group and shares what only part of a cell's inputs determine, for the
 length of the call:
 
 * CCR rescaling touches file sizes only, so each distinct CCR is
-  rescaled once, and its span tables ``X(i, j)``, segment costs and
-  CKPTALL plan are built once for every pfail — Eq. (2) uses λ only
-  through ``T = X(1 + λX/2)``; each cell runs Algorithm 2's recursion
-  and prices only its new segments;
-* every distinct (strategy, segmentation) gets one segment-DAG skeleton
-  whose rows are filled from the cells' segment spans, and is priced by
-  one batched evaluator call;
+  rescaled once, and its span tables ``X(i, j)`` and segment spans are
+  built once for every pfail — Eq. (2) uses λ only through
+  ``T = X(1 + λX/2)``; each cell runs Algorithm 2's recursion and holds
+  its plan as a cut vector, the checkpoint positions of each
+  superchain, without segment or plan objects;
+* every distinct (strategy, cut vector) gets one segment-DAG skeleton
+  whose rows are filled straight from the cells' segment costs, and is
+  priced by one batched evaluator call;
 * the CKPTNONE estimator (Theorem 1) contains no I/O term, so its value
   is cached across the CCR axis.
 
@@ -60,7 +61,7 @@ from typing import (
 from repro.ccr import scale_to_ccr
 from repro.checkpoint.plan import CheckpointPlan
 from repro.checkpoint.segments import ScheduleCosts, ScheduleIncidence
-from repro.checkpoint.strategies import STRATEGIES, plan_from_costs
+from repro.checkpoint.strategies import STRATEGIES, Cuts, cuts_from_costs
 from repro.engine.records import CellResult
 from repro.errors import ExperimentError
 from repro.generators import generate
@@ -363,13 +364,17 @@ class Pipeline:
         strategy: str = "some",
         save_final_outputs: bool = True,
         costs: Optional[ScheduleCosts] = None,
-    ) -> CheckpointPlan:
+    ) -> Union[CheckpointPlan, Cuts]:
         """One strategy's checkpoint plan on the (scaled) workflow.
 
+        Without ``costs``, fresh per-superchain cost models build the
+        plan as a :class:`CheckpointPlan` (the per-cell oracle).  With
         ``costs`` — the schedule's shared cost tables at ``workflow``'s
-        file sizes — prices the plan from those tables (the batched
-        path); without it, fresh per-superchain cost models do (the
-        per-cell oracle).  Both give bit-identical plans.
+        file sizes — the plan comes back as its cut vector
+        (:data:`~repro.checkpoint.strategies.Cuts`: per superchain, the
+        positions after which a checkpoint is taken), priced from those
+        tables without building segments (the batched path).  Both cut
+        every superchain at the same positions.
         """
         names = {"some": "ckpt_some", "all": "ckpt_all"}
         try:
@@ -381,7 +386,7 @@ class Pipeline:
             ) from None
         self.cache.count_compute("plan")
         if costs is not None:
-            return plan_from_costs(costs, name, platform.failure_rate)
+            return cuts_from_costs(costs, name, platform.failure_rate)
         return STRATEGIES[name](
             workflow, schedule, platform, save_final_outputs=save_final_outputs
         )
@@ -406,22 +411,23 @@ class Pipeline:
         self,
         workflow: Workflow,
         schedule: Schedule,
-        plan: CheckpointPlan,
+        plan: Union[CheckpointPlan, Cuts],
         platform: Platform,
-        cells: Optional[Sequence[Tuple[CheckpointPlan, Platform]]] = None,
+        cells: Optional[Sequence[Tuple[ScheduleCosts, Platform]]] = None,
     ) -> Union[ProbDAG, ParamDAG]:
         """2-state probabilistic segment DAG for one plan.
 
-        With ``cells`` — ``(plan, platform)`` pairs whose plans all cut
-        the schedule like ``plan`` — the DAG's structure is built once
-        and returned as one :class:`ParamDAG` with a row per cell,
-        filled straight from its segment spans (the batched path).
-        Without it, the per-cell oracle's :class:`ProbDAG`.
+        Without ``cells``, the per-cell oracle's :class:`ProbDAG` of the
+        :class:`CheckpointPlan` ``plan``.  With ``cells`` — ``(costs,
+        platform)`` pairs, one per cell, of cells whose plans all have
+        the cut vector ``plan`` — the DAG's structure is built once from
+        the cuts and returned as one :class:`ParamDAG` with a row per
+        cell, filled straight from its costs (the batched path).
         """
         self.cache.count_compute("build_dag")
         if cells is not None:
-            return SegmentDagSkeleton(workflow, plan).template(
-                [(p, pl.failure_rate) for p, pl in cells]
+            return SegmentDagSkeleton(workflow, schedule, plan).template(
+                [(costs, pl.failure_rate) for costs, pl in cells]
             )
         return build_segment_dag(workflow, schedule, plan, platform)
 
@@ -569,22 +575,22 @@ class Pipeline:
         """Run stages 4-6 for every ``(pfail, ccr, eval_seed)`` cell of
         one prepared (workflow, processors) group, batching evaluation.
 
-        Each distinct CCR is rescaled once, and its span tables, segment
-        costs and CKPTALL plan (:class:`ScheduleCosts`) serve every
-        pfail; per cell, only Algorithm 2's recursion and the costs of
-        segments no earlier cell priced run.  Each distinct
-        (strategy, segmentation) then gets one segment-DAG skeleton and
-        one :func:`expected_makespans` dispatch over its cells, whatever
-        the evaluator.  None of this outlives the call.  Records are
-        bit-identical to :meth:`evaluate_cell`'s (the per-cell oracle):
-        stochastic evaluators (Monte Carlo) receive the cells'
-        ``eval_seed`` streams one per cell, and an evaluator without a
-        vectorised batch prices the template cell by cell.
+        Each distinct CCR is rescaled once, and its span tables and
+        segment spans (:class:`ScheduleCosts`) serve every pfail; per
+        cell, only Algorithm 2's recursion and the spans of segments no
+        earlier cell priced run, and each plan is a cut vector.  Each
+        distinct (strategy, cut vector) then gets one segment-DAG
+        skeleton and one :func:`expected_makespans` dispatch over its
+        cells, whatever the evaluator.  None of this outlives the call.
+        Records are bit-identical to :meth:`evaluate_cell`'s (the
+        per-cell oracle): stochastic evaluators (Monte Carlo) receive the
+        cells' ``eval_seed`` streams one per cell, and an evaluator
+        without a vectorised batch prices the template cell by cell.
         """
         evaluator = get_evaluator(method)
         options = dict(evaluator_options) if evaluator_options else {}
         incidence = self.incidence(workflow, schedule)
-        # Per distinct CCR: (rescaled workflow, shared costs, CKPTALL plan).
+        # Per distinct CCR: (rescaled workflow, shared costs, CKPTALL cuts).
         by_ccr: Dict[Optional[float], tuple] = {}
         prepared = []
         for pfail, ccr, _eval_seed in cells:
@@ -595,23 +601,23 @@ class Pipeline:
                 costs = ScheduleCosts(
                     incidence, scaled, platform.bandwidth, save_final_outputs
                 )
-                plan_all = self.plan(
+                cuts_all = self.plan(
                     scaled, schedule, platform, "all", save_final_outputs, costs
                 )
-                shared = by_ccr[ccr] = (scaled, costs, plan_all)
-            scaled, costs, plan_all = shared
-            plan_some = self.plan(
+                shared = by_ccr[ccr] = (scaled, costs, cuts_all)
+            scaled, costs, cuts_all = shared
+            cuts_some = self.plan(
                 scaled, schedule, platform, "some", save_final_outputs, costs
             )
             em_none = self.evaluate_none(workflow, scaled, schedule, platform)
-            prepared.append((platform, plan_some, plan_all, em_none))
+            prepared.append((platform, costs, cuts_some, cuts_all, em_none))
         eval_seeds = self._eval_seeds_for(evaluator, cells)
         em_some = self._evaluate_plans(
-            workflow, schedule, [(p[1], p[0]) for p in prepared],
+            workflow, schedule, [(p[2], p[1], p[0]) for p in prepared],
             method, options, eval_seeds,
         )
         em_all = self._evaluate_plans(
-            workflow, schedule, [(p[2], p[0]) for p in prepared],
+            workflow, schedule, [(p[3], p[1], p[0]) for p in prepared],
             method, options, eval_seeds,
         )
         return [
@@ -625,14 +631,14 @@ class Pipeline:
                 em_some=em_some[i],
                 em_all=em_all[i],
                 em_none=em_none,
-                checkpoints_some=plan_some.n_segments,
-                checkpoints_all=plan_all.n_segments,
+                checkpoints_some=sum(map(len, cuts_some)),
+                checkpoints_all=sum(map(len, cuts_all)),
                 superchains=len(schedule.superchains),
                 seed=seed,
             )
             for i, (
                 (pfail, ccr, _eval_seed),
-                (platform, plan_some, plan_all, em_none),
+                (platform, _costs, cuts_some, cuts_all, em_none),
             ) in enumerate(zip(cells, prepared))
         ]
 
@@ -640,33 +646,34 @@ class Pipeline:
         self,
         workflow: Workflow,
         schedule: Schedule,
-        cells: Sequence[Tuple[CheckpointPlan, Platform]],
+        cells: Sequence[Tuple[Cuts, ScheduleCosts, Platform]],
         method: str,
         options: Mapping[str, Any],
         eval_seeds: Optional[Sequence[Optional[int]]],
     ) -> List[float]:
-        """Expected makespans of one strategy's plans, one per cell.
+        """Expected makespans of one strategy's plans, one per
+        ``(cuts, costs, platform)`` cell.
 
-        Cells are grouped by segmentation (the plans' segment lengths in
-        schedule order, which fix the DAG's structure); each group
-        becomes one template priced in a single
-        :func:`expected_makespans` call, bit-identical to per-cell
-        evaluation — the batch contract every evaluator is pinned to.
+        Cells are grouped by cut vector (which fixes the DAG's
+        structure); each group becomes one template, its rows priced on
+        the cells' costs, in a single :func:`expected_makespans` call,
+        bit-identical to per-cell evaluation — the batch contract every
+        evaluator is pinned to.
         ``eval_seeds`` (one per cell) is forwarded as the batch ``seed``
         option in the group's cell order, mirroring the injection
         :meth:`evaluate` performs per cell for stochastic methods.
         """
-        groups: Dict[Tuple[int, ...], List[int]] = {}
-        for i, (plan, _platform) in enumerate(cells):
-            key = tuple(len(seg.tasks) for seg in plan.segments)
-            groups.setdefault(key, []).append(i)
+        groups: Dict[Cuts, List[int]] = {}
+        for i, (cuts, _costs, _platform) in enumerate(cells):
+            groups.setdefault(cuts, []).append(i)
         out: List[float] = [0.0] * len(cells)
-        for indices in groups.values():
+        for cuts, indices in groups.items():
             template = self.segment_dag(
                 workflow,
                 schedule,
-                *cells[indices[0]],
-                cells=[cells[i] for i in indices],
+                cuts,
+                cells[indices[0]][2],
+                cells=[cells[i][1:] for i in indices],
             )
             group_options = dict(options)
             if eval_seeds is not None and "seed" not in group_options:

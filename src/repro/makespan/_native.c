@@ -27,6 +27,12 @@
  * so the pathapprox replay crosses ctypes once per cell and budget
  * round rather than per op.
  *
+ * repro_normal_fold prices every cell of a Sculli template (Clark's
+ * max folded over the DAG, repro/makespan/normal.py) in one call, with
+ * libm's scalar erf and exp; the loader checks them against python's
+ * math.erf and math.exp through repro_libm_probe before it uses the
+ * fold, and runs the python fold if any probe value differs.
+ *
  * Built on first use by repro/makespan/native.py with
  * `cc -O2 -ffp-contract=off -fPIC -shared`; no python headers required
  * (pure C + ctypes).  Floating-point contraction stays off (the pragma
@@ -41,7 +47,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define REPRO_NATIVE_ABI 3
+#define REPRO_NATIVE_ABI 4
 #define FALLBACK (-1)
 
 /* ------------------------------------------------------------------ */
@@ -754,6 +760,124 @@ long long repro_replay_tape(const int *table, long long nslots,
     free(buf);
     free(stack);
     return status;
+}
+
+/* ------------------------------------------------------------------ */
+/* Sculli's normal approximation: Clark's max folded over a DAG        */
+/* ------------------------------------------------------------------ */
+
+/* clark_max of repro/makespan/normal.py with rho = 0, operation for
+ * operation (association order included): the degenerate branch keeps
+ * the larger mean's moments, and max(0.0, spread) keeps spread only
+ * when it is > 0, so a NaN spread gives 0.0 as python's max does. */
+static void clark_max(double m1, double v1, double m2, double v2,
+                      double sqrt2, double inv_sqrt2pi,
+                      double *mean_out, double *var_out)
+{
+    const double rho = 0.0;
+    double a2, a, alpha, cdf_pos, cdf_neg, pdf, mean, second, spread;
+
+    a2 = v1 + v2 - 2.0 * rho * sqrt(v1 * v2);
+    if (a2 <= 1e-300) {
+        if (m1 >= m2) {
+            *mean_out = m1;
+            *var_out = v1;
+        }
+        else {
+            *mean_out = m2;
+            *var_out = v2;
+        }
+        return;
+    }
+    a = sqrt(a2);
+    alpha = (m1 - m2) / a;
+    cdf_pos = 0.5 * (1.0 + erf(alpha / sqrt2));
+    cdf_neg = 0.5 * (1.0 + erf((-alpha) / sqrt2));
+    pdf = inv_sqrt2pi * exp(-0.5 * alpha * alpha);
+    mean = m1 * cdf_pos + m2 * cdf_neg + a * pdf;
+    second = (m1 * m1 + v1) * cdf_pos + (m2 * m2 + v2) * cdf_neg
+             + (m1 + m2) * a * pdf;
+    spread = second - mean * mean;
+    *mean_out = mean;
+    *var_out = spread > 0.0 ? spread : 0.0;
+}
+
+/* Sculli's estimate of every cell of a template, as normal_batch folds
+ * it.  Node v's predecessors are preds[pred_ptr[v] .. pred_ptr[v+1]);
+ * means and variances are (cells, n) row-major planes of the nodes'
+ * durations.  Per cell, node v's ready time is its first predecessor's
+ * completion, Clark-maxed with each further one in list order (0 for a
+ * source); its completion adds the node's own moments; the sinks then
+ * fold the same way into out[c].  sqrt2 and inv_sqrt2pi are python's
+ * constants, passed in so both folds use the same doubles.
+ *
+ * Returns 0, or FALLBACK without writing out when a predecessor does
+ * not index an earlier node, a sink is out of range, there is no sink,
+ * or scratch cannot be allocated: the python fold then runs (and meets
+ * the malformed input as it does). */
+long long repro_normal_fold(const int *pred_ptr, const int *preds,
+                            long long n, const int *sinks, long long nsinks,
+                            const double *means, const double *variances,
+                            long long cells, double sqrt2,
+                            double inv_sqrt2pi, double *out)
+{
+    double *m, *v;
+    long long c, k, node;
+
+    if (n < 1 || nsinks < 1 || cells < 0 || pred_ptr[0] != 0)
+        return FALLBACK;
+    for (node = 0; node < n; node++) {
+        if (pred_ptr[node + 1] < pred_ptr[node])
+            return FALLBACK;
+        for (k = pred_ptr[node]; k < pred_ptr[node + 1]; k++)
+            if (preds[k] < 0 || preds[k] >= node)
+                return FALLBACK;
+    }
+    for (k = 0; k < nsinks; k++)
+        if (sinks[k] < 0 || sinks[k] >= n)
+            return FALLBACK;
+    m = (double *)malloc((size_t)(2 * n) * sizeof(double));
+    if (m == NULL)
+        return FALLBACK;
+    v = m + n;
+    for (c = 0; c < cells; c++) {
+        const double *mu = means + c * n, *var = variances + c * n;
+        double m_out, v_out;
+
+        for (node = 0; node < n; node++) {
+            const long long lo = pred_ptr[node], hi = pred_ptr[node + 1];
+            double m_ready = 0.0, v_ready = 0.0;
+
+            if (lo < hi) {
+                m_ready = m[preds[lo]];
+                v_ready = v[preds[lo]];
+                for (k = lo + 1; k < hi; k++)
+                    clark_max(m_ready, v_ready, m[preds[k]], v[preds[k]],
+                              sqrt2, inv_sqrt2pi, &m_ready, &v_ready);
+            }
+            m[node] = m_ready + mu[node];
+            v[node] = v_ready + var[node];
+        }
+        m_out = m[sinks[0]];
+        v_out = v[sinks[0]];
+        for (k = 1; k < nsinks; k++)
+            clark_max(m_out, v_out, m[sinks[k]], v[sinks[k]], sqrt2,
+                      inv_sqrt2pi, &m_out, &v_out);
+        out[c] = m_out;
+    }
+    free(m);
+    return 0;
+}
+
+/* erf and exp of x[0..n), as the fold calls them: the loader compares
+ * them with python's math.erf and math.exp before using the fold. */
+void repro_libm_probe(const double *x, long long n, double *erf_out,
+                      double *exp_out)
+{
+    for (long long i = 0; i < n; i++) {
+        erf_out[i] = erf(x[i]);
+        exp_out[i] = exp(x[i]);
+    }
 }
 
 /* ABI version stamp so the loader can reject stale cached objects. */

@@ -16,7 +16,7 @@ active; the inactive hook is a single attribute load.
 from __future__ import annotations
 
 import time
-from typing import Iterable, List
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from repro.makespan import profile as _profile
 __all__ = [
     "DiscreteDistribution",
     "DEFAULT_MAX_ATOMS",
+    "TwoStateRows",
     "two_state_rows",
 ]
 
@@ -299,9 +300,48 @@ class DiscreteDistribution:
         )
 
 
+class TwoStateRows:
+    """One node's 2-state laws over a cell axis, held as atom planes.
+
+    Cell ``c``'s law is the first ``size[c]`` atoms (one or two) of
+    ``values[c]`` and ``probs[c]``.  Indexing a cell wraps them as a
+    :class:`DiscreteDistribution` (views of the planes); assigning a
+    cell writes a law of at most two atoms into the planes.  A consumer
+    that only copies atoms, such as the fold replay's arenas, reads the
+    planes and builds no distribution.
+    """
+
+    __slots__ = ("values", "probs", "size")
+
+    def __init__(
+        self, values: np.ndarray, probs: np.ndarray, size: np.ndarray
+    ) -> None:
+        self.values = values
+        self.probs = probs
+        self.size = size
+
+    def __len__(self) -> int:
+        return int(self.size.size)
+
+    def __getitem__(self, c: int) -> DiscreteDistribution:
+        k = int(self.size[c])
+        return DiscreteDistribution._wrap(self.values[c, :k], self.probs[c, :k])
+
+    def __setitem__(self, c: int, law: DiscreteDistribution) -> None:
+        k = law.values.size
+        if k > 2:
+            raise ValueError(f"a 2-state row holds at most 2 atoms, got {k}")
+        self.values[c, :k] = law.values
+        self.probs[c, :k] = law.probs
+        self.size[c] = k
+
+    def __iter__(self) -> Iterator[DiscreteDistribution]:
+        return (self[c] for c in range(len(self)))
+
+
 def two_state_rows(
     base: np.ndarray, long: np.ndarray, p: np.ndarray
-) -> List[DiscreteDistribution]:
+) -> TwoStateRows:
     """Per-cell 2-state laws for one node, built in one vectorised pass.
 
     Equivalent to ``[DiscreteDistribution.two_state(base[c], long[c],
@@ -314,13 +354,14 @@ def two_state_rows(
     long = np.asarray(long, dtype=float)
     p = np.asarray(p, dtype=float)
     generic = (p > 0.0) & (p < 1.0) & (long > base)
-    rows: List[DiscreteDistribution] = [None] * base.size  # type: ignore[list-item]
-    cells = np.flatnonzero(generic)
-    values = np.stack([base[cells], long[cells]], axis=1)
-    probs = np.stack([1.0 - p[cells], p[cells]], axis=1)
-    probs /= probs.sum(axis=1)[:, None]
-    for c, v, q in zip(cells, values, probs):
-        rows[c] = DiscreteDistribution._wrap(v, q)
+    probs = np.stack([1.0 - p, p], axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        probs /= probs.sum(axis=1)[:, None]
+    rows = TwoStateRows(
+        np.stack([base, long], axis=1),
+        probs,
+        np.full(base.size, 2, dtype=np.int64),
+    )
     for c in np.flatnonzero(~generic):
         rows[c] = DiscreteDistribution.two_state(
             float(base[c]), float(long[c]), float(p[c])

@@ -27,8 +27,9 @@ doubling.  This module compiles that work once per call and replays it:
   before ``b``) and keeps every slot it fills, so a later round runs
   only the steps its larger fold adds.  With native kernels live, each
   cell's walk is one C call (:func:`~repro.makespan.native.replay_tape`)
-  into the cell's arena, which holds its leaf laws and every slot filled
-  so far.  The python loop over the scalar
+  into the cell's arena, which holds its leaf laws (copied from the
+  call's atom planes, with no distribution object per node and cell)
+  and every slot filled so far.  The python loop over the scalar
   :class:`~repro.makespan.distribution.DiscreteDistribution` kernels
   walks the table the same way and is the oracle: it evaluates every
   cell under ``REPRO_NATIVE=0``, and finishes any cell the C replay
@@ -245,23 +246,68 @@ def compile_fold_plan(order: _Order, paths: Sequence[int]) -> int:
 _ARENA_ATOMS = 1 << 15
 
 
+class _Leaves:
+    """Every cell's leaf slots for one call, as planes: slot 0 the Dirac
+    at 0, slot ``1 + v`` node ``v``'s 2-state law, from
+    :func:`~repro.makespan.distribution.two_state_rows` per node.  The C
+    replay's arenas copy a cell's atoms straight from the planes;
+    distributions are built only for a cell whose first run is on the
+    python loop."""
+
+    __slots__ = ("rows", "length", "values", "probs", "used")
+
+    def __init__(self, template) -> None:
+        n = template.n
+        self.rows = [
+            two_state_rows(
+                template.base[:, j], template.long[:, j], template.p[:, j]
+            )
+            for j in range(n)
+        ]
+        cells = template.n_cells
+        self.length = np.ones((cells, n + 1), dtype=np.int64)
+        self.values = np.zeros((cells, n + 1, 2))
+        self.probs = np.zeros((cells, n + 1, 2))
+        self.probs[:, 0, 0] = 1.0
+        for j, rows in enumerate(self.rows, start=1):
+            self.length[:, j] = rows.size
+            self.values[:, j] = rows.values
+            self.probs[:, j] = rows.probs
+        self.used = np.arange(2) < self.length[:, :, None]
+
+    def arena(self, c: int) -> "_Arena":
+        """Cell ``c``'s arena, its leaf slots filled."""
+        used = self.used[c]
+        return _Arena(self.length[c], self.values[c][used], self.probs[c][used])
+
+    def dists(self, c: int) -> Dict[int, DiscreteDistribution]:
+        """Cell ``c``'s leaf slots as distributions."""
+        values = {0: DiscreteDistribution.point(0.0)}
+        for j, rows in enumerate(self.rows, start=1):
+            values[j] = rows[c]
+        return values
+
+
 class _Arena:
     """A cell's slot store for the C replay: slot ``i`` holds
     ``length[i]`` atoms at ``off[i]`` of the ``values`` and ``probs``
     planes, and ``length[i] == 0`` marks it unfilled.  ``cursor`` is the
-    C entry's (atoms used, atoms needed)."""
+    C entry's (atoms used, atoms needed).  Built from the leaf slots'
+    atom counts and their atoms, in slot order."""
 
     __slots__ = ("off", "length", "values", "probs", "cursor")
 
-    def __init__(self, leaves: Sequence[DiscreteDistribution]) -> None:
-        self.length = np.array([d.values.size for d in leaves], dtype=np.int64)
+    def __init__(
+        self, length: Sequence[int], values: np.ndarray, probs: np.ndarray
+    ) -> None:
+        self.length = np.array(length, dtype=np.int64)
         self.off = np.cumsum(self.length) - self.length
-        used = int(self.length.sum())
+        used = values.size
         cap = max(_ARENA_ATOMS, used)
         self.values = np.empty(cap)
         self.probs = np.empty(cap)
-        self.values[:used] = np.concatenate([d.values for d in leaves])
-        self.probs[:used] = np.concatenate([d.probs for d in leaves])
+        self.values[:used] = values
+        self.probs[:used] = probs
         self.cursor = np.array([used, 0], dtype=np.int64)
 
     def replay(self, table: np.ndarray, root: int, max_atoms: int, ran) -> bool:
@@ -294,14 +340,15 @@ class _Arena:
 
 
 class _CellRun:
-    """Per-cell replay state: the leaf laws (in slot order), the compile
-    memos of the cell's variance order, the slot store — the C replay's
-    :class:`_Arena`, or the python loop's dict, built from the leaves or
-    the arena the first time the cell runs on it — and the cell's place
-    in the adaptive-k schedule."""
+    """Per-cell replay state: the call's leaf planes and the cell's row
+    in them, the compile memos of the cell's variance order, the slot
+    store — the C replay's :class:`_Arena`, or the python loop's dict,
+    built from the leaves or the arena the first time the cell runs on
+    it — and the cell's place in the adaptive-k schedule."""
 
     __slots__ = (
         "leaves",
+        "cell",
         "order",
         "arena",
         "values",
@@ -310,8 +357,9 @@ class _CellRun:
         "exhausted",
     )
 
-    def __init__(self, leaves: List[DiscreteDistribution], order: _Order) -> None:
+    def __init__(self, leaves: _Leaves, cell: int, order: _Order) -> None:
         self.leaves = leaves
+        self.cell = cell
         self.order = order
         self.arena: Optional[_Arena] = None
         self.values: Optional[Dict[int, DiscreteDistribution]] = None
@@ -326,7 +374,7 @@ class _CellRun:
         if values is None:
             arena = self.arena
             if arena is None:
-                values = dict(enumerate(self.leaves))
+                values = self.leaves.dists(self.cell)
             else:
                 values = {
                     s: arena.dist(s)
@@ -357,7 +405,7 @@ def _replay_native(
             left.append((state, root))
             continue
         if state.arena is None:
-            state.arena = _Arena(state.leaves)
+            state.arena = state.leaves.arena(state.cell)
         t0 = time.perf_counter() if prof is not None else 0.0
         done = state.arena.replay(table, root, max_atoms, ran)
         if prof is not None:
@@ -446,11 +494,7 @@ def pathapprox_plan_batch(
     sinks = template.sinks()
     table = _StepTable(n)
     orders: Dict[Tuple[int, ...], _Order] = {}
-    point0 = DiscreteDistribution.point(0.0)
-    node_rows = [
-        two_state_rows(template.base[:, j], template.long[:, j], template.p[:, j])
-        for j in range(n)
-    ]
+    leaves = _Leaves(template)
     variances = template.variances
     var_rank = np.empty((n_cells, n), dtype=np.int64)
     states = []
@@ -461,7 +505,7 @@ def pathapprox_plan_batch(
         order = orders.get(node)
         if order is None:
             order = orders[node] = _Order(table, node)
-        states.append(_CellRun([point0, *(rows[c] for rows in node_rows)], order))
+        states.append(_CellRun(leaves, c, order))
     adaptive = k is None and n <= SINGLE_SHOT_N
     if k is not None:
         budget = k

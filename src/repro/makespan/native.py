@@ -18,6 +18,14 @@ arena (the caller grows it and calls again from the root) or declines
 (the caller finishes the cell on the python kernels, which meet that
 step as the per-op path does).
 
+:func:`normal_fold` prices every cell of a Sculli template
+(:func:`~repro.makespan.normal.normal_batch`) in one C call that folds
+Clark's max over the DAG with libm's scalar ``erf`` and ``exp``.  The
+python fold calls ``math.erf`` and ``math.exp``, so at first use a
+fixed probe set checks the library's ``erf`` and ``exp`` against them
+bit for bit; on any difference the op declines for the process
+(:func:`status` reports it as ``"python"``) and the python fold runs.
+
 Build strategy: compiled on first use with the system C compiler into a
 shared object cached under ``~/.cache/repro-native`` (override with
 ``REPRO_NATIVE_CACHE``), keyed by a hash of the source, ABI and
@@ -41,20 +49,22 @@ each wrapper records ``native_<op>`` rows it served and
 BENCH_kernel.json show exactly how much work the compiled path
 absorbed; the fold replay records the convolve and max steps its
 :func:`replay_tape` calls ran as ``native_convolve`` and ``native_max``
-rows.
+rows, and :func:`normal_fold` the cells it priced (or passed back) as
+``native_normal`` (``native_miss_normal``) rows.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -69,14 +79,15 @@ __all__ = [
     "max_dists",
     "truncate_dist",
     "replay_tape",
+    "normal_fold",
     "OPS",
 ]
 
 #: Kernel ops the native library implements (status/`repro kernels`).
-OPS = ("convolve", "max", "truncate")
+OPS = ("convolve", "max", "truncate", "normal")
 
 #: Bump together with REPRO_NATIVE_ABI in ``_native.c``.
-_ABI = 3
+_ABI = 4
 
 #: Stop statuses of :func:`replay_tape` (``TAPE_*`` in ``_native.c``).
 TAPE_DONE = 0
@@ -112,6 +123,12 @@ _c_conv = None
 _c_max = None
 _c_trunc = None
 _c_tape = None
+_c_normal = None
+
+#: Whether the library's ``erf`` and ``exp`` matched python's on the
+#: probe set (``None`` until the first :func:`normal_fold` or
+#: :func:`status` asks, once per loaded library).
+_libm_ok: Optional[bool] = None
 
 
 def _env_off() -> bool:
@@ -166,6 +183,13 @@ def _declare(lib: ctypes.CDLL) -> None:
         ptr, ll, ll, ptr, ptr, ptr, ptr, ll, ll, ptr, ptr
     ]
     lib.repro_replay_tape.restype = ll
+    dbl = ctypes.c_double
+    lib.repro_normal_fold.argtypes = [
+        ptr, ptr, ll, ptr, ll, ptr, ptr, ll, dbl, dbl, ptr
+    ]
+    lib.repro_normal_fold.restype = ll
+    lib.repro_libm_probe.argtypes = [ptr, ll, ptr, ptr]
+    lib.repro_libm_probe.restype = None
 
 
 def _object_tag() -> str:
@@ -229,7 +253,7 @@ def _build_and_load() -> Optional[ctypes.CDLL]:
 
 def _get_lib() -> Optional[ctypes.CDLL]:
     global _lib, _attempted
-    global _c_conv, _c_max, _c_trunc, _c_tape
+    global _c_conv, _c_max, _c_trunc, _c_tape, _c_normal
     if not _attempted:
         _attempted = True
         _lib = _build_and_load()
@@ -240,6 +264,7 @@ def _get_lib() -> Optional[ctypes.CDLL]:
             _c_max = _lib.repro_max_with_adaptive
             _c_trunc = _lib.repro_truncate_adaptive
             _c_tape = _lib.repro_replay_tape
+            _c_normal = _lib.repro_normal_fold
     return _lib
 
 
@@ -281,6 +306,52 @@ def _fast_ok() -> bool:
     return ok
 
 
+def _probe_points() -> List[float]:
+    """The fixed arguments at which the library's ``erf`` and ``exp``
+    must equal ``math.erf`` and ``math.exp``: signed zeros, subnormals,
+    the infinities and NaN, a grid over [-8, 8] where ``erf`` is not
+    yet saturated, and geometric grids of both signs from 1e-6 to 700
+    and on to -750, where ``exp`` of the fold's ``-alpha**2/2``
+    underflows (``math.exp`` still returns a finite double at 700).
+    Plain python, so the probe touches no numpy code the process would
+    not otherwise run."""
+    spread = [1e-6 * 7e8 ** (k / 400.0) for k in range(401)]
+    return (
+        [0.0, -0.0, 5e-324, -5e-324, 1e-300, math.inf, -math.inf, math.nan]
+        + [-8.0 + k / 32.0 for k in range(513)]
+        + spread
+        + [-v for v in spread]
+        + [-600.0 * 1.25 ** (k / 100.0) for k in range(101)]
+    )
+
+
+def _same(got: float, ref: float) -> bool:
+    """Equal under ``float.hex``: equal with the same sign, or both NaN."""
+    if got != got:
+        return ref != ref
+    return got == ref and math.copysign(1.0, got) == math.copysign(1.0, ref)
+
+
+def _libm_matches() -> bool:
+    """Probe the loaded library's ``erf`` and ``exp`` (once per load)."""
+    global _libm_ok
+    ok = _libm_ok
+    if ok is None:
+        points = _probe_points()
+        x = np.array(points)
+        got_erf = np.empty_like(x)
+        got_exp = np.empty_like(x)
+        _lib.repro_libm_probe(
+            x.ctypes.data, x.size, got_erf.ctypes.data, got_exp.ctypes.data
+        )
+        ok = all(
+            _same(e, math.erf(v)) and _same(g, math.exp(v))
+            for e, g, v in zip(got_erf.tolist(), got_exp.tolist(), points)
+        )
+        _libm_ok = ok
+    return ok
+
+
 def build_error() -> Optional[str]:
     """The one-line reason the native build is unavailable, if it is."""
     return _build_error
@@ -307,15 +378,22 @@ def status() -> Dict[str, object]:
         "compiler": _compiler,
         "cached_object": str(_so_path) if _so_path else None,
         "abi": _ABI,
-        "ops": {op: ("native" if live else "python") for op in OPS},
+        "ops": {
+            op: (
+                "native"
+                if live and (op != "normal" or _libm_matches())
+                else "python"
+            )
+            for op in OPS
+        },
     }
 
 
 def _reset_for_tests() -> None:
     """Forget build state so tests can exercise failure paths."""
     global _lib, _attempted, _build_error, _warned, _compiler, _so_path
-    global _disabled_runtime, _ok
-    global _c_conv, _c_max, _c_trunc, _c_tape
+    global _disabled_runtime, _ok, _libm_ok
+    global _c_conv, _c_max, _c_trunc, _c_tape, _c_normal
     _lib = None
     _attempted = False
     _build_error = None
@@ -324,7 +402,8 @@ def _reset_for_tests() -> None:
     _so_path = None
     _disabled_runtime = False
     _ok = None
-    _c_conv = _c_max = _c_trunc = _c_tape = None
+    _libm_ok = None
+    _c_conv = _c_max = _c_trunc = _c_tape = _c_normal = None
 
 
 # --------------------------------------------------------------------- #
@@ -476,3 +555,50 @@ def replay_tape(table, root, off, length, values, probs, max_atoms, cursor, ran)
         cursor.ctypes.data,
         ran.ctypes.data,
     )
+
+
+def normal_fold(template, sqrt2: float, inv_sqrt2pi: float):
+    """Sculli's estimate of every cell of ``template`` in one C call,
+    or ``None`` when the python fold must run.
+
+    ``template`` is a non-empty
+    :class:`~repro.makespan.paramdag.ParamDAG`; ``sqrt2`` and
+    ``inv_sqrt2pi`` are :mod:`repro.makespan.normal`'s constants.  The C
+    fold walks the nodes in order, Clark-maxes each node's predecessors
+    in list order and then the sinks, as
+    :func:`~repro.makespan.normal.normal_batch` does; it declines when
+    kernels are off, when the library's ``erf``/``exp`` failed the probe,
+    or on a malformed structure (a predecessor that is not an earlier
+    node).  Records the cells as ``native_normal`` rows, or as
+    ``native_miss_normal`` rows when it declines.
+    """
+    prof = _profile.ACTIVE
+    cells = template.n_cells
+    if not (_fast_ok() and _libm_matches()):
+        if prof is not None:
+            prof.record("native_miss_normal", cells, 0, 0.0)
+        return None
+    t0 = time.perf_counter() if prof is not None else 0.0
+    preds = template.preds
+    counts = np.fromiter(map(len, preds), dtype=np.int32, count=len(preds))
+    ptr = np.zeros(counts.size + 1, dtype=np.int32)
+    np.cumsum(counts, out=ptr[1:])
+    flat = np.fromiter(
+        (q for ps in preds for q in ps), dtype=np.int32, count=int(ptr[-1])
+    )
+    sinks = np.array(template.sinks(), dtype=np.int32)
+    means = np.ascontiguousarray(template.means, dtype=float)
+    variances = np.ascontiguousarray(template.variances, dtype=float)
+    out = np.empty(cells)
+    status = _c_normal(
+        ptr.ctypes.data, flat.ctypes.data, counts.size, sinks.ctypes.data,
+        sinks.size, means.ctypes.data, variances.ctypes.data, cells,
+        sqrt2, inv_sqrt2pi, out.ctypes.data,
+    )
+    if status < 0:
+        if prof is not None:
+            prof.record("native_miss_normal", cells, 0, 0.0)
+        return None
+    if prof is not None:
+        prof.record("native_normal", cells, 0, time.perf_counter() - t0)
+    return out

@@ -11,6 +11,15 @@ Every completion time is approximated by a normal distribution:
 
 Cheap (``O(E)`` scalar work) but biased on graphs with many correlated
 paths — exactly the behaviour the §VI-B accuracy study quantifies.
+
+:func:`normal` prices one DAG; :func:`normal_batch` prices every cell
+of a :class:`~repro.makespan.paramdag.ParamDAG` template.  With native
+kernels live the whole template is one C call
+(:func:`repro.makespan.native.normal_fold`), which folds the same
+formulas with libm's ``erf`` and ``exp`` once the loader has checked
+them against ``math.erf`` and ``math.exp``; otherwise, or when the C
+fold declines, the numpy fold below runs.  The scalar :func:`normal`
+and that numpy fold are the bit-exactness oracles.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.makespan import native as _native
 from repro.makespan.probdag import ProbDAG
 
 __all__ = ["normal", "normal_batch", "clark_max"]
@@ -106,8 +116,10 @@ def normal(dag: ProbDAG) -> float:
 
 # math.erf has no NumPy counterpart and np.exp is not guaranteed to
 # round identically to libm's exp, so the transcendental pieces of the
-# vectorised Clark fold go through the *scalar* functions element-wise;
+# numpy Clark fold go through the *scalar* functions element-wise;
 # everything algebraic around them is one NumPy pass over the cell axis.
+# The C fold calls libm's erf and exp, which the native loader checks
+# against these python functions before it lets the fold run.
 _ERF = np.frompyfunc(math.erf, 1, 1)
 _EXP = np.frompyfunc(math.exp, 1, 1)
 
@@ -149,16 +161,22 @@ def _clark_max_cells(
 def normal_batch(template) -> np.ndarray:
     """Sculli's estimates for every cell of a parameterised DAG.
 
-    ``template`` is a :class:`~repro.makespan.paramdag.ParamDAG`.  The
-    whole moment propagation runs with a leading cell axis — one
-    vectorised Clark fold per edge instead of one scalar fold per edge
-    per cell — and is bit-identical to evaluating each materialised
-    cell with :func:`normal` (pinned by the batch-parity tests).
+    ``template`` is a :class:`~repro.makespan.paramdag.ParamDAG`.  With
+    native kernels live, one C call folds every cell
+    (:func:`repro.makespan.native.normal_fold`).  Otherwise the moment
+    propagation below runs with a leading cell axis — one vectorised
+    Clark fold per edge instead of one scalar fold per edge per cell.
+    Both are bit-identical to evaluating each materialised cell with
+    :func:`normal` (pinned by the batch-parity tests and the native
+    differential fuzz).
     """
     n = template.n
     n_cells = template.n_cells
     if n == 0:
         return np.zeros(n_cells)
+    folded = _native.normal_fold(template, _SQRT2, _INV_SQRT2PI)
+    if folded is not None:
+        return folded
     task_means = template.means
     task_vars = template.variances
     means: List[np.ndarray] = [None] * n  # type: ignore[list-item]

@@ -50,11 +50,15 @@ POOL_OPS = ("pool_exec",)
 DISPATCH_OPS = ("dispatch",)
 
 #: Compiled-kernel ops (:mod:`repro.makespan.native`); ``rows`` counts
-#: distribution rows the native path served.  Each has a paired
-#: ``native_miss_*`` op counting rows that fell back to the python
-#: reference (native disabled, build failed, or an input the compiled
-#: kernel declines — NaN supports, mixed infinities).
-NATIVE_OPS = ("native_convolve", "native_max", "native_truncate")
+#: distribution rows the native path served (for ``native_normal``, the
+#: cells the C Clark fold priced).  Each has a paired ``native_miss_*``
+#: op counting rows that fell back to the python reference (native
+#: disabled, build failed, an input the compiled kernel declines — NaN
+#: supports, mixed infinities — or, for the Clark fold, a library whose
+#: ``erf``/``exp`` failed the load-time probe).
+NATIVE_OPS = (
+    "native_convolve", "native_max", "native_truncate", "native_normal"
+)
 NATIVE_MISS_OPS = tuple("native_miss_" + op[len("native_"):] for op in NATIVE_OPS)
 
 
@@ -120,8 +124,10 @@ class KernelProfile:
         """Share of native-eligible rows the compiled path absorbed.
 
         ``None`` when no native-dispatched op ran at all (e.g. a sweep
-        priced only by Clark's normal method, which uses no distribution
-        kernel).
+        priced only by Monte Carlo or the exact method, which call no
+        compiled kernel).  A sweep priced by Clark's normal method counts
+        its cells: ``native_normal`` when the C fold priced them,
+        ``native_miss_normal`` when the python fold did.
         """
         served = self.native_rows()
         missed = self.native_miss_rows()

@@ -16,20 +16,23 @@ storage before any dependent entry task runs), these edges capture the
 full recovery semantics: no macro-task ever re-executes because of a
 failure elsewhere — exactly the crossover-freedom argument of §IV-A.
 
-:func:`build_segment_dag` builds one cell's :class:`ProbDAG` (the
-per-cell oracle).  Cells whose plans cut the schedule the same way share
-every edge, so :class:`SegmentDagSkeleton` builds that structure once
-and fills a :class:`ParamDAG` row per cell from its segment spans.
+:func:`build_segment_dag` builds one cell's :class:`ProbDAG` from its
+:class:`~repro.checkpoint.plan.CheckpointPlan` (the per-cell oracle).
+Cells whose plans cut the schedule the same way share every edge, so
+:class:`SegmentDagSkeleton` builds that structure once from the plans'
+cut vector (:data:`~repro.checkpoint.strategies.Cuts`) and fills a
+:class:`ParamDAG` row per cell straight from its
+:class:`~repro.checkpoint.segments.ScheduleCosts`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.checkpoint.plan import CheckpointPlan
-from repro.errors import EvaluationError
+from repro.errors import CheckpointError, EvaluationError
 from repro.makespan.paramdag import ParamDAG
 from repro.makespan.probdag import ProbDAG
 from repro.makespan.two_state import RETRY_FACTOR, _P_MAX, two_state_from_span
@@ -37,6 +40,9 @@ from repro.mspg.graph import Workflow
 from repro.platform import Platform
 from repro.scheduling.schedule import Schedule
 from repro.util.toposort import topological_order
+
+if TYPE_CHECKING:  # repro.checkpoint.segments imports repro.makespan
+    from repro.checkpoint.segments import ScheduleCosts
 
 __all__ = ["build_segment_dag", "segment_name", "SegmentDagSkeleton"]
 
@@ -48,29 +54,41 @@ def segment_name(index: int) -> str:
 
 def _segment_edges(
     workflow: Workflow,
-    plan: CheckpointPlan,
+    segment_of: Dict[str, int],
+    processors: Sequence[int],
     extra_edges: Sequence[Tuple[str, str]] = (),
 ) -> Tuple[Dict[int, Set[int]], List[int]]:
-    """Successor sets of the plan's segments and their topological order."""
-    if plan.n_tasks != workflow.n_tasks:
+    """Successor sets of the segments and their topological order.
+
+    ``segment_of`` maps each task to its segment's index and
+    ``processors[i]`` is segment ``i``'s processor; segment indices
+    follow each processor's execution order.
+    """
+    if len(segment_of) != workflow.n_tasks:
         raise EvaluationError(
-            f"plan covers {plan.n_tasks} tasks, workflow has {workflow.n_tasks}"
+            f"plan covers {len(segment_of)} tasks, workflow has "
+            f"{workflow.n_tasks}"
         )
-    nseg = plan.n_segments
+    nseg = len(processors)
     succs: Dict[int, Set[int]] = {i: set() for i in range(nseg)}
 
     # Per-processor serialisation edges.
     proc_last: Dict[int, int] = {}
-    for seg in plan.segments:
-        prev = proc_last.get(seg.processor)
+    for index, processor in enumerate(processors):
+        prev = proc_last.get(processor)
         if prev is not None:
-            succs[prev].add(seg.index)
-        proc_last[seg.processor] = seg.index
+            succs[prev].add(index)
+        proc_last[processor] = index
 
     # Data edges (plus any extra task-level edges).
     def lift(u: str, v: str) -> None:
-        su = plan.segment_of(u).index
-        sv = plan.segment_of(v).index
+        try:
+            su = segment_of[u]
+            sv = segment_of[v]
+        except KeyError as exc:
+            raise CheckpointError(
+                f"task {exc.args[0]!r} is not in the plan"
+            ) from None
         if su != sv:
             succs[su].add(sv)
 
@@ -96,7 +114,13 @@ def build_segment_dag(
     dummy synchronisation edges of ``mspgify`` for the structural-sync
     ablation); they are lifted to segment level like data edges.
     """
-    succs, order = _segment_edges(workflow, plan, extra_edges)
+    segment_of = {t: seg.index for seg in plan.segments for t in seg.tasks}
+    succs, order = _segment_edges(
+        workflow,
+        segment_of,
+        [seg.processor for seg in plan.segments],
+        extra_edges,
+    )
     lam = platform.failure_rate
     dag = ProbDAG()
     preds: Dict[int, List[int]] = {i: [] for i in range(plan.n_segments)}
@@ -113,17 +137,38 @@ def build_segment_dag(
 class SegmentDagSkeleton:
     """The structure of one segmentation's macro-DAG, built once.
 
-    Node names, predecessor/successor lists and the topological order
-    are exactly those :func:`build_segment_dag` gives any plan that cuts
-    the schedule's superchains the same way; :meth:`template` then fills
-    the 2-state rows of many such plans straight from their segment
-    spans, without a :class:`ProbDAG` per cell.
+    ``cuts`` holds, per superchain of ``schedule``, the positions after
+    which a checkpoint is taken (:data:`~repro.checkpoint.strategies.
+    Cuts`).  Node names, predecessor/successor lists and the topological
+    order are exactly those :func:`build_segment_dag` gives the plan
+    that cuts there; ``slices`` names each node's superchain slice
+    ``(chain, i, j)``.  :meth:`template` then fills the 2-state rows of
+    many cells straight from their segment costs, without a plan or a
+    :class:`ProbDAG` per cell.
     """
 
-    __slots__ = ("order", "names", "preds", "succs")
+    __slots__ = ("order", "names", "preds", "succs", "slices")
 
-    def __init__(self, workflow: Workflow, plan: CheckpointPlan) -> None:
-        succs, order = _segment_edges(workflow, plan)
+    def __init__(
+        self,
+        workflow: Workflow,
+        schedule: Schedule,
+        cuts: Sequence[Sequence[int]],
+    ) -> None:
+        segment_of: Dict[str, int] = {}
+        processors: List[int] = []
+        slices: List[Tuple[int, int, int]] = []
+        for chain, (sc, positions) in enumerate(
+            zip(schedule.superchains, cuts)
+        ):
+            start = 0
+            for end in positions:
+                for task in sc.tasks[start : end + 1]:
+                    segment_of[task] = len(slices)
+                processors.append(sc.processor)
+                slices.append((chain, start, end))
+                start = end + 1
+        succs, order = _segment_edges(workflow, segment_of, processors)
         node_of = {idx: node for node, idx in enumerate(order)}
         preds: List[Set[int]] = [set() for _ in order]
         for u, vs in succs.items():
@@ -131,25 +176,32 @@ class SegmentDagSkeleton:
                 preds[node_of[v]].add(node_of[u])
         self.order: List[int] = order
         self.names: List[str] = [segment_name(idx) for idx in order]
+        self.slices: List[Tuple[int, int, int]] = [slices[idx] for idx in order]
         self.preds: List[List[int]] = [sorted(ps) for ps in preds]
         self.succs: List[List[int]] = [[] for _ in order]
         for node, ps in enumerate(self.preds):
             for q in ps:
                 self.succs[q].append(node)
 
-    def template(
-        self, cells: Sequence[Tuple[CheckpointPlan, float]]
-    ) -> ParamDAG:
-        """One :class:`ParamDAG` row per ``(plan, failure_rate)`` cell.
+    def template(self, cells: Sequence[Tuple[ScheduleCosts, float]]) -> ParamDAG:
+        """One :class:`ParamDAG` row per ``(costs, failure_rate)`` cell.
 
-        Every plan must share this skeleton's segmentation.  Each row is
-        Equation (1) of the cell's segment spans with the probability
-        clamped below 1, bit-identical to :func:`build_segment_dag`.
+        Each row is Equation (1) of the skeleton's segment spans priced
+        on the cell's costs (:meth:`ScheduleCosts.span`, summed as
+        :attr:`~repro.checkpoint.plan.Segment.span` sums them and under
+        the segment's cost check), with the probability clamped below 1,
+        bit-identical to :func:`build_segment_dag` on the plan that cuts
+        there.  Cells sharing a costs object (one CCR) share its spans.
         """
-        spans = np.array(
-            [[plan.segments[i].span for i in self.order] for plan, _ in cells],
-            dtype=float,
-        ).reshape(len(cells), len(self.order))
+        rows: Dict[ScheduleCosts, List[float]] = {}
+        spans = []
+        for costs, _rate in cells:
+            row = rows.get(costs)
+            if row is None:
+                span = costs.span
+                row = rows[costs] = [span(k, i, j) for k, i, j in self.slices]
+            spans.append(row)
+        spans = np.array(spans, dtype=float).reshape(len(cells), len(self.order))
         rates = np.array([rate for _, rate in cells], dtype=float)
         p = rates[:, None] * spans
         p[p >= 1.0] = _P_MAX

@@ -342,27 +342,26 @@ class TestCallCounts:
         assert counts["oracle"] == 3 * counts["batched"]
 
     def test_one_skeleton_per_strategy_and_segmentation(self, monkeypatch):
+        """The batched path holds each plan as its cut vector and builds
+        one segment-DAG skeleton per distinct (strategy, cuts)."""
         segmentations = set()
         real_plan = Pipeline.plan
 
         def recording_plan(self, workflow, schedule, platform, strategy,
                            *args, **kwargs):
-            plan = real_plan(
+            cuts = real_plan(
                 self, workflow, schedule, platform, strategy, *args, **kwargs
             )
-            segmentations.add((
-                platform.processors,
-                strategy,
-                tuple(len(seg) for seg in plan.segments),
-            ))
-            return plan
+            assert len(cuts) == len(schedule.superchains)
+            segmentations.add((platform.processors, strategy, cuts))
+            return cuts
 
         skeletons = []
         real_init = SegmentDagSkeleton.__init__
 
-        def counting_init(self, workflow, plan):
-            skeletons.append(plan)
-            real_init(self, workflow, plan)
+        def counting_init(self, workflow, schedule, cuts):
+            skeletons.append(cuts)
+            real_init(self, workflow, schedule, cuts)
 
         monkeypatch.setattr(Pipeline, "plan", recording_plan)
         monkeypatch.setattr(SegmentDagSkeleton, "__init__", counting_init)

@@ -12,6 +12,10 @@ Five contracts are pinned here:
 * **golden records** — six baseline family grids sweep to records
   byte-identical to PR 9 HEAD (values pinned as hex float literals),
   with the native kernels on and off.
+* **Clark fold** — the C fold of Sculli's method prices drawn
+  templates exactly as the numpy fold and the scalar estimator do, and
+  a library whose ``erf``/``exp`` fail the load-time probe declines
+  the op for the process (the numpy fold then runs);
 * **fold replay** — the C demand replay over a call's step table
   prices random and wide templates exactly as the python loop does; a
   cell whose step declines finishes on that loop, arenas grow mid-walk,
@@ -28,6 +32,7 @@ Five contracts are pinned here:
 """
 
 import gc
+import math
 import os
 import pickle
 import subprocess
@@ -44,6 +49,7 @@ from repro.errors import EvaluationError
 from repro.makespan import foldplan, native
 from repro.makespan import profile as kernel_profile
 from repro.makespan.distribution import DiscreteDistribution
+from repro.makespan.normal import normal, normal_batch
 from repro.makespan.paramdag import ParamDAG
 from repro.makespan.pathapprox import pathapprox, pathapprox_batch
 
@@ -280,6 +286,43 @@ def column_case(draw):
     return a, b, draw(st.integers(1, 2 * na * nb))
 
 
+@st.composite
+def normal_case(draw):
+    """A layered template whose nodes each join up to 8 nodes of earlier
+    layers, in drawn order, over cells whose durations include zero
+    variance (``p`` of 0 or 1, ``long == base``: a pair of them takes
+    Clark's degenerate branch), equal means (a small pool of bases) and
+    magnitudes up to 1e300 (``v1 * v2`` overflows, and ``0.0 * inf``
+    gives NaN)."""
+    preds = []
+    for _depth in range(draw(st.integers(1, 5))):
+        earlier = list(range(len(preds)))
+        for _ in range(draw(st.integers(1, 4))):
+            preds.append(
+                draw(st.lists(st.sampled_from(earlier), unique=True,
+                              max_size=min(8, len(earlier))))
+                if earlier else []
+            )
+    n = len(preds)
+    succs = [[v for v in range(n) if u in preds[v]] for u in range(n)]
+    n_cells = draw(st.integers(1, 4))
+
+    def matrix(elements):
+        return np.array(
+            draw(st.lists(elements, min_size=n * n_cells, max_size=n * n_cells))
+        ).reshape(n_cells, n)
+
+    base = matrix(st.one_of(
+        st.sampled_from([0.0, 1.0, 2.0, 1e-200, 1e150, 1e300]),
+        st.floats(0.0, 1e3),
+    ))
+    stretch = matrix(st.sampled_from([1.0, 1.5, 3.0]))
+    p = matrix(st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0)))
+    return ParamDAG(
+        [f"t{v}" for v in range(n)], preds, succs, base, base * stretch, p
+    )
+
+
 def assert_same_outcome(got, ref):
     """Both paths raised (``both_backends`` compared the errors) or both
     returned the same atoms."""
@@ -323,6 +366,24 @@ class TestNativeDifferentialFuzz:
         tied sums in flat-index order, as numpy's stable argsort does."""
         a, b, max_atoms = case
         assert_same_outcome(*both_backends(lambda: a.convolve(b, max_atoms)))
+
+    @given(normal_case())
+    @settings(max_examples=fuzz_examples(150), deadline=None)
+    def test_normal_fold(self, template):
+        """The C Clark fold, the numpy fold (native off) and the scalar
+        estimator per cell agree under ``float.hex``."""
+        native.set_enabled(True)
+        prof = kernel_profile.enable()
+        try:
+            got = normal_batch(template)
+        finally:
+            kernel_profile.disable()
+        assert prof.counters["native_normal"]["rows"] == template.n_cells
+        native.set_enabled(False)
+        ref = normal_batch(template)
+        scalar = [normal(template.cell(c)) for c in range(template.n_cells)]
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in ref.tolist()]
+        assert [v.hex() for v in ref.tolist()] == [v.hex() for v in scalar]
 
     @given(replay_case())
     @settings(max_examples=fuzz_examples(60), deadline=None)
@@ -518,7 +579,11 @@ class TestNativeReplay:
             DiscreteDistribution([1.0, 2.0], [0.5, 0.5]),
             DiscreteDistribution([3.0, 5.0], [0.25, 0.75]),
         ]
-        arena = foldplan._Arena(leaves)
+        arena = foldplan._Arena(
+            [d.values.size for d in leaves],
+            np.concatenate([d.values for d in leaves]),
+            np.concatenate([d.probs for d in leaves]),
+        )
         table = np.array([-1] * 9 + [x for step in steps for x in step],
                          dtype=np.int32)
         ran = np.zeros(2, dtype=np.int64)
@@ -657,6 +722,96 @@ class TestGoldenRecords:
             assert record.em_none == float.fromhex(em_none)
 
 
+#: A GENOME-300 grid priced by Clark's normal method, pinned from commit
+#: 9aa6afa (before the C Clark fold and the cut-vector plans) as hex
+#: float literals: CCRs 1e-3 and 1e-2, whose CKPTSOME plans (89 and 71
+#: segments) cut the schedule differently from CKPTALL's 297.
+GOLDEN_NORMAL = [
+    ("0x1.07c2057acf6c8p+10", "0x1.0885c3dcccb7dp+10", "0x1.32f3300c0460ap+10",
+     89, 297),
+    ("0x1.0f88d61b85d6cp+10", "0x1.1475452a37a99p+10", "0x1.32f3300c0460ap+10",
+     71, 297),
+]
+
+
+class TestGoldenNormalRecords:
+    """A Normal sweep stays byte-identical to the pinned records."""
+
+    @pytest.mark.parametrize("use_native", [True, False], ids=["native", "python"])
+    def test_grid(self, use_native):
+        native.set_enabled(use_native)
+        spec = SweepSpec(
+            family="genome",
+            sizes=(300,),
+            processors={300: (18,)},
+            pfails=(1e-3,),
+            ccrs=(1e-3, 1e-2),
+            seed=2017,
+            method="normal",
+            seed_policy="stable",
+            name="golden-normal",
+        )
+        records = run_sweep(spec, jobs=1)
+        assert [
+            (r.em_some.hex(), r.em_all.hex(), r.em_none.hex(),
+             r.checkpoints_some, r.checkpoints_all)
+            for r in records
+        ] == [
+            (float.fromhex(s).hex(), float.fromhex(a).hex(),
+             float.fromhex(n).hex(), cs, ca)
+            for s, a, n, cs, ca in GOLDEN_NORMAL
+        ]
+
+
+@needs_native
+class TestNativeNormalFold:
+    """A pinned case of the C Clark fold, and its load-time check of
+    libm's ``erf`` and ``exp``."""
+
+    def test_second_moment_rounding(self):
+        """Sinks ``c`` (the max of sources ``a`` and ``b``) and ``d``: the
+        last bit of ``c``'s ready variance reaches the estimate through
+        the sinks' fold.  Re-associating the second moment's
+        ``(m1 + m2) * a * pdf`` as ``(m1 + m2) * (a * pdf)`` in the C fold
+        moves that bit (a drawn counterexample; the fuzz meets such a
+        template in roughly one draw in two hundred)."""
+        template = ParamDAG(
+            ["a", "b", "c", "d"], [[], [], [0, 1], []], [[2], [2], [], []],
+            np.array([[18.0, 19.7, 8.9, 15.5]]),
+            np.array([[36.0, 59.1, 13.4, 46.5]]),
+            np.array([[0.1, 0.2, 0.5, 0.25]]),
+        )
+        got, ref = both_backends(lambda: normal_batch(template))
+        assert got[0].hex() == ref[0].hex() == normal(template.cell(0)).hex()
+
+    def test_probe_mismatch_declines_the_fold(self, monkeypatch):
+        """An ``erf`` one ulp off python's at every probe point makes the
+        probe fail: the fold's op reports ``"python"`` for the process
+        (the other ops stay native), a Normal sweep's cells are recorded
+        as ``native_miss_normal`` rows, and its records still equal the
+        pinned ones."""
+        native._reset_for_tests()
+        native.set_enabled(True)
+        real_erf = math.erf
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                math, "erf", lambda x: math.nextafter(real_erf(x), math.inf)
+            )
+            ops = native.status()["ops"]
+        assert ops == {
+            "convolve": "native", "max": "native", "truncate": "native",
+            "normal": "python",
+        }
+        prof = kernel_profile.enable()
+        try:
+            TestGoldenNormalRecords().test_grid(use_native=True)
+        finally:
+            kernel_profile.disable()
+        assert "native_normal" not in prof.counters
+        assert prof.counters["native_miss_normal"]["rows"] == 4
+        assert native.status()["ops"]["normal"] == "python"
+
+
 class TestGracefulDegradation:
     """No compiler → one stderr warning, python fallback, same results."""
 
@@ -761,7 +916,7 @@ class TestKernelsCli:
         assert main(["kernels"]) == 0
         out = capsys.readouterr().out
         assert "distribution kernel backends" in out
-        for op in ("convolve", "max", "truncate"):
+        for op in ("convolve", "max", "truncate", "normal"):
             assert op in out
         assert "backend:" in out
 
@@ -771,7 +926,7 @@ class TestKernelsCli:
         assert main(["kernels", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["backend"] in ("native", "python")
-        assert set(payload["ops"]) == {"convolve", "max", "truncate"}
+        assert set(payload["ops"]) == {"convolve", "max", "truncate", "normal"}
 
     def test_reflects_env_off(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_NATIVE", "0")

@@ -1,11 +1,29 @@
 """Tests for building the 2-state segment macro-DAG."""
 
+import math
+
 import pytest
 
-from repro.checkpoint.strategies import ckpt_all_plan, ckpt_some_plan
-from repro.errors import EvaluationError
-from repro.generators import genome, ligo, montage
-from repro.makespan.segment_dag import build_segment_dag, segment_name
+import repro.checkpoint.strategies as strategies
+from repro.checkpoint.plan import Segment
+from repro.checkpoint.segments import (
+    ChainIncidence,
+    ScheduleCosts,
+    ScheduleIncidence,
+)
+from repro.checkpoint.strategies import (
+    ckpt_all_plan,
+    ckpt_some_plan,
+    cuts_from_costs,
+)
+from repro.errors import CheckpointError, EvaluationError
+from repro.generators import cybershake, genome, ligo, montage, sipht
+from repro.makespan.paramdag import ParamDAG
+from repro.makespan.segment_dag import (
+    SegmentDagSkeleton,
+    build_segment_dag,
+    segment_name,
+)
 from repro.makespan.two_state import first_order_expected_time
 from repro.platform import Platform, lambda_from_pfail
 from repro.scheduling.allocate import schedule_workflow
@@ -106,3 +124,99 @@ class TestSemantics:
         em = expected_makespan(dag, "pathapprox")
         det = dag.deterministic_makespan()
         assert det <= em <= 1.5 * det + 1e-9
+
+
+def plan_cuts(plan, sched):
+    """A plan's cut vector: per superchain, each segment's last position."""
+    cuts = []
+    for sc in sched.superchains:
+        positions, end = [], -1
+        for seg in plan.segments_of_superchain(sc.index):
+            end += len(seg)
+            positions.append(end)
+        cuts.append(tuple(positions))
+    return tuple(cuts)
+
+
+def shared_costs(wf, sched, plat):
+    return ScheduleCosts(ScheduleIncidence(wf, sched), wf, plat.bandwidth)
+
+
+class TestCutSkeleton:
+    """The batched path's skeleton, built from a cut vector, against the
+    per-cell oracle's DAG of the equivalent plan."""
+
+    @pytest.mark.parametrize(
+        "gen", [montage, genome, ligo, cybershake, sipht],
+        ids=lambda g: g.__name__,
+    )
+    @pytest.mark.parametrize(
+        "strategy, builder",
+        [("ckpt_some", ckpt_some_plan), ("ckpt_all", ckpt_all_plan)],
+        ids=["some", "all"],
+    )
+    def test_equals_the_plans_dag(self, gen, strategy, builder):
+        """Names, order, preds and succs equal :func:`build_segment_dag`'s
+        for the plan, the cut vector equals the plan's cuts, and the
+        rows filled from shared costs equal the DAG's 2-state laws."""
+        wf = gen(50, seed=5)
+        plat, sched = pipeline(wf, pfail=1e-2)
+        plan = builder(wf, sched, plat)
+        dag = build_segment_dag(wf, sched, plan, plat)
+        costs = shared_costs(wf, sched, plat)
+        cuts = cuts_from_costs(costs, strategy, plat.failure_rate)
+        assert cuts == plan_cuts(plan, sched)
+        skeleton = SegmentDagSkeleton(wf, sched, cuts)
+        assert skeleton.names == dag.names
+        assert skeleton.order == [int(name[3:]) for name in dag.names]
+        assert skeleton.preds == dag.preds
+        assert skeleton.succs == dag.succs
+        got = skeleton.template([(costs, plat.failure_rate)])
+        ref = ParamDAG.from_dags([dag])
+        for plane in ("base", "long", "p"):
+            assert getattr(got, plane).tobytes() == getattr(ref, plane).tobytes()
+
+    @pytest.mark.parametrize("field", [0, 1, 2], ids=["read", "compute", "ckpt"])
+    @pytest.mark.parametrize("bad", [-1.0, math.nan], ids=["negative", "nan"])
+    def test_bad_cost_raises_the_segments_error(self, monkeypatch, field, bad):
+        """A negative or NaN segment cost on the cut path raises the
+        :class:`CheckpointError` a :class:`Segment` with that cost
+        raises."""
+        wf = genome(30, seed=5)
+        plat, sched = pipeline(wf)
+        real = ChainIncidence.segment_costs
+
+        def planted(self, *args):
+            costs = list(real(self, *args))
+            costs[field] = bad
+            return tuple(costs)
+
+        monkeypatch.setattr(ChainIncidence, "segment_costs", planted)
+        costs = shared_costs(wf, sched, plat)
+        cuts = cuts_from_costs(costs, "ckpt_all", plat.failure_rate)
+        skeleton = SegmentDagSkeleton(wf, sched, cuts)
+        with pytest.raises(CheckpointError) as cut_path:
+            skeleton.template([(costs, plat.failure_rate)])
+        segment_costs = [1.0, 1.0, 1.0]
+        segment_costs[field] = bad
+        with pytest.raises(CheckpointError) as oracle:
+            Segment(0, 0, 0, ("t",), *segment_costs)
+        assert str(cut_path.value) == str(oracle.value)
+
+    def test_uncovering_positions_raise_the_plans_error(self, monkeypatch):
+        """Algorithm 2 positions that do not cover a superchain raise the
+        coverage error of the plan builders on the cut path too."""
+        wf = genome(30, seed=5)
+        plat, sched = pipeline(wf)
+        monkeypatch.setattr(strategies, "dp_from_table", lambda table: ([0], 0.0))
+        monkeypatch.setattr(
+            strategies, "optimal_checkpoint_positions", lambda cost: ([0], 0.0)
+        )
+        with pytest.raises(CheckpointError) as oracle:
+            ckpt_some_plan(wf, sched, plat)
+        with pytest.raises(CheckpointError) as cut_path:
+            cuts_from_costs(
+                shared_costs(wf, sched, plat), "ckpt_some", plat.failure_rate
+            )
+        assert "do not cover superchain" in str(oracle.value)
+        assert str(cut_path.value) == str(oracle.value)
