@@ -5,7 +5,10 @@ compiled fold-plan replay
 (:func:`~repro.makespan.pathapprox.pathapprox_batch`) on a real MONTAGE
 structure group, Clark's fold
 (:func:`~repro.makespan.normal.normal_batch`) in numpy against the C
-fold on a real GENOME-300 segment-DAG template, and each distribution
+fold on a real GENOME-300 segment-DAG template, PathApprox's k-best path
+DP (:func:`~repro.makespan.pathapprox._k_best_paths_cells`) in numpy
+against the C DP on a real MONTAGE-50 CKPTALL segment-DAG template at
+the adaptive schedule's budgets, and each distribution
 primitive (convolve / max / truncate) as a per-row loop with the
 compiled kernels (:mod:`repro.makespan.native`) enabled and disabled.
 All comparisons assert bit-identical results before any timing is
@@ -13,7 +16,8 @@ reported.
 
 Each timed figure is the median of :data:`REPEATS` interleaved runs
 (the fold's scalar and replay columns alternate, and so do the Clark
-fold's and each primitive's native and python passes), with its first
+fold's, the k-best DP's and each primitive's native and python passes),
+with its first
 and third
 quartiles beside it (``<figure>_q1`` / ``<figure>_q3``), as in
 ``bench_eval_batch.py``.  One profiled replay pass collects the kernel
@@ -38,7 +42,11 @@ from repro.makespan import profile as kernel_profile
 from repro.makespan.distribution import DiscreteDistribution
 from repro.makespan.normal import normal_batch
 from repro.makespan.paramdag import ParamDAG
-from repro.makespan.pathapprox import pathapprox, pathapprox_batch
+from repro.makespan.pathapprox import (
+    _k_best_paths_cells,
+    pathapprox,
+    pathapprox_batch,
+)
 from repro.util.rng import stable_seed
 
 from benchmarks.conftest import save_artifact, save_json, summarize_walls, timed
@@ -103,20 +111,17 @@ def fold_template() -> ParamDAG:
     return ParamDAG.from_dags([dags[i] for i in largest])
 
 
-def clark_template() -> ParamDAG:
-    """CKPTALL's segment-DAG template of a real GENOME-300 grid on 18
-    processors (GENOME-50 on 5 in smoke mode): every pfail and CCR cell
-    cuts the schedule the same way, as in ``perfbench``'s Normal grid."""
+def ckptall_template(
+    family: str, size: int, procs: int, pfails, ccrs
+) -> ParamDAG:
+    """CKPTALL's segment-DAG template of a real grid: every pfail and CCR
+    cell cuts the schedule the same way, as in ``perfbench``'s grids."""
     pipe = Pipeline()
-    family = "genome"
-    size, procs = (50, 5) if SMOKE else (300, 18)
     wf = pipe.prepare(family, size, stable_seed(2017, family, size))
     schedule = pipe.schedule_for(
         wf, procs, seed=stable_seed(2017, family, size, procs),
         tree=pipe.mspg_tree(wf),
     )
-    pfails = (1e-3,) if SMOKE else (1e-2, 1e-3, 1e-4)
-    ccrs = (1e-3,) if SMOKE else log_grid(1e-4, 1e-2, 7)
     dags = []
     for pfail in pfails:
         platform = pipe.platform_for(wf, procs, pfail, 100e6)
@@ -125,6 +130,15 @@ def clark_template() -> ParamDAG:
             plan = pipe.plan(scaled, schedule, platform, "all")
             dags.append(pipe.segment_dag(scaled, schedule, plan, platform))
     return ParamDAG.from_dags(dags)
+
+
+def clark_template() -> ParamDAG:
+    """GENOME-300 on 18 processors (GENOME-50 on 5 in smoke mode)."""
+    if SMOKE:
+        return ckptall_template("genome", 50, 5, (1e-3,), (1e-3,))
+    return ckptall_template(
+        "genome", 300, 18, (1e-2, 1e-3, 1e-4), log_grid(1e-4, 1e-2, 7)
+    )
 
 
 def bench_clark(template: ParamDAG) -> Dict[str, float]:
@@ -151,6 +165,56 @@ def bench_clark(template: ParamDAG) -> Dict[str, float]:
         "edges": sum(len(ps) for ps in template.preds),
         "repeats": REPEATS,
         "backend": native.status()["ops"]["normal"],
+    }
+    stats.update(summarize_walls(walls))
+    stats["speedup"] = stats["python_wall_s"] / stats["native_wall_s"]
+    return stats
+
+
+def kbest_template() -> ParamDAG:
+    """MONTAGE-50 on 5 processors."""
+    if SMOKE:
+        return ckptall_template("montage", 50, 5, (0.01,), (1e-2,))
+    return ckptall_template(
+        "montage", 50, 5, (1e-2, 1e-3, 1e-4), log_grid(1e-3, 1e0, 7)
+    )
+
+
+def bench_k_best(template: ParamDAG) -> Dict[str, object]:
+    """The k-best path DP over a template at each budget of the adaptive
+    schedule (32 to 512), with rank masks by variance order as
+    PathApprox builds them: the numpy DP (native off) against the C DP,
+    interleaved, masks equal."""
+    from repro.makespan import native
+
+    budgets = (32, 64) if SMOKE else (32, 64, 128, 256, 512)
+    var_rank = np.argsort(
+        np.argsort(template.variances, axis=1, kind="stable"), axis=1
+    )
+    args = (template.preds, template.sinks(), template.means)
+
+    def enumerate_paths():
+        return [_k_best_paths_cells(*args, k, var_rank) for k in budgets]
+
+    was_enabled = native.enabled()
+    walls: Dict[str, List[float]] = {"python_wall_s": [], "native_wall_s": []}
+    try:
+        for _ in range(REPEATS):
+            native.set_enabled(True)
+            got = timed(enumerate_paths, walls["native_wall_s"])
+            native.set_enabled(False)
+            ref = timed(enumerate_paths, walls["python_wall_s"])
+            assert got == ref, "k-best masks"
+    finally:
+        native.set_enabled(was_enabled)
+    stats: Dict[str, object] = {
+        "cells": template.n_cells,
+        "nodes": template.n,
+        "edges": sum(len(ps) for ps in template.preds),
+        "budgets": list(budgets),
+        "paths": sum(len(paths) for cells in ref for paths in cells),
+        "repeats": REPEATS,
+        "backend": native.status()["ops"]["kbest"],
     }
     stats.update(summarize_walls(walls))
     stats["speedup"] = stats["python_wall_s"] / stats["native_wall_s"]
@@ -245,6 +309,7 @@ def profiled_replay(template: ParamDAG) -> Dict[str, object]:
 def compare() -> str:
     native = bench_native()
     clark = bench_clark(clark_template())
+    k_best = bench_k_best(kbest_template())
     template = fold_template()
     fold = bench_fold(template)
     snap = profiled_replay(template)
@@ -268,6 +333,14 @@ def compare() -> str:
         f"speedup {clark['speedup']:5.2f}x  "
         f"({clark['cells']} cells x {clark['nodes']} nodes)"
     )
+    lines.append(
+        f"  k-best    {k_best['backend']:<8} "
+        f"python {k_best['python_wall_s']*1e3:8.2f}ms  "
+        f"native  {k_best['native_wall_s']*1e3:8.2f}ms  "
+        f"speedup {k_best['speedup']:5.2f}x  "
+        f"({k_best['cells']} cells x {k_best['nodes']} nodes, "
+        f"{k_best['paths']} paths)"
+    )
     for mode, stats in fold.items():
         lines.append(
             f"  fold      {mode:<8} scalar {stats['scalar_wall_s']:7.2f}s   "
@@ -284,6 +357,7 @@ def compare() -> str:
         "budget": BUDGET,
         "native": native,
         "clark_fold": clark,
+        "k_best": k_best,
         "fold": fold,
         "profile_ops": snap["ops"],
     }

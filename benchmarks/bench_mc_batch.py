@@ -16,9 +16,12 @@ The grid is a MONTAGE Monte Carlo grid under ``eval_seed_policy=
 (batched, and through the per-cell oracle), records asserted
 bit-identical, and the machine-readable summary lands in
 ``BENCH_mc.json`` at the repo root with ``cells_per_s`` / ``wall_s`` /
-``speedup`` keys.
-``REPRO_BENCH_SMOKE=1`` shrinks the grid for the CI smoke job.  Run
-directly::
+``speedup`` keys.  Each timed column (per-cell, batched) is the median
+of :data:`REPEATS` interleaved runs, with its first and third quartiles
+beside it (``<column>_q1`` / ``<column>_q3``), as in
+``bench_eval_batch.py``.
+``REPRO_BENCH_SMOKE=1`` shrinks the grid, and runs each column once, for
+the CI smoke job.  Run directly::
 
     PYTHONPATH=src:. python benchmarks/bench_mc_batch.py
 """
@@ -26,13 +29,18 @@ directly::
 from __future__ import annotations
 
 import os
-import time
 from typing import Dict, List, Tuple
 
 from repro.engine import CellResult, SweepSpec, run_sweep
 from repro.experiments.figures import log_grid
 
-from benchmarks.conftest import per_cell_sweep, save_artifact, save_json
+from benchmarks.conftest import (
+    per_cell_sweep,
+    save_artifact,
+    save_json,
+    summarize_walls,
+    timed,
+)
 
 #: Tiny grid for the CI smoke job (JSON shape, not timings).
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
@@ -42,6 +50,8 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 #: regime where the per-cell kernel's strided column accesses fall out
 #: of cache and the batched transposed propagation wins hardest.
 TRIALS = 64 if SMOKE else 8192
+#: Timed runs per column; each figure is their median.
+REPEATS = 1 if SMOKE else 5
 
 
 def montage_spec() -> SweepSpec:
@@ -61,30 +71,29 @@ def montage_spec() -> SweepSpec:
 
 
 def run_grid(spec: SweepSpec) -> Tuple[Dict[str, float], List[CellResult]]:
-    """Time per-cell vs batched Monte Carlo on one grid; assert parity."""
-    t0 = time.perf_counter()
-    per_cell = per_cell_sweep(spec)
-    wall_per_cell = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    batched = run_sweep(spec, jobs=1)
-    wall_batched = time.perf_counter() - t0
-    assert batched == per_cell, (
-        f"{spec.name}: batched Monte Carlo records diverge from the "
-        "per-cell path"
-    )
+    """Time per-cell vs batched Monte Carlo on one grid, the two columns
+    in turn :data:`REPEATS` times; assert parity on every repeat."""
+    walls: Dict[str, List[float]] = {"per_cell_wall_s": [], "wall_s": []}
+    for _ in range(REPEATS):
+        per_cell = timed(lambda: per_cell_sweep(spec), walls["per_cell_wall_s"])
+        batched = timed(lambda: run_sweep(spec, jobs=1), walls["wall_s"])
+        assert batched == per_cell, (
+            f"{spec.name}: batched Monte Carlo records diverge from the "
+            "per-cell path"
+        )
     cells = len(batched)
-    return (
+    stats: Dict[str, float] = {
+        "cells": cells, "trials": TRIALS, "repeats": REPEATS
+    }
+    stats.update(summarize_walls(walls))
+    stats.update(
         {
-            "cells": cells,
-            "trials": TRIALS,
-            "wall_s": wall_batched,
-            "per_cell_wall_s": wall_per_cell,
-            "cells_per_s": cells / wall_batched,
-            "per_cell_cells_per_s": cells / wall_per_cell,
-            "speedup": wall_per_cell / wall_batched,
-        },
-        batched,
+            "cells_per_s": cells / stats["wall_s"],
+            "per_cell_cells_per_s": cells / stats["per_cell_wall_s"],
+            "speedup": stats["per_cell_wall_s"] / stats["wall_s"],
+        }
     )
+    return stats, batched
 
 
 def compare() -> Tuple[str, List[CellResult]]:
@@ -97,6 +106,7 @@ def compare() -> Tuple[str, List[CellResult]]:
         # Top-level trajectory keys (single grid: same numbers).
         "cells": stats["cells"],
         "trials": TRIALS,
+        "repeats": REPEATS,
         "wall_s": stats["wall_s"],
         "per_cell_wall_s": stats["per_cell_wall_s"],
         "cells_per_s": stats["cells_per_s"],
@@ -106,7 +116,7 @@ def compare() -> Tuple[str, List[CellResult]]:
     save_json("BENCH_mc.json", summary)
     lines = [
         "batched vs per-cell Monte Carlo (content eval seeds, jobs=1, "
-        "bit-identical records)",
+        f"bit-identical records, median of {REPEATS})",
         f"  montage  {stats['cells']:>4} cells x {TRIALS} trials  "
         f"per-cell {stats['per_cell_wall_s']:7.2f}s "
         f"({stats['per_cell_cells_per_s']:6.2f} cells/s)  "

@@ -33,6 +33,12 @@
  * math.erf and math.exp through repro_libm_probe before it uses the
  * fold, and runs the python fold if any probe value differs.
  *
+ * repro_k_best_paths runs PathApprox's k-best path DP for every cell of
+ * a budget round in one call and returns each path as rank-space mask
+ * words; a cell whose order numpy would leave to argpartition's
+ * tie-breaking (equal values where a node truncates) or to NaN sorting
+ * declines, and numpy prices that row.
+ *
  * Built on first use by repro/makespan/native.py with
  * `cc -O2 -ffp-contract=off -fPIC -shared`; no python headers required
  * (pure C + ctypes).  Floating-point contraction stays off (the pragma
@@ -47,7 +53,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define REPRO_NATIVE_ABI 4
+#define REPRO_NATIVE_ABI 5
 #define FALLBACK (-1)
 
 /* ------------------------------------------------------------------ */
@@ -867,6 +873,260 @@ long long repro_normal_fold(const int *pred_ptr, const int *preds,
     }
     free(m);
     return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* k-best path DP: PathApprox's path enumeration                       */
+/* ------------------------------------------------------------------ */
+
+/* Whether candidate (va, run ra) comes before (vb, rb) in numpy's stable
+ * descending sort of the concatenated runs: the larger value first,
+ * equal values in run order (positions within a run ascend). */
+static int kbest_before(double va, long long ra, double vb, long long rb)
+{
+    return va > vb || (va == vb && ra < rb);
+}
+
+/* Sift slot i of a heap of runs keyed by (hv, hr) down into place. */
+static void kbest_sift(double *hv, long long *hr, long long size, long long i)
+{
+    const double v = hv[i];
+    const long long r = hr[i];
+    for (;;) {
+        long long c = 2 * i + 1;
+        if (c >= size)
+            break;
+        if (c + 1 < size && kbest_before(hv[c + 1], hr[c + 1], hv[c], hr[c]))
+            c++;
+        if (!kbest_before(hv[c], hr[c], v, r))
+            break;
+        hv[i] = hv[c];
+        hr[i] = hr[c];
+        i = c;
+    }
+    hv[i] = v;
+    hr[i] = r;
+}
+
+/* Merge the entry lists of nodes src[0 .. d) -- run i is src[i]'s list,
+ * each value plus shift -- in numpy's stable descending order of their
+ * concatenation, and write the first `take` as (value, node, rank) to
+ * out_val, out_node and out_rank.  Node q's list holds width[q] entries
+ * from off[q] of val, in descending order; adding one shift keeps each
+ * run descending, because rounding is monotone, so a heap merge of the
+ * runs is that order without a full sort.  hv, hr and pos are scratch
+ * for d runs.
+ *
+ * With `strict` (take is below the candidate count), two equal values
+ * among the first take + 1 return FALLBACK: numpy keeps such a node's
+ * entries in argpartition's order, which depends on the CPU.  So does
+ * an infinite shift meeting the opposite infinity, whose NaN numpy
+ * would sort; stored values are never NaN. */
+static long long kbest_merge(const int *src, long long d, double shift,
+                             long long take, int strict,
+                             const long long *off, const long long *width,
+                             const double *val, double *out_val,
+                             int *out_node, long long *out_rank,
+                             double *hv, long long *hr, long long *pos)
+{
+    long long i, j, size = d;
+    double last = 0.0;
+
+    for (i = 0; i < d; i++) {
+        const long long lo = off[src[i]], hi = lo + width[src[i]] - 1;
+        if (isinf(shift) && val[shift > 0.0 ? hi : lo] == -shift)
+            return FALLBACK;
+        pos[i] = 0;
+        hv[i] = val[lo] + shift;
+        hr[i] = i;
+    }
+    for (i = size / 2 - 1; i >= 0; i--)
+        kbest_sift(hv, hr, size, i);
+    for (j = 0; j < take; j++) {
+        const long long r = hr[0], q = src[r];
+        const double x = hv[0];
+        if (strict && j > 0 && x == last)
+            return FALLBACK;
+        out_val[j] = x;
+        out_node[j] = (int)q;
+        out_rank[j] = pos[r];
+        last = x;
+        if (++pos[r] < width[q])
+            hv[0] = val[off[q] + pos[r]] + shift;
+        else {
+            size--;
+            hv[0] = hv[size];
+            hr[0] = hr[size];
+        }
+        kbest_sift(hv, hr, size, 0);
+    }
+    if (strict && hv[0] == last) /* the first candidate past the budget */
+        return FALLBACK;
+    return 0;
+}
+
+/* The k-best path DP of repro/makespan/pathapprox.py
+ * (_k_best_paths_cells) for every cell of a template.  Node v's
+ * predecessors are preds[pred_ptr[v] .. pred_ptr[v+1]); means is the
+ * (cells, n) row-major plane of the nodes' expected durations and
+ * var_rank the (cells, n) plane of each node's bit in its cell's masks.
+ *
+ * Per cell, a source keeps its own mean; any other node merges its
+ * predecessors' lists, each entry plus the node's mean, in numpy's
+ * stable descending order of their concatenation and keeps the first
+ * min(k, candidates) entries, each with its predecessor and that
+ * predecessor's entry.  The sinks' lists then merge, unshifted, and the
+ * first kk walk back to their sources.  Path j of cell c is written as
+ * words = ceil(n / 63) mask words of 63 bits,
+ * masks[(w * cells + c) * kcap + j], the sum of 1 << (r % 63) over its
+ * nodes' ranks r with r / 63 == w, as numpy's int64 sum (with
+ * distinct ranks, the OR).  served[c] is 1 for a priced cell.  A cell
+ * declines (served[c] = 0, its mask rows untouched) when a mean is NaN,
+ * or when kbest_merge declines a node: ties at a node that truncates, or
+ * an inf + -inf.  numpy then prices the row; rows are independent.
+ *
+ * Returns kk = min(k, sink entries), the paths per cell, which the
+ * structure fixes; when kk > kcap nothing is written and the caller
+ * calls again with room for kk.  Returns FALLBACK, writing nothing, when
+ * k < 1, a predecessor does not index an earlier node, a sink or a rank
+ * is out of range, there is no sink, or scratch cannot be allocated. */
+long long repro_k_best_paths(const int *pred_ptr, const int *preds,
+                             long long n, const int *sinks, long long nsinks,
+                             const double *means, const long long *var_rank,
+                             long long cells, long long k, long long kcap,
+                             unsigned long long *masks,
+                             unsigned char *served)
+{
+    long long v, c, i, j, entries = 0, kk = 0, heap = nsinks, words;
+    long long *width, *off, *rank, *frank, *hr, *pos;
+    unsigned char *cut;
+    double *val, *fval, *hv;
+    int *node, *fnode;
+
+    if (n < 1 || nsinks < 1 || cells < 0 || k < 1 || kcap < 0 ||
+        pred_ptr[0] != 0)
+        return FALLBACK;
+    for (v = 0; v < n; v++) {
+        if (pred_ptr[v + 1] < pred_ptr[v])
+            return FALLBACK;
+        for (i = pred_ptr[v]; i < pred_ptr[v + 1]; i++)
+            if (preds[i] < 0 || preds[i] >= v)
+                return FALLBACK;
+        if (pred_ptr[v + 1] - pred_ptr[v] > heap)
+            heap = pred_ptr[v + 1] - pred_ptr[v];
+    }
+    for (i = 0; i < nsinks; i++)
+        if (sinks[i] < 0 || sinks[i] >= n)
+            return FALLBACK;
+    for (i = 0; i < cells * n; i++)
+        if (var_rank[i] < 0 || var_rank[i] >= n)
+            return FALLBACK;
+
+    /* Entry counts, which the structure fixes: a node keeps min(k,
+     * candidates), and cut marks the nodes with more candidates. */
+    width = (long long *)malloc((size_t)(2 * n) * sizeof(long long));
+    cut = (unsigned char *)malloc((size_t)n);
+    if (width == NULL || cut == NULL) {
+        free(width);
+        free(cut);
+        return FALLBACK;
+    }
+    off = width + n;
+    for (v = 0; v < n; v++) {
+        long long total = 0;
+        cut[v] = 0;
+        for (i = pred_ptr[v]; i < pred_ptr[v + 1]; i++) {
+            if (width[preds[i]] > k - total) {
+                cut[v] = 1;
+                total = k;
+            }
+            else
+                total += width[preds[i]];
+        }
+        width[v] = pred_ptr[v] < pred_ptr[v + 1] ? total : 1;
+        off[v] = entries;
+        if (width[v] > LLONG_MAX / 64 - entries) {
+            free(width);
+            free(cut);
+            return FALLBACK;
+        }
+        entries += width[v];
+    }
+    for (i = 0; i < nsinks; i++)
+        kk = width[sinks[i]] > k - kk ? k : kk + width[sinks[i]];
+    if (kk > kcap) {
+        free(width);
+        free(cut);
+        return kk;
+    }
+
+    /* Each block ends with the node entries, so a write past the last
+     * node's entries leaves the block. */
+    hv = (double *)malloc((size_t)(heap + kk + entries) * sizeof(double));
+    hr = (long long *)malloc((size_t)(2 * heap + kk + entries) *
+                             sizeof(long long));
+    fnode = (int *)malloc((size_t)(kk + entries) * sizeof(int));
+    if (hv == NULL || hr == NULL || fnode == NULL) {
+        free(hv);
+        free(hr);
+        free(fnode);
+        free(width);
+        free(cut);
+        return FALLBACK;
+    }
+    fval = hv + heap;
+    val = fval + kk;
+    pos = hr + heap;
+    frank = pos + heap;
+    rank = frank + kk;
+    node = fnode + kk;
+    words = (n + 62) / 63;
+
+    for (c = 0; c < cells; c++) {
+        const double *mu = means + c * n;
+        const long long *vr = var_rank + c * n;
+        int ok = 1;
+
+        for (v = 0; v < n && ok; v++)
+            ok = !isnan(mu[v]);
+        for (v = 0; v < n && ok; v++) {
+            const long long lo = pred_ptr[v], d = pred_ptr[v + 1] - lo;
+            if (d == 0) {
+                val[off[v]] = mu[v];
+                node[off[v]] = -1;
+                rank[off[v]] = -1;
+            }
+            else
+                ok = kbest_merge(preds + lo, d, mu[v], width[v], cut[v],
+                                 off, width, val, val + off[v],
+                                 node + off[v], rank + off[v], hv, hr,
+                                 pos) == 0;
+        }
+        served[c] = (unsigned char)ok;
+        if (!ok)
+            continue;
+        /* x + -0.0 is x for every x, so the sinks merge unshifted. */
+        kbest_merge(sinks, nsinks, -0.0, kk, 0, off, width, val, fval,
+                    fnode, frank, hv, hr, pos);
+        for (i = 0; i < words; i++)
+            for (j = 0; j < kk; j++)
+                masks[(i * cells + c) * kcap + j] = 0;
+        for (j = 0; j < kk; j++) {
+            long long at = fnode[j], r = frank[j];
+            while (at >= 0) {
+                const long long b = vr[at], e = off[at] + r;
+                masks[((b / 63) * cells + c) * kcap + j] += 1ULL << (b % 63);
+                at = node[e];
+                r = rank[e];
+            }
+        }
+    }
+    free(hv);
+    free(hr);
+    free(fnode);
+    free(width);
+    free(cut);
+    return kk;
 }
 
 /* erf and exp of x[0..n), as the fold calls them: the loader compares

@@ -26,6 +26,15 @@ fixed probe set checks the library's ``erf`` and ``exp`` against them
 bit for bit; on any difference the op declines for the process
 (:func:`status` reports it as ``"python"``) and the python fold runs.
 
+:func:`k_best_paths` runs PathApprox's k-best path DP
+(:func:`~repro.makespan.pathapprox._k_best_paths_cells`) for every cell
+of a budget round in one C call and returns each path's rank-space mask
+words.  A cell declines where numpy's order is not a function of the
+values alone: equal values among the first ``k + 1`` candidates of a
+node that truncates (numpy keeps those in ``argpartition``'s order,
+which depends on the CPU), or a NaN.  The numpy DP then prices just the
+declined rows.
+
 Build strategy: compiled on first use with the system C compiler into a
 shared object cached under ``~/.cache/repro-native`` (override with
 ``REPRO_NATIVE_CACHE``), keyed by a hash of the source, ABI and
@@ -49,8 +58,10 @@ each wrapper records ``native_<op>`` rows it served and
 BENCH_kernel.json show exactly how much work the compiled path
 absorbed; the fold replay records the convolve and max steps its
 :func:`replay_tape` calls ran as ``native_convolve`` and ``native_max``
-rows, and :func:`normal_fold` the cells it priced (or passed back) as
-``native_normal`` (``native_miss_normal``) rows.
+rows, :func:`normal_fold` the cells it priced (or passed back) as
+``native_normal`` (``native_miss_normal``) rows, and :func:`k_best_paths`
+the cells it enumerated (or passed back) as ``native_kbest``
+(``native_miss_kbest``) rows, one per cell and budget round.
 """
 
 from __future__ import annotations
@@ -80,14 +91,15 @@ __all__ = [
     "truncate_dist",
     "replay_tape",
     "normal_fold",
+    "k_best_paths",
     "OPS",
 ]
 
 #: Kernel ops the native library implements (status/`repro kernels`).
-OPS = ("convolve", "max", "truncate", "normal")
+OPS = ("convolve", "max", "truncate", "normal", "kbest")
 
 #: Bump together with REPRO_NATIVE_ABI in ``_native.c``.
-_ABI = 4
+_ABI = 5
 
 #: Stop statuses of :func:`replay_tape` (``TAPE_*`` in ``_native.c``).
 TAPE_DONE = 0
@@ -124,6 +136,7 @@ _c_max = None
 _c_trunc = None
 _c_tape = None
 _c_normal = None
+_c_kbest = None
 
 #: Whether the library's ``erf`` and ``exp`` matched python's on the
 #: probe set (``None`` until the first :func:`normal_fold` or
@@ -188,6 +201,10 @@ def _declare(lib: ctypes.CDLL) -> None:
         ptr, ptr, ll, ptr, ll, ptr, ptr, ll, dbl, dbl, ptr
     ]
     lib.repro_normal_fold.restype = ll
+    lib.repro_k_best_paths.argtypes = [
+        ptr, ptr, ll, ptr, ll, ptr, ptr, ll, ll, ll, ptr, ptr
+    ]
+    lib.repro_k_best_paths.restype = ll
     lib.repro_libm_probe.argtypes = [ptr, ll, ptr, ptr]
     lib.repro_libm_probe.restype = None
 
@@ -253,7 +270,7 @@ def _build_and_load() -> Optional[ctypes.CDLL]:
 
 def _get_lib() -> Optional[ctypes.CDLL]:
     global _lib, _attempted
-    global _c_conv, _c_max, _c_trunc, _c_tape, _c_normal
+    global _c_conv, _c_max, _c_trunc, _c_tape, _c_normal, _c_kbest
     if not _attempted:
         _attempted = True
         _lib = _build_and_load()
@@ -265,6 +282,7 @@ def _get_lib() -> Optional[ctypes.CDLL]:
             _c_trunc = _lib.repro_truncate_adaptive
             _c_tape = _lib.repro_replay_tape
             _c_normal = _lib.repro_normal_fold
+            _c_kbest = _lib.repro_k_best_paths
     return _lib
 
 
@@ -393,7 +411,7 @@ def _reset_for_tests() -> None:
     """Forget build state so tests can exercise failure paths."""
     global _lib, _attempted, _build_error, _warned, _compiler, _so_path
     global _disabled_runtime, _ok, _libm_ok
-    global _c_conv, _c_max, _c_trunc, _c_tape, _c_normal
+    global _c_conv, _c_max, _c_trunc, _c_tape, _c_normal, _c_kbest
     _lib = None
     _attempted = False
     _build_error = None
@@ -403,7 +421,7 @@ def _reset_for_tests() -> None:
     _disabled_runtime = False
     _ok = None
     _libm_ok = None
-    _c_conv = _c_max = _c_trunc = _c_tape = _c_normal = None
+    _c_conv = _c_max = _c_trunc = _c_tape = _c_normal = _c_kbest = None
 
 
 # --------------------------------------------------------------------- #
@@ -557,6 +575,18 @@ def replay_tape(table, root, off, length, values, probs, max_atoms, cursor, ran)
     )
 
 
+def _csr(preds) -> Tuple[np.ndarray, np.ndarray]:
+    """Predecessor lists as int32 CSR: node ``v``'s predecessors are
+    ``flat[ptr[v]:ptr[v + 1]]``."""
+    counts = np.fromiter(map(len, preds), dtype=np.int32, count=len(preds))
+    ptr = np.zeros(counts.size + 1, dtype=np.int32)
+    np.cumsum(counts, out=ptr[1:])
+    flat = np.fromiter(
+        (q for ps in preds for q in ps), dtype=np.int32, count=int(ptr[-1])
+    )
+    return ptr, flat
+
+
 def normal_fold(template, sqrt2: float, inv_sqrt2pi: float):
     """Sculli's estimate of every cell of ``template`` in one C call,
     or ``None`` when the python fold must run.
@@ -579,19 +609,13 @@ def normal_fold(template, sqrt2: float, inv_sqrt2pi: float):
             prof.record("native_miss_normal", cells, 0, 0.0)
         return None
     t0 = time.perf_counter() if prof is not None else 0.0
-    preds = template.preds
-    counts = np.fromiter(map(len, preds), dtype=np.int32, count=len(preds))
-    ptr = np.zeros(counts.size + 1, dtype=np.int32)
-    np.cumsum(counts, out=ptr[1:])
-    flat = np.fromiter(
-        (q for ps in preds for q in ps), dtype=np.int32, count=int(ptr[-1])
-    )
+    ptr, flat = _csr(template.preds)
     sinks = np.array(template.sinks(), dtype=np.int32)
     means = np.ascontiguousarray(template.means, dtype=float)
     variances = np.ascontiguousarray(template.variances, dtype=float)
     out = np.empty(cells)
     status = _c_normal(
-        ptr.ctypes.data, flat.ctypes.data, counts.size, sinks.ctypes.data,
+        ptr.ctypes.data, flat.ctypes.data, ptr.size - 1, sinks.ctypes.data,
         sinks.size, means.ctypes.data, variances.ctypes.data, cells,
         sqrt2, inv_sqrt2pi, out.ctypes.data,
     )
@@ -602,3 +626,69 @@ def normal_fold(template, sqrt2: float, inv_sqrt2pi: float):
     if prof is not None:
         prof.record("native_normal", cells, 0, time.perf_counter() - t0)
     return out
+
+
+#: Paths per cell the first :func:`k_best_paths` call makes room for
+#: (MONTAGE's budget rounds ask for 32 to 512); a DAG that fills a larger
+#: budget takes a second call with room for all of them.
+_KBEST_PATHS = 4096
+
+
+def k_best_paths(preds, sinks, means, k: int, var_rank):
+    """The k-best path DP of every cell in one C call, or ``None`` when
+    the numpy DP must run for all of them.
+
+    Arguments are those of
+    :func:`~repro.makespan.pathapprox._k_best_paths_cells`: ``means``
+    and ``var_rank`` have one row per cell.  Returns ``(masks, served)``:
+    ``masks[w, c, j]`` is word ``w`` (63 bits) of cell ``c``'s path
+    ``j`` in rank space, as the numpy DP builds it, and ``served[c]`` is
+    false for a cell the C declined (its rows of ``masks`` are
+    unwritten): equal values among the first ``k + 1`` candidates of a
+    node that truncates, or a NaN.  Returns ``None`` when kernels are
+    off, ``k < 1`` or the structure is malformed (a predecessor that is
+    not an earlier node, a sink or rank out of range, no sink, or rows
+    that do not match the nodes).  Records the served cells as
+    ``native_kbest`` rows and the others as ``native_miss_kbest``.
+    """
+    prof = _profile.ACTIVE
+    cells = len(means)
+    if not _fast_ok():
+        if prof is not None:
+            prof.record("native_miss_kbest", cells, 0, 0.0)
+        return None
+    t0 = time.perf_counter() if prof is not None else 0.0
+    ptr, flat = _csr(preds)
+    n = ptr.size - 1
+    sink_arr = np.array(sinks, dtype=np.int32)
+    means = np.ascontiguousarray(means, dtype=float)
+    ranks = np.ascontiguousarray(var_rank, dtype=np.int64)
+    served = np.zeros(cells, dtype=np.uint8)
+    kk = -1
+    if means.shape == ranks.shape == (cells, n) and k >= 1:
+        # ctypes would wrap a budget past a long long; no mask buffer
+        # holds that many paths, so the clamp changes no answer.
+        k = min(k, 2**63 - 1)
+        kcap = min(k, _KBEST_PATHS)
+        while True:
+            masks = np.empty((-(-n // 63), cells, kcap), dtype=np.int64)
+            kk = _c_kbest(
+                ptr.ctypes.data, flat.ctypes.data, n, sink_arr.ctypes.data,
+                sink_arr.size, means.ctypes.data, ranks.ctypes.data, cells, k,
+                kcap, masks.ctypes.data, served.ctypes.data,
+            )
+            if kk <= kcap:
+                break
+            kcap = kk
+    if kk < 0:
+        if prof is not None:
+            prof.record("native_miss_kbest", cells, 0, 0.0)
+        return None
+    ok = served.astype(bool)
+    if prof is not None:
+        hit = int(np.count_nonzero(ok))
+        if hit:
+            prof.record("native_kbest", hit, 0, time.perf_counter() - t0)
+        if hit < cells:
+            prof.record("native_miss_kbest", cells - hit, 0, 0.0)
+    return masks[:, :, :kk], ok

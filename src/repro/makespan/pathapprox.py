@@ -36,6 +36,7 @@ from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import EvaluationError
+from repro.makespan import native as _native
 from repro.makespan.distribution import DEFAULT_MAX_ATOMS, DiscreteDistribution
 from repro.makespan.probdag import ProbDAG
 
@@ -134,20 +135,69 @@ def _k_best_paths_cells(
 
     ``means`` has shape ``(cells, n)``.  ``var_rank`` has the same shape
     and holds a permutation of ``range(n)`` per row: node ``v`` of cell
-    ``c`` is bit ``var_rank[c, v]`` of that cell's masks, so the result holds, per
-    cell, one python int per path in the scalar call's path order.  The
-    K-best DP runs with a leading cell axis — the entry counts kept per
-    node are structure-determined, so every cell's arrays stack — and
-    each row's ``argpartition``/stable ``argsort`` applies the scalar
-    call's algorithm to the scalar call's data, so the enumerated paths
-    match the per-cell reference exactly (pinned by the evaluator parity
-    tests).  The walk back from the sinks ORs each node's bit into its
-    path's mask in numpy, over 63-bit words (an int64 holds each word
-    exactly), so any ``n`` works; only the finished words become python
-    ints.
+    ``c`` is bit ``var_rank[c, v]`` of that cell's masks, so the result
+    holds, per cell, one python int per path in the scalar call's path
+    order.
+
+    With native kernels live, one C call
+    (:func:`~repro.makespan.native.k_best_paths`) runs the DP of every
+    cell: each node merges its predecessors' descending lists in the
+    order of numpy's stable descending sort of their concatenation, so
+    the values alone fix the order on any CPU.  A cell declines where
+    they do not: equal values among the first ``k + 1`` candidates of a
+    node that truncates (numpy keeps such entries in ``argpartition``'s
+    order, which depends on the CPU), or a NaN.  :func:`_k_best_masks`,
+    the numpy DP, prices the declined rows (rows are independent), and
+    every row when kernels are off; it and the scalar
+    :func:`k_longest_paths` are the oracles.
     """
     if k < 1:
         raise EvaluationError(f"k must be >= 1, got {k}")
+    got = _native.k_best_paths(preds, sinks, means, k, var_rank)
+    if got is None:
+        return _mask_ints(_k_best_masks(preds, sinks, means, k, var_rank))
+    masks, served = got
+    if not served.all():
+        miss = np.flatnonzero(~served)
+        masks[:, miss] = _k_best_masks(
+            preds, sinks, means[miss], k, var_rank[miss]
+        )
+    return _mask_ints(masks)
+
+
+def _mask_ints(masks: np.ndarray) -> List[List[int]]:
+    """Per cell, each path's mask as one python int, from the words
+    ``masks[w, c, j]`` (bits ``63 w`` to ``63 w + 62`` of cell ``c``'s
+    path ``j``)."""
+    out = masks[0].tolist()
+    for w in range(1, masks.shape[0]):
+        shift = 63 * w
+        out = [
+            [low | (high << shift) for low, high in zip(row, high_row)]
+            for row, high_row in zip(out, masks[w].tolist())
+        ]
+    return out
+
+
+def _k_best_masks(
+    preds: Sequence[Sequence[int]],
+    sinks: Sequence[int],
+    means: np.ndarray,
+    k: int,
+    var_rank: np.ndarray,
+) -> np.ndarray:
+    """The numpy k-best DP of :func:`_k_best_paths_cells`, as mask words
+    of shape ``(words, cells, paths)``.
+
+    The K-best DP runs with a leading cell axis — the entry counts kept
+    per node are structure-determined, so every cell's arrays stack —
+    and each row's ``argpartition``/stable ``argsort`` applies the
+    scalar call's algorithm to the scalar call's data, so the enumerated
+    paths match the per-cell reference exactly (pinned by the evaluator
+    parity tests).  The walk back from the sinks ORs each node's bit
+    into its path's mask in numpy, over 63-bit words (an int64 holds
+    each word exactly), so any ``n`` works.
+    """
     c, n = means.shape
     best_len: List[np.ndarray] = [None] * n  # type: ignore[list-item]
     best_pred: List[np.ndarray] = [None] * n  # type: ignore[list-item]
@@ -222,14 +272,7 @@ def _k_best_paths_cells(
         safe_r = np.where(active, r_cur, 0)
         v_cur = np.where(active, pred_tab[safe_v, ci_idx, safe_r], -1)
         r_cur = rank_tab[safe_v, ci_idx, safe_r]
-    out = masks[0].tolist()
-    for w in range(1, words):
-        shift = 63 * w
-        out = [
-            [low | (high << shift) for low, high in zip(row, high_row)]
-            for row, high_row in zip(out, masks[w].tolist())
-        ]
-    return out
+    return masks
 
 
 def _path_sum(

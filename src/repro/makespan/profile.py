@@ -51,13 +51,16 @@ DISPATCH_OPS = ("dispatch",)
 
 #: Compiled-kernel ops (:mod:`repro.makespan.native`); ``rows`` counts
 #: distribution rows the native path served (for ``native_normal``, the
-#: cells the C Clark fold priced).  Each has a paired ``native_miss_*``
-#: op counting rows that fell back to the python reference (native
-#: disabled, build failed, an input the compiled kernel declines — NaN
-#: supports, mixed infinities — or, for the Clark fold, a library whose
+#: cells the C Clark fold priced; for ``native_kbest``, the cells the C
+#: k-best DP enumerated, one row per cell and budget round).  Each has a
+#: paired ``native_miss_*`` op counting rows that fell back to the python
+#: reference (native disabled, build failed, an input the compiled kernel
+#: declines — NaN supports, mixed infinities, tied path lengths where a
+#: node truncates — or, for the Clark fold, a library whose
 #: ``erf``/``exp`` failed the load-time probe).
 NATIVE_OPS = (
-    "native_convolve", "native_max", "native_truncate", "native_normal"
+    "native_convolve", "native_max", "native_truncate", "native_normal",
+    "native_kbest",
 )
 NATIVE_MISS_OPS = tuple("native_miss_" + op[len("native_"):] for op in NATIVE_OPS)
 

@@ -10,8 +10,11 @@ import os
 import pytest
 
 from repro.engine.pipeline import Pipeline
+from repro.makespan.paramdag import ParamDAG
+from repro.makespan.probdag import ProbDAG
 from repro.mspg.graph import Workflow
 from repro.platform import Platform
+from repro.util.rng import stable_seed
 
 
 def fuzz_examples(count: int) -> int:
@@ -81,6 +84,45 @@ def make_fig4_workflow() -> Workflow:
     add_data_edge(wf, "T5", "T6")
     wf.add_file("final", 1e6, producer="T6")
     return wf
+
+
+def group_dags(family: str, processors: int, pfails, ccrs, method_dag="all"):
+    """Per-cell segment DAGs of one real (workflow, processors) group."""
+    pipe = Pipeline()
+    wf = pipe.prepare(family, 50, stable_seed(2017, family, 50))
+    tree = pipe.mspg_tree(wf)
+    schedule = pipe.schedule_for(
+        wf, processors, seed=stable_seed(2017, family, 50, processors), tree=tree
+    )
+    dags = []
+    for pfail in pfails:
+        for ccr in ccrs:
+            platform = pipe.platform_for(wf, processors, pfail, 100e6)
+            scaled = pipe.scale(wf, platform, ccr)
+            plan_some, plan_all = pipe.plans(scaled, schedule, platform, True)
+            plan = plan_all if method_dag == "all" else plan_some
+            dags.append(pipe.segment_dag(scaled, schedule, plan, platform))
+    return dags
+
+
+def tied_path_template() -> ParamDAG:
+    """Six layers of two nodes, each joined to both nodes of the layer
+    before, then a sink: a variable node (base 10, long 20, p 0.5) and a
+    fixed one (base = long = 15) per layer, so all 64 paths have mean 90
+    and differ in variance; the second cell scales every weight by 0.8,
+    keeping the ties exact.  Every node of the k-best DP that truncates
+    ties."""
+    dags = []
+    for scale in (1.0, 0.8):
+        dag = ProbDAG()
+        prev = []
+        for depth in range(6):
+            dag.add(f"a{depth}", 10 * scale, 20 * scale, 0.5, preds=prev)
+            dag.add(f"b{depth}", 15 * scale, 15 * scale, 0.0, preds=prev)
+            prev = [f"a{depth}", f"b{depth}"]
+        dag.add("sink", 0.0, 0.0, 0.0, preds=prev)
+        dags.append(dag)
+    return ParamDAG.from_dags(dags)
 
 
 @pytest.fixture

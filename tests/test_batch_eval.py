@@ -16,7 +16,7 @@ Three layers of the batch contract are pinned here:
 import numpy as np
 import pytest
 
-from repro.engine import Pipeline, SweepSpec, run_sweep
+from repro.engine import SweepSpec, run_sweep
 from repro.errors import EvaluationError
 from repro.experiments.figures import run_cell
 from repro.makespan.api import expected_makespan, expected_makespans
@@ -24,7 +24,8 @@ from repro.makespan.distribution import DiscreteDistribution, two_state_rows
 from repro.makespan.paramdag import ParamDAG
 from repro.makespan.pathapprox import pathapprox
 from repro.makespan.probdag import ProbDAG
-from repro.util.rng import stable_seed
+
+from conftest import group_dags, tied_path_template
 
 
 class TestBatchConstruction:
@@ -124,25 +125,6 @@ class TestParamDAG:
             ParamDAG.from_template(dag, **arrays)
 
 
-def group_dags(family: str, processors: int, pfails, ccrs, method_dag="all"):
-    """Per-cell segment DAGs of one real (workflow, processors) group."""
-    pipe = Pipeline()
-    wf = pipe.prepare(family, 50, stable_seed(2017, family, 50))
-    tree = pipe.mspg_tree(wf)
-    schedule = pipe.schedule_for(
-        wf, processors, seed=stable_seed(2017, family, 50, processors), tree=tree
-    )
-    dags = []
-    for pfail in pfails:
-        for ccr in ccrs:
-            platform = pipe.platform_for(wf, processors, pfail, 100e6)
-            scaled = pipe.scale(wf, platform, ccr)
-            plan_some, plan_all = pipe.plans(scaled, schedule, platform, True)
-            plan = plan_all if method_dag == "all" else plan_some
-            dags.append(pipe.segment_dag(scaled, schedule, plan, platform))
-    return dags
-
-
 class TestEvaluatorBatchParity:
     """Acceptance: batched == per-cell, bit for bit, on real grids."""
 
@@ -183,24 +165,12 @@ class TestEvaluatorBatchParity:
         subset prices differently, so the batched k-best DP must break
         ties exactly as the scalar one does.
 
-        Six layers of two nodes, each node joined to both nodes of the
-        layer before: a variable one (base 10, long 20, p 0.5) and a
-        fixed one (base = long = 15).  All 64 paths have mean 90; the
-        second cell scales every weight by 0.8, keeping the ties exact.
-        Each node truncates its merged candidate list, so reversing the
-        tie order anywhere in the DP changes the kept paths.
+        :func:`conftest.tied_path_template`: 64 paths of mean 90 (72 in
+        the second cell) and different variances.  Each node truncates
+        its merged candidate list, so reversing the tie order anywhere in
+        the DP changes the kept paths.
         """
-        dags = []
-        for scale in (1.0, 0.8):
-            dag = ProbDAG()
-            prev = []
-            for depth in range(6):
-                dag.add(f"a{depth}", 10 * scale, 20 * scale, 0.5, preds=prev)
-                dag.add(f"b{depth}", 15 * scale, 15 * scale, 0.0, preds=prev)
-                prev = [f"a{depth}", f"b{depth}"]
-            dag.add("sink", 0.0, 0.0, 0.0, preds=prev)
-            dags.append(dag)
-        template = ParamDAG.from_dags(dags)
+        template = tied_path_template()
         batched = expected_makespans(template, "pathapprox", k=k)
         scalar = [pathapprox(template.cell(i), k=k) for i in range(2)]
         assert [float(v).hex() for v in batched] == [v.hex() for v in scalar]

@@ -16,6 +16,11 @@ Five contracts are pinned here:
   templates exactly as the numpy fold and the scalar estimator do, and
   a library whose ``erf``/``exp`` fail the load-time probe declines
   the op for the process (the numpy fold then runs);
+* **k-best DP** — the C path enumeration returns the masks of the numpy
+  DP and of the scalar ``k_longest_paths`` on drawn templates, serves
+  every cell whose path lengths are distinct, declines a cell whose
+  truncating node ties (numpy then prices it) and declines a malformed
+  call before it writes anything;
 * **fold replay** — the C demand replay over a call's step table
   prices random and wide templates exactly as the python loop does; a
   cell whose step declines finishes on that loop, arenas grow mid-walk,
@@ -48,12 +53,18 @@ from repro.engine import SweepSpec, run_sweep
 from repro.errors import EvaluationError
 from repro.makespan import foldplan, native
 from repro.makespan import profile as kernel_profile
+from repro.makespan.api import expected_makespans
 from repro.makespan.distribution import DiscreteDistribution
 from repro.makespan.normal import normal, normal_batch
 from repro.makespan.paramdag import ParamDAG
-from repro.makespan.pathapprox import pathapprox, pathapprox_batch
+from repro.makespan.pathapprox import (
+    _k_best_paths_cells,
+    k_longest_paths,
+    pathapprox,
+    pathapprox_batch,
+)
 
-from conftest import fuzz_examples
+from conftest import fuzz_examples, group_dags, tied_path_template
 
 HAVE_NATIVE = native.available()
 
@@ -323,6 +334,72 @@ def normal_case(draw):
     )
 
 
+#: How a cell's means are drawn: a small pool with zero (tied path
+#: lengths), floats from a drawn seed (distinct path lengths, also at
+#: 1e300), or floats near the top of the double range (any two sum to
+#: inf, so path lengths tie at inf).
+KBEST_MODES = ("pool", "floats", "huge")
+
+
+def means_template(preds, means):
+    """A template whose node ``v`` of cell ``c`` has mean
+    ``means[c, v]`` exactly: ``base == long`` and ``p`` 0."""
+    n = len(preds)
+    succs = [[v for v in range(n) if u in preds[v]] for u in range(n)]
+    return ParamDAG(
+        [f"t{v}" for v in range(n)], preds, succs, means, means,
+        np.zeros_like(means),
+    )
+
+
+@st.composite
+def kbest_case(draw):
+    """``(template, k, var_rank, modes)``: a chain of 0, 58 or 120 nodes
+    (path masks of one to three 63-bit words) followed by layers whose
+    nodes each join up to 20 earlier nodes in drawn order (or none: a
+    later source), over 1–4 cells whose means are drawn per cell by one
+    of :data:`KBEST_MODES`, with a random rank permutation per cell and
+    a budget from 1 to past the path count."""
+    chain = draw(st.sampled_from([0, 58, 120]))
+    preds = [[v - 1] if v else [] for v in range(chain)]
+    for _depth in range(draw(st.integers(1, 5))):
+        earlier = list(range(len(preds)))
+        for _ in range(draw(st.integers(1, 6))):
+            preds.append(
+                draw(st.lists(st.sampled_from(earlier), unique=True,
+                              max_size=min(20, len(earlier))))
+                if earlier else []
+            )
+    n = len(preds)
+    modes = draw(
+        st.lists(st.sampled_from(KBEST_MODES), min_size=1, max_size=4)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for mode in modes:
+        if mode == "pool":
+            rows.append(rng.choice([0.0, 1.0, 2.0, 3.0], n))
+        elif mode == "floats":
+            scale = draw(st.sampled_from([1.0, 1e300]))
+            rows.append(rng.uniform(0.5, 1.0, n) * scale)
+        else:
+            rows.append(rng.uniform(0.5, 1.0, n) * 1.7e308)
+    var_rank = np.array([rng.permutation(n) for _ in modes], dtype=np.int64)
+    k = draw(st.one_of(st.integers(1, 40), st.sampled_from([100, 600])))
+    return means_template(preds, np.array(rows)), k, var_rank, modes
+
+
+def scalar_masks(template, k, var_rank):
+    """Per cell, the scalar ``k_longest_paths`` as rank-space masks."""
+    return [
+        [
+            sum(1 << int(var_rank[c, v]) for v in path)
+            for path in k_longest_paths(template.cell(c), k)
+        ]
+        for c in range(template.n_cells)
+    ]
+
+
 def assert_same_outcome(got, ref):
     """Both paths raised (``both_backends`` compared the errors) or both
     returned the same atoms."""
@@ -384,6 +461,31 @@ class TestNativeDifferentialFuzz:
         scalar = [normal(template.cell(c)) for c in range(template.n_cells)]
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in ref.tolist()]
         assert [v.hex() for v in ref.tolist()] == [v.hex() for v in scalar]
+
+    @given(kbest_case())
+    @settings(max_examples=fuzz_examples(150), deadline=None)
+    def test_k_best(self, case):
+        """The C k-best DP, the numpy DP (native off) and each cell's
+        scalar ``k_longest_paths`` give the same rank masks, and every
+        cell drawn with distinct float means is served by the C (its
+        ``native_kbest`` row), so no case passes by declining."""
+        template, k, var_rank, modes = case
+        args = (template.preds, template.sinks(), template.means, k, var_rank)
+        native.set_enabled(True)
+        prof = kernel_profile.enable()
+        try:
+            got = _k_best_paths_cells(*args)
+        finally:
+            kernel_profile.disable()
+        _masks, served = native.k_best_paths(*args)
+        hits = prof.counters.get("native_kbest", {"rows": 0})["rows"]
+        assert hits == np.count_nonzero(served)
+        floats = [c for c, mode in enumerate(modes) if mode == "floats"]
+        assert served[floats].all()
+        native.set_enabled(False)
+        ref = _k_best_paths_cells(*args)
+        assert got == ref
+        assert ref == scalar_masks(template, k, var_rank)
 
     @given(replay_case())
     @settings(max_examples=fuzz_examples(60), deadline=None)
@@ -800,7 +902,7 @@ class TestNativeNormalFold:
             ops = native.status()["ops"]
         assert ops == {
             "convolve": "native", "max": "native", "truncate": "native",
-            "normal": "python",
+            "normal": "python", "kbest": "native",
         }
         prof = kernel_profile.enable()
         try:
@@ -810,6 +912,162 @@ class TestNativeNormalFold:
         assert "native_normal" not in prof.counters
         assert prof.counters["native_miss_normal"]["rows"] == 4
         assert native.status()["ops"]["normal"] == "python"
+
+
+#: A diamond (0 -> 1, 0 -> 2, {1, 2} -> 3) over two cells, as the C
+#: k-best entry's arguments.
+DIAMOND = dict(
+    preds=[[], [0], [0], [1, 2]],
+    sinks=[3],
+    means=np.array([[1.0, 2.0, 3.0, 4.0], [2.0, 5.0, 1.0, 1.0]]),
+    var_rank=np.array([[0, 1, 2, 3], [3, 2, 1, 0]], dtype=np.int64),
+    k=2,
+)
+
+
+def raw_kbest(preds, sinks, means, var_rank, k, kcap=4):
+    """The C k-best entry on sentinel-filled buffers: ``(status, masks,
+    served)``."""
+    ptr, flat = native._csr(preds)
+    sinks = np.array(sinks, dtype=np.int32)
+    means = np.ascontiguousarray(means, dtype=float)
+    var_rank = np.ascontiguousarray(var_rank, dtype=np.int64)
+    cells, n = means.shape
+    masks = np.full((-(-n // 63), cells, kcap), 7, dtype=np.int64)
+    served = np.full(cells, 9, dtype=np.uint8)
+    status = native._c_kbest(
+        ptr.ctypes.data, flat.ctypes.data, n, sinks.ctypes.data, sinks.size,
+        means.ctypes.data, var_rank.ctypes.data, cells, k, kcap,
+        masks.ctypes.data, served.ctypes.data,
+    )
+    return status, masks, served
+
+
+@needs_native
+class TestNativeKBest:
+    """Pinned cases of the C k-best DP: what it serves, what it declines,
+    and that a decline writes nothing."""
+
+    @pytest.mark.parametrize("k", [3, 10, 20])
+    def test_tied_template_declines_every_cell(self, k):
+        """Every node of the tied template that truncates ties, so each
+        cell declines and numpy prices it: the estimates still equal the
+        per-cell ``pathapprox``."""
+        template = tied_path_template()
+        native.set_enabled(True)
+        prof = kernel_profile.enable()
+        try:
+            batched = expected_makespans(template, "pathapprox", k=k)
+        finally:
+            kernel_profile.disable()
+        assert "native_kbest" not in prof.counters
+        assert prof.counters["native_miss_kbest"]["rows"] == template.n_cells
+        scalar = [pathapprox(template.cell(c), k=k) for c in range(2)]
+        assert [float(v).hex() for v in batched] == [v.hex() for v in scalar]
+
+    def test_montage_template_is_served(self):
+        """A real MONTAGE-50 CKPTALL template has no tied path lengths:
+        the C serves every cell at every budget of the adaptive
+        schedule, with the numpy DP's masks."""
+        template = ParamDAG.from_dags(
+            group_dags("montage", 5, (0.01,), (1e-3, 1e-2, 1e-1))
+        )
+        var_rank = np.argsort(
+            np.argsort(template.variances, axis=1, kind="stable"), axis=1
+        )
+        args = (template.preds, template.sinks(), template.means)
+        native.set_enabled(True)
+        for k in (32, 64, 128, 256, 512):
+            _masks, served = native.k_best_paths(*args, k, var_rank)
+            assert served.all()
+            native.set_enabled(False)
+            ref = _k_best_paths_cells(*args, k, var_rank)
+            native.set_enabled(True)
+            assert _k_best_paths_cells(*args, k, var_rank) == ref
+        prof = kernel_profile.enable()
+        try:
+            pathapprox_batch(template)
+        finally:
+            kernel_profile.disable()
+        assert "native_miss_kbest" not in prof.counters
+        assert prof.counters["native_kbest"]["rows"] >= template.n_cells
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"preds": [[], [0], [0], [3, 2]]},  # node 3 reads itself
+            {"preds": [[], [2], [0], [1, 2]]},  # node 1 reads a later node
+            {"preds": [[], [-1], [0], [1, 2]]},
+            {"sinks": [4]},
+            {"sinks": [-1]},
+            {"sinks": []},
+            {"k": 0},
+            {"var_rank": np.array([[0, 1, 2, 4], [3, 2, 1, 0]])},
+        ],
+        ids=["pred-self", "pred-later", "pred-negative", "sink-past",
+             "sink-negative", "no-sink", "k-zero", "rank-past"],
+    )
+    def test_malformed_call_declines_before_any_write(self, change):
+        """A malformed structure or budget declines the whole call with
+        the buffers untouched, and the wrapper leaves every cell to
+        numpy."""
+        native.set_enabled(True)
+        assert native.enabled()  # loads the library
+        args = {**DIAMOND, **change}
+        status, masks, served = raw_kbest(**args)
+        assert status == -1
+        assert (masks == 7).all() and (served == 9).all()
+        prof = kernel_profile.enable()
+        try:
+            assert native.k_best_paths(
+                args["preds"], args["sinks"], args["means"], args["k"],
+                args["var_rank"],
+            ) is None
+        finally:
+            kernel_profile.disable()
+        assert prof.counters["native_miss_kbest"]["rows"] == 2
+
+    def test_nan_mean_declines_its_cell(self):
+        """A NaN mean declines its cell before its mask rows are written;
+        the other cell is served, and numpy prices the NaN row as it does
+        with kernels off."""
+        native.set_enabled(True)
+        assert native.enabled()
+        means = DIAMOND["means"].copy()
+        means[1, 2] = np.nan
+        args = {**DIAMOND, "means": means}
+        status, masks, served = raw_kbest(**args)
+        assert status == 2
+        assert served.tolist() == [1, 0]
+        assert (masks[:, 1] == 7).all()
+        # Cell 0: paths 0-2-3 (length 8) then 0-1-3 (7), as rank masks.
+        assert masks[0, 0, :2].tolist() == [0b1101, 0b1011]
+        call = (args["preds"], args["sinks"], means, 2, args["var_rank"])
+        got = _k_best_paths_cells(*call)
+        native.set_enabled(False)
+        assert got == _k_best_paths_cells(*call)
+
+    def test_large_budget_takes_a_second_call(self, monkeypatch):
+        """A budget the first call has no room for is answered by a
+        second call sized by the first's path count."""
+        template = layered_template([4, 4, 4], n_cells=3, seed=2)
+        var_rank = np.tile(np.arange(template.n), (3, 1))
+        args = (template.preds, template.sinks(), template.means, 50, var_rank)
+        monkeypatch.setattr(native, "_KBEST_PATHS", 8)
+        native.set_enabled(True)
+        assert native.enabled()  # loads the library
+        calls = []
+        real = native._c_kbest
+
+        def counted(*argv):
+            calls.append(argv[9])  # kcap
+            return real(*argv)
+
+        monkeypatch.setattr(native, "_c_kbest", counted)
+        got = _k_best_paths_cells(*args)
+        assert calls == [8, 50]
+        native.set_enabled(False)
+        assert got == _k_best_paths_cells(*args)
 
 
 class TestGracefulDegradation:
@@ -916,7 +1174,7 @@ class TestKernelsCli:
         assert main(["kernels"]) == 0
         out = capsys.readouterr().out
         assert "distribution kernel backends" in out
-        for op in ("convolve", "max", "truncate", "normal"):
+        for op in ("convolve", "max", "truncate", "normal", "kbest"):
             assert op in out
         assert "backend:" in out
 
@@ -926,7 +1184,9 @@ class TestKernelsCli:
         assert main(["kernels", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["backend"] in ("native", "python")
-        assert set(payload["ops"]) == {"convolve", "max", "truncate", "normal"}
+        assert set(payload["ops"]) == {
+            "convolve", "max", "truncate", "normal", "kbest"
+        }
 
     def test_reflects_env_off(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_NATIVE", "0")
