@@ -3,7 +3,10 @@
 Times the PATHAPPROX fold as the per-cell scalar reference against the
 compiled fold-plan replay
 (:func:`~repro.makespan.pathapprox.pathapprox_batch`) on a real MONTAGE
-structure group, Clark's fold
+structure group, CKPTSOME's plans and segment spans for a real
+GENOME-300 group's cells as one array program
+(:func:`~repro.checkpoint.strategies.plan_group`) against per-cell cost
+models with :func:`~repro.checkpoint.dp.dp_from_table`, Clark's fold
 (:func:`~repro.makespan.normal.normal_batch`) in numpy against the C
 fold on a real GENOME-300 segment-DAG template, PathApprox's k-best path
 DP (:func:`~repro.makespan.pathapprox._k_best_paths_cells`) in numpy
@@ -16,7 +19,8 @@ reported.
 
 Each timed figure is the median of :data:`REPEATS` interleaved runs
 (the fold's scalar and replay columns alternate, and so do the Clark
-fold's, the k-best DP's and each primitive's native and python passes),
+fold's, the checkpoint plans', the k-best DP's and each primitive's
+native and python passes),
 with its first
 and third
 quartiles beside it (``<figure>_q1`` / ``<figure>_q3``), as in
@@ -36,6 +40,13 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
+from repro.checkpoint.dp import dp_from_table
+from repro.checkpoint.segments import (
+    GroupCosts,
+    ScheduleIncidence,
+    SuperchainCostModel,
+)
+from repro.checkpoint.strategies import plan_group
 from repro.engine import Pipeline
 from repro.experiments.figures import log_grid
 from repro.makespan import profile as kernel_profile
@@ -168,6 +179,87 @@ def bench_clark(template: ParamDAG) -> Dict[str, float]:
     }
     stats.update(summarize_walls(walls))
     stats["speedup"] = stats["python_wall_s"] / stats["native_wall_s"]
+    return stats
+
+
+def bench_ckpt_plan() -> Dict[str, object]:
+    """CKPTSOME's cut vectors and segment spans for every cell of one
+    GENOME-300 group on 18 processors (3 pfails x 7 CCRs; GENOME-50 on 5
+    and one cell in smoke mode), two ways, interleaved: the array
+    program (one :func:`plan_group` call, which also prices CKPTALL's
+    slices, then each cell's spans gathered) and per cell, a
+    :class:`SuperchainCostModel` per superchain with
+    :func:`dp_from_table` on its table and ``span`` per segment.  Both
+    give the same cuts and spans."""
+    size, procs = (50, 5) if SMOKE else (300, 18)
+    pfails = (1e-3,) if SMOKE else (1e-2, 1e-3, 1e-4)
+    ccrs = (1e-3,) if SMOKE else log_grid(1e-4, 1e-2, 7)
+    pipe = Pipeline()
+    wf = pipe.prepare("genome", size, stable_seed(2017, "genome", size))
+    schedule = pipe.schedule_for(
+        wf, procs, seed=stable_seed(2017, "genome", size, procs),
+        tree=pipe.mspg_tree(wf),
+    )
+    platforms = [pipe.platform_for(wf, procs, pfail, 100e6) for pfail in pfails]
+    scaled = [pipe.scale(wf, platforms[0], ccr) for ccr in ccrs]
+    cells = [(p, c) for p in range(len(pfails)) for c in range(len(ccrs))]
+    incidence = ScheduleIncidence(wf, schedule)
+    sizes = [[w.file_size(f) for f in incidence.files] for w in scaled]
+
+    def segments(cuts):
+        return [
+            (chain, start, end)
+            for chain, ends in enumerate(cuts)
+            for start, end in zip((0,) + tuple(e + 1 for e in ends), ends)
+        ]
+
+    def array_program():
+        costs = GroupCosts(
+            incidence, sizes, 100e6, True,
+            [c for _p, c in cells],
+            [platforms[p].failure_rate for p, _c in cells],
+        )
+        plans = plan_group(costs)
+        out = []
+        for k, cuts in enumerate(plans.some):
+            chain, start, end = np.array(segments(cuts)).reshape(-1, 3).T
+            out.append((cuts, plans.spans(np.array([k]), chain, start, end)[0]))
+        return out
+
+    def per_cell():
+        out = []
+        for p, c in cells:
+            models = [
+                SuperchainCostModel(scaled[c], sc, platforms[p])
+                for sc in schedule.superchains
+            ]
+            cuts = tuple(
+                tuple(dp_from_table(model.expected_time_table())[0])
+                for model in models
+            )
+            spans = [
+                models[chain].span(start, end)
+                for chain, start, end in segments(cuts)
+            ]
+            out.append((cuts, np.array(spans)))
+        return out
+
+    walls: Dict[str, List[float]] = {"per_cell_wall_s": [], "array_wall_s": []}
+    for _ in range(REPEATS):
+        ref = timed(per_cell, walls["per_cell_wall_s"])
+        got = timed(array_program, walls["array_wall_s"])
+        assert [cuts for cuts, _ in got] == [cuts for cuts, _ in ref], "cuts"
+        assert all(
+            g.tobytes() == r.tobytes() for (_, g), (_, r) in zip(got, ref)
+        ), "segment spans"
+    stats: Dict[str, object] = {
+        "cells": len(cells),
+        "superchains": len(schedule.superchains),
+        "segments": sum(len(spans) for _, spans in got),
+        "repeats": REPEATS,
+    }
+    stats.update(summarize_walls(walls))
+    stats["speedup"] = stats["per_cell_wall_s"] / stats["array_wall_s"]
     return stats
 
 
@@ -308,6 +400,7 @@ def profiled_replay(template: ParamDAG) -> Dict[str, object]:
 
 def compare() -> str:
     native = bench_native()
+    ckpt_plan = bench_ckpt_plan()
     clark = bench_clark(clark_template())
     k_best = bench_k_best(kbest_template())
     template = fold_template()
@@ -326,6 +419,14 @@ def compare() -> str:
             f"native  {stats['native_wall_s']*1e3:8.2f}ms  "
             f"speedup {stats['speedup']:5.2f}x"
         )
+    lines.append(
+        f"  ckpt plan array    "
+        f"cells  {ckpt_plan['per_cell_wall_s']*1e3:8.2f}ms  "
+        f"array   {ckpt_plan['array_wall_s']*1e3:8.2f}ms  "
+        f"speedup {ckpt_plan['speedup']:5.2f}x  "
+        f"({ckpt_plan['cells']} cells x {ckpt_plan['superchains']} "
+        f"superchains)"
+    )
     lines.append(
         f"  clark     {clark['backend']:<8} "
         f"python {clark['python_wall_s']*1e3:8.2f}ms  "
@@ -356,6 +457,7 @@ def compare() -> str:
         "n_atoms": N_ATOMS,
         "budget": BUDGET,
         "native": native,
+        "ckpt_plan": ckpt_plan,
         "clark_fold": clark,
         "k_best": k_best,
         "fold": fold,

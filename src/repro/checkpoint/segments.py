@@ -22,22 +22,31 @@ index (reads only ever grow with ``j``; checkpoint contents are maintained
 with per-file outside-consumer counters), so the whole table costs
 ``O(n·F)`` set operations where ``F`` is the file-degree of the chain.
 
-Two implementations share these semantics:
+:class:`SuperchainCostModel` prices one superchain on one platform from
+the workflow's own file maps: the per-cell reference.  The engine's
+batched path prices a whole group of cells as arrays instead:
 
-* :class:`SuperchainCostModel` prices one superchain on one platform
-  from the workflow's own file maps — the per-cell reference;
-* :class:`ScheduleIncidence` compiles every superchain's file incidence
-  of a (workflow, schedule) pair once into integer file ids, producer
-  positions and consumer counts, and :class:`ScheduleCosts` prices it at
-  one set of file sizes (one CCR).  Eq. (2) uses λ only through
-  ``T = X(1 + λX/2)``, so one span table ``X(i, j)`` serves every pfail
-  of that CCR.
+* :class:`ScheduleIncidence` compiles every superchain of a (workflow,
+  schedule) pair once into *ops* — each position's input files, then its
+  output files, in the model's loop order — and gives each op its kind
+  for every start row ``i`` of the table: a read, a drop (the last
+  consumer inside the slice retires the file from the checkpoint set), a
+  checkpoint, a final output (a checkpoint with ``save_final_outputs``),
+  or nothing;
+* :class:`GroupCosts` prices those ops at each distinct CCR's file
+  sizes: every span table ``X(i, j)`` at once, as running sums over the
+  ops (Eq. (2) uses λ only through ``T = X(1 + λX/2)``, so one table
+  serves every pfail of its CCR), and the ``(R, W, C)`` of any slices.
 
-Both walk every float in the same order — the table's incremental
-add-then-subtract checkpoint sums and the direct sums of
-:meth:`SuperchainCostModel.read_cost` / :meth:`~SuperchainCostModel.ckpt_cost`
-can differ in the last bit, so each keeps its own — and produce
-bit-identical tables and segment costs.
+The arrays walk every float in the model's order.  Running sums go left
+to right (``np.cumsum``, never the pairwise ``np.sum``) from ``0.0``, and
+an op the loop skips adds ``+0.0``, which leaves every sum the loops can
+reach unchanged (a sum that starts at ``+0.0`` never becomes ``-0.0``).
+The table's incremental add-then-subtract checkpoint sum and the direct
+sum of :meth:`SuperchainCostModel.ckpt_cost` can differ in the last bit,
+so each keeps its own; ``R`` is the table's own read sum, because a
+producer precedes its consumers in a chain, so both sums skip the same
+files.  Tables and segment costs are bit-identical to the model's.
 """
 
 from __future__ import annotations
@@ -46,7 +55,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.checkpoint.plan import check_segment_costs
 from repro.errors import CheckpointError
 from repro.makespan.two_state import first_order_expected_time
 from repro.mspg.graph import Workflow
@@ -56,8 +64,7 @@ from repro.scheduling.schedule import Schedule, Superchain
 __all__ = [
     "SuperchainCostModel",
     "ScheduleIncidence",
-    "ChainIncidence",
-    "ScheduleCosts",
+    "GroupCosts",
     "expected_times",
 ]
 
@@ -242,161 +249,159 @@ class SuperchainCostModel:
 
 
 # ---------------------------------------------------------------------- #
-# compiled incidence: structure once per (workflow, schedule)
+# compiled ops: structure once per (workflow, schedule)
 # ---------------------------------------------------------------------- #
 
+#: Kinds of a compiled op for one start row ``i`` of the span table.
+SKIP, READ, DROP, CKPT, FINAL = range(5)
 
-class ChainIncidence:
-    """One superchain's file incidence, in integer file ids.
 
-    Per task position ``k`` (files in the same sorted order as
-    :class:`SuperchainCostModel`):
+def _chain_ops(
+    workflow: Workflow, superchain: Superchain, ids: Dict[str, int]
+) -> List[Tuple[int, ...]]:
+    """One superchain's ops in the model's loop order: per position, its
+    inputs then its outputs, each sorted by file name.
 
-    * ``inputs[k]`` — ``(file, producer, drop)``: ``producer`` is the
-      producing task's position in this chain (``-1`` if it lies outside
-      it), and ``drop`` marks the read by the last of the file's
-      consumers when all of them follow its producer in this chain — a
-      slice holding that read and the producer need not checkpoint it;
-    * ``outputs[k]`` — ``(file, consumers, lo, hi)``: the consumer count,
-      and the span ``[lo, hi]`` of consumer positions when every
-      consumer is in this chain (``lo = hi = n`` when one is not).
+    An op is ``(position, file, producer, drop, previous, kind, hi)``.
+    For an input: the producer's position in this chain (``-1`` outside
+    it); whether this is the read by the last of the file's consumers
+    when all of them follow its producer in this chain (it retires the
+    file from a slice holding both); and the position of this chain's
+    previous read of the file (``-1`` if none).  For an output: ``CKPT``
+    or ``FINAL`` (no consumers), and the last consumer position when
+    every consumer is in this chain (``n`` when one is not).
     """
+    tasks = superchain.tasks
+    n = len(tasks)
+    pos = {t: k for k, t in enumerate(tasks)}
 
-    __slots__ = ("superchain", "n", "wprefix", "inputs", "outputs")
+    def file_id(f: str) -> int:
+        return ids.setdefault(f, len(ids))
 
-    def __init__(
-        self, workflow: Workflow, superchain: Superchain, ids: Dict[str, int]
-    ) -> None:
-        tasks = superchain.tasks
-        n = len(tasks)
-        pos = {t: k for k, t in enumerate(tasks)}
-        weights = np.array([workflow.weight(t) for t in tasks], dtype=float)
-        self.superchain = superchain
-        self.n = n
-        self.wprefix: List[float] = np.concatenate(
-            ([0.0], np.cumsum(weights))
-        ).tolist()
-
-        def file_id(f: str) -> int:
-            return ids.setdefault(f, len(ids))
-
-        drop_at: Dict[str, int] = {}
-        outputs = []
-        for k, t in enumerate(tasks):
-            row = []
-            for f in sorted(workflow.outputs(t)):
-                consumers = [pos.get(c) for c in workflow.consumers(f)]
-                later = [q for q in consumers if q is not None and q > k]
-                if consumers and len(later) == len(consumers):
-                    drop_at[f] = max(later)
-                if consumers and None not in consumers:
-                    lo, hi = min(consumers), max(consumers)
-                else:
-                    lo = hi = n
-                row.append((file_id(f), len(consumers), lo, hi))
-            outputs.append(tuple(row))
-        inputs = []
-        for k, t in enumerate(tasks):
-            row = []
-            for f in sorted(workflow.inputs(t)):
-                producer = pos.get(workflow.producer(f), -1)
-                row.append((file_id(f), producer, drop_at.get(f) == k))
-            inputs.append(tuple(row))
-        self.inputs = tuple(inputs)
-        self.outputs = tuple(outputs)
-
-    def span_table(
-        self, sizes: Sequence[float], bandwidth: float, save_final_outputs: bool
-    ) -> np.ndarray:
-        """``X(i, j)`` at file sizes ``sizes`` (indexed by file id), in
-        :meth:`SuperchainCostModel.span_table`'s operation order."""
-        n = self.n
-        wp = self.wprefix
-        inputs = self.inputs
-        outputs = self.outputs
-        spans = np.full((n, n), np.nan)
-        for i in range(n):
-            read_b = 0.0
-            ckpt_b = 0.0
-            read_seen: set = set()
-            row = []
-            for j in range(i, n):
-                for f, producer, drop in inputs[j]:
-                    if i <= producer < j:
-                        # Produced inside the slice: one fewer outside
-                        # consumer, and the last one retires the file.
-                        if drop:
-                            ckpt_b -= sizes[f]
-                        continue
-                    if f not in read_seen:
-                        read_seen.add(f)
-                        read_b += sizes[f]
-                for f, consumers, _lo, _hi in outputs[j]:
-                    if consumers or save_final_outputs:
-                        ckpt_b += sizes[f]
-                row.append((read_b + ckpt_b) / bandwidth + wp[j + 1] - wp[i])
-            spans[i, i:] = row
-        return spans
-
-    def segment_costs(
-        self,
-        sizes: Sequence[float],
-        bandwidth: float,
-        save_final_outputs: bool,
-        i: int,
-        j: int,
-    ) -> Tuple[float, float, float]:
-        """``(R, W, C)`` of slice ``[i..j]`` as direct sums, in
-        :meth:`SuperchainCostModel.read_cost` / ``compute`` /
-        ``ckpt_cost`` operation order."""
-        read_b = 0.0
-        seen: set = set()
-        for k in range(i, j + 1):
-            for f, producer, _drop in self.inputs[k]:
-                if f in seen:
-                    continue
-                if not i <= producer <= j:
-                    seen.add(f)
-                    read_b += sizes[f]
-        ckpt_b = 0.0
-        for k in range(i, j + 1):
-            for f, consumers, lo, hi in self.outputs[k]:
-                if consumers:
-                    if not (i <= lo and hi <= j):
-                        ckpt_b += sizes[f]
-                elif save_final_outputs:
-                    ckpt_b += sizes[f]
-        return (
-            read_b / bandwidth,
-            self.wprefix[j + 1] - self.wprefix[i],
-            ckpt_b / bandwidth,
-        )
+    drop_at: Dict[str, int] = {}
+    outputs = []
+    for k, t in enumerate(tasks):
+        row = []
+        for f in sorted(workflow.outputs(t)):
+            consumers = [pos.get(c) for c in workflow.consumers(f)]
+            later = [q for q in consumers if q is not None and q > k]
+            if consumers and len(later) == len(consumers):
+                drop_at[f] = max(later)
+            hi = max(consumers) if consumers and None not in consumers else n
+            row.append((k, file_id(f), -1, 0, -1, CKPT if consumers else FINAL, hi))
+        outputs.append(row)
+    ops = []
+    last_read: Dict[str, int] = {}
+    for k, t in enumerate(tasks):
+        for f in sorted(workflow.inputs(t)):
+            producer = pos.get(workflow.producer(f), -1)
+            drop = int(drop_at.get(f) == k)
+            ops.append((k, file_id(f), producer, drop, last_read.get(f, -1), SKIP, 0))
+            last_read[f] = k
+        ops.extend(outputs[k])
+    return ops
 
 
 class ScheduleIncidence:
-    """Every superchain's :class:`ChainIncidence`, compiled once per
-    (workflow, schedule).
+    """Every superchain's file ops, compiled once per (workflow, schedule).
 
-    Only structure and task weights enter, so CCR-rescaled copies of the
-    workflow share it; ``files`` maps file ids back to names.
+    Chain ``s`` has ``lengths[s]`` tasks; arrays are padded to the
+    longest chain (``width`` positions) and to the most ops of a chain,
+    with the op axis first.  Ops follow :func:`_chain_ops`; ``op_files``
+    holds their file ids (into ``files``).  ``kinds[o, s, i]`` is op
+    ``o``'s kind when the slice starts at position ``i``:
+
+    * ``READ`` — an input produced before ``i`` or outside the chain, at
+      this chain's first read of the file at or after ``i``;
+    * ``DROP`` — an input produced at or after ``i`` whose read retires
+      the file from the checkpoint set;
+    * ``CKPT`` / ``FINAL`` — an output at or after ``i``;
+    * ``SKIP`` — every other op (one before ``i``, a repeated read, the
+      read of a file produced inside the slice that does not retire it)
+      and the padding.
+
+    ``ends[s, j]`` counts chain ``s``'s ops at positions ``<= j``, and
+    ``wprefix[s]`` holds its weights' prefix sums.  The outputs alone,
+    in op order, for the direct checkpoint sums: ``out_files``,
+    ``out_final`` (no consumers) and ``out_hi``, the last consumer's
+    position (``n`` when a consumer is outside the chain);
+    ``out_starts[s, k]`` counts chain ``s``'s outputs at positions
+    ``< k``.  Only structure and task weights enter, so CCR-rescaled
+    copies of the workflow share it.
     """
 
-    __slots__ = ("files", "chains")
+    __slots__ = (
+        "superchains",
+        "files",
+        "lengths",
+        "width",
+        "wprefix",
+        "op_files",
+        "kinds",
+        "ends",
+        "out_files",
+        "out_final",
+        "out_hi",
+        "out_starts",
+    )
 
     def __init__(self, workflow: Workflow, schedule: Schedule) -> None:
         ids: Dict[str, int] = {}
-        self.chains: Tuple[ChainIncidence, ...] = tuple(
-            ChainIncidence(workflow, sc, ids) for sc in schedule.superchains
-        )
+        chains = tuple(schedule.superchains)
+        ops = [_chain_ops(workflow, sc, ids) for sc in chains]
+        self.superchains: Tuple[Superchain, ...] = chains
         self.files: Tuple[str, ...] = tuple(ids)
+        self.lengths = np.array([len(sc.tasks) for sc in chains], dtype=np.intp)
+        width = self.width = int(self.lengths.max(initial=0))
+        nops = max(map(len, ops), default=0)
+
+        self.wprefix = np.zeros((len(chains), width + 1))
+        # Padding ops sit at position -1, which no start row reaches.
+        table = np.zeros((nops, len(chains), 7), dtype=np.int32)
+        table[:, :, 0] = -1
+        for s, (sc, chain_ops) in enumerate(zip(chains, ops)):
+            weights = [workflow.weight(t) for t in sc.tasks]
+            self.wprefix[s, : len(weights) + 1] = np.concatenate(
+                ([0.0], np.cumsum(weights))
+            )
+            if chain_ops:
+                table[: len(chain_ops), s] = chain_ops
+        position, files, producer, drop, previous, kind, hi = np.moveaxis(
+            table, 2, 0
+        )
+        self.op_files = files
+        row = np.arange(width)
+        at_or_before = (position[:, :, None] <= row) & (position >= 0)[:, :, None]
+        self.ends = at_or_before.sum(axis=0)
+        read = np.where(
+            row <= producer[:, :, None],
+            np.where(drop[:, :, None] == 1, DROP, SKIP),
+            np.where(row > previous[:, :, None], READ, SKIP),
+        )
+        self.kinds = np.where(
+            row <= position[:, :, None],
+            np.where(kind[:, :, None] == SKIP, read, kind[:, :, None]),
+            SKIP,
+        ).astype(np.int8)
+
+        outputs = kind != SKIP
+        nout = int(outputs.sum(axis=0).max(initial=0))
+        order = np.argsort(~outputs, axis=0, kind="stable")[:nout]
+        self.out_files = np.take_along_axis(files, order, axis=0)
+        self.out_final = np.take_along_axis(kind, order, axis=0) == FINAL
+        self.out_hi = np.take_along_axis(hi, order, axis=0)
+        self.out_starts = np.zeros((len(chains), width + 1), dtype=np.intp)
+        self.out_starts[:, 1:] = (
+            outputs[:, :, None] & at_or_before
+        ).sum(axis=0)
 
 
-class ScheduleCosts:
-    """A schedule's segment costs at one set of file sizes (one CCR).
+class GroupCosts:
+    """One batched group's segment costs: a schedule's ops priced at each
+    distinct CCR's file sizes.
 
-    Span tables and segment spans are computed on first use and kept
-    for the object's life, so every pfail of a CCR shares them.  The
-    engine builds one per CCR of one batched call.
+    ``sizes[c]`` holds CCR row ``c``'s file sizes by file id.  Cell ``k``
+    of the group prices on row ``ccr[k]`` with failure rate ``rates[k]``.
     """
 
     __slots__ = (
@@ -404,49 +409,112 @@ class ScheduleCosts:
         "sizes",
         "bandwidth",
         "save_final_outputs",
-        "_tables",
-        "_spans",
+        "ccr",
+        "rates",
     )
 
     def __init__(
         self,
         incidence: ScheduleIncidence,
-        workflow: Workflow,
+        sizes: Sequence[Sequence[float]],
         bandwidth: float,
-        save_final_outputs: bool = True,
+        save_final_outputs: bool,
+        ccr: Sequence[int],
+        rates: Sequence[float],
     ) -> None:
         self.incidence = incidence
-        self.sizes = [workflow.file_size(f) for f in incidence.files]
+        self.sizes = np.asarray(sizes, dtype=float).reshape(
+            -1, len(incidence.files)
+        )
         self.bandwidth = bandwidth
         self.save_final_outputs = save_final_outputs
-        self._tables: Dict[int, np.ndarray] = {}
-        self._spans: Dict[Tuple[int, int, int], float] = {}
+        self.ccr = np.asarray(ccr, dtype=np.intp)
+        self.rates = np.asarray(rates, dtype=float)
 
-    def span_table(self, chain: int) -> np.ndarray:
-        """``X(i, j)`` of superchain ``chain`` (shared; do not mutate)."""
-        table = self._tables.get(chain)
-        if table is None:
-            table = self.incidence.chains[chain].span_table(
-                self.sizes, self.bandwidth, self.save_final_outputs
-            )
-            self._tables[chain] = table
-        return table
+    def span_tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every CCR row's span tables and their read sums.
 
-    def span(self, chain: int, i: int, j: int) -> float:
-        """``X = R + W + C`` of slice ``[i..j]`` of superchain ``chain``.
-
-        Summed as :attr:`~repro.checkpoint.plan.Segment.span` sums the
-        slice's segment, after the segment's own cost check, so a
-        negative or NaN cost raises the same
-        :class:`~repro.errors.CheckpointError`.
+        Both have shape ``(CCRs, chains, width, width)``: ``spans[c, s]``
+        is :meth:`SuperchainCostModel.span_table` of chain ``s`` at row
+        ``c``'s sizes (NaN outside ``i <= j < lengths[s]``), and
+        ``reads[c, s, i, j]`` the bytes its slice ``[i..j]`` reads.
+        Each start row sums its ops left to right along the op axis, one
+        CCR row at a time.
         """
-        key = (chain, i, j)
-        span = self._spans.get(key)
-        if span is None:
-            incidence = self.incidence.chains[chain]
-            read_cost, compute, ckpt_cost = incidence.segment_costs(
-                self.sizes, self.bandwidth, self.save_final_outputs, i, j
+        incidence = self.incidence
+        kinds = incidence.kinds
+        nops, nchains, width = kinds.shape
+        read = kinds == READ
+        drop = kinds == DROP
+        checkpoint = (kinds == CKPT) | ((kinds == FINAL) & self.save_final_outputs)
+        # The running sums after position j's last op, as (j, s, i).
+        at = (incidence.ends.T, np.arange(nchains))
+        shape = (len(self.sizes), nchains, width, width)
+        spans = np.empty(shape)
+        reads = np.empty(shape)
+        wprefix = incidence.wprefix
+        with np.errstate(invalid="ignore", over="ignore"):
+            for row, sizes in enumerate(self.sizes):
+                op_sizes = sizes[incidence.op_files][:, :, None]
+                sums = np.zeros((nops + 1, nchains, width))
+                np.copyto(sums[1:], op_sizes, where=read)
+                reads[row] = np.cumsum(sums, axis=0, out=sums)[at].transpose(1, 2, 0)
+                sums = np.zeros((nops + 1, nchains, width))
+                np.copyto(sums[1:], op_sizes, where=checkpoint)
+                np.copyto(sums[1:], -op_sizes, where=drop)
+                ckpts = np.cumsum(sums, axis=0, out=sums)[at].transpose(1, 2, 0)
+                spans[row] = (
+                    (reads[row] + ckpts) / self.bandwidth
+                    + wprefix[:, None, 1:]
+                    - wprefix[:, :-1, None]
+                )
+        position = np.arange(width)
+        inside = (position[:, None] <= position) & (
+            position < incidence.lengths[:, None, None]
+        )
+        spans[:, ~inside] = np.nan
+        return spans, reads
+
+    def slice_costs(
+        self,
+        reads: np.ndarray,
+        ccr: np.ndarray,
+        chain: np.ndarray,
+        start: np.ndarray,
+        end: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(R, W, C)`` of each slice ``[start..end]`` of superchain
+        ``chain`` at CCR row ``ccr``, as :meth:`SuperchainCostModel.
+        read_cost` / ``compute`` / ``ckpt_cost`` give them; ``reads`` is
+        :meth:`span_tables`'s.
+
+        ``C`` sums, left to right, the slice's outputs that a task after
+        it still needs: a consumer follows its producer in a chain, so
+        that is a consumer outside the chain or past ``end``.
+        """
+        incidence = self.incidence
+        starts = incidence.out_starts
+        # An output stays live while a consumer lies past the slice's end;
+        # a final output, to the end of every slice or of none.
+        final = incidence.width if self.save_final_outputs else -1
+        until = np.where(incidence.out_final, final, incidence.out_hi)
+        output = np.arange(len(until))[:, None]
+        live = (
+            (output >= starts[chain, start])
+            & (output < starts[chain, end + 1])
+            & (until[:, chain] > end)
+        )
+        op, cell = np.nonzero(live)
+        ckpts = np.zeros((len(until) + 1, len(chain)))
+        with np.errstate(invalid="ignore", over="ignore"):
+            ckpts[op + 1, cell] = self.sizes[
+                ccr[cell], incidence.out_files[op, chain[cell]]
+            ]
+            np.cumsum(ckpts, axis=0, out=ckpts)
+            ckpt_cost = ckpts[-1] / self.bandwidth
+            read_cost = reads[ccr, chain, start, end] / self.bandwidth
+            compute = (
+                incidence.wprefix[chain, end + 1]
+                - incidence.wprefix[chain, start]
             )
-            check_segment_costs(read_cost, compute, ckpt_cost)
-            span = self._spans[key] = read_cost + compute + ckpt_cost
-        return span
+        return read_cost, compute, ckpt_cost

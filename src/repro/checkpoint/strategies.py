@@ -15,21 +15,25 @@ Both plan builders share the segment cost model, so CKPTALL is exactly the
 can therefore never produce a superchain whose expected time exceeds
 CKPTALL's (tested property).
 
-:func:`cuts_from_costs` gives either plan as its cut vector (:data:`Cuts`,
-the checkpoint positions of each superchain) from a schedule's shared
-:class:`~repro.checkpoint.segments.ScheduleCosts` instead of fresh cost
-models — the engine's batched path, which builds no segment objects and
-cuts exactly where the builders above do.
+:func:`plan_group` plans every cell of a batched group under both
+strategies in one array program: Algorithm 2 runs once per column over
+all (cell, superchain) rows of every CCR's span tables
+(:class:`~repro.checkpoint.segments.GroupCosts`), each plan is held as
+its cut vector (:data:`Cuts`, the checkpoint positions of each
+superchain), and every slice a plan cuts is priced once.  It cuts
+exactly where the builders above do, without segment objects.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.checkpoint.dp import dp_from_table, optimal_checkpoint_positions
-from repro.checkpoint.plan import CheckpointPlan
+import numpy as np
+
+from repro.checkpoint.dp import dp_columns, optimal_checkpoint_positions
+from repro.checkpoint.plan import CheckpointPlan, check_segment_costs
 from repro.checkpoint.segments import (
-    ScheduleCosts,
+    GroupCosts,
     SuperchainCostModel,
     expected_times,
 )
@@ -41,7 +45,8 @@ from repro.scheduling.schedule import Schedule, Superchain
 __all__ = [
     "ckpt_all_plan",
     "ckpt_some_plan",
-    "cuts_from_costs",
+    "plan_group",
+    "GroupPlans",
     "Cuts",
     "plan_for_strategy",
     "STRATEGIES",
@@ -135,33 +140,136 @@ def ckpt_some_plan(
     return plan
 
 
-def cuts_from_costs(
-    costs: ScheduleCosts, strategy: str, failure_rate: float
-) -> Cuts:
-    """The ``ckpt_all`` or ``ckpt_some`` plan's cut vector from a
-    schedule's shared costs.
+class GroupPlans:
+    """Both strategies' plans for every cell of a batched group.
 
-    Per superchain: ``range(n)`` for CKPTALL, Algorithm 2's positions
-    for CKPTSOME, on the span tables of ``costs`` with ``failure_rate``
-    as the platform's λ — where :func:`ckpt_all_plan` /
-    :func:`ckpt_some_plan` cut on the workflow the costs were priced
-    on.  Positions that do not cover a superchain raise the
-    :class:`CheckpointError` :func:`_emit_segments` raises.
+    ``some[k]`` is cell ``k``'s CKPTSOME cut vector (cells that cut alike
+    share one object) and ``all`` CKPTALL's, every cell's.  ``rates[k]``
+    is cell ``k``'s failure rate; :meth:`spans` gives the spans of the
+    slices the plans cut, priced once per CCR.
     """
-    if strategy not in STRATEGIES:
-        raise CheckpointError(
-            f"unknown strategy {strategy!r}; choose from {sorted(STRATEGIES)}"
-        )
+
+    __slots__ = ("some", "all", "rates", "_ccr", "_slot", "_costs", "_good",
+                 "_spans")
+
+    def __init__(
+        self,
+        some: List[Cuts],
+        every: Cuts,
+        costs: GroupCosts,
+        slot: np.ndarray,
+        priced: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    ) -> None:
+        self.some = some
+        self.all = every
+        self.rates = costs.rates
+        self._ccr = costs.ccr
+        self._slot = slot
+        self._costs = priced
+        read_cost, compute, ckpt_cost = priced
+        self._good = (read_cost >= 0) & (compute >= 0) & (ckpt_cost >= 0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            self._spans = read_cost + compute + ckpt_cost
+
+    def spans(
+        self,
+        cells: np.ndarray,
+        chain: np.ndarray,
+        start: np.ndarray,
+        end: np.ndarray,
+    ) -> np.ndarray:
+        """``X = (R + W) + C`` of each slice ``[start..end]`` of
+        superchain ``chain``, one row per cell of ``cells``.
+
+        Summed as :attr:`~repro.checkpoint.plan.Segment.span` sums them;
+        a negative or NaN cost raises the :class:`CheckpointError` of the
+        segment's own cost check, for the first such slice in row order.
+        """
+        slot = self._slot[self._ccr[cells][:, None], chain, start, end]
+        good = self._good[slot]
+        if not good.all():
+            first = slot.flat[np.argmin(good)]
+            check_segment_costs(*(float(cost[first]) for cost in self._costs))
+        return self._spans[slot]
+
+
+def _cuts_of(cut: np.ndarray) -> Cuts:
+    """The cut vector of a ``(chains, width)`` mask of positions."""
+    positions = np.nonzero(cut)[1].tolist()
     cuts = []
-    for k, chain in enumerate(costs.incidence.chains):
-        if strategy == "ckpt_all":
-            positions = tuple(range(chain.n))
-        else:
-            table = expected_times(costs.span_table(k), failure_rate)
-            positions = tuple(dp_from_table(table)[0])
-            _check_cover(chain.superchain, positions)
-        cuts.append(positions)
+    start = 0
+    for count in cut.sum(axis=1).tolist():
+        cuts.append(tuple(positions[start : start + count]))
+        start += count
     return tuple(cuts)
+
+
+def plan_group(costs: GroupCosts) -> GroupPlans:
+    """CKPTSOME and CKPTALL for every cell of a batched group.
+
+    Per cell, the cut vectors :func:`ckpt_some_plan` /
+    :func:`ckpt_all_plan` give on the cell's CCR-scaled workflow with its
+    failure rate as λ.  One array program prices every CCR's span
+    tables, runs Algorithm 2 once per column over all (cell, superchain)
+    rows (:func:`~repro.checkpoint.dp.dp_columns`), and prices each slice
+    either strategy cuts once per CCR.  Positions that do not cover a
+    superchain raise the :class:`CheckpointError` :func:`_emit_segments`
+    raises.
+    """
+    incidence = costs.incidence
+    lengths = incidence.lengths
+    width = incidence.width
+    cells, chains = len(costs.rates), len(lengths)
+    spans, reads = costs.span_tables()
+    rates = costs.rates[:, None, None, None]
+
+    def columns(lo: int, hi: int) -> np.ndarray:
+        table = expected_times(spans[costs.ccr, :, :, lo:hi], rates)
+        return table.reshape(cells * chains, width, hi - lo)
+
+    cut = dp_columns(columns, np.tile(lengths, cells), width)[0]
+    cut = cut.reshape(cells, chains, width)
+    # Pricing needs only the read sums: free the tables first.
+    shape = spans.shape
+    del spans
+    position = np.arange(width)
+    uncovered = ~cut[:, np.arange(chains), lengths - 1] | (
+        cut & (position >= lengths[:, None])
+    ).any(axis=2)
+    if uncovered.any():
+        k, s = np.argwhere(uncovered)[0]
+        _check_cover(incidence.superchains[s], np.flatnonzero(cut[k, s]).tolist())
+
+    some: List[Cuts] = []
+    seen: Dict[bytes, Cuts] = {}
+    for k in range(cells):
+        key = cut[k].tobytes()
+        if key not in seen:
+            seen[key] = _cuts_of(cut[k])
+        some.append(seen[key])
+    every = tuple(tuple(range(n)) for n in lengths.tolist())
+
+    # Every slice a plan cuts: CKPTSOME's start after the previous cut,
+    # CKPTALL's are the single tasks.
+    previous = np.maximum.accumulate(np.where(cut, position, -1), axis=2)
+    cell, chain, end = np.nonzero(cut)
+    start = np.where(end > 0, previous[cell, chain, end - 1] + 1, 0)
+    used = np.zeros(shape, dtype=bool)
+    used[costs.ccr[cell], chain, start, end] = True
+    chain, task = np.nonzero(position < lengths[:, None])
+    used[:, chain, task, task] = True
+    slices = np.nonzero(used)
+    slot = np.full(shape, -1, dtype=np.int32)
+    slot[slices] = np.arange(len(slices[0]))
+    # One CCR row at a time, which bounds the pricing's scratch arrays.
+    rows = np.searchsorted(slices[0], np.arange(shape[0] + 1))
+    priced = zip(*(
+        costs.slice_costs(reads, *(axis[lo:hi] for axis in slices))
+        for lo, hi in zip(rows[:-1], rows[1:])
+    ))
+    return GroupPlans(
+        some, every, costs, slot, tuple(map(np.concatenate, priced))
+    )
 
 
 STRATEGIES: Dict[str, Callable[..., CheckpointPlan]] = {

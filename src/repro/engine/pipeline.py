@@ -12,25 +12,27 @@ both are invariant across the pfail/CCR axes.  :class:`Pipeline` makes
 each stage an explicit method whose result lands in an
 :class:`ArtifactCache` keyed by exactly the inputs it depends on — a
 sweep reuses the tree and schedule instead of recomputing them per cell.
-Next to each schedule the cache keeps its compiled file incidence
+Next to each schedule the cache keeps its compiled file ops
 (:class:`~repro.checkpoint.segments.ScheduleIncidence`), the structure
-Algorithm 2's cost tables are priced from.
+Algorithm 2's cost tables are priced from, and its failure-free
+makespan ``W_par``.
 
 :meth:`Pipeline.evaluate_cells` prices a whole (workflow, processors)
 group and shares what only part of a cell's inputs determine, for the
 length of the call:
 
 * CCR rescaling touches file sizes only, so each distinct CCR is
-  rescaled once, and its span tables ``X(i, j)`` and segment spans are
-  built once for every pfail — Eq. (2) uses λ only through
-  ``T = X(1 + λX/2)``; each cell runs Algorithm 2's recursion and holds
-  its plan as a cut vector, the checkpoint positions of each
-  superchain, without segment or plan objects;
+  rescaled once; one :meth:`Pipeline.plan` call then prices every CCR's
+  span tables ``X(i, j)`` (Eq. (2) uses λ only through
+  ``T = X(1 + λX/2)``, so they serve every pfail), runs Algorithm 2 over
+  all cells and superchains at once, and prices each slice a plan cuts;
+  plans are cut vectors, the checkpoint positions of each superchain,
+  without segment or plan objects;
 * every distinct (strategy, cut vector) gets one segment-DAG skeleton
-  whose rows are filled straight from the cells' segment costs, and is
-  priced by one batched evaluator call;
-* the CKPTNONE estimator (Theorem 1) contains no I/O term, so its value
-  is cached across the CCR axis.
+  whose rows are gathered from those priced slices, and is priced by
+  one batched evaluator call;
+* the CKPTNONE estimator (Theorem 1) contains no I/O term, so it is
+  applied to ``W_par`` per failure rate.
 
 :meth:`Pipeline.evaluate_cell` runs the same stages one cell at a time
 from the per-cell cost model, segment DAG and evaluator — the
@@ -60,8 +62,8 @@ from typing import (
 
 from repro.ccr import scale_to_ccr
 from repro.checkpoint.plan import CheckpointPlan
-from repro.checkpoint.segments import ScheduleCosts, ScheduleIncidence
-from repro.checkpoint.strategies import STRATEGIES, Cuts, cuts_from_costs
+from repro.checkpoint.segments import GroupCosts, ScheduleIncidence
+from repro.checkpoint.strategies import STRATEGIES, Cuts, GroupPlans, plan_group
 from repro.engine.records import CellResult
 from repro.errors import ExperimentError
 from repro.generators import generate
@@ -70,7 +72,11 @@ from repro.makespan.api import (
     expected_makespans,
     get_evaluator,
 )
-from repro.makespan.ckptnone import ckptnone_expected_makespan
+from repro.makespan.ckptnone import (
+    ckptnone_expected_makespan,
+    failure_free_makespan,
+    theorem1_makespan,
+)
 from repro.makespan.paramdag import ParamDAG
 from repro.makespan.probdag import ProbDAG
 from repro.makespan.segment_dag import SegmentDagSkeleton, build_segment_dag
@@ -363,18 +369,20 @@ class Pipeline:
         platform: Platform,
         strategy: str = "some",
         save_final_outputs: bool = True,
-        costs: Optional[ScheduleCosts] = None,
-    ) -> Union[CheckpointPlan, Cuts]:
+        costs: Optional[GroupCosts] = None,
+    ) -> Union[CheckpointPlan, GroupPlans]:
         """One strategy's checkpoint plan on the (scaled) workflow.
 
         Without ``costs``, fresh per-superchain cost models build the
         plan as a :class:`CheckpointPlan` (the per-cell oracle).  With
-        ``costs`` — the schedule's shared cost tables at ``workflow``'s
-        file sizes — the plan comes back as its cut vector
-        (:data:`~repro.checkpoint.strategies.Cuts`: per superchain, the
-        positions after which a checkpoint is taken), priced from those
-        tables without building segments (the batched path).  Both cut
-        every superchain at the same positions.
+        ``costs`` — the schedule's compiled ops at every CCR's file sizes
+        and every cell's failure rate of a batched group — one array
+        program plans the whole group under both strategies and returns
+        a :class:`GroupPlans`: per cell, each strategy's cut vector
+        (:data:`~repro.checkpoint.strategies.Cuts`), and the spans of
+        every slice they cut (the batched path); ``strategy`` is still
+        checked, and ``platform`` is not read.  Both routes cut every
+        superchain at the same positions.
         """
         names = {"some": "ckpt_some", "all": "ckpt_all"}
         try:
@@ -386,7 +394,7 @@ class Pipeline:
             ) from None
         self.cache.count_compute("plan")
         if costs is not None:
-            return cuts_from_costs(costs, name, platform.failure_rate)
+            return plan_group(costs)
         return STRATEGIES[name](
             workflow, schedule, platform, save_final_outputs=save_final_outputs
         )
@@ -413,21 +421,23 @@ class Pipeline:
         schedule: Schedule,
         plan: Union[CheckpointPlan, Cuts],
         platform: Platform,
-        cells: Optional[Sequence[Tuple[ScheduleCosts, Platform]]] = None,
+        cells: Optional[Tuple[GroupPlans, Sequence[int]]] = None,
     ) -> Union[ProbDAG, ParamDAG]:
         """2-state probabilistic segment DAG for one plan.
 
         Without ``cells``, the per-cell oracle's :class:`ProbDAG` of the
-        :class:`CheckpointPlan` ``plan``.  With ``cells`` — ``(costs,
-        platform)`` pairs, one per cell, of cells whose plans all have
-        the cut vector ``plan`` — the DAG's structure is built once from
-        the cuts and returned as one :class:`ParamDAG` with a row per
-        cell, filled straight from its costs (the batched path).
+        :class:`CheckpointPlan` ``plan``.  With ``cells`` — a group's
+        :class:`GroupPlans` and the indices of its cells whose plans all
+        have the cut vector ``plan`` — the DAG's structure is built once
+        from the cuts and returned as one :class:`ParamDAG` with a row
+        per cell, gathered from the spans the group's plans priced (the
+        batched path).
         """
         self.cache.count_compute("build_dag")
         if cells is not None:
+            plans, indices = cells
             return SegmentDagSkeleton(workflow, schedule, plan).template(
-                [(costs, pl.failure_rate) for costs, pl in cells]
+                plans, indices
             )
         return build_segment_dag(workflow, schedule, plan, platform)
 
@@ -469,12 +479,14 @@ class Pipeline:
         platform: Platform,
         cacheable: bool = True,
     ) -> float:
-        """CKPTNONE's Theorem 1 estimate, cached across the CCR axis.
+        """CKPTNONE's Theorem 1 estimate, from a cached ``W_par``.
 
-        The estimator contains no I/O term, so its value depends on the
-        *unscaled* workflow (weights), the schedule, and the platform —
-        not on the CCR-rescaled file sizes; ``workflow`` keys the cache
-        while ``scaled`` feeds the computation (they agree on weights).
+        The estimator contains no I/O term, and its failure-free makespan
+        ``W_par`` depends on the *unscaled* workflow (weights) and the
+        schedule alone — not on the CCR-rescaled file sizes or λ — so
+        ``W_par`` is computed once per (workflow, schedule) and Theorem 1
+        applied to it per platform; ``workflow`` keys the cache while
+        ``scaled`` feeds the computation (they agree on weights).
 
         Pass ``cacheable=False`` for throwaway schedules (e.g. built
         with ``seed=None``): caching would pin every such schedule in
@@ -483,17 +495,12 @@ class Pipeline:
         if not cacheable:
             self.cache.count_compute("evaluate")
             return ckptnone_expected_makespan(scaled, schedule, platform)
-        key = (
-            self._token(workflow),
-            self._token(schedule),
-            platform.processors,
-            platform.failure_rate,
-        )
-        return self.cache.get_or_compute(
+        wpar = self.cache.get_or_compute(
             "evaluate",
-            key,
-            lambda: ckptnone_expected_makespan(scaled, schedule, platform),
+            ("wpar", self._token(workflow), self._token(schedule)),
+            lambda: failure_free_makespan(scaled, schedule),
         )
+        return theorem1_makespan(wpar, schedule, platform)
 
     # ------------------------------------------------------------------
     # Cell-level composition (stages 4-6 over one prepared group).
@@ -575,105 +582,110 @@ class Pipeline:
         """Run stages 4-6 for every ``(pfail, ccr, eval_seed)`` cell of
         one prepared (workflow, processors) group, batching evaluation.
 
-        Each distinct CCR is rescaled once, and its span tables and
-        segment spans (:class:`ScheduleCosts`) serve every pfail; per
-        cell, only Algorithm 2's recursion and the spans of segments no
-        earlier cell priced run, and each plan is a cut vector.  Each
-        distinct (strategy, cut vector) then gets one segment-DAG
-        skeleton and one :func:`expected_makespans` dispatch over its
-        cells, whatever the evaluator.  None of this outlives the call.
-        Records are bit-identical to :meth:`evaluate_cell`'s (the
-        per-cell oracle): stochastic evaluators (Monte Carlo) receive the
-        cells' ``eval_seed`` streams one per cell, and an evaluator
-        without a vectorised batch prices the template cell by cell.
+        Each distinct CCR is rescaled once; one :meth:`plan` call then
+        plans every cell under both strategies as cut vectors, pricing
+        each CCR's span tables once for every pfail and each slice a
+        plan cuts once (:class:`GroupPlans`).  Each distinct (strategy,
+        cut vector) then gets one segment-DAG skeleton and one
+        :func:`expected_makespans` dispatch over its cells, whatever the
+        evaluator.  None of this outlives the call.  Records are
+        bit-identical to :meth:`evaluate_cell`'s (the per-cell oracle):
+        stochastic evaluators (Monte Carlo) receive the cells'
+        ``eval_seed`` streams one per cell, and an evaluator without a
+        vectorised batch prices the template cell by cell.
         """
         evaluator = get_evaluator(method)
         options = dict(evaluator_options) if evaluator_options else {}
         incidence = self.incidence(workflow, schedule)
-        # Per distinct CCR: (rescaled workflow, shared costs, CKPTALL cuts).
-        by_ccr: Dict[Optional[float], tuple] = {}
-        prepared = []
-        for pfail, ccr, _eval_seed in cells:
-            platform = self.platform_for(workflow, processors, pfail, bandwidth)
-            shared = by_ccr.get(ccr)
-            if shared is None:
-                scaled = self.scale(workflow, platform, ccr)
-                costs = ScheduleCosts(
-                    incidence, scaled, platform.bandwidth, save_final_outputs
-                )
-                cuts_all = self.plan(
-                    scaled, schedule, platform, "all", save_final_outputs, costs
-                )
-                shared = by_ccr[ccr] = (scaled, costs, cuts_all)
-            scaled, costs, cuts_all = shared
-            cuts_some = self.plan(
-                scaled, schedule, platform, "some", save_final_outputs, costs
-            )
-            em_none = self.evaluate_none(workflow, scaled, schedule, platform)
-            prepared.append((platform, costs, cuts_some, cuts_all, em_none))
+        platforms = [
+            self.platform_for(workflow, processors, pfail, bandwidth)
+            for pfail, _ccr, _eval_seed in cells
+        ]
+        rows: Dict[Optional[float], int] = {}
+        scaled: List[Workflow] = []
+        for (_pfail, ccr, _eval_seed), platform in zip(cells, platforms):
+            if ccr not in rows:
+                rows[ccr] = len(scaled)
+                scaled.append(self.scale(workflow, platform, ccr))
+        ccr_rows = [rows[ccr] for _pfail, ccr, _eval_seed in cells]
+        costs = GroupCosts(
+            incidence,
+            [[wf.file_size(f) for f in incidence.files] for wf in scaled],
+            bandwidth,
+            save_final_outputs,
+            ccr_rows,
+            [platform.failure_rate for platform in platforms],
+        )
+        plans = self.plan(
+            workflow, schedule, platforms[0], "some", save_final_outputs, costs
+        )
+        em_none = [
+            self.evaluate_none(workflow, scaled[row], schedule, platform)
+            for row, platform in zip(ccr_rows, platforms)
+        ]
         eval_seeds = self._eval_seeds_for(evaluator, cells)
         em_some = self._evaluate_plans(
-            workflow, schedule, [(p[2], p[1], p[0]) for p in prepared],
-            method, options, eval_seeds,
+            workflow, schedule, plans, plans.some, platforms, method, options,
+            eval_seeds,
         )
         em_all = self._evaluate_plans(
-            workflow, schedule, [(p[3], p[1], p[0]) for p in prepared],
+            workflow, schedule, plans, [plans.all] * len(cells), platforms,
             method, options, eval_seeds,
         )
+        checkpoints_all = sum(map(len, plans.all))
         return [
             CellResult(
                 family=family,
                 ntasks_requested=ntasks_requested,
                 ntasks=workflow.n_tasks,
-                processors=platform.processors,
+                processors=processors,
                 pfail=pfail,
                 ccr=ccr,
                 em_some=em_some[i],
                 em_all=em_all[i],
-                em_none=em_none,
-                checkpoints_some=sum(map(len, cuts_some)),
-                checkpoints_all=sum(map(len, cuts_all)),
+                em_none=em_none[i],
+                checkpoints_some=sum(map(len, plans.some[i])),
+                checkpoints_all=checkpoints_all,
                 superchains=len(schedule.superchains),
                 seed=seed,
             )
-            for i, (
-                (pfail, ccr, _eval_seed),
-                (platform, _costs, cuts_some, cuts_all, em_none),
-            ) in enumerate(zip(cells, prepared))
+            for i, (pfail, ccr, _eval_seed) in enumerate(cells)
         ]
 
     def _evaluate_plans(
         self,
         workflow: Workflow,
         schedule: Schedule,
-        cells: Sequence[Tuple[Cuts, ScheduleCosts, Platform]],
+        plans: GroupPlans,
+        cuts: Sequence[Cuts],
+        platforms: Sequence[Platform],
         method: str,
         options: Mapping[str, Any],
         eval_seeds: Optional[Sequence[Optional[int]]],
     ) -> List[float]:
-        """Expected makespans of one strategy's plans, one per
-        ``(cuts, costs, platform)`` cell.
+        """Expected makespans of one strategy's plans, one per cell of
+        ``plans``, whose cut vectors are ``cuts``.
 
         Cells are grouped by cut vector (which fixes the DAG's
-        structure); each group becomes one template, its rows priced on
-        the cells' costs, in a single :func:`expected_makespans` call,
-        bit-identical to per-cell evaluation — the batch contract every
-        evaluator is pinned to.
+        structure); each group becomes one template, its rows gathered
+        from the cells' priced slices, in a single
+        :func:`expected_makespans` call, bit-identical to per-cell
+        evaluation — the batch contract every evaluator is pinned to.
         ``eval_seeds`` (one per cell) is forwarded as the batch ``seed``
         option in the group's cell order, mirroring the injection
         :meth:`evaluate` performs per cell for stochastic methods.
         """
         groups: Dict[Cuts, List[int]] = {}
-        for i, (cuts, _costs, _platform) in enumerate(cells):
-            groups.setdefault(cuts, []).append(i)
-        out: List[float] = [0.0] * len(cells)
-        for cuts, indices in groups.items():
+        for i, cut in enumerate(cuts):
+            groups.setdefault(cut, []).append(i)
+        out: List[float] = [0.0] * len(cuts)
+        for cut, indices in groups.items():
             template = self.segment_dag(
                 workflow,
                 schedule,
-                cuts,
-                cells[indices[0]][2],
-                cells=[cells[i][1:] for i in indices],
+                cut,
+                platforms[indices[0]],
+                cells=(plans, indices),
             )
             group_options = dict(options)
             if eval_seeds is not None and "seed" not in group_options:

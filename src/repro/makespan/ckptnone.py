@@ -34,7 +34,11 @@ from repro.platform import Platform
 from repro.scheduling.schedule import Schedule
 from repro.util.toposort import topological_order
 
-__all__ = ["failure_free_makespan", "ckptnone_expected_makespan"]
+__all__ = [
+    "failure_free_makespan",
+    "ckptnone_expected_makespan",
+    "theorem1_makespan",
+]
 
 
 def failure_free_makespan(workflow: Workflow, schedule: Schedule) -> float:
@@ -78,7 +82,25 @@ def ckptnone_expected_makespan(
     The restart-model simulator bounds the true value from above:
     ``W·(e^{pλW} − 1)/(pλW) >= W·(1 + pλW/2)`` for all rates.
     """
-    wpar = failure_free_makespan(workflow, schedule)
+    return theorem1_makespan(
+        failure_free_makespan(workflow, schedule),
+        schedule,
+        platform,
+        count_idle_processors,
+    )
+
+
+def theorem1_makespan(
+    wpar: float,
+    schedule: Schedule,
+    platform: Platform,
+    count_idle_processors: bool = False,
+) -> float:
+    """:func:`ckptnone_expected_makespan` from the schedule's ``W_par``.
+
+    ``W_par`` depends on neither file sizes nor λ, so a caller pricing
+    many failure rates computes it once.
+    """
     p = (
         platform.processors
         if count_idle_processors

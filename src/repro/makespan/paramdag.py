@@ -189,8 +189,10 @@ class ParamDAG:
     def variances(self) -> np.ndarray:
         """Per-cell duration variances, shape ``(n_cells, n)``."""
         if self._variances is None:
-            d = self.long - self.base
-            self._variances = self.p * (1.0 - self.p) * d * d
+            # An infinite span gives inf - inf = NaN, as the scalar law does.
+            with np.errstate(invalid="ignore"):
+                d = self.long - self.base
+                self._variances = self.p * (1.0 - self.p) * d * d
         return self._variances
 
     def sinks(self) -> List[int]:

@@ -20,9 +20,9 @@ failure elsewhere — exactly the crossover-freedom argument of §IV-A.
 :class:`~repro.checkpoint.plan.CheckpointPlan` (the per-cell oracle).
 Cells whose plans cut the schedule the same way share every edge, so
 :class:`SegmentDagSkeleton` builds that structure once from the plans'
-cut vector (:data:`~repro.checkpoint.strategies.Cuts`) and fills a
-:class:`ParamDAG` row per cell straight from its
-:class:`~repro.checkpoint.segments.ScheduleCosts`.
+cut vector (:data:`~repro.checkpoint.strategies.Cuts`) and gathers a
+:class:`ParamDAG` row per cell from the spans its group's
+:class:`~repro.checkpoint.strategies.GroupPlans` priced.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from repro.platform import Platform
 from repro.scheduling.schedule import Schedule
 from repro.util.toposort import topological_order
 
-if TYPE_CHECKING:  # repro.checkpoint.segments imports repro.makespan
-    from repro.checkpoint.segments import ScheduleCosts
+if TYPE_CHECKING:  # repro.checkpoint imports repro.makespan
+    from repro.checkpoint.strategies import GroupPlans
 
 __all__ = ["build_segment_dag", "segment_name", "SegmentDagSkeleton"]
 
@@ -183,28 +183,20 @@ class SegmentDagSkeleton:
             for q in ps:
                 self.succs[q].append(node)
 
-    def template(self, cells: Sequence[Tuple[ScheduleCosts, float]]) -> ParamDAG:
-        """One :class:`ParamDAG` row per ``(costs, failure_rate)`` cell.
+    def template(self, plans: GroupPlans, cells: Sequence[int]) -> ParamDAG:
+        """One :class:`ParamDAG` row per cell ``cells[k]`` of ``plans``.
 
-        Each row is Equation (1) of the skeleton's segment spans priced
-        on the cell's costs (:meth:`ScheduleCosts.span`, summed as
-        :attr:`~repro.checkpoint.plan.Segment.span` sums them and under
-        the segment's cost check), with the probability clamped below 1,
-        bit-identical to :func:`build_segment_dag` on the plan that cuts
-        there.  Cells sharing a costs object (one CCR) share its spans.
+        Each row is Equation (1) of the skeleton's segment spans on the
+        cell's CCR (:meth:`GroupPlans.spans`, under the segment's cost
+        check) with the cell's failure rate, the probability clamped
+        below 1, bit-identical to :func:`build_segment_dag` on the plan
+        that cuts there.
         """
-        rows: Dict[ScheduleCosts, List[float]] = {}
-        spans = []
-        for costs, _rate in cells:
-            row = rows.get(costs)
-            if row is None:
-                span = costs.span
-                row = rows[costs] = [span(k, i, j) for k, i, j in self.slices]
-            spans.append(row)
-        spans = np.array(spans, dtype=float).reshape(len(cells), len(self.order))
-        rates = np.array([rate for _, rate in cells], dtype=float)
-        p = rates[:, None] * spans
-        p[p >= 1.0] = _P_MAX
-        return ParamDAG(
-            self.names, self.preds, self.succs, spans, RETRY_FACTOR * spans, p
-        )
+        chain, start, end = np.array(self.slices, dtype=np.intp).reshape(-1, 3).T
+        cells = np.asarray(cells, dtype=np.intp)
+        spans = plans.spans(cells, chain, start, end)
+        with np.errstate(invalid="ignore", over="ignore"):
+            p = plans.rates[cells][:, None] * spans
+            p[p >= 1.0] = _P_MAX
+            long = RETRY_FACTOR * spans
+        return ParamDAG(self.names, self.preds, self.succs, spans, long, p)

@@ -1,5 +1,6 @@
 """Tests for Algorithm 2 (checkpoint DP) and the Toueg-Babaoğlu oracle."""
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -7,7 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.checkpoint.dp import dp_from_table, optimal_checkpoint_positions
+from repro.checkpoint.dp import (
+    dp_columns,
+    dp_from_table,
+    optimal_checkpoint_positions,
+)
 from repro.checkpoint.segments import SuperchainCostModel
 from repro.checkpoint.toueg_babaoglu import toueg_babaoglu_chain
 from repro.errors import CheckpointError
@@ -163,3 +168,51 @@ class TestTouegBabaoglu:
         )
         assert positions == [1]
         assert value == pytest.approx(10.0)
+
+
+def run_columns(tables):
+    """:func:`dp_columns` over equal-size tables, as (positions, ETime)."""
+    tables = np.asarray(tables, dtype=float)
+    lengths = np.full(len(tables), tables.shape[1])
+    cuts, etime = dp_columns(
+        lambda lo, hi: tables[:, :, lo:hi], lengths, tables.shape[1]
+    )
+    return [
+        (np.flatnonzero(row).tolist(), float(e)) for row, e in zip(cuts, etime)
+    ]
+
+
+NAN = float("nan")
+
+
+class TestDpColumnsRules:
+    """The batched recursion picks what the scalar scan's strict ``<``
+    picks."""
+
+    def test_first_minimum_wins(self):
+        """Candidates ``ETime(0) + T(1, 2)`` and ``ETime(1) + T(2, 2)``
+        tie at 2, below ``T(0, 2)``: the earlier one wins, and a tie with
+        the first candidate keeps ``T(0, j)``."""
+        tables = [
+            [[1, 1, 10], [NAN, 1, 1], [NAN, NAN, 1]],
+            [[1, 2, 3], [NAN, 1, 2], [NAN, NAN, 1]],
+        ]
+        assert run_columns(tables) == [([0, 2], 2.0), ([2], 3.0)]
+        for table, got in zip(tables, run_columns(tables)):
+            assert got == dp_from_table(np.array(table, dtype=float))
+
+    def test_nan_candidate_never_wins(self):
+        """A NaN inner candidate is passed over for a later smaller one;
+        a NaN first candidate keeps ``ETime`` NaN and no earlier
+        checkpoint, whatever the inner candidates."""
+        tables = [
+            [[1, 1, 5], [NAN, 1, NAN], [NAN, NAN, 1]],
+            [[1, 1, NAN], [NAN, 1, 0], [NAN, NAN, 0]],
+        ]
+        (inner, first) = run_columns(tables)
+        assert inner == ([1, 2], 2.0)
+        assert first[0] == [2] and math.isnan(first[1])
+        for table, (positions, etime) in zip(tables, run_columns(tables)):
+            want_positions, want = dp_from_table(np.array(table, dtype=float))
+            assert positions == want_positions
+            assert etime.hex() == want.hex()

@@ -2,6 +2,8 @@
 sweep executor parity/determinism, and the record schema."""
 
 import hashlib
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import pytest
 import repro.engine.pipeline as pipeline_mod
 import repro.engine.sweep as sweep_mod
 from repro.api import run_strategies
-from repro.checkpoint.segments import ChainIncidence, SuperchainCostModel
+from repro.checkpoint.segments import GroupCosts, SuperchainCostModel
 from repro.engine import (
     ArtifactCache,
     CellResult,
@@ -33,7 +35,20 @@ from repro.service.scheduler import plan_batches
 from repro.util.rng import stable_seed
 from repro.workloads import FileSource
 
-from conftest import oracle_route
+from conftest import make_chain, oracle_route
+
+
+#: ``em_none`` of ``TestCallCounts.grid()`` per (processors, pfail), as
+#: ``float.hex``, recorded when each (schedule, pfail) computed its own
+#: W_par.
+EM_NONE_HEX = [
+    (3, 0.0001, "0x1.1592c42451432p+10"),
+    (3, 0.001, "0x1.1e94c13b5d506p+10"),
+    (3, 0.01, "0x1.791b935115146p+10"),
+    (5, 0.0001, "0x1.645ae0f549be5p+9"),
+    (5, 0.001, "0x1.70b891ad873a9p+9"),
+    (5, 0.01, "0x1.ecff4164dcc54p+9"),
+]
 
 
 def small_spec(**overrides):
@@ -104,20 +119,28 @@ class TestPipelineStages:
         assert pipe.cache.stats()["allocate"].misses == 2
 
     def test_scaled_workflow_shared_across_pfail_axis(self, monkeypatch):
-        """One batched call rescales once per distinct CCR and hands the
-        same copy to every pfail's plan; the copy is never stored."""
+        """One batched call rescales once per distinct CCR, prices every
+        pfail's plans from those copies' file sizes in one plan call,
+        and stores none of them."""
         pipe = Pipeline()
         wf = generate("montage", 50, 3)
         schedule = pipe.schedule_for(wf, 5, seed=7)
+        real_scale = Pipeline.scale
         real_plan = Pipeline.plan
-        planned = []  # (strategy, pfail's λ, the workflow it was priced on)
+        scaled = []
+        planned = []  # the group costs of each plan call
+
+        def recording_scale(self, workflow, platform, ccr):
+            scaled.append(real_scale(self, workflow, platform, ccr))
+            return scaled[-1]
 
         def recording_plan(self, workflow, schedule, platform, strategy,
                            *args):
-            planned.append((strategy, platform.failure_rate, workflow))
+            planned.append(args[-1])
             return real_plan(self, workflow, schedule, platform, strategy,
                              *args)
 
+        monkeypatch.setattr(Pipeline, "scale", recording_scale)
         monkeypatch.setattr(Pipeline, "plan", recording_plan)
         cells = [
             (pfail, ccr, None)
@@ -127,15 +150,18 @@ class TestPipelineStages:
         entries = len(pipe.cache)
         pipe.evaluate_cells("montage", 50, wf, schedule, 5, cells,
                             method="normal")
-        some = [(lam, w) for s, lam, w in planned if s == "some"]
-        every = [w for s, _lam, w in planned if s == "all"]
-        # CKPTALL is planned once per CCR, on the CCR's rescaled copy,
-        # and every pfail's CKPTSOME plan is priced on those two copies.
-        assert len(every) == 2 and every[0] is not every[1]
-        assert len(some) == 6 and len({lam for lam, _ in some}) == 3
-        assert all(w is every[i % 2] for i, (_lam, w) in enumerate(some))
-        # Stored: three platforms, the incidence and three CKPTNONE values.
-        assert len(pipe.cache) == entries + 3 + 1 + 3
+        # One rescaled copy per CCR, and one plan call for the group
+        # whose CCR rows are those copies' sizes, shared by every pfail.
+        assert len(scaled) == 2 and scaled[0] is not scaled[1]
+        (costs,) = planned
+        files = costs.incidence.files
+        assert costs.sizes.tolist() == [
+            [w.file_size(f) for f in files] for w in scaled
+        ]
+        assert costs.ccr.tolist() == [0, 1] * 3
+        assert len(set(costs.rates.tolist())) == 3
+        # Stored: three platforms, the incidence and one W_par.
+        assert len(pipe.cache) == entries + 3 + 1 + 1
 
     def test_cache_flat_over_distinct_ccrs(self):
         """A long-lived pipeline (the service keeps one) must not grow
@@ -316,45 +342,54 @@ class TestCallCounts:
         self, monkeypatch, per_cell
     ):
         """Eq. (2) uses λ only through T = X(1 + λX/2): the batched path
-        builds each CCR's span tables once for all three pfails, a third
-        of what the per-cell oracle builds."""
+        prices each CCR's span tables once for all three pfails, in one
+        call per group, a third of what the per-cell oracle builds."""
         spec = self.grid()
-        counts = {"batched": 0, "oracle": 0}
-        real_chain = ChainIncidence.span_table
+        counts = {"calls": 0, "batched": 0, "oracle": 0}
+        real_group = GroupCosts.span_tables
         real_model = SuperchainCostModel.span_table
 
-        def chain_table(self, *args):
-            counts["batched"] += 1
-            return real_chain(self, *args)
+        def group_tables(self):
+            counts["calls"] += 1
+            counts["batched"] += len(self.sizes) * len(self.incidence.lengths)
+            return real_group(self)
 
         def model_table(self):
             counts["oracle"] += 1
             return real_model(self)
 
-        monkeypatch.setattr(ChainIncidence, "span_table", chain_table)
+        monkeypatch.setattr(GroupCosts, "span_tables", group_tables)
         monkeypatch.setattr(SuperchainCostModel, "span_table", model_table)
         records = run_sweep(spec)
         per_group = {r.processors: r.superchains for r in records}
         superchains = sum(per_group.values())
-        assert counts == {"batched": 3 * superchains, "oracle": 0}
+        assert counts == {
+            "calls": len(per_group), "batched": 3 * superchains, "oracle": 0
+        }
         per_cell(spec.method)
         assert run_sweep(spec) == records
         assert counts["oracle"] == 3 * counts["batched"]
 
     def test_one_skeleton_per_strategy_and_segmentation(self, monkeypatch):
-        """The batched path holds each plan as its cut vector and builds
-        one segment-DAG skeleton per distinct (strategy, cuts)."""
+        """The batched path plans each group in one call, holds each plan
+        as its cut vector and builds one segment-DAG skeleton per
+        distinct (strategy, cuts)."""
         segmentations = set()
         real_plan = Pipeline.plan
+        groups = []
 
         def recording_plan(self, workflow, schedule, platform, strategy,
                            *args, **kwargs):
-            cuts = real_plan(
+            plans = real_plan(
                 self, workflow, schedule, platform, strategy, *args, **kwargs
             )
-            assert len(cuts) == len(schedule.superchains)
-            segmentations.add((platform.processors, strategy, cuts))
-            return cuts
+            groups.append(platform.processors)
+            for strategy, cuts in [("all", plans.all)] + [
+                ("some", cuts) for cuts in plans.some
+            ]:
+                assert len(cuts) == len(schedule.superchains)
+                segmentations.add((platform.processors, strategy, cuts))
+            return plans
 
         skeletons = []
         real_init = SegmentDagSkeleton.__init__
@@ -366,12 +401,30 @@ class TestCallCounts:
         monkeypatch.setattr(Pipeline, "plan", recording_plan)
         monkeypatch.setattr(SegmentDagSkeleton, "__init__", counting_init)
         run_sweep(self.grid())
+        assert groups == [3, 5]
         # Both strategies and both processor counts contribute, and
         # CKPTALL cuts every CCR the same way.
         assert {(p, s) for p, s, _ in segmentations} == {
             (p, s) for p in (3, 5) for s in ("some", "all")
         }
         assert len(skeletons) == len(segmentations)
+
+    def test_wpar_once_per_schedule(self, monkeypatch):
+        """Theorem 1's W_par ignores file sizes and λ, so it is computed
+        once per (workflow, schedule) and CKPTNONE is applied to it per
+        λ, with the values the per-schedule estimate gave."""
+        schedules = []
+        real = pipeline_mod.failure_free_makespan
+
+        def counting(workflow, schedule):
+            schedules.append(schedule)
+            return real(workflow, schedule)
+
+        monkeypatch.setattr(pipeline_mod, "failure_free_makespan", counting)
+        records = run_sweep(self.grid())
+        assert len(schedules) == 2 and schedules[0] is not schedules[1]
+        assert sorted({(r.processors, r.pfail, r.em_none.hex())
+                       for r in records}) == EM_NONE_HEX
 
     @pytest.fixture
     def chunk_calls(self, monkeypatch):
@@ -487,6 +540,27 @@ class TestCallCounts:
             by_pfail.setdefault(r.pfail, set()).add(r.em_none)
         # CKPTNONE has no I/O term: one value per pfail across the CCR axis.
         assert all(len(v) == 1 for v in by_pfail.values())
+
+    @pytest.mark.parametrize("method", ["normal", "pathapprox"])
+    def test_huge_weights_price_quietly(self, method):
+        """Rescaling a chain of 1e307-weight tasks to a CCR overflows its
+        file sizes, and so its spans, to inf: both routes read inf, and
+        the batched route's arrays raise no RuntimeWarning."""
+        spec = SweepSpec.from_source(
+            FileSource(make_chain(4, weight=1e307)),
+            processors=(1,),
+            pfails=(1e-2,),
+            ccrs=(1e-3,),
+            method=method,
+            seed_policy="stable",
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            records = run_sweep(spec)
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert records[0].em_some == records[0].em_all == math.inf
+        with oracle_route(method):
+            assert run_sweep(spec) == records
 
 
 class TestSweepSpecValidation:

@@ -2,19 +2,16 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import repro.checkpoint.strategies as strategies
 from repro.checkpoint.plan import Segment
-from repro.checkpoint.segments import (
-    ChainIncidence,
-    ScheduleCosts,
-    ScheduleIncidence,
-)
+from repro.checkpoint.segments import GroupCosts, ScheduleIncidence
 from repro.checkpoint.strategies import (
     ckpt_all_plan,
     ckpt_some_plan,
-    cuts_from_costs,
+    plan_group,
 )
 from repro.errors import CheckpointError, EvaluationError
 from repro.generators import cybershake, genome, ligo, montage, sipht
@@ -138,8 +135,18 @@ def plan_cuts(plan, sched):
     return tuple(cuts)
 
 
-def shared_costs(wf, sched, plat):
-    return ScheduleCosts(ScheduleIncidence(wf, sched), wf, plat.bandwidth)
+def group_plans(wf, sched, plat):
+    """One cell's plans through the batched path's group entry."""
+    incidence = ScheduleIncidence(wf, sched)
+    costs = GroupCosts(
+        incidence,
+        [[wf.file_size(f) for f in incidence.files]],
+        plat.bandwidth,
+        True,
+        [0],
+        [plat.failure_rate],
+    )
+    return plan_group(costs)
 
 
 class TestCutSkeleton:
@@ -158,20 +165,21 @@ class TestCutSkeleton:
     def test_equals_the_plans_dag(self, gen, strategy, builder):
         """Names, order, preds and succs equal :func:`build_segment_dag`'s
         for the plan, the cut vector equals the plan's cuts, and the
-        rows filled from shared costs equal the DAG's 2-state laws."""
+        rows gathered from the group's priced slices equal the DAG's
+        2-state laws."""
         wf = gen(50, seed=5)
         plat, sched = pipeline(wf, pfail=1e-2)
         plan = builder(wf, sched, plat)
         dag = build_segment_dag(wf, sched, plan, plat)
-        costs = shared_costs(wf, sched, plat)
-        cuts = cuts_from_costs(costs, strategy, plat.failure_rate)
+        plans = group_plans(wf, sched, plat)
+        cuts = plans.some[0] if strategy == "ckpt_some" else plans.all
         assert cuts == plan_cuts(plan, sched)
         skeleton = SegmentDagSkeleton(wf, sched, cuts)
         assert skeleton.names == dag.names
         assert skeleton.order == [int(name[3:]) for name in dag.names]
         assert skeleton.preds == dag.preds
         assert skeleton.succs == dag.succs
-        got = skeleton.template([(costs, plat.failure_rate)])
+        got = skeleton.template(plans, [0])
         ref = ParamDAG.from_dags([dag])
         for plane in ("base", "long", "p"):
             assert getattr(got, plane).tobytes() == getattr(ref, plane).tobytes()
@@ -181,24 +189,27 @@ class TestCutSkeleton:
     def test_bad_cost_raises_the_segments_error(self, monkeypatch, field, bad):
         """A negative or NaN segment cost on the cut path raises the
         :class:`CheckpointError` a :class:`Segment` with that cost
-        raises."""
+        raises, for the first bad slice in skeleton order."""
         wf = genome(30, seed=5)
         plat, sched = pipeline(wf)
-        real = ChainIncidence.segment_costs
+        real = GroupCosts.slice_costs
+        planted = {}
 
-        def planted(self, *args):
-            costs = list(real(self, *args))
-            costs[field] = bad
+        def plant(self, reads, *slices):
+            costs = list(real(self, reads, *slices))
+            # A distinct bad value per slice names the one that raised.
+            costs[field] = bad - np.arange(len(costs[field]), dtype=float)
+            keys = zip(*(s.tolist() for s in slices[1:]))
+            planted.update(zip(keys, costs[field].tolist()))
             return tuple(costs)
 
-        monkeypatch.setattr(ChainIncidence, "segment_costs", planted)
-        costs = shared_costs(wf, sched, plat)
-        cuts = cuts_from_costs(costs, "ckpt_all", plat.failure_rate)
-        skeleton = SegmentDagSkeleton(wf, sched, cuts)
+        monkeypatch.setattr(GroupCosts, "slice_costs", plant)
+        plans = group_plans(wf, sched, plat)
+        skeleton = SegmentDagSkeleton(wf, sched, plans.all)
         with pytest.raises(CheckpointError) as cut_path:
-            skeleton.template([(costs, plat.failure_rate)])
+            skeleton.template(plans, [0])
         segment_costs = [1.0, 1.0, 1.0]
-        segment_costs[field] = bad
+        segment_costs[field] = planted[skeleton.slices[0]]
         with pytest.raises(CheckpointError) as oracle:
             Segment(0, 0, 0, ("t",), *segment_costs)
         assert str(cut_path.value) == str(oracle.value)
@@ -208,15 +219,19 @@ class TestCutSkeleton:
         coverage error of the plan builders on the cut path too."""
         wf = genome(30, seed=5)
         plat, sched = pipeline(wf)
-        monkeypatch.setattr(strategies, "dp_from_table", lambda table: ([0], 0.0))
+
+        def first_task_only(columns, lengths, width):
+            cuts = np.zeros((len(lengths), width), dtype=bool)
+            cuts[:, 0] = True
+            return cuts, np.zeros(len(lengths))
+
+        monkeypatch.setattr(strategies, "dp_columns", first_task_only)
         monkeypatch.setattr(
             strategies, "optimal_checkpoint_positions", lambda cost: ([0], 0.0)
         )
         with pytest.raises(CheckpointError) as oracle:
             ckpt_some_plan(wf, sched, plat)
         with pytest.raises(CheckpointError) as cut_path:
-            cuts_from_costs(
-                shared_costs(wf, sched, plat), "ckpt_some", plat.failure_rate
-            )
+            group_plans(wf, sched, plat)
         assert "do not cover superchain" in str(oracle.value)
         assert str(cut_path.value) == str(oracle.value)

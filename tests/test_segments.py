@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.checkpoint.segments import SuperchainCostModel
+from repro.checkpoint.segments import (
+    GroupCosts,
+    ScheduleIncidence,
+    SuperchainCostModel,
+)
 from repro.errors import CheckpointError
 from repro.makespan.two_state import first_order_expected_time
 from repro.mspg.graph import Workflow
 from repro.platform import Platform
-from repro.scheduling.schedule import Superchain
+from repro.scheduling.schedule import Schedule, Superchain
 from tests.conftest import add_data_edge, make_chain, make_fig4_workflow
 
 BW = 1e6  # 1 MB/s so sizes in MB == seconds
@@ -164,3 +168,98 @@ class TestTables:
         assert m.read_cost(0, 0) == pytest.approx(1.0)
         # and checkpoint T10's output for T13 (outside)
         assert m.ckpt_cost(3, 3) == pytest.approx(1.0)
+
+
+def group_costs(wf, schedule, save_final=True):
+    """One CCR row of the batched path's costs at bandwidth ``BW``."""
+    incidence = ScheduleIncidence(wf, schedule)
+    costs = GroupCosts(
+        incidence,
+        [[wf.file_size(f) for f in incidence.files]],
+        BW,
+        save_final,
+        [0],
+        [0.0],
+    )
+    return costs, *costs.span_tables()
+
+
+def one_chain(wf, tasks):
+    schedule = Schedule(1)
+    schedule.add_superchain(0, tasks)
+    return schedule
+
+
+def slice_costs(costs, reads, i, j):
+    got = costs.slice_costs(
+        reads, *(np.array([v]) for v in (0, 0, i, j))
+    )
+    return tuple(float(v[0]) for v in got)
+
+
+class TestGroupCostsRules:
+    """The array program keeps the scalar loops' summation rules."""
+
+    def test_running_sums_go_left_to_right(self):
+        """Ten reads and ten checkpoints of 2**53 then nine 1s: a left to
+        right sum drops every 1 (ties round to even), numpy's pairwise
+        ``np.sum`` keeps some, and the arrays match the loop."""
+        wf = Workflow("sums")
+        wf.add_task("A", 1.0)
+        wf.add_task("B", 1.0)
+        sizes = [2.0**53] + [1.0] * 9
+        for k, size in enumerate(sizes):
+            wf.add_file(f"in{k}", size, producer=None)
+            wf.add_input("A", f"in{k}")
+            wf.add_file(f"out{k}", size, producer="A")
+            wf.add_input("B", f"out{k}")
+        sequential = 0.0
+        for size in sizes:
+            sequential += size
+        assert sequential != float(np.sum(sizes))
+        tasks = ("A", "B")
+        costs, spans, reads = group_costs(wf, one_chain(wf, tasks))
+        m = model(wf, tasks)
+        read_cost, _compute, ckpt_cost = slice_costs(costs, reads, 0, 0)
+        assert read_cost == m.read_cost(0, 0) == sequential / BW
+        assert ckpt_cost == m.ckpt_cost(0, 0) == sequential / BW
+        assert spans[0, 0].tobytes() == m.span_table().tobytes()
+
+    def test_skipped_ops_leave_sums_unchanged(self):
+        """A repeated read, the read of a file produced inside the slice
+        and an output nobody outside needs add nothing: slice ``[0..1]``
+        reads and checkpoints exactly what ``[0..0]`` and the model do."""
+        wf = Workflow("skips")
+        for t in ("A", "B", "C"):
+            wf.add_task(t, 1.0)
+        wf.add_file("dup", 3e6, producer=None)
+        wf.add_file("in", 0.1e6, producer=None)
+        wf.add_file("mid", 7e6, producer="A")
+        wf.add_file("near", 5e6, producer="A")
+        for task, files in (("A", ("dup", "in")), ("B", ("dup", "mid", "near")),
+                            ("C", ("mid",))):
+            for f in files:
+                wf.add_input(task, f)
+        tasks = ("A", "B", "C")
+        costs, spans, reads = group_costs(wf, one_chain(wf, tasks))
+        m = model(wf, tasks)
+        first = slice_costs(costs, reads, 0, 0)
+        both = slice_costs(costs, reads, 0, 1)
+        assert both[0] == first[0] == m.read_cost(0, 1)
+        assert both[2] == m.ckpt_cost(0, 1) == 7.0  # "near" retired
+        assert spans[0, 0].tobytes() == m.span_table().tobytes()
+
+    @pytest.mark.parametrize("save_final", [True, False])
+    def test_read_cost_is_the_tables_read_sum(self, fig4_workflow, save_final):
+        """``R`` of every slice is the span table's own read sum: a
+        producer precedes its consumers, so both skip the same files."""
+        tasks = ("T1", "T2", "T3", "T4", "T5", "T6")
+        costs, spans, reads = group_costs(
+            fig4_workflow, one_chain(fig4_workflow, tasks), save_final
+        )
+        m = model(fig4_workflow, tasks, save_final=save_final)
+        for i in range(6):
+            for j in range(i, 6):
+                got = slice_costs(costs, reads, i, j)
+                assert got[0] == reads[0, 0, i, j] / BW == m.read_cost(i, j)
+                assert got[1:] == (m.compute(i, j), m.ckpt_cost(i, j))
