@@ -11,7 +11,9 @@ models with :func:`~repro.checkpoint.dp.dp_from_table`, Clark's fold
 fold on a real GENOME-300 segment-DAG template, PathApprox's k-best path
 DP (:func:`~repro.makespan.pathapprox._k_best_paths_cells`) in numpy
 against the C DP on a real MONTAGE-50 CKPTALL segment-DAG template at
-the adaptive schedule's budgets, and each distribution
+the adaptive schedule's budgets, the fold compile alone
+(:func:`~repro.makespan.foldplan.compile_fold_plan`, every budget round
+of the fold template's cells into one step table), and each distribution
 primitive (convolve / max / truncate) as a per-row loop with the
 compiled kernels (:mod:`repro.makespan.native`) enabled and disabled.
 All comparisons assert bit-identical results before any timing is
@@ -20,10 +22,8 @@ reported.
 Each timed figure is the median of :data:`REPEATS` interleaved runs
 (the fold's scalar and replay columns alternate, and so do the Clark
 fold's, the checkpoint plans', the k-best DP's and each primitive's
-native and python passes),
-with its first
-and third
-quartiles beside it (``<figure>_q1`` / ``<figure>_q3``), as in
+native and python passes, and the fold compile's compile and whole-call
+columns), with its first and third quartiles beside it (``<figure>_q1`` / ``<figure>_q3``), as in
 ``bench_eval_batch.py``.  One profiled replay pass collects the kernel
 counters into the ``profile_ops`` block.  The machine-readable summary
 lands in ``BENCH_kernel.json`` at the repo root;
@@ -49,6 +49,7 @@ from repro.checkpoint.segments import (
 from repro.checkpoint.strategies import plan_group
 from repro.engine import Pipeline
 from repro.experiments.figures import log_grid
+from repro.makespan import foldplan
 from repro.makespan import profile as kernel_profile
 from repro.makespan.distribution import DiscreteDistribution
 from repro.makespan.normal import normal_batch
@@ -338,6 +339,60 @@ def bench_fold(template: ParamDAG) -> Dict[str, Dict[str, float]]:
     return {"adaptive": stats}
 
 
+def bench_fold_compile(template: ParamDAG) -> Dict[str, object]:
+    """The fold compile alone: every :func:`compile_fold_plan` call of
+    one :func:`pathapprox_batch` call over the template (each cell's
+    every budget round), recorded once and compiled again into a fresh
+    step table per repeat, interleaved with whole calls on fresh copies
+    of the template (``call_wall_s``).  No two slots of the table may
+    share a ``(kind, a, b)`` triple."""
+    calls = []
+    real = foldplan.compile_fold_plan
+
+    def record(order, paths):
+        calls.append((order.node, list(paths)))
+        return real(order, paths)
+
+    foldplan.compile_fold_plan = record
+    try:
+        pathapprox_batch(template)
+    finally:
+        foldplan.compile_fold_plan = real
+
+    def compile_all():
+        table = foldplan._StepTable(template.n)
+        orders: Dict[tuple, foldplan._Order] = {}
+        for node, paths in calls:
+            order = orders.get(node)
+            if order is None:
+                order = orders[node] = foldplan._Order(table, node)
+            foldplan.compile_fold_plan(order, paths)
+        return table
+
+    walls: Dict[str, List[float]] = {"compile_wall_s": [], "call_wall_s": []}
+    for _ in range(REPEATS):
+        table = timed(compile_all, walls["compile_wall_s"])
+        fresh = ParamDAG(
+            template.names, template.preds, template.succs,
+            template.base, template.long, template.p,
+        )
+        timed(lambda: pathapprox_batch(fresh), walls["call_wall_s"])
+    steps = table.steps[3 * (template.n + 1):]
+    triples = [tuple(steps[i : i + 3]) for i in range(0, len(steps), 3)]
+    stats: Dict[str, object] = {
+        "cells": template.n_cells,
+        "nodes": template.n,
+        "compiles": len(calls),
+        "slots": len(triples),
+        "distinct_slots": len(set(triples)),
+        "repeats": REPEATS,
+    }
+    assert stats["distinct_slots"] == stats["slots"], "repeated step triple"
+    stats.update(summarize_walls(walls))
+    stats["compile_share"] = stats["compile_wall_s"] / stats["call_wall_s"]
+    return stats
+
+
 def bench_native() -> Dict[str, object]:
     """Compiled vs pure-python scalar kernels, bit-parity asserted.
 
@@ -405,6 +460,7 @@ def compare() -> str:
     k_best = bench_k_best(kbest_template())
     template = fold_template()
     fold = bench_fold(template)
+    fold_compile = bench_fold_compile(template)
     snap = profiled_replay(template)
 
     lines = [
@@ -442,6 +498,14 @@ def compare() -> str:
         f"({k_best['cells']} cells x {k_best['nodes']} nodes, "
         f"{k_best['paths']} paths)"
     )
+    lines.append(
+        f"  fold compile       "
+        f"compile {fold_compile['compile_wall_s']*1e3:7.2f}ms  "
+        f"call    {fold_compile['call_wall_s']*1e3:8.2f}ms  "
+        f"share   {fold_compile['compile_share']:5.2f}   "
+        f"({fold_compile['compiles']} compiles, "
+        f"{fold_compile['slots']} slots)"
+    )
     for mode, stats in fold.items():
         lines.append(
             f"  fold      {mode:<8} scalar {stats['scalar_wall_s']:7.2f}s   "
@@ -461,6 +525,7 @@ def compare() -> str:
         "clark_fold": clark,
         "k_best": k_best,
         "fold": fold,
+        "fold_compile": fold_compile,
         "profile_ops": snap["ops"],
     }
     save_json("BENCH_kernel.json", summary)

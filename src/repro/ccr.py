@@ -17,10 +17,10 @@ because CCR rescaling is a pipeline-stage transformation used by the
 from __future__ import annotations
 
 from repro.errors import ExperimentError
-from repro.mspg.graph import Workflow
+from repro.mspg.graph import Workflow, require_scale_factor
 from repro.platform import Platform
 
-__all__ = ["ccr_of", "scale_to_ccr"]
+__all__ = ["ccr_of", "ccr_scale_factor", "scale_to_ccr"]
 
 
 def ccr_of(workflow: Workflow, platform: Platform) -> float:
@@ -31,10 +31,16 @@ def ccr_of(workflow: Workflow, platform: Platform) -> float:
     return platform.io_seconds(workflow.total_file_bytes) / compute
 
 
-def scale_to_ccr(
+def ccr_scale_factor(
     workflow: Workflow, platform: Platform, target_ccr: float
-) -> Workflow:
-    """A copy of the workflow whose file sizes realise ``target_ccr``."""
+) -> float:
+    """The factor :func:`scale_to_ccr` multiplies every file size by.
+
+    A batched sweep prices each CCR's file sizes as the unscaled sizes
+    times this factor, without a rescaled copy; both routes raise the
+    same errors for a negative CCR, a workflow with no file data and a
+    factor that is not a finite number >= 0.
+    """
     if target_ccr < 0:
         raise ExperimentError(f"target CCR must be >= 0, got {target_ccr}")
     current = ccr_of(workflow, platform)
@@ -42,4 +48,13 @@ def scale_to_ccr(
         raise ExperimentError(
             "cannot rescale a workflow with no file data to a positive CCR"
         )
-    return workflow.scale_file_sizes(target_ccr / current)
+    return require_scale_factor(target_ccr / current)
+
+
+def scale_to_ccr(
+    workflow: Workflow, platform: Platform, target_ccr: float
+) -> Workflow:
+    """A copy of the workflow whose file sizes realise ``target_ccr``."""
+    return workflow.scale_file_sizes(
+        ccr_scale_factor(workflow, platform, target_ccr)
+    )

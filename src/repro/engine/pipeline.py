@@ -21,8 +21,9 @@ makespan ``W_par``.
 group and shares what only part of a cell's inputs determine, for the
 length of the call:
 
-* CCR rescaling touches file sizes only, so each distinct CCR is
-  rescaled once; one :meth:`Pipeline.plan` call then prices every CCR's
+* CCR rescaling touches file sizes only, so each distinct CCR's sizes
+  are the unscaled sizes times its factor, with no rescaled workflow
+  copy; one :meth:`Pipeline.plan` call then prices every CCR's
   span tables ``X(i, j)`` (Eq. (2) uses λ only through
   ``T = X(1 + λX/2)``, so they serve every pfail), runs Algorithm 2 over
   all cells and superchains at once, and prices each slice a plan cuts;
@@ -60,7 +61,7 @@ from typing import (
     Union,
 )
 
-from repro.ccr import scale_to_ccr
+from repro.ccr import ccr_scale_factor, scale_to_ccr
 from repro.checkpoint.plan import CheckpointPlan
 from repro.checkpoint.segments import GroupCosts, ScheduleIncidence
 from repro.checkpoint.strategies import STRATEGIES, Cuts, GroupPlans, plan_group
@@ -116,7 +117,7 @@ STAGES: Tuple[str, ...] = (
 #: :meth:`ArtifactCache.hit_rate` excludes them.  CCR rescaling is
 #: compute-only too (not even counted): a long-lived pipeline that stored
 #: one rescaled workflow per distinct CCR grew without bound.  What the
-#: pfail axis can share — the rescaled workflow, its span tables and
+#: pfail axis can share — the rescaled file sizes, their span tables and
 #: segment costs, the CKPTALL plan — lives for one
 #: :meth:`Pipeline.evaluate_cells` call instead.
 COMPUTE_ONLY_STAGES: Tuple[str, ...] = ("plan", "build_dag", "evaluate")
@@ -291,8 +292,9 @@ class Pipeline:
         """CCR-rescaled copy of ``workflow`` (computed, never stored).
 
         Only the platform's bandwidth enters, so one copy serves every
-        pfail; :meth:`evaluate_cells` rescales once per distinct CCR of
-        its call.
+        pfail.  The per-cell oracle runs on it; :meth:`evaluate_cells`
+        needs only the copy's file sizes and multiplies the unscaled
+        ones by the same factor instead (:func:`ccr_scale_factor`).
         """
         if ccr is None:
             return workflow
@@ -582,13 +584,13 @@ class Pipeline:
         """Run stages 4-6 for every ``(pfail, ccr, eval_seed)`` cell of
         one prepared (workflow, processors) group, batching evaluation.
 
-        Each distinct CCR is rescaled once; one :meth:`plan` call then
-        plans every cell under both strategies as cut vectors, pricing
-        each CCR's span tables once for every pfail and each slice a
-        plan cuts once (:class:`GroupPlans`).  Each distinct (strategy,
-        cut vector) then gets one segment-DAG skeleton and one
-        :func:`expected_makespans` dispatch over its cells, whatever the
-        evaluator.  None of this outlives the call.  Records are
+        Each distinct CCR's file sizes are priced once, as the unscaled
+        sizes times its factor; one :meth:`plan` call then plans every
+        cell under both strategies as cut vectors, pricing each CCR's
+        span tables once for every pfail and each slice a plan cuts once
+        (:class:`GroupPlans`).  Each distinct (strategy, cut vector) then
+        gets one segment-DAG skeleton and one :func:`expected_makespans`
+        dispatch over its cells, whatever the evaluator.  None of this outlives the call.  Records are
         bit-identical to :meth:`evaluate_cell`'s (the per-cell oracle):
         stochastic evaluators (Monte Carlo) receive the cells'
         ``eval_seed`` streams one per cell, and an evaluator without a
@@ -601,16 +603,19 @@ class Pipeline:
             self.platform_for(workflow, processors, pfail, bandwidth)
             for pfail, _ccr, _eval_seed in cells
         ]
-        rows: Dict[Optional[float], int] = {}
-        scaled: List[Workflow] = []
+        # The factor scale_to_ccr would apply, without its copy.
+        unscaled = [workflow.file_size(f) for f in incidence.files]
+        rows: Dict[float, int] = {}
+        sizes: List[List[float]] = []
         for (_pfail, ccr, _eval_seed), platform in zip(cells, platforms):
             if ccr not in rows:
-                rows[ccr] = len(scaled)
-                scaled.append(self.scale(workflow, platform, ccr))
+                rows[ccr] = len(sizes)
+                factor = ccr_scale_factor(workflow, platform, ccr)
+                sizes.append([size * factor for size in unscaled])
         ccr_rows = [rows[ccr] for _pfail, ccr, _eval_seed in cells]
         costs = GroupCosts(
             incidence,
-            [[wf.file_size(f) for f in incidence.files] for wf in scaled],
+            sizes,
             bandwidth,
             save_final_outputs,
             ccr_rows,
@@ -620,8 +625,8 @@ class Pipeline:
             workflow, schedule, platforms[0], "some", save_final_outputs, costs
         )
         em_none = [
-            self.evaluate_none(workflow, scaled[row], schedule, platform)
-            for row, platform in zip(ccr_rows, platforms)
+            self.evaluate_none(workflow, workflow, schedule, platform)
+            for platform in platforms
         ]
         eval_seeds = self._eval_seeds_for(evaluator, cells)
         em_some = self._evaluate_plans(

@@ -20,8 +20,8 @@ Evaluators are registered behind the
 schemas, a ``deterministic`` capability) and the layer is **batch
 native**: a :class:`~repro.makespan.paramdag.ParamDAG` carries one DAG
 structure template plus per-cell 2-state parameter arrays,
-:func:`~repro.makespan.distribution.two_state_rows` builds a node's
-per-cell 2-state laws in one vectorised pass, and
+:func:`~repro.makespan.distribution.two_state_rows` builds every
+(cell, node) 2-state law of a template in one vectorised pass, and
 :func:`~repro.makespan.api.expected_makespans` prices a whole parameter
 grid per evaluator call — bit-identical to evaluating each cell alone,
 for every evaluator (one without a vectorised batch loops over the

@@ -301,12 +301,14 @@ class DiscreteDistribution:
 
 
 class TwoStateRows:
-    """One node's 2-state laws over a cell axis, held as atom planes.
+    """2-state laws over an axis of entries (cells, or cells by nodes),
+    held as atom planes.
 
-    Cell ``c``'s law is the first ``size[c]`` atoms (one or two) of
-    ``values[c]`` and ``probs[c]``.  Indexing a cell wraps them as a
-    :class:`DiscreteDistribution` (views of the planes); assigning a
-    cell writes a law of at most two atoms into the planes.  A consumer
+    Entry ``i``'s law is the first ``size[i]`` atoms (one or two) of
+    ``values[i]`` and ``probs[i]``, where ``i`` is a cell or a ``(cell,
+    node)`` pair.  Indexing an entry wraps them as a
+    :class:`DiscreteDistribution` (views of the planes); assigning an
+    entry writes a law of at most two atoms into the planes.  A consumer
     that only copies atoms, such as the fold replay's arenas, reads the
     planes and builds no distribution.
     """
@@ -321,19 +323,19 @@ class TwoStateRows:
         self.size = size
 
     def __len__(self) -> int:
-        return int(self.size.size)
+        return len(self.size)
 
-    def __getitem__(self, c: int) -> DiscreteDistribution:
-        k = int(self.size[c])
-        return DiscreteDistribution._wrap(self.values[c, :k], self.probs[c, :k])
+    def __getitem__(self, i) -> DiscreteDistribution:
+        k = int(self.size[i])
+        return DiscreteDistribution._wrap(self.values[i][:k], self.probs[i][:k])
 
-    def __setitem__(self, c: int, law: DiscreteDistribution) -> None:
+    def __setitem__(self, i, law: DiscreteDistribution) -> None:
         k = law.values.size
         if k > 2:
             raise ValueError(f"a 2-state row holds at most 2 atoms, got {k}")
-        self.values[c, :k] = law.values
-        self.probs[c, :k] = law.probs
-        self.size[c] = k
+        self.values[i][:k] = law.values
+        self.probs[i][:k] = law.probs
+        self.size[i] = k
 
     def __iter__(self) -> Iterator[DiscreteDistribution]:
         return (self[c] for c in range(len(self)))
@@ -342,28 +344,31 @@ class TwoStateRows:
 def two_state_rows(
     base: np.ndarray, long: np.ndarray, p: np.ndarray
 ) -> TwoStateRows:
-    """Per-cell 2-state laws for one node, built in one vectorised pass.
+    """2-state laws for every entry of equal-shape parameter arrays
+    (one node's cells, or a template's ``(cells, n)`` planes), built in
+    one vectorised pass.
 
-    Equivalent to ``[DiscreteDistribution.two_state(base[c], long[c],
-    p[c]) for c in cells]`` atom for atom.  The generic cells (``0 < p <
-    1`` and ``long > base``) share one numpy construction, normalised
-    like the scalar constructor (a length-2 row sum is ``(1 - p) + p``
-    either way); every other cell goes through the scalar constructor.
+    Equivalent to ``DiscreteDistribution.two_state(base[i], long[i],
+    p[i])`` for every entry ``i``, atom for atom.  The generic entries
+    (``0 < p < 1`` and ``long > base``) share one numpy construction,
+    normalised like the scalar constructor (a length-2 row sum is ``(1 -
+    p) + p`` either way); every other entry goes through the scalar
+    constructor.
     """
     base = np.asarray(base, dtype=float)
     long = np.asarray(long, dtype=float)
     p = np.asarray(p, dtype=float)
     generic = (p > 0.0) & (p < 1.0) & (long > base)
-    probs = np.stack([1.0 - p, p], axis=1)
+    probs = np.stack([1.0 - p, p], axis=-1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        probs /= probs.sum(axis=1)[:, None]
+        probs /= probs.sum(axis=-1)[..., None]
     rows = TwoStateRows(
-        np.stack([base, long], axis=1),
+        np.stack([base, long], axis=-1),
         probs,
-        np.full(base.size, 2, dtype=np.int64),
+        np.full(base.shape, 2, dtype=np.int64),
     )
-    for c in np.flatnonzero(~generic):
-        rows[c] = DiscreteDistribution.two_state(
-            float(base[c]), float(long[c]), float(p[c])
+    for i in zip(*np.nonzero(~generic)):
+        rows[i] = DiscreteDistribution.two_state(
+            float(base[i]), float(long[i]), float(p[i])
         )
     return rows

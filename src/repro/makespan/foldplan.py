@@ -10,7 +10,9 @@ doubling.  This module compiles that work once per call and replays it:
 * :func:`pathapprox_plan_batch` builds one :class:`_StepTable` per call.
   Slot ``s`` of the table is a triple ``(kind, a, b)``: the convolve or
   max of two earlier slots; the leaves come first (slot 0 the Dirac at
-  0, slot ``1 + v`` node ``v``'s law).
+  0, slot ``1 + v`` node ``v``'s law).  The table is hash-consed: a
+  triple it already holds is not emitted again, so no op runs twice on
+  the same operands.
 
 * :func:`compile_fold_plan` compiles one cell's fold for one budget
   round into that table and returns the root slot.  It runs the
@@ -18,9 +20,12 @@ doubling.  This module compiles that work once per call and replays it:
   path-sum prefixes keyed by their node mask (shared by every variance
   order), and, per variance order (:class:`_Order`), fold groups and
   leaf chains keyed by path masks in *rank space* — bit ``r`` is the
-  node of variance rank ``r``, so the split node is the union's highest
-  bit.  A subtree compiled in an earlier round or for another cell of
-  the same variance order is a dict hit, so every slot is compiled once.
+  node of variance rank ``r``.  A fold group is a sorted tuple of masks
+  (its own memo key): the split node is the highest bit of its largest
+  mask, and the paths holding it are a suffix of the group, found by one
+  bisection.  A subtree compiled in an earlier round or for another cell
+  of the same variance order is a dict hit, so every slot is compiled
+  once.
 
 * :func:`execute_plans` evaluates each cell's root on demand: a
   depth-first walk runs only the root's unfilled closure (operand ``a``
@@ -48,11 +53,12 @@ recursion performs, on the operands it uses: path-sum chains are
 memoised by node *prefix* (the scalar chain computes every prefix, so a
 prefix hit is the identical intermediate), fold subtrees by their set
 of paths under one variance order (the recursion's result depends only
-on that set and the split order).  Each step's operands are therefore
-bit-identical to the scalar path's, and either replay runs the scalar
-kernels' own code (the C replay calls the routines behind the per-op
-native kernels), so the replayed estimates equal the scalar reference
-bit for bit — pinned by the evaluator parity tests.  A cell runs each
+on that set and the split order), and slots by their triple (the same
+op on bit-identical operands is bit-identical).  Each step's operands
+are therefore bit-identical to the scalar path's, and either replay
+runs the scalar kernels' own code (the C replay calls the routines
+behind the per-op native kernels), so the replayed estimates equal the
+scalar reference bit for bit — pinned by the evaluator parity tests.  A cell runs each
 distinct step of its folds once across all its rounds, so its kernel
 calls are the same with native kernels on and off.
 """
@@ -60,6 +66,7 @@ calls are the same with native kernels on and off.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -91,29 +98,37 @@ _MAX = 1
 
 
 class _StepTable:
-    """One call's step table and its path-sum prefix memo.
+    """One call's step table, hash-consed, and its path-sum prefix memo.
 
     Slot ``s`` is ``steps[3s:3s+3] == [kind, a, b]``, the distribution
     ``a kind b`` of two earlier slots.  The ``n + 1`` leaf slots come
     first as ``[-1, -1, -1]`` (never computed: no earlier operands).
-    ``prefix`` maps a node mask to the slot of the path sum over those
-    nodes, the chain of convolutions seeded at the Dirac at 0 in
-    ascending node order that the scalar ``_path_sum`` computes; every
-    variance order shares it.
+    ``slots`` maps each emitted triple to its slot, so a triple is
+    emitted once: the same op on the same operands gives the same bits,
+    and every fold that asks for it shares the slot.  ``prefix`` maps a
+    node mask to the slot of the path sum over those nodes, the chain of
+    convolutions seeded at the Dirac at 0 in ascending node order that
+    the scalar ``_path_sum`` computes; every variance order shares it.
     """
 
-    __slots__ = ("steps", "prefix", "_array")
+    __slots__ = ("steps", "slots", "prefix", "_array")
 
     def __init__(self, n: int) -> None:
         self.steps: List[int] = [-1] * (3 * (n + 1))
+        self.slots: Dict[Tuple[int, int, int], int] = {}
         self.prefix: Dict[int, int] = {0: 0}
         self._array = np.empty(0, dtype=np.int32)
 
     def emit(self, kind: int, a: int, b: int) -> int:
-        """Append slot ``a kind b``; returns its number."""
-        steps = self.steps
-        steps += (kind, a, b)
-        return len(steps) // 3 - 1
+        """Slot of ``a kind b``: the one an earlier emit of the same
+        triple made, else a new slot appended."""
+        key = (kind, a, b)
+        slot = self.slots.get(key)
+        if slot is None:
+            steps = self.steps
+            steps += key
+            slot = self.slots[key] = len(steps) // 3 - 1
+        return slot
 
     def path_sum(self, nodes: int) -> int:
         """Slot of the path sum over node mask ``nodes``.
@@ -156,9 +171,12 @@ class _Order:
     ``node[r]`` is the node of variance rank ``r`` (ascending by the
     scalar split key ``(variance, id)``).  Masks here are in rank space
     (bit ``r`` is ``node[r]``), so a group's split node — the highest
-    variance in its union — is the union's highest bit.  ``chains`` maps
-    a rank mask to its path-sum slot, ``folds`` a frozenset of rank-mask
-    paths to its fold's slot.
+    variance in its union — is the highest bit of its largest mask.  A
+    fold group is a *sorted* tuple of distinct rank masks, its own
+    canonical form: the paths holding the split bit are exactly the
+    masks at or above it, a suffix found by one bisection.  ``chains``
+    maps a rank mask to its path-sum slot, ``folds`` a group to its
+    fold's slot.
     """
 
     __slots__ = ("table", "node", "chains", "folds")
@@ -167,7 +185,7 @@ class _Order:
         self.table = table
         self.node = node
         self.chains: Dict[int, int] = {}
-        self.folds: Dict[frozenset, int] = {}
+        self.folds: Dict[Tuple[int, ...], int] = {}
 
     def chain(self, mask: int) -> int:
         """Slot of the path sum over the nodes of rank mask ``mask``."""
@@ -185,38 +203,37 @@ class _Order:
 
     def fold(self, group: Tuple[int, ...]) -> int:
         """Slot of ``_fold_factored`` over ``group`` (distinct non-empty
-        rank masks): the same intersection stripping, highest-variance
-        split and memo granularity, emitting slots instead of computing
-        distributions."""
-        key = frozenset(group)
-        slot = self.folds.get(key)
+        rank masks, ascending): the same intersection stripping,
+        highest-variance split and memo granularity, emitting slots
+        instead of computing distributions."""
+        slot = self.folds.get(group)
         if slot is not None:
             return slot
         common = group[0]
-        for q in group[1:]:
+        for q in group:
             common &= q
-        # common is a subset of every path: XOR strips it.
-        nonempty = [q ^ common for q in group if q != common]
-        if not nonempty:
+        # common is a subset of every path: XOR strips it and keeps the
+        # order, and only the smallest path can equal it.
+        rest = tuple([q ^ common for q in group]) if common else group
+        if not rest[0]:
+            rest = rest[1:]
+        if not rest:
             slot = 0
-        elif len(nonempty) == 1:
-            slot = self.chain(nonempty[0])
+        elif len(rest) == 1:
+            slot = self.chain(rest[0])
         else:
-            union = 0
-            for q in nonempty:
-                union |= q
-            bit = 1 << (union.bit_length() - 1)
-            with_split = tuple(q for q in nonempty if q & bit)
-            without = tuple(q for q in nonempty if not q & bit)
-            if not without:
-                slot = self.fold(with_split)
-            else:
+            # The split bit is the largest mask's highest; the masks
+            # holding it are those at or above it.
+            split = bisect_left(rest, 1 << (rest[-1].bit_length() - 1))
+            if split:
                 slot = self.table.emit(
-                    _MAX, self.fold(with_split), self.fold(without)
+                    _MAX, self.fold(rest[split:]), self.fold(rest[:split])
                 )
+            else:
+                slot = self.fold(rest)
         if common:
             slot = self.table.emit(_CONV, slot, self.chain(common))
-        self.folds[key] = slot
+        self.folds[group] = slot
         return slot
 
 
@@ -227,13 +244,14 @@ def compile_fold_plan(order: _Order, paths: Sequence[int]) -> int:
     ``paths`` are node masks in ``order``'s rank space, as
     :func:`~repro.makespan.pathapprox._k_best_paths_cells` returns them
     (set algebra on python ints is an order of magnitude cheaper than on
-    frozensets, and a mask is its own canonical form).  Runs exactly the
-    recursion of ``_fold_factored``, through memos that live for the
-    whole :func:`pathapprox_plan_batch` call: a subtree an earlier round
-    or another cell of the same variance order compiled is not compiled
-    again, and a fold compiled before returns its root at once.
+    frozensets); sorted, they are the fold group's canonical form.  Runs
+    exactly the recursion of ``_fold_factored``, through memos that live
+    for the whole :func:`pathapprox_plan_batch` call: a subtree an
+    earlier round or another cell of the same variance order compiled is
+    not compiled again, and a fold compiled before returns its root at
+    once.
     """
-    return order.fold(tuple(paths))
+    return order.fold(tuple(sorted(paths)))
 
 
 #: Atoms a cell's arena holds at first (more if its leaf laws need it);
@@ -248,31 +266,26 @@ _ARENA_ATOMS = 1 << 15
 
 class _Leaves:
     """Every cell's leaf slots for one call, as planes: slot 0 the Dirac
-    at 0, slot ``1 + v`` node ``v``'s 2-state law, from
-    :func:`~repro.makespan.distribution.two_state_rows` per node.  The C
-    replay's arenas copy a cell's atoms straight from the planes;
-    distributions are built only for a cell whose first run is on the
-    python loop."""
+    at 0, slot ``1 + v`` node ``v``'s 2-state law, every (cell, node)
+    law from one :func:`~repro.makespan.distribution.two_state_rows`
+    pass over the template's planes.  The C replay's arenas copy a
+    cell's atoms straight from the planes; distributions are built only
+    for a cell whose first run is on the python loop."""
 
     __slots__ = ("rows", "length", "values", "probs", "used")
 
     def __init__(self, template) -> None:
-        n = template.n
-        self.rows = [
-            two_state_rows(
-                template.base[:, j], template.long[:, j], template.p[:, j]
-            )
-            for j in range(n)
-        ]
-        cells = template.n_cells
+        rows = self.rows = two_state_rows(
+            template.base, template.long, template.p
+        )
+        cells, n = rows.size.shape
         self.length = np.ones((cells, n + 1), dtype=np.int64)
+        self.length[:, 1:] = rows.size
         self.values = np.zeros((cells, n + 1, 2))
+        self.values[:, 1:] = rows.values
         self.probs = np.zeros((cells, n + 1, 2))
         self.probs[:, 0, 0] = 1.0
-        for j, rows in enumerate(self.rows, start=1):
-            self.length[:, j] = rows.size
-            self.values[:, j] = rows.values
-            self.probs[:, j] = rows.probs
+        self.probs[:, 1:] = rows.probs
         self.used = np.arange(2) < self.length[:, :, None]
 
     def arena(self, c: int) -> "_Arena":
@@ -283,8 +296,8 @@ class _Leaves:
     def dists(self, c: int) -> Dict[int, DiscreteDistribution]:
         """Cell ``c``'s leaf slots as distributions."""
         values = {0: DiscreteDistribution.point(0.0)}
-        for j, rows in enumerate(self.rows, start=1):
-            values[j] = rows[c]
+        for v in range(self.length.shape[1] - 1):
+            values[1 + v] = self.rows[c, v]
         return values
 
 

@@ -109,7 +109,11 @@ TAPE_DECLINE = 2
 #: Compiler flags of the shared object.  ``-ffp-contract=off`` keeps the
 #: compiler from fusing ``a*b+c`` into an FMA (default on FMA-capable
 #: targets such as aarch64), which would round differently from numpy.
-_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+#: No ``-O`` level reassociates floating-point operations (that takes
+#: ``-ffast-math`` or ``-fassociative-math``), so ``-O3`` computes the
+#: same bits as ``-O2``; on GCC 12 its ``-fsplit-paths`` alone runs the
+#: convolve's merge loops about 1.4x faster.
+_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 _SOURCE = Path(__file__).with_name("_native.c")
 _OFF_VALUES = ("0", "false", "off", "no")

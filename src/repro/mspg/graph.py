@@ -47,7 +47,16 @@ from repro.errors import (
 from repro.util.rng import SeedLike
 from repro.util.toposort import random_topological_order, topological_order
 
-__all__ = ["Task", "Workflow"]
+__all__ = ["Task", "Workflow", "require_scale_factor"]
+
+
+def require_scale_factor(factor: float) -> float:
+    """``factor`` if it can scale file sizes (a finite number >= 0)."""
+    if not (math.isfinite(factor) and factor >= 0):
+        raise WorkflowError(
+            f"scale factor must be a finite number >= 0, got {factor!r}"
+        )
+    return factor
 
 
 class OrderedFrozenSet(FrozenSet[str]):
@@ -428,10 +437,7 @@ class Workflow:
         factor, which changes checkpoint/recovery costs coherently across
         workflow classes.
         """
-        if not (math.isfinite(factor) and factor >= 0):
-            raise WorkflowError(
-                f"scale factor must be a finite number >= 0, got {factor!r}"
-            )
+        require_scale_factor(factor)
         wf = self.copy()
         wf._file_sizes = {f: s * factor for f, s in self._file_sizes.items()}
         return wf

@@ -38,6 +38,32 @@ class TestBatchConstruction:
             ref = DiscreteDistribution.two_state(float(b), float(l), float(q))
             assert row.values.tolist() == ref.values.tolist()
             assert row.probs.tolist() == ref.probs.tolist()
+        # The same over a cell x node grid, as the fold replay builds a
+        # template's leaves: every (cell, node) entry against the scalar
+        # constructor, with p of 0 and 1 and long == base among generic
+        # entries.
+        rng = np.random.default_rng(7)
+        shape = (5, 6)
+        base = rng.uniform(0.0, 10.0, shape)
+        long = base * rng.choice([1.0, 1.5, 3.0], shape)
+        p = rng.choice([0.0, 1.0, 0.3, 1e-9, 1.0 - 1e-9], shape)
+        base[0, 0], long[0, 0], p[0, 0] = 0.0, 0.0, 0.5
+        rows = two_state_rows(base, long, p)
+        assert rows.size.shape == shape and len(rows) == shape[0]
+        assert not ((p > 0) & (p < 1) & (long > base)).all()
+        assert ((p > 0) & (p < 1) & (long > base)).any()
+        for c in range(shape[0]):
+            for v in range(shape[1]):
+                ref = DiscreteDistribution.two_state(
+                    float(base[c, v]), float(long[c, v]), float(p[c, v])
+                )
+                got = rows[c, v]
+                assert [x.hex() for x in got.values] == [
+                    x.hex() for x in ref.values
+                ]
+                assert [x.hex() for x in got.probs] == [
+                    x.hex() for x in ref.probs
+                ]
 
 
 class TestParamDAG:

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ExperimentError
+from repro.ccr import ccr_scale_factor
+from repro.engine import Pipeline
+from repro.errors import ExperimentError, ReproError
 from repro.experiments.ccr import ccr_of, scale_to_ccr
 from repro.generators import genome, ligo, montage
 from repro.mspg.graph import Workflow
@@ -74,3 +76,48 @@ class TestScaleToCcr:
         assert ccr_of(scale_to_ccr(wf, plat, target), plat) == pytest.approx(
             target, rel=1e-9
         )
+
+
+class TestCcrScaleFactor:
+    """The batched sweep prices each CCR's file sizes as the unscaled
+    sizes times :func:`ccr_scale_factor`; the per-cell route rescales a
+    copy by the same factor, behind the same checks."""
+
+    def test_sizes_equal_the_rescaled_copys(self):
+        wf = montage(50, seed=0)
+        plat = Platform(4)
+        for target in (0.0, 1e-3, 0.37, 1.0):
+            factor = ccr_scale_factor(wf, plat, target)
+            scaled = scale_to_ccr(wf, plat, target)
+            assert [(wf.file_size(f) * factor).hex() for f in wf.file_names] == [
+                scaled.file_size(f).hex() for f in wf.file_names
+            ]
+
+    @pytest.mark.parametrize(
+        "size, target, message",
+        [
+            (1e6, -0.1, "target CCR must be >= 0"),
+            (0.0, 0.1, "no file data"),
+            # The CCR of 1e-300-byte files is subnormal: the factor
+            # overflows to inf.
+            (1e-300, 1.0, "scale factor must be a finite number >= 0"),
+        ],
+        ids=["negative", "no-data", "non-finite"],
+    )
+    def test_both_routes_raise_alike(self, size, target, message):
+        wf = make_chain(2, size=size)
+        pipe = Pipeline()
+        schedule = pipe.schedule_for(wf, 1, seed=0)
+        platform = pipe.platform_for(wf, 1, 0.01, 100e6)
+        with pytest.raises(ReproError, match=message) as per_cell:
+            pipe.evaluate_cell(
+                "chain", 2, wf, schedule, platform, 0.01, target,
+                method="normal",
+            )
+        with pytest.raises(ReproError) as batched:
+            pipe.evaluate_cells(
+                "chain", 2, wf, schedule, 1, [(0.01, target, None)],
+                method="normal",
+            )
+        assert type(batched.value) is type(per_cell.value)
+        assert str(batched.value) == str(per_cell.value)

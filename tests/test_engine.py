@@ -29,6 +29,7 @@ from repro.experiments.figures import run_cell
 from repro.generators import generate
 from repro.makespan.api import EVALUATORS
 from repro.makespan.segment_dag import SegmentDagSkeleton
+from repro.mspg.graph import Workflow
 from repro.service import BatchScheduler
 from repro.service.fingerprint import requests_from_spec
 from repro.service.scheduler import plan_batches
@@ -119,20 +120,20 @@ class TestPipelineStages:
         assert pipe.cache.stats()["allocate"].misses == 2
 
     def test_scaled_workflow_shared_across_pfail_axis(self, monkeypatch):
-        """One batched call rescales once per distinct CCR, prices every
-        pfail's plans from those copies' file sizes in one plan call,
-        and stores none of them."""
+        """One batched call prices each distinct CCR's file sizes once,
+        as the unscaled sizes times the CCR factor, without a rescaled
+        workflow copy; one plan call shares them with every pfail, and
+        none of them is stored."""
         pipe = Pipeline()
         wf = generate("montage", 50, 3)
         schedule = pipe.schedule_for(wf, 5, seed=7)
-        real_scale = Pipeline.scale
         real_plan = Pipeline.plan
-        scaled = []
+        copies = []
         planned = []  # the group costs of each plan call
 
-        def recording_scale(self, workflow, platform, ccr):
-            scaled.append(real_scale(self, workflow, platform, ccr))
-            return scaled[-1]
+        def recording_copy(self, name=None):
+            copies.append(self)
+            return real_copy(self, name)
 
         def recording_plan(self, workflow, schedule, platform, strategy,
                            *args):
@@ -140,7 +141,8 @@ class TestPipelineStages:
             return real_plan(self, workflow, schedule, platform, strategy,
                              *args)
 
-        monkeypatch.setattr(Pipeline, "scale", recording_scale)
+        real_copy = Workflow.copy
+        monkeypatch.setattr(Workflow, "copy", recording_copy)
         monkeypatch.setattr(Pipeline, "plan", recording_plan)
         cells = [
             (pfail, ccr, None)
@@ -150,13 +152,15 @@ class TestPipelineStages:
         entries = len(pipe.cache)
         pipe.evaluate_cells("montage", 50, wf, schedule, 5, cells,
                             method="normal")
-        # One rescaled copy per CCR, and one plan call for the group
-        # whose CCR rows are those copies' sizes, shared by every pfail.
-        assert len(scaled) == 2 and scaled[0] is not scaled[1]
+        # No copy, and one plan call for the group whose CCR rows are
+        # the rescaled copies' sizes, bit for bit, shared by every pfail.
+        assert copies == []
         (costs,) = planned
         files = costs.incidence.files
-        assert costs.sizes.tolist() == [
-            [w.file_size(f) for f in files] for w in scaled
+        platform = pipe.platform_for(wf, 5, 0.01, 100e6)
+        assert [[x.hex() for x in row] for row in costs.sizes.tolist()] == [
+            [pipe.scale(wf, platform, ccr).file_size(f).hex() for f in files]
+            for ccr in (0.1, 1.0)
         ]
         assert costs.ccr.tolist() == [0, 1] * 3
         assert len(set(costs.rates.tolist())) == 3

@@ -107,6 +107,26 @@ def both_backends(fn):
     return got, ref
 
 
+def priced_laws(fn):
+    """``fn()``'s result, and the atoms of every law whose mean it took
+    (PathApprox takes one per cell and budget round: the fold's root),
+    as a sorted list of hex strings."""
+    laws = []
+    real = DiscreteDistribution.mean
+
+    def mean(law):
+        atoms = np.concatenate((law.values, law.probs)).tolist()
+        laws.append(" ".join(x.hex() for x in atoms))
+        return real(law)
+
+    DiscreteDistribution.mean = mean
+    try:
+        out = fn()
+    finally:
+        DiscreteDistribution.mean = real
+    return out, sorted(laws)
+
+
 def assert_dist_equal(got: DiscreteDistribution, ref: DiscreteDistribution):
     assert np.array_equal(got.values, ref.values, equal_nan=True)
     assert np.array_equal(got.probs, ref.probs)
@@ -239,20 +259,19 @@ def fuzz_case(draw):
 
 @st.composite
 def replay_case(draw):
-    """``(template, k, max_atoms)``: a layered DAG whose nodes each join
-    one or more nodes of the layer before (shared nodes, overlapping
-    paths), over cells whose laws include ``p`` of 0 and 1 and
-    ``long == base``, with an atom budget small enough to truncate."""
+    """``(template, k, max_atoms)``: a DAG of up to four layers whose
+    nodes each join one or more nodes of any earlier layer (shared
+    nodes, overlapping paths, and skip edges, so a path can be a subset
+    of another and a fold group can hold a path equal to its common
+    nodes), over cells whose laws include ``p`` of 0 and 1 and ``long ==
+    base``, with an atom budget small enough to truncate."""
     preds = []
-    prev = []
     for _depth in range(draw(st.integers(1, 4))):
-        layer = []
+        earlier = range(len(preds))
         for _ in range(draw(st.integers(1, 3))):
-            joined = draw(st.lists(st.sampled_from(prev), unique=True,
-                                   min_size=1, max_size=len(prev))) if prev else []
-            layer.append(len(preds))
+            joined = draw(st.lists(st.sampled_from(earlier), unique=True,
+                                   min_size=1)) if earlier else []
             preds.append(sorted(joined))
-        prev = layer
     n = len(preds)
     succs = [[v for v in range(n) if u in preds[v]] for u in range(n)]
     n_cells = draw(st.integers(1, 3))
@@ -490,14 +509,30 @@ class TestNativeDifferentialFuzz:
     @given(replay_case())
     @settings(max_examples=fuzz_examples(60), deadline=None)
     def test_fold_replay(self, case):
-        """The C tape replay against the python loop, adaptive and with
-        a pinned path budget."""
+        """The C tape replay against the python loop, and both against
+        the per-cell scalar estimator (its own path enumeration and
+        recursive fold, no compile), adaptive and with a pinned path
+        budget: the estimates under ``float.hex``, and the root law of
+        every cell and round atom for atom (an extra or missing step
+        moves a law's last bits far more often than its mean's)."""
         template, k, max_atoms = case
         for budget in (None, k):
-            got, ref = both_backends(
-                lambda: pathapprox_batch(template, k=budget, max_atoms=max_atoms)
+            (got, got_laws), (ref, ref_laws) = both_backends(
+                lambda: priced_laws(
+                    lambda: pathapprox_batch(
+                        template, k=budget, max_atoms=max_atoms
+                    )
+                )
+            )
+            scalar, scalar_laws = priced_laws(
+                lambda: [
+                    pathapprox(template.cell(c), k=budget, max_atoms=max_atoms)
+                    for c in range(template.n_cells)
+                ]
             )
             assert [v.hex() for v in got] == [v.hex() for v in ref]
+            assert [v.hex() for v in ref] == [v.hex() for v in scalar]
+            assert got_laws == ref_laws == scalar_laws
 
 
 def layered_template(widths, n_cells, seed):
@@ -554,11 +589,10 @@ class TestNativeReplay:
 
         def planted(base, long, p):
             rows = real(base, long, p)
-            if len(calls) % template.n == self.NODE:
-                rows[self.CELL] = DiscreteDistribution._wrap(
-                    np.array(values), np.array(probs)
-                )
-            calls.append(1)
+            rows[self.CELL, self.NODE] = DiscreteDistribution._wrap(
+                np.array(values), np.array(probs)
+            )
+            calls.append(base.shape)
             return rows
 
         monkeypatch.setattr(foldplan, "two_state_rows", planted)
@@ -569,6 +603,8 @@ class TestNativeReplay:
             assert "probabilities sum to" in str(exc)
         finally:
             kernel_profile.disable()
+        # One builder pass over the template's (cells, n) planes.
+        assert calls == [(template.n_cells, template.n)]
         # Per-op kernel calls happen only on the python loop, which a
         # native run reaches only through the declined cell.
         assert prof.counters["native_miss_convolve"]["rows"] >= 1
@@ -740,6 +776,30 @@ class TestStepTable:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_no_two_slots_share_a_triple(self, monkeypatch):
+        """The table is hash-consed: a repeated ``(kind, a, b)`` gets the
+        slot of its first emit, so no op runs twice on the same operands
+        (seven layers of two nodes, one cell, three budget rounds; an
+        unshared table repeats 18 of its 136 non-leaf triples)."""
+        template = layered_template([2] * 7, n_cells=1, seed=3)
+        tables = []
+        real = foldplan.execute_plans
+
+        def execute_plans(work, table, max_atoms):
+            tables.append(table)
+            return real(work, table, max_atoms)
+
+        monkeypatch.setattr(foldplan, "execute_plans", execute_plans)
+        pathapprox_batch(template)
+        (table,) = {id(t): t for t in tables}.values()
+        steps = table.steps[3 * (template.n + 1):]
+        triples = [tuple(steps[i : i + 3]) for i in range(0, len(steps), 3)]
+        assert len(triples) > 100
+        assert len(set(triples)) == len(triples)
+        assert table.slots == {
+            t: template.n + 1 + s for s, t in enumerate(triples)
+        }
 
     @needs_native
     @pytest.mark.parametrize(
@@ -1127,12 +1187,14 @@ class TestGracefulDegradation:
 
 
 class TestBuildFlags:
-    """Floating-point contraction is pinned off, and the flags key the
-    cached object."""
+    """Floating-point contraction is pinned off beside the optimisation
+    level, and the flags key the cached object."""
 
     def test_tag_follows_the_flags(self, monkeypatch):
         tag = native._object_tag()
-        monkeypatch.setattr(native, "_CFLAGS", native._CFLAGS + ("-O3",))
+        planted = "-fno-split-paths"
+        assert planted not in native._CFLAGS
+        monkeypatch.setattr(native, "_CFLAGS", native._CFLAGS + (planted,))
         assert native._object_tag() != tag
 
     def test_compile_command_disables_contraction(self, monkeypatch, tmp_path):
@@ -1149,6 +1211,10 @@ class TestBuildFlags:
         assert native.available() is False
         (cmd,) = commands
         assert "-ffp-contract=off" in cmd
+        # One optimisation level, -O3: neither it nor -O2 reassociates
+        # floating-point operations, and its -fsplit-paths speeds up
+        # the convolve's merge loops.
+        assert [flag for flag in cmd if flag.startswith("-O")] == ["-O3"]
 
 
 class TestDistributionStateContract:
