@@ -7,8 +7,9 @@ structure group, CKPTSOME's plans and segment spans for a real
 GENOME-300 group's cells as one array program
 (:func:`~repro.checkpoint.strategies.plan_group`) against per-cell cost
 models with :func:`~repro.checkpoint.dp.dp_from_table`, Clark's fold
-(:func:`~repro.makespan.normal.normal_batch`) in numpy against the C
-fold on a real GENOME-300 segment-DAG template, PathApprox's k-best path
+(:func:`~repro.makespan.normal.normal_batch`) as the scalar fold per
+cell against the C fold on a real GENOME-300 segment-DAG template,
+PathApprox's k-best path
 DP (:func:`~repro.makespan.pathapprox._k_best_paths_cells`) in numpy
 against the C DP on a real MONTAGE-50 CKPTALL segment-DAG template at
 the adaptive schedule's budgets, the fold compile alone
@@ -154,8 +155,9 @@ def clark_template() -> ParamDAG:
 
 
 def bench_clark(template: ParamDAG) -> Dict[str, float]:
-    """Clark's fold over a template: the numpy fold (native off) against
-    one C call, interleaved, results equal under ``float.hex``."""
+    """Clark's fold over a template: the scalar fold once per cell
+    (native off) against one C call, interleaved, results equal under
+    ``float.hex``."""
     from repro.makespan import native
 
     was_enabled = native.enabled()

@@ -46,9 +46,7 @@ from benchmarks.conftest import (
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
 #: Trials per cell — large enough that Monte Carlo evaluation (not the
-#: shared plan/DAG construction) dominates the sweep, which is also the
-#: regime where the per-cell kernel's strided column accesses fall out
-#: of cache and the batched transposed propagation wins hardest.
+#: shared plan/DAG construction) dominates the sweep.
 TRIALS = 64 if SMOKE else 8192
 #: Timed runs per column; each figure is their median.
 REPEATS = 1 if SMOKE else 5

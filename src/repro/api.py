@@ -137,7 +137,6 @@ def run_strategies(
         em_some=pipe.evaluate(dag_some, method, eval_seed),
         em_all=pipe.evaluate(dag_all, method, eval_seed),
         em_none=pipe.evaluate_none(
-            base, workflow, schedule, platform,
-            cacheable=isinstance(seed, int),
+            base, schedule, platform, cacheable=isinstance(seed, int)
         ),
     )

@@ -129,6 +129,15 @@ STORED_STAGES: Tuple[str, ...] = tuple(
 )
 
 
+def _takes_seed(evaluator) -> bool:
+    """Whether ``evaluator`` takes a sampling seed: it is stochastic and
+    accepts a ``seed`` option (Monte Carlo).  Closed-form estimators
+    take none."""
+    return not evaluator.deterministic and (
+        evaluator.accepts_any_option or "seed" in evaluator.option_names()
+    )
+
+
 @dataclass
 class StageStats:
     """Cache hit/miss counters for one pipeline stage."""
@@ -464,19 +473,17 @@ class Pipeline:
         ``eval_seed``.
         """
         self.cache.count_compute("evaluate")
-        if eval_seed is not None and "seed" not in options:
-            evaluator = get_evaluator(method)
-            if not evaluator.deterministic and (
-                evaluator.accepts_any_option
-                or "seed" in evaluator.option_names()
-            ):
-                options = {**options, "seed": eval_seed}
+        if (
+            eval_seed is not None
+            and "seed" not in options
+            and _takes_seed(get_evaluator(method))
+        ):
+            options = {**options, "seed": eval_seed}
         return expected_makespan(dag, method, **options)
 
     def evaluate_none(
         self,
         workflow: Workflow,
-        scaled: Workflow,
         schedule: Schedule,
         platform: Platform,
         cacheable: bool = True,
@@ -484,11 +491,10 @@ class Pipeline:
         """CKPTNONE's Theorem 1 estimate, from a cached ``W_par``.
 
         The estimator contains no I/O term, and its failure-free makespan
-        ``W_par`` depends on the *unscaled* workflow (weights) and the
-        schedule alone — not on the CCR-rescaled file sizes or λ — so
-        ``W_par`` is computed once per (workflow, schedule) and Theorem 1
-        applied to it per platform; ``workflow`` keys the cache while
-        ``scaled`` feeds the computation (they agree on weights).
+        ``W_par`` depends on the workflow's weights and the schedule
+        alone — not on the CCR-rescaled file sizes or λ — so ``workflow``
+        is the unscaled one, and ``W_par`` is computed once per
+        (workflow, schedule) and Theorem 1 applied to it per platform.
 
         Pass ``cacheable=False`` for throwaway schedules (e.g. built
         with ``seed=None``): caching would pin every such schedule in
@@ -496,11 +502,11 @@ class Pipeline:
         """
         if not cacheable:
             self.cache.count_compute("evaluate")
-            return ckptnone_expected_makespan(scaled, schedule, platform)
+            return ckptnone_expected_makespan(workflow, schedule, platform)
         wpar = self.cache.get_or_compute(
             "evaluate",
             ("wpar", self._token(workflow), self._token(schedule)),
-            lambda: failure_free_makespan(scaled, schedule),
+            lambda: failure_free_makespan(workflow, schedule),
         )
         return theorem1_makespan(wpar, schedule, platform)
 
@@ -532,7 +538,7 @@ class Pipeline:
         dag_all = self.segment_dag(scaled, schedule, plan_all, platform)
         em_some = self.evaluate(dag_some, method, eval_seed, **options)
         em_all = self.evaluate(dag_all, method, eval_seed, **options)
-        em_none = self.evaluate_none(workflow, scaled, schedule, platform)
+        em_none = self.evaluate_none(workflow, schedule, platform)
         return CellResult(
             family=family,
             ntasks_requested=ntasks_requested,
@@ -551,21 +557,6 @@ class Pipeline:
 
     # ------------------------------------------------------------------
     # Batched cell evaluation (stages 4-6 over a whole grid group).
-
-    @staticmethod
-    def _eval_seeds_for(
-        evaluator, cells: Sequence[Tuple[float, float, Optional[int]]]
-    ) -> Optional[list]:
-        """The cells' eval-seed stream, for stochastic evaluators only.
-
-        Mirrors :meth:`evaluate`'s per-cell injection: closed-form
-        evaluators take no seed at all.
-        """
-        if not evaluator.deterministic and (
-            evaluator.accepts_any_option or "seed" in evaluator.option_names()
-        ):
-            return [eval_seed for _pf, _cc, eval_seed in cells]
-        return None
 
     def evaluate_cells(
         self,
@@ -625,10 +616,15 @@ class Pipeline:
             workflow, schedule, platforms[0], "some", save_final_outputs, costs
         )
         em_none = [
-            self.evaluate_none(workflow, workflow, schedule, platform)
+            self.evaluate_none(workflow, schedule, platform)
             for platform in platforms
         ]
-        eval_seeds = self._eval_seeds_for(evaluator, cells)
+        # The cells' eval-seed stream, as evaluate() injects it per cell.
+        eval_seeds = (
+            [eval_seed for _pfail, _ccr, eval_seed in cells]
+            if _takes_seed(evaluator)
+            else None
+        )
         em_some = self._evaluate_plans(
             workflow, schedule, plans, plans.some, platforms, method, options,
             eval_seeds,

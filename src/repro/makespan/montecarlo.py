@@ -3,18 +3,21 @@
 The paper uses 300,000-trial Monte Carlo as ground truth: sample each
 task's 2-state duration, compute the longest path, average.  Sampling and
 longest-path propagation are fully vectorised; trials are processed in
-batches to bound memory (a ``(batch, n)`` float matrix).
+batches to bound memory.  Each batch's durations are written straight
+into the ``(n, batch)`` layout of the one longest-path kernel,
+:func:`repro.makespan.probdag._propagate_transposed`, whose per-node
+passes stream contiguous rows.
 
 :func:`montecarlo_batch` is the batched entry point over a
 :class:`~repro.makespan.paramdag.ParamDAG` template: every cell keeps
 its own independent sampling stream (one
-:class:`numpy.random.Generator` per cell), while the longest-path
-propagation runs once per trial block over the stacked
-``(cells, batch, n)`` duration tensor.  Because sampling, duration
-construction and propagation are element-for-element the operations the
-per-cell path performs, the batched result is **bit-identical** to
-evaluating each cell through :func:`montecarlo` with its own seed — the
-batch contract the engine's batched sweep stage relies on.
+:class:`numpy.random.Generator` per cell), while the same kernel runs
+once per trial sub-chunk over every cell's columns stacked side by
+side.  Because sampling, duration construction and propagation are
+element-for-element the operations the per-cell path performs, the
+batched result is **bit-identical** to evaluating each cell through
+:func:`montecarlo` with its own seed — the batch contract the engine's
+batched sweep stage relies on.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import EvaluationError
-from repro.makespan.probdag import ProbDAG
+from repro.makespan.probdag import ProbDAG, _propagate_transposed
 from repro.util.rng import SeedLike, as_rng
 
 __all__ = [
@@ -44,12 +47,9 @@ __all__ = [
 MC_BATCH_MAX_BYTES = 256 * 1024 * 1024
 
 #: Trial sub-chunk of the batched longest-path propagation.  Each
-#: per-cell ``(sub, n)`` uniform block (and its transpose) stays
-#: cache-resident, which is where the batched path's speedup comes
-#: from: the per-cell reference kernel's strided column accesses thrash
-#: the cache once a cell's ``(trials, n)`` matrix outgrows it, while
-#: the transposed batched kernel streams contiguous rows.  Sub-chunking
-#: is row-local, so it never changes a sample.
+#: cell's ``(sub, n)`` uniform slice is transposed into the stacked
+#: ``(n, cells·sub)`` duration matrix while it is still cache-resident.
+#: Sub-chunking is column-local, so it never changes a sample.
 MC_PROPAGATE_SUB = 512
 
 
@@ -108,13 +108,18 @@ def sample_makespans(
         # Whole pairs per batch: an odd batch size would orphan one
         # complement per batch and shift every later pair off its mate.
         batch = max(2, batch - batch % 2)
+    base_T, extra_T, p_T = base[:, None], extra[:, None], p[:, None]
     out = np.empty(trials)
     done = 0
     while done < trials:
         m = min(batch, trials - done)
         u = _draw_uniforms(rng, m, dag.n, antithetic)
-        durations = base + extra * (u < p)
-        out[done : done + m] = dag.makespans(durations)
+        # The block's durations, written straight into the kernel's
+        # (n, m) layout: the same elementwise `base + extra * (u < p)`.
+        durations = np.empty((dag.n, m))
+        np.multiply(extra_T, u.T < p_T, out=durations)
+        np.add(base_T, durations, out=durations)
+        out[done : done + m] = _propagate_transposed(dag.preds, durations)
         done += m
     return out
 
@@ -227,38 +232,6 @@ def _cell_seeds(
     return [seed] * n_cells
 
 
-def _propagate_transposed(
-    preds: Sequence[Sequence[int]], dur_T: np.ndarray
-) -> np.ndarray:
-    """Longest-path propagation over an ``(n, rows)`` duration matrix.
-
-    The transposed twin of :meth:`ProbDAG.makespans`: node ``v``'s
-    completions live in the contiguous row ``comp[v]`` instead of a
-    strided column, so the per-edge ``maximum``/``add`` passes stream
-    sequential memory whatever ``rows`` is — the per-cell kernel's
-    column accesses thrash the cache once a ``(trials, n)`` matrix
-    outgrows it.  Value-identical to the column kernel: the adds are
-    elementwise on the same operands and float ``max`` is exact, so the
-    reduction order cannot move a bit.
-    """
-    n, rows = dur_T.shape
-    if n == 0:
-        return np.zeros(rows)
-    comp = np.empty_like(dur_T)
-    makespan = np.zeros(rows)
-    for v in range(n):
-        ps = preds[v]
-        if ps:
-            ready = comp[ps[0]]
-            if len(ps) > 1:
-                ready = comp[ps].max(axis=0)
-            np.add(ready, dur_T[v], out=comp[v])
-        else:
-            comp[v] = dur_T[v]
-        np.maximum(makespan, comp[v], out=makespan)
-    return makespan
-
-
 def montecarlo_batch(
     template,
     trials: int = 100_000,
@@ -274,9 +247,9 @@ def montecarlo_batch(
     where ``seeds`` is the per-cell expansion of ``seed`` (see
     :func:`_cell_seeds`): each cell draws from its own generator in the
     exact block sizes of the per-cell path, durations are built with the
-    same elementwise expression, and the longest-path propagation —
-    run once per trial sub-chunk over all cells' rows stacked in the
-    cache-friendly transposed layout (:func:`_propagate_transposed`) —
+    same elementwise expression, and the longest-path kernel
+    (:func:`~repro.makespan.probdag._propagate_transposed`) — run once
+    per trial sub-chunk over all cells' columns stacked side by side —
     performs the same elementwise adds and exact maxima, so batching
     cannot move a single bit.  Cells are processed in chunks sized to
     keep the live blocks under :data:`MC_BATCH_MAX_BYTES`; the per-cell

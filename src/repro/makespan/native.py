@@ -21,10 +21,12 @@ step as the per-op path does).
 :func:`normal_fold` prices every cell of a Sculli template
 (:func:`~repro.makespan.normal.normal_batch`) in one C call that folds
 Clark's max over the DAG with libm's scalar ``erf`` and ``exp``.  The
-python fold calls ``math.erf`` and ``math.exp``, so at first use a
-fixed probe set checks the library's ``erf`` and ``exp`` against them
-bit for bit; on any difference the op declines for the process
-(:func:`status` reports it as ``"python"``) and the python fold runs.
+python fold, the scalar one of :func:`~repro.makespan.normal.normal`,
+calls ``math.erf`` and ``math.exp``, so at first use a fixed probe set
+checks the library's ``erf`` and ``exp`` against them bit for bit; on
+any difference the op declines for the process (:func:`status` reports
+it as ``"python"``) and ``normal_batch`` runs the scalar fold once per
+cell.
 
 :func:`k_best_paths` runs PathApprox's k-best path DP
 (:func:`~repro.makespan.pathapprox._k_best_paths_cells`) for every cell
@@ -599,8 +601,8 @@ def normal_fold(template, sqrt2: float, inv_sqrt2pi: float):
     :class:`~repro.makespan.paramdag.ParamDAG`; ``sqrt2`` and
     ``inv_sqrt2pi`` are :mod:`repro.makespan.normal`'s constants.  The C
     fold walks the nodes in order, Clark-maxes each node's predecessors
-    in list order and then the sinks, as
-    :func:`~repro.makespan.normal.normal_batch` does; it declines when
+    in list order and then the sinks, as the scalar fold of
+    :func:`~repro.makespan.normal.normal` does; it declines when
     kernels are off, when the library's ``erf``/``exp`` failed the probe,
     or on a malformed structure (a predecessor that is not an earlier
     node).  Records the cells as ``native_normal`` rows, or as

@@ -18,14 +18,15 @@ kernels live the whole template is one C call
 (:func:`repro.makespan.native.normal_fold`), which folds the same
 formulas with libm's ``erf`` and ``exp`` once the loader has checked
 them against ``math.erf`` and ``math.exp``; otherwise, or when the C
-fold declines, the numpy fold below runs.  The scalar :func:`normal`
-and that numpy fold are the bit-exactness oracles.
+fold declines, the scalar fold of :func:`normal` runs once per cell.
+That scalar fold is the one python implementation and the
+bit-exactness oracle.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -79,29 +80,36 @@ def clark_max(
     return mean, var
 
 
-def normal(dag: ProbDAG) -> float:
-    """Sculli's estimate of the expected makespan of a 2-state DAG."""
-    n = dag.n
-    if n == 0:
-        return 0.0
+def _fold(
+    preds: Sequence[Sequence[int]],
+    sinks: Sequence[int],
+    task_means: Sequence[float],
+    task_vars: Sequence[float],
+) -> float:
+    """Sculli's estimate of one DAG, given its structure and task moments.
+
+    Walks the nodes in order: a node's ready time is the Clark max of its
+    predecessors' completions in list order, its completion that plus
+    the task's moments; the estimate is the Clark max of the sinks.
+    """
+    n = len(task_means)
     means: List[float] = [0.0] * n
     variances: List[float] = [0.0] * n
     for v in range(n):
-        t = dag.task(v)
         m_ready, v_ready = 0.0, 0.0
         first = True
-        for q in dag.preds[v]:
+        for q in preds[v]:
             if first:
                 m_ready, v_ready = means[q], variances[q]
                 first = False
             else:
                 m_ready, v_ready = clark_max(m_ready, v_ready, means[q], variances[q])
-        means[v] = m_ready + t.mean
-        variances[v] = v_ready + t.variance
+        means[v] = m_ready + task_means[v]
+        variances[v] = v_ready + task_vars[v]
 
     m_out, v_out = 0.0, 0.0
     first = True
-    for s in dag.sinks():
+    for s in sinks:
         if first:
             m_out, v_out = means[s], variances[s]
             first = False
@@ -110,52 +118,15 @@ def normal(dag: ProbDAG) -> float:
     return m_out
 
 
-# --------------------------------------------------------------------- #
-# batched evaluation over a parameterised DAG template
-# --------------------------------------------------------------------- #
-
-# math.erf has no NumPy counterpart and np.exp is not guaranteed to
-# round identically to libm's exp, so the transcendental pieces of the
-# numpy Clark fold go through the *scalar* functions element-wise;
-# everything algebraic around them is one NumPy pass over the cell axis.
-# The C fold calls libm's erf and exp, which the native loader checks
-# against these python functions before it lets the fold run.
-_ERF = np.frompyfunc(math.erf, 1, 1)
-_EXP = np.frompyfunc(math.exp, 1, 1)
-
-
-def _clark_max_cells(
-    m1: np.ndarray, v1: np.ndarray, m2: np.ndarray, v2: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`clark_max` (``rho=0``) over a leading cell axis.
-
-    Element-wise bit-identical to the scalar function: every arithmetic
-    step mirrors its expression (down to association order), and the
-    degenerate branch is applied by mask after computing both sides.
-    """
-    rho = 0.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a2 = v1 + v2 - 2.0 * rho * np.sqrt(v1 * v2)
-        degenerate = a2 <= 1e-300
-        a = np.sqrt(a2)
-        alpha = (m1 - m2) / a
-        cdf_pos = 0.5 * (1.0 + _ERF(alpha / _SQRT2).astype(float))
-        cdf_neg = 0.5 * (1.0 + _ERF((-alpha) / _SQRT2).astype(float))
-        pdf = _INV_SQRT2PI * _EXP(-0.5 * alpha * alpha).astype(float)
-        mean = m1 * cdf_pos + m2 * cdf_neg + a * pdf
-        second = (
-            (m1 * m1 + v1) * cdf_pos
-            + (m2 * m2 + v2) * cdf_neg
-            + (m1 + m2) * a * pdf
-        )
-        spread = second - mean * mean
-        # Python's max(0.0, x) keeps x only when x > 0 (NaN falls back
-        # to 0.0); np.maximum would propagate NaN instead.
-        var = np.where(spread > 0.0, spread, 0.0)
-        larger_first = m1 >= m2
-        mean = np.where(degenerate, np.where(larger_first, m1, m2), mean)
-        var = np.where(degenerate, np.where(larger_first, v1, v2), var)
-    return mean, var
+def normal(dag: ProbDAG) -> float:
+    """Sculli's estimate of the expected makespan of a 2-state DAG."""
+    tasks = dag.tasks()
+    return _fold(
+        dag.preds,
+        dag.sinks(),
+        [t.mean for t in tasks],
+        [t.variance for t in tasks],
+    )
 
 
 def normal_batch(template) -> np.ndarray:
@@ -163,40 +134,26 @@ def normal_batch(template) -> np.ndarray:
 
     ``template`` is a :class:`~repro.makespan.paramdag.ParamDAG`.  With
     native kernels live, one C call folds every cell
-    (:func:`repro.makespan.native.normal_fold`).  Otherwise the moment
-    propagation below runs with a leading cell axis — one vectorised
-    Clark fold per edge instead of one scalar fold per edge per cell.
-    Both are bit-identical to evaluating each materialised cell with
-    :func:`normal` (pinned by the batch-parity tests and the native
-    differential fuzz).
+    (:func:`repro.makespan.native.normal_fold`).  Otherwise the scalar
+    fold of :func:`normal` runs once per cell on its rows of the
+    template's task moments, which hold the values the materialised
+    cell's tasks report, so either way each estimate is bit-identical
+    to :func:`normal` of that cell (pinned by the batch-parity tests
+    and the native differential fuzz).
     """
-    n = template.n
-    n_cells = template.n_cells
-    if n == 0:
-        return np.zeros(n_cells)
+    if template.n == 0:
+        return np.zeros(template.n_cells)
     folded = _native.normal_fold(template, _SQRT2, _INV_SQRT2PI)
     if folded is not None:
         return folded
-    task_means = template.means
-    task_vars = template.variances
-    means: List[np.ndarray] = [None] * n  # type: ignore[list-item]
-    variances: List[np.ndarray] = [None] * n  # type: ignore[list-item]
-    for v in range(n):
-        preds = template.preds[v]
-        if preds:
-            m_ready, v_ready = means[preds[0]], variances[preds[0]]
-            for q in preds[1:]:
-                m_ready, v_ready = _clark_max_cells(
-                    m_ready, v_ready, means[q], variances[q]
-                )
-        else:
-            m_ready = np.zeros(n_cells)
-            v_ready = np.zeros(n_cells)
-        means[v] = m_ready + task_means[:, v]
-        variances[v] = v_ready + task_vars[:, v]
-
+    preds = template.preds
     sinks = template.sinks()
-    m_out, v_out = means[sinks[0]], variances[sinks[0]]
-    for s in sinks[1:]:
-        m_out, v_out = _clark_max_cells(m_out, v_out, means[s], variances[s])
-    return np.asarray(m_out, dtype=float)
+    return np.array(
+        [
+            _fold(preds, sinks, means, variances)
+            for means, variances in zip(
+                template.means.tolist(), template.variances.tolist()
+            )
+        ],
+        dtype=float,
+    )

@@ -3,12 +3,13 @@
 Every expected-makespan evaluator consumes a :class:`ProbDAG`: nodes carry
 2-state durations (Equation (1)); edges are precedence constraints.  The
 container enforces topological construction (predecessors must exist when
-a node is added) and provides the shared **vectorised longest-path
-kernel**: given a ``(trials, n)`` duration matrix it propagates completion
-times in topological order with one NumPy ``maximum`` per edge-group,
-which both the Monte Carlo evaluator and the failure simulator reuse
-(per the hpc-parallel guide: one hot vectorised kernel, orchestration in
-plain Python).
+a node is added) and holds the one **vectorised longest-path kernel**,
+:func:`_propagate_transposed`: over an ``(n, rows)`` duration matrix it
+propagates completion times in topological order, one NumPy pass per
+node over contiguous rows.  :meth:`ProbDAG.makespans` runs it on the
+transpose of a ``(trials, n)`` scenario matrix (exact enumeration, the
+failure simulator); the Monte Carlo samplers write their durations in
+the ``(n, rows)`` layout and call it directly.
 """
 
 from __future__ import annotations
@@ -21,6 +22,38 @@ from repro.errors import EvaluationError
 from repro.makespan.two_state import TwoStateTask
 
 __all__ = ["ProbDAG"]
+
+
+def _propagate_transposed(
+    preds: Sequence[Sequence[int]], dur_T: np.ndarray
+) -> np.ndarray:
+    """Longest path of each column of an ``(n, rows)`` duration matrix.
+
+    ``preds[v]`` lists node ``v``'s predecessors, all earlier nodes.  A
+    node's completions live in the contiguous row ``comp[v]``, so every
+    per-node ``maximum``/``add`` pass streams sequential memory whatever
+    ``rows`` is (a ``(rows, n)`` layout would walk strided columns and
+    thrash the cache once the matrix outgrows it).  Each column's result
+    is a function of that column alone: the adds are elementwise and
+    float ``max`` is exact, so how many rows share a call, and in which
+    order, cannot move a bit.
+    """
+    n, rows = dur_T.shape
+    if n == 0:
+        return np.zeros(rows)
+    comp = np.empty_like(dur_T)
+    makespan = np.zeros(rows)
+    for v in range(n):
+        ps = preds[v]
+        if ps:
+            ready = comp[ps[0]]
+            if len(ps) > 1:
+                ready = comp[ps].max(axis=0)
+            np.add(ready, dur_T[v], out=comp[v])
+        else:
+            comp[v] = dur_T[v]
+        np.maximum(makespan, comp[v], out=makespan)
+    return makespan
 
 
 class ProbDAG:
@@ -140,31 +173,19 @@ class ProbDAG:
         """Makespan of each scenario row of a ``(trials, n)`` duration matrix.
 
         Completion of node ``v`` = duration ``v`` + max over predecessors'
-        completions; the makespan is the max over all nodes.  Vectorised
-        across trials; ``O(E)`` vector operations.
+        completions; the makespan is the max over all nodes.  Runs
+        :func:`_propagate_transposed` on a row-contiguous transposed
+        copy; ``O(E)`` vector operations.
         """
         durations = np.atleast_2d(np.asarray(durations, dtype=float))
-        trials, n = durations.shape
+        n = durations.shape[1]
         if n != self.n:
             raise EvaluationError(
                 f"duration matrix has {n} columns for a {self.n}-node DAG"
             )
-        if n == 0:
-            return np.zeros(trials)
-        completion = np.empty_like(durations)
-        makespan = np.zeros(trials)
-        for v in range(n):
-            col = durations[:, v]
-            ps = self.preds[v]
-            if ps:
-                ready = completion[:, ps[0]]
-                if len(ps) > 1:
-                    ready = completion[:, ps].max(axis=1)
-                completion[:, v] = ready + col
-            else:
-                completion[:, v] = col
-            np.maximum(makespan, completion[:, v], out=makespan)
-        return makespan
+        return _propagate_transposed(
+            self.preds, np.ascontiguousarray(durations.T)
+        )
 
     def deterministic_makespan(self, durations: Optional[np.ndarray] = None) -> float:
         """Longest path under the given (default: base) durations."""

@@ -39,16 +39,6 @@ __all__ = [
     "snapshot",
 ]
 
-#: Kernel ops counted one row at a time (the scalar reference kernels).
-SCALAR_OPS = ("convolve", "max", "truncate")
-#: Fold-plan replay passes; ``rows`` counts the (cell, plan) pairs one
-#: :func:`~repro.makespan.foldplan.execute_plans` pass replays.
-POOL_OPS = ("pool_exec",)
-
-#: Evaluation dispatches (one ``expected_makespans`` call);
-#: ``scalar_rows`` counts the cells priced.
-DISPATCH_OPS = ("dispatch",)
-
 #: Compiled-kernel ops (:mod:`repro.makespan.native`); ``rows`` counts
 #: distribution rows the native path served (for ``native_normal``, the
 #: cells the C Clark fold priced; for ``native_kbest``, the cells the C
@@ -77,6 +67,16 @@ class KernelProfile:
     def record(
         self, op: str, rows: int = 1, scalar_rows: int = 0, wall: float = 0.0
     ) -> None:
+        """Add one call of ``op`` with its rows, scalar rows and wall time.
+
+        The scalar reference kernels (``convolve``, ``max``,
+        ``truncate``) count one row, and one scalar row, a call.
+        ``pool_exec`` is one fold replay pass; its ``rows`` count the
+        (cell, plan) pairs one
+        :func:`~repro.makespan.foldplan.execute_plans` pass replays.
+        ``dispatch`` is one ``expected_makespans`` call; its
+        ``scalar_rows`` count the cells priced.
+        """
         entry = self.counters.get(op)
         if entry is None:
             entry = {"calls": 0, "rows": 0, "scalar_rows": 0, "wall_s": 0.0}

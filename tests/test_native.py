@@ -13,9 +13,10 @@ Five contracts are pinned here:
   byte-identical to PR 9 HEAD (values pinned as hex float literals),
   with the native kernels on and off.
 * **Clark fold** — the C fold of Sculli's method prices drawn
-  templates exactly as the numpy fold and the scalar estimator do, and
-  a library whose ``erf``/``exp`` fail the load-time probe declines
-  the op for the process (the numpy fold then runs);
+  templates exactly as the scalar fold does, run per cell over the
+  template's rows and over each materialised cell, and a library whose
+  ``erf``/``exp`` fail the load-time probe declines the op for the
+  process (the scalar fold then runs);
 * **k-best DP** — the C path enumeration returns the masks of the numpy
   DP and of the scalar ``k_longest_paths`` on drawn templates, serves
   every cell whose path lengths are distinct, declines a cell whose
@@ -466,8 +467,9 @@ class TestNativeDifferentialFuzz:
     @given(normal_case())
     @settings(max_examples=fuzz_examples(150), deadline=None)
     def test_normal_fold(self, template):
-        """The C Clark fold, the numpy fold (native off) and the scalar
-        estimator per cell agree under ``float.hex``."""
+        """The C Clark fold, the scalar fold over the template's rows
+        (native off) and the scalar estimator of each materialised cell
+        agree under ``float.hex``."""
         native.set_enabled(True)
         prof = kernel_profile.enable()
         try:

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import EvaluationError
 from repro.makespan.probdag import ProbDAG
 from repro.makespan.two_state import TwoStateTask
+
+from conftest import fuzz_examples
 
 
 def diamond():
@@ -102,3 +106,47 @@ class TestKernels:
         dag.add("a", 3.0, 3.0, 0.0)
         dag.add("b", 5.0, 5.0, 0.0)
         assert dag.deterministic_makespan() == pytest.approx(5.0)
+
+
+@st.composite
+def longest_path_case(draw):
+    """A DAG whose nodes each join up to 6 earlier nodes, and a
+    ``(rows, n)`` duration matrix drawn from a small pool with zero
+    (tied path lengths) and 1e308 (two on a path overflow to inf), and
+    from floats up to 1e3."""
+    dag = ProbDAG()
+    for v in range(draw(st.integers(0, 24))):
+        preds = draw(
+            st.lists(st.integers(0, v - 1), unique=True, max_size=min(6, v))
+        ) if v else []
+        dag.add(f"t{v}", 1.0, 1.0, 0.0, preds=[f"t{q}" for q in preds])
+    rows = draw(st.integers(1, 6))
+    values = draw(st.lists(
+        st.one_of(
+            st.sampled_from([0.0, 1.0, 2.5, 1e308]), st.floats(0.0, 1e3)
+        ),
+        min_size=rows * dag.n,
+        max_size=rows * dag.n,
+    ))
+    return dag, np.array(values).reshape(rows, dag.n)
+
+
+class TestLongestPathKernel:
+    """The longest-path kernel against the scalar per-scenario walk."""
+
+    @given(longest_path_case())
+    @example((ProbDAG(), np.zeros((3, 0))))
+    @example((diamond(), np.array([[1.0, 0.0, 0.0, 2.5]])))
+    @settings(max_examples=fuzz_examples(150), deadline=None)
+    def test_makespans_equal_the_completion_walk(self, case):
+        """Each row's makespan is the largest of its scalar completion
+        times, under ``float.hex``: one row alone, rows stacked, and the
+        empty DAG (no node, makespan 0)."""
+        dag, durations = case
+        with np.errstate(over="ignore"):
+            got = dag.makespans(durations)
+            ref = [
+                max(dag.completion_times(row), default=0.0)
+                for row in durations
+            ]
+        assert [v.hex() for v in got.tolist()] == [float(v).hex() for v in ref]
